@@ -1,14 +1,16 @@
 """Stationary Gromov-Witten theory of the elliptic curve.
 
-The disconnected n-point functions are assembled from the Bloch-Okounkov
-theta function by the Okounkov-Pandharipande permutation-determinant
-formula.  Each permutation term is built in its triangular coordinates
-y_k = z_{s(1)} + ... + z_{s(k)}, where every denominator is y_k * unit.
-Individual terms have simple poles along partial-sum hyperplanes that only
-cancel in the permutation sum; to keep all arithmetic polynomial-exact we
-multiply through by the product of *all* partial-sum linear forms, sum the
-(variable-permuted) terms, and then peel the forms off by exact long
-division.  A division remainder or a pole of order two is a loud failure.
+The disconnected n-point functions are Bloch-Okounkov q-brackets: the
+coefficient of prod_j z_j^{e_j} is
+
+    prod_m (1 - q^m) * sum_lambda q^|lambda| prod_j [z^{e_j}] B_lambda(z),
+    B_lambda(z) = 1/(2 sinh(z/2)) + sum_i (e^{(lambda_i - i + 1/2) z}
+                                           - e^{(1/2 - i) z}),
+
+summed over all partitions up to the nome order (Bloch-Okounkov 2000;
+Okounkov-Pandharipande, GW theory, Hurwitz theory and completed cycles).
+The z-coefficients of B_lambda have a closed form, cached per exponent as
+one column over all partitions, so every label of a genus shares them.
 
 Connected functions follow by Moebius inversion over set partitions, and
 coefficients are recognized in the weight-graded ring Q[E2, E4, E6].
@@ -21,18 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .linalg import LinearSystemError, solve_unique
 from .quasimod import DEFAULT_MARGIN, bernoulli, eisenstein_series
-from .series import RatSeries, ZPoly
+from .series import RatSeries
 
 F = Fraction
 
 CQT = "cQt"  # nome of the elliptic curve
-
-MAX_NPOINT = 6
 
 
 class EllipticError(ValueError):
@@ -235,162 +234,66 @@ def theta_z(zdeg: int, qorder: int):
     return tuple([zero] + result[:zdeg])
 
 
-def theta_deriv_scaled(theta, m: int, zdeg: int, qorder: int):
-    """Theta^(m)(z)/m! as a z-coefficient list (binomial reindexing)."""
-    zero = RatSeries.zero(CQT, qorder)
-    out = [zero] * (zdeg + 1)
-    for j in range(m, min(len(theta), zdeg + 1 + m)):
-        if j - m <= zdeg:
-            out[j - m] = theta[j] * comb(j, m)
-    return out
+# -- disconnected n-point functions: the Bloch-Okounkov q-bracket --------------------
 
-
-def _unit_inverse(units, zdeg, qorder):
-    """Inverse of a z-list with constant coefficient exactly 1."""
-    zero = RatSeries.zero(CQT, qorder)
-    inv = [zero] * (zdeg + 1)
-    inv[0] = RatSeries.one(CQT, qorder)
-    for k in range(1, zdeg + 1):
-        acc = zero
-        for j in range(k):
-            if not (inv[j].is_zero() or units[k - j].is_zero()):
-                acc = acc + inv[j] * units[k - j]
-        inv[k] = -acc
-    return inv
-
-
-# -- disconnected n-point functions -------------------------------------------------
-
-def _subsets(n: int):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
-
-
-def _zpoly_from_zlist(zlist, var_index: int, n: int, bound: int) -> ZPoly:
-    terms = {}
-    for e, s in enumerate(zlist):
-        if e > bound:
-            break
-        if not s.is_zero():
-            key = [0] * n
-            key[var_index] = e
-            terms[tuple(key)] = s
-    z = ZPoly(n, bound)
-    z.terms = terms
-    return z
+def _partitions_of(d: int, largest: int | None = None):
+    """Partitions of d as weakly decreasing tuples, parts <= largest."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, largest or d), 0, -1):
+        for rest in _partitions_of(d - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
-def npoint_disconnected(n: int, zdeg_bound: int, qorder: int) -> ZPoly:
-    """The disconnected n-point function as a ZPoly, exact through total
-    z-degree ``zdeg_bound``; per-variable exponents are >= -1."""
-    if not 1 <= n <= MAX_NPOINT:
-        raise EllipticError(f"n-point sum supported for 1 <= n <= {MAX_NPOINT}")
-    B = zdeg_bound
-    y_deg = B + n                       # degree needed before form division
-    theta = theta_z(y_deg + n + 1, qorder)
+def _partitions(qorder: int) -> tuple:
+    """Every partition of size <= qorder, smallest sizes first."""
+    return tuple(lam for d in range(qorder + 1) for lam in _partitions_of(d))
 
-    # identity-permutation term, in triangular coordinates y_1..y_n
-    # (ZPoly index k-1 holds y_k); the determinant column j depends on
-    # y_{n-j} only, with y_0 = 0 a scalar.
-    one = RatSeries.one(CQT, qorder)
-    columns = []
-    for j in range(1, n + 1):
-        col = []
-        for i in range(1, n + 1):
-            m = j - i + 1
-            if m < 0:
-                col.append(None)
-            elif j == n:
-                col.append(theta[m] if m < len(theta) else RatSeries.zero(CQT, qorder))
-            else:
-                col.append(theta_deriv_scaled(theta, m, y_deg, qorder))
-        columns.append(col)
 
-    det = ZPoly(n, y_deg)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        piece = ZPoly.from_const(n, y_deg, one * sign)
-        ok = True
-        for j in range(n):
-            entry = columns[j][perm[j]]
-            if entry is None:
-                ok = False
-                break
-            if j == n - 1:  # scalar column
-                if entry.is_zero():
-                    ok = False
-                    break
-                piece = piece.mul(ZPoly.from_const(n, y_deg, entry), bound=y_deg)
-            else:
-                zp = _zpoly_from_zlist(entry, n - 2 - j, n, y_deg)
-                if not zp.terms:
-                    ok = False
-                    break
-                piece = piece.mul(zp, bound=y_deg)
-        if ok:
-            det = det + piece
+@lru_cache(maxsize=None)
+def _column(e: int, qorder: int) -> tuple:
+    """[z^e] B_lambda(z) for every partition in _partitions(qorder), e >= 1.
 
-    # divide by Theta(y_k) = y_k * unit: invert the units now, the monomials
-    # only after transforming back and clearing hyperplane forms
-    unit = [theta[j + 1] for j in range(y_deg + 1)]
-    unit_inv = _unit_inverse(unit, y_deg, qorder)
-    term = det
-    for k in range(n):
-        term = term.mul(_zpoly_from_zlist(unit_inv, k, n, y_deg), bound=y_deg)
+    The pole part 1/(2 sinh(z/2)) contributes (2^-e - 1) B_{e+1}/(e+1)!;
+    each part lambda_i contributes the z^e coefficient of
+    exp((lambda_i - i + 1/2) z) - exp((1/2 - i) z).
+    """
+    pole = (F(1, 2 ** e) - 1) * bernoulli(e + 1) / factorial(e + 1)
+    scale = 2 ** e * factorial(e)
+    return tuple(pole + F(sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
+                              for i, part in enumerate(lam, start=1)), scale)
+                 for lam in _partitions(qorder))
 
-    # back to z: y_k = z_1 + ... + z_k
-    matrix = [[1 if j <= i else 0 for j in range(n)] for i in range(n)]
-    term_z = term.linear_substitute(matrix)
 
-    # multiply by all partial-sum forms that are not identity prefixes
-    prefixes = {tuple(range(k + 1)) for k in range(n)}
-    all_supports = _subsets(n)
-    bound_full = B + len(all_supports)
-    term_z.bound = bound_full
-    for sup in all_supports:
-        if sup in prefixes:
+@lru_cache(maxsize=None)
+def _euler(qorder: int) -> RatSeries:
+    """prod_{m>=1} (1 - nome^m), truncated at qorder."""
+    out = RatSeries.one(CQT, qorder)
+    for m in range(1, qorder + 1):
+        out = out - out.shift(m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
+    """Disconnected n-point coefficients of total z-degree ``degree``.
+
+    Maps each weakly decreasing n-tuple of exponents >= 1 summing to
+    ``degree`` to the nome series of prod_j z_j^{e_j} in
+    prod_m (1 - q^m) * sum_lambda q^|lambda| prod_j B_lambda(z_j).
+    """
+    sizes = [sum(lam) for lam in _partitions(qorder)]
+    out = {}
+    for exps in _partitions_of(degree):
+        if len(exps) != n:
             continue
-        form = ZPoly(n, bound_full)
-        for i in sup:
-            e = [0] * n
-            e[i] = 1
-            form.terms[tuple(e)] = one
-        term_z = term_z.mul(form, bound=bound_full)
-
-    # sum the variable-permuted copies
-    total = ZPoly(n, bound_full)
-    for perm in permutations(range(n)):
-        total = total + term_z.permute_vars(perm)
-
-    # peel off the forms: first hyperplanes (exact), then simple z poles
-    for sup in all_supports:
-        if len(sup) >= 2:
-            total = total.divide_linear(sup)
-    for i in range(n):
-        total = total.divide_var(i)
-    total.bound = B
-    total.terms = {e: s for e, s in total.terms.items() if sum(e) <= B}
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+        coeffs = [F(0)] * (qorder + 1)
+        for size, vals in zip(sizes, zip(*(_column(e, qorder) for e in exps))):
+            coeffs[size] += prod(vals)
+        out[exps] = RatSeries(CQT, 0, coeffs) * _euler(qorder)
+    return out
 
 
 def set_partitions(items):
@@ -403,34 +306,6 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
         yield [[first]] + part
-
-
-def npoint_connected(n: int, zdeg_bound: int, qorder: int) -> ZPoly:
-    """Connected n-point function by Moebius inversion over set partitions."""
-    total = ZPoly(n, zdeg_bound)
-    for part in set_partitions(range(n)):
-        k = len(part)
-        coef = F((-1) ** (k - 1) * factorial(k - 1))
-        piece = ZPoly.from_const(n, zdeg_bound + n,
-                                 RatSeries.const(CQT, coef, qorder))
-        blocks = sorted(part, key=len)
-        done = 0
-        for block in blocks:
-            # blocks not yet multiplied in can still lower the total degree
-            # by their size, so keep that much headroom past the target
-            done += len(block)
-            running_bound = zdeg_bound + (n - done)
-            sub = npoint_disconnected(len(block),
-                                      zdeg_bound + (n - len(block)), qorder)
-            emb = ZPoly(n, running_bound + len(block))
-            for e, s in sub.terms.items():
-                key = [0] * n
-                for pos, expo in zip(sorted(block), e):
-                    key[pos] = expo
-                emb.terms[tuple(key)] = s
-            piece = piece.mul(emb, bound=running_bound)
-        total = total + piece
-    return total
 
 
 def _dim_weight(w: int) -> int:
@@ -448,26 +323,19 @@ class EllipticSeries:
     value: EPoly             # recognized form
 
 
-@lru_cache(maxsize=None)
-def _disconnected_coefficient(exps: tuple, qorder: int) -> RatSeries:
-    zp = npoint_disconnected(len(exps), sum(exps), qorder)
-    got = zp.coefficient(exps)
-    return got if got is not None else RatSeries.zero(CQT, qorder)
-
-
 def connected_coefficient(exps: tuple, qorder: int) -> RatSeries:
     """Coefficient of prod z_j^{e_j} in the connected n-point function."""
     total = RatSeries.zero(CQT, qorder)
     for part in set_partitions(range(len(exps))):
         k = len(part)
         coef = F((-1) ** (k - 1) * factorial(k - 1))
-        prod = RatSeries.const(CQT, coef, qorder)
+        term = RatSeries.const(CQT, coef, qorder)
         for block in part:
             sub = tuple(sorted((exps[i] for i in block), reverse=True))
-            prod = prod * _disconnected_coefficient(sub, qorder)
-            if prod.is_zero():
+            term = term * npoint_disconnected(len(sub), sum(sub), qorder)[sub]
+            if term.is_zero():
                 break
-        total = total + prod
+        total = total + term
     return total
 
 

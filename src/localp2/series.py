@@ -1,5 +1,4 @@
-"""Truncated univariate Laurent series and bounded multivariate polynomials
-over exact rationals.
+"""Truncated univariate Laurent series over exact rationals.
 
 A :class:`RatSeries` stores coefficients for exponents ``min_exp..trunc_order``
 inclusive.  ``trunc_order`` is the last exponent at which the value is fully
@@ -15,7 +14,7 @@ log_coeff (a monomial shift); everything else rejects it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rat = Fraction
 
@@ -433,241 +432,3 @@ def series_from_json(d) -> RatSeries:
         coeffs[e - lo] = v
     return RatSeries(d["variable"], lo, coeffs, _frac_from_json(d["log_coeff"]))
 
-
-# -- bounded multivariate polynomials with series coefficients ------------------
-
-class ZPoly:
-    """Polynomial in z_1..z_n, exponents >= -1, truncated at a total-degree
-    bound, with RatSeries coefficients sharing one variable and order."""
-
-    __slots__ = ("n", "bound", "terms")
-
-    def __init__(self, n: int, bound: int, terms: dict | None = None):
-        self.n = n
-        self.bound = bound
-        self.terms: dict[tuple, RatSeries] = {}
-        if terms:
-            for e, s in terms.items():
-                self._set(tuple(e), s)
-
-    def _set(self, e: tuple, s: RatSeries):
-        if len(e) != self.n:
-            raise SeriesError("exponent tuple of wrong length")
-        if any(x < -1 for x in e):
-            raise SeriesError(f"exponent below -1 in {e}: uncancelled pole")
-        if sum(e) > self.bound:
-            return
-        if not s.is_zero():
-            self.terms[e] = s
-
-    @staticmethod
-    def from_const(n: int, bound: int, s: RatSeries) -> "ZPoly":
-        return ZPoly(n, bound, {(0,) * n: s})
-
-    def copy(self) -> "ZPoly":
-        out = ZPoly(self.n, self.bound)
-        out.terms = dict(self.terms)
-        return out
-
-    def coefficient(self, e: Sequence[int]) -> RatSeries | None:
-        return self.terms.get(tuple(e))
-
-    def min_exponent(self, i: int) -> int:
-        return min((e[i] for e in self.terms), default=0)
-
-    def total_degrees(self) -> tuple[int, int]:
-        degs = [sum(e) for e in self.terms] or [0]
-        return min(degs), max(degs)
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        if self.n != other.n:
-            raise SeriesError("mixed variable counts")
-        out = ZPoly(self.n, min(self.bound, other.bound))
-        for e, s in self.terms.items():
-            if sum(e) <= out.bound:
-                out.terms[e] = s
-        for e, s in other.terms.items():
-            if sum(e) > out.bound:
-                continue
-            cur = out.terms.get(e)
-            t = s if cur is None else cur + s
-            if t.is_zero():
-                out.terms.pop(e, None)
-            else:
-                out.terms[e] = t
-        return out
-
-    def __neg__(self) -> "ZPoly":
-        out = ZPoly(self.n, self.bound)
-        out.terms = {e: -s for e, s in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "ZPoly":
-        out = ZPoly(self.n, self.bound)
-        if _frac(c):
-            out.terms = {e: s * c for e, s in self.terms.items()}
-        return out
-
-    def mul(self, other: "ZPoly", bound: int | None = None) -> "ZPoly":
-        """Product truncated at ``bound`` (default: validity-tracking bound)."""
-        if self.n != other.n:
-            raise SeriesError("mixed variable counts")
-        if bound is None:
-            m1, _ = self.total_degrees()
-            m2, _ = other.total_degrees()
-            bound = min(self.bound + m2, other.bound + m1)
-        out = ZPoly(self.n, bound)
-        acc: dict[tuple, RatSeries] = {}
-        for e1, s1 in self.terms.items():
-            for e2, s2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > bound:
-                    continue
-                if any(x < -1 for x in e):
-                    raise SeriesError(f"exponent below -1 in product at {e}")
-                p = s1 * s2
-                cur = acc.get(e)
-                acc[e] = p if cur is None else cur + p
-        out.terms = {e: s for e, s in acc.items() if not s.is_zero()}
-        return out
-
-    def linear_substitute(self, matrix: Sequence[Sequence[int]]) -> "ZPoly":
-        """Replace z_i by sum_j matrix[i][j] * y_j (invertible integer matrix).
-
-        A -1 exponent passes through only when the variable's image is
-        +/- a single variable.
-        """
-        m = [list(row) for row in matrix]
-        if len(m) != self.n or any(len(r) != self.n for r in m):
-            raise SeriesError("substitution matrix of wrong shape")
-        if _int_det(m) == 0:
-            raise SeriesError("substitution matrix not invertible")
-        base = next(iter(self.terms.values()), None)
-        cvar = base.var if base is not None else "q"
-        corder = base.trunc_order if base is not None else 0
-
-        def monomial(j: int, exp: int, c) -> "ZPoly":
-            e = [0] * self.n
-            e[j] = exp
-            z = ZPoly(self.n, self.bound)
-            z.terms[tuple(e)] = RatSeries.const(cvar, c, corder)
-            return z
-
-        images = []
-        for i in range(self.n):
-            img = ZPoly(self.n, self.bound)
-            for j, c in enumerate(m[i]):
-                if c:
-                    img = img + monomial(j, 1, c)
-            images.append(img)
-        out = ZPoly(self.n, self.bound)
-        cache: dict[tuple, ZPoly] = {}
-        for e, s in self.terms.items():
-            piece = ZPoly.from_const(self.n, self.bound, s)
-            for i, x in enumerate(e):
-                if x == 0:
-                    continue
-                if x < 0:
-                    nz = [(j, c) for j, c in enumerate(m[i]) if c]
-                    if len(nz) != 1 or abs(nz[0][1]) != 1:
-                        raise SeriesError("negative exponent under non-monomial "
-                                          "substitution")
-                    j, c = nz[0]
-                    piece = piece.mul(monomial(j, -1, c), bound=self.bound)
-                    continue
-                key = (i, x)
-                if key not in cache:
-                    r = images[i]
-                    for _ in range(x - 1):
-                        r = r.mul(images[i], bound=self.bound)
-                    cache[key] = r
-                piece = piece.mul(cache[key], bound=self.bound)
-            out = out + piece
-        out.bound = self.bound
-        return out
-
-    def permute_vars(self, perm: Sequence[int]) -> "ZPoly":
-        """Relabel variables: new exponent of z_perm[i] is old exponent of z_i."""
-        out = ZPoly(self.n, self.bound)
-        for e, s in self.terms.items():
-            ne = [0] * self.n
-            for i, x in enumerate(e):
-                ne[perm[i]] = x
-            out.terms[tuple(ne)] = s
-        return out
-
-    def divide_linear(self, support: Sequence[int]) -> "ZPoly":
-        """Exact division by the linear form sum of z_i over ``support``.
-
-        Long division in the first support variable; raises if a remainder
-        survives (an uncancelled hyperplane pole)."""
-        support = sorted(support)
-        piv = support[0]
-        rest = support[1:]
-        work = dict(self.terms)
-        out = ZPoly(self.n, self.bound - 1)
-        # peel by descending pivot exponent
-        while work:
-            d = max(e[piv] for e in work)
-            if d <= 0:
-                if any(not s.is_zero() for s in work.values()):
-                    raise SeriesError("non-exact division by linear form: "
-                                      "uncancelled pole")
-                break
-            layer = {e: s for e, s in work.items() if e[piv] == d}
-            for e, s in layer.items():
-                q = list(e)
-                q[piv] -= 1
-                qt = tuple(q)
-                cur = out.terms.get(qt)
-                out.terms[qt] = s if cur is None else cur + s
-                del work[e]
-                # subtract q * (rest of form)
-                for j in rest:
-                    ee = list(q)
-                    ee[j] += 1
-                    et = tuple(ee)
-                    curw = work.get(et)
-                    t = (-s) if curw is None else curw - s
-                    if t.is_zero():
-                        work.pop(et, None)
-                    else:
-                        work[et] = t
-        out.terms = {e: s for e, s in out.terms.items() if not s.is_zero()}
-        return out
-
-    def divide_var(self, i: int) -> "ZPoly":
-        """Exact division by z_i (floor at -1)."""
-        out = ZPoly(self.n, self.bound - 1)
-        for e, s in self.terms.items():
-            ne = list(e)
-            ne[i] -= 1
-            if ne[i] < -1:
-                raise SeriesError("pole of order >= 2 in a z variable")
-            out.terms[tuple(ne)] = s
-        return out
-
-
-def _int_det(m) -> int:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = 1
-    for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if m[r][i]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        for r in range(i + 1, n):
-            f = Fraction(m[r][i], m[i][i])
-            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
-    return int(det)

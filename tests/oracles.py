@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive and independent of the library code
 paths it checks: plain-list polynomial arithmetic, divisor sums, exhaustive
-enumeration, partition sums.
+enumeration.  The one exception is :func:`bloch_okounkov_npoint_oracle`: the
+library computes the same partition sum, so agreement with it is a check of
+the closed-form z-coefficients, not an independent one.
 """
 
 from fractions import Fraction
@@ -157,6 +159,12 @@ def bloch_okounkov_npoint_oracle(exponents, qorder):
 
     with B_lambda(z) = 1/(2 sinh(z/2))
                        + sum_i (e^{(lambda_i - i + 1/2) z} - e^{(-i + 1/2) z}).
+
+    This is the algorithm of ``localp2.elliptic.npoint_disconnected``; here
+    the z-series are expanded term by term instead of by the closed form.
+    It is not independent of the library: the independent checks are the
+    one-point identity F_1 * Theta = 1 against ``theta_z`` (Eisenstein
+    series) and the pinned Q[E2, E4, E6] values in ``test_elliptic.py``.
     """
     n = len(exponents)
     zorder = max(max(exponents) + 1, 1)

@@ -12,7 +12,6 @@ from localp2.elliptic import (
     e_weight_monomials,
     elliptic_hae_check,
     f1_empty,
-    npoint_connected,
     npoint_disconnected,
     recognize_E,
     theta_z,
@@ -49,77 +48,71 @@ class TestTheta:
 
 class TestDisconnected:
     def test_one_point_is_inverse_theta(self):
-        zp = npoint_disconnected(1, 5, QORDER)
-        assert zp.coefficient((-1,)).constant_term() == 1
-        got_z1 = zp.coefficient((1,))
+        got_z1 = npoint_disconnected(1, 1, QORDER)[(1,)]
         expect = (EPoly({(1, 0, 0): F(-1, 24)})).to_qseries(QORDER)
         assert got_z1.agrees_with(expect, QORDER)
-        got_z3 = zp.coefficient((3,))
+        got_z3 = npoint_disconnected(1, 3, QORDER)[(3,)]
         expect3 = EPoly({(0, 1, 0): F(1, 2880), (2, 0, 0): F(1, 1152)}).to_qseries(QORDER)
         assert got_z3.agrees_with(expect3, QORDER)
 
     def test_one_point_z5(self):
-        zp = npoint_disconnected(1, 5, QORDER)
+        got = npoint_disconnected(1, 5, QORDER)[(5,)]
         expect5 = EPoly({(0, 0, 1): F(-1, 181440), (1, 1, 0): F(-1, 69120),
                          (3, 0, 0): F(-1, 82944)}).to_qseries(QORDER)
-        assert zp.coefficient((5,)).agrees_with(expect5, QORDER)
+        assert got.agrees_with(expect5, QORDER)
+
+    def test_one_point_times_theta_is_one(self):
+        # F_1(z) = 1/Theta(z), with Theta built from Eisenstein series and
+        # the z^-1 term of F_1 equal to 1; check F_1 * Theta = 1 through z^7
+        qorder = 8
+        theta = theta_z(8, qorder)
+        f1 = {e: npoint_disconnected(1, e, qorder)[(e,)] for e in range(1, 7)}
+        for k in range(8):
+            acc = theta[k + 1]
+            for e in range(1, k):
+                acc = acc + f1[e] * theta[k - e]
+            expect = RatSeries.const("cQt", 1 if k == 0 else 0, qorder)
+            assert acc.agrees_with(expect, qorder), k
 
     def test_one_point_parity(self):
-        zp = npoint_disconnected(1, 6, 6)
-        for e, _ in zp.terms.items():
-            assert e[0] % 2 == 1
+        for e in range(1, 7):
+            assert npoint_disconnected(1, e, 6)[(e,)].is_zero() == (e % 2 == 0)
 
     @pytest.mark.parametrize("exps", [(1,), (3,), (5,)])
     def test_against_partition_sum_oracle(self, exps):
         qorder = 8
-        zp = npoint_disconnected(len(exps), sum(exps), qorder)
-        got = zp.coefficient(exps)
+        got = npoint_disconnected(len(exps), sum(exps), qorder)[exps]
         expect = bloch_okounkov_npoint_oracle(exps, qorder)
         assert got.coeff_list(0, qorder) == expect
 
     @pytest.mark.parametrize("exps", [(1, 1), (2, 2), (3, 1), (2, 1)])
     def test_two_point_against_partition_sum_oracle(self, exps):
         qorder = 7
-        zp = npoint_disconnected(2, sum(exps), qorder)
-        got = zp.coefficient(exps)
+        got = npoint_disconnected(2, sum(exps), qorder)[exps]
         expect = bloch_okounkov_npoint_oracle(exps, qorder)
-        if got is None:
-            assert all(v == 0 for v in expect)
-        else:
-            assert got.coeff_list(0, qorder) == expect
+        assert got.coeff_list(0, qorder) == expect
 
-    def test_determinant_trivial_case(self):
-        # the 1x1 determinant entry is Theta'(0) = 1
-        zp = npoint_disconnected(1, 1, 5)
-        inv_theta_lead = zp.coefficient((-1,))
-        assert inv_theta_lead.coeff_list(0, 5) == [1, 0, 0, 0, 0, 0]
+    def test_keys_are_partitions_into_n_parts(self):
+        assert set(npoint_disconnected(3, 6, 4)) == {(4, 1, 1), (3, 2, 1), (2, 2, 2)}
+        assert npoint_disconnected(3, 2, 4) == {}
 
 
 class TestConnected:
     def test_two_point_z1z1(self):
-        zp = npoint_connected(2, 4, QORDER)
-        got = zp.coefficient((1, 1))
+        got = connected_coefficient((1, 1), QORDER)
         expect = (E2 * E2 - E4).to_qseries(QORDER) * F(-1, 288)
         assert got.agrees_with(expect, QORDER)
 
     def test_two_point_z2z2(self):
-        zp = npoint_connected(2, 4, QORDER)
-        got = zp.coefficient((2, 2))
+        got = connected_coefficient((2, 2), QORDER)
         expect = (5 * E2 ** 3 - 3 * E2 * E4 - 2 * E6).to_qseries(QORDER) / 25920
         assert got.agrees_with(expect, QORDER)
 
     def test_two_point_z1z3(self):
-        zp = npoint_connected(2, 4, QORDER)
-        got = zp.coefficient((1, 3))
+        got = connected_coefficient((1, 3), QORDER)
         expect = (5 * E2 ** 3 - E2 * E4 - 4 * E6).to_qseries(QORDER) / 34560
         assert got.agrees_with(expect, QORDER)
-        assert zp.coefficient((3, 1)).agrees_with(expect, QORDER)
-
-    def test_pole_cancellation(self):
-        zp = npoint_connected(2, 4, 6)
-        assert all(min(e) >= 0 for e in zp.terms)
-        zp3 = npoint_connected(3, 5, 6)
-        assert all(min(e) >= 0 for e in zp3.terms)
+        assert connected_coefficient((3, 1), QORDER).agrees_with(expect, QORDER)
 
 
 class TestExtract:
@@ -138,6 +131,21 @@ class TestExtract:
     def test_f_2_11(self):
         got = connected_extract(StationaryLabel(2, (1, 1)))
         assert got.value == (2 * E6 + 3 * E2 * E4 - 5 * E2 ** 3) * F(-1, 25920)
+
+    def test_f_3_1111_pinned(self):
+        # recorded from the permutation-determinant route this replaced
+        got = connected_extract(StationaryLabel(3, (1, 1, 1, 1)))
+        assert got.value == (E6 ** 2 / 373248 + F(7, 1492992) * E4 ** 3
+                             - E2 * E4 * E6 / 124416 - E2 ** 2 * E4 ** 2 / 124416
+                             + E2 ** 3 * E6 / 373248 + F(5, 497664) * E2 ** 4 * E4
+                             - E2 ** 6 / 248832)
+
+    def test_f_3_211_pinned(self):
+        # recorded from the permutation-determinant route this replaced
+        got = connected_extract(StationaryLabel(3, (2, 1, 1)))
+        assert got.value == (-E4 * E6 / 124416 + E2 * E4 ** 2 / 497664
+                             + E2 ** 2 * E6 / 124416 + E2 ** 3 * E4 / 248832
+                             - E2 ** 5 / 165888)
 
     def test_symmetry_under_part_order(self):
         a = connected_coefficient((2, 1, 1), 8)
@@ -204,6 +212,11 @@ class TestEllipticHae:
         rep = elliptic_hae_check(StationaryLabel(2, (1, 1, 0)))
         assert rep["ok"]
 
+    def test_four_point_label(self):
+        rep = elliptic_hae_check(StationaryLabel(3, (1, 1, 1, 1)))
+        assert rep["ok"]
+        assert not rep["lhs"].is_zero()
+
     def test_genus3_single_label(self):
         # here the loop term is the only survivor on the right side
         rep = elliptic_hae_check(StationaryLabel(3, (4,)))
@@ -215,5 +228,9 @@ class TestEllipticHae:
 
 class TestDisconnectedParity:
     def test_two_point_total_parity(self):
-        zp = npoint_disconnected(2, 4, 6)
-        assert all(sum(e) % 2 == 0 for e in zp.terms)
+        odd = npoint_disconnected(2, 3, 6)
+        assert set(odd) == {(2, 1)}
+        assert all(v.is_zero() for v in odd.values())
+        even = npoint_disconnected(2, 4, 6)
+        assert set(even) == {(3, 1), (2, 2)}
+        assert not any(v.is_zero() for v in even.values())

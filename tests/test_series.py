@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localp2.series import RatSeries, SeriesError, ZPoly, series_from_json, series_to_json
+from localp2.series import RatSeries, SeriesError, series_from_json, series_to_json
 
 from oracles import ibar1_coeff, pl_compose, pl_long_division
 
@@ -191,52 +191,3 @@ class TestJson:
         assert t == s
         assert all(isinstance(c["num"], str) for c in d["coeffs"])
 
-
-class TestZPoly:
-    def c(self, v):
-        return RatSeries.const("cQt", v, 3)
-
-    def test_product_of_variables(self):
-        z1 = ZPoly(2, 4, {(1, 0): self.c(1)})
-        z2 = ZPoly(2, 4, {(0, 1): self.c(1)})
-        p = z1.mul(z2)
-        assert p.coefficient((1, 1)).constant_term() == 1
-
-    def test_triangular_substitution(self):
-        # z1 -> y1, z2 -> y2 - y1 turns z1 + z2 into y2
-        p = ZPoly(2, 4, {(1, 0): self.c(1), (0, 1): self.c(1)})
-        q = p.linear_substitute([[1, 0], [-1, 1]])
-        assert q.coefficient((0, 1)).constant_term() == 1
-        assert q.coefficient((1, 0)) is None
-
-    def test_substitution_requires_invertible(self):
-        p = ZPoly(2, 4, {(1, 0): self.c(1)})
-        with pytest.raises(SeriesError):
-            p.linear_substitute([[1, 1], [1, 1]])
-
-    def test_pole_floor(self):
-        with pytest.raises(SeriesError):
-            ZPoly(1, 4, {(-2,): self.c(1)})
-        a = ZPoly(1, 4, {(-1,): self.c(1)})
-        with pytest.raises(SeriesError):
-            a.mul(a)
-
-    def test_divide_linear_exact(self):
-        # (z1 + z2) * (z1 - z2) = z1^2 - z2^2
-        p = ZPoly(2, 4, {(2, 0): self.c(1), (0, 2): self.c(-1)})
-        q = p.divide_linear([0, 1])
-        assert q.coefficient((1, 0)).constant_term() == 1
-        assert q.coefficient((0, 1)).constant_term() == -1
-        assert len(q.terms) == 2
-
-    def test_divide_linear_remainder_raises(self):
-        p = ZPoly(2, 4, {(1, 0): self.c(1), (0, 0): self.c(1)})
-        with pytest.raises(SeriesError):
-            p.divide_linear([0, 1])
-
-    def test_divide_var(self):
-        p = ZPoly(2, 4, {(1, 1): self.c(2)})
-        q = p.divide_var(0).divide_var(0)
-        assert q.coefficient((-1, 1)).constant_term() == 2
-        with pytest.raises(SeriesError):
-            q.divide_var(0)
