@@ -1,8 +1,8 @@
 """End-to-end verification criteria.
 
 Each criterion returns (ok, detail); the detail strings are deterministic
-so that reports can be compared byte-for-byte across runs and worker
-counts.  All comparisons are exact rational equality.
+so that reports can be compared byte-for-byte across runs.  All
+comparisons are exact rational equality.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .hae import (
     conifold_expand,
     gap_target,
     solve_genus,
+    solve_towers,
     verify_hae,
 )
 from .locrel import (
@@ -28,6 +29,7 @@ from .locrel import (
     CorrTerm,
     f1_local_series,
     f1_relative_series,
+    genus0_flat_expansion,
     relative_flat_expansion,
 )
 from .mirror import (
@@ -59,27 +61,15 @@ F2_RELATIVE = BModElement(0, {(1, 1): F(1, 384), (0, 2): F(-1, 360),
 
 @lru_cache(maxsize=1)
 def context():
-    """Shared expensive state: mirror data and both towers through genus 3."""
+    """Shared expensive state ``(md, corr, direct)``: mirror data, both
+    towers through genus 3 (``corr``: local by anomaly + gap, relative
+    through the correspondence), and the relative tower through genus 3
+    solved directly by anomaly + gap (``direct.relative``)."""
     md = build_mirror_data(MIRROR_ORDER)
-    corr = Correspondence(md)
-    f2_local = solve_genus(2, "local", md, corr)
-    f2_rel_from_corr = corr.solve_relative(2, f2_local)
-    f3_local = solve_genus(3, "local", md, corr)
-    f3_rel_from_corr = corr.solve_relative(3, f3_local)
-    corr_direct = Correspondence(md)
-    f2_rel_direct = solve_genus(2, "relative", md, corr_direct)
-    f3_rel_direct = solve_genus(3, "relative", md, corr_direct)
-    return {
-        "md": md,
-        "corr": corr,
-        "corr_direct": corr_direct,
-        "f2_local": f2_local,
-        "f3_local": f3_local,
-        "f2_rel_from_corr": f2_rel_from_corr,
-        "f3_rel_from_corr": f3_rel_from_corr,
-        "f2_rel_direct": f2_rel_direct,
-        "f3_rel_direct": f3_rel_direct,
-    }
+    corr = solve_towers(md, 3)
+    direct = Correspondence(md)
+    solve_genus(3, "relative", md, direct)
+    return md, corr, direct
 
 
 def _fmt(x: Fraction) -> str:
@@ -87,7 +77,7 @@ def _fmt(x: Fraction) -> str:
 
 
 def criterion_1_mirror_map():
-    md = context()["md"]
+    md = context()[0]
     got_q = md.Qofq.coeff_list(1, 6)
     got_inv = md.qofQ.coeff_list(1, 6)
     want_q = [1, -6, 63, -866, 13899, -246366]
@@ -115,7 +105,7 @@ def criterion_2_quasimodular_generators():
 
 
 def criterion_3_period_bridge():
-    md = context()["md"]
+    md = context()[0]
     order = 30
     ok = cq_change(generator_series("A", order), md).agrees_with(md.I11, order)
     rhs_b = md.I11 ** 2 * (md.X + 6 * md.S) / md.X
@@ -126,7 +116,7 @@ def criterion_3_period_bridge():
 
 
 def criterion_4_genus0():
-    md = context()["md"]
+    md = context()[0]
     d3 = BModElement.monomial(-9, 0, 1, i11_degree=3)
     # the third derivative against the period ratio route
     lhs = bm_eval(d3, md)
@@ -135,19 +125,11 @@ def criterion_4_genus0():
     ok = lhs.agrees_with(rhs, md.order - 4)
     from .mirror import bm_derive_D
     ok = ok and bm_derive_D(d3) == BModElement.monomial(81, 1, 1, i11_degree=4)
-    flat = _genus0_flat(md)
+    flat = genus0_flat_expansion(md)
     want = [F(3), F(-45, 8), F(244, 9), F(-12333, 64), F(211878, 125)]
     got = flat.coeff_list(1, 5)
     ok = ok and got == want
     return ok, "flat genus-0 coefficients " + ", ".join(map(_fmt, got))
-
-
-def _genus0_flat(md) -> RatSeries:
-    d3 = bm_eval(BModElement.monomial(-9, 0, 1, i11_degree=3), md, target="Q")
-    coeffs = [F(0)] * (d3.trunc_order + 1)
-    for d in range(1, d3.trunc_order + 1):
-        coeffs[d] = d3.coeff(d) / (27 * d ** 3)
-    return RatSeries("Q", 0, coeffs)
 
 
 def criterion_5_elliptic_tower():
@@ -166,8 +148,7 @@ def criterion_5_elliptic_tower():
 
 
 def criterion_6_genus1():
-    ctx = context()
-    md = ctx["md"]
+    md = context()[0]
     corr = Correspondence(md)
     got = corr.solve_relative(1, f1_local_series(md))
     expect = f1_relative_series(md)
@@ -180,8 +161,7 @@ def criterion_6_genus1():
 
 
 def criterion_7_genus2():
-    ctx = context()
-    md = ctx["md"]
+    md = context()[0]
     corr = Correspondence(md)
     inter = {
         CorrTerm(1, ((0, 1),), 1): BModElement(
@@ -207,17 +187,15 @@ def criterion_7_genus2():
 
 
 def criterion_8_anomaly_genus2():
-    ctx = context()
-    corr = ctx["corr_direct"]
-    rep_rel = verify_hae(2, "relative", corr.relative)
-    corr_l = ctx["corr"]
-    rep_loc = verify_hae(2, "local", corr_l.local)
+    _, corr, direct = context()
+    rep_rel = verify_hae(2, "relative", direct.relative)
+    rep_loc = verify_hae(2, "local", corr.local)
     ok = rep_rel["ok"] and rep_loc["ok"]
     return ok, "polynomial anomaly identities at genus 2, both theories"
 
 
 def criterion_9_conifold_gap():
-    md = context()["md"]
+    md = context()[0]
     frame = build_conifold_frame(md)
     loc = conifold_expand(F2_LOCAL, frame, 2)
     rel = conifold_expand(F2_RELATIVE, frame, 2)
@@ -230,12 +208,11 @@ def criterion_9_conifold_gap():
 
 
 def criterion_10_genus3_triangle():
-    ctx = context()
-    md = ctx["md"]
-    a = bm_eval(ctx["f3_rel_from_corr"], md, target="Q")
-    b = bm_eval(ctx["f3_rel_direct"], md, target="Q")
+    md, corr, direct = context()
+    a = bm_eval(corr.relative.elements[3], md, target="Q")
+    b = bm_eval(direct.relative.elements[3], md, target="Q")
     ok = a.coeff_list(0, 8) == b.coeff_list(0, 8)
-    qm = bm_to_qmod(ctx["f3_rel_direct"])
+    qm = bm_to_qmod(direct.relative.elements[3])
     ok = ok and qm.c_pole <= 4 and qm.weight == 0
     ok = ok and all(bexp <= 3 for _, bexp, _ in qm.terms)
     head = ", ".join(_fmt(a.coeff(d)) for d in range(1, 5))
@@ -244,15 +221,13 @@ def criterion_10_genus3_triangle():
 
 
 def criterion_11_ns_limit():
-    ctx = context()
-    md = ctx["md"]
+    md, _, direct = context()
     table = load_omega(default_omega_path())
-    corr = Correspondence(md)
     flat = {
-        0: _genus0_flat(md),
+        0: genus0_flat_expansion(md),
         1: relative_flat_expansion(
-            corr.solve_relative(1, f1_local_series(md)), md),
-        2: relative_flat_expansion(ctx["f2_rel_direct"], md),
+            direct.solve_relative(1, f1_local_series(md)), md),
+        2: relative_flat_expansion(direct.relative.elements[2], md),
     }
     report = compare_ns_relative(table, 2, 2, flat)
     cells = ", ".join(f"(g={g},d={d}):{'=' if report['cells'][(g, d)]['equal'] else '!'}"
@@ -275,14 +250,8 @@ ALL_CRITERIA = [
 ]
 
 
-def run_report(threads: int = 1) -> str:
-    """Deterministic pass/fail report of criteria 1-11.
-
-    Evaluation is sequential in a fixed order regardless of the requested
-    worker count, so reports are byte-identical across thread settings.
-    """
-    if threads < 1:
-        raise ValueError("thread count must be positive")
+def run_report() -> str:
+    """Deterministic pass/fail report of criteria 1-11, in a fixed order."""
     lines = []
     for idx, (name, fn) in enumerate(ALL_CRITERIA, start=1):
         ok, detail = fn()
@@ -291,7 +260,12 @@ def run_report(threads: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def criterion_12_determinism():
-    a = run_report(threads=1)
-    b = run_report(threads=8)
-    return a == b and "FAIL" not in a, "reports at worker counts 1 and 8 compared"
+def criterion_12_determinism(first: str | None = None):
+    """Compare a report with one warm rerun that reuses every cache the
+    first run filled.  Pass the process's first (cold-cache) report as
+    ``first`` to make the check cold against warm."""
+    if first is None:
+        first = run_report()
+    again = run_report()
+    return first == again and "FAIL" not in first, \
+        "first report and a warm-cache rerun compared"

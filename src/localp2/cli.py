@@ -1,21 +1,24 @@
 """Command-line surface.
 
 Subcommands
-    compute mirror    --order N
-    compute local     --genus G [--method hae|locrel]
-    compute relative  --genus G [--method hae|locrel]
-    compute elliptic  --genus H --parts a1,a2,...
+    compute mirror    [--order N]
+    compute local     --genus G
+    compute relative  --genus G [--method locrel|hae]
+    compute elliptic  --genus H --parts a1,a2,... [--order N]
     solve             --genus G --target local|relative|both
-    verify ramanujan  --order N
+    verify ramanujan  [--order N]
     verify hae        --genus G --target local|relative
     verify gap        --genus G --target local|relative
-    ns compare        [--omega PATH] --gmax G --dmax D
-    selftest          [--out PATH]
+    ns compare        [--omega PATH] [--gmax G] [--dmax D]
+    selftest
 
-A flat key=value config file supplies defaults; flags override.  Exit
-status: 0 on success, 1 on a failed exact verification, 2 on usage or
-configuration errors.  Evaluation is sequential in a fixed order whatever
---threads requests, so outputs are byte-identical across worker counts.
+Global flags: --config FILE, a flat key = value file setting q_order,
+margin, format and omega (flags override it); --format json|csv|text;
+--out PATH.
+
+Exit status: 0 on success; 1 when an exact verification fails; 2 on bad
+flags or a bad config or data file, before anything is computed; 3 on an
+internal error, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -23,50 +26,45 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import acceptance
-from .elliptic import StationaryLabel, connected_extract
-from .hae import build_conifold_frame, conifold_expand, solve_genus, verify_hae
-from .locrel import (
-    Correspondence,
-    f1_local_series,
-    relative_flat_expansion,
-)
+from .elliptic import StationaryLabel, connected_extract, e_weight_monomials
+from .hae import (build_conifold_frame, conifold_expand, gap_target,
+                  solve_genus, solve_towers, verify_hae)
+from .locrel import (Correspondence, f1_local_series, genus0_flat_expansion,
+                     relative_flat_expansion)
 from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data
 from .ns import compare_ns_relative, default_omega_path, load_omega
 from .quasimod import QModElement, qm_derive, qm_to_qseries, qmod_to_json
-from .series import RatSeries, series_to_json
+from .series import Localp2Error, RatSeries, series_to_json
 
-USAGE_ERROR = 2
 VERIFY_ERROR = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
+
+
+class UsageError(Localp2Error):
+    """Bad flags or a bad config or data file, found before any work."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
     q_order: int = 32
-    Q_order: int = 24
-    cq_order: int = 50
-    hbar_order: int = 9
-    zdeg_bound: int = 8
-    genus_max: int = 3
     margin: int = 10
     format: str = "text"
     omega: str = ""
-    threads: int = 1
 
     def validate(self):
-        for name in ("q_order", "Q_order", "cq_order", "hbar_order", "zdeg_bound"):
-            if getattr(self, name) < 5:
-                raise ValueError(f"{name} must be >= 5")
-        if self.q_order < self.Q_order:
-            raise ValueError("q_order must be >= Q_order")
+        if self.q_order < 5:
+            raise UsageError("q_order must be >= 5")
+        if self.margin < 0:
+            raise UsageError("margin must be >= 0")
         if self.format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+            raise UsageError(f"unknown output format {self.format!r}")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -76,7 +74,7 @@ def load_config(path: str | None) -> RunConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
     values = {}
     int_fields = {f.name for f in fields(RunConfig) if f.type == "int"}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -84,12 +82,15 @@ def load_config(path: str | None) -> RunConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"error: config line {lineno} is not key=value")
+            raise UsageError(f"config line {lineno} is not key=value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in {f.name for f in fields(RunConfig)}:
-            raise SystemExit(f"error: unknown config key {key!r}")
-        values[key] = int(val) if key in int_fields else val
+            raise UsageError(f"unknown config key {key!r}")
+        try:
+            values[key] = int(val) if key in int_fields else val
+        except ValueError:
+            raise UsageError(f"config key {key!r} needs an integer") from None
     return replace(cfg, **values)
 
 
@@ -141,17 +142,6 @@ def emit_bmod(name: str, e: BModElement, cfg: RunConfig, sink):
 
 # -- command implementations -----------------------------------------------------------
 
-def _solved_towers(cfg: RunConfig, gmax: int):
-    """Mirror data plus both towers solved through gmax (relative side via
-    the correspondence, genus by genus)."""
-    md = build_mirror_data(cfg.q_order)
-    corr = Correspondence(md)
-    for g in range(2, gmax + 1):
-        solve_genus(g, "local", md, corr)
-        corr.solve_relative(g, corr.local.elements[g])
-    return md, corr
-
-
 def cmd_compute_mirror(args, cfg, sink) -> int:
     md = build_mirror_data(args.order or cfg.q_order)
     for name in ("ibar1", "I11", "J", "X", "S", "Qofq", "qofQ", "cQofq", "that"):
@@ -161,26 +151,23 @@ def cmd_compute_mirror(args, cfg, sink) -> int:
 
 def cmd_compute_side(args, cfg, sink, side: str) -> int:
     g = args.genus
-    md, corr = _solved_towers(cfg, max(g, 2) if g >= 2 else 2)
+    md = build_mirror_data(cfg.q_order)
     if g == 0:
-        flat = _genus0_flat_series(md)
-        emit_series("flat_expansion", flat, cfg, sink)
+        emit_series("flat_expansion", genus0_flat_expansion(md), cfg, sink)
         return 0
     if g == 1:
-        if side == "local":
-            ser = f1_local_series(md)
-        else:
-            ser = corr.solve_relative(1, f1_local_series(md))
+        ser = f1_local_series(md)
+        if side == "relative":
+            ser = Correspondence(md).solve_relative(1, ser)
         emit_series("q_series", ser, cfg, sink)
         emit_series("flat_expansion", relative_flat_expansion(ser, md), cfg, sink)
         return 0
     if side == "local":
-        elt = corr.local.elements[g]
-    elif args.method == "locrel":
-        elt = corr.relative.elements[g]
+        elt = solve_genus(g, "local", md)
+    elif args.method == "hae":
+        elt = solve_genus(g, "relative", md)
     else:
-        corr_direct = Correspondence(md)
-        elt = solve_genus(g, "relative", md, corr_direct)
+        elt = solve_towers(md, g).relative.elements[g]
     emit_bmod("generators", elt, cfg, sink)
     emit_qmod("quasimodular_form", bm_to_qmod(elt), cfg, sink)
     emit_series("q_series", bm_eval(elt, md), cfg, sink)
@@ -188,22 +175,14 @@ def cmd_compute_side(args, cfg, sink, side: str) -> int:
     return 0
 
 
-def _genus0_flat_series(md) -> RatSeries:
-    d3 = bm_eval(BModElement.monomial(-9, 0, 1, i11_degree=3), md, target="Q")
-    coeffs = [Fraction(0)] * (d3.trunc_order + 1)
-    for d in range(1, d3.trunc_order + 1):
-        coeffs[d] = d3.coeff(d) / (27 * d ** 3)
-    return RatSeries("Q", 0, coeffs)
-
-
 def cmd_compute_elliptic(args, cfg, sink) -> int:
-    parts = tuple(int(p) for p in args.parts.split(",")) if args.parts else ()
-    label = StationaryLabel(args.genus, parts)
-    if sum(a + 1 for a in label.parts) > cfg.zdeg_bound:
-        print(f"error: label needs z-degree {sum(a + 1 for a in label.parts)}"
-              f" > zdeg_bound {cfg.zdeg_bound}; raise it in the config",
-              file=sys.stderr)
-        return USAGE_ERROR
+    label = StationaryLabel(args.genus, args.parts)
+    if sum(label.parts) != 2 * label.h - 2:
+        raise UsageError(f"--parts must sum to 2*genus - 2 = {2 * label.h - 2}")
+    least = len(e_weight_monomials(label.weight))
+    if args.order is not None and args.order < least:
+        raise UsageError(f"--order must be >= {least}, the number of "
+                         f"E2/E4/E6 monomials of weight {label.weight}")
     got = connected_extract(label, qorder=args.order, margin=cfg.margin)
     emit_series("nome_series", got.series, cfg, sink)
     eterms = [{"e2": a, "e4": b, "e6": c, "num": str(v.numerator),
@@ -219,24 +198,20 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
 
 def cmd_solve(args, cfg, sink) -> int:
     g = args.genus
-    md, corr = _solved_towers(cfg, max(g, 2))
+    md = build_mirror_data(cfg.q_order)
+    corr = solve_towers(md, g)
     status = 0
     targets = ("local", "relative") if args.target == "both" else (args.target,)
     for side in targets:
-        if side == "local":
-            elt = corr.local.elements[g]
-        else:
-            elt = corr.relative.elements[g]
+        elt = (corr.local if side == "local" else corr.relative).elements[g]
         emit_bmod(f"{side}_generators", elt, cfg, sink)
         emit_series(f"{side}_flat", bm_eval(elt, md, target="Q"), cfg, sink)
         if side == "relative" and g >= 3:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
     if args.target == "both" and g >= 3:
-        corr_direct = Correspondence(md)
-        direct = solve_genus(g, "relative", md, corr_direct)
         a = bm_eval(corr.relative.elements[g], md, target="Q")
-        b = bm_eval(direct, md, target="Q")
+        b = bm_eval(solve_genus(g, "relative", md), md, target="Q")
         agree = a.coeff_list(0, 8) == b.coeff_list(0, 8)
         sink(f"consistency triangle at genus {g}: "
              f"{'PASS' if agree else 'FAIL'}")
@@ -246,7 +221,7 @@ def cmd_solve(args, cfg, sink) -> int:
 
 
 def cmd_verify_ramanujan(args, cfg, sink) -> int:
-    order = args.order if args.order is not None else cfg.cq_order
+    order = args.order
     ok_all = True
     for name in "ABC":
         e = QModElement.gen(name)
@@ -260,7 +235,7 @@ def cmd_verify_ramanujan(args, cfg, sink) -> int:
 
 
 def cmd_verify_hae(args, cfg, sink) -> int:
-    md, corr = _solved_towers(cfg, max(args.genus, 2))
+    corr = solve_towers(build_mirror_data(cfg.q_order), args.genus)
     tower = corr.local if args.target == "local" else corr.relative
     rep = verify_hae(args.genus, args.target, tower)
     emit_bmod("anomaly_lhs", rep["lhs"], cfg, sink)
@@ -271,13 +246,13 @@ def cmd_verify_hae(args, cfg, sink) -> int:
 
 
 def cmd_verify_gap(args, cfg, sink) -> int:
-    md, corr = _solved_towers(cfg, max(args.genus, 2))
+    md = build_mirror_data(cfg.q_order)
+    corr = solve_towers(md, args.genus)
     tower = corr.local if args.target == "local" else corr.relative
     elt = tower.elements[args.genus]
     frame = build_conifold_frame(md)
     M = 2 * args.genus - 2
     con = conifold_expand(elt, frame, M)
-    from .hae import gap_target
     ok = all(con.coeff(-j) == 0 for j in range(1, M)) and \
         con.coeff(-M) == gap_target(args.genus, args.target)
     for j in range(M, 0, -1):
@@ -291,17 +266,21 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     omega_path = args.omega or cfg.omega or default_omega_path()
     try:
         table = load_omega(omega_path)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read sheaf table: {exc}") from exc
-    md, corr = _solved_towers(cfg, max(args.gmax, 2))
-    flat = {0: _genus0_flat_series(md)}
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"cannot read sheaf table {omega_path}: {exc}") from exc
+    missing = [d for d in range(1, args.dmax + 1) if d not in table.entries]
+    if missing:
+        raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
+                         f"degrees {missing}, which {omega_path} lacks")
+    md = build_mirror_data(cfg.q_order)
+    corr = solve_towers(md, args.gmax)
+    flat = {0: genus0_flat_expansion(md)}
     if args.gmax >= 1:
         flat[1] = relative_flat_expansion(
             corr.solve_relative(1, f1_local_series(md)), md)
     for g in range(2, args.gmax + 1):
         flat[g] = bm_eval(corr.relative.elements[g], md, target="Q")
-    report = compare_ns_relative(table, args.gmax, args.dmax, flat,
-                                 hbar_order=cfg.hbar_order)
+    report = compare_ns_relative(table, args.gmax, args.dmax, flat)
     for (g, d), cell in sorted(report["cells"].items()):
         sink(f"g={g} d={d}: sheaf {_frac_str(cell['ns'])} "
              f"vs curve-count {_frac_str(cell['gw'])} "
@@ -311,24 +290,39 @@ def cmd_ns_compare(args, cfg, sink) -> int:
 
 
 def cmd_selftest(args, cfg, sink) -> int:
-    report = acceptance.run_report(threads=cfg.threads)
-    ok12, _ = acceptance.criterion_12_determinism()
+    report = acceptance.run_report()
+    ok12, detail = acceptance.criterion_12_determinism(report)
     report += f"criterion 12 [determinism]: {'PASS' if ok12 else 'FAIL'} " \
-              f"(reports at worker counts 1 and 8 compared)\n"
-    if args.out:
-        Path(args.out).write_text(report)
+              f"({detail})\n"
     sink(report.rstrip("\n"))
     return 0 if ("FAIL" not in report) else VERIFY_ERROR
 
 
 # -- parser ------------------------------------------------------------------------------
 
+def _int_at_least(least: int):
+    """argparse type: an integer >= least."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return integer
+
+
+def _parts(text: str) -> tuple:
+    """argparse type: comma-separated descendent exponents, each >= 0."""
+    try:
+        return tuple(_int_at_least(0)(a) for a in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"need exponents >= 0 as a1,a2,...: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="localp2", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (results are identical for any value)")
     p.add_argument("--format", choices=("json", "csv", "text"), default=None)
     p.add_argument("--out", help="write output to a file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
@@ -336,35 +330,34 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="series computations")
     csub = comp.add_subparsers(dest="what", required=True)
     m = csub.add_parser("mirror")
-    m.add_argument("--order", type=int, default=None)
+    m.add_argument("--order", type=_int_at_least(5), default=None)
     m.set_defaults(fn=cmd_compute_mirror)
     for side in ("local", "relative"):
         c = csub.add_parser(side)
-        c.add_argument("--genus", type=int, required=True)
-        c.add_argument("--order", type=int, default=None)
-        c.add_argument("--method", choices=("hae", "locrel"), default="locrel")
+        c.add_argument("--genus", type=_int_at_least(0), required=True)
+        if side == "relative":
+            c.add_argument("--method", choices=("hae", "locrel"), default="locrel")
         c.set_defaults(fn=lambda a, cf, s, side=side: cmd_compute_side(a, cf, s, side))
     e = csub.add_parser("elliptic")
-    e.add_argument("--genus", type=int, required=True)
-    e.add_argument("--parts", default="")
+    e.add_argument("--genus", type=_int_at_least(0), required=True)
+    e.add_argument("--parts", type=_parts, required=True)
     e.add_argument("--order", type=int, default=None)
     e.set_defaults(fn=cmd_compute_elliptic)
 
     s = sub.add_parser("solve", help="anomaly + gap determination")
-    s.add_argument("--genus", type=int, required=True)
+    s.add_argument("--genus", type=_int_at_least(2), required=True)
     s.add_argument("--target", choices=("local", "relative", "both"),
                    required=True)
-    s.add_argument("--order", type=int, default=None)
     s.set_defaults(fn=cmd_solve)
 
     v = sub.add_parser("verify", help="exact identity checks")
     vsub = v.add_subparsers(dest="what", required=True)
     vr = vsub.add_parser("ramanujan")
-    vr.add_argument("--order", type=int, default=None)
+    vr.add_argument("--order", type=_int_at_least(0), default=50)
     vr.set_defaults(fn=cmd_verify_ramanujan)
     for what, fn in (("hae", cmd_verify_hae), ("gap", cmd_verify_gap)):
         vx = vsub.add_parser(what)
-        vx.add_argument("--genus", type=int, required=True)
+        vx.add_argument("--genus", type=_int_at_least(2), required=True)
         vx.add_argument("--target", choices=("local", "relative"),
                         required=True)
         vx.set_defaults(fn=fn)
@@ -373,44 +366,32 @@ def build_parser() -> argparse.ArgumentParser:
     nsub = n.add_subparsers(dest="what", required=True)
     nc = nsub.add_parser("compare")
     nc.add_argument("--omega", default=None)
-    nc.add_argument("--gmax", type=int, default=2)
-    nc.add_argument("--dmax", type=int, default=2)
+    nc.add_argument("--gmax", type=_int_at_least(0), default=2)
+    nc.add_argument("--dmax", type=_int_at_least(1), default=2)
     nc.set_defaults(fn=cmd_ns_compare)
 
     st = sub.add_parser("selftest", help="run all acceptance criteria")
-    st.add_argument("--out", dest="out", help="also write the report here")
     st.set_defaults(fn=cmd_selftest)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    lines: list[str] = []
     try:
         cfg = load_config(args.config)
-        overrides = {}
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if args.format is not None:
-            overrides["format"] = args.format
-        if overrides:
-            cfg = replace(cfg, **overrides)
+            cfg = replace(cfg, format=args.format)
         cfg.validate()
-    except SystemExit:
-        raise
-    except ValueError as exc:
+        status = args.fn(args, cfg, lines.append)
+    except Localp2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    lines: list[str] = []
-    sink = lines.append
-    try:
-        status = args.fn(args, cfg, sink)
-    except Exception as exc:  # verification machinery raises loudly
-        print(f"error: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
+        return USAGE_ERROR if isinstance(exc, UsageError) else VERIFY_ERROR
+    except Exception:  # a bug: keep its traceback
+        traceback.print_exc()
+        return INTERNAL_ERROR
     text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out and args.fn is not cmd_selftest:
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)

@@ -27,14 +27,14 @@ from math import comb, factorial, prod
 
 from .linalg import LinearSystemError, solve_unique
 from .quasimod import DEFAULT_MARGIN, bernoulli, eisenstein_series
-from .series import RatSeries
+from .series import Localp2Error, RatSeries
 
 F = Fraction
 
 CQT = "cQt"  # nome of the elliptic curve
 
 
-class EllipticError(ValueError):
+class EllipticError(Localp2Error):
     pass
 
 

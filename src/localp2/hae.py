@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import solve_unique
+from .linalg import LinearSystemError, solve_unique
 from .locrel import Correspondence, DTower
 from .mirror import (
     BModElement,
@@ -35,12 +35,12 @@ from .mirror import (
     bm_eval,
 )
 from .quasimod import bernoulli
-from .series import RatSeries
+from .series import Localp2Error, RatSeries
 
 F = Fraction
 
 
-class GapError(ValueError):
+class GapError(Localp2Error):
     pass
 
 
@@ -188,7 +188,7 @@ def gap_fix(g: int, kind: str, particular: BModElement,
     rhs = [targets[i] - part_vals[i] for i in range(M + 1)]
     try:
         sol = solve_unique(rows, rhs)
-    except Exception as exc:
+    except LinearSystemError as exc:
         raise GapError(f"gap boundary system not uniquely solvable: {exc}") from exc
     out = particular
     for alpha, b in zip(sol, basis):
@@ -229,6 +229,15 @@ def solve_genus(g: int, kind: str, md: MirrorData,
     assert_finite_generation(sol, g, kind)
     tower.set_genus(g, sol)
     return sol
+
+
+def solve_towers(md: MirrorData, gmax: int) -> Correspondence:
+    """Both towers through genus gmax: the local one by anomaly + gap, the
+    relative one from it through the correspondence, genus by genus."""
+    corr = Correspondence(md)
+    for g in range(2, gmax + 1):
+        corr.solve_relative(g, solve_genus(g, "local", md, corr))
+    return corr
 
 
 def verify_hae(g: int, kind: str, tower: DTower) -> dict:

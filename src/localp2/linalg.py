@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+from .series import Localp2Error
 
-class LinearSystemError(ValueError):
+
+class LinearSystemError(Localp2Error):
     pass
 
 

@@ -214,10 +214,9 @@ def f1_relative_series(md: MirrorData) -> RatSeries:
     return RatSeries("q", body.min_exp, body.coeffs, log_coeff=F(-1, 24))
 
 
-def f1_empty_qseries(md: MirrorData, qorder: int | None = None) -> RatSeries:
+def f1_empty_qseries(md: MirrorData) -> RatSeries:
     """The unmarked genus-1 elliptic series converted to the q variable."""
-    s = f1_empty(qorder if qorder is not None else md.order)
-    return cq_change(s, md)
+    return cq_change(f1_empty(md.order), md)
 
 
 # -- the correspondence abattoir ------------------------------------------------------
@@ -301,6 +300,16 @@ class Correspondence:
 
 
 # -- flat-coordinate expansions -------------------------------------------------------
+
+def genus0_flat_expansion(md: MirrorData) -> RatSeries:
+    """Flat genus-0 series: the Q-expansion of D^3 F_0 with its degree-d
+    coefficient divided by 27 d^3."""
+    d3 = bm_eval(D3F0, md, target="Q")
+    coeffs = [F(0)] * (d3.trunc_order + 1)
+    for d in range(1, d3.trunc_order + 1):
+        coeffs[d] = d3.coeff(d) / (27 * d ** 3)
+    return RatSeries("Q", 0, coeffs)
+
 
 def relative_flat_expansion(elt_or_series, md: MirrorData) -> RatSeries:
     """Q-expansion of a solved series (log-free part for genus 1)."""

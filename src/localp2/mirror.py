@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 
 from .quasimod import QModElement
-from .series import RatSeries, SeriesError
+from .series import Localp2Error, RatSeries, SeriesError
 
 F = Fraction
 
@@ -137,11 +137,9 @@ class MirrorData:
 
 
 @lru_cache(maxsize=None)
-def build_mirror_data(order: int, u_order: int | None = None) -> MirrorData:
+def build_mirror_data(order: int) -> MirrorData:
     if order < 5:
         raise SeriesError("mirror data needs order >= 5")
-    if u_order is None:
-        u_order = order
     ibar1 = _ibar1(order)
     i11 = RatSeries.one("q", order) + ibar1.theta()
     j = _solve_log_companion(i11, order)
@@ -154,7 +152,7 @@ def build_mirror_data(order: int, u_order: int | None = None) -> MirrorData:
     j_over_i11 = j / i11
     cqofq = -(RatSeries("q", j_over_i11.min_exp, j_over_i11.coeffs,
                         log_coeff=1).exp())
-    that = _conifold_flat(u_order)
+    that = _conifold_flat(order)
     return MirrorData(order=order, ibar1=ibar1, I11=i11, J=j, X=x, S=s,
                       Qofq=qofq, qofQ=qof_q, cQofq=cqofq, that=that)
 
@@ -201,7 +199,7 @@ def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
 
 # -- the polynomial B-model ring ----------------------------------------------------
 
-class BModError(ValueError):
+class BModError(Localp2Error):
     pass
 
 

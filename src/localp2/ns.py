@@ -24,14 +24,14 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .series import RatSeries
+from .series import Localp2Error, RatSeries
 
 F = Fraction
 
 HBAR = "hbar"
 
 
-class OmegaError(ValueError):
+class OmegaError(Localp2Error):
     pass
 
 
@@ -162,15 +162,13 @@ def ns_genus(table: OmegaTable, g: int, dmax: int,
 
 
 def compare_ns_relative(table: OmegaTable, gmax: int, dmax: int,
-                        relative_flat: dict,
-                        hbar_order: int | None = None) -> dict:
+                        relative_flat: dict) -> dict:
     """Per-(g, d) equality verdicts against the log-free flat expansions of
     the relative tower (a dict g -> RatSeries in Q)."""
     verdicts = {}
     ok = True
     for g in range(0, gmax + 1):
-        ns_row = ns_genus(table, g, dmax,
-                          hbar_order=max(hbar_order or 0, 2 * g + 1))
+        ns_row = ns_genus(table, g, dmax)
         flat = relative_flat[g]
         for d in range(1, dmax + 1):
             lhs = ns_row.coeff(d)

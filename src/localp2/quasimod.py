@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import LinearSystemError, solve_unique
-from .series import RatSeries, SeriesError
+from .series import Localp2Error, RatSeries, SeriesError
 
 CQ = "cQ"  # nome for Gamma_1(3) expansions
 
@@ -108,7 +108,7 @@ def generator_series(name: str, order: int) -> RatSeries:
 
 # -- ring elements ---------------------------------------------------------------
 
-class QModError(ValueError):
+class QModError(Localp2Error):
     pass
 
 

@@ -32,7 +32,12 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class SeriesError(ValueError):
+class Localp2Error(ValueError):
+    """Base of every error localp2 raises for bad input or a failed exact
+    computation; anything else escaping the library is a bug."""
+
+
+class SeriesError(Localp2Error):
     pass
 
 

@@ -1,12 +1,34 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from localp2 import cli
 from localp2.cli import RunConfig, load_config, main
 
 
 def run(argv, capsys):
     status = main(argv)
+    out = capsys.readouterr()
+    return status, out.out, out.err
+
+
+def _computing(*args, **kwargs):
+    raise AssertionError("bad input reached a computation")
+
+
+def run_rejected(argv, capsys, monkeypatch):
+    """Run argv with every entry point into the mathematics replaced by a
+    failure (which main reports as exit 3); argparse errors exit via
+    SystemExit."""
+    for name in ("build_mirror_data", "connected_extract", "solve_towers",
+                 "solve_genus"):
+        monkeypatch.setattr(cli, name, _computing)
+    monkeypatch.setattr(cli.acceptance, "run_report", _computing)
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
     out = capsys.readouterr()
     return status, out.out, out.err
 
@@ -19,25 +41,87 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(q_order=3).validate()
 
-    def test_q_at_least_flat(self):
-        with pytest.raises(ValueError):
-            RunConfig(q_order=10, Q_order=20).validate()
-
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\nq_order = 40\nformat = json\n")
         cfg = load_config(str(p))
         assert cfg.q_order == 40 and cfg.format == "json"
 
-    def test_unknown_key(self, tmp_path):
+    def test_fields(self):
+        assert [f.name for f in fields(RunConfig)] == \
+            ["q_order", "margin", "format", "omega"]
+
+    def test_unknown_key(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "run.cfg"
         p.write_text("bogus = 1\n")
-        with pytest.raises(SystemExit):
-            load_config(str(p))
+        status, out, err = run_rejected(["--config", str(p), "verify",
+                                         "ramanujan"], capsys, monkeypatch)
+        assert (status, out) == (2, "")
+        assert "unknown config key 'bogus'" in err
 
-    def test_missing_file(self):
-        with pytest.raises(SystemExit):
-            load_config("/nonexistent/p.cfg")
+    def test_missing_file(self, tmp_path, capsys, monkeypatch):
+        status, out, err = run_rejected(
+            ["--config", str(tmp_path / "p.cfg"), "verify", "ramanujan"],
+            capsys, monkeypatch)
+        assert (status, out) == (2, "")
+        assert "cannot read config" in err
+
+
+# argv (with {tmp} for a scratch directory) -> a fragment of the message
+BAD_INPUT = [
+    (["solve", "--genus", "1", "--target", "local"], "must be >= 2"),
+    (["compute", "local", "--genus", "-1"], "must be >= 0"),
+    (["verify", "gap", "--genus", "0", "--target", "relative"], "must be >= 2"),
+    (["verify", "hae", "--genus", "1", "--target", "local"], "must be >= 2"),
+    (["verify", "ramanujan", "--order", "-1"], "must be >= 0"),
+    (["compute", "mirror", "--order", "3"], "must be >= 5"),
+    (["compute", "mirror", "--order", "x"], "invalid integer value"),
+    (["--config", "{tmp}/q.cfg", "compute", "mirror"], "q_order must be >= 5"),
+    (["--config", "{tmp}/text.cfg", "compute", "mirror"], "needs an integer"),
+    (["--config", "{tmp}/margin.cfg", "compute", "mirror"], "margin must be >= 0"),
+    (["ns", "compare", "--omega", "{tmp}/missing.json"], "cannot read sheaf"),
+    (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
+    (["ns", "compare", "--dmax", "3"], "degrees [3]"),
+    (["compute", "elliptic", "--genus", "2", "--parts", "1"], "sum to 2"),
+    (["compute", "elliptic", "--genus", "2", "--parts", "1,x"], "a1,a2"),
+    (["compute", "elliptic", "--genus", "2", "--parts", "2,-1"], "a1,a2"),
+    (["compute", "elliptic", "--genus", "2", "--parts", "1,1", "--order", "2"],
+     "--order must be >= 3"),
+    # flags that did nothing and are gone
+    (["--threads=2", "compute", "mirror"], "unrecognized"),
+    (["compute", "local", "--genus", "2", "--order", "8"], "unrecognized"),
+    (["compute", "local", "--genus", "2", "--method", "hae"], "unrecognized"),
+    (["solve", "--genus", "2", "--target", "local", "--order", "8"],
+     "unrecognized"),
+    (["selftest", "--out", "{tmp}/report.txt"], "unrecognized"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUT,
+                         ids=[" ".join(a) for a, _ in BAD_INPUT])
+def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
+                                            monkeypatch):
+    (tmp_path / "q.cfg").write_text("q_order = 3\n")
+    (tmp_path / "text.cfg").write_text("margin = ten\n")
+    (tmp_path / "margin.cfg").write_text("margin = -1\n")
+    (tmp_path / "lopsided.json").write_text(json.dumps({"entries": [
+        {"degree": 1, "coeffs": [{"exp2": -2, "c": "1"}, {"exp2": 0, "c": "1"}]},
+        {"degree": 2, "coeffs": [{"exp2": 0, "c": "1"}]}]}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    status, out, err = run_rejected(argv, capsys, monkeypatch)
+    assert (status, out) == (2, "")
+    assert message in err
+
+
+def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+    def broken(args, cfg, sink):
+        sink("partial output")
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_verify_ramanujan", broken)
+    status, out, err = run(["verify", "ramanujan"], capsys)
+    assert (status, out) == (3, "")
+    assert "Traceback" in err and "KeyError: 'bug'" in err
 
 
 class TestCommands:
@@ -58,6 +142,12 @@ class TestCommands:
         status, out, _ = run(["verify", "ramanujan", "--order", "50"], capsys)
         assert status == 0
         assert out.count("PASS") == 3
+
+    def test_out_replaces_stdout(self, capsys, tmp_path):
+        p = tmp_path / "report.txt"
+        status, out, _ = run(["--out", str(p), "verify", "ramanujan"], capsys)
+        assert (status, out) == (0, "")
+        assert p.read_text().count("PASS (order 50)") == 3
 
     def test_compute_elliptic(self, capsys):
         status, out, _ = run(["compute", "elliptic", "--genus", "1",
@@ -105,9 +195,15 @@ class TestHeavyCommands:
         assert out.count("EQUAL") == 6
         assert "PASS" in out
 
-    def test_determinism_across_thread_flags(self, capsys, tmp_path):
-        _, out1, _ = run(["--threads", "1", "compute", "relative",
-                          "--genus", "2"], capsys)
-        _, out8, _ = run(["--threads", "8", "compute", "relative",
-                          "--genus", "2"], capsys)
-        assert out1 == out8
+    def test_six_point_elliptic_label(self, capsys):
+        status, out, _ = run(["--format", "json", "compute", "elliptic",
+                              "--genus", "4", "--parts", "1,1,1,1,1,1"], capsys)
+        assert status == 0
+        poly = json.loads(out[out.index('{\n  "name": "eisenstein_polynomial"'):])
+        assert poly["weight"] == 18 and poly["terms"]
+
+    def test_genus4_consistency_triangle(self, capsys):
+        status, out, _ = run(["solve", "--genus", "4", "--target", "both"],
+                             capsys)
+        assert status == 0
+        assert out.splitlines()[-1] == "consistency triangle at genus 4: PASS"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from localp2 import acceptance, hae
 from localp2.hae import (
     AmbiguitySpace,
     ConifoldFrame,
@@ -11,12 +12,14 @@ from localp2.hae import (
     conifold_expand,
     gamma_local,
     gamma_relative,
+    gap_fix,
     gap_target,
     hae_rhs,
     integrate_S,
     solve_genus,
     verify_hae,
 )
+from localp2.linalg import LinearSystemError
 from localp2.locrel import Correspondence, DF1_LOCAL, DF1_RELATIVE, DTower
 from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, _theta_u
 from localp2.series import RatSeries
@@ -109,6 +112,21 @@ class TestGenus2Gap:
         with pytest.raises(GapError):
             conifold_expand(deep, frame, 2)
 
+    @pytest.mark.parametrize("raised,seen", [
+        (LinearSystemError("rank deficient"), GapError),
+        (KeyError("bug"), KeyError),
+    ])
+    def test_gap_fix_wraps_only_solver_failures(self, md, frame, monkeypatch,
+                                                raised, seen):
+        def solve_unique(rows, rhs):
+            raise raised
+
+        monkeypatch.setattr(hae, "solve_unique", solve_unique)
+        particular, amb = integrate_S(hae_rhs(2, "relative",
+                                              DTower(DF1_RELATIVE)), 2)
+        with pytest.raises(seen):
+            gap_fix(2, "relative", particular, amb, frame, md)
+
 
 class TestAnomalyEquation:
     def test_relative_genus2_rhs(self):
@@ -162,15 +180,12 @@ class TestSolveGenus2:
 
 
 @pytest.fixture(scope="module")
-def towers(md):
-    corr = Correspondence(md)
-    f2_local = solve_genus(2, "local", md, corr)
-    corr.solve_relative(2, f2_local)
-    f3_local = solve_genus(3, "local", md, corr)
-    f3_rel_via_corr = corr.solve_relative(3, f3_local)
-    corr_b = Correspondence(md)
-    f3_rel_via_gap = solve_genus(3, "relative", md, corr_b)
-    return f3_local, f3_rel_via_corr, f3_rel_via_gap
+def towers():
+    """Genus 3: local by anomaly + gap, relative through the
+    correspondence, and relative by anomaly + gap directly."""
+    _, corr, direct = acceptance.context()
+    return (corr.local.elements[3], corr.relative.elements[3],
+            direct.relative.elements[3])
 
 
 class TestAmbiguityDimensions:
