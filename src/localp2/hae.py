@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .linalg import LinearSystemError, solve_unique
 from .locrel import Correspondence, DTower
@@ -31,8 +32,7 @@ from .mirror import (
     BModElement,
     BModError,
     MirrorData,
-    _theta_u,
-    bm_eval,
+    theta_u,
 )
 from .quasimod import bernoulli
 from .series import Localp2Error, RatSeries
@@ -115,16 +115,27 @@ class ConifoldFrame:
     s_con: RatSeries    # frame propagator, Laurent in u from u^-1
     u_inverse: RatSeries  # reversion: u as a series in the flat coordinate
 
+    @cached_property
+    def u_inverse_powers(self) -> tuple:
+        """u_inverse**k for k = 0..order: substituting u_inverse into a
+        u-series, and the pole denominator, read this table."""
+        powers = [RatSeries.one("that", self.u_inverse.trunc_order)]
+        for _ in range(self.u_inverse.trunc_order):
+            powers.append(powers[-1] * self.u_inverse)
+        return tuple(powers)
 
+
+@lru_cache(maxsize=None)
 def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
     """Propagator from the conifold flat coordinate by the large-volume
-    recipe: theta log(theta t) - (X - 1)/3, all in the coordinate u."""
+    recipe: theta log(theta t) - (X - 1)/3, all in the coordinate u.
+    Built once per mirror data."""
     that = md.that
     order = that.trunc_order
-    theta_t = _theta_u(that)
+    theta_t = theta_u(that)
     if theta_t.constant_term() == 0:
         raise GapError("degenerate conifold frame: theta t vanishes at u = 0")
-    s_con = _theta_u(theta_t) / theta_t
+    s_con = theta_u(theta_t) / theta_t
     x_minus_1_over_3 = RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)},
                                             order)
     s_con = s_con - x_minus_1_over_3
@@ -155,13 +166,22 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     if v < -max_pole:
         raise GapError(f"conifold pole exceeds order {max_pole}")
     regular = total.shift(max_pole).trim()
-    num = regular.compose(frame.u_inverse)
-    den = frame.u_inverse ** max_pole
-    return num / den
+    powers = frame.u_inverse_powers
+    bound = min(frame.u_inverse.trunc_order, regular.trunc_order)
+    num = RatSeries.zero("that", bound)
+    for k in range(regular.min_exp, bound + 1):
+        num = num + powers[k].truncate(bound) * regular.coeff(k)
+    return num / powers[max_pole]
 
 
 def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
-    return bm_eval(elt, md).constant_term()
+    """q^0 coefficient of ``bm_eval(elt, md)``.  Taking the constant term
+    is a ring homomorphism on power series, so it is the element evaluated
+    at the constant terms of S, X and I11."""
+    s0, x0 = md.S.constant_term(), md.X.constant_term()
+    total = sum((v * s0 ** s * x0 ** x for (s, x), v in elt.terms.items()),
+                F(0))
+    return total / md.I11.constant_term() ** elt.i11_degree
 
 
 def gap_fix(g: int, kind: str, particular: BModElement,

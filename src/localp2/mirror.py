@@ -76,7 +76,7 @@ def _solve_log_companion(i11: RatSeries, order: int) -> RatSeries:
 
 # -- conifold flat coordinate ----------------------------------------------------
 
-def _theta_u(f: RatSeries) -> RatSeries:
+def theta_u(f: RatSeries) -> RatSeries:
     """theta = q d/dq = (u - 1) d/du on u-series (Laurent allowed)."""
     n = f.trunc_order
     lo = f.min_exp
@@ -88,7 +88,7 @@ def _theta_u(f: RatSeries) -> RatSeries:
 
 def _mirror_op_u(f: RatSeries) -> RatSeries:
     """theta^3 + 3 q theta (3 theta + 1)(3 theta + 2) on u-series, q = (u-1)/27."""
-    t = _theta_u
+    t = theta_u
     w = t(f)
     part1 = t(t(w))
     inner = 9 * t(t(w)) + 9 * t(w) + 2 * w

@@ -389,22 +389,22 @@ class RatSeries:
         return out
 
     def revert(self, new_var: str | None = None) -> "RatSeries":
-        """Compositional inverse of c1*v + O(v^2), c1 nonzero."""
+        """Compositional inverse of c1*v + O(v^2), c1 nonzero, by Lagrange
+        inversion: g_k = (1/k) [v^(k-1)] h^k with h = v/f, one running
+        product of h per coefficient."""
         if self.log_coeff:
             raise SeriesError("revert of a log-extended series")
         if self.valuation() != 1:
             raise SeriesError("revert needs valuation exactly 1")
-        c1 = self.coeff(1)
         n = self.trunc_order
-        var = new_var or self.var
-        f = self.retag(var)
-        g = RatSeries(var, 0, [_ZERO, 1 / c1] + [_ZERO] * (n - 1))
-        for m in range(2, n + 1):
-            res = f.compose(g).coeff(m)
-            cs = list(g.coeffs)
-            cs[m] -= res / c1
-            g = RatSeries(var, 0, cs)
-        return g
+        h = RatSeries.one(self.var, n - 1) / self.shift(-1)
+        g = [_ZERO] * (n + 1)
+        h_pow = h
+        for k in range(1, n + 1):
+            g[k] = h_pow.coeff(k - 1) / k
+            if k < n:
+                h_pow = h_pow * h
+        return RatSeries(new_var or self.var, 0, g)
 
 
 # -- JSON serialization --------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end acceptance run: every criterion at its stated (exact)
 tolerance, one printed pass/fail line each."""
 
+import sys
+
 import pytest
 
 from localp2 import acceptance
@@ -22,7 +24,19 @@ def test_criteria_1_to_11(idx, name, fn):
     _run(idx, name, fn)
 
 
+def _clear_every_cache():
+    """Empty every lru_cache in localp2 (acceptance.context, mirror data,
+    conifold frames, elliptic and quasimodular tables), so the next report
+    starts as cold as a fresh process."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("localp2."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 def test_criterion_12_determinism():
-    ok, detail = acceptance.criterion_12_determinism()
+    _clear_every_cache()
+    ok, detail = acceptance.criterion_12_determinism(acceptance.run_report())
     print(f"criterion 12 [determinism]: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, detail

@@ -16,12 +16,13 @@ from localp2.hae import (
     gap_target,
     hae_rhs,
     integrate_S,
+    q_constant_term,
     solve_genus,
     verify_hae,
 )
 from localp2.linalg import LinearSystemError
 from localp2.locrel import Correspondence, DF1_LOCAL, DF1_RELATIVE, DTower
-from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, _theta_u
+from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
 from localp2.series import RatSeries
 
 from oracles import bernoulli_list
@@ -75,9 +76,18 @@ class TestFrame:
         order = s.trunc_order
         x = RatSeries.from_pairs("u", {-1: 1}, order)
         one = RatSeries.one("u", order)
-        lhs = _theta_u(s)
+        lhs = theta_u(s)
         rhs = -(s * s) + (x - one) * s / 3 - x * (x - one) / 9
         assert lhs.agrees_with(rhs, order - 6)
+
+    def test_built_once_per_mirror_data(self, md, frame):
+        assert build_conifold_frame(md) is frame
+
+    def test_power_table_is_powers_of_u_inverse(self, frame):
+        powers = frame.u_inverse_powers
+        assert len(powers) == frame.u_inverse.trunc_order + 1 == ORDER + 1
+        for k, p in enumerate(powers):
+            assert p == frame.u_inverse ** k
 
     def test_x_in_u_is_inverse_u(self, md):
         # X * (1 + 27q) = 1 with u = 1 + 27q exactly
@@ -100,7 +110,7 @@ class TestGenus2Gap:
         # negative control: a propagator built from the wrong solution
         order = md.that.trunc_order
         u_minus_1 = RatSeries.from_pairs("u", {0: -1, 1: 1}, order)
-        s_wrong = _theta_u(u_minus_1) / u_minus_1 \
+        s_wrong = theta_u(u_minus_1) / u_minus_1 \
             - RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)}, order)
         bad = ConifoldFrame(that=frame.that, s_con=s_wrong,
                             u_inverse=frame.u_inverse)
@@ -198,10 +208,31 @@ class TestAmbiguityDimensions:
         assert amb.dimension == count
 
 
-class TestGenus4:
-    def test_local_solve_full_rank_and_bounds(self, md):
+@pytest.fixture(scope="module")
+def solved(md):
+    """Both towers through genus 4 by anomaly + gap alone."""
+    towers = {}
+    for kind in ("local", "relative"):
         corr = Correspondence(md)
-        f4 = solve_genus(4, "local", md, corr)
+        for g in range(2, 5):
+            solve_genus(g, kind, md, corr)
+        towers[kind] = corr.local if kind == "local" else corr.relative
+    return towers
+
+
+class TestQConstantTerm:
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_matches_the_q_expansion(self, md, solved, g):
+        elts = list(AmbiguitySpace(g).basis)
+        for kind, tower in solved.items():
+            elts += [tower.elements[g], hae_rhs(g, kind, tower)]
+        for e in elts:
+            assert q_constant_term(e, md) == bm_eval(e, md).constant_term()
+
+
+class TestGenus4:
+    def test_local_solve_full_rank_and_bounds(self, md, solved):
+        f4 = solved["local"].elements[4]
         assert_finite_generation(f4, 4, "local")
         frame = build_conifold_frame(md)
         con = conifold_expand(f4, frame, 6)

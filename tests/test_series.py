@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localp2.mirror import build_mirror_data
 from localp2.series import RatSeries, SeriesError, series_from_json, series_to_json
 
 from oracles import ibar1_coeff, pl_compose, pl_long_division
@@ -164,6 +165,24 @@ class TestComposeRevert:
         assert g.revert().agrees_with(f, f.trunc_order)
         assert f.compose(g).coeff_list(1, f.trunc_order) == \
             [1] + [0] * (f.trunc_order - 1)
+
+    def test_revert_rejects_log_slot(self):
+        with pytest.raises(SeriesError):
+            q_series([0, 1, 2], log_coeff=1).revert()
+
+    @pytest.mark.parametrize("coeffs", [[0, 0, 1, 3], [1, 1, 2], [0] * 4])
+    def test_revert_needs_valuation_one(self, coeffs):
+        with pytest.raises(SeriesError):
+            q_series(coeffs).revert()
+
+    @pytest.mark.parametrize("name", ["that", "Qofq"])
+    def test_revert_round_trip_at_order_32(self, name):
+        # the Horner oracle shares no code with compose or the reversion
+        f = getattr(build_mirror_data(32), name)
+        fs, gs = f.coeff_list(0, 32), f.revert().coeff_list(0, 32)
+        identity = [0, 1] + [0] * 31
+        assert pl_compose(fs, gs, 32) == identity
+        assert pl_compose(gs, fs, 32) == identity
 
 
 class TestTheta:
