@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .linalg import LinearSystemError, solve_unique
 from .quasimod import DEFAULT_MARGIN, bernoulli, eisenstein_series
@@ -253,8 +253,9 @@ def _partitions(qorder: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _column(e: int, qorder: int) -> tuple:
-    """[z^e] B_lambda(z) for every partition in _partitions(qorder), e >= 1.
+def _column(e: int, qorder: int) -> tuple[tuple, int]:
+    """[z^e] B_lambda(z) for every partition in _partitions(qorder), e >= 1,
+    as integer numerators over one denominator.
 
     The pole part 1/(2 sinh(z/2)) contributes (2^-e - 1) B_{e+1}/(e+1)!;
     each part lambda_i contributes the z^e coefficient of
@@ -262,9 +263,12 @@ def _column(e: int, qorder: int) -> tuple:
     """
     pole = (F(1, 2 ** e) - 1) * bernoulli(e + 1) / factorial(e + 1)
     scale = 2 ** e * factorial(e)
-    return tuple(pole + F(sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
-                              for i, part in enumerate(lam, start=1)), scale)
+    den = lcm(pole.denominator, scale)
+    pole_num, unit = pole.numerator * (den // pole.denominator), den // scale
+    nums = tuple(pole_num + unit * sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
+                                       for i, part in enumerate(lam, start=1))
                  for lam in _partitions(qorder))
+    return nums, den
 
 
 @lru_cache(maxsize=None)
@@ -289,10 +293,12 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
     for exps in _partitions_of(degree):
         if len(exps) != n:
             continue
-        coeffs = [F(0)] * (qorder + 1)
-        for size, vals in zip(sizes, zip(*(_column(e, qorder) for e in exps))):
-            coeffs[size] += prod(vals)
-        out[exps] = RatSeries(CQT, 0, coeffs) * _euler(qorder)
+        columns = [_column(e, qorder) for e in exps]
+        den = prod(d for _, d in columns)
+        nums = [0] * (qorder + 1)
+        for size, vals in zip(sizes, zip(*(c for c, _ in columns))):
+            nums[size] += prod(vals)
+        out[exps] = RatSeries(CQT, 0, [F(c, den) for c in nums]) * _euler(qorder)
     return out
 
 

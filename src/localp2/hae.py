@@ -35,7 +35,7 @@ from .mirror import (
     theta_u,
 )
 from .quasimod import bernoulli
-from .series import Localp2Error, RatSeries
+from .series import Localp2Error, RatSeries, extend_powers, lincomb
 
 F = Fraction
 
@@ -119,10 +119,18 @@ class ConifoldFrame:
     def u_inverse_powers(self) -> tuple:
         """u_inverse**k for k = 0..order: substituting u_inverse into a
         u-series, and the pole denominator, read this table."""
-        powers = [RatSeries.one("that", self.u_inverse.trunc_order)]
-        for _ in range(self.u_inverse.trunc_order):
-            powers.append(powers[-1] * self.u_inverse)
-        return tuple(powers)
+        order = self.u_inverse.trunc_order
+        return tuple(extend_powers([RatSeries.one("that", order)],
+                                   self.u_inverse, order))
+
+    @cached_property
+    def _s_con_table(self) -> list:
+        return [RatSeries.one("u", self.that.trunc_order)]
+
+    def s_con_powers(self, top: int) -> list:
+        """s_con**s for s = 0..top, kept on the frame and grown on demand:
+        conifold_expand substitutes them for S."""
+        return extend_powers(self._s_con_table, self.s_con, top)
 
 
 @lru_cache(maxsize=None)
@@ -150,15 +158,9 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     if elt.i11_degree != 0:
         raise BModError("conifold expansion needs a weight-zero element")
     order = frame.that.trunc_order
-    total = RatSeries.zero("u", order)
-    s_pows = {0: RatSeries.one("u", order)}
-    smax = elt.deg_S()
-    for s in range(1, smax + 1):
-        s_pows[s] = s_pows[s - 1] * frame.s_con
-    for (s, x), v in elt.terms.items():
-        term = s_pows[s] * v
-        term = term.shift(-x)  # X^x -> u^-x
-        total = total + term
+    s_pows = frame.s_con_powers(elt.deg_S())
+    total = lincomb([(v, s_pows[s].shift(-x))  # X^x -> u^-x
+                     for (s, x), v in elt.terms.items()], "u", order)
     total = total.trim()
     v = total.valuation()
     if v is None:
@@ -168,9 +170,8 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     regular = total.shift(max_pole).trim()
     powers = frame.u_inverse_powers
     bound = min(frame.u_inverse.trunc_order, regular.trunc_order)
-    num = RatSeries.zero("that", bound)
-    for k in range(regular.min_exp, bound + 1):
-        num = num + powers[k].truncate(bound) * regular.coeff(k)
+    num = lincomb([(regular.coeff(k), powers[k])
+                   for k in range(regular.min_exp, bound + 1)], "that", bound)
     return num / powers[max_pole]
 
 

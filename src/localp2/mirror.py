@@ -27,7 +27,8 @@ from functools import lru_cache
 from math import factorial
 
 from .quasimod import QModElement
-from .series import Localp2Error, RatSeries, SeriesError
+from .series import (Localp2Error, RatSeries, SeriesError, extend_powers,
+                     lincomb)
 
 F = Fraction
 
@@ -346,15 +347,17 @@ def bm_derive_QdQ(e: BModElement) -> BModElement:
 def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
     """Expand in q (or the flat coordinate Q) by substituting the series."""
     order = md.order
-    out = RatSeries.zero("q", order)
-    s_pows = {0: RatSeries.one("q", order)}
+    s_pows = extend_powers([RatSeries.one("q", order)], md.S, e.deg_S())
+    by_x: dict[int, list] = {}
     for (s, x), v in e.terms.items():
-        if s not in s_pows:
-            s_pows[s] = md.S ** s
-        term = s_pows[s] * v
+        by_x.setdefault(x, []).append((v, s_pows[s]))
+    groups = []
+    for x, terms in by_x.items():
+        group = lincomb(terms)
         if x:
-            term = term * md.X ** x if x > 0 else term / md.X ** (-x)
-        out = out + term
+            group = group * md.X ** x if x > 0 else group / md.X ** (-x)
+        groups.append((1, group))
+    out = lincomb(groups, "q", order)
     if e.i11_degree:
         k = e.i11_degree
         out = out / md.I11 ** k if k > 0 else out * md.I11 ** (-k)

@@ -14,12 +14,24 @@ log_coeff (a monomial shift); everything else rejects it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _over_lcm(fracs) -> tuple[list, int]:
+    """Integer numerators of ``fracs`` over the lcm of their denominators."""
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _fracs_over(nums, den: int) -> list:
+    """``num / den`` for each integer numerator, sharing ``_ZERO``."""
+    return [Fraction(c, den) if c else _ZERO for c in nums]
 
 
 def _frac(x) -> Fraction:
@@ -169,7 +181,10 @@ class RatSeries:
                 == other.coeff_list(lo, other.trunc_order))
 
     def __hash__(self):
-        return hash((self.var, self.min_exp, self.coeffs, self.log_coeff))
+        # what __eq__ compares: leading zeros and the declared floor do not count
+        v = self.valuation()
+        tail = () if v is None else self.coeffs[v - self.min_exp:]
+        return hash((self.var, self.trunc_order, self.log_coeff, tail))
 
     def agrees_with(self, other: "RatSeries", through: int) -> bool:
         """Exact coefficient equality through the given order (log slots too)."""
@@ -234,18 +249,19 @@ class RatSeries:
         n = order - lo + 1
         if n <= 0:
             return RatSeries(a.var, lo, [_ZERO])
-        out = [_ZERO] * n
-        bc = b.coeffs
-        for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            base = i  # exponent offset relative to lo
-            top = min(len(bc), n - base)
-            for j in range(top):
-                cb = bc[j]
-                if cb:
-                    out[base + j] += ca * cb
-        return RatSeries(a.var, lo, out)
+        # schoolbook convolution of integer numerators over one denominator
+        na, da = _over_lcm(a.coeffs[:n])
+        nb, db = _over_lcm(b.coeffs[:n])
+        nonzero_b = [(j, y) for j, y in enumerate(nb) if y]
+        out = [0] * n
+        for i, x in enumerate(na):
+            if x:
+                top = n - i
+                for j, y in nonzero_b:
+                    if j >= top:
+                        break
+                    out[i + j] += x * y
+        return RatSeries(a.var, lo, _fracs_over(out, da * db))
 
     __rmul__ = __mul__
 
@@ -405,6 +421,46 @@ class RatSeries:
             if k < n:
                 h_pow = h_pow * h
         return RatSeries(new_var or self.var, 0, g)
+
+
+def extend_powers(table: list, base: RatSeries, top: int) -> list:
+    """Extend ``table`` = [base**0, base**1, ...] in place to base**top."""
+    while len(table) <= top:
+        table.append(table[-1] * base)
+    return table
+
+
+def lincomb(pairs, var: str | None = None,
+             order: int | None = None) -> RatSeries:
+    """sum c * f over (scalar c, series f) pairs, with the floor and the
+    truncation order of repeated ``+``; a zero scalar still truncates.
+    Given ``var`` and ``order``, the sum starts from ``RatSeries.zero(var,
+    order)`` as a running total would, so its floor is at most 0 and its
+    truncation order at most ``order``.
+    Exact on integer numerators: the scalars over one denominator, the
+    series coefficients over another."""
+    pairs = [(_frac(c), f) for c, f in pairs]
+    if var is not None:
+        pairs.insert(0, (_ONE, RatSeries.zero(var, order)))
+    if not pairs:
+        raise SeriesError("lincomb needs at least one series")
+    first = pairs[0][1]
+    for _, f in pairs:
+        first._check_var(f)
+        if f.log_coeff:
+            raise SeriesError("lincomb of a log-extended series")
+    lo = min(f.min_exp for _, f in pairs)
+    order = min(f.trunc_order for _, f in pairs)
+    live = [(f.coeffs[:max(order - f.min_exp + 1, 0)], f.min_exp - lo)
+            for c, f in pairs if c]
+    scalars, dc = _over_lcm([c for c, _ in pairs if c])
+    df = lcm(*(x.denominator for cs, _ in live for x in cs))
+    out = [0] * (order - lo + 1)
+    for s, (cs, base) in zip(scalars, live):
+        for k, x in enumerate(cs, base):
+            if x:
+                out[k] += s * x.numerator * (df // x.denominator)
+    return RatSeries(first.var, lo, _fracs_over(out, dc * df))
 
 
 # -- JSON serialization --------------------------------------------------------

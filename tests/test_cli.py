@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +208,49 @@ class TestHeavyCommands:
                              capsys)
         assert status == 0
         assert out.splitlines()[-1] == "consistency triangle at genus 4: PASS"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# golden file -> argv; each file is the stdout of `localp2 <argv>` (exit 0)
+# recorded before the integer-numerator series kernel, so any change in a
+# printed number or its formatting fails here
+GOLDEN_RUNS = {
+    "solve-g3-both-json.out": ["--format", "json", "solve", "--genus", "3",
+                               "--target", "both"],
+    "solve-g4-both.out": ["solve", "--genus", "4", "--target", "both"],
+    "relative-g2-csv.out": ["--format", "csv", "compute", "relative",
+                            "--genus", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_matches_golden(name, capsys):
+    status, out, _ = run(GOLDEN_RUNS[name], capsys)
+    assert status == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+# q_order -> genus -> (exit status, stderr, golden stdout or None) of
+# `localp2 --config <q_order = n> solve --genus g --target both`, as before
+# the integer-numerator kernel.  At these orders genus g reads S^(3g-3)
+# beyond S^q_order, and the conifold expansion runs out of terms: an error
+# of the input (exit 1), not a crash (exit 3).
+SMALL_ORDER_RUNS = {
+    (5, 3): (1, "error: coefficient of that^-1 beyond truncation order -3\n",
+             None),
+    (8, 4): (1, "error: coefficient of that^-1 beyond truncation order -4\n",
+             None),
+    (8, 3): (0, "", "solve-g3-both-q8.out"),
+}
+
+
+@pytest.mark.parametrize("q_order,genus", sorted(SMALL_ORDER_RUNS))
+def test_solve_at_small_q_order(q_order, genus, capsys, tmp_path):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f"q_order = {q_order}\n")
+    status, out, err = run(["--config", str(cfg), "solve", "--genus",
+                            str(genus), "--target", "both"], capsys)
+    want_status, want_err, golden = SMALL_ORDER_RUNS[q_order, genus]
+    assert (status, err) == (want_status, want_err)
+    assert out == ((GOLDEN / golden).read_text() if golden else "")

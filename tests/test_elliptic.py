@@ -92,6 +92,18 @@ class TestDisconnected:
         expect = bloch_okounkov_npoint_oracle(exps, qorder)
         assert got.coeff_list(0, qorder) == expect
 
+    @pytest.mark.parametrize("exps", [(1, 1, 1), (2, 1, 1), (3, 2, 1),
+                                      (3, 1, 1), (1, 1, 1, 1), (2, 2, 1, 1)])
+    def test_three_and_four_point_against_partition_sum_oracle(self, exps):
+        # the oracle expands each exponential term by term, so it checks the
+        # integer columns without sharing their closed form; (2,1,1) and
+        # (3,2,1) vanish because sum(e + 1) is odd, so (3,1,1) and (2,2,1,1)
+        # carry the nonzero checks of the e = 2 and e = 3 columns
+        qorder = 6
+        got = npoint_disconnected(len(exps), sum(exps), qorder)[exps]
+        expect = bloch_okounkov_npoint_oracle(exps, qorder)
+        assert got.coeff_list(0, qorder) == expect
+
     def test_keys_are_partitions_into_n_parts(self):
         assert set(npoint_disconnected(3, 6, 4)) == {(4, 1, 1), (3, 2, 1), (2, 2, 2)}
         assert npoint_disconnected(3, 2, 4) == {}

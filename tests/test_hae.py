@@ -89,6 +89,17 @@ class TestFrame:
         for k, p in enumerate(powers):
             assert p == frame.u_inverse ** k
 
+    def test_s_con_table_is_powers_of_s_con(self, frame):
+        powers = frame.s_con_powers(4)
+        assert powers[0] == RatSeries.one("u", ORDER)
+        for s in range(1, 5):
+            assert powers[s] == frame.s_con ** s
+
+    def test_s_con_table_grows_past_the_order(self, frame):
+        # genus g reads S up to S^(3g-3), which may exceed the order
+        top = ORDER + 2
+        assert frame.s_con_powers(top)[top] == frame.s_con ** top
+
     def test_x_in_u_is_inverse_u(self, md):
         # X * (1 + 27q) = 1 with u = 1 + 27q exactly
         prod = md.X * RatSeries.from_pairs("q", {0: 1, 1: 27}, ORDER)

@@ -1,12 +1,20 @@
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from localp2.mirror import build_mirror_data
-from localp2.series import RatSeries, SeriesError, series_from_json, series_to_json
+from localp2.series import (
+    RatSeries,
+    SeriesError,
+    lincomb,
+    series_from_json,
+    series_to_json,
+)
 
-from oracles import ibar1_coeff, pl_compose, pl_long_division
+from oracles import ibar1_coeff, pl_compose, pl_long_division, pl_mul
 
 F = Fraction
 
@@ -23,6 +31,16 @@ unit_series = st.builds(
     lambda cs: q_series([1] + cs),
     st.lists(st.integers(-9, 9), min_size=4, max_size=8),
 )
+# exact rationals with large and negative denominators, and runs of zeros
+big_fractions = st.builds(
+    Fraction,
+    st.integers(-10 ** 30, 10 ** 30),
+    st.integers(1, 10 ** 25) | st.integers(-10 ** 25, -1),
+)
+sparse_coeffs = st.lists(st.just(0) | st.just(0) | big_fractions,
+                         min_size=1, max_size=12)
+laurent_series = st.builds(lambda lo, cs: q_series(cs, min_exp=lo),
+                           st.integers(-4, 4), sparse_coeffs)
 
 
 class TestArith:
@@ -73,6 +91,23 @@ class TestArith:
         with pytest.raises(SeriesError):
             a * q_series([0, 1], log_coeff=1)
 
+    @given(laurent_series, laurent_series)
+    @settings(max_examples=100, deadline=None)
+    def test_product_against_plain_list_oracle(self, a, b):
+        got = a * b
+        n = min(len(a.coeffs), len(b.coeffs))
+        assert got.min_exp == a.min_exp + b.min_exp
+        assert got.trunc_order == min(a.trunc_order + b.min_exp,
+                                      b.trunc_order + a.min_exp)
+        assert list(got.coeffs) == pl_mul(list(a.coeffs), list(b.coeffs), n - 1)
+
+    def test_hash_agrees_with_eq(self):
+        a = RatSeries("q", -1, [0, 1, 2])
+        b = RatSeries("q", 0, [1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert len({RatSeries.zero("q", 3), RatSeries("q", -2, [0] * 6)}) == 1
+
     @given(small_series, small_series, small_series)
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, a, b, c):
@@ -89,6 +124,42 @@ class TestArith:
         lhs = (a * b).theta()
         rhs = a.theta() * b + a * b.theta()
         assert lhs.agrees_with(rhs, min(lhs.trunc_order, rhs.trunc_order))
+
+
+class TestLincomb:
+    @given(st.lists(st.tuples(st.just(0) | big_fractions, laurent_series),
+                    min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_repeated_add(self, pairs):
+        got = lincomb(pairs)
+        expect = reduce(add, [f * c for c, f in pairs])
+        assert (got.min_exp, got.trunc_order) == (expect.min_exp,
+                                                  expect.trunc_order)
+        assert got.coeffs == expect.coeffs
+
+    @given(st.lists(st.tuples(big_fractions, laurent_series), max_size=4),
+           st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_start_from_zero_matches_running_sum(self, pairs, order):
+        got = lincomb(pairs, "q", order)
+        expect = reduce(add, [f * c for c, f in pairs],
+                        RatSeries.zero("q", order))
+        assert (got.min_exp, got.trunc_order) == (expect.min_exp,
+                                                  expect.trunc_order)
+        assert got.coeffs == expect.coeffs
+
+    def test_zero_scalar_still_truncates(self):
+        got = lincomb([(2, q_series([1, 1, 1, 1])), (0, q_series([5, 5], -1))])
+        assert (got.min_exp, got.trunc_order) == (-1, 0)
+        assert got.coeff_list(-1, 0) == [0, 2]
+
+    def test_variable_mismatch(self):
+        with pytest.raises(SeriesError):
+            lincomb([(1, q_series([1, 2])), (1, RatSeries("Q", 0, [1, 2]))])
+
+    def test_log_slot_rejected(self):
+        with pytest.raises(SeriesError):
+            lincomb([(1, q_series([1, 2])), (1, q_series([0, 1], log_coeff=1))])
 
 
 class TestExpLog:
