@@ -32,9 +32,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import acceptance
-from .elliptic import StationaryLabel, connected_extract, e_weight_monomials
+from .elliptic import EPoly, StationaryLabel, connected_extract
+from .graded import weight_monomials
 from .hae import (build_conifold_frame, conifold_expand, gap_target,
-                  solve_genus, solve_towers, verify_hae)
+                  least_q_order, solve_genus, solve_towers, verify_hae)
 from .locrel import (Correspondence, f1_local_series, genus0_flat_expansion,
                      relative_flat_expansion)
 from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data
@@ -45,6 +46,8 @@ from .series import Localp2Error, RatSeries, series_to_json
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+TRIANGLE_DEGREE = 8  # the consistency triangle compares flat Q^0..Q^8
 
 
 class UsageError(Localp2Error):
@@ -65,6 +68,15 @@ class RunConfig:
             raise UsageError("margin must be >= 0")
         if self.format not in ("json", "csv", "text"):
             raise UsageError(f"unknown output format {self.format!r}")
+
+
+def check_q_order(cfg: RunConfig, g: int, triangle: bool = False):
+    """Reject, before any work, a q_order too small to solve genus g (and
+    to read the consistency triangle)."""
+    least = max(least_q_order(g), TRIANGLE_DEGREE if triangle else 0)
+    if cfg.q_order < least:
+        raise UsageError(f"genus {g} needs q_order >= {least}, "
+                         f"got {cfg.q_order}")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -151,6 +163,7 @@ def cmd_compute_mirror(args, cfg, sink) -> int:
 
 def cmd_compute_side(args, cfg, sink, side: str) -> int:
     g = args.genus
+    check_q_order(cfg, g)
     md = build_mirror_data(cfg.q_order)
     if g == 0:
         emit_series("flat_expansion", genus0_flat_expansion(md), cfg, sink)
@@ -179,7 +192,7 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
     label = StationaryLabel(args.genus, args.parts)
     if sum(label.parts) != 2 * label.h - 2:
         raise UsageError(f"--parts must sum to 2*genus - 2 = {2 * label.h - 2}")
-    least = len(e_weight_monomials(label.weight))
+    least = len(weight_monomials(EPoly.weights, label.weight))
     if args.order is not None and args.order < least:
         raise UsageError(f"--order must be >= {least}, the number of "
                          f"E2/E4/E6 monomials of weight {label.weight}")
@@ -198,6 +211,8 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
 
 def cmd_solve(args, cfg, sink) -> int:
     g = args.genus
+    triangle = args.target == "both" and g >= 3
+    check_q_order(cfg, g, triangle)
     md = build_mirror_data(cfg.q_order)
     corr = solve_towers(md, g)
     status = 0
@@ -209,10 +224,11 @@ def cmd_solve(args, cfg, sink) -> int:
         if side == "relative" and g >= 3:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
-    if args.target == "both" and g >= 3:
+    if triangle:
         a = bm_eval(corr.relative.elements[g], md, target="Q")
         b = bm_eval(solve_genus(g, "relative", md), md, target="Q")
-        agree = a.coeff_list(0, 8) == b.coeff_list(0, 8)
+        agree = a.coeff_list(0, TRIANGLE_DEGREE) == \
+            b.coeff_list(0, TRIANGLE_DEGREE)
         sink(f"consistency triangle at genus {g}: "
              f"{'PASS' if agree else 'FAIL'}")
         if not agree:
@@ -235,6 +251,7 @@ def cmd_verify_ramanujan(args, cfg, sink) -> int:
 
 
 def cmd_verify_hae(args, cfg, sink) -> int:
+    check_q_order(cfg, args.genus)
     corr = solve_towers(build_mirror_data(cfg.q_order), args.genus)
     tower = corr.local if args.target == "local" else corr.relative
     rep = verify_hae(args.genus, args.target, tower)
@@ -246,6 +263,7 @@ def cmd_verify_hae(args, cfg, sink) -> int:
 
 
 def cmd_verify_gap(args, cfg, sink) -> int:
+    check_q_order(cfg, args.genus)
     md = build_mirror_data(cfg.q_order)
     corr = solve_towers(md, args.genus)
     tower = corr.local if args.target == "local" else corr.relative
@@ -272,6 +290,7 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     if missing:
         raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
                          f"degrees {missing}, which {omega_path} lacks")
+    check_q_order(cfg, args.gmax)
     md = build_mirror_data(cfg.q_order)
     corr = solve_towers(md, args.gmax)
     flat = {0: genus0_flat_expansion(md)}

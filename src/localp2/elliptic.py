@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
-from .linalg import LinearSystemError, solve_unique
+from .graded import Graded, recognize, weight_monomials
 from .quasimod import DEFAULT_MARGIN, bernoulli, eisenstein_series
 from .series import Localp2Error, RatSeries
 
@@ -63,129 +63,27 @@ class StationaryLabel:
 
 # -- the ring Q[E2, E4, E6] --------------------------------------------------------
 
-class EPoly:
+class EPoly(Graded):
     """Polynomial in E2, E4, E6 homogeneous for the weight 2a+4b+6c."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    names = ("E2", "E4", "E6")
+    weights = (2, 4, 6)
 
     def __init__(self, terms: dict):
-        self.terms = {tuple(k): F(v) for k, v in terms.items() if F(v)}
-        ws = {2 * a + 4 * b + 6 * c for a, b, c in self.terms}
-        if len(ws) > 1:
-            raise EllipticError(f"mixed weights: {sorted(ws)}")
+        super().__init__(0, terms)
 
-    @staticmethod
-    def zero() -> "EPoly":
-        return EPoly({})
-
-    @staticmethod
-    def const(v) -> "EPoly":
-        return EPoly({(0, 0, 0): v})
-
-    @staticmethod
-    def gen(k: int) -> "EPoly":
-        return EPoly({{2: (1, 0, 0), 4: (0, 1, 0), 6: (0, 0, 1)}[k]: 1})
-
-    @property
-    def weight(self) -> int:
-        for a, b, c in self.terms:
-            return 2 * a + 4 * b + 6 * c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, EPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+    @classmethod
+    def gen(cls, k: int) -> "EPoly":
+        return super().gen(f"E{k}")
 
     def __repr__(self):
-        return " + ".join(f"({v})*E2^{a}E4^{b}E6^{c}"
-                          for (a, b, c), v in sorted(self.terms.items())) or "0"
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = EPoly.const(other)
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t.get(k, F(0)) + v
-        return EPoly(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = EPoly.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return EPoly({k: v * F(other) for k, v in self.terms.items()})
-        t: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                t[k] = t.get(k, F(0)) + v1 * v2
-        return EPoly(t)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * (1 / F(other))
-
-    def __pow__(self, n: int):
-        out = EPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def d_e2(self) -> "EPoly":
-        """Formal partial derivative with respect to E2."""
-        return EPoly({(a - 1, b, c): a * v
-                      for (a, b, c), v in self.terms.items() if a})
-
-    def to_qseries(self, order: int) -> RatSeries:
-        out = RatSeries.zero(CQT, order)
-        for (a, b, c), v in self.terms.items():
-            term = RatSeries.const(CQT, v, order)
-            for k, e in ((2, a), (4, b), (6, c)):
-                for _ in range(e):
-                    term = term * eisenstein_series(k, 1, order, var=CQT)
-            out = out + term
-        return out
+        return self._monomials()
 
 
-def e_weight_monomials(w: int):
-    out = []
-    for c in range(w // 6 + 1):
-        for b in range((w - 6 * c) // 4 + 1):
-            rem = w - 6 * c - 4 * b
-            if rem % 2 == 0:
-                out.append((rem // 2, b, c))
-    return out
-
-
-def recognize_E(series: RatSeries, weight: int,
-                margin: int = DEFAULT_MARGIN) -> EPoly:
-    monos = e_weight_monomials(weight)
-    need = len(monos) + margin
-    if series.trunc_order < need - 1:
-        raise EllipticError(f"insufficient nome order: need {need}, "
-                            f"have {series.trunc_order + 1}")
-    cols = [EPoly({m: 1}).to_qseries(need) for m in monos]
-    rows = [[col.coeff(k) for col in cols] for k in range(need)]
-    rhs = [series.coeff(k) for k in range(need)]
-    try:
-        sol = solve_unique(rows, rhs)
-    except LinearSystemError as exc:
-        raise EllipticError(f"series not quasimodular of weight {weight}: "
-                            f"{exc}") from exc
-    return EPoly({m: v for m, v in zip(monos, sol)})
+def eisenstein_images(order: int) -> list:
+    """E2, E4, E6 in the curve's nome, through ``order``."""
+    return [eisenstein_series(k, 1, order, var=CQT) for k in (2, 4, 6)]
 
 
 # -- theta function and its derivatives --------------------------------------------
@@ -315,7 +213,7 @@ def set_partitions(items):
 
 
 def _dim_weight(w: int) -> int:
-    return len(e_weight_monomials(w))
+    return len(weight_monomials(EPoly.weights, w))
 
 
 def default_qorder(weight: int, margin: int = DEFAULT_MARGIN) -> int:
@@ -359,7 +257,8 @@ def connected_extract(label: StationaryLabel, qorder: int | None = None,
         qorder = default_qorder(w, margin)
     exps = tuple(a + 1 for a in label.parts)
     series = connected_coefficient(exps, qorder)
-    value = recognize_E(series, w, margin=min(margin, qorder - _dim_weight(w)))
+    value = EPoly(recognize(series, EPoly.weights, w, eisenstein_images(qorder),
+                            margin=min(margin, qorder - _dim_weight(w))))
     return EllipticSeries(label=label, series=series, value=value)
 
 
@@ -411,7 +310,7 @@ def elliptic_hae_check(label: StationaryLabel, qorder: int | None = None) -> dic
     n = len(parts)
     if 2 * h - 2 + n <= 0:
         raise EllipticError("unstable label")
-    lhs = connected_extract(label, qorder).value.d_e2() * (-24)
+    lhs = connected_extract(label, qorder).value.partial("E2") * (-24)
 
     loop = EPoly.zero()
     for i in range(n):

@@ -1,0 +1,212 @@
+"""Graded polynomial rings over Q: the arithmetic shared by Q[E2, E4, E6]
+(elliptic), C^-p Q[A, B, C] (quasimod) and I11^-d Q[S, X, 1/X] (mirror).
+
+An element maps exponent tuples to nonzero Fractions and carries an
+integer ``shift``: the power of a factor outside the numerator (the C-pole,
+the I11-degree) that products add.  Subclasses name the generators, give
+their weights, and keep their own bookkeeping in ``_settle`` (checks and
+normalisation of every new element) and ``_aligned`` (how two shifts meet
+in a sum).  Products run on integer numerators over one denominator per
+operand, as the series products do.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import reduce
+from operator import add, mul
+
+from .linalg import LinearSystemError, solve_unique
+from .series import Localp2Error, RatSeries, _over_lcm, extend_powers
+
+
+class GradedError(Localp2Error):
+    pass
+
+
+class Graded:
+    __slots__ = ("shift", "terms")
+    names: tuple = ()             # generator names, in exponent order
+    weights: tuple | None = None  # generator weights, if homogeneous
+
+    def __init__(self, shift: int, terms: dict):
+        self.shift = shift
+        self.terms = {tuple(k): f for k, v in terms.items() if (f := Fraction(v))}
+        self._settle()
+
+    @classmethod
+    def _from(cls, shift: int, terms: dict):
+        """An element from terms that are already nonzero Fractions."""
+        out = cls.__new__(cls)
+        out.shift, out.terms = shift, terms
+        out._settle()
+        return out
+
+    def _settle(self):
+        if self.weights and len({self._weight(k) for k in self.terms}) > 1:
+            raise GradedError(f"mixed weights: "
+                              f"{sorted({self._weight(k) for k in self.terms})}")
+
+    def _weight(self, key) -> int:
+        return sum(map(mul, self.weights, key))
+
+    def _aligned(self, other):
+        """(shift, terms, other's terms) of a sum: a zero summand takes the
+        other's shift, and nonzero summands must agree."""
+        if self.shift == other.shift or not other.terms:
+            return self.shift, self.terms, other.terms
+        if not self.terms:
+            return other.shift, self.terms, other.terms
+        raise GradedError(f"{type(self).__name__} shifts differ: "
+                          f"{self.shift} vs {other.shift}")
+
+    @classmethod
+    def zero(cls):
+        return cls._from(0, {})
+
+    @classmethod
+    def const(cls, v):
+        v = Fraction(v)
+        return cls._from(0, {(0,) * len(cls.names): v} if v else {})
+
+    @classmethod
+    def gen(cls, name: str):
+        if name not in cls.names:
+            raise GradedError(f"no generator {name!r} among {cls.names}")
+        return cls._from(0, {tuple(int(n == name) for n in cls.names):
+                             Fraction(1)})
+
+    @property
+    def weight(self) -> int:
+        return self._weight(next(iter(self.terms))) if self.terms else 0
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _monomials(self) -> str:
+        return " + ".join(
+            f"({v})*" + "".join(f"{n}^{e}" for n, e in zip(self.names, key))
+            for key, v in sorted(self.terms.items())) or "0"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and (
+            self.shift == other.shift or not self.terms)
+
+    def __hash__(self):
+        # what __eq__ compares: the shift of zero does not count
+        return hash((self.shift if self.terms else 0,
+                     frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.const(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        shift, mine, theirs = self._aligned(other)
+        terms = dict(mine)
+        for k, v in theirs.items():
+            if s := terms.get(k, 0) + v:
+                terms[k] = s
+            else:
+                del terms[k]
+        return self._from(shift, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._from(self.shift, {k: v * other for k, v in
+                                           self.terms.items()} if other else {})
+        if type(other) is not type(self):
+            return NotImplemented
+        na, da = _over_lcm(self.terms.values())
+        nb, db = _over_lcm(other.terms.values())
+        acc: dict = {}
+        for k1, x in zip(self.terms, na):
+            for k2, y in zip(other.terms, nb):
+                k = tuple(map(add, k1, k2))
+                acc[k] = acc.get(k, 0) + x * y
+        return self._from(self.shift + other.shift,
+                          {k: Fraction(c, da * db) for k, c in acc.items() if c})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        return reduce(mul, [self] * n, self.const(1))
+
+    def partial(self, name: str):
+        """Formal partial derivative in the named generator."""
+        i = self.names.index(name)
+        return self._from(self.shift, {
+            k[:i] + (k[i] - 1,) + k[i + 1:]: k[i] * v
+            for k, v in self.terms.items() if k[i]})
+
+    def derive(self, images, log_shift):
+        """The derivation that sends each generator to its image and the
+        outside factor U^-shift to -shift * log_shift * U^-shift."""
+        out = self * log_shift * -self.shift if self.shift else self.zero()
+        for name, image in zip(self.names, images):
+            out = out + self.partial(name) * image
+        return out
+
+
+def weight_monomials(weights: tuple, w: int) -> list:
+    """Every exponent tuple e with sum_i weights[i] * e[i] == w, the last
+    exponent varying slowest."""
+    if w < 0:
+        return []
+    if len(weights) == 1:
+        return [(w // weights[0],)] if w % weights[0] == 0 else []
+    *rest, last = weights
+    return [head + (k,) for k in range(w // last + 1)
+            for head in weight_monomials(rest, w - k * last)]
+
+
+def evaluate(terms: dict, images: list, one):
+    """sum v * prod_i images[i]**e_i over the terms {e: v}: the generators
+    replaced by series or ring elements, with one table of powers per
+    generator.  ``one`` is the unit of the target."""
+    tables = [[one, image] for image in images]
+    total = one * 0
+    for key, v in terms.items():
+        factors = [extend_powers(table, image, e)[e]
+                   for table, image, e in zip(tables, images, key) if e]
+        total = total + (reduce(mul, factors) if factors else one) * v
+    return total
+
+
+def recognize(series: RatSeries, weights: tuple, w: int, images: list,
+              margin: int) -> dict:
+    """The terms of the unique weight-w polynomial that expands to
+    ``series`` when generator i becomes images[i] (each known at least as
+    far as ``series``).  The exact solve is over-determined by ``margin``
+    coefficients, so a series outside the span is rejected."""
+    monos = weight_monomials(weights, w)
+    need = len(monos) + margin
+    if (series.valuation() or 0) < 0 or series.log_coeff:
+        raise GradedError("a series with poles or logs is not a polynomial")
+    if series.trunc_order < need - 1:
+        raise GradedError(f"insufficient coefficients: need {need}, "
+                          f"have {series.trunc_order + 1}")
+    images = [im.truncate(need - 1) for im in images]
+    one = RatSeries.one(series.var, need - 1)
+    cols = [evaluate({m: 1}, images, one) for m in monos]
+    try:
+        sol = solve_unique([[col.coeff(k) for col in cols] for k in range(need)],
+                           [series.coeff(k) for k in range(need)])
+    except LinearSystemError as exc:
+        raise GradedError(f"series not in the weight-{w} span: {exc}") from exc
+    return {m: v for m, v in zip(monos, sol) if v}

@@ -93,7 +93,7 @@ class AmbiguitySpace:
 
     @property
     def basis(self):
-        return tuple(BModElement.monomial(1, 0, j) for j in range(2 * self.g - 1))
+        return tuple(BModElement.monomial(1, 0, j) for j in range(self.dimension))
 
 
 def integrate_S(rhs: BModElement, g: int):
@@ -173,6 +173,14 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     num = lincomb([(regular.coeff(k), powers[k])
                    for k in range(regular.min_exp, bound + 1)], "that", bound)
     return num / powers[max_pole]
+
+
+def least_q_order(g: int) -> int:
+    """The least mirror order at which the genus-g gap can be read.  The
+    pole order is M = 2g - 2, and conifold_expand divides by u_inverse**M,
+    known through that^order with valuation M: the quotient is known
+    through that^(order - 2M), and the gap reads that^-1."""
+    return 2 * (2 * g - 2) - 1
 
 
 def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
@@ -263,7 +271,7 @@ def solve_towers(md: MirrorData, gmax: int) -> Correspondence:
 
 def verify_hae(g: int, kind: str, tower: DTower) -> dict:
     """Check the anomaly identity on an already-solved genus."""
-    lhs = tower.D(g, 0).partial_S()
+    lhs = tower.D(g, 0).partial("S")
     lhs = BModElement(2, {(s, x + 1): v / 3 for (s, x), v in lhs.terms.items()})
     rhs = hae_rhs(g, kind, tower)
     return {"genus": g, "kind": kind, "lhs": lhs, "rhs": rhs,

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from .elliptic import EPoly, f1_empty, stationary_value
+from .graded import evaluate
 from .mirror import (
     BModElement,
     BModError,
@@ -60,18 +61,6 @@ class SurfaceParams:
         """(1 - delta_{ee,0}) / ee, with the zero-divisor convention."""
         return F(0) if self.ee == 0 else F(1, self.ee)
 
-    def classical_cubic_coeff(self) -> Fraction:
-        """Coefficient of (log Q)^3 in the genus-0 classical term."""
-        if self.ee == 0:
-            return F(0)
-        r = self.e_class_multiple
-        return -F(1, 6 * self.ee ** 2) * r ** 3
-
-    def local_log_coeff(self) -> Fraction:
-        """Coefficient of log Q in the genus-1 unstable local term."""
-        r = self.e_class_multiple
-        return (self._inv_ee() * F(self.chi, 24) - F(1, 24)) * r
-
     def relative_log_coeff(self) -> Fraction:
         """Coefficient of log Q in the genus-1 unstable relative term."""
         r = self.e_class_multiple
@@ -85,10 +74,6 @@ class CorrTerm:
     h: int
     legs: tuple          # sorted tuple of (a_j, g_j), each != (0, 0)
     aut_order: int
-
-    @property
-    def n_legs(self) -> int:
-        return len(self.legs)
 
 
 def _aut_order(legs) -> int:
@@ -188,14 +173,8 @@ _E6_BMOD = BModElement(-6, {(0, 0): F(-1, 27), (0, -1): F(20, 27),
 def epoly_to_bmod(ep: EPoly) -> BModElement:
     """A weight-w polynomial in E2, E4, E6 (at the cubed nome) becomes an
     element of I11-degree -w."""
-    out = BModElement.zero()
-    for (a, b, c), v in ep.terms.items():
-        term = BModElement.const(v, 0)
-        for base, e in ((_E2_BMOD, a), (_E4_BMOD, b), (_E6_BMOD, c)):
-            for _ in range(e):
-                term = term * base
-        out = out + term
-    return out
+    return evaluate(ep.terms, [_E2_BMOD, _E4_BMOD, _E6_BMOD],
+                    BModElement.const(1))
 
 
 # -- genus-1 series -------------------------------------------------------------------
@@ -283,20 +262,6 @@ class Correspondence:
         rel = (local_side - self.corrections_sum(g)) * F((-1) ** g)
         self.relative.set_genus(g, rel)
         return rel
-
-    def solve_local(self, g: int, relative_side=None) -> "BModElement | RatSeries":
-        """Local series from the relative tower: (-1)^g relative + corrections."""
-        if g == 0:
-            return relative_side
-        if g == 1:
-            if relative_side is None:
-                relative_side = f1_relative_series(self.md)
-            return f1_empty_qseries(self.md) - relative_side
-        if relative_side is None:
-            relative_side = self.relative.elements[g]
-        else:
-            self.relative.set_genus(g, relative_side)
-        return relative_side * F((-1) ** g) + self.corrections_sum(g)
 
 
 # -- flat-coordinate expansions -------------------------------------------------------

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .graded import Graded
 from .quasimod import QModElement
 from .series import (Localp2Error, RatSeries, SeriesError, extend_powers,
                      lincomb)
@@ -204,108 +205,31 @@ class BModError(Localp2Error):
     pass
 
 
-class BModElement:
-    """I11^(-i11_degree) times a Laurent polynomial in X and polynomial in S."""
+class BModElement(Graded):
+    """I11^(-i11_degree) times a Laurent polynomial in X and polynomial in S.
 
-    __slots__ = ("i11_degree", "terms")
+    Elements of different I11-degrees add only when one of them is zero."""
 
-    def __init__(self, i11_degree: int, terms: dict):
-        self.i11_degree = int(i11_degree)
-        self.terms: dict[tuple, Fraction] = {}
-        for (s, x), v in terms.items():
-            v = Fraction(v)
-            if s < 0:
-                raise BModError("negative S exponent")
-            if v:
-                self.terms[(s, x)] = v
+    __slots__ = ()
+    names = ("S", "X")
 
-    @staticmethod
-    def zero() -> "BModElement":
-        return BModElement(0, {})
+    @property
+    def i11_degree(self) -> int:
+        return self.shift
 
-    @staticmethod
-    def const(v, i11_degree: int = 0) -> "BModElement":
-        return BModElement(i11_degree, {(0, 0): Fraction(v)})
+    def _settle(self):
+        if any(s < 0 for s, _ in self.terms):
+            raise BModError("negative S exponent")
 
     @staticmethod
     def monomial(v, s: int = 0, x: int = 0, i11_degree: int = 0) -> "BModElement":
-        return BModElement(i11_degree, {(s, x): Fraction(v)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return BModElement(i11_degree, {(s, x): v})
 
     def deg_S(self) -> int:
         return max((s for s, _ in self.terms), default=0)
 
     def __repr__(self):
-        mono = " + ".join(f"({v})*S^{s}X^{x}"
-                          for (s, x), v in sorted(self.terms.items()))
-        return f"I11^-{self.i11_degree} * [{mono or '0'}]"
-
-    def __eq__(self, other):
-        if not isinstance(other, BModElement):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return (self.i11_degree == other.i11_degree
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.i11_degree, tuple(sorted(self.terms.items()))))
-
-    def _check_degree(self, other: "BModElement"):
-        if self.is_zero() or other.is_zero():
-            return
-        if self.i11_degree != other.i11_degree:
-            raise BModError(
-                f"I11-degree mismatch: {self.i11_degree} vs {other.i11_degree}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BModElement.const(other, self.i11_degree)
-        self._check_degree(other)
-        deg = other.i11_degree if self.is_zero() else self.i11_degree
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t.get(k, F(0)) + v
-        return BModElement(deg, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BModElement(self.i11_degree, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BModElement.const(other, self.i11_degree)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BModElement(self.i11_degree,
-                               {k: v * Fraction(other) for k, v in self.terms.items()})
-        t: dict = {}
-        for (s1, x1), v1 in self.terms.items():
-            for (s2, x2), v2 in other.terms.items():
-                k = (s1 + s2, x1 + x2)
-                t[k] = t.get(k, F(0)) + v1 * v2
-        return BModElement(self.i11_degree + other.i11_degree, t)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def partial_S(self) -> "BModElement":
-        return BModElement(self.i11_degree,
-                           {(s - 1, x): s * v for (s, x), v in self.terms.items()
-                            if s >= 1})
-
-    def mul_X_power(self, k: int) -> "BModElement":
-        return BModElement(self.i11_degree,
-                           {(s, x + k): v for (s, x), v in self.terms.items()})
+        return f"I11^-{self.i11_degree} * [{self._monomials()}]"
 
 
 # theta acting on the generators:
@@ -320,28 +244,13 @@ _THETA_LOG_I11 = BModElement(0, {(1, 0): 1, (0, 1): F(1, 3), (0, 0): F(-1, 3)})
 
 def bm_theta(e: BModElement) -> BModElement:
     """q d/dq via the closed derivation rules; preserves i11_degree."""
-    out = BModElement.zero()
-    for (s, x), v in e.terms.items():
-        if s:
-            out = out + BModElement(0, {(s - 1, x): s * v}) * _THETA_S
-        if x:
-            out = out + BModElement(0, {(s, x - 1): x * v}) * _THETA_X
-    if e.i11_degree:
-        out = out + BModElement(0, dict(e.terms)) * (_THETA_LOG_I11
-                                                     * (-e.i11_degree))
-    return BModElement(e.i11_degree, out.terms)
+    return e.derive((_THETA_S, _THETA_X), _THETA_LOG_I11)
 
 
 def bm_derive_D(e: BModElement) -> BModElement:
     """D = 3 Q d/dQ = 3 I11^{-1} q d/dq; raises i11_degree by 1."""
     t = bm_theta(e)
     return BModElement(e.i11_degree + 1, {k: 3 * v for k, v in t.terms.items()})
-
-
-def bm_derive_QdQ(e: BModElement) -> BModElement:
-    """Q d/dQ = D/3."""
-    t = bm_theta(e)
-    return BModElement(e.i11_degree + 1, dict(t.terms))
 
 
 def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
@@ -390,23 +299,3 @@ def bm_to_qmod(e: BModElement) -> QModElement:
         bad = {k: v for k, v in acc.items() if k[0] < 0}
         raise BModError(f"element not regular at the orbifold point: {bad}")
     return QModElement(P, acc)
-
-
-def qmod_to_bmod(e: QModElement) -> BModElement:
-    """Inverse dictionary: A -> I11, B -> I11^2 (X + 6S)/X, C -> I11^3/X."""
-    out = BModElement.zero()
-    b_elt = BModElement(-2, {(1, 0): 6, (0, 1): 1})  # I11^2 (X + 6S), X-divided below
-    for (a, b, c), v in e.terms.items():
-        term = BModElement.const(v, -(a + 3 * c))
-        if b:
-            t = b_elt
-            for _ in range(b - 1):
-                t = t * b_elt
-            term = term * t.mul_X_power(-b)
-        term = term.mul_X_power(-c)
-        out = out + term
-    if e.c_pole:
-        # multiply by C^-pole = X / I11^3 each
-        out = BModElement(out.i11_degree + 3 * e.c_pole,
-                          {(s, x + e.c_pole): v for (s, x), v in out.terms.items()})
-    return out

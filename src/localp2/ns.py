@@ -40,16 +40,10 @@ class OmegaTable:
     """Map degree -> {exponent in half-units -> integer coefficient}."""
     entries: dict
 
-    def degrees(self):
-        return sorted(self.entries)
-
     def polynomial(self, d: int) -> dict:
         if d not in self.entries:
             raise OmegaError(f"no sheaf invariants for degree {d}")
         return self.entries[d]
-
-    def at_one(self, d: int) -> int:
-        return sum(self.polynomial(d).values())
 
 
 def _validate_entry(d: int, coeffs: dict) -> dict:
@@ -59,11 +53,6 @@ def _validate_entry(d: int, coeffs: dict) -> dict:
             raise OmegaError(f"degree {d} invariants are not palindromic at "
                              f"half-exponent {e}")
     return out
-
-
-def omega_from_entries(raw: dict) -> OmegaTable:
-    return OmegaTable({int(d): _validate_entry(int(d), cs)
-                       for d, cs in raw.items()})
 
 
 def load_omega(path) -> OmegaTable:

@@ -144,9 +144,6 @@ class RatSeries:
             return self
         return RatSeries(self.var, v, self.coeffs[v - self.min_exp:], self.log_coeff)
 
-    def retag(self, var: str) -> "RatSeries":
-        return RatSeries(var, self.min_exp, self.coeffs, self.log_coeff)
-
     def shift(self, k: int) -> "RatSeries":
         """Multiply by variable**k."""
         if self.log_coeff:
@@ -469,10 +466,6 @@ def _frac_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _frac_from_json(d) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
-
-
 def series_to_json(s: RatSeries) -> dict:
     return {
         "variable": s.var,
@@ -482,14 +475,3 @@ def series_to_json(s: RatSeries) -> dict:
         "coeffs": [{"exp": k, **_frac_json(s.coeff(k))}
                    for k in range(s.min_exp, s.trunc_order + 1) if s.coeff(k)],
     }
-
-
-def series_from_json(d) -> RatSeries:
-    pairs = {int(c["exp"]): _frac_from_json(c) for c in d["coeffs"]}
-    lo = min(list(pairs) + [int(d["min_exp"])])
-    n = int(d["trunc_order"]) - lo + 1
-    coeffs = [_ZERO] * n
-    for e, v in pairs.items():
-        coeffs[e - lo] = v
-    return RatSeries(d["variable"], lo, coeffs, _frac_from_json(d["log_coeff"]))
-

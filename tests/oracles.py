@@ -5,11 +5,18 @@ paths it checks: plain-list polynomial arithmetic, divisor sums, exhaustive
 enumeration.  The one exception is :func:`bloch_okounkov_npoint_oracle`: the
 library computes the same partition sum, so agreement with it is a check of
 the closed-form z-coefficients, not an independent one.
+
+The inverse-direction oracles at the end run the library's dictionaries and
+correspondence backwards, so a round trip through them checks the forward
+direction the library uses.
 """
 
 from fractions import Fraction
 from itertools import count
 from math import factorial
+
+from localp2.locrel import f1_empty_qseries, f1_relative_series
+from localp2.mirror import BModElement
 
 
 # -- plain-list truncated power series (index = exponent) ----------------------
@@ -201,3 +208,32 @@ def bloch_okounkov_npoint_oracle(exponents, qorder):
             nxt[i + m] -= euler[i]
         euler = nxt
     return pl_mul(out, euler, qorder)
+
+
+# -- inverse directions ----------------------------------------------------------
+
+def qmod_to_bmod(e):
+    """The inverse of ``mirror.bm_to_qmod``: A -> I11,
+    B -> I11^2 (1 + 6S/X), C -> I11^3/X, and C^-p -> X^p / I11^(3p)."""
+    b_image = BModElement(-2, {(0, 0): 1, (1, -1): 6})
+    out = BModElement.zero()
+    for (a, b, c), v in e.terms.items():
+        out = out + BModElement(-(a + 3 * c), {(0, -c): v}) * b_image ** b
+    return out * BModElement(3 * e.c_pole, {(0, e.c_pole): 1})
+
+
+def solve_local(corr, g: int, relative_side=None):
+    """The inverse of ``Correspondence.solve_relative``: the local series
+    (-1)^g relative + corrections, the relative one defaulting to the
+    closed form (genus 1) or the solved tower (genus >= 2)."""
+    if g == 0:
+        return relative_side
+    if g == 1:
+        if relative_side is None:
+            relative_side = f1_relative_series(corr.md)
+        return f1_empty_qseries(corr.md) - relative_side
+    if relative_side is None:
+        relative_side = corr.relative.elements[g]
+    else:
+        corr.relative.set_genus(g, relative_side)
+    return relative_side * Fraction((-1) ** g) + corr.corrections_sum(g)

@@ -88,6 +88,19 @@ BAD_INPUT = [
     (["compute", "elliptic", "--genus", "2", "--parts", "2,-1"], "a1,a2"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1,1", "--order", "2"],
      "--order must be >= 3"),
+    # every command that solves a tower checks q_order against the genus
+    (["--config", "{tmp}/q6.cfg", "compute", "local", "--genus", "3"],
+     "genus 3 needs q_order >= 7, got 6"),
+    (["--config", "{tmp}/q6.cfg", "compute", "relative", "--genus", "3",
+      "--method", "hae"], "genus 3 needs q_order >= 7, got 6"),
+    (["--config", "{tmp}/q6.cfg", "verify", "hae", "--genus", "3", "--target",
+      "local"], "genus 3 needs q_order >= 7, got 6"),
+    (["--config", "{tmp}/q6.cfg", "verify", "gap", "--genus", "3", "--target",
+      "relative"], "genus 3 needs q_order >= 7, got 6"),
+    (["--config", "{tmp}/q6.cfg", "ns", "compare", "--gmax", "3"],
+     "genus 3 needs q_order >= 7, got 6"),
+    (["--config", "{tmp}/q6.cfg", "solve", "--genus", "3", "--target",
+      "local"], "genus 3 needs q_order >= 7, got 6"),
     # flags that did nothing and are gone
     (["--threads=2", "compute", "mirror"], "unrecognized"),
     (["compute", "local", "--genus", "2", "--order", "8"], "unrecognized"),
@@ -103,6 +116,7 @@ BAD_INPUT = [
 def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
                                             monkeypatch):
     (tmp_path / "q.cfg").write_text("q_order = 3\n")
+    (tmp_path / "q6.cfg").write_text("q_order = 6\n")
     (tmp_path / "text.cfg").write_text("margin = ten\n")
     (tmp_path / "margin.cfg").write_text("margin = -1\n")
     (tmp_path / "lopsided.json").write_text(json.dumps({"entries": [
@@ -213,14 +227,23 @@ class TestHeavyCommands:
 GOLDEN = Path(__file__).parent / "golden"
 
 # golden file -> argv; each file is the stdout of `localp2 <argv>` (exit 0)
-# recorded before the integer-numerator series kernel, so any change in a
+# recorded before the change that the comment names, so any change in a
 # printed number or its formatting fails here
 GOLDEN_RUNS = {
+    # before the integer-numerator series kernel
     "solve-g3-both-json.out": ["--format", "json", "solve", "--genus", "3",
                                "--target", "both"],
     "solve-g4-both.out": ["solve", "--genus", "4", "--target", "both"],
     "relative-g2-csv.out": ["--format", "csv", "compute", "relative",
                             "--genus", "2"],
+    # before the shared graded-polynomial core: 71 elliptic labels through
+    # EPoly, and the BModElement, QModElement and EPoly printouts
+    "solve-g5-both.out": ["solve", "--genus", "5", "--target", "both"],
+    "relative-g3.out": ["compute", "relative", "--genus", "3"],
+    "elliptic-g3-211.out": ["compute", "elliptic", "--genus", "3",
+                            "--parts", "2,1,1"],
+    "elliptic-g3-211-json.out": ["--format", "json", "compute", "elliptic",
+                                 "--genus", "3", "--parts", "2,1,1"],
 }
 
 
@@ -232,16 +255,16 @@ def test_output_matches_golden(name, capsys):
 
 
 # q_order -> genus -> (exit status, stderr, golden stdout or None) of
-# `localp2 --config <q_order = n> solve --genus g --target both`, as before
-# the integer-numerator kernel.  At these orders genus g reads S^(3g-3)
-# beyond S^q_order, and the conifold expansion runs out of terms: an error
-# of the input (exit 1), not a crash (exit 3).
+# `localp2 --config <q_order = n> solve --genus g --target both`.  Genus g
+# reads the conifold expansion through that^-1, which needs q_order >=
+# 4g - 5, and the consistency triangle reads Q^8: below that the input is
+# rejected before any work (exit 2).  The goldens at the floor were recorded
+# before the q_order check.
 SMALL_ORDER_RUNS = {
-    (5, 3): (1, "error: coefficient of that^-1 beyond truncation order -3\n",
-             None),
-    (8, 4): (1, "error: coefficient of that^-1 beyond truncation order -4\n",
-             None),
+    (5, 3): (2, "error: genus 3 needs q_order >= 8, got 5\n", None),
+    (8, 4): (2, "error: genus 4 needs q_order >= 11, got 8\n", None),
     (8, 3): (0, "", "solve-g3-both-q8.out"),
+    (11, 4): (0, "", "solve-g4-both-q11.out"),
 }
 
 

@@ -165,13 +165,13 @@ class TestAnomalyEquation:
                                                 {(0, 2): 1}]
 
     def test_relative_genus1_has_no_s_dependence(self):
-        assert DF1_RELATIVE.partial_S().is_zero()
+        assert DF1_RELATIVE.partial("S").is_zero()
 
     def test_local_genus2_rhs_matches_closed_form(self):
         # d/dS of the known local genus-2 series equals the assembled rhs
         tower = DTower(DF1_LOCAL)
         rhs = hae_rhs(2, "local", tower)
-        lhs = F2_LOCAL.partial_S()
+        lhs = F2_LOCAL.partial("S")
         lhs = BModElement(2, {(s, x + 1): v / 3 for (s, x), v in lhs.terms.items()})
         assert lhs == rhs
 

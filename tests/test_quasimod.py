@@ -1,23 +1,24 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from localp2.elliptic import EPoly
+from localp2.graded import GradedError, recognize, weight_monomials
+from localp2.locrel import epoly_to_bmod
+from localp2.mirror import bm_to_qmod
 from localp2.quasimod import (
     CQ,
+    DEFAULT_MARGIN,
     QModElement,
-    QModError,
     bernoulli,
     eisenstein_series,
     eta_quotient_series,
     generator_series,
     qm_derive,
     qm_to_qseries,
-    qmod_from_json,
     qmod_to_json,
-    recognize,
-    sl2_embed,
-    weight_monomials,
 )
 from localp2.series import RatSeries
 
@@ -28,6 +29,18 @@ F = Fraction
 A = QModElement.gen("A")
 B = QModElement.gen("B")
 C = QModElement.gen("C")
+WEIGHTS = QModElement.weights
+
+
+def abc(order: int) -> list:
+    """The generator expansions A, B, C through ``order``."""
+    return [generator_series(name, order) for name in "ABC"]
+
+
+def sl2_embed(k: int) -> QModElement:
+    """E_k(3 tau) in Q[A, B, C], through the constants the correspondence
+    uses for E_k at the cubed nome."""
+    return bm_to_qmod(epoly_to_bmod(EPoly.gen(k)))
 
 
 class TestBernoulliEisenstein:
@@ -145,37 +158,39 @@ class TestRecognize:
     def test_recognize_e2_level3(self):
         order = 20
         s = eisenstein_series(2, 3, order) * 3
-        got = recognize(s, 2, 0, margin=6)
-        assert got == 2 * B + A ** 2
+        got = recognize(s, WEIGHTS, 2, abc(order), margin=6)
+        assert QModElement(0, got) == 2 * B + A ** 2
 
     def test_recognize_one(self):
-        got = recognize(RatSeries.one(CQ, 15), 0, 0, margin=5)
-        assert got == QModElement.const(1)
+        got = recognize(RatSeries.one(CQ, 15), WEIGHTS, 0, abc(15), margin=5)
+        assert QModElement(0, got) == QModElement.const(1)
 
     def test_recognize_with_pole(self):
+        # the numerator of a weight-0 element with pole C^-2 has weight 6
         order = 40
         e = QModElement(2, {(6, 0, 0): F(-37, 11520), (4, 1, 0): F(5, 11520),
                             (3, 0, 1): F(48, 11520), (0, 0, 2): F(-16, 11520)})
-        s = qm_to_qseries(e, order)
-        got = recognize(s, 0, 2)
-        assert got == e
+        s = qm_to_qseries(e, order) * generator_series("C", order) ** 2
+        got = recognize(s, WEIGHTS, 6, abc(order), DEFAULT_MARGIN)
+        assert QModElement(2, got) == e
 
     def test_random_roundtrip_and_rejection(self):
         rng = random.Random(7)
         for weight in (4, 7, 10):
-            monos = weight_monomials(weight)
+            monos = weight_monomials(WEIGHTS, weight)
             e = QModElement(0, {m: rng.randint(-5, 5) for m in monos})
             order = len(monos) + 12
             s = qm_to_qseries(e, order)
-            assert recognize(s, weight, 0) == e
+            got = recognize(s, WEIGHTS, weight, abc(order), DEFAULT_MARGIN)
+            assert QModElement(0, got) == e
             # perturb one coefficient inside the verification margin: rejected
             bad = s + RatSeries.from_pairs(CQ, {len(monos) + 5: 1}, order)
-            with pytest.raises(QModError):
-                recognize(bad, weight, 0)
+            with pytest.raises(GradedError):
+                recognize(bad, WEIGHTS, weight, abc(order), DEFAULT_MARGIN)
 
     def test_insufficient_coefficients(self):
-        with pytest.raises(QModError):
-            recognize(RatSeries.one(CQ, 3), 6, 0)
+        with pytest.raises(GradedError):
+            recognize(RatSeries.one(CQ, 3), WEIGHTS, 6, abc(3), DEFAULT_MARGIN)
 
 
 class TestSl2Embed:
@@ -195,8 +210,8 @@ class TestSl2Embed:
         assert lhs.agrees_with(rhs, order)
 
     def test_bad_weight(self):
-        with pytest.raises(QModError):
-            sl2_embed(8)
+        with pytest.raises(GradedError):
+            EPoly.gen(8)
 
 
 class TestGradingLaws:
@@ -222,7 +237,7 @@ class TestGradingLaws:
             factor[0], factor[k] = Fr(1), Fr(-1)
             den = pl_mul(den, factor, order)
         expect = pl_long_division([Fr(1)], den, order)
-        got = [len(weight_monomials(w)) for w in range(order + 1)]
+        got = [len(weight_monomials(WEIGHTS, w)) for w in range(order + 1)]
         assert got == expect
         assert got[:11] == [1, 1, 2, 3, 4, 5, 7, 8, 10, 12, 14]
 
@@ -230,6 +245,9 @@ class TestGradingLaws:
 class TestJson:
     def test_roundtrip(self):
         e = QModElement(2, {(6, 0, 0): F(-37, 11520), (0, 0, 2): F(-16, 11520)})
-        d = qmod_to_json(e)
+        d = json.loads(json.dumps(qmod_to_json(e)))
         assert d["c_pole"] == 2 and d["weight"] == 0
-        assert qmod_from_json(d) == e
+        back = QModElement(d["c_pole"], {
+            (t["a"], t["b"], t["c"]): F(int(t["num"]), int(t["den"]))
+            for t in d["terms"]})
+        assert back == e
