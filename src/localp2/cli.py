@@ -32,8 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import acceptance
-from .elliptic import EPoly, StationaryLabel, connected_extract
-from .graded import weight_monomials
+from .elliptic import StationaryLabel, connected_extract, default_qorder
 from .hae import (build_conifold_frame, conifold_expand, gap_target,
                   least_q_order, solve_genus, solve_towers, verify_hae)
 from .locrel import (Correspondence, f1_local_series, genus0_flat_expansion,
@@ -192,7 +191,7 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
     label = StationaryLabel(args.genus, args.parts)
     if sum(label.parts) != 2 * label.h - 2:
         raise UsageError(f"--parts must sum to 2*genus - 2 = {2 * label.h - 2}")
-    least = len(weight_monomials(EPoly.weights, label.weight))
+    least = default_qorder(label.weight, margin=0)
     if args.order is not None and args.order < least:
         raise UsageError(f"--order must be >= {least}, the number of "
                          f"E2/E4/E6 monomials of weight {label.weight}")

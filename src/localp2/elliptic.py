@@ -12,8 +12,8 @@ Okounkov-Pandharipande, GW theory, Hurwitz theory and completed cycles).
 The z-coefficients of B_lambda have a closed form, cached per exponent as
 one column over all partitions, so every label of a genus shares them.
 
-Connected functions follow by Moebius inversion over set partitions, and
-coefficients are recognized in the weight-graded ring Q[E2, E4, E6].
+Connected functions follow by the exponential formula on multiplicity
+vectors; coefficients are recognized in the weight-graded ring Q[E2, E4, E6].
 All expansions here live in the curve's nome, tagged "cQt"; a log slot on
 that tag is the coefficient of log of the *signed* nome (-1)^(E.E) * nome.
 """
@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial, lcm, prod
 
 from .graded import Graded, recognize, weight_monomials
 from .quasimod import DEFAULT_MARGIN, bernoulli, eisenstein_series
-from .series import Localp2Error, RatSeries
+from .series import Localp2Error, RatSeries, lincomb
 
 F = Fraction
 
@@ -200,18 +201,6 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
     return out
 
 
-def set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
 def _dim_weight(w: int) -> int:
     return len(weight_monomials(EPoly.weights, w))
 
@@ -227,22 +216,35 @@ class EllipticSeries:
     value: EPoly             # recognized form
 
 
+@lru_cache(maxsize=None)
 def connected_coefficient(exps: tuple, qorder: int) -> RatSeries:
-    """Coefficient of prod z_j^{e_j} in the connected n-point function."""
-    total = RatSeries.zero(CQT, qorder)
-    for part in set_partitions(range(len(exps))):
-        k = len(part)
-        coef = F((-1) ** (k - 1) * factorial(k - 1))
-        term = RatSeries.const(CQT, coef, qorder)
-        for block in part:
-            sub = tuple(sorted((exps[i] for i in block), reverse=True))
-            term = term * npoint_disconnected(len(sub), sum(sub), qorder)[sub]
-            if term.is_zero():
-                break
-        total = total + term
-    return total
+    """Coefficient of prod z_j^{e_j} in the connected n-point function.
+
+    Exponential formula on multiplicity vectors: the connected block of the
+    first (largest) exponent takes k_e of the m_e other points of exponent
+    e, in prod_e C(m_e, k_e) ways, and the points left out are disconnected:
+    C(first + m) = D(first + m) - sum_{k<m} prod_e C(m_e, k_e) C(first + k)
+    D(m - k).  A D with sum(e_j - 1) odd vanishes, so its term is skipped.
+    """
+    exps = tuple(sorted(exps, reverse=True))
+    first, *others = exps
+    values = sorted(set(others), reverse=True)
+    mult = [others.count(e) for e in values]
+    terms = [(1, _disconnected(exps, qorder))]
+    for ks in product(*(range(m + 1) for m in mult)):
+        rest = tuple(e for e, m, k in zip(values, mult, ks) for _ in range(m - k))
+        if rest and (sum(rest) - len(rest)) % 2 == 0:
+            block = (first, *(e for e, k in zip(values, ks) for _ in range(k)))
+            terms.append((-prod(map(comb, mult, ks)), connected_coefficient(
+                block, qorder) * _disconnected(rest, qorder)))
+    return lincomb(terms)
 
 
+def _disconnected(exps: tuple, qorder: int) -> RatSeries:
+    return npoint_disconnected(len(exps), sum(exps), qorder)[exps]
+
+
+@lru_cache(maxsize=None)
 def connected_extract(label: StationaryLabel, qorder: int | None = None,
                       margin: int = DEFAULT_MARGIN) -> EllipticSeries:
     """The stationary series for the label, recognized in Q[E2,E4,E6] of
@@ -262,15 +264,12 @@ def connected_extract(label: StationaryLabel, qorder: int | None = None,
     return EllipticSeries(label=label, series=series, value=value)
 
 
-def stationary_value(h: int, parts, qorder: int | None = None) -> EPoly:
+def stationary_value(h: int, parts) -> EPoly:
     """connected_extract value, or zero when the label violates the
     dimension constraint or has a negative entry."""
-    parts = tuple(sorted(parts, reverse=True))
     if h < 0 or any(a < 0 for a in parts) or sum(parts) != 2 * h - 2:
         return EPoly.zero()
-    if not parts:
-        raise EllipticError("empty label has no quasimodular value")
-    return connected_extract(StationaryLabel(h, parts), qorder).value
+    return connected_extract(StationaryLabel(h, parts)).value
 
 
 # -- the genus-one unmarked series ---------------------------------------------------
@@ -299,7 +298,7 @@ def _remove(parts: tuple, idx) -> list:
     return [a for i, a in enumerate(parts) if i not in idx]
 
 
-def elliptic_hae_check(label: StationaryLabel, qorder: int | None = None) -> dict:
+def elliptic_hae_check(label: StationaryLabel) -> dict:
     """Verify -24 d/dE2 F_{h,a} against the loop + splitting - gluing
     combination dictated by the anomaly equation, in Q[E2,E4,E6].
 
@@ -310,7 +309,7 @@ def elliptic_hae_check(label: StationaryLabel, qorder: int | None = None) -> dic
     n = len(parts)
     if 2 * h - 2 + n <= 0:
         raise EllipticError("unstable label")
-    lhs = connected_extract(label, qorder).value.partial("E2") * (-24)
+    lhs = connected_extract(label).value.partial("E2") * (-24)
 
     loop = EPoly.zero()
     for i in range(n):
@@ -319,7 +318,7 @@ def elliptic_hae_check(label: StationaryLabel, qorder: int | None = None) -> dic
                 new = _remove(parts, {i}) + [parts[i] - 2]
             else:
                 new = _remove(parts, {i, j}) + [parts[i] - 1, parts[j] - 1]
-            loop = loop + stationary_value(h - 1, new, qorder)
+            loop = loop + stationary_value(h - 1, new)
     if (h, parts) == (1, (0,)):
         # the unstable genus-zero three-point value survives the string
         # equation reduction and contributes exactly 1
@@ -338,12 +337,12 @@ def elliptic_hae_check(label: StationaryLabel, qorder: int | None = None) -> dic
             h1 = s1 // 2 + 1
             h2 = h - h1
             left = stationary_value(h1, [parts[k] - (1 if k == i else 0)
-                                         for k in I], qorder)
+                                         for k in I])
             if left.is_zero():
                 continue
             for j in Ic:
                 right = stationary_value(h2, [parts[k] - (1 if k == j else 0)
-                                              for k in Ic], qorder)
+                                              for k in Ic])
                 split = split + left * right
 
     glue = EPoly.zero()
@@ -353,7 +352,7 @@ def elliptic_hae_check(label: StationaryLabel, qorder: int | None = None) -> dic
                 continue
             coef = comb(parts[i] + parts[j] + 1, parts[i])
             glue = glue + coef * stationary_value(
-                h, _remove(parts, {i, j}) + [parts[i] + parts[j]], qorder)
+                h, _remove(parts, {i, j}) + [parts[i] + parts[j]])
 
     rhs = loop + split - 2 * glue
     return {

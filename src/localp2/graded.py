@@ -145,6 +145,8 @@ class Graded:
         return NotImplemented
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise GradedError(f"negative power {n} of a polynomial")
         return reduce(mul, [self] * n, self.const(1))
 
     def partial(self, name: str):

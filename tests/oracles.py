@@ -6,6 +6,10 @@ enumeration.  The one exception is :func:`bloch_okounkov_npoint_oracle`: the
 library computes the same partition sum, so agreement with it is a check of
 the closed-form z-coefficients, not an independent one.
 
+:func:`connected_coefficient_oracle` takes connected elliptic brackets from
+disconnected ones by Moebius inversion over all set partitions of the
+points, an algorithm independent of the library's multiset recursion.
+
 The inverse-direction oracles at the end run the library's dictionaries and
 correspondence backwards, so a round trip through them checks the forward
 direction the library uses.
@@ -15,6 +19,7 @@ from fractions import Fraction
 from itertools import count
 from math import factorial
 
+from localp2.elliptic import npoint_disconnected
 from localp2.locrel import f1_empty_qseries, f1_relative_series
 from localp2.mirror import BModElement
 
@@ -208,6 +213,40 @@ def bloch_okounkov_npoint_oracle(exponents, qorder):
             nxt[i + m] -= euler[i]
         euler = nxt
     return pl_mul(out, euler, qorder)
+
+
+def set_partitions(items):
+    """Every partition of the list ``items`` into blocks, as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def connected_coefficient_oracle(exps, qorder):
+    """Coefficient of prod z_j^{e_j} in the connected n-point function, as a
+    q-series list, by Moebius inversion over all set partitions of the n
+    points: the sum over partitions pi of (-1)^(|pi|-1) (|pi|-1)! times the
+    product of the disconnected functions of the blocks of pi.
+
+    The disconnected functions come from ``npoint_disconnected``; the
+    inversion shares nothing with the multiset recursion of
+    ``localp2.elliptic.connected_coefficient``.
+    """
+    total = [Fraction(0)] * (qorder + 1)
+    for part in set_partitions(list(range(len(exps)))):
+        k = len(part)
+        term = [Fraction((-1) ** (k - 1) * factorial(k - 1))]
+        for block in part:
+            sub = tuple(sorted((exps[i] for i in block), reverse=True))
+            series = npoint_disconnected(len(sub), sum(sub), qorder)[sub]
+            term = pl_mul(term, series.coeff_list(0, qorder), qorder)
+        total = pl_add(total, term, qorder)
+    return total
 
 
 # -- inverse directions ----------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -18,7 +19,7 @@ from localp2.elliptic import (
 from localp2.graded import GradedError, evaluate, recognize, weight_monomials
 from localp2.series import RatSeries
 
-from oracles import bloch_okounkov_npoint_oracle
+from oracles import bloch_okounkov_npoint_oracle, connected_coefficient_oracle
 
 F = Fraction
 
@@ -132,6 +133,13 @@ class TestConnected:
         expect = expand(5 * E2 ** 3 - E2 * E4 - 4 * E6, QORDER) / 34560
         assert got.agrees_with(expect, QORDER)
         assert connected_coefficient((3, 1), QORDER).agrees_with(expect, QORDER)
+
+    def test_matches_set_partition_inversion(self):
+        qorder = 8
+        for n in range(1, 6):
+            for exps in combinations_with_replacement((4, 3, 2, 1), n):
+                got = connected_coefficient(exps, qorder).coeff_list(0, qorder)
+                assert got == connected_coefficient_oracle(exps, qorder), exps
 
 
 class TestExtract:

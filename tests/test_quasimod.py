@@ -7,7 +7,7 @@ import pytest
 from localp2.elliptic import EPoly
 from localp2.graded import GradedError, recognize, weight_monomials
 from localp2.locrel import epoly_to_bmod
-from localp2.mirror import bm_to_qmod
+from localp2.mirror import BModElement, bm_to_qmod
 from localp2.quasimod import (
     CQ,
     DEFAULT_MARGIN,
@@ -212,6 +212,12 @@ class TestSl2Embed:
     def test_bad_weight(self):
         with pytest.raises(GradedError):
             EPoly.gen(8)
+
+    @pytest.mark.parametrize("x,n", [(EPoly.gen(2), -1),
+                                     (BModElement.monomial(1, 0, 1), -2)])
+    def test_negative_power(self, x, n):
+        with pytest.raises(GradedError):
+            x ** n
 
 
 class TestGradingLaws:
