@@ -3,7 +3,7 @@
 Subcommands
     compute mirror    [--order N]
     compute local     --genus G
-    compute relative  --genus G [--method locrel|hae]
+    compute relative  --genus G
     compute elliptic  --genus H --parts a1,a2,... [--order N]
     solve             --genus G --target local|relative|both
     verify ramanujan  [--order N]
@@ -35,18 +35,16 @@ from . import acceptance
 from .elliptic import StationaryLabel, connected_extract, default_qorder
 from .hae import (build_conifold_frame, conifold_expand, gap_target,
                   least_q_order, solve_genus, solve_towers, verify_hae)
-from .locrel import (Correspondence, f1_local_series, genus0_flat_expansion,
-                     relative_flat_expansion)
+from .locrel import (f1_local_series, genus0_flat_expansion,
+                     relative_flat_expansion, relative_flat_tower)
 from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data
 from .ns import compare_ns_relative, default_omega_path, load_omega
-from .quasimod import QModElement, qm_derive, qm_to_qseries, qmod_to_json
+from .quasimod import QModElement, qmod_to_json
 from .series import Localp2Error, RatSeries, series_to_json
 
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
-
-TRIANGLE_DEGREE = 8  # the consistency triangle compares flat Q^0..Q^8
 
 
 class UsageError(Localp2Error):
@@ -67,15 +65,6 @@ class RunConfig:
             raise UsageError("margin must be >= 0")
         if self.format not in ("json", "csv", "text"):
             raise UsageError(f"unknown output format {self.format!r}")
-
-
-def check_q_order(cfg: RunConfig, g: int, triangle: bool = False):
-    """Reject, before any work, a q_order too small to solve genus g (and
-    to read the consistency triangle)."""
-    least = max(least_q_order(g), TRIANGLE_DEGREE if triangle else 0)
-    if cfg.q_order < least:
-        raise UsageError(f"genus {g} needs q_order >= {least}, "
-                         f"got {cfg.q_order}")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -153,6 +142,22 @@ def emit_bmod(name: str, e: BModElement, cfg: RunConfig, sink):
 
 # -- command implementations -----------------------------------------------------------
 
+def solved_towers(cfg: RunConfig, g: int, side: str):
+    """Mirror data and the towers through genus g, for a command that
+    prints or checks ``side`` (local, relative or both).  Only a command
+    that needs the relative tower builds it, through the correspondence.
+    A q_order too small to solve genus g, or for "both" at g >= 3 to read
+    the consistency triangle, is rejected before any work."""
+    least = least_q_order(g)
+    if side == "both" and g >= 3:
+        least = max(least, acceptance.TRIANGLE_DEGREE)
+    if cfg.q_order < least:
+        raise UsageError(f"genus {g} needs q_order >= {least}, "
+                         f"got {cfg.q_order}")
+    md = build_mirror_data(cfg.q_order)
+    return md, solve_towers(md, g, side != "local")
+
+
 def cmd_compute_mirror(args, cfg, sink) -> int:
     md = build_mirror_data(args.order or cfg.q_order)
     for name in ("ibar1", "I11", "J", "X", "S", "Qofq", "qofQ", "cQofq", "that"):
@@ -162,24 +167,18 @@ def cmd_compute_mirror(args, cfg, sink) -> int:
 
 def cmd_compute_side(args, cfg, sink, side: str) -> int:
     g = args.genus
-    check_q_order(cfg, g)
-    md = build_mirror_data(cfg.q_order)
+    md, corr = solved_towers(cfg, g, side)
     if g == 0:
         emit_series("flat_expansion", genus0_flat_expansion(md), cfg, sink)
         return 0
     if g == 1:
         ser = f1_local_series(md)
         if side == "relative":
-            ser = Correspondence(md).solve_relative(1, ser)
+            ser = corr.solve_relative(1, ser)
         emit_series("q_series", ser, cfg, sink)
         emit_series("flat_expansion", relative_flat_expansion(ser, md), cfg, sink)
         return 0
-    if side == "local":
-        elt = solve_genus(g, "local", md)
-    elif args.method == "hae":
-        elt = solve_genus(g, "relative", md)
-    else:
-        elt = solve_towers(md, g).relative.elements[g]
+    elt = corr.tower(side).elements[g]
     emit_bmod("generators", elt, cfg, sink)
     emit_qmod("quasimodular_form", bm_to_qmod(elt), cfg, sink)
     emit_series("q_series", bm_eval(elt, md), cfg, sink)
@@ -210,24 +209,19 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
 
 def cmd_solve(args, cfg, sink) -> int:
     g = args.genus
-    triangle = args.target == "both" and g >= 3
-    check_q_order(cfg, g, triangle)
-    md = build_mirror_data(cfg.q_order)
-    corr = solve_towers(md, g)
+    md, corr = solved_towers(cfg, g, args.target)
     status = 0
     targets = ("local", "relative") if args.target == "both" else (args.target,)
     for side in targets:
-        elt = (corr.local if side == "local" else corr.relative).elements[g]
+        elt = corr.tower(side).elements[g]
         emit_bmod(f"{side}_generators", elt, cfg, sink)
         emit_series(f"{side}_flat", bm_eval(elt, md, target="Q"), cfg, sink)
         if side == "relative" and g >= 3:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
-    if triangle:
-        a = bm_eval(corr.relative.elements[g], md, target="Q")
-        b = bm_eval(solve_genus(g, "relative", md), md, target="Q")
-        agree = a.coeff_list(0, TRIANGLE_DEGREE) == \
-            b.coeff_list(0, TRIANGLE_DEGREE)
+    if args.target == "both" and g >= 3:
+        agree, _ = acceptance.consistency_triangle(
+            md, corr.relative.elements[g], solve_genus(g, "relative", md))
         sink(f"consistency triangle at genus {g}: "
              f"{'PASS' if agree else 'FAIL'}")
         if not agree:
@@ -236,23 +230,15 @@ def cmd_solve(args, cfg, sink) -> int:
 
 
 def cmd_verify_ramanujan(args, cfg, sink) -> int:
-    order = args.order
-    ok_all = True
-    for name in "ABC":
-        e = QModElement.gen(name)
-        lhs = qm_to_qseries(qm_derive(e), order)
-        rhs = qm_to_qseries(e, order).theta()
-        ok = lhs.agrees_with(rhs, order)
-        ok_all = ok_all and ok
+    checks = acceptance.derivation_identities(args.order)
+    for name, ok in checks.items():
         sink(f"derivation identity for {name}: {'PASS' if ok else 'FAIL'} "
-             f"(order {order})")
-    return 0 if ok_all else VERIFY_ERROR
+             f"(order {args.order})")
+    return 0 if all(checks.values()) else VERIFY_ERROR
 
 
 def cmd_verify_hae(args, cfg, sink) -> int:
-    check_q_order(cfg, args.genus)
-    corr = solve_towers(build_mirror_data(cfg.q_order), args.genus)
-    tower = corr.local if args.target == "local" else corr.relative
+    tower = solved_towers(cfg, args.genus, args.target)[1].tower(args.target)
     rep = verify_hae(args.genus, args.target, tower)
     emit_bmod("anomaly_lhs", rep["lhs"], cfg, sink)
     emit_bmod("anomaly_rhs", rep["rhs"], cfg, sink)
@@ -262,11 +248,8 @@ def cmd_verify_hae(args, cfg, sink) -> int:
 
 
 def cmd_verify_gap(args, cfg, sink) -> int:
-    check_q_order(cfg, args.genus)
-    md = build_mirror_data(cfg.q_order)
-    corr = solve_towers(md, args.genus)
-    tower = corr.local if args.target == "local" else corr.relative
-    elt = tower.elements[args.genus]
+    md, corr = solved_towers(cfg, args.genus, args.target)
+    elt = corr.tower(args.target).elements[args.genus]
     frame = build_conifold_frame(md)
     M = 2 * args.genus - 2
     con = conifold_expand(elt, frame, M)
@@ -289,15 +272,8 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     if missing:
         raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
                          f"degrees {missing}, which {omega_path} lacks")
-    check_q_order(cfg, args.gmax)
-    md = build_mirror_data(cfg.q_order)
-    corr = solve_towers(md, args.gmax)
-    flat = {0: genus0_flat_expansion(md)}
-    if args.gmax >= 1:
-        flat[1] = relative_flat_expansion(
-            corr.solve_relative(1, f1_local_series(md)), md)
-    for g in range(2, args.gmax + 1):
-        flat[g] = bm_eval(corr.relative.elements[g], md, target="Q")
+    flat = relative_flat_tower(solved_towers(cfg, args.gmax, "relative")[1],
+                               args.gmax)
     report = compare_ns_relative(table, args.gmax, args.dmax, flat)
     for (g, d), cell in sorted(report["cells"].items()):
         sink(f"g={g} d={d}: sheaf {_frac_str(cell['ns'])} "
@@ -353,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     for side in ("local", "relative"):
         c = csub.add_parser(side)
         c.add_argument("--genus", type=_int_at_least(0), required=True)
-        if side == "relative":
-            c.add_argument("--method", choices=("hae", "locrel"), default="locrel")
         c.set_defaults(fn=lambda a, cf, s, side=side: cmd_compute_side(a, cf, s, side))
     e = csub.add_parser("elliptic")
     e.add_argument("--genus", type=_int_at_least(0), required=True)

@@ -25,9 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .graded import Graded, recognize, weight_monomials
-from .quasimod import DEFAULT_MARGIN, bernoulli, eisenstein_series
+from .quasimod import DEFAULT_MARGIN, _sigma, bernoulli, eisenstein_series
 from .series import Localp2Error, RatSeries, lincomb
 
 F = Fraction
@@ -194,9 +195,12 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
             continue
         columns = [_column(e, qorder) for e in exps]
         den = prod(d for _, d in columns)
+        vals = [1] * len(sizes)  # the empty product counts every partition
+        for c, _ in columns:
+            vals = map(mul, vals, c)
         nums = [0] * (qorder + 1)
-        for size, vals in zip(sizes, zip(*(c for c, _ in columns))):
-            nums[size] += prod(vals)
+        for size, v in zip(sizes, vals):
+            nums[size] += v
         out[exps] = RatSeries(CQT, 0, [F(c, den) for c in nums]) * _euler(qorder)
     return out
 
@@ -284,12 +288,8 @@ def f1_empty(qorder: int) -> RatSeries:
         raise EllipticError("need at least one nome order")
     coeffs = [F(0)] * (qorder + 1)
     for nn in range(1, qorder + 1):
-        coeffs[nn] = F(_sigma1(nn), nn)
+        coeffs[nn] = F(_sigma(nn, 1), nn)
     return RatSeries(CQT, 0, coeffs, log_coeff=F(-1, 24))
-
-
-def _sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 # -- holomorphic anomaly equation for the curve --------------------------------------

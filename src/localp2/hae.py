@@ -247,7 +247,7 @@ def solve_genus(g: int, kind: str, md: MirrorData,
     solved recursively and registered in the corresponding tower."""
     if corr is None:
         corr = Correspondence(md)
-    tower = corr.local if kind == "local" else corr.relative
+    tower = corr.tower(kind)
     for gp in range(2, g):
         if gp not in tower.elements:
             solve_genus(gp, kind, md, corr)
@@ -260,12 +260,15 @@ def solve_genus(g: int, kind: str, md: MirrorData,
     return sol
 
 
-def solve_towers(md: MirrorData, gmax: int) -> Correspondence:
-    """Both towers through genus gmax: the local one by anomaly + gap, the
-    relative one from it through the correspondence, genus by genus."""
+def solve_towers(md: MirrorData, gmax: int, relative: bool) -> Correspondence:
+    """The towers through genus gmax: the local one by anomaly + gap and,
+    when ``relative``, the relative one from it through the correspondence,
+    genus by genus.  Only the relative tower needs the elliptic curve."""
     corr = Correspondence(md)
     for g in range(2, gmax + 1):
-        corr.solve_relative(g, solve_genus(g, "local", md, corr))
+        local = solve_genus(g, "local", md, corr)
+        if relative:
+            corr.solve_relative(g, local)
     return corr
 
 

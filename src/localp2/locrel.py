@@ -38,35 +38,6 @@ from .series import RatSeries, SeriesError
 F = Fraction
 
 
-# -- surface bookkeeping -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurfaceParams:
-    """Numerical data of the surface/divisor pair entering classical and
-    unstable terms: the divisor self-intersection, the Euler characteristic,
-    and the multiple r with Q^E = Q^r."""
-    ee: int
-    chi: int
-    e_class_multiple: int
-
-    def __post_init__(self):
-        if self.ee < 0:
-            raise ValueError("divisor self-intersection must be >= 0")
-
-    @staticmethod
-    def p2() -> "SurfaceParams":
-        return SurfaceParams(ee=9, chi=3, e_class_multiple=3)
-
-    def _inv_ee(self) -> Fraction:
-        """(1 - delta_{ee,0}) / ee, with the zero-divisor convention."""
-        return F(0) if self.ee == 0 else F(1, self.ee)
-
-    def relative_log_coeff(self) -> Fraction:
-        """Coefficient of log Q in the genus-1 unstable relative term."""
-        r = self.e_class_multiple
-        return -self._inv_ee() * F(self.chi, 24) * r
-
-
 # -- correction-term enumeration ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -193,6 +164,11 @@ def f1_relative_series(md: MirrorData) -> RatSeries:
     return RatSeries("q", body.min_exp, body.coeffs, log_coeff=F(-1, 24))
 
 
+# Coefficient of log Q in the genus-1 unstable relative term,
+# -(chi / 24) * r / (E.E): chi(P2) = 3, E.E = 9 and Q^E = Q^r with r = 3.
+RELATIVE_LOG_COEFF = F(-1, 24)
+
+
 def f1_empty_qseries(md: MirrorData) -> RatSeries:
     """The unmarked genus-1 elliptic series converted to the q variable."""
     return cq_change(f1_empty(md.order), md)
@@ -201,13 +177,16 @@ def f1_empty_qseries(md: MirrorData) -> RatSeries:
 # -- the correspondence abattoir ------------------------------------------------------
 
 class Correspondence:
-    """Holds the relative derivative tower and evaluates correction terms."""
+    """Holds the local and relative derivative towers and evaluates
+    correction terms."""
 
-    def __init__(self, md: MirrorData, params: SurfaceParams | None = None):
+    def __init__(self, md: MirrorData):
         self.md = md
-        self.params = params or SurfaceParams.p2()
         self.relative = DTower(DF1_RELATIVE)
         self.local = DTower(DF1_LOCAL)
+
+    def tower(self, kind: str) -> DTower:
+        return self.local if kind == "local" else self.relative
 
     def elliptic_factor(self, term: CorrTerm) -> BModElement:
         parts = [a for a, _ in term.legs]
@@ -249,15 +228,11 @@ class Correspondence:
         Genus 1 takes and returns log-extended q-series; genus >= 2 is
         polynomial, and the result is registered in the relative tower.
         """
-        if g == 0:
-            return local_side
         if g == 1:
-            fe = f1_empty_qseries(self.md)
-            out = fe - local_side
-            want = self.params.relative_log_coeff()
-            if out.log_coeff != want:
-                raise SeriesError(f"genus-1 log slots do not balance: "
-                                  f"got {out.log_coeff}, want {want}")
+            out = f1_empty_qseries(self.md) - local_side
+            if out.log_coeff != RELATIVE_LOG_COEFF:
+                raise SeriesError(f"genus-1 log slots do not balance: got "
+                                  f"{out.log_coeff}, want {RELATIVE_LOG_COEFF}")
             return out
         rel = (local_side - self.corrections_sum(g)) * F((-1) ** g)
         self.relative.set_genus(g, rel)
@@ -281,3 +256,16 @@ def relative_flat_expansion(elt_or_series, md: MirrorData) -> RatSeries:
     if isinstance(elt_or_series, BModElement):
         return bm_eval(elt_or_series, md, target="Q")
     return q_to_Q(elt_or_series, md)
+
+
+def relative_flat_tower(corr: Correspondence, gmax: int) -> dict:
+    """Flat Q-expansions of the relative series for genus 0..gmax, with
+    genus >= 2 read from ``corr.relative``."""
+    md = corr.md
+    flat = {0: genus0_flat_expansion(md)}
+    if gmax >= 1:
+        flat[1] = relative_flat_expansion(
+            corr.solve_relative(1, f1_local_series(md)), md)
+    for g in range(2, gmax + 1):
+        flat[g] = relative_flat_expansion(corr.relative.elements[g], md)
+    return flat

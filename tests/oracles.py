@@ -265,8 +265,6 @@ def solve_local(corr, g: int, relative_side=None):
     """The inverse of ``Correspondence.solve_relative``: the local series
     (-1)^g relative + corrections, the relative one defaulting to the
     closed form (genus 1) or the solved tower (genus >= 2)."""
-    if g == 0:
-        return relative_side
     if g == 1:
         if relative_side is None:
             relative_side = f1_relative_series(corr.md)

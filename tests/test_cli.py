@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from localp2 import cli
+from localp2 import cli, elliptic
 from localp2.cli import RunConfig, load_config, main
 
 
@@ -91,8 +91,8 @@ BAD_INPUT = [
     # every command that solves a tower checks q_order against the genus
     (["--config", "{tmp}/q6.cfg", "compute", "local", "--genus", "3"],
      "genus 3 needs q_order >= 7, got 6"),
-    (["--config", "{tmp}/q6.cfg", "compute", "relative", "--genus", "3",
-      "--method", "hae"], "genus 3 needs q_order >= 7, got 6"),
+    (["--config", "{tmp}/q6.cfg", "compute", "relative", "--genus", "3"],
+     "genus 3 needs q_order >= 7, got 6"),
     (["--config", "{tmp}/q6.cfg", "verify", "hae", "--genus", "3", "--target",
       "local"], "genus 3 needs q_order >= 7, got 6"),
     (["--config", "{tmp}/q6.cfg", "verify", "gap", "--genus", "3", "--target",
@@ -105,6 +105,7 @@ BAD_INPUT = [
     (["--threads=2", "compute", "mirror"], "unrecognized"),
     (["compute", "local", "--genus", "2", "--order", "8"], "unrecognized"),
     (["compute", "local", "--genus", "2", "--method", "hae"], "unrecognized"),
+    (["compute", "relative", "--genus", "2", "--method", "hae"], "unrecognized"),
     (["solve", "--genus", "2", "--target", "local", "--order", "8"],
      "unrecognized"),
     (["selftest", "--out", "{tmp}/report.txt"], "unrecognized"),
@@ -244,6 +245,11 @@ GOLDEN_RUNS = {
                             "--parts", "2,1,1"],
     "elliptic-g3-211-json.out": ["--format", "json", "compute", "elliptic",
                                  "--genus", "3", "--parts", "2,1,1"],
+    # before local-side commands stopped building the relative tower
+    "verify-hae-g4-local.out": ["verify", "hae", "--genus", "4", "--target",
+                                "local"],
+    "verify-gap-g4-local.out": ["verify", "gap", "--genus", "4", "--target",
+                                "local"],
 }
 
 
@@ -252,6 +258,35 @@ def test_output_matches_golden(name, capsys):
     status, out, _ = run(GOLDEN_RUNS[name], capsys)
     assert status == 0
     assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_solve_local_is_the_local_half_of_both(g, capsys):
+    status, out, _ = run(["solve", "--genus", str(g), "--target", "local"],
+                         capsys)
+    both = (GOLDEN / f"solve-g{g}-both.out").read_text()
+    assert status == 0
+    assert out == "".join(both.splitlines(keepends=True)[:2])
+
+
+LOCAL_SIDE = [["solve", "--genus", "3", "--target", "local"],
+              ["verify", "hae", "--genus", "3", "--target", "local"],
+              ["verify", "gap", "--genus", "3", "--target", "local"]]
+
+
+@pytest.mark.parametrize("argv", LOCAL_SIDE, ids=" ".join)
+def test_local_side_does_no_elliptic_work(argv, capsys, monkeypatch):
+    monkeypatch.setattr(elliptic, "connected_extract", _computing)
+    status, _, err = run(argv, capsys)
+    assert (status, err) == (0, "")
+
+
+@pytest.mark.parametrize("what", ["hae", "gap"])
+def test_verify_local_genus8(what, capsys):
+    status, out, _ = run(["verify", what, "--genus", "8", "--target",
+                          "local"], capsys)
+    assert status == 0
+    assert out.splitlines()[-1].endswith("genus 8 local: PASS")
 
 
 # q_order -> genus -> (exit status, stderr, golden stdout or None) of

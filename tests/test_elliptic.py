@@ -112,6 +112,11 @@ class TestDisconnected:
         expect = bloch_okounkov_npoint_oracle(exps, qorder)
         assert got.coeff_list(0, qorder) == expect
 
+    def test_empty_bracket_is_one(self):
+        # no columns: the empty product counts 1 for every partition, and
+        # sum_lambda q^|lambda| * prod_m (1 - q^m) = 1
+        assert npoint_disconnected(0, 0, 9) == {(): RatSeries.one("cQt", 9)}
+
     def test_keys_are_partitions_into_n_parts(self):
         assert set(npoint_disconnected(3, 6, 4)) == {(4, 1, 1), (3, 2, 1), (2, 2, 2)}
         assert npoint_disconnected(3, 2, 4) == {}

@@ -11,7 +11,7 @@ from localp2.locrel import (
     DF1_LOCAL,
     DF1_RELATIVE,
     DTower,
-    SurfaceParams,
+    RELATIVE_LOG_COEFF,
     enumerate_terms,
     epoly_to_bmod,
     f1_local_series,
@@ -52,15 +52,8 @@ def nome_series(ep: EPoly, order: int) -> RatSeries:
                     RatSeries.one("cQt", order))
 
 
-class TestSurfaceParams:
-    def test_p2_log_coefficients(self, md):
-        p = SurfaceParams.p2()
-        assert p.relative_log_coeff() == F(-1, 24)
-        assert p.relative_log_coeff() == f1_relative_series(md).log_coeff
-
-    def test_degenerate_divisor_conventions(self):
-        p = SurfaceParams(ee=0, chi=12, e_class_multiple=1)
-        assert p.relative_log_coeff() == 0
+def test_relative_log_coefficient(md):
+    assert RELATIVE_LOG_COEFF == F(-1, 24) == f1_relative_series(md).log_coeff
 
 
 class TestEnumeration:
@@ -152,11 +145,6 @@ class TestGenus2Intermediates:
 
 
 class TestSolve:
-    def test_genus0_identity(self, corr):
-        s = RatSeries.one("q", 5)
-        assert corr.solve_relative(0, s) is s
-        assert solve_local(corr, 0, s) is s
-
     def test_genus1_relative_from_local(self, corr, md):
         got = corr.solve_relative(1, f1_local_series(md))
         expect = f1_relative_series(md)
