@@ -116,12 +116,16 @@ class ConifoldFrame:
     u_inverse: RatSeries  # reversion: u as a series in the flat coordinate
 
     @cached_property
-    def u_inverse_powers(self) -> tuple:
-        """u_inverse**k for k = 0..order: substituting u_inverse into a
-        u-series, and the pole denominator, read this table."""
-        order = self.u_inverse.trunc_order
-        return tuple(extend_powers([RatSeries.one("that", order)],
-                                   self.u_inverse, order))
+    def _pole_table(self) -> list:
+        one = RatSeries.one("that", self.u_inverse.trunc_order)
+        return [one, one / self.u_inverse]
+
+    def pole_powers(self, top: int) -> list:
+        """u_inverse**-k for k = 0..top, kept on the frame and grown on
+        demand from one division: conifold_expand substitutes them for
+        u^-k."""
+        table = self._pole_table
+        return extend_powers(table, table[1], top)
 
     @cached_property
     def _s_con_table(self) -> list:
@@ -153,8 +157,11 @@ def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
 
 def conifold_expand(elt: BModElement, frame: ConifoldFrame,
                     max_pole: int) -> RatSeries:
-    """Laurent expansion in the flat conifold coordinate of a weight-zero
-    element with S -> frame propagator and X -> 1/u."""
+    """Polar part, that^-max_pole..that^-1, of the Laurent expansion in the
+    flat conifold coordinate of a weight-zero element with S -> frame
+    propagator and X -> 1/u.  Substituting u = u_inverse, only the u^j with
+    j < 0 have poles in that, so the polar part is the sum of the u^j
+    coefficients times u_inverse**j over them."""
     if elt.i11_degree != 0:
         raise BModError("conifold expansion needs a weight-zero element")
     order = frame.that.trunc_order
@@ -167,19 +174,20 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
         return RatSeries.zero("that", order - max_pole)
     if v < -max_pole:
         raise GapError(f"conifold pole exceeds order {max_pole}")
-    regular = total.shift(max_pole).trim()
-    powers = frame.u_inverse_powers
-    bound = min(frame.u_inverse.trunc_order, regular.trunc_order)
-    num = lincomb([(regular.coeff(k), powers[k])
-                   for k in range(regular.min_exp, bound + 1)], "that", bound)
-    return num / powers[max_pole]
+    poles = frame.pole_powers(-v)
+    polar = RatSeries("that", -max_pole, [0] * max_pole)
+    return lincomb([(1, polar)] + [(total.coeff(j), poles[-j].truncate(-1))
+                                   for j in range(v, 0)])
 
 
 def least_q_order(g: int) -> int:
-    """The least mirror order at which the genus-g gap can be read.  The
-    pole order is M = 2g - 2, and conifold_expand divides by u_inverse**M,
-    known through that^order with valuation M: the quotient is known
-    through that^(order - 2M), and the gap reads that^-1."""
+    """The least mirror order at which genus g is solved: 4g - 5.  The gap
+    itself needs less.  It reads that^-M..that^-1, M = 2g - 2, and
+    conifold_expand takes them from (1/u_inverse)**k, k <= M, which is
+    known through that^(order - k - 1), so order >= M would do.  The bound
+    dates from reading the gap as a quotient by u_inverse**M, known only
+    through that^(order - 2M); it stays so that the orders the CLI accepts,
+    and its message for each one it rejects, do not change."""
     return 2 * (2 * g - 2) - 1
 
 

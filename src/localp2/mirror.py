@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .graded import Graded
 from .quasimod import QModElement
-from .series import (Localp2Error, RatSeries, SeriesError, extend_powers,
-                     lincomb)
+from .series import (Localp2Error, RatSeries, SeriesError, _fracs_over,
+                     _over_lcm, extend_powers, lincomb)
 
 F = Fraction
 
@@ -79,39 +79,51 @@ def _solve_log_companion(i11: RatSeries, order: int) -> RatSeries:
 # -- conifold flat coordinate ----------------------------------------------------
 
 def theta_u(f: RatSeries) -> RatSeries:
-    """theta = q d/dq = (u - 1) d/du on u-series (Laurent allowed)."""
+    """theta = q d/dq = (u - 1) d/du on u-series (Laurent allowed): the
+    coefficient of u^m is m f_m - (m + 1) f_(m+1).  The floor is that of
+    (u - 1) times the derivative, 0 or one below a negative floor, and the
+    result is known through u^(n - 1) for a power series known through u^n,
+    one step less per unit of pole."""
     n = f.trunc_order
-    lo = f.min_exp
-    d = {k - 1: k * f.coeff(k) for k in range(lo, n + 1) if k}
-    deriv = RatSeries.from_pairs("u", d or {0: 0}, n - 1)
-    u_minus_1 = RatSeries.from_pairs("u", {0: -1, 1: 1}, n)
-    return u_minus_1 * deriv
+    if n < 1:
+        raise SeriesError("theta_u needs a series known through u^1")
+    lo = f.min_exp - 1 if f.min_exp < 0 else 0
+    top = min(n - 1, n + lo)
+    nums, den = _over_lcm(f.coeffs)
+    a = [0] * (f.min_exp - lo) + nums  # a[i] = den * f_(lo + i)
+    out = [(lo + i) * a[i] - (lo + i + 1) * a[i + 1]
+           for i in range(top - lo + 1)]
+    return RatSeries("u", lo, _fracs_over(out, den))
 
 
 def _mirror_op_u(f: RatSeries) -> RatSeries:
     """theta^3 + 3 q theta (3 theta + 1)(3 theta + 2) on u-series, q = (u-1)/27."""
-    t = theta_u
-    w = t(f)
-    part1 = t(t(w))
-    inner = 9 * t(t(w)) + 9 * t(w) + 2 * w
+    w = theta_u(f)
+    tw = theta_u(w)
+    ttw = theta_u(tw)
+    inner = lincomb([(9, ttw), (9, tw), (2, w)])
     qse = RatSeries.from_pairs("u", {0: F(-1, 27), 1: F(1, 27)}, f.trunc_order)
-    return part1 + 3 * (qse * inner)
+    return lincomb([(1, ttw), (3, qse * inner)])
+
+
+def _band_image(k: int) -> RatSeries:
+    """The operator's image of u^k, known through u^(k+1).  It lies in
+    u^(k-2)..u^(k+1): the u^(k-3) terms of theta^3 and of q theta (3 theta
+    + 1)(3 theta + 2) cancel."""
+    return _mirror_op_u(RatSeries.from_pairs("u", {k: 1}, k + 4))
 
 
 def _conifold_flat(order: int) -> RatSeries:
-    """Solve for u + sum_{k>=2} c_k u^k term by term, asserting each pivot."""
-    ops = []
-    for k in range(1, order + 1):
-        mono = RatSeries.from_pairs("u", {k: 1}, order + 2)
-        ops.append(_mirror_op_u(mono))
+    """Solve for u + sum_{k>=2} c_k u^k term by term, asserting each pivot.
+    The u^m coefficient of the residual reads only the images of u^(m-1),
+    u^m and u^(m+1); the image of u^(m+2) gives the pivot."""
+    ops = {k: _band_image(k) for k in range(1, order + 1)}
     c = [F(0)] * (order + 1)
     c[1] = F(1)
-    # residual of the current partial solution, updated as coefficients appear
     for m in range(0, order - 1):
-        acc = F(0)
-        for k in range(1, m + 2):
-            acc += c[k] * ops[k - 1].coeff(m)
-        piv = ops[m + 1].coeff(m)
+        acc = sum((c[k] * ops[k].coeff(m) for k in range(max(m - 1, 1), m + 2)),
+                  F(0))
+        piv = ops[m + 2].coeff(m)
         if piv == 0:
             raise SeriesError(f"conifold recursion degenerate at order {m + 2}")
         c[m + 2] = -acc / piv
@@ -136,6 +148,13 @@ class MirrorData:
     qofQ: RatSeries       # its reversion
     cQofq: RatSeries      # nome as q-series: -q exp(J/I11)
     that: RatSeries       # conifold flat coordinate in u
+
+    @cached_property
+    def qofQ_powers(self) -> tuple:
+        """qofQ**k for k = 0..the order of qofQ: q_to_Q substitutes
+        q = qofQ as one linear combination of them."""
+        n = self.qofQ.trunc_order
+        return tuple(extend_powers([RatSeries.one("Q", n)], self.qofQ, n))
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +212,13 @@ def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
     power = RatSeries("q", series.min_exp, series.coeffs)
     if series.log_coeff:
         power = power - series.log_coeff * md.ibar1
-    out = power.compose(md.qofQ)
+    if power.min_exp < 0:
+        raise SeriesError("q_to_Q needs a power series in q")
+    # sum_k power_k qofQ^k through Q^bound, as RatSeries.compose would give
+    table = md.qofQ_powers
+    bound = min(len(table) - 1, power.trunc_order)
+    out = lincomb([(power.coeff(k), table[k]) for k in range(bound + 1)],
+                  "Q", bound)
     if series.log_coeff:
         return RatSeries("Q", out.min_exp, out.coeffs, series.log_coeff)
     return out
@@ -257,6 +282,7 @@ def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
     """Expand in q (or the flat coordinate Q) by substituting the series."""
     order = md.order
     s_pows = extend_powers([RatSeries.one("q", order)], md.S, e.deg_S())
+    one27 = RatSeries.from_pairs("q", {0: 1, 1: 27}, order)  # 1/X
     by_x: dict[int, list] = {}
     for (s, x), v in e.terms.items():
         by_x.setdefault(x, []).append((v, s_pows[s]))
@@ -264,7 +290,7 @@ def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
     for x, terms in by_x.items():
         group = lincomb(terms)
         if x:
-            group = group * md.X ** x if x > 0 else group / md.X ** (-x)
+            group = group * (md.X ** x if x > 0 else one27 ** -x)
         groups.append((1, group))
     out = lincomb(groups, "q", order)
     if e.i11_degree:

@@ -13,9 +13,15 @@ points, an algorithm independent of the library's multiset recursion.
 The inverse-direction oracles at the end run the library's dictionaries and
 correspondence backwards, so a round trip through them checks the forward
 direction the library uses.
+
+:func:`conifold_polar_oracle` reads the conifold gap by substituting the
+whole u-series, regular part included, into powers of u_inverse and
+dividing by a power of u_inverse, all on plain lists; the library sums only
+the polar terms against a table of negative powers.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import factorial
 
@@ -68,6 +74,45 @@ def pl_long_division(a, b, order):
                 acc -= out[j] * b[k - j]
         out[k] = acc / b[0]
     return out
+
+
+@lru_cache(maxsize=None)
+def pl_powers(base: tuple, order: int, top: int) -> tuple:
+    """base**k for k = 0..top, each a plain list through ``order``."""
+    out = [[Fraction(1)] + [Fraction(0)] * order]
+    for _ in range(top):
+        out.append(pl_mul(out[-1], list(base), order))
+    return tuple(out)
+
+
+# -- conifold gap ----------------------------------------------------------------
+
+def conifold_polar_oracle(elt, frame, max_pole: int) -> list:
+    """The that^-j coefficients, j = max_pole..1, of a weight-zero
+    BModElement with S -> frame.s_con and X -> 1/u, re-expanded in the
+    flat conifold coordinate: multiply by u^D to clear every pole,
+    substitute u = u_inverse into the whole power series, and divide by
+    u_inverse^D."""
+    assert elt.i11_degree == 0
+    assert frame.s_con.valuation() >= -1
+    D = max([max_pole] + [s + x for s, x in elt.terms])
+    order = min(frame.s_con.trunc_order + 1, frame.u_inverse.trunc_order)
+    # the quotient by u_inverse^D is known through that^(order - 2D)
+    assert 2 * D - 1 <= order, "too few orders to read that^-1"
+    w = tuple(frame.s_con.coeff(k - 1) for k in range(order + 1))  # u s_con
+    w_pows = pl_powers(w, order, elt.deg_S())
+    regular = [Fraction(0)] * (order + 1)  # u^D times the u-series
+    for (s, x), v in elt.terms.items():
+        e = D - s - x
+        for i, c in enumerate(w_pows[s][: order + 1 - e]):
+            regular[i + e] += v * c
+    u_pows = pl_powers(tuple(frame.u_inverse.coeff_list(0, order)), order,
+                       order)
+    num = [sum((regular[k] * u_pows[k][i] for k in range(i + 1)), Fraction(0))
+           for i in range(order + 1)]
+    # u_inverse^D = that^D h with h a unit
+    quotient = pl_long_division(num, u_pows[D][D:], order - D)
+    return [quotient[D - j] for j in range(max_pole, 0, -1)]
 
 
 # -- number theory -------------------------------------------------------------

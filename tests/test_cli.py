@@ -1,4 +1,5 @@
 import json
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -250,6 +251,10 @@ GOLDEN_RUNS = {
                                 "local"],
     "verify-gap-g4-local.out": ["verify", "gap", "--genus", "4", "--target",
                                 "local"],
+    # before the polar-only conifold expansion, the q -> Q power table and
+    # theta_u by its coefficient formula
+    "solve-g8-local.out": ["solve", "--genus", "8", "--target", "local"],
+    "selftest.out": ["selftest"],
 }
 
 
@@ -291,10 +296,9 @@ def test_verify_local_genus8(what, capsys):
 
 # q_order -> genus -> (exit status, stderr, golden stdout or None) of
 # `localp2 --config <q_order = n> solve --genus g --target both`.  Genus g
-# reads the conifold expansion through that^-1, which needs q_order >=
-# 4g - 5, and the consistency triangle reads Q^8: below that the input is
-# rejected before any work (exit 2).  The goldens at the floor were recorded
-# before the q_order check.
+# needs q_order >= 4g - 5 (hae.least_q_order), and the consistency triangle
+# reads Q^8: below that the input is rejected before any work (exit 2).  The
+# goldens at the floor were recorded before the q_order check.
 SMALL_ORDER_RUNS = {
     (5, 3): (2, "error: genus 3 needs q_order >= 8, got 5\n", None),
     (8, 4): (2, "error: genus 4 needs q_order >= 11, got 8\n", None),
@@ -312,3 +316,18 @@ def test_solve_at_small_q_order(q_order, genus, capsys, tmp_path):
     want_status, want_err, golden = SMALL_ORDER_RUNS[q_order, genus]
     assert (status, err) == (want_status, want_err)
     assert out == ((GOLDEN / golden).read_text() if golden else "")
+
+
+def test_readme_command_lines_parse():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines() if ln.strip()]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        prog, *argv = shlex.split(line.partition("#")[0])
+        assert prog == "localp2"
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

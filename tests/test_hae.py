@@ -25,7 +25,7 @@ from localp2.locrel import Correspondence, DF1_LOCAL, DF1_RELATIVE, DTower
 from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
 from localp2.series import RatSeries
 
-from oracles import bernoulli_list
+from oracles import bernoulli_list, conifold_polar_oracle
 
 F = Fraction
 
@@ -83,11 +83,24 @@ class TestFrame:
     def test_built_once_per_mirror_data(self, md, frame):
         assert build_conifold_frame(md) is frame
 
-    def test_power_table_is_powers_of_u_inverse(self, frame):
-        powers = frame.u_inverse_powers
-        assert len(powers) == frame.u_inverse.trunc_order + 1 == ORDER + 1
-        for k, p in enumerate(powers):
-            assert p == frame.u_inverse ** k
+    def test_pole_table_is_negative_powers_of_u_inverse(self, frame):
+        powers = frame.pole_powers(8)
+        assert powers[0] == RatSeries.one("that", ORDER)
+        for k in range(1, 9):
+            p = powers[k]
+            # that^-k (1 + ...), known through that^(ORDER - k - 1)
+            assert (p.valuation(), p.coeff(-k)) == (-k, 1)
+            assert p.trunc_order == ORDER - k - 1
+            prod = p * frame.u_inverse ** k
+            assert prod.agrees_with(RatSeries.one("that", ORDER),
+                                    prod.trunc_order)
+
+    def test_pole_table_grows_on_demand(self, frame):
+        table = frame.pole_powers(2)
+        kept = list(table)
+        assert frame.pole_powers(len(kept) + 3) is table
+        assert len(table) == len(kept) + 4
+        assert all(a is b for a, b in zip(kept, table))
 
     def test_s_con_table_is_powers_of_s_con(self, frame):
         powers = frame.s_con_powers(4)
@@ -106,6 +119,62 @@ class TestFrame:
         assert prod.coeff_list(0, 5) == [1, 0, 0, 0, 0, 0]
 
 
+def wrong_frame(md, frame) -> ConifoldFrame:
+    """The frame with the propagator built from u - 1 in place of the
+    conifold flat coordinate."""
+    order = md.that.trunc_order
+    u_minus_1 = RatSeries.from_pairs("u", {0: -1, 1: 1}, order)
+    s_wrong = theta_u(u_minus_1) / u_minus_1 \
+        - RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)}, order)
+    return ConifoldFrame(that=frame.that, s_con=s_wrong,
+                         u_inverse=frame.u_inverse)
+
+
+def polar(elt, frame, M) -> list:
+    con = conifold_expand(elt, frame, M)
+    return [con.coeff(-j) for j in range(M, 0, -1)]
+
+
+@pytest.fixture(scope="module")
+def gap_inputs(md):
+    """(genus, element) for every particular solution and basis monomial
+    that gap_fix sees while both towers are solved through genus 5."""
+    seen = []
+
+    def recording(g, kind, particular, ambiguity, frame, md_):
+        seen.extend((g, e) for e in (particular, *ambiguity.basis))
+        return gap_fix(g, kind, particular, ambiguity, frame, md_)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hae, "gap_fix", recording)
+        for kind in ("local", "relative"):
+            solve_genus(5, kind, md, Correspondence(md))
+    return seen
+
+
+class TestPolarPartOracle:
+    """conifold_expand against the route that substitutes the whole series
+    and divides by u_inverse^M (tests/oracles.py)."""
+
+    def test_every_gap_input_through_genus5(self, frame, gap_inputs):
+        # per tower and genus: one particular solution, 2g - 1 monomials
+        assert len(gap_inputs) == 2 * sum(2 * g for g in range(2, 6))
+        for g, e in gap_inputs:
+            M = 2 * g - 2
+            assert polar(e, frame, M) == conifold_polar_oracle(e, frame, M)
+
+    def test_genus2_closed_forms(self, frame):
+        for elt, target in ((F2_LOCAL, F(-1, 80)), (F2_RELATIVE, F(-7, 1920))):
+            assert polar(elt, frame, 2) == conifold_polar_oracle(elt, frame, 2) \
+                == [target, 0]
+
+    def test_wrong_frame(self, md, frame):
+        bad = wrong_frame(md, frame)
+        for M in (2, 4):
+            assert polar(F2_LOCAL, bad, M) == \
+                conifold_polar_oracle(F2_LOCAL, bad, M)
+
+
 class TestGenus2Gap:
     def test_local_closed_form_has_the_gap(self, frame):
         con = conifold_expand(F2_LOCAL, frame, 2)
@@ -119,12 +188,7 @@ class TestGenus2Gap:
 
     def test_wrong_frame_fails_the_gap(self, md, frame):
         # negative control: a propagator built from the wrong solution
-        order = md.that.trunc_order
-        u_minus_1 = RatSeries.from_pairs("u", {0: -1, 1: 1}, order)
-        s_wrong = theta_u(u_minus_1) / u_minus_1 \
-            - RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)}, order)
-        bad = ConifoldFrame(that=frame.that, s_con=s_wrong,
-                            u_inverse=frame.u_inverse)
+        bad = wrong_frame(md, frame)
         con = conifold_expand(F2_LOCAL, bad, 2)
         assert con.coeff(-1) != 0 or con.coeff(-2) != F(-1, 80)
 

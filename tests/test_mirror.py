@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localp2.mirror import (
     BModElement,
@@ -13,11 +14,13 @@ from localp2.mirror import (
     build_mirror_data,
     cq_change,
     q_to_Q,
+    theta_u,
+    _band_image,
     _conifold_flat,
     _mirror_op_u,
 )
 from localp2.quasimod import QModElement, generator_series, qm_derive, qm_to_qseries
-from localp2.series import RatSeries
+from localp2.series import RatSeries, SeriesError
 
 from oracles import ibar1_coeff, qmod_to_bmod
 
@@ -211,6 +214,11 @@ class TestEval:
         got = bm_eval(BModElement.monomial(1, 0, 1), md)
         assert got.coeff_list(0, 2) == [1, -27, 729]
 
+    def test_inverse_x_powers_are_polynomials(self, md):
+        # X^-2 = (1 + 27q)^2, known through the mirror order
+        got = bm_eval(BModElement.monomial(1, 0, -2), md)
+        assert got == RatSeries.from_pairs("q", {0: 1, 1: 54, 2: 729}, ORDER)
+
     def test_genus2_correction_eval(self, md):
         # (X/384) S - X^2/360 + X/240 - 1/720 has the pinned flat expansion
         e = BModElement(0, {(1, 1): F(1, 384), (0, 2): F(-1, 360),
@@ -259,3 +267,88 @@ class TestConifoldCoordinate:
         # recursion must run without degenerate pivots at higher order too
         t = _conifold_flat(40)
         assert t.coeff(1) == 1
+
+
+rationals = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                      st.integers(1, 10 ** 9))
+
+
+def theta_by_product(f: RatSeries) -> RatSeries:
+    """(u - 1) times d/du f, as one RatSeries product."""
+    n = f.trunc_order
+    d = {k - 1: k * f.coeff(k) for k in range(f.min_exp, n + 1) if k}
+    deriv = RatSeries.from_pairs("u", d or {0: 0}, n - 1)
+    return RatSeries.from_pairs("u", {0: -1, 1: 1}, n) * deriv
+
+
+def q_to_Q_by_compose(series: RatSeries, md: MirrorData) -> RatSeries:
+    """q_to_Q by Horner composition with qofQ."""
+    power = RatSeries("q", series.min_exp, series.coeffs)
+    if series.log_coeff:
+        power = power - series.log_coeff * md.ibar1
+    out = power.compose(md.qofQ)
+    if series.log_coeff:
+        return RatSeries("Q", out.min_exp, out.coeffs, series.log_coeff)
+    return out
+
+
+def assert_same_or_both_reject(fast, slow, *args):
+    try:
+        expect = slow(*args)
+    except SeriesError:
+        with pytest.raises(SeriesError):
+            fast(*args)
+        return
+    got = fast(*args)
+    assert (got.var, got.min_exp, got.trunc_order, got.log_coeff) == \
+        (expect.var, expect.min_exp, expect.trunc_order, expect.log_coeff)
+    assert got.coeffs == expect.coeffs
+
+
+class TestKernelEquivalence:
+    @given(st.builds(lambda lo, cs: RatSeries("u", lo, cs), st.integers(-4, 4),
+                     st.lists(st.just(0) | rationals, min_size=1, max_size=12)))
+    @settings(max_examples=200, deadline=None)
+    def test_theta_u_is_the_product_form(self, f):
+        assert_same_or_both_reject(theta_u, theta_by_product, f)
+
+    @pytest.mark.parametrize("f", [RatSeries("u", 0, [1]),
+                                   RatSeries("u", -3, [1, 2, 3, 4]),
+                                   RatSeries("u", -2, [1])])
+    def test_theta_u_rejects_series_known_only_below_u1(self, f):
+        for form in (theta_u, theta_by_product):
+            with pytest.raises(SeriesError):
+                form(f)
+
+    @given(st.builds(lambda lo, cs, log: RatSeries("q", lo, cs, log),
+                     st.integers(-2, 3),
+                     st.lists(st.just(0) | rationals, min_size=1, max_size=16),
+                     st.just(0) | st.integers(-3, 3) | rationals))
+    @settings(max_examples=100, deadline=None)
+    def test_q_to_Q_is_composition(self, series):
+        assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, series,
+                                   build_mirror_data(12))
+
+    def test_q_to_Q_on_the_flat_expansions(self, md):
+        elts = [BModElement(0, {(1, 1): F(1, 384), (0, 2): F(-1, 360),
+                                (0, 1): F(1, 240), (0, 0): F(-1, 720)}),
+                BModElement(2, {(1, 1): F(3, 8), (0, -1): 2})]
+        for e in elts:
+            series = bm_eval(e, md)
+            assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, series, md)
+            logged = RatSeries("q", 0, series.coeffs, F(-1, 24))
+            assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, logged, md)
+
+    def test_band_images_are_the_full_order_images(self):
+        # the image of u^k lies in u^(k-2)..u^(k+1); the recursion at a
+        # given order reads it through u^(order-2)
+        for order in range(5, 41):
+            for k in range(1, order + 1):
+                full = _mirror_op_u(RatSeries.from_pairs("u", {k: 1},
+                                                         order + 2))
+                top = min(k + 1, full.trunc_order)
+                assert _band_image(k).coeff_list(0, top) == \
+                    full.coeff_list(0, top)
+                assert not any(full.coeff(m)
+                               for m in range(full.trunc_order + 1)
+                               if not k - 2 <= m <= k + 1)
