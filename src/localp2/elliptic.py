@@ -201,7 +201,7 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
         nums = [0] * (qorder + 1)
         for size, v in zip(sizes, vals):
             nums[size] += v
-        out[exps] = RatSeries(CQT, 0, [F(c, den) for c in nums]) * _euler(qorder)
+        out[exps] = RatSeries.over(CQT, 0, nums, den) * _euler(qorder)
     return out
 
 

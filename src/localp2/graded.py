@@ -7,17 +7,24 @@ the I11-degree) that products add.  Subclasses name the generators, give
 their weights, and keep their own bookkeeping in ``_settle`` (checks and
 normalisation of every new element) and ``_aligned`` (how two shifts meet
 in a sum).  Products run on integer numerators over one denominator per
-operand, as the series products do.
+operand, as the series store theirs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import add, mul
 
 from .linalg import LinearSystemError, solve_unique
-from .series import Localp2Error, RatSeries, _over_lcm, extend_powers
+from .series import Localp2Error, RatSeries, extend_powers
+
+
+def _over_lcm(fracs) -> tuple[list, int]:
+    """Integer numerators of ``fracs`` over the lcm of their denominators."""
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 class GradedError(Localp2Error):

@@ -164,18 +164,19 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     coefficients times u_inverse**j over them."""
     if elt.i11_degree != 0:
         raise BModError("conifold expansion needs a weight-zero element")
-    order = frame.that.trunc_order
+    polar = RatSeries("that", -max_pole, [0] * max_pole)
+    if elt.is_zero():
+        return polar
     s_pows = frame.s_con_powers(elt.deg_S())
-    total = lincomb([(v, s_pows[s].shift(-x))  # X^x -> u^-x
-                     for (s, x), v in elt.terms.items()], "u", order)
-    total = total.trim()
+    # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
+    total = lincomb([(v, s_pows[s].truncate(x - 1).shift(-x))
+                     for (s, x), v in elt.terms.items()])
     v = total.valuation()
     if v is None:
-        return RatSeries.zero("that", order - max_pole)
+        return polar
     if v < -max_pole:
         raise GapError(f"conifold pole exceeds order {max_pole}")
     poles = frame.pole_powers(-v)
-    polar = RatSeries("that", -max_pole, [0] * max_pole)
     return lincomb([(1, polar)] + [(total.coeff(j), poles[-j].truncate(-1))
                                    for j in range(v, 0)])
 

@@ -154,14 +154,14 @@ def f1_local_series(md: MirrorData) -> RatSeries:
     """-(1/12) log q - (1/2) log I11 - (1/12) log(1 + 27q)."""
     log_1_27q = -(md.X.log())
     body = md.I11.log() * F(-1, 2) + log_1_27q * F(-1, 12)
-    return RatSeries("q", body.min_exp, body.coeffs, log_coeff=F(-1, 12))
+    return body.with_log(F(-1, 12))
 
 
 def f1_relative_series(md: MirrorData) -> RatSeries:
     """-(1/24) log q + (1/24) log(1 + 27q)."""
     log_1_27q = -(md.X.log())
     body = log_1_27q * F(1, 24)
-    return RatSeries("q", body.min_exp, body.coeffs, log_coeff=F(-1, 24))
+    return body.with_log(F(-1, 24))
 
 
 # Coefficient of log Q in the genus-1 unstable relative term,

@@ -28,8 +28,7 @@ from math import factorial
 
 from .graded import Graded
 from .quasimod import QModElement
-from .series import (Localp2Error, RatSeries, SeriesError, _fracs_over,
-                     _over_lcm, extend_powers, lincomb)
+from .series import Localp2Error, RatSeries, SeriesError, extend_powers, lincomb
 
 F = Fraction
 
@@ -89,11 +88,10 @@ def theta_u(f: RatSeries) -> RatSeries:
         raise SeriesError("theta_u needs a series known through u^1")
     lo = f.min_exp - 1 if f.min_exp < 0 else 0
     top = min(n - 1, n + lo)
-    nums, den = _over_lcm(f.coeffs)
-    a = [0] * (f.min_exp - lo) + nums  # a[i] = den * f_(lo + i)
+    a = [0] * (f.min_exp - lo) + list(f.nums)  # a[i] = f.den * f_(lo + i)
     out = [(lo + i) * a[i] - (lo + i + 1) * a[i + 1]
            for i in range(top - lo + 1)]
-    return RatSeries("u", lo, _fracs_over(out, den))
+    return RatSeries.over("u", lo, out, f.den)
 
 
 def _mirror_op_u(f: RatSeries) -> RatSeries:
@@ -156,6 +154,26 @@ class MirrorData:
         n = self.qofQ.trunc_order
         return tuple(extend_powers([RatSeries.one("Q", n)], self.qofQ, n))
 
+    @cached_property
+    def _power_tables(self) -> dict:
+        return {}
+
+    def power(self, name: str, k: int) -> RatSeries:
+        """g**k, k >= 0, for g one of S, X, 1/X = 1 + 27q, I11 and 1/I11,
+        from a table of powers kept on the data, started on first use and
+        grown on demand: bm_eval substitutes them."""
+        if name not in self._power_tables:
+            one = RatSeries.one("q", self.order)
+            if name == "1/X":
+                base = RatSeries.from_pairs("q", {0: 1, 1: 27}, self.order)
+            elif name == "1/I11":
+                base = one / self.I11
+            else:
+                base = getattr(self, name)
+            self._power_tables[name] = (base, [one])
+        base, table = self._power_tables[name]
+        return extend_powers(table, base, k)[k]
+
 
 @lru_cache(maxsize=None)
 def build_mirror_data(order: int) -> MirrorData:
@@ -167,12 +185,9 @@ def build_mirror_data(order: int) -> MirrorData:
     one27 = RatSeries.from_pairs("q", {0: 1, 1: 27}, order)
     x = RatSeries.one("q", order) / one27
     s = i11.theta() / i11 - (x - RatSeries.one("q", order)) / 3
-    q_with_log = RatSeries("q", 0, ibar1.coeffs, log_coeff=1)
-    qofq = q_with_log.exp()          # q * exp(ibar1)
+    qofq = ibar1.with_log(1).exp()   # q * exp(ibar1)
     qof_q = qofq.revert("Q")
-    j_over_i11 = j / i11
-    cqofq = -(RatSeries("q", j_over_i11.min_exp, j_over_i11.coeffs,
-                        log_coeff=1).exp())
+    cqofq = -((j / i11).with_log(1).exp())
     that = _conifold_flat(order)
     return MirrorData(order=order, ibar1=ibar1, I11=i11, J=j, X=x, S=s,
                       Qofq=qofq, qofQ=qof_q, cQofq=cqofq, that=that)
@@ -197,19 +212,17 @@ def cq_change(series: RatSeries, md: MirrorData) -> RatSeries:
         log_series = 3 * (md.J / md.I11)
     else:
         raise SeriesError(f"cq_change expects a cQ or cQt series, got {series.var}")
-    power = RatSeries(series.var, series.min_exp, series.coeffs)
-    out = power.compose(inner)
+    out = series.with_log(0).compose(inner)
     if series.log_coeff:
         out = out + series.log_coeff * log_series
-        return RatSeries("q", out.min_exp, out.coeffs,
-                         series.log_coeff * log_q_mult)
+        return out.with_log(series.log_coeff * log_q_mult)
     return out
 
 
 def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
     """Convert a q-series (optional log q slot) to the flat coordinate:
     log q = log Q - ibar1."""
-    power = RatSeries("q", series.min_exp, series.coeffs)
+    power = series.with_log(0)
     if series.log_coeff:
         power = power - series.log_coeff * md.ibar1
     if power.min_exp < 0:
@@ -219,9 +232,7 @@ def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
     bound = min(len(table) - 1, power.trunc_order)
     out = lincomb([(power.coeff(k), table[k]) for k in range(bound + 1)],
                   "Q", bound)
-    if series.log_coeff:
-        return RatSeries("Q", out.min_exp, out.coeffs, series.log_coeff)
-    return out
+    return out.with_log(series.log_coeff) if series.log_coeff else out
 
 
 # -- the polynomial B-model ring ----------------------------------------------------
@@ -280,22 +291,21 @@ def bm_derive_D(e: BModElement) -> BModElement:
 
 def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
     """Expand in q (or the flat coordinate Q) by substituting the series."""
-    order = md.order
-    s_pows = extend_powers([RatSeries.one("q", order)], md.S, e.deg_S())
-    one27 = RatSeries.from_pairs("q", {0: 1, 1: 27}, order)  # 1/X
     by_x: dict[int, list] = {}
     for (s, x), v in e.terms.items():
-        by_x.setdefault(x, []).append((v, s_pows[s]))
+        by_x.setdefault(x, []).append((v, md.power("S", s)))
     groups = []
     for x, terms in by_x.items():
         group = lincomb(terms)
         if x:
-            group = group * (md.X ** x if x > 0 else one27 ** -x)
+            group = group * (md.power("X", x) if x > 0 else md.power("1/X", -x))
         groups.append((1, group))
-    out = lincomb(groups, "q", order)
-    if e.i11_degree:
-        k = e.i11_degree
-        out = out / md.I11 ** k if k > 0 else out * md.I11 ** (-k)
+    out = lincomb(groups, "q", md.order)
+    k = e.i11_degree
+    if k > 0:  # trimmed, as the quotient by I11**k would be
+        out = (out * md.power("1/I11", k)).trim()
+    elif k < 0:
+        out = out * md.power("I11", -k)
     if target == "q":
         return out
     if target == "Q":

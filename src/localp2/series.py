@@ -1,9 +1,13 @@
 """Truncated univariate Laurent series over exact rationals.
 
-A :class:`RatSeries` stores coefficients for exponents ``min_exp..trunc_order``
-inclusive.  ``trunc_order`` is the last exponent at which the value is fully
-determined; every arithmetic operation recomputes the largest order at which
-its result is exact and truncates there.  No floating point is used anywhere.
+A :class:`RatSeries` stores the coefficients of exponents
+``min_exp..trunc_order`` as integer numerators ``nums`` over one positive
+denominator ``den``, in lowest terms, so equal series store equal integers.
+The kernels work on those integers (division, exp and log over a running
+least common denominator); a Fraction is made only when a coefficient is
+read.  ``trunc_order`` is the last exponent at which the value is fully
+determined; every operation recomputes the largest order at which its
+result is exact and truncates there.  No floating point is used anywhere.
 
 An optional ``log_coeff`` slot holds a single rational multiple of the formal
 symbol log(variable).  It participates in addition, scalar multiplication,
@@ -14,34 +18,63 @@ log_coeff (a monomial shift); everything else rejects it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _over_lcm(fracs) -> tuple[list, int]:
-    """Integer numerators of ``fracs`` over the lcm of their denominators."""
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
-def _fracs_over(nums, den: int) -> list:
-    """``num / den`` for each integer numerator, sharing ``_ZERO``."""
-    return [Fraction(c, den) if c else _ZERO for c in nums]
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rat(x):
+    """An int or Fraction as it is, a str parsed; nothing inexact."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _frac(x) -> Fraction:
+    return Fraction(x) if isinstance(x, (int, str)) else _rat(x)
+
+
+def _make(var: str, min_exp: int, nums, den: int, log_coeff) -> "RatSeries":
+    """The series sum nums[i]/den var^(min_exp + i), den > 0, put in lowest
+    terms by one gcd."""
+    if not nums:
+        raise SeriesError("series needs at least one stored coefficient")
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    s = object.__new__(RatSeries)
+    s.var, s.min_exp, s.nums, s.den, s.log_coeff = (var, min_exp, tuple(nums),
+                                                    den, log_coeff)
+    return s
+
+
+def _push(out: list, den: int, num: int, div: int) -> int:
+    """Append num/div (div > 0) to the numerators ``out`` over ``den``;
+    return the least denominator that holds every entry."""
+    m = div // gcd(num, div)  # the denominator of num/div in lowest terms
+    m //= gcd(den, m)
+    if m != 1:
+        out[:] = [x * m for x in out]
+        den *= m
+    out.append(num * den // div)
+    return den
+
+
+def _sum(var: str, terms, den: int, lo: int, order: int, log_coeff):
+    """sum m * f over (integer m, series f) with the result over ``den``,
+    exponents lo..order; each f.den must divide ``den``."""
+    out = [0] * (order - lo + 1)
+    for m, f in terms:
+        base = f.min_exp - lo
+        seg = f.nums[:max(order - f.min_exp + 1, 0)]
+        out[base:base + len(seg)] = [o + m * x for o, x in
+                                     zip(out[base:base + len(seg)], seg)]
+    return _make(var, lo, out, den, log_coeff)
 
 
 class Localp2Error(ValueError):
@@ -56,25 +89,35 @@ class SeriesError(Localp2Error):
 class RatSeries:
     """Truncated Laurent series with exact rational coefficients."""
 
-    __slots__ = ("var", "min_exp", "coeffs", "log_coeff")
+    __slots__ = ("var", "min_exp", "nums", "den", "log_coeff")
 
     def __init__(self, var: str, min_exp: int, coeffs: Iterable, log_coeff=0):
+        vals = [_rat(c) for c in coeffs]
+        if not vals:
+            raise SeriesError("series needs at least one stored coefficient")
+        # reduced fractions over the lcm of their denominators are in lowest terms
+        den = lcm(*(c.denominator for c in vals))
         self.var = var
         self.min_exp = int(min_exp)
-        self.coeffs = tuple(_frac(c) for c in coeffs)
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in vals)
+        self.den = den
         self.log_coeff = _frac(log_coeff)
-        if not self.coeffs:
-            raise SeriesError("series needs at least one stored coefficient")
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
+    def over(var: str, min_exp: int, nums, den: int) -> "RatSeries":
+        """The series sum nums[i]/den var^(min_exp + i) from integers, den > 0."""
+        return _make(var, min_exp, nums, den, _ZERO)
+
+    @staticmethod
     def zero(var: str, order: int) -> "RatSeries":
-        return RatSeries(var, 0, [_ZERO] * (order + 1))
+        return _make(var, 0, [0] * (order + 1), 1, _ZERO)
 
     @staticmethod
     def const(var: str, value, order: int) -> "RatSeries":
-        return RatSeries(var, 0, [_frac(value)] + [_ZERO] * order)
+        v = _frac(value)
+        return _make(var, 0, [v.numerator] + [0] * order, v.denominator, _ZERO)
 
     @staticmethod
     def one(var: str, order: int) -> "RatSeries":
@@ -83,27 +126,34 @@ class RatSeries:
     @staticmethod
     def gen(var: str, order: int) -> "RatSeries":
         """The series ``v`` itself, known through ``order``."""
-        c = [_ZERO] * (order + 1)
-        if order >= 1:
-            c[1] = _ONE
-        return RatSeries(var, 0, c)
+        return RatSeries.from_pairs(var, {1: 1} if order >= 1 else {}, order)
 
     @staticmethod
     def from_pairs(var: str, pairs, trunc_order: int, log_coeff=0) -> "RatSeries":
         pairs = dict(pairs)
         lo = min(list(pairs) + [0])
-        c = [_ZERO] * (trunc_order - lo + 1)
+        c = [0] * (trunc_order - lo + 1)
         for e, v in pairs.items():
             if e > trunc_order:
                 raise SeriesError("exponent beyond truncation order")
-            c[e - lo] = _frac(v)
+            c[e - lo] = v
         return RatSeries(var, lo, c, log_coeff)
+
+    def with_log(self, c) -> "RatSeries":
+        """The same coefficients with the log slot set to ``c``."""
+        return _make(self.var, self.min_exp, self.nums, self.den, _frac(c))
 
     # -- basic accessors -------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients as reduced Fractions."""
+        d = self.den
+        return tuple(Fraction(x, d) if x else _ZERO for x in self.nums)
+
+    @property
     def trunc_order(self) -> int:
-        return self.min_exp + len(self.coeffs) - 1
+        return self.min_exp + len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
         if k < self.min_exp:
@@ -111,15 +161,16 @@ class RatSeries:
         if k > self.trunc_order:
             raise SeriesError(f"coefficient of {self.var}^{k} beyond truncation "
                               f"order {self.trunc_order}")
-        return self.coeffs[k - self.min_exp]
+        x = self.nums[k - self.min_exp]
+        return Fraction(x, self.den) if x else _ZERO
 
     def coeff_list(self, lo: int, hi: int) -> list:
         return [self.coeff(k) for k in range(lo, hi + 1)]
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None for zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, x in enumerate(self.nums):
+            if x:
                 return self.min_exp + i
         return None
 
@@ -129,26 +180,32 @@ class RatSeries:
     def constant_term(self) -> Fraction:
         return self.coeff(0) if self.min_exp <= 0 <= self.trunc_order else _ZERO
 
+    def _from0(self) -> list:
+        """Numerators of the coefficients of v^0..v^trunc_order."""
+        lo = self.min_exp
+        return [0] * lo + list(self.nums) if lo > 0 else list(self.nums[-lo:])
+
     def truncate(self, order: int) -> "RatSeries":
         if order > self.trunc_order:
             raise SeriesError("cannot extend truncation order")
         if order < self.min_exp:
-            return RatSeries(self.var, order, [_ZERO], self.log_coeff)
-        return RatSeries(self.var, self.min_exp,
-                         self.coeffs[: order - self.min_exp + 1], self.log_coeff)
+            return _make(self.var, order, [0], 1, self.log_coeff)
+        return _make(self.var, self.min_exp, self.nums[: order - self.min_exp + 1],
+                     self.den, self.log_coeff)
 
     def trim(self) -> "RatSeries":
         """Drop leading zero coefficients (raises the declared floor)."""
         v = self.valuation()
         if v is None or v == self.min_exp:
             return self
-        return RatSeries(self.var, v, self.coeffs[v - self.min_exp:], self.log_coeff)
+        return _make(self.var, v, self.nums[v - self.min_exp:], self.den,
+                     self.log_coeff)
 
     def shift(self, k: int) -> "RatSeries":
         """Multiply by variable**k."""
         if self.log_coeff:
             raise SeriesError("cannot shift a log-extended series")
-        return RatSeries(self.var, self.min_exp + k, self.coeffs)
+        return _make(self.var, self.min_exp + k, self.nums, self.den, _ZERO)
 
     # -- representation --------------------------------------------------------
 
@@ -157,9 +214,9 @@ class RatSeries:
         if self.log_coeff:
             bits.append(f"({self.log_coeff})*log({self.var})")
         shown = 0
-        for i, c in enumerate(self.coeffs):
-            if c and shown < 8:
-                e = self.min_exp + i
+        for e, x in enumerate(self.nums, self.min_exp):
+            if x and shown < 8:
+                c = Fraction(x, self.den)
                 bits.append(f"({c})*{self.var}^{e}" if e else f"({c})")
                 shown += 1
         if not bits:
@@ -169,26 +226,22 @@ class RatSeries:
     def __eq__(self, other):
         if not isinstance(other, RatSeries):
             return NotImplemented
-        if self.var != other.var or self.log_coeff != other.log_coeff:
-            return False
-        if self.trunc_order != other.trunc_order:
+        if (self.var, self.log_coeff, self.trunc_order, self.den) != \
+                (other.var, other.log_coeff, other.trunc_order, other.den):
             return False
         lo = min(self.min_exp, other.min_exp)
-        return (self.coeff_list(lo, self.trunc_order)
-                == other.coeff_list(lo, other.trunc_order))
+        return ((0,) * (self.min_exp - lo) + self.nums
+                == (0,) * (other.min_exp - lo) + other.nums)
 
     def __hash__(self):
         # what __eq__ compares: leading zeros and the declared floor do not count
         v = self.valuation()
-        tail = () if v is None else self.coeffs[v - self.min_exp:]
-        return hash((self.var, self.trunc_order, self.log_coeff, tail))
+        tail = () if v is None else self.nums[v - self.min_exp:]
+        return hash((self.var, self.trunc_order, self.log_coeff, self.den, tail))
 
     def agrees_with(self, other: "RatSeries", through: int) -> bool:
         """Exact coefficient equality through the given order (log slots too)."""
-        if self.var != other.var or self.log_coeff != other.log_coeff:
-            return False
-        lo = min(self.min_exp, other.min_exp)
-        return self.coeff_list(lo, through) == other.coeff_list(lo, through)
+        return self.truncate(through) == other.truncate(through)
 
     # -- ring operations -------------------------------------------------------
 
@@ -197,8 +250,8 @@ class RatSeries:
             raise SeriesError(f"variable mismatch: {self.var} vs {other.var}")
 
     def __neg__(self):
-        return RatSeries(self.var, self.min_exp, [-c for c in self.coeffs],
-                         -self.log_coeff)
+        return _make(self.var, self.min_exp, [-x for x in self.nums], self.den,
+                     -self.log_coeff)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -206,10 +259,11 @@ class RatSeries:
         if not isinstance(other, RatSeries):
             return NotImplemented
         self._check_var(other)
-        order = min(self.trunc_order, other.trunc_order)
-        lo = min(self.min_exp, other.min_exp)
-        c = [self.coeff(k) + other.coeff(k) for k in range(lo, order + 1)]
-        return RatSeries(self.var, lo, c, self.log_coeff + other.log_coeff)
+        d = lcm(self.den, other.den)
+        return _sum(self.var, [(d // self.den, self), (d // other.den, other)], d,
+                    min(self.min_exp, other.min_exp),
+                    min(self.trunc_order, other.trunc_order),
+                    self.log_coeff + other.log_coeff)
 
     __radd__ = __add__
 
@@ -224,8 +278,9 @@ class RatSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             s = _frac(other)
-            return RatSeries(self.var, self.min_exp, [c * s for c in self.coeffs],
-                             self.log_coeff * s)
+            return _make(self.var, self.min_exp,
+                         [x * s.numerator for x in self.nums],
+                         self.den * s.denominator, self.log_coeff * s)
         if not isinstance(other, RatSeries):
             return NotImplemented
         self._check_var(other)
@@ -236,8 +291,7 @@ class RatSeries:
                 raise SeriesError("unsupported log_coeff combination in mul")
             if b.log_coeff:
                 a, b = b, a
-            if not (b.min_exp <= 0 and all(c == 0 for i, c in enumerate(b.coeffs)
-                                           if b.min_exp + i != 0)):
+            if b.min_exp > 0 or any(x for e, x in enumerate(b.nums, b.min_exp) if e):
                 raise SeriesError("unsupported log_coeff combination in mul")
             return a * b.constant_term() + RatSeries.zero(a.var, min(a.trunc_order,
                                                                      b.trunc_order))
@@ -245,20 +299,17 @@ class RatSeries:
         lo = a.min_exp + b.min_exp
         n = order - lo + 1
         if n <= 0:
-            return RatSeries(a.var, lo, [_ZERO])
-        # schoolbook convolution of integer numerators over one denominator
-        na, da = _over_lcm(a.coeffs[:n])
-        nb, db = _over_lcm(b.coeffs[:n])
-        nonzero_b = [(j, y) for j, y in enumerate(nb) if y]
+            return _make(a.var, lo, [0], 1, _ZERO)
+        # schoolbook convolution of the numerators, one pass per nonzero of
+        # the sparser factor; the denominators multiply
+        na, nb = a.nums[:n], b.nums[:n]
+        if na.count(0) > nb.count(0):
+            na, nb = nb, na
         out = [0] * n
-        for i, x in enumerate(na):
-            if x:
-                top = n - i
-                for j, y in nonzero_b:
-                    if j >= top:
-                        break
-                    out[i + j] += x * y
-        return RatSeries(a.var, lo, _fracs_over(out, da * db))
+        for j, y in enumerate(nb):
+            if y:
+                out[j:] = [o + y * x for o, x in zip(out[j:], na)]
+        return _make(a.var, lo, out, a.den * b.den, _ZERO)
 
     __rmul__ = __mul__
 
@@ -278,23 +329,24 @@ class RatSeries:
         vb = other.valuation()
         if vb is None:
             raise SeriesError("division by series with zero leading coefficient")
-        b0 = other.coeff(vb)
         self = self.trim()
         va = self.min_exp
         lo = va - vb
         order = min(self.trunc_order - vb, other.trunc_order - 2 * vb + va)
         n = order - lo + 1
         if n <= 0:
-            return RatSeries(self.var, lo, [_ZERO])
-        out = [_ZERO] * n
+            return _make(self.var, lo, [0], 1, _ZERO)
+        # q = A/B on the numerators, then self/other = q * other.den/self.den
+        a = self.nums[:n]
+        b = other.nums[vb - other.min_exp:][:n]
+        if b[0] < 0:  # a positive pivot keeps the running denominator positive
+            a, b = [-x for x in a], [-x for x in b]
+        q, d = [], 1
         for k in range(n):
-            acc = self.coeff(lo + k + vb)
-            for j in range(k):
-                cb = other.coeff(vb + k - j)
-                if cb and out[j]:
-                    acc -= out[j] * cb
-            out[k] = acc / b0
-        return RatSeries(self.var, lo, out)
+            s = d * a[k] - sum(map(mul, q, b[k:0:-1]))
+            d = _push(q, d, s, d * b[0])
+        return _make(self.var, lo, [x * other.den for x in q], d * self.den,
+                     _ZERO)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -314,25 +366,24 @@ class RatSeries:
     # -- transcendental-style operations (exact on units) ----------------------
 
     def log(self) -> "RatSeries":
-        """log of a series with constant term 1 (unit, no log slot)."""
+        """log of a series with constant term 1 (unit, no log slot):
+        k out_k = k f_k - sum_{0<j<k} j out_j f_(k-j)."""
         if self.log_coeff:
             raise SeriesError("log of a log-extended series")
         if self.valuation() != 0 or self.coeff(0) != 1:
             raise SeriesError("log requires constant term 1")
-        n = self.trunc_order
-        f = [self.coeff(k) for k in range(n + 1)]
-        out = [_ZERO] * (n + 1)
-        for k in range(1, n + 1):
-            acc = k * f[k]
-            for j in range(1, k):
-                if out[j] and f[k - j]:
-                    acc -= j * out[j] * f[k - j]
-            out[k] = acc / k
-        return RatSeries(self.var, 0, out)
+        f, df = self._from0(), self.den
+        out, d = [0], 1
+        for k in range(1, len(f)):
+            s = d * k * f[k] - sum(map(mul, map(mul, out[1:], range(1, k)),
+                                       f[k - 1:0:-1]))
+            d = _push(out, d, s, k * d * df)
+        return _make(self.var, 0, out, d, _ZERO)
 
     def exp(self) -> "RatSeries":
-        """exp of a series with zero constant term; an integer log slot
-        contributes a monomial shift (exp(c log v) = v**c)."""
+        """exp of a series with zero constant term, k out_k = sum_{j=1..k}
+        j f_j out_(k-j); an integer log slot contributes a monomial shift
+        (exp(c log v) = v**c)."""
         shift = 0
         if self.log_coeff:
             if self.log_coeff.denominator != 1:
@@ -341,19 +392,14 @@ class RatSeries:
         v = self.valuation()
         if v is not None and v < 0:
             raise SeriesError("exp of a Laurent series")
-        if self.constant_term() != 0:
+        if self.trunc_order < 0 or self.constant_term() != 0:
             raise SeriesError("exp requires zero constant term")
-        n = self.trunc_order
-        f = [self.coeff(k) for k in range(n + 1)]
-        out = [_ZERO] * (n + 1)
-        out[0] = _ONE
-        for k in range(1, n + 1):
-            acc = _ZERO
-            for j in range(1, k + 1):
-                if f[j] and out[k - j]:
-                    acc += j * f[j] * out[k - j]
-            out[k] = acc / k
-        return RatSeries(self.var, shift, out)
+        jf = [j * x for j, x in enumerate(self._from0())]
+        out, d = [1], 1
+        for k in range(1, len(jf)):
+            d = _push(out, d, sum(map(mul, jf[1:k + 1], reversed(out))),
+                      k * self.den * d)
+        return _make(self.var, shift, out, d, _ZERO)
 
     def nth_root(self, n: int) -> "RatSeries":
         """n-th root of a series with constant term 1, exact over Q."""
@@ -363,9 +409,9 @@ class RatSeries:
 
     def theta(self) -> "RatSeries":
         """theta = v d/dv; a log slot contributes its coefficient at v^0."""
-        c = [k * self.coeffs[k - self.min_exp]
-             for k in range(self.min_exp, self.trunc_order + 1)]
-        out = RatSeries(self.var, self.min_exp, c)
+        out = _make(self.var, self.min_exp,
+                    [k * x for k, x in enumerate(self.nums, self.min_exp)],
+                    self.den, _ZERO)
         if self.log_coeff:
             out = out + RatSeries.const(self.var, self.log_coeff,
                                         max(out.trunc_order, 0))
@@ -397,8 +443,7 @@ class RatSeries:
             for k in range(self.trunc_order - 1, -1, -1):
                 out = (out * inner.truncate(bound)).truncate(bound) + self.coeff(k)
         if log_part is not None:
-            out = out + log_part
-            return RatSeries(out.var, out.min_exp, out.coeffs, self.log_coeff)
+            return (out + log_part).with_log(self.log_coeff)
         return out
 
     def revert(self, new_var: str | None = None) -> "RatSeries":
@@ -411,13 +456,16 @@ class RatSeries:
             raise SeriesError("revert needs valuation exactly 1")
         n = self.trunc_order
         h = RatSeries.one(self.var, n - 1) / self.shift(-1)
-        g = [_ZERO] * (n + 1)
+        nums, dens = [0], [1]  # g_k = nums[k] / dens[k]
         h_pow = h
         for k in range(1, n + 1):
-            g[k] = h_pow.coeff(k - 1) / k
+            nums.append(h_pow.nums[k - 1])  # h and its powers start at v^0
+            dens.append(k * h_pow.den)
             if k < n:
                 h_pow = h_pow * h
-        return RatSeries(new_var or self.var, 0, g)
+        d = lcm(*dens)
+        return _make(new_var or self.var, 0,
+                     [x * (d // e) for x, e in zip(nums, dens)], d, _ZERO)
 
 
 def extend_powers(table: list, base: RatSeries, top: int) -> list:
@@ -435,10 +483,10 @@ def lincomb(pairs, var: str | None = None,
     order)`` as a running total would, so its floor is at most 0 and its
     truncation order at most ``order``.
     Exact on integer numerators: the scalars over one denominator, the
-    series coefficients over another."""
-    pairs = [(_frac(c), f) for c, f in pairs]
+    series numerators over another."""
+    pairs = [(_rat(c), f) for c, f in pairs]
     if var is not None:
-        pairs.insert(0, (_ONE, RatSeries.zero(var, order)))
+        pairs.insert(0, (1, RatSeries.zero(var, order)))
     if not pairs:
         raise SeriesError("lincomb needs at least one series")
     first = pairs[0][1]
@@ -446,24 +494,20 @@ def lincomb(pairs, var: str | None = None,
         first._check_var(f)
         if f.log_coeff:
             raise SeriesError("lincomb of a log-extended series")
-    lo = min(f.min_exp for _, f in pairs)
-    order = min(f.trunc_order for _, f in pairs)
-    live = [(f.coeffs[:max(order - f.min_exp + 1, 0)], f.min_exp - lo)
-            for c, f in pairs if c]
-    scalars, dc = _over_lcm([c for c, _ in pairs if c])
-    df = lcm(*(x.denominator for cs, _ in live for x in cs))
-    out = [0] * (order - lo + 1)
-    for s, (cs, base) in zip(scalars, live):
-        for k, x in enumerate(cs, base):
-            if x:
-                out[k] += s * x.numerator * (df // x.denominator)
-    return RatSeries(first.var, lo, _fracs_over(out, dc * df))
+    live = [(c, f) for c, f in pairs if c]
+    dc = lcm(*(c.denominator for c, _ in live))
+    df = lcm(*(f.den for _, f in live))
+    return _sum(first.var, [(c.numerator * (dc // c.denominator) * (df // f.den),
+                             f) for c, f in live], dc * df,
+                min(f.min_exp for _, f in pairs),
+                min(f.trunc_order for _, f in pairs), _ZERO)
 
 
 # -- JSON serialization --------------------------------------------------------
 
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+def _frac_json(num: int, den: int) -> dict:
+    g = gcd(num, den)
+    return {"num": str(num // g), "den": str(den // g)}
 
 
 def series_to_json(s: RatSeries) -> dict:
@@ -471,7 +515,7 @@ def series_to_json(s: RatSeries) -> dict:
         "variable": s.var,
         "min_exp": s.min_exp,
         "trunc_order": s.trunc_order,
-        "log_coeff": _frac_json(s.log_coeff),
-        "coeffs": [{"exp": k, **_frac_json(s.coeff(k))}
-                   for k in range(s.min_exp, s.trunc_order + 1) if s.coeff(k)],
+        "log_coeff": _frac_json(s.log_coeff.numerator, s.log_coeff.denominator),
+        "coeffs": [{"exp": k, **_frac_json(x, s.den)}
+                   for k, x in enumerate(s.nums, s.min_exp) if x],
     }

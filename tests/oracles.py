@@ -18,6 +18,10 @@ direction the library uses.
 whole u-series, regular part included, into powers of u_inverse and
 dividing by a power of u_inverse, all on plain lists; the library sums only
 the polar terms against a table of negative powers.
+
+:func:`pl_exp` and :func:`pl_log1p` sum the defining power series term by
+term on Fractions; the library runs one coefficient recurrence each on
+integer numerators over a running common denominator.
 """
 
 from fractions import Fraction
@@ -73,6 +77,26 @@ def pl_long_division(a, b, order):
             if j < len(out) and k - j < len(b):
                 acc -= out[j] * b[k - j]
         out[k] = acc / b[0]
+    return out
+
+
+def pl_exp(f, order):
+    """exp(f) as sum_k f^k / k!, f[0] == 0, by repeated pl_mul."""
+    assert not f[0]
+    out, term = [Fraction(0)] * (order + 1), [Fraction(1)] + [Fraction(0)] * order
+    for k in range(order + 1):  # term = f^k / k!, zero below q^k
+        out = pl_add(out, term, order)
+        term = [c / (k + 1) for c in pl_mul(term, f, order)]
+    return out
+
+
+def pl_log1p(g, order):
+    """log(1 + g) as sum_k (-1)^(k+1) g^k / k, g[0] == 0."""
+    assert not g[0]
+    out, power = [Fraction(0)] * (order + 1), list(g)
+    for k in range(1, order + 1):  # power = g^k, zero below q^k
+        out = pl_add(out, [(-1) ** (k + 1) * c / k for c in power], order)
+        power = pl_mul(power, g, order)
     return out
 
 

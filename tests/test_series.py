@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import add
 
 import pytest
@@ -13,7 +14,8 @@ from localp2.series import (
     series_to_json,
 )
 
-from oracles import ibar1_coeff, pl_compose, pl_long_division, pl_mul
+from oracles import (ibar1_coeff, pl_compose, pl_exp, pl_log1p,
+                     pl_long_division, pl_mul)
 
 F = Fraction
 
@@ -40,6 +42,30 @@ sparse_coeffs = st.lists(st.just(0) | st.just(0) | big_fractions,
                          min_size=1, max_size=12)
 laurent_series = st.builds(lambda lo, cs: q_series(cs, min_exp=lo),
                            st.integers(-4, 4), sparse_coeffs)
+nonzero_fractions = big_fractions.filter(bool)
+# Laurent divisors: leading zeros below a nonzero, non-monic rational pivot
+divisors = st.builds(
+    lambda lo, zeros, pivot, cs: q_series([0] * zeros + [pivot] + cs, min_exp=lo),
+    st.integers(-3, 3), st.integers(0, 2), nonzero_fractions,
+    st.lists(st.just(0) | big_fractions, max_size=8))
+# power series with zero constant term, stored from a floor in -3..3
+small_fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                            st.integers(1, 10 ** 5) | st.integers(-10 ** 5, -1))
+no_constant = st.builds(
+    lambda lo, cs: q_series([0] * max(1 - lo, 0) + cs[max(lo, 1) - 1:],
+                            min_exp=lo),
+    st.integers(-3, 3),
+    st.lists(st.just(0) | small_fractions, min_size=4, max_size=8))
+
+
+def assert_canonical(s):
+    """The stored form: integer numerators over a positive denominator in
+    lowest terms, read back as reduced Fractions."""
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert all(type(x) is int for x in s.nums)
+    assert s.coeffs == tuple(Fraction(x, s.den) for x in s.nums)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert type(s.log_coeff) is Fraction
 
 
 class TestArith:
@@ -125,6 +151,133 @@ class TestArith:
         assert lhs.agrees_with(rhs, min(lhs.trunc_order, rhs.trunc_order))
 
 
+class TestStorage:
+    def test_ints_fractions_strings_and_leading_zeros_agree(self):
+        forms = [q_series([2, 0, -4]),
+                 q_series([F(4, 2), F(0), F(-8, 2)]),
+                 q_series(["2", "0", "-4/1"]),
+                 q_series([0, 0, 2, 0, -4], min_exp=-2),
+                 q_series([F(6, 3), 0, -4], log_coeff=0)]
+        for s in forms:
+            assert_canonical(s)
+            assert s == forms[0] and hash(s) == hash(forms[0])
+        assert forms[0].coeffs == (2, 0, -4)
+        assert len(set(forms)) == 1
+
+    def test_common_denominator_is_least(self):
+        s = q_series([F(1, 6), F(1, 4), F(1, 3)])
+        assert (s.nums, s.den) == ((2, 3, 4), 12)
+        assert (s * 12).den == 1 and (s * 12).coeffs == (2, 3, 4)
+        assert q_series([F(5, 7)]) != q_series([F(5, 14)])
+
+    @given(laurent_series, laurent_series)
+    @settings(max_examples=60, deadline=None)
+    def test_results_stay_canonical(self, a, b):
+        for s in (a, b, a + b, a - b, a * b, -a, a * F(-3, 10 ** 20),
+                  a.theta(), a.trim(), a.truncate(a.trunc_order - 1)):
+            assert_canonical(s)
+        assert a.trim() == a and hash(a.trim()) == hash(a)
+
+    def test_log_slot_construction(self):
+        s = q_series([1, 2], log_coeff="1/3")
+        assert s.log_coeff == F(1, 3) and s.with_log(0).log_coeff == 0
+        assert s.with_log(0) == q_series([1, 2])
+        with pytest.raises(TypeError):
+            q_series([1.5])
+
+
+class TestIntegerKernels:
+    """Each kernel against an oracle on Fractions: floor, truncation order
+    and every coefficient."""
+
+    @given(laurent_series, divisors)
+    @settings(max_examples=100, deadline=None)
+    def test_division_against_long_division(self, a, b):
+        got = a / b
+        va, vb = a.valuation(), b.valuation()
+        va = a.min_exp if va is None else va
+        lo = va - vb
+        order = min(a.trunc_order - vb, b.trunc_order - 2 * vb + va)
+        assert got.min_exp == lo
+        assert_canonical(got)
+        if order < lo:
+            assert got.trunc_order == lo and got.is_zero()
+            return
+        assert got.trunc_order == order
+        n = order - lo
+        expect = pl_long_division(a.coeff_list(va, va + n),
+                                  b.coeff_list(vb, vb + n), n)
+        assert list(got.coeffs) == expect
+
+    @given(no_constant, st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_exp_against_series_sum(self, f, shift):
+        got = f.with_log(shift).exp()
+        n = f.trunc_order
+        assert (got.min_exp, got.trunc_order) == (shift, shift + n)
+        assert list(got.coeffs) == pl_exp(f.coeff_list(0, n), n)
+        assert_canonical(got)
+
+    @given(no_constant)
+    @settings(max_examples=60, deadline=None)
+    def test_log_against_series_sum(self, g):
+        f = g + 1
+        got = f.log()
+        n = f.trunc_order
+        assert (got.min_exp, got.trunc_order) == (0, n)
+        assert list(got.coeffs) == pl_log1p(g.coeff_list(0, n), n)
+        assert_canonical(got)
+
+    @given(nonzero_fractions,
+           st.lists(st.just(0) | small_fractions, min_size=1, max_size=6),
+           st.sampled_from(["q", "Q"]))
+    @settings(max_examples=60, deadline=None)
+    def test_revert_against_composition(self, c1, tail, new_var):
+        f = q_series([0, c1] + tail)
+        g = f.revert(new_var)
+        n = f.trunc_order
+        assert (g.var, g.min_exp, g.trunc_order) == (new_var, 0, n)
+        assert pl_compose(f.coeff_list(0, n), g.coeff_list(0, n), n) == \
+            [0, 1] + [0] * (n - 1)
+        assert_canonical(g)
+
+    @given(laurent_series, st.just(0) | big_fractions,
+           big_fractions | st.integers(-5, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_scalars_theta_and_slices(self, f, c, log):
+        f = f.with_log(log)
+        cs = f.coeffs
+        got = f * c
+        assert (got.min_exp, got.trunc_order) == (f.min_exp, f.trunc_order)
+        assert got.coeffs == tuple(x * c for x in cs)
+        assert got.log_coeff == f.log_coeff * c
+        if c:
+            assert (f / c).coeffs == tuple(x / c for x in cs)
+        assert (-f).coeffs == tuple(-x for x in cs)
+        t = f.theta()
+        assert t.coeff_list(f.min_exp, f.trunc_order) == [
+            k * f.coeff(k) + (f.log_coeff if k == 0 else 0)
+            for k in range(f.min_exp, f.trunc_order + 1)]
+        cut = f.truncate(f.trunc_order - 1)
+        assert cut.coeffs == cs[:-1] or (cut.min_exp, cut.coeffs) == (
+            f.trunc_order - 1, (0,))
+        assert f.with_log(0).shift(3).coeffs == cs
+        for s in (got, -f, t, cut):
+            assert_canonical(s)
+
+    @given(st.lists(st.just(0) | big_fractions, min_size=1, max_size=8),
+           st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_product(self, cs, gap):
+        # one factor with a single nonzero past a run of zeros
+        a = q_series(cs)
+        b = q_series([0] * gap + [F(-7, 3)] + [0] * 4)
+        got = a * b
+        n = min(len(a.coeffs), len(b.coeffs))
+        assert list(got.coeffs) == pl_mul(list(a.coeffs), list(b.coeffs), n - 1)
+        assert got == b * a
+
+
 class TestLincomb:
     @given(st.lists(st.tuples(st.just(0) | big_fractions, laurent_series),
                     min_size=1, max_size=5))
@@ -179,6 +332,11 @@ class TestExpLog:
                          log_coeff=1)
         Q = ibar1.exp()
         assert Q.coeff_list(1, 6) == [1, -6, 63, -866, 13899, -246366]
+
+    def test_exp_needs_its_constant_term(self):
+        # known only below q^0, the constant term is unknown: no exp
+        with pytest.raises(SeriesError):
+            q_series([0, 0], min_exp=-2).exp()
 
     def test_exp_requires_integer_log(self):
         with pytest.raises(SeriesError):
