@@ -13,8 +13,10 @@ Subcommands
     selftest
 
 Global flags: --config FILE, a flat key = value file setting q_order,
-margin, format and omega (flags override it); --format json|csv|text;
---out PATH.
+format and omega (flags override it); --format json|csv|text; --out PATH.
+Solving genus g needs q_order >= 2g - 2, and --target both at g >= 3 also
+q_order >= 8; compute elliptic takes its nome order from --order, by
+default the number of E2/E4/E6 monomials of the label's weight plus 10.
 
 Exit status: 0 on success; 1 when an exact verification fails; 2 on bad
 flags or a bad config or data file, before anything is computed; 3 on an
@@ -32,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import acceptance
-from .elliptic import StationaryLabel, connected_extract, default_qorder
+from .elliptic import StationaryLabel, connected_extract, monomial_count
 from .hae import (build_conifold_frame, conifold_expand, gap_target,
                   least_q_order, solve_genus, solve_towers, verify_hae)
 from .locrel import (f1_local_series, genus0_flat_expansion,
@@ -54,15 +56,12 @@ class UsageError(Localp2Error):
 @dataclass(frozen=True)
 class RunConfig:
     q_order: int = 32
-    margin: int = 10
     format: str = "text"
     omega: str = ""
 
     def validate(self):
         if self.q_order < 5:
             raise UsageError("q_order must be >= 5")
-        if self.margin < 0:
-            raise UsageError("margin must be >= 0")
         if self.format not in ("json", "csv", "text"):
             raise UsageError(f"unknown output format {self.format!r}")
 
@@ -190,11 +189,11 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
     label = StationaryLabel(args.genus, args.parts)
     if sum(label.parts) != 2 * label.h - 2:
         raise UsageError(f"--parts must sum to 2*genus - 2 = {2 * label.h - 2}")
-    least = default_qorder(label.weight, margin=0)
+    least = monomial_count(label.weight)
     if args.order is not None and args.order < least:
         raise UsageError(f"--order must be >= {least}, the number of "
                          f"E2/E4/E6 monomials of weight {label.weight}")
-    got = connected_extract(label, qorder=args.order, margin=cfg.margin)
+    got = connected_extract(label, qorder=args.order)
     emit_series("nome_series", got.series, cfg, sink)
     eterms = [{"e2": a, "e4": b, "e6": c, "num": str(v.numerator),
                "den": str(v.denominator)}

@@ -28,12 +28,16 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .graded import Graded, recognize, weight_monomials
-from .quasimod import DEFAULT_MARGIN, _sigma, bernoulli, eisenstein_series
+from .quasimod import _sigma, bernoulli, eisenstein_series
 from .series import Localp2Error, RatSeries, lincomb
 
 F = Fraction
 
 CQT = "cQt"  # nome of the elliptic curve
+
+# nome orders past the monomial count at which a label is recognized by
+# default: the coefficients that check the recognized polynomial
+CHECK_ORDERS = 10
 
 
 class EllipticError(Localp2Error):
@@ -205,12 +209,14 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
     return out
 
 
-def _dim_weight(w: int) -> int:
-    return len(weight_monomials(EPoly.weights, w))
+def monomial_count(weight: int) -> int:
+    """The number of E2/E4/E6 monomials of the weight: the least nome order
+    at which a label of that weight is recognized."""
+    return len(weight_monomials(EPoly.weights, weight))
 
 
-def default_qorder(weight: int, margin: int = DEFAULT_MARGIN) -> int:
-    return _dim_weight(weight) + margin
+def default_qorder(weight: int) -> int:
+    return monomial_count(weight) + CHECK_ORDERS
 
 
 @dataclass(frozen=True)
@@ -249,22 +255,23 @@ def _disconnected(exps: tuple, qorder: int) -> RatSeries:
 
 
 @lru_cache(maxsize=None)
-def connected_extract(label: StationaryLabel, qorder: int | None = None,
-                      margin: int = DEFAULT_MARGIN) -> EllipticSeries:
-    """The stationary series for the label, recognized in Q[E2,E4,E6] of
-    weight sum(a_j + 2).  Labels violating the dimension constraint are
-    rejected; use :func:`stationary_value` for the vanishing-aware wrapper.
+def connected_extract(label: StationaryLabel,
+                      qorder: int | None = None) -> EllipticSeries:
+    """The stationary series for the label through nome order ``qorder``
+    (default_qorder by default), recognized in Q[E2,E4,E6] of weight
+    sum(a_j + 2) from all of its coefficients.  Labels violating the
+    dimension constraint are rejected; use :func:`stationary_value` for the
+    vanishing-aware wrapper.
     """
     label.check_dimension()
     if not label.parts:
         raise EllipticError("empty labels are handled by f1_empty")
     w = label.weight
     if qorder is None:
-        qorder = default_qorder(w, margin)
+        qorder = default_qorder(w)
     exps = tuple(a + 1 for a in label.parts)
     series = connected_coefficient(exps, qorder)
-    value = EPoly(recognize(series, EPoly.weights, w, eisenstein_images(qorder),
-                            margin=min(margin, qorder - _dim_weight(w))))
+    value = EPoly(recognize(series, EPoly.weights, w, eisenstein_images(qorder)))
     return EllipticSeries(label=label, series=series, value=value)
 
 

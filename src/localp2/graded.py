@@ -197,25 +197,25 @@ def evaluate(terms: dict, images: list, one):
     return total
 
 
-def recognize(series: RatSeries, weights: tuple, w: int, images: list,
-              margin: int) -> dict:
+def recognize(series: RatSeries, weights: tuple, w: int,
+              images: list) -> dict:
     """The terms of the unique weight-w polynomial that expands to
     ``series`` when generator i becomes images[i] (each known at least as
-    far as ``series``).  The exact solve is over-determined by ``margin``
-    coefficients, so a series outside the span is rejected."""
+    far as ``series``).  The exact solve is over every coefficient the
+    series carries, so one outside the span is rejected."""
     monos = weight_monomials(weights, w)
-    need = len(monos) + margin
     if (series.valuation() or 0) < 0 or series.log_coeff:
         raise GradedError("a series with poles or logs is not a polynomial")
-    if series.trunc_order < need - 1:
-        raise GradedError(f"insufficient coefficients: need {need}, "
-                          f"have {series.trunc_order + 1}")
-    images = [im.truncate(need - 1) for im in images]
-    one = RatSeries.one(series.var, need - 1)
-    cols = [evaluate({m: 1}, images, one) for m in monos]
+    have = series.trunc_order + 1
+    if have < len(monos):
+        raise GradedError(f"insufficient coefficients: need {len(monos)}, "
+                          f"have {have}")
+    images = [im.truncate(have - 1) for im in images]
+    cols = [evaluate({m: 1}, images, RatSeries.one(series.var, have - 1))
+            for m in monos]
     try:
-        sol = solve_unique([[col.coeff(k) for col in cols] for k in range(need)],
-                           [series.coeff(k) for k in range(need)])
+        sol = solve_unique([[col.coeff(k) for col in cols] for k in range(have)],
+                           series.coeff_list(0, have - 1))
     except LinearSystemError as exc:
         raise GradedError(f"series not in the weight-{w} span: {exc}") from exc
     return {m: v for m, v in zip(monos, sol) if v}

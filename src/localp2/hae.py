@@ -83,28 +83,13 @@ def hae_rhs(g: int, kind: str, tower: DTower) -> BModElement:
     return total
 
 
-@dataclass(frozen=True)
-class AmbiguitySpace:
-    g: int
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.g - 1
-
-    @property
-    def basis(self):
-        return tuple(BModElement.monomial(1, 0, j) for j in range(self.dimension))
-
-
-def integrate_S(rhs: BModElement, g: int):
-    """S-antiderivative of (3 I11^2 / X) * rhs, plus the ambiguity space."""
+def integrate_S(rhs: BModElement) -> BModElement:
+    """S-antiderivative of (3 I11^2 / X) * rhs with no S^0 terms: the
+    particular solution, to which gap_fix adds the ambiguity."""
     if not rhs.is_zero() and rhs.i11_degree != 2:
         raise BModError("anomaly right side must be I11-degree 2")
-    integrand = BModElement(0, {(s, x - 1): 3 * v
-                                for (s, x), v in rhs.terms.items()})
-    particular = BModElement(0, {(s + 1, x): v / (s + 1)
-                                 for (s, x), v in integrand.terms.items()})
-    return particular, AmbiguitySpace(g)
+    return BModElement(0, {(s + 1, x - 1): 3 * v / (s + 1)
+                           for (s, x), v in rhs.terms.items()})
 
 
 # -- conifold frame ---------------------------------------------------------------------
@@ -182,14 +167,10 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
 
 
 def least_q_order(g: int) -> int:
-    """The least mirror order at which genus g is solved: 4g - 5.  The gap
-    itself needs less.  It reads that^-M..that^-1, M = 2g - 2, and
-    conifold_expand takes them from (1/u_inverse)**k, k <= M, which is
-    known through that^(order - k - 1), so order >= M would do.  The bound
-    dates from reading the gap as a quotient by u_inverse**M, known only
-    through that^(order - 2M); it stays so that the orders the CLI accepts,
-    and its message for each one it rejects, do not change."""
-    return 2 * (2 * g - 2) - 1
+    """The least mirror order at which genus g is solved: 2g - 2.  The gap
+    reads that^-M..that^-1, M = 2g - 2, and conifold_expand takes them from
+    (1/u_inverse)**k, k <= M, which is known through that^(order - k - 1)."""
+    return 2 * g - 2
 
 
 def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
@@ -203,14 +184,14 @@ def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
 
 
 def gap_fix(g: int, kind: str, particular: BModElement,
-            ambiguity: AmbiguitySpace, frame: ConifoldFrame,
-            md: MirrorData) -> BModElement:
-    """Fix the holomorphic ambiguity from the gap and the vanishing flat
-    constant term; the (2g-1)-square system must be uniquely solvable."""
+            frame: ConifoldFrame, md: MirrorData) -> BModElement:
+    """Add to ``particular`` the holomorphic ambiguity, a combination of
+    X^0..X^(2g-2), fixed by the gap and the vanishing flat constant term;
+    the (2g-1)-square system must be uniquely solvable."""
     if g < 2:
         raise GapError("gap conditions exist for 2g - 2 >= 2")
     M = 2 * g - 2
-    basis = ambiguity.basis
+    basis = [BModElement.monomial(1, 0, j) for j in range(M + 1)]
 
     def functionals(e: BModElement):
         con = conifold_expand(e, frame, M)
@@ -261,9 +242,8 @@ def solve_genus(g: int, kind: str, md: MirrorData,
         if gp not in tower.elements:
             solve_genus(gp, kind, md, corr)
     rhs = hae_rhs(g, kind, tower)
-    particular, amb = integrate_S(rhs, g)
     frame = build_conifold_frame(md)
-    sol = gap_fix(g, kind, particular, amb, frame, md)
+    sol = gap_fix(g, kind, integrate_S(rhs), frame, md)
     assert_finite_generation(sol, g, kind)
     tower.set_genus(g, sol)
     return sol

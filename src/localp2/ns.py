@@ -136,14 +136,9 @@ def ns_free_energy(table: OmegaTable, dmax: int, hbar_order: int) -> dict:
     return out
 
 
-def ns_genus(table: OmegaTable, g: int, dmax: int,
-             hbar_order: int | None = None) -> RatSeries:
+def ns_genus(table: OmegaTable, g: int, dmax: int) -> RatSeries:
     """(-1)^g-normalized coefficient of hbar^(2g-1) as a flat-degree series."""
-    if hbar_order is None:
-        hbar_order = 2 * g + 1
-    if hbar_order < 2 * g - 1:
-        raise OmegaError("hbar order too small for the requested genus")
-    cols = ns_free_energy(table, dmax, hbar_order)
+    cols = ns_free_energy(table, dmax, 2 * g + 1)
     coeffs = [F(0)] * (dmax + 1)
     for D, col in cols.items():
         coeffs[D] = (-1) ** g * col.coeff(2 * g - 1)

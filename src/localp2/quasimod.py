@@ -19,8 +19,6 @@ from .series import Localp2Error, RatSeries, SeriesError
 
 CQ = "cQ"  # nome for Gamma_1(3) expansions
 
-DEFAULT_MARGIN = 10
-
 
 # -- Bernoulli numbers and Eisenstein series ------------------------------------
 

@@ -51,7 +51,7 @@ class TestConfig:
 
     def test_fields(self):
         assert [f.name for f in fields(RunConfig)] == \
-            ["q_order", "margin", "format", "omega"]
+            ["q_order", "format", "omega"]
 
     def test_unknown_key(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "run.cfg"
@@ -80,7 +80,8 @@ BAD_INPUT = [
     (["compute", "mirror", "--order", "x"], "invalid integer value"),
     (["--config", "{tmp}/q.cfg", "compute", "mirror"], "q_order must be >= 5"),
     (["--config", "{tmp}/text.cfg", "compute", "mirror"], "needs an integer"),
-    (["--config", "{tmp}/margin.cfg", "compute", "mirror"], "margin must be >= 0"),
+    (["--config", "{tmp}/margin.cfg", "compute", "mirror"],
+     "unknown config key 'margin'"),
     (["ns", "compare", "--omega", "{tmp}/missing.json"], "cannot read sheaf"),
     (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
     (["ns", "compare", "--dmax", "3"], "degrees [3]"),
@@ -90,18 +91,18 @@ BAD_INPUT = [
     (["compute", "elliptic", "--genus", "2", "--parts", "1,1", "--order", "2"],
      "--order must be >= 3"),
     # every command that solves a tower checks q_order against the genus
-    (["--config", "{tmp}/q6.cfg", "compute", "local", "--genus", "3"],
-     "genus 3 needs q_order >= 7, got 6"),
-    (["--config", "{tmp}/q6.cfg", "compute", "relative", "--genus", "3"],
-     "genus 3 needs q_order >= 7, got 6"),
-    (["--config", "{tmp}/q6.cfg", "verify", "hae", "--genus", "3", "--target",
-      "local"], "genus 3 needs q_order >= 7, got 6"),
-    (["--config", "{tmp}/q6.cfg", "verify", "gap", "--genus", "3", "--target",
-      "relative"], "genus 3 needs q_order >= 7, got 6"),
-    (["--config", "{tmp}/q6.cfg", "ns", "compare", "--gmax", "3"],
-     "genus 3 needs q_order >= 7, got 6"),
-    (["--config", "{tmp}/q6.cfg", "solve", "--genus", "3", "--target",
-      "local"], "genus 3 needs q_order >= 7, got 6"),
+    (["--config", "{tmp}/q6.cfg", "compute", "local", "--genus", "5"],
+     "genus 5 needs q_order >= 8, got 6"),
+    (["--config", "{tmp}/q6.cfg", "compute", "relative", "--genus", "5"],
+     "genus 5 needs q_order >= 8, got 6"),
+    (["--config", "{tmp}/q6.cfg", "verify", "hae", "--genus", "5", "--target",
+      "local"], "genus 5 needs q_order >= 8, got 6"),
+    (["--config", "{tmp}/q6.cfg", "verify", "gap", "--genus", "5", "--target",
+      "relative"], "genus 5 needs q_order >= 8, got 6"),
+    (["--config", "{tmp}/q6.cfg", "ns", "compare", "--gmax", "5"],
+     "genus 5 needs q_order >= 8, got 6"),
+    (["--config", "{tmp}/q6.cfg", "solve", "--genus", "5", "--target",
+      "local"], "genus 5 needs q_order >= 8, got 6"),
     # flags that did nothing and are gone
     (["--threads=2", "compute", "mirror"], "unrecognized"),
     (["compute", "local", "--genus", "2", "--order", "8"], "unrecognized"),
@@ -119,8 +120,8 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
                                             monkeypatch):
     (tmp_path / "q.cfg").write_text("q_order = 3\n")
     (tmp_path / "q6.cfg").write_text("q_order = 6\n")
-    (tmp_path / "text.cfg").write_text("margin = ten\n")
-    (tmp_path / "margin.cfg").write_text("margin = -1\n")
+    (tmp_path / "text.cfg").write_text("q_order = ten\n")
+    (tmp_path / "margin.cfg").write_text("margin = 10\n")
     (tmp_path / "lopsided.json").write_text(json.dumps({"entries": [
         {"degree": 1, "coeffs": [{"exp2": -2, "c": "1"}, {"exp2": 0, "c": "1"}]},
         {"degree": 2, "coeffs": [{"exp2": 0, "c": "1"}]}]}))
@@ -296,12 +297,13 @@ def test_verify_local_genus8(what, capsys):
 
 # q_order -> genus -> (exit status, stderr, golden stdout or None) of
 # `localp2 --config <q_order = n> solve --genus g --target both`.  Genus g
-# needs q_order >= 4g - 5 (hae.least_q_order), and the consistency triangle
+# needs q_order >= 2g - 2 (hae.least_q_order), and the consistency triangle
 # reads Q^8: below that the input is rejected before any work (exit 2).  The
-# goldens at the floor were recorded before the q_order check.
+# goldens at orders 8 and 11 were recorded before the q_order check, and
+# solve-g4-both-q8.out before the floor moved from 4g - 5 to 2g - 2.
 SMALL_ORDER_RUNS = {
     (5, 3): (2, "error: genus 3 needs q_order >= 8, got 5\n", None),
-    (8, 4): (2, "error: genus 4 needs q_order >= 11, got 8\n", None),
+    (8, 4): (0, "", "solve-g4-both-q8.out"),
     (8, 3): (0, "", "solve-g3-both-q8.out"),
     (11, 4): (0, "", "solve-g4-both-q11.out"),
 }
@@ -316,6 +318,34 @@ def test_solve_at_small_q_order(q_order, genus, capsys, tmp_path):
     want_status, want_err, golden = SMALL_ORDER_RUNS[q_order, genus]
     assert (status, err) == (want_status, want_err)
     assert out == ((GOLDEN / golden).read_text() if golden else "")
+
+
+def generator_blocks(text: str) -> list:
+    """The *_generators lines of a text-format solve report."""
+    return [ln for ln in text.splitlines() if "_generators: " in ln]
+
+
+@pytest.mark.parametrize("golden", ["solve-g4-both-q8.out",
+                                    "solve-g4-both-q11.out"])
+def test_generators_do_not_depend_on_q_order(golden):
+    # only the flat expansions are cut at q_order
+    full = (GOLDEN / "solve-g4-both.out").read_text()
+    assert generator_blocks((GOLDEN / golden).read_text()) == \
+        generator_blocks(full) != []
+
+
+@pytest.mark.parametrize("side", ["local", "relative", "both"])
+@pytest.mark.parametrize("g", range(2, 9))
+def test_least_q_order_accepted_and_next_rejected(g, side, monkeypatch):
+    least = max(5, 2 * g - 2, 8 if side == "both" and g >= 3 else 0)
+    monkeypatch.setattr(cli, "build_mirror_data", lambda q: q)
+    monkeypatch.setattr(cli, "solve_towers", lambda md, g, relative: relative)
+    assert cli.solved_towers(RunConfig(q_order=least), g, side) == \
+        (least, side != "local")
+    if least > 5:
+        with pytest.raises(cli.UsageError, match=f"genus {g} needs q_order "
+                                                 f">= {least}, got {least - 1}"):
+            cli.solved_towers(RunConfig(q_order=least - 1), g, side)
 
 
 def test_readme_command_lines_parse():

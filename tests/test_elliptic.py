@@ -16,7 +16,7 @@ from localp2.elliptic import (
     npoint_disconnected,
     theta_z,
 )
-from localp2.graded import GradedError, evaluate, recognize, weight_monomials
+from localp2.graded import GradedError, evaluate, recognize
 from localp2.series import RatSeries
 
 from oracles import bloch_okounkov_npoint_oracle, connected_coefficient_oracle
@@ -198,14 +198,15 @@ class TestExtract:
                 assert got.value.weight == lbl.weight
 
     def test_margin_coefficients_verified(self):
-        # recognition re-checks margin coefficients; a corrupted series fails
+        # recognition reads every coefficient, the top one included; a
+        # series corrupted at either of the last two fails
         lbl = StationaryLabel(1, (0,))
         qorder = default_qorder(lbl.weight)
         series = connected_coefficient((1,), qorder)
-        bad = series + RatSeries.from_pairs("cQt", {qorder - 1: 1}, qorder)
-        margin = qorder - len(weight_monomials(EPoly.weights, 2))
-        with pytest.raises(GradedError):
-            recognize(bad, EPoly.weights, 2, eisenstein_images(qorder), margin)
+        for k in (qorder - 1, qorder):
+            bad = series + RatSeries.from_pairs("cQt", {k: 1}, qorder)
+            with pytest.raises(GradedError):
+                recognize(bad, EPoly.weights, 2, eisenstein_images(qorder))
 
 
 class TestF1Empty:

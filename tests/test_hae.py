@@ -4,7 +4,6 @@ import pytest
 
 from localp2 import acceptance, hae
 from localp2.hae import (
-    AmbiguitySpace,
     ConifoldFrame,
     GapError,
     assert_finite_generation,
@@ -16,8 +15,10 @@ from localp2.hae import (
     gap_target,
     hae_rhs,
     integrate_S,
+    least_q_order,
     q_constant_term,
     solve_genus,
+    solve_towers,
     verify_hae,
 )
 from localp2.linalg import LinearSystemError
@@ -138,15 +139,16 @@ def polar(elt, frame, M) -> list:
 @pytest.fixture(scope="module")
 def gap_inputs(md):
     """(genus, element) for every particular solution and basis monomial
-    that gap_fix sees while both towers are solved through genus 5."""
+    that gap_fix expands while both towers are solved through genus 5, in
+    the order it expands them."""
     seen = []
 
-    def recording(g, kind, particular, ambiguity, frame, md_):
-        seen.extend((g, e) for e in (particular, *ambiguity.basis))
-        return gap_fix(g, kind, particular, ambiguity, frame, md_)
+    def recording(elt, frame, max_pole):
+        seen.append((max_pole // 2 + 1, elt))
+        return conifold_expand(elt, frame, max_pole)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hae, "gap_fix", recording)
+        mp.setattr(hae, "conifold_expand", recording)
         for kind in ("local", "relative"):
             solve_genus(5, kind, md, Correspondence(md))
     return seen
@@ -207,10 +209,9 @@ class TestGenus2Gap:
             raise raised
 
         monkeypatch.setattr(hae, "solve_unique", solve_unique)
-        particular, amb = integrate_S(hae_rhs(2, "relative",
-                                              DTower(DF1_RELATIVE)), 2)
+        particular = integrate_S(hae_rhs(2, "relative", DTower(DF1_RELATIVE)))
         with pytest.raises(seen):
-            gap_fix(2, "relative", particular, amb, frame, md)
+            gap_fix(2, "relative", particular, frame, md)
 
 
 class TestAnomalyEquation:
@@ -222,11 +223,8 @@ class TestAnomalyEquation:
 
     def test_relative_genus2_integrates_to_x_over_384(self):
         tower = DTower(DF1_RELATIVE)
-        part, amb = integrate_S(hae_rhs(2, "relative", tower), 2)
+        part = integrate_S(hae_rhs(2, "relative", tower))
         assert part == BModElement(0, {(1, 1): F(1, 384)})
-        assert amb.dimension == 3
-        assert [b.terms for b in amb.basis] == [{(0, 0): 1}, {(0, 1): 1},
-                                                {(0, 2): 1}]
 
     def test_relative_genus1_has_no_s_dependence(self):
         assert DF1_RELATIVE.partial("S").is_zero()
@@ -273,14 +271,20 @@ def towers():
             direct.relative.elements[3])
 
 
+def ambiguity_basis(g: int) -> list:
+    return [BModElement.monomial(1, 0, j) for j in range(2 * g - 1)]
+
+
 class TestAmbiguityDimensions:
     @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_dimension_is_2g_minus_1(self, g):
-        amb = AmbiguitySpace(g)
-        assert amb.dimension == 2 * g - 1 == len(amb.basis)
+    def test_dimension_is_2g_minus_1(self, g, gap_inputs):
+        # per tower, gap_fix expands the particular solution, then X^0..X^(2g-2)
+        seen = [e for gp, e in gap_inputs if gp == g]
+        assert len(seen) == 2 * (2 * g)
+        assert seen[1:2 * g] == seen[2 * g + 1:] == ambiguity_basis(g)
         # matches the count of A^a C^c monomials of weight 6g-6
         count = sum(1 for c in range(2 * g - 1) if (6 * g - 6 - 3 * c) >= 0)
-        assert amb.dimension == count
+        assert count == 2 * g - 1
 
 
 @pytest.fixture(scope="module")
@@ -298,11 +302,27 @@ def solved(md):
 class TestQConstantTerm:
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_matches_the_q_expansion(self, md, solved, g):
-        elts = list(AmbiguitySpace(g).basis)
+        elts = ambiguity_basis(g)
         for kind, tower in solved.items():
             elts += [tower.elements[g], hae_rhs(g, kind, tower)]
         for e in elts:
             assert q_constant_term(e, md) == bm_eval(e, md).constant_term()
+
+
+class TestLeastQOrder:
+    def test_is_2g_minus_2(self):
+        assert [least_q_order(g) for g in range(2, 9)] == list(range(2, 16, 2))
+
+    @pytest.mark.parametrize("gmax,relative", [(8, False), (5, True)])
+    def test_towers_at_the_floor_equal_order_32(self, md, gmax, relative):
+        full = solve_towers(md, gmax, relative)
+        kinds = ("local", "relative") if relative else ("local",)
+        for g in range(2, gmax + 1):
+            small = solve_towers(build_mirror_data(max(5, least_q_order(g))),
+                                 g, relative)
+            for kind in kinds:
+                assert small.tower(kind).elements == \
+                    {gp: full.tower(kind).elements[gp] for gp in range(2, g + 1)}
 
 
 class TestGenus4:

@@ -130,10 +130,6 @@ class TestGenusRows:
         assert row.coeff(1) == F(29, 640)
         assert row.coeff(2) == F(-207, 64)
 
-    def test_insufficient_order(self, table):
-        with pytest.raises(OmegaError):
-            ns_genus(table, 2, 1, hbar_order=1)
-
 
 class TestGenus3CrossCheck:
     def test_degree_one_column_predicts_genus3(self, table):

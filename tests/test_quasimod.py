@@ -10,7 +10,6 @@ from localp2.locrel import epoly_to_bmod
 from localp2.mirror import BModElement, bm_to_qmod
 from localp2.quasimod import (
     CQ,
-    DEFAULT_MARGIN,
     QModElement,
     bernoulli,
     eisenstein_series,
@@ -158,11 +157,11 @@ class TestRecognize:
     def test_recognize_e2_level3(self):
         order = 20
         s = eisenstein_series(2, 3, order) * 3
-        got = recognize(s, WEIGHTS, 2, abc(order), margin=6)
+        got = recognize(s, WEIGHTS, 2, abc(order))
         assert QModElement(0, got) == 2 * B + A ** 2
 
     def test_recognize_one(self):
-        got = recognize(RatSeries.one(CQ, 15), WEIGHTS, 0, abc(15), margin=5)
+        got = recognize(RatSeries.one(CQ, 15), WEIGHTS, 0, abc(15))
         assert QModElement(0, got) == QModElement.const(1)
 
     def test_recognize_with_pole(self):
@@ -171,7 +170,7 @@ class TestRecognize:
         e = QModElement(2, {(6, 0, 0): F(-37, 11520), (4, 1, 0): F(5, 11520),
                             (3, 0, 1): F(48, 11520), (0, 0, 2): F(-16, 11520)})
         s = qm_to_qseries(e, order) * generator_series("C", order) ** 2
-        got = recognize(s, WEIGHTS, 6, abc(order), DEFAULT_MARGIN)
+        got = recognize(s, WEIGHTS, 6, abc(order))
         assert QModElement(2, got) == e
 
     def test_random_roundtrip_and_rejection(self):
@@ -181,16 +180,16 @@ class TestRecognize:
             e = QModElement(0, {m: rng.randint(-5, 5) for m in monos})
             order = len(monos) + 12
             s = qm_to_qseries(e, order)
-            got = recognize(s, WEIGHTS, weight, abc(order), DEFAULT_MARGIN)
+            got = recognize(s, WEIGHTS, weight, abc(order))
             assert QModElement(0, got) == e
-            # perturb one coefficient inside the verification margin: rejected
+            # perturb one coefficient past the monomial count: rejected
             bad = s + RatSeries.from_pairs(CQ, {len(monos) + 5: 1}, order)
             with pytest.raises(GradedError):
-                recognize(bad, WEIGHTS, weight, abc(order), DEFAULT_MARGIN)
+                recognize(bad, WEIGHTS, weight, abc(order))
 
     def test_insufficient_coefficients(self):
         with pytest.raises(GradedError):
-            recognize(RatSeries.one(CQ, 3), WEIGHTS, 6, abc(3), DEFAULT_MARGIN)
+            recognize(RatSeries.one(CQ, 3), WEIGHTS, 6, abc(3))
 
 
 class TestSl2Embed:
