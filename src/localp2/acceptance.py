@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .elliptic import (
+    EllipticError,
     EPoly,
     StationaryLabel,
     connected_extract,
-    elliptic_hae_check,
+    stationary_value,
 )
 from .hae import (
     build_conifold_frame,
@@ -43,8 +45,8 @@ from .mirror import (
 from .ns import compare_ns_relative, default_omega_path, load_omega
 from .quasimod import (
     QModElement,
+    derivation_identities,
     generator_series,
-    qm_derive,
     qm_to_qseries,
 )
 from .series import RatSeries
@@ -81,17 +83,6 @@ def _fmt(x: Fraction) -> str:
 
 # -- checks shared with the command line ----------------------------------------------
 
-def derivation_identities(order: int) -> dict:
-    """For each generator A, B, C: whether the q-expansion of its
-    Ramanujan derivative is theta of its q-expansion through q^order."""
-    out = {}
-    for name in "ABC":
-        e = QModElement.gen(name)
-        lhs = qm_to_qseries(qm_derive(e), order)
-        out[name] = lhs.agrees_with(qm_to_qseries(e, order).theta(), order)
-    return out
-
-
 def consistency_triangle(md, via_corr: BModElement,
                          direct: BModElement) -> tuple[bool, list]:
     """Compare a relative series through the correspondence with the one
@@ -100,6 +91,80 @@ def consistency_triangle(md, via_corr: BModElement,
     a, b = (bm_eval(e, md, target="Q").coeff_list(0, TRIANGLE_DEGREE)
             for e in (via_corr, direct))
     return a == b, a
+
+
+# -- holomorphic anomaly equation for the curve --------------------------------------
+
+def _remove(parts: tuple, idx) -> list:
+    return [a for i, a in enumerate(parts) if i not in idx]
+
+
+def elliptic_hae_check(label: StationaryLabel) -> dict:
+    """Verify -24 d/dE2 F_{h,a} against the loop + splitting - gluing
+    combination dictated by the anomaly equation, in Q[E2,E4,E6].
+
+    Returns a report dict; report["ok"] is the verdict.
+    """
+    label.check_dimension()
+    h, parts = label.h, label.parts
+    n = len(parts)
+    if 2 * h - 2 + n <= 0:
+        raise EllipticError("unstable label")
+    lhs = connected_extract(label).value.partial("E2") * (-24)
+
+    loop = EPoly.zero()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                new = _remove(parts, {i}) + [parts[i] - 2]
+            else:
+                new = _remove(parts, {i, j}) + [parts[i] - 1, parts[j] - 1]
+            loop = loop + stationary_value(h - 1, new)
+    if (h, parts) == (1, (0,)):
+        # the unstable genus-zero three-point value survives the string
+        # equation reduction and contributes exactly 1
+        loop = loop + 1
+
+    split = EPoly.zero()
+    for mask in range(1 << n):
+        I = [i for i in range(n) if mask >> i & 1]
+        Ic = [i for i in range(n) if not mask >> i & 1]
+        if not I or not Ic:
+            continue
+        for i in I:
+            s1 = sum(parts[k] for k in I) - 1
+            if s1 % 2:
+                continue
+            h1 = s1 // 2 + 1
+            h2 = h - h1
+            left = stationary_value(h1, [parts[k] - (1 if k == i else 0)
+                                         for k in I])
+            if left.is_zero():
+                continue
+            for j in Ic:
+                right = stationary_value(h2, [parts[k] - (1 if k == j else 0)
+                                              for k in Ic])
+                split = split + left * right
+
+    glue = EPoly.zero()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            coef = comb(parts[i] + parts[j] + 1, parts[i])
+            glue = glue + coef * stationary_value(
+                h, _remove(parts, {i, j}) + [parts[i] + parts[j]])
+
+    rhs = loop + split - 2 * glue
+    return {
+        "label": (h, parts),
+        "lhs": lhs,
+        "rhs": rhs,
+        "loop": loop,
+        "split": split,
+        "glue": glue,
+        "ok": lhs == rhs,
+    }
 
 
 # -- criteria ---------------------------------------------------------------------------

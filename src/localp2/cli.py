@@ -28,12 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-from . import acceptance
+# acceptance and traceback are imported in the paths that use them, so that
+# every other command starts without them
 from .elliptic import StationaryLabel, connected_extract, monomial_count
 from .hae import (build_conifold_frame, conifold_expand, gap_target,
                   least_q_order, solve_genus, solve_towers, verify_hae)
@@ -41,7 +41,7 @@ from .locrel import (f1_local_series, genus0_flat_expansion,
                      relative_flat_expansion, relative_flat_tower)
 from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data
 from .ns import compare_ns_relative, default_omega_path, load_omega
-from .quasimod import QModElement, qmod_to_json
+from .quasimod import QModElement, derivation_identities, qmod_to_json
 from .series import Localp2Error, RatSeries, series_to_json
 
 VERIFY_ERROR = 1
@@ -53,11 +53,11 @@ class UsageError(Localp2Error):
     """Bad flags or a bad config or data file, found before any work."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    q_order: int = 32
-    format: str = "text"
-    omega: str = ""
+class RunConfig(namedtuple("RunConfig", "q_order format omega",
+                           defaults=(32, "text", ""))):
+    """The settable values; a config key is an integer when its default is."""
+
+    __slots__ = ()
 
     def validate(self):
         if self.q_order < 5:
@@ -75,7 +75,8 @@ def load_config(path: str | None) -> RunConfig:
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     values = {}
-    int_fields = {f.name for f in fields(RunConfig) if f.type == "int"}
+    int_fields = {k for k, v in RunConfig._field_defaults.items()
+                  if isinstance(v, int)}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -84,13 +85,13 @@ def load_config(path: str | None) -> RunConfig:
             raise UsageError(f"config line {lineno} is not key=value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in {f.name for f in fields(RunConfig)}:
+        if key not in RunConfig._fields:
             raise UsageError(f"unknown config key {key!r}")
         try:
             values[key] = int(val) if key in int_fields else val
         except ValueError:
             raise UsageError(f"config key {key!r} needs an integer") from None
-    return replace(cfg, **values)
+    return cfg._replace(**values)
 
 
 # -- emission -------------------------------------------------------------------------
@@ -149,7 +150,8 @@ def solved_towers(cfg: RunConfig, g: int, side: str):
     the consistency triangle, is rejected before any work."""
     least = least_q_order(g)
     if side == "both" and g >= 3:
-        least = max(least, acceptance.TRIANGLE_DEGREE)
+        from .acceptance import TRIANGLE_DEGREE
+        least = max(least, TRIANGLE_DEGREE)
     if cfg.q_order < least:
         raise UsageError(f"genus {g} needs q_order >= {least}, "
                          f"got {cfg.q_order}")
@@ -219,7 +221,8 @@ def cmd_solve(args, cfg, sink) -> int:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
     if args.target == "both" and g >= 3:
-        agree, _ = acceptance.consistency_triangle(
+        from .acceptance import consistency_triangle
+        agree, _ = consistency_triangle(
             md, corr.relative.elements[g], solve_genus(g, "relative", md))
         sink(f"consistency triangle at genus {g}: "
              f"{'PASS' if agree else 'FAIL'}")
@@ -229,7 +232,7 @@ def cmd_solve(args, cfg, sink) -> int:
 
 
 def cmd_verify_ramanujan(args, cfg, sink) -> int:
-    checks = acceptance.derivation_identities(args.order)
+    checks = derivation_identities(args.order)
     for name, ok in checks.items():
         sink(f"derivation identity for {name}: {'PASS' if ok else 'FAIL'} "
              f"(order {args.order})")
@@ -283,6 +286,7 @@ def cmd_ns_compare(args, cfg, sink) -> int:
 
 
 def cmd_selftest(args, cfg, sink) -> int:
+    from . import acceptance
     report = acceptance.run_report()
     ok12, detail = acceptance.criterion_12_determinism(report)
     report += f"criterion 12 [determinism]: {'PASS' if ok12 else 'FAIL'} " \
@@ -372,13 +376,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.format is not None:
-            cfg = replace(cfg, format=args.format)
+            cfg = cfg._replace(format=args.format)
         cfg.validate()
         status = args.fn(args, cfg, lines.append)
     except Localp2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, UsageError) else VERIFY_ERROR
     except Exception:  # a bug: keep its traceback
+        import traceback
         traceback.print_exc()
         return INTERNAL_ERROR
     text = "\n".join(lines) + ("\n" if lines else "")

@@ -20,7 +20,7 @@ that tag is the coefficient of log of the *signed* nome (-1)^(E.E) * nome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -46,16 +46,16 @@ class EllipticError(Localp2Error):
 
 # -- labels ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StationaryLabel:
+class StationaryLabel(namedtuple("StationaryLabel", "h parts")):
     """Genus h and descendent exponents a (weakly decreasing)."""
-    h: int
-    parts: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
-        if self.h < 0 or any(a < 0 for a in self.parts):
+    __slots__ = ()
+
+    def __new__(cls, h: int, parts):
+        parts = tuple(sorted(parts, reverse=True))
+        if h < 0 or any(a < 0 for a in parts):
             raise EllipticError("negative genus or descendent exponent")
+        return super().__new__(cls, h, parts)
 
     def check_dimension(self):
         if sum(self.parts) != 2 * self.h - 2:
@@ -219,11 +219,8 @@ def default_qorder(weight: int) -> int:
     return monomial_count(weight) + CHECK_ORDERS
 
 
-@dataclass(frozen=True)
-class EllipticSeries:
-    label: StationaryLabel
-    series: RatSeries        # nome expansion
-    value: EPoly             # recognized form
+# label: StationaryLabel; series: the nome expansion; value: the recognized EPoly
+EllipticSeries = namedtuple("EllipticSeries", "label series value")
 
 
 @lru_cache(maxsize=None)
@@ -297,77 +294,3 @@ def f1_empty(qorder: int) -> RatSeries:
     for nn in range(1, qorder + 1):
         coeffs[nn] = F(_sigma(nn, 1), nn)
     return RatSeries(CQT, 0, coeffs, log_coeff=F(-1, 24))
-
-
-# -- holomorphic anomaly equation for the curve --------------------------------------
-
-def _remove(parts: tuple, idx) -> list:
-    return [a for i, a in enumerate(parts) if i not in idx]
-
-
-def elliptic_hae_check(label: StationaryLabel) -> dict:
-    """Verify -24 d/dE2 F_{h,a} against the loop + splitting - gluing
-    combination dictated by the anomaly equation, in Q[E2,E4,E6].
-
-    Returns a report dict; report["ok"] is the verdict.
-    """
-    label.check_dimension()
-    h, parts = label.h, label.parts
-    n = len(parts)
-    if 2 * h - 2 + n <= 0:
-        raise EllipticError("unstable label")
-    lhs = connected_extract(label).value.partial("E2") * (-24)
-
-    loop = EPoly.zero()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                new = _remove(parts, {i}) + [parts[i] - 2]
-            else:
-                new = _remove(parts, {i, j}) + [parts[i] - 1, parts[j] - 1]
-            loop = loop + stationary_value(h - 1, new)
-    if (h, parts) == (1, (0,)):
-        # the unstable genus-zero three-point value survives the string
-        # equation reduction and contributes exactly 1
-        loop = loop + 1
-
-    split = EPoly.zero()
-    for mask in range(1 << n):
-        I = [i for i in range(n) if mask >> i & 1]
-        Ic = [i for i in range(n) if not mask >> i & 1]
-        if not I or not Ic:
-            continue
-        for i in I:
-            s1 = sum(parts[k] for k in I) - 1
-            if s1 % 2:
-                continue
-            h1 = s1 // 2 + 1
-            h2 = h - h1
-            left = stationary_value(h1, [parts[k] - (1 if k == i else 0)
-                                         for k in I])
-            if left.is_zero():
-                continue
-            for j in Ic:
-                right = stationary_value(h2, [parts[k] - (1 if k == j else 0)
-                                              for k in Ic])
-                split = split + left * right
-
-    glue = EPoly.zero()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            coef = comb(parts[i] + parts[j] + 1, parts[i])
-            glue = glue + coef * stationary_value(
-                h, _remove(parts, {i, j}) + [parts[i] + parts[j]])
-
-    rhs = loop + split - 2 * glue
-    return {
-        "label": (h, parts),
-        "lhs": lhs,
-        "rhs": rhs,
-        "loop": loop,
-        "split": split,
-        "glue": glue,
-        "ok": lhs == rhs,
-    }

@@ -22,7 +22,6 @@ before being trusted at higher genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -94,11 +93,12 @@ def integrate_S(rhs: BModElement) -> BModElement:
 
 # -- conifold frame ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ConifoldFrame:
-    that: RatSeries     # flat coordinate, u + O(u^2)
-    s_con: RatSeries    # frame propagator, Laurent in u from u^-1
-    u_inverse: RatSeries  # reversion: u as a series in the flat coordinate
+    def __init__(self, *, that: RatSeries, s_con: RatSeries,
+                 u_inverse: RatSeries):
+        self.that = that  # flat coordinate, u + O(u^2)
+        self.s_con = s_con  # frame propagator, Laurent in u from u^-1
+        self.u_inverse = u_inverse  # reversion: u in the flat coordinate
 
     @cached_property
     def _pole_table(self) -> list:
@@ -235,6 +235,10 @@ def solve_genus(g: int, kind: str, md: MirrorData,
                 corr: Correspondence | None = None) -> BModElement:
     """Anomaly + gap determination of the genus-g series; lower genera are
     solved recursively and registered in the corresponding tower."""
+    least = least_q_order(g)
+    if md.order < least:
+        raise GapError(f"genus {g} needs mirror order >= {least}, "
+                       f"got {md.order}")
     if corr is None:
         corr = Correspondence(md)
     tower = corr.tower(kind)

@@ -18,7 +18,7 @@ series level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -40,11 +40,8 @@ F = Fraction
 
 # -- correction-term enumeration ----------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrTerm:
-    h: int
-    legs: tuple          # sorted tuple of (a_j, g_j), each != (0, 0)
-    aut_order: int
+# legs: the sorted tuple of (a_j, g_j), each != (0, 0)
+CorrTerm = namedtuple("CorrTerm", "h legs aut_order")
 
 
 def _aut_order(legs) -> int:

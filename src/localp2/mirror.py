@@ -134,7 +134,7 @@ def _conifold_flat(order: int) -> RatSeries:
 
 # -- the assembled mirror data ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # perfbench/tracer.py reads __dataclass_fields__
 class MirrorData:
     order: int
     ibar1: RatSeries      # q-series, no log

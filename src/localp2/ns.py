@@ -19,7 +19,6 @@ Morrison structure of the flat genus-0 expansion.  Genus rows follow from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -35,10 +34,11 @@ class OmegaError(Localp2Error):
     pass
 
 
-@dataclass(frozen=True)
 class OmegaTable:
     """Map degree -> {exponent in half-units -> integer coefficient}."""
-    entries: dict
+
+    def __init__(self, entries: dict):
+        self.entries = entries
 
     def polynomial(self, d: int) -> dict:
         if d not in self.entries:

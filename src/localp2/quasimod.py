@@ -182,6 +182,17 @@ def qm_to_qseries(e: QModElement, order: int) -> RatSeries:
     return num
 
 
+def derivation_identities(order: int) -> dict:
+    """For each generator A, B, C: whether the q-expansion of its
+    Ramanujan derivative is theta of its q-expansion through q^order."""
+    out = {}
+    for name in "ABC":
+        e = QModElement.gen(name)
+        lhs = qm_to_qseries(qm_derive(e), order)
+        out[name] = lhs.agrees_with(qm_to_qseries(e, order).theta(), order)
+    return out
+
+
 def qmod_to_json(e: QModElement) -> dict:
     return {
         "c_pole": e.c_pole,

@@ -22,18 +22,34 @@ JOBS = {
     "cli-mix/elliptic-2-11.out": ["cli", "--format", "json", "compute",
                                   "elliptic", "--genus", "2", "--parts", "1,1"],
     "genus4-hae/genus4-hae.out": ["genus4-hae", "local"],
+    "cli-mix/ramanujan-50.out": ["cli", "verify", "ramanujan", "--order", "50"],
 }
+
+
+def run_traced(job, golden: Path, tmp_path):
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), str(report), "--trace", *job],
+        cwd=ROOT, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden.read_bytes()
+    data = json.loads(report.read_text())
+    assert data["spans"]
+    assert data["counts"]["series.mul.calls"] > 0
+    return data
 
 
 @pytest.mark.parametrize("golden", sorted(JOBS))
 def test_traced_child_matches_golden(golden, tmp_path):
-    report = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "child.py"), str(report), "--trace",
-         *JOBS[golden]],
-        cwd=ROOT, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (BENCH / "golden" / golden).read_bytes()
-    data = json.loads(report.read_text())
-    assert data["spans"]
-    assert data["counts"]["series.mul.calls"] > 0
+    run_traced(JOBS[golden], BENCH / "golden" / golden, tmp_path)
+
+
+def test_traced_check_path_matches_golden(tmp_path):
+    # imports localp2.acceptance only after the tracer has patched the
+    # library, so its calls into the library are traced too
+    data = run_traced(["cli", "--format", "json", "solve", "--genus", "3",
+                       "--target", "both"],
+                      ROOT / "tests" / "golden" / "solve-g3-both-json.out",
+                      tmp_path)
+    # two flat expansions printed, and the two the triangle compares
+    assert [name for name, *_ in data["spans"]].count("mirror.bm_eval") == 4

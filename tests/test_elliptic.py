@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from localp2.acceptance import elliptic_hae_check
 from localp2.elliptic import (
     EPoly,
     EllipticError,
@@ -11,7 +12,6 @@ from localp2.elliptic import (
     connected_extract,
     default_qorder,
     eisenstein_images,
-    elliptic_hae_check,
     f1_empty,
     npoint_disconnected,
     theta_z,

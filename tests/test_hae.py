@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -323,6 +324,21 @@ class TestLeastQOrder:
             for kind in kinds:
                 assert small.tower(kind).elements == \
                     {gp: full.tower(kind).elements[gp] for gp in range(2, g + 1)}
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_one_order_lower_is_rejected_before_any_series_work(self, g):
+        # mirror data that carries only its order: any series work fails
+        md = SimpleNamespace(order=2 * g - 3)
+        for kind in ("local", "relative"):
+            with pytest.raises(GapError, match=f"genus {g} needs mirror order "
+                                               f">= {2 * g - 2}, got {2 * g - 3}"):
+                solve_genus(g, kind, md)
+
+    @pytest.mark.parametrize("g", range(4, 9))
+    def test_towers_one_order_lower_raise_gap_error(self, g):
+        # below order 5 there is no mirror data to build
+        with pytest.raises(GapError, match=f"genus {g} needs mirror order"):
+            solve_towers(build_mirror_data(2 * g - 3), g, False)
 
 
 class TestGenus4:
