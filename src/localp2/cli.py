@@ -197,12 +197,16 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
                          f"E2/E4/E6 monomials of weight {label.weight}")
     got = connected_extract(label, qorder=args.order)
     emit_series("nome_series", got.series, cfg, sink)
-    eterms = [{"e2": a, "e4": b, "e6": c, "num": str(v.numerator),
-               "den": str(v.denominator)}
-              for (a, b, c), v in sorted(got.value.terms.items())]
+    terms = sorted(got.value.terms.items())
     if cfg.format == "json":
+        eterms = [{"e2": a, "e4": b, "e6": c, "num": str(v.numerator),
+                   "den": str(v.denominator)} for (a, b, c), v in terms]
         sink(json.dumps({"name": "eisenstein_polynomial",
                          "weight": got.value.weight, "terms": eterms}, indent=2))
+    elif cfg.format == "csv":
+        sink(f"# eisenstein_polynomial weight={got.value.weight}")
+        for (a, b, c), v in terms:
+            sink(f"{a},{b},{c},{v.numerator},{v.denominator}")
     else:
         sink(f"eisenstein_polynomial: {got.value!r}")
     return 0
@@ -270,7 +274,7 @@ def cmd_ns_compare(args, cfg, sink) -> int:
         table = load_omega(omega_path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read sheaf table {omega_path}: {exc}") from exc
-    missing = [d for d in range(1, args.dmax + 1) if d not in table.entries]
+    missing = [d for d in range(1, args.dmax + 1) if d not in table]
     if missing:
         raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
                          f"degrees {missing}, which {omega_path} lacks")

@@ -9,8 +9,9 @@ coefficient of prod_j z_j^{e_j} is
 
 summed over all partitions up to the nome order (Bloch-Okounkov 2000;
 Okounkov-Pandharipande, GW theory, Hurwitz theory and completed cycles).
-The z-coefficients of B_lambda have a closed form, cached per exponent as
-one column over all partitions, so every label of a genus shares them.
+The q^d coefficient sums over the partitions of d alone, so the closed-form
+z-coefficients of B_lambda are cached as one column per exponent and
+partition size, shared by every label and every nome order.
 
 Connected functions follow by the exponential formula on multiplicity
 vectors; coefficients are recognized in the weight-graded ring Q[E2, E4, E6].
@@ -25,10 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
-from operator import mul
 
 from .graded import Graded, recognize, weight_monomials
-from .quasimod import _sigma, bernoulli, eisenstein_series
+from .quasimod import _sigma, bernoulli, eisenstein_series, euler_product
 from .series import Localp2Error, RatSeries, lincomb
 
 F = Fraction
@@ -151,37 +151,33 @@ def _partitions_of(d: int, largest: int | None = None):
 
 
 @lru_cache(maxsize=None)
-def _partitions(qorder: int) -> tuple:
-    """Every partition of size <= qorder, smallest sizes first."""
-    return tuple(lam for d in range(qorder + 1) for lam in _partitions_of(d))
+def _partitions(d: int) -> tuple:
+    """The partitions of exactly d."""
+    return tuple(_partitions_of(d))
 
 
 @lru_cache(maxsize=None)
-def _column(e: int, qorder: int) -> tuple[tuple, int]:
-    """[z^e] B_lambda(z) for every partition in _partitions(qorder), e >= 1,
-    as integer numerators over one denominator.
+def _constants(e: int) -> tuple[int, int, int]:
+    """The pole numerator, the unit and the denominator of exponent e >= 1.
 
     The pole part 1/(2 sinh(z/2)) contributes (2^-e - 1) B_{e+1}/(e+1)!;
     each part lambda_i contributes the z^e coefficient of
-    exp((lambda_i - i + 1/2) z) - exp((1/2 - i) z).
+    exp((lambda_i - i + 1/2) z) - exp((1/2 - i) z), an integer over 2^e e!.
     """
     pole = (F(1, 2 ** e) - 1) * bernoulli(e + 1) / factorial(e + 1)
     scale = 2 ** e * factorial(e)
     den = lcm(pole.denominator, scale)
-    pole_num, unit = pole.numerator * (den // pole.denominator), den // scale
-    nums = tuple(pole_num + unit * sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
-                                       for i, part in enumerate(lam, start=1))
-                 for lam in _partitions(qorder))
-    return nums, den
+    return pole.numerator * (den // pole.denominator), den // scale, den
 
 
 @lru_cache(maxsize=None)
-def _euler(qorder: int) -> RatSeries:
-    """prod_{m>=1} (1 - nome^m), truncated at qorder."""
-    out = RatSeries.one(CQT, qorder)
-    for m in range(1, qorder + 1):
-        out = out - out.shift(m)
-    return out
+def _column(e: int, d: int) -> tuple:
+    """[z^e] B_lambda(z) for every partition of d, as integer numerators
+    over the denominator of _constants(e)."""
+    pole_num, unit, _ = _constants(e)
+    return tuple(pole_num + unit * sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
+                                       for i, part in enumerate(lam, start=1))
+                 for lam in _partitions(d))
 
 
 @lru_cache(maxsize=None)
@@ -192,20 +188,15 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
     ``degree`` to the nome series of prod_j z_j^{e_j} in
     prod_m (1 - q^m) * sum_lambda q^|lambda| prod_j B_lambda(z_j).
     """
-    sizes = [sum(lam) for lam in _partitions(qorder)]
     out = {}
     for exps in _partitions_of(degree):
         if len(exps) != n:
             continue
-        columns = [_column(e, qorder) for e in exps]
-        den = prod(d for _, d in columns)
-        vals = [1] * len(sizes)  # the empty product counts every partition
-        for c, _ in columns:
-            vals = map(mul, vals, c)
-        nums = [0] * (qorder + 1)
-        for size, v in zip(sizes, vals):
-            nums[size] += v
-        out[exps] = RatSeries.over(CQT, 0, nums, den) * _euler(qorder)
+        den = prod(_constants(e)[2] for e in exps)
+        # q^d sums over the partitions of d; with no columns each counts 1
+        nums = [sum(map(prod, zip(*(_column(e, d) for e in exps)))) if exps
+                else len(_partitions(d)) for d in range(qorder + 1)]
+        out[exps] = RatSeries.over(CQT, 0, nums, den) * euler_product(1, qorder, CQT)
     return out
 
 

@@ -34,18 +34,6 @@ class OmegaError(Localp2Error):
     pass
 
 
-class OmegaTable:
-    """Map degree -> {exponent in half-units -> integer coefficient}."""
-
-    def __init__(self, entries: dict):
-        self.entries = entries
-
-    def polynomial(self, d: int) -> dict:
-        if d not in self.entries:
-            raise OmegaError(f"no sheaf invariants for degree {d}")
-        return self.entries[d]
-
-
 def _validate_entry(d: int, coeffs: dict) -> dict:
     out = {int(e): int(c) for e, c in coeffs.items() if int(c)}
     for e, c in out.items():
@@ -55,9 +43,10 @@ def _validate_entry(d: int, coeffs: dict) -> dict:
     return out
 
 
-def load_omega(path) -> OmegaTable:
-    """Read the JSON table; per-chi sub-entries are averaged over the d
-    residues if present."""
+def load_omega(path) -> dict:
+    """Read the JSON table as {degree: {exponent in half-units: integer
+    coefficient}}; per-chi sub-entries are averaged over the d residues if
+    present."""
     data = json.loads(Path(path).read_text())
     entries: dict = {}
     for item in data["entries"]:
@@ -80,7 +69,7 @@ def load_omega(path) -> OmegaTable:
         else:
             pairs = {int(c["exp2"]): int(c["c"]) for c in item["coeffs"]}
         entries[d] = _validate_entry(d, pairs)
-    return OmegaTable(entries)
+    return entries
 
 
 def default_omega_path() -> Path:
@@ -118,7 +107,7 @@ def omega_cosine_sum(poly: dict, k: int, order: int) -> RatSeries:
     return out
 
 
-def ns_free_energy(table: OmegaTable, dmax: int, hbar_order: int) -> dict:
+def ns_free_energy(table: dict, dmax: int, hbar_order: int) -> dict:
     """Degree columns of the free energy, exact odd Laurent series."""
     out: dict[int, RatSeries] = {}
     for D in range(1, dmax + 1):
@@ -127,16 +116,16 @@ def ns_free_energy(table: OmegaTable, dmax: int, hbar_order: int) -> dict:
             if D % k:
                 continue
             d = D // k
-            if d not in table.entries:
+            if d not in table:
                 raise OmegaError(f"degree {d} missing from the sheaf table")
-            term = omega_cosine_sum(table.polynomial(d), k, hbar_order + 1) \
+            term = omega_cosine_sum(table[d], k, hbar_order + 1) \
                 * _inv_2sin_half(k, hbar_order) * F(1, k * k)
             col = col + term
         out[D] = col
     return out
 
 
-def ns_genus(table: OmegaTable, g: int, dmax: int) -> RatSeries:
+def ns_genus(table: dict, g: int, dmax: int) -> RatSeries:
     """(-1)^g-normalized coefficient of hbar^(2g-1) as a flat-degree series."""
     cols = ns_free_energy(table, dmax, 2 * g + 1)
     coeffs = [F(0)] * (dmax + 1)
@@ -145,7 +134,7 @@ def ns_genus(table: OmegaTable, g: int, dmax: int) -> RatSeries:
     return RatSeries("Q", 0, coeffs)
 
 
-def compare_ns_relative(table: OmegaTable, gmax: int, dmax: int,
+def compare_ns_relative(table: dict, gmax: int, dmax: int,
                         relative_flat: dict) -> dict:
     """Per-(g, d) equality verdicts against the log-free flat expansions of
     the relative tower (a dict g -> RatSeries in Q)."""

@@ -65,6 +65,15 @@ def eisenstein_series(k: int, level_multiplier: int = 1, order: int = 20,
 
 # -- eta quotients ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def euler_product(m: int, order: int, var: str = CQ) -> RatSeries:
+    """prod_{n>=1} (1 - v^(m n)), truncated at ``order``."""
+    out = RatSeries.one(var, order)
+    for n in range(1, order // m + 1):
+        out = out - out.shift(m * n)
+    return out
+
+
 def eta_quotient_series(spec, order: int, var: str = CQ) -> RatSeries:
     """q-expansion of prod eta(m*tau)^e for (m, e) pairs in ``spec``.
 
@@ -76,10 +85,7 @@ def eta_quotient_series(spec, order: int, var: str = CQ) -> RatSeries:
     shift = pref24 // 24
     out = RatSeries.one(var, order)
     for m, e in spec:
-        factor = RatSeries.one(var, order)
-        for n in range(1, order // m + 1):
-            term = RatSeries.from_pairs(var, {0: 1, m * n: -1}, order)
-            factor = factor * term
+        factor = euler_product(m, order, var)
         out = out * factor ** e if e >= 0 else out / factor ** (-e)
     return out.shift(shift)
 

@@ -255,6 +255,10 @@ GOLDEN_RUNS = {
     # theta_u by its coefficient formula
     "solve-g8-local.out": ["solve", "--genus", "8", "--target", "local"],
     "selftest.out": ["selftest"],
+    # recorded when the CSV format began to print the Eisenstein polynomial
+    # as a CSV block instead of a text line
+    "elliptic-g2-11-csv.out": ["--format", "csv", "compute", "elliptic",
+                               "--genus", "2", "--parts", "1,1"],
 }
 
 

@@ -112,6 +112,24 @@ class TestDisconnected:
         expect = bloch_okounkov_npoint_oracle(exps, qorder)
         assert got.coeff_list(0, qorder) == expect
 
+    def test_four_point_against_partition_sum_oracle_past_size_nine(self):
+        # order 12 reaches the partitions of 10, 11 and 12
+        qorder = 12
+        got = npoint_disconnected(4, 8, qorder)[(2, 2, 2, 2)]
+        expect = bloch_okounkov_npoint_oracle((2, 2, 2, 2), qorder)
+        assert got.coeff_list(0, qorder) == expect
+
+    def test_lower_order_is_a_truncation(self):
+        # the q^d coefficient sums over the partitions of d alone, so a group
+        # at order 9 is the order-14 group truncated at 9
+        for n in range(5):
+            for degree in range(9):
+                low = npoint_disconnected(n, degree, 9)
+                high = npoint_disconnected(n, degree, QORDER)
+                assert low.keys() == high.keys(), (n, degree)
+                for exps, series in low.items():
+                    assert series == high[exps].truncate(9), exps
+
     def test_empty_bracket_is_one(self):
         # no columns: the empty product counts 1 for every partition, and
         # sum_lambda q^|lambda| * prod_m (1 - q^m) = 1

@@ -48,13 +48,13 @@ def hand_degree_one_column(order):
 
 class TestLoad:
     def test_shipped_table(self, table):
-        assert sorted(table.entries) == [1, 2]
-        assert table.polynomial(1) == OMEGA1
-        assert table.polynomial(2) == OMEGA2
+        assert sorted(table) == [1, 2]
+        assert table[1] == OMEGA1
+        assert table[2] == OMEGA2
 
     def test_values_at_one_are_bps_numbers(self, table):
-        assert sum(table.polynomial(1).values()) == 3
-        assert sum(table.polynomial(2).values()) == -6
+        assert sum(table[1].values()) == 3
+        assert sum(table[2].values()) == -6
 
     def test_palindrome_enforced(self, tmp_path):
         path = tmp_path / "lopsided.json"
@@ -79,7 +79,7 @@ class TestLoad:
         p = tmp_path / "omega.json"
         p.write_text(json.dumps(blob))
         t = load_omega(p)
-        assert t.polynomial(2) == {-1: -2, 1: -2}
+        assert t[2] == {-1: -2, 1: -2}
 
 
 class TestFreeEnergy:
