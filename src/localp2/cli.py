@@ -19,8 +19,9 @@ q_order >= 8; compute elliptic takes its nome order from --order, by
 default the number of E2/E4/E6 monomials of the label's weight plus 10.
 
 Exit status: 0 on success; 1 when an exact verification fails; 2 on bad
-flags or a bad config or data file, before anything is computed; 3 on an
-internal error, whose traceback goes to stderr.
+flags or a bad config or data file, before anything is computed, or on an
+--out path that cannot be written, after it is; 3 on an internal error,
+whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ from pathlib import Path
 
 # acceptance and traceback are imported in the paths that use them, so that
 # every other command starts without them
-from .elliptic import StationaryLabel, connected_extract, monomial_count
+from .elliptic import (EPoly, StationaryLabel, connected_extract,
+                       monomial_count)
 from .hae import (build_conifold_frame, conifold_expand, gap_target,
                   least_q_order, solve_genus, solve_towers, verify_hae)
 from .locrel import (f1_local_series, genus0_flat_expansion,
                      relative_flat_expansion, relative_flat_tower)
 from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data
 from .ns import compare_ns_relative, default_omega_path, load_omega
-from .quasimod import QModElement, derivation_identities, qmod_to_json
-from .series import Localp2Error, RatSeries, series_to_json
+from .quasimod import QModElement, derivation_identities
+from .series import Localp2Error, RatSeries
 
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
@@ -100,44 +102,57 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _write_rows(name: str, obj, cfg: RunConfig, sink, head: dict,
+               csv_head: dict, keys, rows, listed: str = "terms"):
+    """Print ``obj`` as one JSON object (``head``, then the rows under
+    ``listed``), as a ``# name k=v ...`` CSV line and one ``e1,...,num,den``
+    line per row, or as ``name: repr``.  ``rows`` are (exponents, Fraction)
+    pairs; ``keys`` name the exponents in JSON."""
+    if cfg.format == "text":
+        sink(f"{name}: {obj!r}")
+    elif cfg.format == "json":
+        sink(json.dumps({"name": name, **head, listed: [
+            {**dict(zip(keys, exps)), "num": str(v.numerator),
+             "den": str(v.denominator)} for exps, v in sorted(rows)]},
+            indent=2))
+    else:
+        sink(" ".join([f"# {name}", *(f"{k}={v}" for k, v in csv_head.items())]))
+        for exps, v in sorted(rows):
+            sink(",".join(map(str, (*exps, v.numerator, v.denominator))))
+
+
 def emit_series(name: str, s: RatSeries, cfg: RunConfig, sink):
-    if cfg.format == "json":
-        sink(json.dumps({"name": name, **series_to_json(s)}, indent=2))
-    elif cfg.format == "csv":
-        sink(f"# {name} variable={s.var} log_num={s.log_coeff.numerator} "
-             f"log_den={s.log_coeff.denominator}")
-        for k in range(s.min_exp, s.trunc_order + 1):
-            c = s.coeff(k)
-            if c:
-                sink(f"{k},{c.numerator},{c.denominator}")
-    else:
-        sink(f"{name}: {s!r}")
+    lc = s.log_coeff
+    _write_rows(name, s, cfg, sink,
+                {"variable": s.var, "min_exp": s.min_exp,
+                 "trunc_order": s.trunc_order,
+                 "log_coeff": {"num": str(lc.numerator),
+                               "den": str(lc.denominator)}},
+                {"variable": s.var, "log_num": lc.numerator,
+                 "log_den": lc.denominator},
+                ("exp",), (((k,), Fraction(x, s.den))
+                           for k, x in enumerate(s.nums, s.min_exp) if x),
+                listed="coeffs")
 
 
+# the header fields of each printed ring element, in JSON and CSV alike
+_GRADED_HEAD = {QModElement: ("c_pole", "weight"),
+                BModElement: ("i11_degree",), EPoly: ("weight",)}
+
+
+def _emit_graded(name: str, e, cfg: RunConfig, sink):
+    head = {f: getattr(e, f) for f in _GRADED_HEAD[type(e)]}
+    _write_rows(name, e, cfg, sink, head, head,
+                [n.lower() for n in e.names], e.terms.items())
+
+
+# two functions, not one: the benchmark tracer spans each emitter by name
 def emit_qmod(name: str, e: QModElement, cfg: RunConfig, sink):
-    if cfg.format == "json":
-        sink(json.dumps({"name": name, **qmod_to_json(e)}, indent=2))
-    elif cfg.format == "csv":
-        sink(f"# {name} c_pole={e.c_pole} weight={e.weight}")
-        for (a, b, c), v in sorted(e.terms.items()):
-            sink(f"{a},{b},{c},{v.numerator},{v.denominator}")
-    else:
-        sink(f"{name}: {e!r}")
+    _emit_graded(name, e, cfg, sink)
 
 
 def emit_bmod(name: str, e: BModElement, cfg: RunConfig, sink):
-    if cfg.format == "json":
-        terms = [{"s": s, "x": x, "num": str(v.numerator),
-                  "den": str(v.denominator)}
-                 for (s, x), v in sorted(e.terms.items())]
-        sink(json.dumps({"name": name, "i11_degree": e.i11_degree,
-                         "terms": terms}, indent=2))
-    elif cfg.format == "csv":
-        sink(f"# {name} i11_degree={e.i11_degree}")
-        for (s, x), v in sorted(e.terms.items()):
-            sink(f"{s},{x},{v.numerator},{v.denominator}")
-    else:
-        sink(f"{name}: {e!r}")
+    _emit_graded(name, e, cfg, sink)
 
 
 # -- command implementations -----------------------------------------------------------
@@ -197,18 +212,7 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
                          f"E2/E4/E6 monomials of weight {label.weight}")
     got = connected_extract(label, qorder=args.order)
     emit_series("nome_series", got.series, cfg, sink)
-    terms = sorted(got.value.terms.items())
-    if cfg.format == "json":
-        eterms = [{"e2": a, "e4": b, "e6": c, "num": str(v.numerator),
-                   "den": str(v.denominator)} for (a, b, c), v in terms]
-        sink(json.dumps({"name": "eisenstein_polynomial",
-                         "weight": got.value.weight, "terms": eterms}, indent=2))
-    elif cfg.format == "csv":
-        sink(f"# eisenstein_polynomial weight={got.value.weight}")
-        for (a, b, c), v in terms:
-            sink(f"{a},{b},{c},{v.numerator},{v.denominator}")
-    else:
-        sink(f"eisenstein_polynomial: {got.value!r}")
+    _emit_graded("eisenstein_polynomial", got.value, cfg, sink)
     return 0
 
 
@@ -392,7 +396,11 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return status

@@ -18,9 +18,9 @@ series level.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .elliptic import EPoly, f1_empty, stationary_value
 from .graded import evaluate
@@ -45,13 +45,7 @@ CorrTerm = namedtuple("CorrTerm", "h legs aut_order")
 
 
 def _aut_order(legs) -> int:
-    mult: dict = {}
-    for leg in legs:
-        mult[leg] = mult.get(leg, 0) + 1
-    out = 1
-    for m in mult.values():
-        out *= factorial(m)
-    return out
+    return prod(map(factorial, Counter(legs).values()))
 
 
 def enumerate_terms(g: int):

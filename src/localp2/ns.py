@@ -34,41 +34,18 @@ class OmegaError(Localp2Error):
     pass
 
 
-def _validate_entry(d: int, coeffs: dict) -> dict:
-    out = {int(e): int(c) for e, c in coeffs.items() if int(c)}
-    for e, c in out.items():
-        if out.get(-e) != c:
-            raise OmegaError(f"degree {d} invariants are not palindromic at "
-                             f"half-exponent {e}")
-    return out
-
-
 def load_omega(path) -> dict:
     """Read the JSON table as {degree: {exponent in half-units: integer
-    coefficient}}; per-chi sub-entries are averaged over the d residues if
-    present."""
-    data = json.loads(Path(path).read_text())
+    coefficient}}; each degree must be palindromic."""
     entries: dict = {}
-    for item in data["entries"]:
+    for item in json.loads(Path(path).read_text())["entries"]:
         d = int(item["degree"])
-        if "chi_classes" in item:
-            acc: dict = {}
-            classes = item["chi_classes"]
-            if len(classes) != d:
-                raise OmegaError(f"degree {d} needs {d} chi classes")
-            for cls in classes:
-                for c in cls["coeffs"]:
-                    e = int(c["exp2"])
-                    acc[e] = acc.get(e, 0) + int(c["c"])
-            pairs = {}
-            for e, v in acc.items():
-                q, r = divmod(v, d)
-                if r:
-                    raise OmegaError(f"degree {d} average is not integral")
-                pairs[e] = q
-        else:
-            pairs = {int(c["exp2"]): int(c["c"]) for c in item["coeffs"]}
-        entries[d] = _validate_entry(d, pairs)
+        pairs = {int(c["exp2"]): int(c["c"]) for c in item["coeffs"]}
+        entries[d] = out = {e: c for e, c in pairs.items() if c}
+        for e, c in out.items():
+            if out.get(-e) != c:
+                raise OmegaError(f"degree {d} invariants are not palindromic "
+                                 f"at half-exponent {e}")
     return entries
 
 

@@ -197,13 +197,3 @@ def derivation_identities(order: int) -> dict:
         lhs = qm_to_qseries(qm_derive(e), order)
         out[name] = lhs.agrees_with(qm_to_qseries(e, order).theta(), order)
     return out
-
-
-def qmod_to_json(e: QModElement) -> dict:
-    return {
-        "c_pole": e.c_pole,
-        "weight": e.weight,
-        "terms": [{"a": a, "b": b, "c": c,
-                   "num": str(v.numerator), "den": str(v.denominator)}
-                  for (a, b, c), v in sorted(e.terms.items())],
-    }

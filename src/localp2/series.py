@@ -501,21 +501,3 @@ def lincomb(pairs, var: str | None = None,
                              f) for c, f in live], dc * df,
                 min(f.min_exp for _, f in pairs),
                 min(f.trunc_order for _, f in pairs), _ZERO)
-
-
-# -- JSON serialization --------------------------------------------------------
-
-def _frac_json(num: int, den: int) -> dict:
-    g = gcd(num, den)
-    return {"num": str(num // g), "den": str(den // g)}
-
-
-def series_to_json(s: RatSeries) -> dict:
-    return {
-        "variable": s.var,
-        "min_exp": s.min_exp,
-        "trunc_order": s.trunc_order,
-        "log_coeff": _frac_json(s.log_coeff.numerator, s.log_coeff.denominator),
-        "coeffs": [{"exp": k, **_frac_json(x, s.den)}
-                   for k, x in enumerate(s.nums, s.min_exp) if x],
-    }

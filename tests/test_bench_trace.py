@@ -53,3 +53,13 @@ def test_traced_check_path_matches_golden(tmp_path):
                       tmp_path)
     # two flat expansions printed, and the two the triangle compares
     assert [name for name, *_ in data["spans"]].count("mirror.bm_eval") == 4
+
+
+def test_traced_emitters_span_once_per_printed_object(tmp_path):
+    # generators, quasimodular form, q-series and flat expansion: a
+    # wrapper that the tracer reached twice would record more spans
+    data = run_traced(["cli", "--format", "json", "compute", "relative",
+                       "--genus", "2"],
+                      ROOT / "tests" / "golden" / "relative-g2-json.out",
+                      tmp_path)
+    assert [name for name, *_ in data["spans"]].count("cli.emit") == 4

@@ -1,5 +1,6 @@
 import json
 import shlex
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 import localp2.acceptance
 from localp2 import cli, elliptic
 from localp2.cli import RunConfig, load_config, main
+from localp2.quasimod import QModElement
+from localp2.series import RatSeries
 
 
 def run(argv, capsys):
@@ -66,6 +69,37 @@ class TestConfig:
             capsys, monkeypatch)
         assert (status, out) == (2, "")
         assert "cannot read config" in err
+
+
+def emitted_json(emit, obj) -> dict:
+    lines = []
+    emit("x", obj, RunConfig(format="json"), lines.append)
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def frac(d: dict) -> F:
+    assert isinstance(d["num"], str) and isinstance(d["den"], str)
+    return F(int(d["num"]), int(d["den"]))
+
+
+class TestJson:
+    def test_series_roundtrip(self):
+        s = RatSeries("q", -1, [0, F(1, 3), -2], F(-1, 24))
+        d = emitted_json(cli.emit_series, s)
+        assert d["log_coeff"] == {"num": "-1", "den": "24"}
+        t = RatSeries.from_pairs(d["variable"],
+                                 {c["exp"]: frac(c) for c in d["coeffs"]},
+                                 d["trunc_order"], frac(d["log_coeff"]))
+        assert t == s
+
+    def test_qmod_roundtrip(self):
+        e = QModElement(2, {(6, 0, 0): F(-37, 11520), (0, 0, 2): F(-16, 11520)})
+        d = emitted_json(cli.emit_qmod, e)
+        assert d["c_pole"] == 2 and d["weight"] == 0
+        back = QModElement(d["c_pole"], {
+            (t["a"], t["b"], t["c"]): frac(t) for t in d["terms"]})
+        assert back == e
 
 
 # argv (with {tmp} for a scratch directory) -> a fragment of the message
@@ -166,6 +200,16 @@ class TestCommands:
         assert (status, out) == (0, "")
         assert p.read_text().count("PASS (order 50)") == 3
 
+    @pytest.mark.parametrize("where", ["dir", "dir/missing/report.txt"])
+    def test_unwritable_out_exits_2(self, where, capsys, tmp_path):
+        (tmp_path / "dir").mkdir()
+        p = tmp_path / where
+        status, out, err = run(["--out", str(p), "compute", "mirror",
+                                "--order", "5"], capsys)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: cannot write {p}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_compute_elliptic(self, capsys):
         status, out, _ = run(["compute", "elliptic", "--genus", "1",
                               "--parts", "0"], capsys)
@@ -259,6 +303,14 @@ GOLDEN_RUNS = {
     # as a CSV block instead of a text line
     "elliptic-g2-11-csv.out": ["--format", "csv", "compute", "elliptic",
                                "--genus", "2", "--parts", "1,1"],
+    # before one writer took over every JSON and CSV printout: the
+    # quasimodular form in JSON, and a nonzero log slot in JSON and CSV
+    "relative-g2-json.out": ["--format", "json", "compute", "relative",
+                             "--genus", "2"],
+    "relative-g1-json.out": ["--format", "json", "compute", "relative",
+                             "--genus", "1"],
+    "relative-g1-csv.out": ["--format", "csv", "compute", "relative",
+                            "--genus", "1"],
 }
 
 

@@ -64,23 +64,6 @@ class TestLoad:
         with pytest.raises(OmegaError):
             load_omega(path)
 
-    def test_chi_class_averaging(self, tmp_path):
-        blob = {
-            "entries": [{
-                "degree": 2,
-                "chi_classes": [
-                    {"chi": 1, "coeffs": [{"exp2": -1, "c": "-1"},
-                                          {"exp2": 1, "c": "-1"}]},
-                    {"chi": 0, "coeffs": [{"exp2": -1, "c": "-3"},
-                                          {"exp2": 1, "c": "-3"}]},
-                ],
-            }]
-        }
-        p = tmp_path / "omega.json"
-        p.write_text(json.dumps(blob))
-        t = load_omega(p)
-        assert t[2] == {-1: -2, 1: -2}
-
 
 class TestFreeEnergy:
     def test_degree_one_against_hand_expansion(self, table):

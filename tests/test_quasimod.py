@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from localp2.quasimod import (
     generator_series,
     qm_derive,
     qm_to_qseries,
-    qmod_to_json,
 )
 from localp2.series import RatSeries
 
@@ -245,14 +243,3 @@ class TestGradingLaws:
         got = [len(weight_monomials(WEIGHTS, w)) for w in range(order + 1)]
         assert got == expect
         assert got[:11] == [1, 1, 2, 3, 4, 5, 7, 8, 10, 12, 14]
-
-
-class TestJson:
-    def test_roundtrip(self):
-        e = QModElement(2, {(6, 0, 0): F(-37, 11520), (0, 0, 2): F(-16, 11520)})
-        d = json.loads(json.dumps(qmod_to_json(e)))
-        assert d["c_pole"] == 2 and d["weight"] == 0
-        back = QModElement(d["c_pole"], {
-            (t["a"], t["b"], t["c"]): F(int(t["num"]), int(t["den"]))
-            for t in d["terms"]})
-        assert back == e

@@ -11,7 +11,6 @@ from localp2.series import (
     RatSeries,
     SeriesError,
     lincomb,
-    series_to_json,
 )
 
 from oracles import (ibar1_coeff, pl_compose, pl_exp, pl_log1p,
@@ -427,18 +426,3 @@ class TestTheta:
     def test_theta_monomial(self):
         f = q_series([0, 0, 0, 1, 0])
         assert f.theta().coeff(3) == 3
-
-
-class TestJson:
-    def test_roundtrip(self):
-        s = q_series([0, F(1, 3), -2], min_exp=-1, log_coeff=F(-1, 24))
-        d = series_to_json(s)
-        assert d["log_coeff"] == {"num": "-1", "den": "24"}
-        def frac(x):
-            return F(int(x["num"]), int(x["den"]))
-        t = RatSeries.from_pairs(d["variable"],
-                                 {c["exp"]: frac(c) for c in d["coeffs"]},
-                                 d["trunc_order"], frac(d["log_coeff"]))
-        assert t == s
-        assert all(isinstance(c["num"], str) for c in d["coeffs"])
-
