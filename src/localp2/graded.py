@@ -18,7 +18,7 @@ from math import lcm
 from operator import add, mul
 
 from .linalg import LinearSystemError, solve_unique
-from .series import Localp2Error, RatSeries, extend_powers
+from .series import Localp2Error, Powers, RatSeries
 
 
 def _over_lcm(fracs) -> tuple[list, int]:
@@ -188,11 +188,10 @@ def evaluate(terms: dict, images: list, one):
     """sum v * prod_i images[i]**e_i over the terms {e: v}: the generators
     replaced by series or ring elements, with one table of powers per
     generator.  ``one`` is the unit of the target."""
-    tables = [[one, image] for image in images]
+    tables = [Powers(image, one) for image in images]
     total = one * 0
     for key, v in terms.items():
-        factors = [extend_powers(table, image, e)[e]
-                   for table, image, e in zip(tables, images, key) if e]
+        factors = [table[e] for table, e in zip(tables, key) if e]
         total = total + (reduce(mul, factors) if factors else one) * v
     return total
 
@@ -210,8 +209,9 @@ def recognize(series: RatSeries, weights: tuple, w: int,
     if have < len(monos):
         raise GradedError(f"insufficient coefficients: need {len(monos)}, "
                           f"have {have}")
-    images = [im.truncate(have - 1) for im in images]
-    cols = [evaluate({m: 1}, images, RatSeries.one(series.var, have - 1))
+    one = RatSeries.one(series.var, have - 1)
+    tables = [Powers(im.truncate(have - 1), one) for im in images]
+    cols = [reduce(mul, [t[e] for t, e in zip(tables, m) if e], one)
             for m in monos]
     try:
         sol = solve_unique([[col.coeff(k) for col in cols] for k in range(have)],

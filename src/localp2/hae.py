@@ -34,7 +34,7 @@ from .mirror import (
     theta_u,
 )
 from .quasimod import bernoulli
-from .series import Localp2Error, RatSeries, extend_powers, lincomb
+from .series import Localp2Error, Powers, RatSeries, lincomb
 
 F = Fraction
 
@@ -101,25 +101,15 @@ class ConifoldFrame:
         self.u_inverse = u_inverse  # reversion: u in the flat coordinate
 
     @cached_property
-    def _pole_table(self) -> list:
+    def inv_u_pow(self) -> Powers:
+        """(1/u_inverse)**k at index k: conifold_expand's u^-k."""
         one = RatSeries.one("that", self.u_inverse.trunc_order)
-        return [one, one / self.u_inverse]
-
-    def pole_powers(self, top: int) -> list:
-        """u_inverse**-k for k = 0..top, kept on the frame and grown on
-        demand from one division: conifold_expand substitutes them for
-        u^-k."""
-        table = self._pole_table
-        return extend_powers(table, table[1], top)
+        return Powers(one / self.u_inverse, one)
 
     @cached_property
-    def _s_con_table(self) -> list:
-        return [RatSeries.one("u", self.that.trunc_order)]
-
-    def s_con_powers(self, top: int) -> list:
-        """s_con**s for s = 0..top, kept on the frame and grown on demand:
-        conifold_expand substitutes them for S."""
-        return extend_powers(self._s_con_table, self.s_con, top)
+    def s_con_pow(self) -> Powers:
+        """s_con**s at index s: conifold_expand's S^s."""
+        return Powers(self.s_con, RatSeries.one("u", self.that.trunc_order))
 
 
 @lru_cache(maxsize=None)
@@ -152,17 +142,16 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     polar = RatSeries("that", -max_pole, [0] * max_pole)
     if elt.is_zero():
         return polar
-    s_pows = frame.s_con_powers(elt.deg_S())
     # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
-    total = lincomb([(v, s_pows[s].truncate(x - 1).shift(-x))
+    total = lincomb([(v, frame.s_con_pow[s].truncate(x - 1).shift(-x))
                      for (s, x), v in elt.terms.items()])
     v = total.valuation()
     if v is None:
         return polar
     if v < -max_pole:
         raise GapError(f"conifold pole exceeds order {max_pole}")
-    poles = frame.pole_powers(-v)
-    return lincomb([(1, polar)] + [(total.coeff(j), poles[-j].truncate(-1))
+    return lincomb([(1, polar)] + [(total.coeff(j),
+                                    frame.inv_u_pow[-j].truncate(-1))
                                    for j in range(v, 0)])
 
 

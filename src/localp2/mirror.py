@@ -28,7 +28,7 @@ from math import factorial
 
 from .graded import Graded
 from .quasimod import QModElement
-from .series import Localp2Error, RatSeries, SeriesError, extend_powers, lincomb
+from .series import Localp2Error, Powers, RatSeries, SeriesError, lincomb
 
 F = Fraction
 
@@ -66,12 +66,7 @@ def _solve_log_companion(i11: RatSeries, order: int) -> RatSeries:
     rhs = -(2 * (one27 * i11.theta()) + 27 * (q * i11))
     j = [F(0)] * (order + 1)
     for k in range(1, order + 1):
-        acc = rhs.coeff(k)
-        if k >= 2:
-            acc -= (27 * (k - 1) ** 2 + 27 * (k - 1) + 6) * j[k - 1]
-        elif k == 1:
-            acc -= 6 * j[0]
-        j[k] = acc / (k * k)
+        j[k] = (rhs.coeff(k) - (27 * k * (k - 1) + 6) * j[k - 1]) / (k * k)
     return RatSeries("q", 0, j)
 
 
@@ -147,32 +142,21 @@ class MirrorData:
     cQofq: RatSeries      # nome as q-series: -q exp(J/I11)
     that: RatSeries       # conifold flat coordinate in u
 
-    @cached_property
-    def qofQ_powers(self) -> tuple:
-        """qofQ**k for k = 0..the order of qofQ: q_to_Q substitutes
-        q = qofQ as one linear combination of them."""
-        n = self.qofQ.trunc_order
-        return tuple(extend_powers([RatSeries.one("Q", n)], self.qofQ, n))
+    # The powers that bm_eval substitutes for S, X, 1/X = 1 + 27q, I11 and
+    # 1/I11, and q_to_Q for q = qofQ; each table is made on its first read.
+    S_pow = cached_property(lambda self: _powers(self.S))
+    X_pow = cached_property(lambda self: _powers(self.X))
+    inv_X_pow = cached_property(lambda self: _powers(
+        RatSeries.from_pairs("q", {0: 1, 1: 27}, self.order)))
+    I11_pow = cached_property(lambda self: _powers(self.I11))
+    inv_I11_pow = cached_property(lambda self: _powers(
+        RatSeries.one("q", self.order) / self.I11))
+    qofQ_pow = cached_property(lambda self: _powers(self.qofQ))
 
-    @cached_property
-    def _power_tables(self) -> dict:
-        return {}
 
-    def power(self, name: str, k: int) -> RatSeries:
-        """g**k, k >= 0, for g one of S, X, 1/X = 1 + 27q, I11 and 1/I11,
-        from a table of powers kept on the data, started on first use and
-        grown on demand: bm_eval substitutes them."""
-        if name not in self._power_tables:
-            one = RatSeries.one("q", self.order)
-            if name == "1/X":
-                base = RatSeries.from_pairs("q", {0: 1, 1: 27}, self.order)
-            elif name == "1/I11":
-                base = one / self.I11
-            else:
-                base = getattr(self, name)
-            self._power_tables[name] = (base, [one])
-        base, table = self._power_tables[name]
-        return extend_powers(table, base, k)[k]
+def _powers(base: RatSeries) -> Powers:
+    """The powers of ``base`` from a unit known as far as ``base`` is."""
+    return Powers(base, RatSeries.one(base.var, base.trunc_order))
 
 
 @lru_cache(maxsize=None)
@@ -228,9 +212,8 @@ def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
     if power.min_exp < 0:
         raise SeriesError("q_to_Q needs a power series in q")
     # sum_k power_k qofQ^k through Q^bound, as RatSeries.compose would give
-    table = md.qofQ_powers
-    bound = min(len(table) - 1, power.trunc_order)
-    out = lincomb([(power.coeff(k), table[k]) for k in range(bound + 1)],
+    bound = min(md.qofQ.trunc_order, power.trunc_order)
+    out = lincomb([(power.coeff(k), md.qofQ_pow[k]) for k in range(bound + 1)],
                   "Q", bound)
     return out.with_log(series.log_coeff) if series.log_coeff else out
 
@@ -293,19 +276,19 @@ def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
     """Expand in q (or the flat coordinate Q) by substituting the series."""
     by_x: dict[int, list] = {}
     for (s, x), v in e.terms.items():
-        by_x.setdefault(x, []).append((v, md.power("S", s)))
+        by_x.setdefault(x, []).append((v, md.S_pow[s]))
     groups = []
     for x, terms in by_x.items():
         group = lincomb(terms)
         if x:
-            group = group * (md.power("X", x) if x > 0 else md.power("1/X", -x))
+            group = group * (md.X_pow[x] if x > 0 else md.inv_X_pow[-x])
         groups.append((1, group))
     out = lincomb(groups, "q", md.order)
     k = e.i11_degree
     if k > 0:  # trimmed, as the quotient by I11**k would be
-        out = (out * md.power("1/I11", k)).trim()
+        out = (out * md.inv_I11_pow[k]).trim()
     elif k < 0:
-        out = out * md.power("I11", -k)
+        out = out * md.I11_pow[-k]
     if target == "q":
         return out
     if target == "Q":

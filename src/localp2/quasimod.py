@@ -1,8 +1,9 @@
 """Quasimodular forms for Gamma_1(3).
 
-The graded ring Q[A, B, C] with weights (1, 2, 3), where A and C are the
-weight-1 and weight-3 modular generators built from eta quotients and B is
-the depth-1 combination of weight-2 Eisenstein series at levels 1 and 3.
+The graded ring Q[A, B, C] with weights (1, 2, 3), where A is Borwein's
+cubic theta series (a divisor sum), C the weight-3 eta quotient
+eta(tau)^9 / eta(3 tau)^3, and B the depth-1 combination of weight-2
+Eisenstein series at levels 1 and 3.
 Elements may carry a pole in C (membership in C^{-c_pole} * Q[A,B,C]).
 
 Expansions use the nome variable tagged "cQ".  The ring arithmetic is the
@@ -98,10 +99,10 @@ def generator_series(name: str, order: int) -> RatSeries:
     if name == "C":
         return eta_quotient_series(((1, 9), (3, -3)), order)
     if name == "A":
-        # A^3 = C + 27 * eta(3 tau)^9 / eta(tau)^3, a unit series
-        cusp = eta_quotient_series(((3, 9), (1, -3)), order)
-        radicand = generator_series("C", order) + cusp * 27
-        return radicand.nth_root(3)
+        # Borwein's cubic theta: 1 + 6 sum_n (sum_{d | n} chi_-3(d)) v^n
+        return RatSeries(CQ, 0, [1] + [
+            6 * sum((0, 1, -1)[d % 3] for d in range(1, n + 1) if n % d == 0)
+            for n in range(1, order + 1)])
     if name == "B":
         # B printed expansions elsewhere are unreliable; the definition rules.
         e2 = eisenstein_series(2, 1, order)

@@ -268,12 +268,7 @@ class RatSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-_frac(other))
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -286,15 +281,7 @@ class RatSeries:
         self._check_var(other)
         a, b = self, other
         if a.log_coeff or b.log_coeff:
-            # Only scalar-like factors may multiply a log-extended series.
-            if a.log_coeff and b.log_coeff:
-                raise SeriesError("unsupported log_coeff combination in mul")
-            if b.log_coeff:
-                a, b = b, a
-            if b.min_exp > 0 or any(x for e, x in enumerate(b.nums, b.min_exp) if e):
-                raise SeriesError("unsupported log_coeff combination in mul")
-            return a * b.constant_term() + RatSeries.zero(a.var, min(a.trunc_order,
-                                                                     b.trunc_order))
+            raise SeriesError("cannot multiply a log-extended series")
         order = min(a.trunc_order + b.min_exp, b.trunc_order + a.min_exp)
         lo = a.min_exp + b.min_exp
         n = order - lo + 1
@@ -401,12 +388,6 @@ class RatSeries:
                       k * self.den * d)
         return _make(self.var, shift, out, d, _ZERO)
 
-    def nth_root(self, n: int) -> "RatSeries":
-        """n-th root of a series with constant term 1, exact over Q."""
-        if n <= 0:
-            raise SeriesError("root index must be positive")
-        return (self.log() / n).exp()
-
     def theta(self) -> "RatSeries":
         """theta = v d/dv; a log slot contributes its coefficient at v^0."""
         out = _make(self.var, self.min_exp,
@@ -418,32 +399,21 @@ class RatSeries:
         return out
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
-        """Substitute ``inner`` (zero constant term) for the variable.
-
-        If the outer series has a log slot, ``inner`` must be
-        variable*(unit with constant term 1) and the slot expands as
-        log(inner) = log v + log(unit).
-        """
+        """Substitute ``inner`` (zero constant term) for the variable of a
+        power series without a log slot, by Horner's rule."""
+        if self.log_coeff:
+            raise SeriesError("compose of a log-extended series")
         if self.min_exp < 0:
             raise SeriesError("compose with Laurent outer unsupported")
         v = inner.valuation()
         if inner.constant_term() != 0 or (v is not None and v < 1):
             raise SeriesError("inner series must have zero constant term")
-        log_part = None
-        if self.log_coeff:
-            unit = inner.shift(-1)
-            if unit.constant_term() != 1:
-                raise SeriesError("log slot composition needs inner = v*(1+O(v))")
-            log_part = unit.log() * self.log_coeff
         if v is None:
-            out = RatSeries.const(inner.var, self.coeff(0), inner.trunc_order)
-        else:
-            bound = min(inner.trunc_order, (self.trunc_order + 1) * v - 1)
-            out = RatSeries.const(inner.var, self.coeff(self.trunc_order), bound)
-            for k in range(self.trunc_order - 1, -1, -1):
-                out = (out * inner.truncate(bound)).truncate(bound) + self.coeff(k)
-        if log_part is not None:
-            return (out + log_part).with_log(self.log_coeff)
+            return RatSeries.const(inner.var, self.coeff(0), inner.trunc_order)
+        bound = min(inner.trunc_order, (self.trunc_order + 1) * v - 1)
+        out = RatSeries.const(inner.var, self.coeff(self.trunc_order), bound)
+        for k in range(self.trunc_order - 1, -1, -1):
+            out = (out * inner.truncate(bound)).truncate(bound) + self.coeff(k)
         return out
 
     def revert(self, new_var: str | None = None) -> "RatSeries":
@@ -468,11 +438,21 @@ class RatSeries:
                      [x * (d // e) for x, e in zip(nums, dens)], d, _ZERO)
 
 
-def extend_powers(table: list, base: RatSeries, top: int) -> list:
-    """Extend ``table`` = [base**0, base**1, ...] in place to base**top."""
-    while len(table) <= top:
-        table.append(table[-1] * base)
-    return table
+class Powers:
+    """The table of powers that every substitution into a polynomial reads:
+    ``table[k]`` is base**k, made once, as ``table[k - 1] * base`` from
+    ``table[0] = one``, the first time it is read."""
+
+    __slots__ = ("base", "_made")
+
+    def __init__(self, base, one):
+        self.base, self._made = base, [one]
+
+    def __getitem__(self, k: int):
+        made = self._made
+        while len(made) <= k:
+            made.append(made[-1] * self.base)
+        return made[k]
 
 
 def lincomb(pairs, var: str | None = None,

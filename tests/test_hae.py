@@ -86,7 +86,7 @@ class TestFrame:
         assert build_conifold_frame(md) is frame
 
     def test_pole_table_is_negative_powers_of_u_inverse(self, frame):
-        powers = frame.pole_powers(8)
+        powers = frame.inv_u_pow
         assert powers[0] == RatSeries.one("that", ORDER)
         for k in range(1, 9):
             p = powers[k]
@@ -98,14 +98,14 @@ class TestFrame:
                                     prod.trunc_order)
 
     def test_pole_table_grows_on_demand(self, frame):
-        table = frame.pole_powers(2)
-        kept = list(table)
-        assert frame.pole_powers(len(kept) + 3) is table
-        assert len(table) == len(kept) + 4
-        assert all(a is b for a, b in zip(kept, table))
+        table = frame.inv_u_pow
+        kept = [table[k] for k in range(3)]
+        assert frame.inv_u_pow is table
+        assert table[6].coeff(-6) == 1
+        assert all(table[k] is p for k, p in enumerate(kept))
 
     def test_s_con_table_is_powers_of_s_con(self, frame):
-        powers = frame.s_con_powers(4)
+        powers = frame.s_con_pow
         assert powers[0] == RatSeries.one("u", ORDER)
         for s in range(1, 5):
             assert powers[s] == frame.s_con ** s
@@ -113,7 +113,7 @@ class TestFrame:
     def test_s_con_table_grows_past_the_order(self, frame):
         # genus g reads S up to S^(3g-3), which may exceed the order
         top = ORDER + 2
-        assert frame.s_con_powers(top)[top] == frame.s_con ** top
+        assert frame.s_con_pow[top] == frame.s_con ** top
 
     def test_x_in_u_is_inverse_u(self, md):
         # X * (1 + 27q) = 1 with u = 1 + 27q exactly

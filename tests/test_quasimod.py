@@ -114,6 +114,11 @@ class TestGenerators:
         c = generator_series("C", order)
         cusp = (a3 - c) / 27
         assert cusp.coeff_list(0, 7) == [0, 1, 3, 9, 13, 24, 27, 50]
+        # A^3 = C + 27 eta(3 tau)^9 / eta(tau)^3, independent of how A is built
+        for n in (0, 1, 2, 5, 17, 40, 45):
+            a3 = generator_series("A", n) ** 3
+            c = generator_series("C", n)
+            assert a3 == c + 27 * eta_quotient_series(((3, 9), (1, -3)), n)
 
 
 class TestDerivation:

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from localp2.mirror import build_mirror_data
 from localp2.series import (
+    Powers,
     RatSeries,
     SeriesError,
     lincomb,
 )
 
 from oracles import (ibar1_coeff, pl_compose, pl_exp, pl_log1p,
-                     pl_long_division, pl_mul)
+                     pl_long_division, pl_mul, pl_powers)
 
 F = Fraction
 
@@ -313,6 +314,19 @@ class TestLincomb:
             lincomb([(1, q_series([1, 2])), (1, q_series([0, 1], log_coeff=1))])
 
 
+class TestPowers:
+    @given(st.builds(q_series, sparse_coeffs), st.permutations(range(7)))
+    @settings(max_examples=60, deadline=None)
+    def test_powers_against_plain_list_oracle(self, f, reads):
+        n = f.trunc_order
+        table = Powers(f, RatSeries.one("q", n))
+        expect = pl_powers(tuple(f.coeff_list(0, n)), n, 6)
+        first = {k: table[k] for k in reads}
+        assert all(p.coeff_list(0, n) == expect[k] for k, p in first.items())
+        # each power is made once: a second read returns the same object
+        assert all(table[k] is p for k, p in first.items())
+
+
 class TestExpLog:
     def test_exp_log_inverse_pair(self):
         f = q_series([1, 1, 0, 0, 0])
@@ -347,12 +361,6 @@ class TestExpLog:
         with pytest.raises(SeriesError):
             q_series([0, 1]).log()
 
-    @given(unit_series, st.integers(2, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_nth_root_power(self, f, n):
-        r = f.nth_root(n)
-        assert (r ** n).agrees_with(f, r.trunc_order)
-
 
 class TestComposeRevert:
     def test_hand_substitution(self):
@@ -373,6 +381,11 @@ class TestComposeRevert:
     def test_compose_rejects_constant_term(self):
         with pytest.raises(SeriesError):
             RatSeries("t", 0, [1, 1]).compose(q_series([1, 1]))
+
+    def test_compose_rejects_log_slot(self):
+        # log(inner) is not a power series in the variable
+        with pytest.raises(SeriesError):
+            q_series([0, 1, 2], log_coeff=1).compose(q_series([0, 1, 3]))
 
     def test_revert_mirror_map(self):
         f = RatSeries("q", 0, [0, 1, -6, 63, -866, 13899])
