@@ -11,7 +11,9 @@ summed over all partitions up to the nome order (Bloch-Okounkov 2000;
 Okounkov-Pandharipande, GW theory, Hurwitz theory and completed cycles).
 The q^d coefficient sums over the partitions of d alone, so the closed-form
 z-coefficients of B_lambda are cached as one column per exponent and
-partition size, shared by every label and every nome order.
+partition size, shared by every label and every nome order.  A label's
+bracket is built and cached when it is first read, so the labels of a
+degree that no connected function reads are never built.
 
 Connected functions follow by the exponential formula on multiplicity
 vectors; coefficients are recognized in the weight-graded ring Q[E2, E4, E6].
@@ -181,23 +183,26 @@ def _column(e: int, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
-    """Disconnected n-point coefficients of total z-degree ``degree``.
+def disconnected_coefficient(exps: tuple, qorder: int) -> RatSeries:
+    """The nome series of prod_j z_j^{e_j} in
+    prod_m (1 - q^m) * sum_lambda q^|lambda| prod_j B_lambda(z_j), for a
+    weakly decreasing tuple of exponents >= 1."""
+    den = prod(_constants(e)[2] for e in exps)
+    # q^d sums over the partitions of d; with no columns each counts 1
+    nums = [sum(map(prod, zip(*(_column(e, d) for e in exps)))) if exps
+            else len(_partitions(d)) for d in range(qorder + 1)]
+    return RatSeries.over(CQT, 0, nums, den) * euler_product(1, qorder, CQT)
 
-    Maps each weakly decreasing n-tuple of exponents >= 1 summing to
-    ``degree`` to the nome series of prod_j z_j^{e_j} in
-    prod_m (1 - q^m) * sum_lambda q^|lambda| prod_j B_lambda(z_j).
-    """
-    out = {}
-    for exps in _partitions_of(degree):
-        if len(exps) != n:
-            continue
-        den = prod(_constants(e)[2] for e in exps)
-        # q^d sums over the partitions of d; with no columns each counts 1
-        nums = [sum(map(prod, zip(*(_column(e, d) for e in exps)))) if exps
-                else len(_partitions(d)) for d in range(qorder + 1)]
-        out[exps] = RatSeries.over(CQT, 0, nums, den) * euler_product(1, qorder, CQT)
-    return out
+
+# the library reads single labels; this group view stays because
+# perfbench/tracer.py spans it by name, reads its cache_info() and takes
+# its first argument as a point count
+@lru_cache(maxsize=None)
+def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
+    """Each weakly decreasing n-tuple of exponents >= 1 summing to
+    ``degree``, mapped to its disconnected_coefficient."""
+    return {exps: disconnected_coefficient(exps, qorder)
+            for exps in _partitions_of(degree) if len(exps) == n}
 
 
 def monomial_count(weight: int) -> int:
@@ -228,18 +233,14 @@ def connected_coefficient(exps: tuple, qorder: int) -> RatSeries:
     first, *others = exps
     values = sorted(set(others), reverse=True)
     mult = [others.count(e) for e in values]
-    terms = [(1, _disconnected(exps, qorder))]
+    terms = [(1, disconnected_coefficient(exps, qorder))]
     for ks in product(*(range(m + 1) for m in mult)):
         rest = tuple(e for e, m, k in zip(values, mult, ks) for _ in range(m - k))
         if rest and (sum(rest) - len(rest)) % 2 == 0:
             block = (first, *(e for e, k in zip(values, ks) for _ in range(k)))
             terms.append((-prod(map(comb, mult, ks)), connected_coefficient(
-                block, qorder) * _disconnected(rest, qorder)))
+                block, qorder) * disconnected_coefficient(rest, qorder)))
     return lincomb(terms)
-
-
-def _disconnected(exps: tuple, qorder: int) -> RatSeries:
-    return npoint_disconnected(len(exps), sum(exps), qorder)[exps]
 
 
 @lru_cache(maxsize=None)

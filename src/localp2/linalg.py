@@ -18,29 +18,20 @@ def solve_unique(rows, rhs):
     m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
     nrows = len(m)
     ncols = len(m[0]) - 1 if m else 0
-    pivots = []
-    r = 0
+    # a column without a pivot raises, so column c pivots in row c
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if c == nrows:
+            raise LinearSystemError("rank deficient system")
+        piv = next((i for i in range(c, nrows) if m[i][c]), None)
         if piv is None:
             raise LinearSystemError(f"rank deficient at column {c}")
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
         for i in range(nrows):
-            if i != r and m[i][c]:
+            if i != c and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if len(pivots) < ncols:
-        raise LinearSystemError("rank deficient system")
-    for i in range(r, nrows):
-        if m[i][-1]:
-            raise LinearSystemError("inconsistent system")
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][-1]
-    return x
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    if any(row[-1] for row in m[ncols:]):
+        raise LinearSystemError("inconsistent system")
+    return [row[-1] for row in m[:ncols]]

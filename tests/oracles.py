@@ -241,7 +241,7 @@ def bloch_okounkov_npoint_oracle(exponents, qorder):
     with B_lambda(z) = 1/(2 sinh(z/2))
                        + sum_i (e^{(lambda_i - i + 1/2) z} - e^{(-i + 1/2) z}).
 
-    This is the algorithm of ``localp2.elliptic.npoint_disconnected``; here
+    This is the algorithm of ``localp2.elliptic.disconnected_coefficient``; here
     the z-series are expanded term by term instead of by the closed form.
     It is not independent of the library: the independent checks are the
     one-point identity F_1 * Theta = 1 against ``theta_z`` (Eisenstein

@@ -11,6 +11,7 @@ from localp2.elliptic import (
     connected_coefficient,
     connected_extract,
     default_qorder,
+    disconnected_coefficient,
     eisenstein_images,
     f1_empty,
     npoint_disconnected,
@@ -163,6 +164,17 @@ class TestConnected:
             for exps in combinations_with_replacement((4, 3, 2, 1), n):
                 got = connected_coefficient(exps, qorder).coeff_list(0, qorder)
                 assert got == connected_coefficient_oracle(exps, qorder), exps
+
+    def test_builds_only_the_labels_it_reads(self):
+        # C(2,2,2,2) reads D(2,2,2,2) and, through C(2,2), D(2,2); the
+        # other degree-8 labels and the odd sub-multisets are never built
+        connected_coefficient.cache_clear()
+        disconnected_coefficient.cache_clear()
+        connected_coefficient((2, 2, 2, 2), 9)
+        assert disconnected_coefficient.cache_info().misses == 2
+        disconnected_coefficient((2, 2, 2, 2), 9)
+        disconnected_coefficient((2, 2), 9)
+        assert disconnected_coefficient.cache_info().misses == 2
 
 
 class TestExtract:
