@@ -94,40 +94,61 @@ def integrate_S(rhs: BModElement) -> BModElement:
 # -- conifold frame ---------------------------------------------------------------------
 
 class ConifoldFrame:
-    def __init__(self, *, that: RatSeries, s_con: RatSeries,
-                 u_inverse: RatSeries):
-        self.that = that  # flat coordinate, u + O(u^2)
-        self.s_con = s_con  # frame propagator, Laurent in u from u^-1
-        self.u_inverse = u_inverse  # reversion: u in the flat coordinate
+    """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
+    the propagator ``s_con``, the reversion ``u_inverse`` and the two
+    ``Powers`` tables that conifold_expand reads, each made on its first
+    read and known as far as ``that`` allows.  ``at(order)`` is the same
+    frame from ``that`` cut at u^order, made once per order: the gap at
+    pole order M reads only the frame at order M, so it pays for no
+    coefficient it does not read, and an order too short for a read
+    raises SeriesError rather than give a wrong number."""
+
+    def __init__(self, that: RatSeries):
+        self.that = that
+        self._cuts: dict[int, ConifoldFrame] = {}
+
+    def at(self, order: int) -> "ConifoldFrame":
+        """The frame from ``that`` known through u^order."""
+        cut = self._cuts.get(order)
+        if cut is None:
+            cut = self._cuts[order] = type(self)(self.that.truncate(order))
+        return cut
+
+    @cached_property
+    def s_con(self) -> RatSeries:
+        """theta log(theta t) - (X - 1)/3 in u, the large-volume recipe for
+        S: Laurent from u^-1, known through u^(order - 2)."""
+        theta_t = theta_u(self.that)
+        if theta_t.constant_term() == 0:
+            raise GapError("degenerate conifold frame: theta t vanishes at u = 0")
+        x_minus_1_over_3 = RatSeries.from_pairs(
+            "u", {-1: F(1, 3), 0: F(-1, 3)}, self.that.trunc_order)
+        return theta_u(theta_t) / theta_t - x_minus_1_over_3
+
+    @cached_property
+    def u_inverse(self) -> RatSeries:
+        """The reversion: u in the flat coordinate, through that^order."""
+        return self.that.revert("that")
 
     @cached_property
     def inv_u_pow(self) -> Powers:
-        """(1/u_inverse)**k at index k: conifold_expand's u^-k."""
+        """(1/u_inverse)**k at index k: conifold_expand's u^-k, known
+        through that^(order - k - 1)."""
         one = RatSeries.one("that", self.u_inverse.trunc_order)
         return Powers(one / self.u_inverse, one)
 
     @cached_property
     def s_con_pow(self) -> Powers:
-        """s_con**s at index s: conifold_expand's S^s."""
+        """s_con**s at index s: conifold_expand's S^s, known through
+        u^(order - s - 1) for s >= 1."""
         return Powers(self.s_con, RatSeries.one("u", self.that.trunc_order))
 
 
 @lru_cache(maxsize=None)
 def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
-    """Propagator from the conifold flat coordinate by the large-volume
-    recipe: theta log(theta t) - (X - 1)/3, all in the coordinate u.
-    Built once per mirror data."""
-    that = md.that
-    order = that.trunc_order
-    theta_t = theta_u(that)
-    if theta_t.constant_term() == 0:
-        raise GapError("degenerate conifold frame: theta t vanishes at u = 0")
-    s_con = theta_u(theta_t) / theta_t
-    x_minus_1_over_3 = RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)},
-                                            order)
-    s_con = s_con - x_minus_1_over_3
-    u_inv = that.revert("that")
-    return ConifoldFrame(that=that, s_con=s_con, u_inverse=u_inv)
+    """The conifold frame of the mirror data, one per mirror data; its
+    series are made when conifold_expand first reads them."""
+    return ConifoldFrame(md.that)
 
 
 def conifold_expand(elt: BModElement, frame: ConifoldFrame,
@@ -136,12 +157,18 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     flat conifold coordinate of a weight-zero element with S -> frame
     propagator and X -> 1/u.  Substituting u = u_inverse, only the u^j with
     j < 0 have poles in that, so the polar part is the sum of the u^j
-    coefficients times u_inverse**j over them."""
+    coefficients times u_inverse**j over them.
+
+    S^s X^x goes to s_con^s u^-x, whose pole is u^-(s+x) at most, so the
+    frame is read at the order P of the deepest pole there may be: it
+    gives s_con^s through u^(P-s-1) and u_inverse**-k through
+    that^(P-k-1), all that is read."""
     if elt.i11_degree != 0:
         raise BModError("conifold expansion needs a weight-zero element")
     polar = RatSeries("that", -max_pole, [0] * max_pole)
     if elt.is_zero():
         return polar
+    frame = frame.at(max(max_pole, *(s + x for s, x in elt.terms)))
     # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
     total = lincomb([(v, frame.s_con_pow[s].truncate(x - 1).shift(-x))
                      for (s, x), v in elt.terms.items()])
@@ -157,8 +184,10 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
 
 def least_q_order(g: int) -> int:
     """The least mirror order at which genus g is solved: 2g - 2.  The gap
-    reads that^-M..that^-1, M = 2g - 2, and conifold_expand takes them from
-    (1/u_inverse)**k, k <= M, which is known through that^(order - k - 1)."""
+    reads that^-M..that^-1, M = 2g - 2, from the frame cut at u^M (every
+    element gap_fix expands has s + x <= M), and conifold_expand takes them
+    from (1/u_inverse)**k, k <= M, which that frame knows through
+    that^(M - k - 1); the cut needs the flat coordinate through u^M."""
     return 2 * g - 2
 
 

@@ -1,6 +1,12 @@
-"""Exact linear algebra over Fraction, small dense systems only."""
+"""Exact linear algebra for small dense systems, fraction-free.
+
+Each row is scaled to integers and eliminated by Bareiss's integer-
+preserving Gauss-Jordan: every entry stays an integer minor, so the one
+division per entry and step is exact, and a Fraction is made only for
+each entry of the solution."""
 
 from fractions import Fraction
+from math import lcm
 
 from .series import Localp2Error
 
@@ -9,16 +15,28 @@ class LinearSystemError(Localp2Error):
     pass
 
 
+def _integer_row(row) -> list:
+    """An int or Fraction row times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def solve_unique(rows, rhs):
     """Solve an (over)determined system rows * x = rhs exactly.
 
     Requires full column rank and global consistency; raises
-    LinearSystemError otherwise.  rows: list of coefficient lists.
+    LinearSystemError otherwise.  rows: list of coefficient lists, entries
+    int or Fraction.
     """
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    m = [_integer_row([*r, v]) for r, v in zip(rows, rhs)]
     nrows = len(m)
     ncols = len(m[0]) - 1 if m else 0
-    # a column without a pivot raises, so column c pivots in row c
+    # a column without a pivot raises, so column c pivots in row c.  Each
+    # row stays a nonzero multiple of its Fraction Gauss-Jordan
+    # counterpart, so the pivots and errors are the same.  Columns left of
+    # c are zero off the diagonal and are not updated; every diagonal
+    # entry would equal the last pivot.
+    last = 1
     for c in range(ncols):
         if c == nrows:
             raise LinearSystemError("rank deficient system")
@@ -26,12 +44,15 @@ def solve_unique(rows, rhs):
         if piv is None:
             raise LinearSystemError(f"rank deficient at column {c}")
         m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
+        prow = m[c][c:]
+        p = prow[0]
         for i in range(nrows):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+            if i != c:
+                row = m[i]
+                f = row[c]
+                row[c:] = [(p * a - f * b) // last
+                           for a, b in zip(row[c:], prow)]
+        last = p
     if any(row[-1] for row in m[ncols:]):
         raise LinearSystemError("inconsistent system")
-    return [row[-1] for row in m[:ncols]]
+    return [Fraction(row[-1], last) for row in m[:ncols]]

@@ -99,24 +99,26 @@ def _mirror_op_u(f: RatSeries) -> RatSeries:
     return lincomb([(1, ttw), (3, qse * inner)])
 
 
-def _band_image(k: int) -> RatSeries:
-    """The operator's image of u^k, known through u^(k+1).  It lies in
-    u^(k-2)..u^(k+1): the u^(k-3) terms of theta^3 and of q theta (3 theta
-    + 1)(3 theta + 2) cancel."""
-    return _mirror_op_u(RatSeries.from_pairs("u", {k: 1}, k + 4))
+def _band(k: int) -> tuple:
+    """9 times the operator's image of u^k, on u^(k-2)..u^(k+1): the
+    u^(k-3) terms of theta^3 and of q theta (3 theta + 1)(3 theta + 2)
+    cancel, and what is left is
+
+        -9k(k-1)^2 u^(k-2) + k(27k^2 - 27k + 11) u^(k-1)
+            - k(27k^2 + 4) u^k + k(3k + 1)(3k + 2) u^(k+1)."""
+    return (-9 * k * (k - 1) ** 2, k * (27 * k * k - 27 * k + 11),
+            -k * (27 * k * k + 4), k * (3 * k + 1) * (3 * k + 2))
 
 
 def _conifold_flat(order: int) -> RatSeries:
     """Solve for u + sum_{k>=2} c_k u^k term by term, asserting each pivot.
-    The u^m coefficient of the residual reads only the images of u^(m-1),
-    u^m and u^(m+1); the image of u^(m+2) gives the pivot."""
-    ops = {k: _band_image(k) for k in range(1, order + 1)}
-    c = [F(0)] * (order + 1)
-    c[1] = F(1)
+    The u^m coefficient of the residual reads the bands of u^(m-1), u^m
+    and u^(m+1); the band of u^(m+2) gives the pivot."""
+    c = [F(0), F(1)] + [F(0)] * (order - 1)
     for m in range(0, order - 1):
-        acc = sum((c[k] * ops[k].coeff(m) for k in range(max(m - 1, 1), m + 2)),
-                  F(0))
-        piv = ops[m + 2].coeff(m)
+        acc = sum(c[k] * _band(k)[m - k + 2]
+                  for k in range(max(m - 1, 1), m + 2))
+        piv = _band(m + 2)[0]
         if piv == 0:
             raise SeriesError(f"conifold recursion degenerate at order {m + 2}")
         c[m + 2] = -acc / piv

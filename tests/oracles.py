@@ -22,6 +22,14 @@ the polar terms against a table of negative powers.
 :func:`pl_exp` and :func:`pl_log1p` sum the defining power series term by
 term on Fractions; the library runs one coefficient recurrence each on
 integer numerators over a running common denominator.
+
+:func:`pl_mirror_op_u` applies the mirror operator in u on plain lists,
+one theta at a time; the library solves for the flat coordinate by the
+operator's closed form on u^k.
+
+:func:`solve_unique_oracle` decides solvability by ranks of row echelon
+forms on Fractions and solves by back substitution; the library runs an
+integer Gauss-Jordan elimination.
 """
 
 from fractions import Fraction
@@ -109,6 +117,24 @@ def pl_powers(base: tuple, order: int, top: int) -> tuple:
     return tuple(out)
 
 
+# -- the mirror operator in u ---------------------------------------------------
+
+def pl_mirror_op_u(c: list) -> list:
+    """theta^3 + 3 q theta (3 theta + 1)(3 theta + 2), theta = (u - 1) d/du
+    and q = (u - 1)/27, on the u^0..u^n coefficients of a power series:
+    its u^0..u^(n-3) coefficients, one list pass per theta."""
+    def theta(f):
+        return [m * f[m] - (m + 1) * f[m + 1] for m in range(len(f) - 1)]
+
+    t1 = theta(c)
+    t2 = theta(t1)
+    t3 = theta(t2)
+    inner = [9 * t3[m] + 9 * t2[m] + 2 * t1[m] for m in range(len(t3))]
+    # 3 q g = (u - 1) g / 9
+    return [t3[m] + (Fraction(inner[m - 1] if m else 0) - inner[m]) / 9
+            for m in range(len(t3))]
+
+
 # -- conifold gap ----------------------------------------------------------------
 
 def conifold_polar_oracle(elt, frame, max_pole: int) -> list:
@@ -137,6 +163,46 @@ def conifold_polar_oracle(elt, frame, max_pole: int) -> list:
     # u_inverse^D = that^D h with h a unit
     quotient = pl_long_division(num, u_pows[D][D:], order - D)
     return [quotient[D - j] for j in range(max_pole, 0, -1)]
+
+
+# -- exact linear systems --------------------------------------------------------
+
+def _echelon(rows) -> list:
+    """The nonzero rows of a row echelon form, by Fraction elimination
+    below each pivot."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    done = []
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[c]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        rows = [[a - r[c] / piv[c] * b for a, b in zip(r, piv)] for r in rows]
+        done.append(piv)
+    return done
+
+
+def solve_unique_oracle(rows, rhs):
+    """The unique solution of rows * x = rhs, or the message of the first
+    failure met column by column: "rank deficient system" once a column
+    has no row left, "rank deficient at column c" for the first column in
+    the span of those before it, then "inconsistent system" when the
+    augmented matrix has the larger rank.  Ranks by row echelon form, the
+    solution by back substitution."""
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        if c == len(rows):
+            return "rank deficient system"
+        if len(_echelon([r[:c + 1] for r in rows])) <= c:
+            return f"rank deficient at column {c}"
+    ech = _echelon([list(r) + [v] for r, v in zip(rows, rhs)])
+    if len(ech) > ncols:
+        return "inconsistent system"
+    x = [Fraction(0)] * ncols
+    for c in range(ncols - 1, -1, -1):
+        r = ech[c]
+        x[c] = (r[-1] - sum(r[j] * x[j] for j in range(c + 1, ncols))) / r[c]
+    return x
 
 
 # -- number theory -------------------------------------------------------------

@@ -311,6 +311,10 @@ GOLDEN_RUNS = {
                              "--genus", "1"],
     "relative-g1-csv.out": ["--format", "csv", "compute", "relative",
                             "--genus", "1"],
+    # before the flat conifold coordinate was solved by the closed form of
+    # the operator on u^k: the coordinate `that` through u^32
+    "mirror-o32-json.out": ["--format", "json", "compute", "mirror",
+                            "--order", "32"],
 }
 
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localp2 import acceptance, hae
 from localp2.hae import (
@@ -25,7 +27,7 @@ from localp2.hae import (
 from localp2.linalg import LinearSystemError
 from localp2.locrel import Correspondence, DF1_LOCAL, DF1_RELATIVE, DTower
 from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
-from localp2.series import RatSeries
+from localp2.series import RatSeries, SeriesError
 
 from oracles import bernoulli_list, conifold_polar_oracle
 
@@ -85,35 +87,60 @@ class TestFrame:
     def test_built_once_per_mirror_data(self, md, frame):
         assert build_conifold_frame(md) is frame
 
+    def test_cut_frames_are_made_once_from_the_cut_coordinate(self, frame):
+        for M in (2, 4, 6):
+            cut = frame.at(M)
+            assert frame.at(M) is cut
+            assert cut.that == frame.that.truncate(M)
+            assert cut.s_con.trunc_order == M - 2
+            assert cut.s_con.agrees_with(frame.s_con, M - 2)
+            assert cut.u_inverse.agrees_with(frame.u_inverse, M)
+        with pytest.raises(SeriesError):
+            frame.at(ORDER + 1)
+
+    def test_expansion_reads_only_the_frame_at_its_pole_order(self, md):
+        fresh = ConifoldFrame(md.that)
+        lazy = {"s_con", "u_inverse", "s_con_pow", "inv_u_pow"}
+        conifold_expand(F2_LOCAL, fresh, 2)
+        assert not lazy & vars(fresh).keys()
+        assert lazy <= vars(fresh.at(2)).keys()
+        assert not lazy & vars(fresh.at(4)).keys()
+
     def test_pole_table_is_negative_powers_of_u_inverse(self, frame):
-        powers = frame.inv_u_pow
-        assert powers[0] == RatSeries.one("that", ORDER)
-        for k in range(1, 9):
-            p = powers[k]
-            # that^-k (1 + ...), known through that^(ORDER - k - 1)
-            assert (p.valuation(), p.coeff(-k)) == (-k, 1)
-            assert p.trunc_order == ORDER - k - 1
-            prod = p * frame.u_inverse ** k
-            assert prod.agrees_with(RatSeries.one("that", ORDER),
-                                    prod.trunc_order)
+        for M in (2, 4, 6, ORDER):
+            cut = frame.at(M)
+            powers = cut.inv_u_pow
+            assert powers[0] == RatSeries.one("that", M)
+            for k in range(1, min(M, 8) + 1):
+                p = powers[k]
+                # that^-k (1 + ...), known through that^(M - k - 1)
+                assert (p.valuation(), p.coeff(-k)) == (-k, 1)
+                assert p.trunc_order == M - k - 1
+                prod = p * cut.u_inverse ** k
+                assert prod.agrees_with(RatSeries.one("that", M),
+                                        prod.trunc_order)
 
     def test_pole_table_grows_on_demand(self, frame):
-        table = frame.inv_u_pow
+        table = frame.at(6).inv_u_pow
         kept = [table[k] for k in range(3)]
-        assert frame.inv_u_pow is table
+        assert frame.at(6).inv_u_pow is table
         assert table[6].coeff(-6) == 1
         assert all(table[k] is p for k, p in enumerate(kept))
 
     def test_s_con_table_is_powers_of_s_con(self, frame):
-        powers = frame.s_con_pow
-        assert powers[0] == RatSeries.one("u", ORDER)
-        for s in range(1, 5):
-            assert powers[s] == frame.s_con ** s
+        for M in (4, ORDER):
+            cut = frame.at(M)
+            powers = cut.s_con_pow
+            assert powers[0] == RatSeries.one("u", M)
+            for s in range(1, 5):
+                assert powers[s] == cut.s_con ** s
 
     def test_s_con_table_grows_past_the_order(self, frame):
         # genus g reads S up to S^(3g-3), which may exceed the order
-        top = ORDER + 2
-        assert frame.s_con_pow[top] == frame.s_con ** top
+        for M in (6, ORDER):
+            cut = frame.at(M)
+            top = M + 2
+            assert cut.s_con_pow[top] == cut.s_con ** top
 
     def test_x_in_u_is_inverse_u(self, md):
         # X * (1 + 27q) = 1 with u = 1 + 27q exactly
@@ -121,15 +148,16 @@ class TestFrame:
         assert prod.coeff_list(0, 5) == [1, 0, 0, 0, 0, 0]
 
 
-def wrong_frame(md, frame) -> ConifoldFrame:
+class WrongFrame(ConifoldFrame):
     """The frame with the propagator built from u - 1 in place of the
-    conifold flat coordinate."""
-    order = md.that.trunc_order
-    u_minus_1 = RatSeries.from_pairs("u", {0: -1, 1: 1}, order)
-    s_wrong = theta_u(u_minus_1) / u_minus_1 \
-        - RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)}, order)
-    return ConifoldFrame(that=frame.that, s_con=s_wrong,
-                         u_inverse=frame.u_inverse)
+    conifold flat coordinate, at every order."""
+
+    @cached_property
+    def s_con(self) -> RatSeries:
+        order = self.that.trunc_order
+        u_minus_1 = RatSeries.from_pairs("u", {0: -1, 1: 1}, order)
+        return theta_u(u_minus_1) / u_minus_1 \
+            - RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)}, order)
 
 
 def polar(elt, frame, M) -> list:
@@ -171,8 +199,22 @@ class TestPolarPartOracle:
             assert polar(elt, frame, 2) == conifold_polar_oracle(elt, frame, 2) \
                 == [target, 0]
 
-    def test_wrong_frame(self, md, frame):
-        bad = wrong_frame(md, frame)
+    @given(st.sampled_from([2, 4, 6]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_weight_zero_elements_against_the_full_order_frame(self, frame,
+                                                               M, data):
+        # S^s X^x with s + x <= M: no pole deeper than that^-M; the library
+        # reads the frame cut at M, the oracle the frame at ORDER
+        keys = st.tuples(st.integers(0, 4), st.integers(-3, M)).filter(
+            lambda k: sum(k) <= M)
+        values = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                           st.integers(1, 10 ** 4))
+        elt = BModElement(0, data.draw(st.dictionaries(keys, values,
+                                                       max_size=6)))
+        assert polar(elt, frame, M) == conifold_polar_oracle(elt, frame, M)
+
+    def test_wrong_frame(self, md):
+        bad = WrongFrame(md.that)
         for M in (2, 4):
             assert polar(F2_LOCAL, bad, M) == \
                 conifold_polar_oracle(F2_LOCAL, bad, M)
@@ -189,9 +231,9 @@ class TestGenus2Gap:
         assert con.coeff(-1) == 0
         assert con.coeff(-2) == F(-7, 1920)
 
-    def test_wrong_frame_fails_the_gap(self, md, frame):
+    def test_wrong_frame_fails_the_gap(self, md):
         # negative control: a propagator built from the wrong solution
-        bad = wrong_frame(md, frame)
+        bad = WrongFrame(md.that)
         con = conifold_expand(F2_LOCAL, bad, 2)
         assert con.coeff(-1) != 0 or con.coeff(-2) != F(-1, 80)
 

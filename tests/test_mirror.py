@@ -15,14 +15,14 @@ from localp2.mirror import (
     cq_change,
     q_to_Q,
     theta_u,
-    _band_image,
+    _band,
     _conifold_flat,
     _mirror_op_u,
 )
 from localp2.quasimod import QModElement, generator_series, qm_derive, qm_to_qseries
 from localp2.series import RatSeries, SeriesError
 
-from oracles import ibar1_coeff, qmod_to_bmod
+from oracles import ibar1_coeff, pl_mirror_op_u, qmod_to_bmod
 
 F = Fraction
 
@@ -268,6 +268,14 @@ class TestConifoldCoordinate:
         t = _conifold_flat(40)
         assert t.coeff(1) == 1
 
+    @pytest.mark.parametrize("n", [10, 32, 40])
+    def test_zero_residual_by_plain_list_oracle(self, n):
+        # the operator applied on plain lists is known through u^(n-3)
+        c = _conifold_flat(n).coeff_list(0, n)
+        assert pl_mirror_op_u(c) == [0] * (n - 2)
+        c[n // 2] += 1
+        assert any(pl_mirror_op_u(c))
+
 
 rationals = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
                       st.integers(1, 10 ** 9))
@@ -340,15 +348,13 @@ class TestKernelEquivalence:
             assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, logged, md)
 
     def test_band_images_are_the_full_order_images(self):
-        # the image of u^k lies in u^(k-2)..u^(k+1); the recursion at a
-        # given order reads it through u^(order-2)
-        for order in range(5, 41):
-            for k in range(1, order + 1):
-                full = _mirror_op_u(RatSeries.from_pairs("u", {k: 1},
-                                                         order + 2))
-                top = min(k + 1, full.trunc_order)
-                assert _band_image(k).coeff_list(0, top) == \
-                    full.coeff_list(0, top)
-                assert not any(full.coeff(m)
-                               for m in range(full.trunc_order + 1)
-                               if not k - 2 <= m <= k + 1)
+        # 9 times the image of u^k is _band(k) on u^(k-2)..u^(k+1) and
+        # zero elsewhere; for k = 1 the u^-1 entry is zero
+        for k in range(1, 41):
+            full = _mirror_op_u(RatSeries.from_pairs("u", {k: 1}, k + 5))
+            band = dict(zip(range(k - 2, k + 2), _band(k)))
+            assert band.get(-1, 0) == 0
+            top = full.trunc_order
+            assert top == k + 2
+            assert [9 * full.coeff(m) for m in range(top + 1)] == \
+                [band.get(m, 0) for m in range(top + 1)]
