@@ -30,7 +30,7 @@ from itertools import product
 from math import comb, factorial, lcm, prod
 
 from .graded import Graded, recognize, weight_monomials
-from .quasimod import _sigma, bernoulli, eisenstein_series, euler_product
+from .quasimod import _sigma, bernoulli, eisenstein_series, euler_product, inv_2sinh
 from .series import Localp2Error, RatSeries, lincomb
 
 F = Fraction
@@ -162,11 +162,11 @@ def _partitions(d: int) -> tuple:
 def _constants(e: int) -> tuple[int, int, int]:
     """The pole numerator, the unit and the denominator of exponent e >= 1.
 
-    The pole part 1/(2 sinh(z/2)) contributes (2^-e - 1) B_{e+1}/(e+1)!;
-    each part lambda_i contributes the z^e coefficient of
+    The pole part 1/(2 sinh(z/2)) contributes inv_2sinh(e); each part
+    lambda_i contributes the z^e coefficient of
     exp((lambda_i - i + 1/2) z) - exp((1/2 - i) z), an integer over 2^e e!.
     """
-    pole = (F(1, 2 ** e) - 1) * bernoulli(e + 1) / factorial(e + 1)
+    pole = inv_2sinh(e)
     scale = 2 ** e * factorial(e)
     den = lcm(pole.denominator, scale)
     return pole.numerator * (den // pole.denominator), den // scale, den
@@ -191,7 +191,7 @@ def disconnected_coefficient(exps: tuple, qorder: int) -> RatSeries:
     # q^d sums over the partitions of d; with no columns each counts 1
     nums = [sum(map(prod, zip(*(_column(e, d) for e in exps)))) if exps
             else len(_partitions(d)) for d in range(qorder + 1)]
-    return RatSeries.over(CQT, 0, nums, den) * euler_product(1, qorder, CQT)
+    return RatSeries.over(CQT, 0, nums, den) * euler_product(qorder, CQT)
 
 
 # the library reads single labels; this group view stays because

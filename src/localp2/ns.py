@@ -1,46 +1,68 @@
 """Free energy in the Nekrasov-Shatashvili limit from refined sheaf
 invariants.
 
-For each degree d, the input is a palindromic Laurent polynomial in the
-half-integer variable y^(1/2) whose value at y = 1 is the genus-0 BPS
+For each degree d, the input is a palindromic Laurent polynomial
+Omega_d = sum_e c_e y^(e/2) whose value at y = 1 is the genus-0 BPS
 number.  The degree-D column of the free energy is
 
     sum over k*d = D of  (1/k^2) * Omega_d(e^{i k hbar / 2}) / (2 sin(k hbar / 2)),
 
-an odd Laurent series in hbar with a first-order pole, expanded exactly
-over the rationals (the palindromic symmetry turns every evaluation into a
-cosine sum).  The multicover weight 1/k^2 is forced by the genus-0
-specialization: the hbar^(-1) row must reproduce the 1/k^3 Aspinwall-
-Morrison structure of the flat genus-0 expansion.  Genus rows follow from
+an odd Laurent series in hbar with a first-order pole.  The multicover
+weight 1/k^2 is forced by the genus-0 specialization: the hbar^(-1) row
+must reproduce the 1/k^3 Aspinwall-Morrison structure of the flat genus-0
+expansion.  Genus rows follow from F = sum_g (-1)^g F_g hbar^(2g-1); each
+term is a function of z = i k hbar, so the (-1)^g cancels and no
+hbar-series is built:
 
-    F = sum_g (-1)^g F_g hbar^(2g-1).
+    F_g(D) = sum_{k | D} k^(2g-3) R_g(Omega_{D/k}),
+    R_g(Omega) = [z^(2g-1)] Omega(e^(z/2)) / (2 sinh(z/2))
+               = sum_{m=0..g} (sum_e c_e e^(2m)) / (4^m (2m)!) * p(2g-2m-1),
+
+where p(j) = [z^j] 1/(2 sinh(z/2)) is ``quasimod.inv_2sinh``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
+from .quasimod import inv_2sinh
 from .series import Localp2Error, RatSeries
 
 F = Fraction
-
-HBAR = "hbar"
 
 
 class OmegaError(Localp2Error):
     pass
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer (not a bool) or a string of one."""
+    if type(value) is int or (isinstance(value, str)
+                              and re.fullmatch(r"-?[0-9]+", value)):
+        return int(value)
+    raise OmegaError(f"{what} {value!r} is not an integer")
+
+
 def load_omega(path) -> dict:
     """Read the JSON table as {degree: {exponent in half-units: integer
-    coefficient}}; each degree must be palindromic."""
+    coefficient}}; degrees are distinct and >= 1, exponents distinct within
+    a degree, and each degree is palindromic."""
     entries: dict = {}
     for item in json.loads(Path(path).read_text())["entries"]:
-        d = int(item["degree"])
-        pairs = {int(c["exp2"]): int(c["c"]) for c in item["coeffs"]}
+        d = _integer(item["degree"], "degree")
+        if d < 1 or d in entries:
+            why = "repeated" if d in entries else "below 1"
+            raise OmegaError(f"degree {d} is {why}")
+        pairs: dict = {}
+        for c in item["coeffs"]:
+            e = _integer(c["exp2"], f"degree {d} half-exponent")
+            if e in pairs:
+                raise OmegaError(f"degree {d} repeats half-exponent {e}")
+            pairs[e] = _integer(c["c"], f"degree {d} coefficient")
         entries[d] = out = {e: c for e, c in pairs.items() if c}
         for e, c in out.items():
             if out.get(-e) != c:
@@ -53,62 +75,26 @@ def default_omega_path() -> Path:
     return Path(__file__).parent / "data" / "omega_p2.json"
 
 
-# -- exact trigonometric series -------------------------------------------------------
-
-def _cos_series(a: Fraction, order: int) -> RatSeries:
-    coeffs = [F(0)] * (order + 1)
-    for m in range(0, order // 2 + 1):
-        coeffs[2 * m] = (-1) ** m * a ** (2 * m) / factorial(2 * m)
-    return RatSeries(HBAR, 0, coeffs)
-
-
-def _inv_2sin_half(k: int, order: int) -> RatSeries:
-    """1/(2 sin(k hbar / 2)) as an exact Laurent series."""
-    coeffs = [F(0)] * (order + 2)
-    for m in range(0, (order + 1) // 2 + 1):
-        e = 2 * m + 1
-        if e <= order + 1:
-            coeffs[e] = 2 * (-1) ** m * F(k, 2) ** e / factorial(e)
-    s = RatSeries(HBAR, 0, coeffs).trim()
-    return RatSeries.one(HBAR, order + 1) / s
-
-
-def omega_cosine_sum(poly: dict, k: int, order: int) -> RatSeries:
-    """Omega_d evaluated at e^{i k hbar / 2}: the palindromic pairs become
-    2 cos(e k hbar / 2)."""
-    out = RatSeries.zero(HBAR, order)
-    if 0 in poly:
-        out = out + RatSeries.const(HBAR, poly[0], order)
-    for e in sorted(x for x in poly if x > 0):
-        out = out + 2 * poly[e] * _cos_series(F(e * k, 2), order)
-    return out
-
-
-def ns_free_energy(table: dict, dmax: int, hbar_order: int) -> dict:
-    """Degree columns of the free energy, exact odd Laurent series."""
-    out: dict[int, RatSeries] = {}
-    for D in range(1, dmax + 1):
-        col = RatSeries(HBAR, -1, [F(0)] * (hbar_order + 2))
-        for k in range(1, D + 1):
-            if D % k:
-                continue
-            d = D // k
-            if d not in table:
-                raise OmegaError(f"degree {d} missing from the sheaf table")
-            term = omega_cosine_sum(table[d], k, hbar_order + 1) \
-                * _inv_2sin_half(k, hbar_order) * F(1, k * k)
-            col = col + term
-        out[D] = col
-    return out
+def _sheaf_row(poly: dict, g: int) -> Fraction:
+    """R_g(Omega) = [z^(2g-1)] Omega(e^(z/2)) / (2 sinh(z/2)); the power
+    sums stay integers, one Fraction per m."""
+    return sum((F(sum(c * e ** (2 * m) for e, c in poly.items()),
+                  4 ** m * factorial(2 * m)) * inv_2sinh(2 * g - 2 * m - 1)
+                for m in range(g + 1)), F(0))
 
 
 def ns_genus(table: dict, g: int, dmax: int) -> RatSeries:
-    """(-1)^g-normalized coefficient of hbar^(2g-1) as a flat-degree series."""
-    cols = ns_free_energy(table, dmax, 2 * g + 1)
-    coeffs = [F(0)] * (dmax + 1)
-    for D, col in cols.items():
-        coeffs[D] = (-1) ** g * col.coeff(2 * g - 1)
-    return RatSeries("Q", 0, coeffs)
+    """F_g, the (-1)^g-normalized coefficient of hbar^(2g-1), as a
+    flat-degree series through Q^dmax."""
+    rows = {}
+    for d in range(1, dmax + 1):
+        if d not in table:
+            raise OmegaError(f"degree {d} missing from the sheaf table")
+        rows[d] = _sheaf_row(table[d], g)
+    return RatSeries("Q", 0, [F(0)] + [
+        sum(F(k) ** (2 * g - 3) * rows[D // k]
+            for k in range(1, D + 1) if D % k == 0)
+        for D in range(1, dmax + 1)])
 
 
 def compare_ns_relative(table: dict, gmax: int, dmax: int,

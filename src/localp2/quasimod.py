@@ -1,9 +1,10 @@
 """Quasimodular forms for Gamma_1(3).
 
-The graded ring Q[A, B, C] with weights (1, 2, 3), where A is Borwein's
-cubic theta series (a divisor sum), C the weight-3 eta quotient
-eta(tau)^9 / eta(3 tau)^3, and B the depth-1 combination of weight-2
-Eisenstein series at levels 1 and 3.
+The graded ring Q[A, B, C] with weights (1, 2, 3), where A = a(q) is
+Borwein's cubic theta series (a divisor sum), C = b(q)^3 the weight-3 eta
+quotient eta(tau)^9 / eta(3 tau)^3 read through Borwein's second cubic
+theta series b(q), and B the depth-1 combination of weight-2 Eisenstein
+series at levels 1 and 3.
 Elements may carry a pole in C (membership in C^{-c_pole} * Q[A,B,C]).
 
 Expansions use the nome variable tagged "cQ".  The ring arithmetic is the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .graded import Graded, evaluate
 from .series import Localp2Error, RatSeries, SeriesError
@@ -21,7 +23,7 @@ from .series import Localp2Error, RatSeries, SeriesError
 CQ = "cQ"  # nome for Gamma_1(3) expansions
 
 
-# -- Bernoulli numbers and Eisenstein series ------------------------------------
+# -- Bernoulli numbers, Eisenstein series and the Euler product ----------------
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
@@ -34,6 +36,12 @@ def bernoulli(n: int) -> Fraction:
         acc += binom * bernoulli(j)
         binom = binom * (n + 1 - j) // (j + 1)
     return -acc / (n + 1)
+
+
+@lru_cache(maxsize=None)
+def inv_2sinh(j: int) -> Fraction:
+    """[z^j] 1/(2 sinh(z/2)) = (2^-j - 1) B_{j+1}/(j+1)!, for j >= -1."""
+    return (Fraction(2) ** -j - 1) * bernoulli(j + 1) / factorial(j + 1)
 
 
 def _sigma(n: int, k: int) -> int:
@@ -64,31 +72,13 @@ def eisenstein_series(k: int, level_multiplier: int = 1, order: int = 20,
     return RatSeries(var, 0, coeffs)
 
 
-# -- eta quotients ---------------------------------------------------------------
-
 @lru_cache(maxsize=None)
-def euler_product(m: int, order: int, var: str = CQ) -> RatSeries:
-    """prod_{n>=1} (1 - v^(m n)), truncated at ``order``."""
+def euler_product(order: int, var: str = CQ) -> RatSeries:
+    """prod_{n>=1} (1 - v^n), truncated at ``order``."""
     out = RatSeries.one(var, order)
-    for n in range(1, order // m + 1):
-        out = out - out.shift(m * n)
+    for n in range(1, order + 1):
+        out = out - out.shift(n)
     return out
-
-
-def eta_quotient_series(spec, order: int, var: str = CQ) -> RatSeries:
-    """q-expansion of prod eta(m*tau)^e for (m, e) pairs in ``spec``.
-
-    The eta prefactors combine to v^(sum m*e/24), which must be integral.
-    """
-    pref24 = sum(m * e for m, e in spec)
-    if pref24 % 24:
-        raise SeriesError("eta quotient with fractional leading exponent")
-    shift = pref24 // 24
-    out = RatSeries.one(var, order)
-    for m, e in spec:
-        factor = euler_product(m, order, var)
-        out = out * factor ** e if e >= 0 else out / factor ** (-e)
-    return out.shift(shift)
 
 
 # -- the three generators --------------------------------------------------------
@@ -97,7 +87,12 @@ def eta_quotient_series(spec, order: int, var: str = CQ) -> RatSeries:
 def generator_series(name: str, order: int) -> RatSeries:
     """Exact nome expansion of A, B or C."""
     if name == "C":
-        return eta_quotient_series(((1, 9), (3, -3)), order)
+        # b(q) = eta(tau)^3 / eta(3 tau) = (3 a(q^3) - a(q))/2 (Borwein-Borwein-
+        # Garvan, Some cubic modular identities of Ramanujan, 1994), cubed
+        a = generator_series("A", order)
+        return RatSeries(CQ, 0, [
+            ((0 if n % 3 else 3 * a.coeff(n // 3)) - a.coeff(n)) / 2
+            for n in range(order + 1)]) ** 3
     if name == "A":
         # Borwein's cubic theta: 1 + 6 sum_n (sum_{d | n} chi_-3(d)) v^n
         return RatSeries(CQ, 0, [1] + [

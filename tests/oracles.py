@@ -30,6 +30,13 @@ operator's closed form on u^k.
 :func:`solve_unique_oracle` decides solvability by ranks of row echelon
 forms on Fractions and solves by back substitution; the library runs an
 integer Gauss-Jordan elimination.
+
+:func:`eta_quotient_oracle` multiplies and divides by the factors
+(1 - q^(m n)) one at a time; the library builds C from Borwein's b(q).
+
+:func:`ns_column_oracle` expands the free-energy column in hbar by a
+cosine sum and a long division by the sine; the library reads each genus
+row from Bernoulli numbers in z = i k hbar, building no series.
 """
 
 from fractions import Fraction
@@ -229,6 +236,44 @@ def eisenstein_oracle(k: int, order: int):
     for n in range(1, order + 1):
         out[n] = -Fraction(2 * k, 1) / B[k] * sigma(n, k - 1)
     return out
+
+
+def eta_quotient_oracle(spec, order: int) -> list:
+    """q^0..q^order of prod eta(m tau)^e for (m, e) pairs in ``spec``, one
+    factor (1 - q^(m n)) at a time; the prefactor q^(sum m e / 24) must be
+    a non-negative integer power."""
+    pref24 = sum(m * e for m, e in spec)
+    if pref24 % 24 or pref24 < 0:
+        raise ValueError("eta quotient prefactor is not a power q^n, n >= 0")
+    out = [1] + [0] * order
+    for m, e in spec:
+        for n in range(1, order // m + 1):
+            k = m * n
+            for _ in range(abs(e)):
+                if e > 0:  # times (1 - q^k), from the top down
+                    for i in range(order, k - 1, -1):
+                        out[i] -= out[i - k]
+                else:  # over (1 - q^k), from the bottom up
+                    for i in range(k, order + 1):
+                        out[i] += out[i - k]
+    shift = pref24 // 24
+    return ([0] * shift + out)[: order + 1]
+
+
+# -- the Nekrasov-Shatashvili free energy ---------------------------------------
+
+def ns_column_oracle(poly: dict, k: int, order: int) -> list:
+    """Omega(e^(i k hbar/2)) / (2 sin(k hbar/2)) / k^2 for a palindromic
+    {half-exponent: coefficient} table: the coefficients of
+    hbar^-1..hbar^order.  The numerator is the cosine sum
+    sum_e c_e cos(e k hbar/2), the denominator 2 sin(k hbar/2) / hbar."""
+    num = [Fraction(0)] * (order + 2)
+    den = [Fraction(0)] * (order + 2)
+    for j in range(0, order + 2, 2):
+        num[j] = sum((c * Fraction(e * k, 2) ** j for e, c in poly.items()),
+                     Fraction(0)) * (-1) ** (j // 2) / factorial(j)
+        den[j] = 2 * (-1) ** (j // 2) * Fraction(k, 2) ** (j + 1) / factorial(j + 1)
+    return [c / k ** 2 for c in pl_long_division(num, den, order + 1)]
 
 
 # -- hypergeometric closed form for the degree-one period ----------------------

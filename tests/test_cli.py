@@ -117,6 +117,8 @@ BAD_INPUT = [
      "unknown config key 'margin'"),
     (["ns", "compare", "--omega", "{tmp}/missing.json"], "cannot read sheaf"),
     (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
+    (["ns", "compare", "--omega", "{tmp}/fractional.json", "--gmax", "0"],
+     "degree 1 coefficient 1.9 is not an integer"),
     (["ns", "compare", "--dmax", "3"], "degrees [3]"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1"], "sum to 2"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1,x"], "a1,a2"),
@@ -158,6 +160,10 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
     (tmp_path / "lopsided.json").write_text(json.dumps({"entries": [
         {"degree": 1, "coeffs": [{"exp2": -2, "c": "1"}, {"exp2": 0, "c": "1"}]},
         {"degree": 2, "coeffs": [{"exp2": 0, "c": "1"}]}]}))
+    (tmp_path / "fractional.json").write_text(json.dumps({"entries": [
+        {"degree": 1, "coeffs": [{"exp2": -2, "c": 1.9}, {"exp2": 0, "c": 1},
+                                 {"exp2": 2, "c": 1.9}]},
+        {"degree": 2, "coeffs": [{"exp2": 0, "c": 1}]}]}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     status, out, err = run_rejected(argv, capsys, monkeypatch)
     assert (status, out) == (2, "")
@@ -315,6 +321,9 @@ GOLDEN_RUNS = {
     # the operator on u^k: the coordinate `that` through u^32
     "mirror-o32-json.out": ["--format", "json", "compute", "mirror",
                             "--order", "32"],
+    # before the genus rows of the sheaf side were read in closed form:
+    # rows above genus 2
+    "ns-compare-g4-d2.out": ["ns", "compare", "--gmax", "4", "--dmax", "2"],
 }
 
 

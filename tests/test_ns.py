@@ -1,7 +1,9 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localp2.locrel import Correspondence, f1_local_series, relative_flat_expansion
 from localp2.mirror import build_mirror_data
@@ -10,12 +12,11 @@ from localp2.ns import (
     compare_ns_relative,
     default_omega_path,
     load_omega,
-    ns_free_energy,
     ns_genus,
 )
 from localp2.series import RatSeries
 
-from oracles import pl_long_division
+from oracles import ns_column_oracle, pl_long_division
 
 F = Fraction
 
@@ -46,6 +47,33 @@ def hand_degree_one_column(order):
     return pl_long_division(num, unit, order + 1)
 
 
+def entry(*pairs, degree=1):
+    return {"degree": degree, "coeffs": [{"exp2": e, "c": c} for e, c in pairs]}
+
+
+DEGREE_ONE = ((-2, "1"), (0, "1"), (2, "1"))
+
+# each table loaded silently changed, or failed with a bare ValueError,
+# before the loader checked its fields: case -> (entries, message fragment)
+BAD_TABLES = {
+    "fractional coefficient": ([entry((-2, 1.9), (0, 1), (2, 1.9))],
+                               "degree 1 coefficient 1.9 is not an integer"),
+    "boolean coefficient": ([entry((-2, True), (0, 1), (2, True))],
+                            "degree 1 coefficient True is not an integer"),
+    "fractional string": ([entry((-2, "1.5"), (0, 1), (2, "1.5"))],
+                          "degree 1 coefficient '1.5' is not an integer"),
+    "fractional half-exponent": ([entry((-2.0, 1), (0, 1), (2.0, 1))],
+                                 "degree 1 half-exponent -2.0 is not"),
+    "fractional degree": ([entry(*DEGREE_ONE, degree=1.0)],
+                          "degree 1.0 is not an integer"),
+    "degree zero": ([entry(*DEGREE_ONE, degree=0)], "degree 0 is below 1"),
+    "repeated degree": ([entry(*DEGREE_ONE), entry((0, 5))],
+                        "degree 1 is repeated"),
+    "repeated half-exponent": ([entry(*DEGREE_ONE, (2, "1"))],
+                               "degree 1 repeats half-exponent 2"),
+}
+
+
 class TestLoad:
     def test_shipped_table(self, table):
         assert sorted(table) == [1, 2]
@@ -64,38 +92,67 @@ class TestLoad:
         with pytest.raises(OmegaError):
             load_omega(path)
 
+    def test_integer_strings_and_integers_load(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"entries": [
+            {"degree": "1", "coeffs": [{"exp2": -2, "c": 1}, {"exp2": "0", "c": "1"},
+                                       {"exp2": 2, "c": "1"}]}]}))
+        assert load_omega(path) == {1: OMEGA1}
+
+    @pytest.mark.parametrize("case", sorted(BAD_TABLES))
+    def test_bad_table_rejected(self, case, tmp_path):
+        entries, message = BAD_TABLES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"entries": entries}))
+        with pytest.raises(OmegaError, match=re.escape(message)):
+            load_omega(path)
+
 
 class TestFreeEnergy:
     def test_degree_one_against_hand_expansion(self, table):
-        col = ns_free_energy(table, 1, 5)[1]
+        # the (-1)^g-normalized hbar^(2g-1) coefficients of the column
         oracle = hand_degree_one_column(5)
-        assert col.coeff_list(-1, 4) == oracle[:6]
-        assert col.coeff(-1) == 3
-        assert col.coeff(1) == F(-7, 8)
-        assert col.coeff(3) == F(29, 640)
-
-    def test_columns_are_odd(self, table):
-        cols = ns_free_energy(table, 2, 7)
-        for col in cols.values():
-            assert all(col.coeff(k) == 0 for k in range(0, 7, 2))
+        rows = [ns_genus(table, g, 1).coeff(1) for g in range(3)]
+        assert rows == [(-1) ** g * oracle[2 * g] for g in range(3)]
+        assert rows == [3, F(7, 8), F(29, 640)]
 
     def test_multicover_argument_scaling(self, table):
-        # the k-fold cover enters through y -> y^k in the invariants:
-        # scaling exponents by k inside Omega gives the same cosine sum
-        from localp2.ns import omega_cosine_sum
-        direct = omega_cosine_sum(OMEGA1, 2, 8)
-        rescaled = omega_cosine_sum({2 * e: c for e, c in OMEGA1.items()}, 1, 8)
-        assert direct.coeff_list(0, 8) == rescaled.coeff_list(0, 8)
+        # with no degree-2 invariants the D = 2 entry is the double cover
+        # of degree 1 alone, k^(2g-3) times the D = 1 entry
+        bare = {1: table[1], 2: {}}
+        for g in range(7):
+            row = ns_genus(bare, g, 2)
+            assert row.coeff(2) == F(2) ** (2 * g - 3) * row.coeff(1)
 
     def test_pole_row_is_cubic_multicover(self, table):
-        # hbar^-1 row: sum over k*d = D of Omega_d(1)/k^3
-        cols = ns_free_energy(table, 2, 3)
-        assert cols[1].coeff(-1) == 3
-        assert cols[2].coeff(-1) == -6 + F(3, 8)
+        # genus-0 row: sum over k*d = D of Omega_d(1)/k^3
+        row = ns_genus(table, 0, 2)
+        assert row.coeff(1) == 3
+        assert row.coeff(2) == -6 + F(3, 8)
 
     def test_missing_degree(self, table):
-        with pytest.raises(OmegaError):
-            ns_free_energy(table, 3, 3)
+        with pytest.raises(OmegaError, match="degree 3 missing"):
+            ns_genus(table, 3, 3)
+
+
+# palindromic {half-exponent: coefficient} tables, half-exponents all odd
+# or all even, up to 9
+palindromes = st.builds(
+    lambda odd, cs: {s * (2 * i + odd): c for i, c in enumerate(cs) if c
+                     for s in (1, -1)},
+    st.integers(0, 1), st.lists(st.integers(-4, 4), max_size=5))
+
+
+class TestAgainstColumnOracle:
+    @given(st.lists(palindromes, min_size=4, max_size=4), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_genus_rows_are_the_hbar_coefficients(self, polys, g):
+        table = dict(enumerate(polys, start=1))
+        row = ns_genus(table, g, 4)
+        for D in range(1, 5):
+            expect = sum(ns_column_oracle(table[D // k], k, 2 * g)[2 * g]
+                         for k in range(1, D + 1) if D % k == 0)
+            assert row.coeff(D) == (-1) ** g * expect
 
 
 class TestGenusRows:

@@ -12,14 +12,20 @@ from localp2.quasimod import (
     QModElement,
     bernoulli,
     eisenstein_series,
-    eta_quotient_series,
     generator_series,
+    inv_2sinh,
     qm_derive,
     qm_to_qseries,
 )
 from localp2.series import RatSeries
 
-from oracles import bernoulli_list, eisenstein_oracle, sigma
+from oracles import (
+    _inv_2sinh_half,
+    bernoulli_list,
+    eisenstein_oracle,
+    eta_quotient_oracle,
+    sigma,
+)
 
 F = Fraction
 
@@ -71,22 +77,30 @@ class TestBernoulliEisenstein:
         with pytest.raises(Exception):
             eisenstein_series(3, 1, 5)
 
+    def test_inv_2sinh_against_long_division(self):
+        # _inv_2sinh_half(n)[j + 1] is [z^j] 1/(2 sinh(z/2))
+        expect = _inv_2sinh_half(21)
+        assert [inv_2sinh(j) for j in range(-1, 21)] == expect[:22]
+        assert inv_2sinh(-1) == 1 and inv_2sinh(1) == F(-1, 24)
+
 
 class TestEtaQuotients:
+    """The plain-list eta quotient oracle the generator checks read."""
+
     def test_weight_three_modular_form(self):
-        got = eta_quotient_series(((1, 9), (3, -3)), 7)
-        assert got.coeff_list(0, 7) == [1, -9, 27, -9, -117, 216, 27, -450]
+        got = eta_quotient_oracle(((1, 9), (3, -3)), 7)
+        assert got == [1, -9, 27, -9, -117, 216, 27, -450]
 
     def test_weight_three_cusp_form(self):
-        got = eta_quotient_series(((3, 9), (1, -3)), 7)
-        assert got.coeff_list(0, 7) == [0, 1, 3, 9, 13, 24, 27, 50]
+        got = eta_quotient_oracle(((3, 9), (1, -3)), 7)
+        assert got == [0, 1, 3, 9, 13, 24, 27, 50]
 
     def test_empty_spec(self):
-        assert eta_quotient_series((), 4).coeff_list(0, 4) == [1, 0, 0, 0, 0]
+        assert eta_quotient_oracle((), 4) == [1, 0, 0, 0, 0]
 
     def test_fractional_prefactor_rejected(self):
         with pytest.raises(Exception):
-            eta_quotient_series(((1, 1),), 4)
+            eta_quotient_oracle(((1, 1),), 4)
 
 
 class TestGenerators:
@@ -108,17 +122,27 @@ class TestGenerators:
         c = generator_series("C", 7)
         assert c.coeff_list(0, 7) == [1, -9, 27, -9, -117, 216, 27, -450]
 
+    def test_c_is_the_eta_quotient(self):
+        # C is built from A through Borwein's b(q); the definition is
+        # eta(tau)^9 / eta(3 tau)^3
+        order = 64
+        c = generator_series("C", order)
+        assert c.coeff_list(0, order) == eta_quotient_oracle(((1, 9), (3, -3)),
+                                                             order)
+
     def test_cusp_combination(self):
         order = 7
         a3 = generator_series("A", order) ** 3
         c = generator_series("C", order)
         cusp = (a3 - c) / 27
         assert cusp.coeff_list(0, 7) == [0, 1, 3, 9, 13, 24, 27, 50]
-        # A^3 = C + 27 eta(3 tau)^9 / eta(tau)^3, independent of how A is built
+        # A^3 = C + 27 eta(3 tau)^9 / eta(tau)^3: Borwein's a^3 = b^3 + c^3,
+        # a check of A and of C built from A
         for n in (0, 1, 2, 5, 17, 40, 45):
             a3 = generator_series("A", n) ** 3
             c = generator_series("C", n)
-            assert a3 == c + 27 * eta_quotient_series(((3, 9), (1, -3)), n)
+            cusp = RatSeries(CQ, 0, eta_quotient_oracle(((3, 9), (1, -3)), n))
+            assert a3 == c + 27 * cusp
 
 
 class TestDerivation:
