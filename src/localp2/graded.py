@@ -184,6 +184,11 @@ def weight_monomials(weights: tuple, w: int) -> list:
             for head in weight_monomials(rest, w - k * last)]
 
 
+def _monomial(tables: list, key: tuple, one):
+    """prod_i tables[i][key[i]] over one ``Powers`` table per generator."""
+    return reduce(mul, [t[e] for t, e in zip(tables, key) if e] or [one])
+
+
 def evaluate(terms: dict, images: list, one):
     """sum v * prod_i images[i]**e_i over the terms {e: v}: the generators
     replaced by series or ring elements, with one table of powers per
@@ -191,8 +196,7 @@ def evaluate(terms: dict, images: list, one):
     tables = [Powers(image, one) for image in images]
     total = one * 0
     for key, v in terms.items():
-        factors = [table[e] for table, e in zip(tables, key) if e]
-        total = total + (reduce(mul, factors) if factors else one) * v
+        total = total + _monomial(tables, key, one) * v
     return total
 
 
@@ -211,8 +215,7 @@ def recognize(series: RatSeries, weights: tuple, w: int,
                           f"have {have}")
     one = RatSeries.one(series.var, have - 1)
     tables = [Powers(im.truncate(have - 1), one) for im in images]
-    cols = [reduce(mul, [t[e] for t, e in zip(tables, m) if e], one)
-            for m in monos]
+    cols = [_monomial(tables, m, one) for m in monos]
     try:
         sol = solve_unique([[col.coeff(k) for col in cols] for k in range(have)],
                            series.coeff_list(0, have - 1))

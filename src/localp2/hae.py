@@ -27,12 +27,7 @@ from functools import cached_property, lru_cache
 
 from .linalg import LinearSystemError, solve_unique
 from .locrel import Correspondence, DTower
-from .mirror import (
-    BModElement,
-    BModError,
-    MirrorData,
-    theta_u,
-)
+from .mirror import BModElement, BModError, MirrorData, theta_u
 from .quasimod import bernoulli
 from .series import Localp2Error, Powers, RatSeries, lincomb
 
@@ -62,6 +57,11 @@ def gap_target(g: int, kind: str) -> Fraction:
     which rescales the standard one by 3^(g-1)."""
     gamma = gamma_local(g) if kind == "local" else gamma_relative(g)
     return 3 ** (g - 1) * gamma
+
+
+def gap_conditions(g: int, kind: str) -> list:
+    """The that^-1..that^-(2g-2) coefficients the gap prescribes."""
+    return [F(0)] * (2 * g - 3) + [gap_target(g, kind)]
 
 
 # -- anomaly right side ----------------------------------------------------------------
@@ -184,10 +184,10 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
 
 def least_q_order(g: int) -> int:
     """The least mirror order at which genus g is solved: 2g - 2.  The gap
-    reads that^-M..that^-1, M = 2g - 2, from the frame cut at u^M (every
-    element gap_fix expands has s + x <= M), and conifold_expand takes them
-    from (1/u_inverse)**k, k <= M, which that frame knows through
-    that^(M - k - 1); the cut needs the flat coordinate through u^M."""
+    reads that^-M..that^-1, M = 2g - 2, of the particular solution (s + x
+    <= M) and of X^k, k <= M, from (1/u_inverse)**k in the frame cut at
+    u^M, which knows it through that^(M - k - 1); the cut needs the flat
+    coordinate through u^M."""
     return 2 * g - 2
 
 
@@ -205,32 +205,23 @@ def gap_fix(g: int, kind: str, particular: BModElement,
             frame: ConifoldFrame, md: MirrorData) -> BModElement:
     """Add to ``particular`` the holomorphic ambiguity, a combination of
     X^0..X^(2g-2), fixed by the gap and the vanishing flat constant term;
-    the (2g-1)-square system must be uniquely solvable."""
+    the (2g-1)-square system must be uniquely solvable.  X^j -> u^-j has
+    the polar part of (1/u_inverse)**j and the flat constant X(0)^j, so
+    only the particular solution is expanded."""
     if g < 2:
         raise GapError("gap conditions exist for 2g - 2 >= 2")
     M = 2 * g - 2
-    basis = [BModElement.monomial(1, 0, j) for j in range(M + 1)]
-
-    def functionals(e: BModElement):
-        con = conifold_expand(e, frame, M)
-        vals = [con.coeff(-j) for j in range(1, M + 1)]
-        vals.append(q_constant_term(e, md))
-        return vals
-
-    part_vals = functionals(particular)
-    basis_vals = [functionals(b) for b in basis]
-    targets = [F(0)] * (M - 1) + [gap_target(g, kind), F(0)]
-    rows = [[basis_vals[j][i] for j in range(len(basis))]
-            for i in range(M + 1)]
-    rhs = [targets[i] - part_vals[i] for i in range(M + 1)]
+    inv_u_pow, x0 = frame.at(M).inv_u_pow, md.X.constant_term()
+    rows = [[inv_u_pow[j].coeff(-i) for j in range(M + 1)]
+            for i in range(1, M + 1)] + [[x0 ** j for j in range(M + 1)]]
+    con = conifold_expand(particular, frame, M)
+    rhs = [t - con.coeff(-i) for i, t in enumerate(gap_conditions(g, kind), 1)]
+    rhs.append(-q_constant_term(particular, md))
     try:
         sol = solve_unique(rows, rhs)
     except LinearSystemError as exc:
         raise GapError(f"gap boundary system not uniquely solvable: {exc}") from exc
-    out = particular
-    for alpha, b in zip(sol, basis):
-        out = out + b * alpha
-    return out
+    return particular + BModElement(0, {(0, j): a for j, a in enumerate(sol)})
 
 
 # -- degree-bound assertions --------------------------------------------------------------

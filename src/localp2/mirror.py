@@ -42,12 +42,16 @@ def _ibar1(order: int) -> RatSeries:
     return RatSeries("q", 0, coeffs)
 
 
+def _u_of_q(order: int) -> RatSeries:
+    """u = 1 + 27q = 1/X, known through q^order."""
+    return RatSeries.from_pairs("q", {0: 1, 1: 27}, order)
+
+
 def _pf_apply(f: RatSeries) -> RatSeries:
     """(1 + 27q) theta^2 + 27 q theta + 6 q, acting on a q-series."""
-    one27 = RatSeries.from_pairs("q", {0: 1, 1: 27}, f.trunc_order)
     q = RatSeries.gen("q", f.trunc_order)
     t1 = f.theta().theta()
-    return one27 * t1 + 27 * (q * f.theta()) + 6 * (q * f)
+    return _u_of_q(f.trunc_order) * t1 + 27 * (q * f.theta()) + 6 * (q * f)
 
 
 def _solve_log_companion(i11: RatSeries, order: int) -> RatSeries:
@@ -61,9 +65,8 @@ def _solve_log_companion(i11: RatSeries, order: int) -> RatSeries:
     res = _pf_apply(i11)
     if any(res.coeff(k) for k in range(0, order - 1)):
         raise SeriesError("degree-one period fails its differential equation")
-    one27 = RatSeries.from_pairs("q", {0: 1, 1: 27}, order)
     q = RatSeries.gen("q", order)
-    rhs = -(2 * (one27 * i11.theta()) + 27 * (q * i11))
+    rhs = -(2 * (_u_of_q(order) * i11.theta()) + 27 * (q * i11))
     j = [F(0)] * (order + 1)
     for k in range(1, order + 1):
         j[k] = (rhs.coeff(k) - (27 * k * (k - 1) + 6) * j[k - 1]) / (k * k)
@@ -148,8 +151,7 @@ class MirrorData:
     # 1/I11, and q_to_Q for q = qofQ; each table is made on its first read.
     S_pow = cached_property(lambda self: _powers(self.S))
     X_pow = cached_property(lambda self: _powers(self.X))
-    inv_X_pow = cached_property(lambda self: _powers(
-        RatSeries.from_pairs("q", {0: 1, 1: 27}, self.order)))
+    inv_X_pow = cached_property(lambda self: _powers(_u_of_q(self.order)))
     I11_pow = cached_property(lambda self: _powers(self.I11))
     inv_I11_pow = cached_property(lambda self: _powers(
         RatSeries.one("q", self.order) / self.I11))
@@ -168,8 +170,7 @@ def build_mirror_data(order: int) -> MirrorData:
     ibar1 = _ibar1(order)
     i11 = RatSeries.one("q", order) + ibar1.theta()
     j = _solve_log_companion(i11, order)
-    one27 = RatSeries.from_pairs("q", {0: 1, 1: 27}, order)
-    x = RatSeries.one("q", order) / one27
+    x = RatSeries.one("q", order) / _u_of_q(order)
     s = i11.theta() / i11 - (x - RatSeries.one("q", order)) / 3
     qofq = ibar1.with_log(1).exp()   # q * exp(ibar1)
     qof_q = qofq.revert("Q")

@@ -324,6 +324,10 @@ GOLDEN_RUNS = {
     # before the genus rows of the sheaf side were read in closed form:
     # rows above genus 2
     "ns-compare-g4-d2.out": ["ns", "compare", "--gmax", "4", "--dmax", "2"],
+    # before the ambiguity's gap rows were read from the conifold frame:
+    # the relative tower through the correspondence at genus 4
+    "verify-gap-g4-relative.out": ["verify", "gap", "--genus", "4",
+                                   "--target", "relative"],
 }
 
 

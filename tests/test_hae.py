@@ -14,6 +14,7 @@ from localp2.hae import (
     conifold_expand,
     gamma_local,
     gamma_relative,
+    gap_conditions,
     gap_fix,
     gap_target,
     hae_rhs,
@@ -24,7 +25,7 @@ from localp2.hae import (
     solve_towers,
     verify_hae,
 )
-from localp2.linalg import LinearSystemError
+from localp2.linalg import LinearSystemError, solve_unique
 from localp2.locrel import Correspondence, DF1_LOCAL, DF1_RELATIVE, DTower
 from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
 from localp2.series import RatSeries, SeriesError
@@ -63,6 +64,11 @@ class TestGapConstants:
         assert gap_target(2, "local") == F(-1, 80)
         assert gap_target(2, "relative") == F(-7, 1920)
         assert gap_target(3, "relative") == 9 * F(-31, 161280)
+
+    def test_gap_conditions(self):
+        assert gap_conditions(2, "local") == [0, F(-1, 80)]
+        assert gap_conditions(4, "relative") == \
+            [0] * 5 + [gap_target(4, "relative")]
 
 
 class TestFrame:
@@ -166,31 +172,44 @@ def polar(elt, frame, M) -> list:
 
 
 @pytest.fixture(scope="module")
-def gap_inputs(md):
-    """(genus, element) for every particular solution and basis monomial
-    that gap_fix expands while both towers are solved through genus 5, in
-    the order it expands them."""
-    seen = []
+def gap_calls(md):
+    """What gap_fix takes, reads and returns while both towers are solved
+    through genus 5 by anomaly + gap, in call order: ``calls`` holds
+    (genus, particular solution, solution) per gap_fix call, ``expanded``
+    (genus, element) per conifold_expand call and ``rows`` the matrix of
+    each solve_unique call."""
+    calls, expanded, rows = [], [], []
 
-    def recording(elt, frame, max_pole):
-        seen.append((max_pole // 2 + 1, elt))
+    def fixing(g, kind, particular, frame, md):
+        sol = gap_fix(g, kind, particular, frame, md)
+        calls.append((g, particular, sol))
+        return sol
+
+    def expanding(elt, frame, max_pole):
+        expanded.append((max_pole // 2 + 1, elt))
         return conifold_expand(elt, frame, max_pole)
 
+    def solving(matrix, rhs):
+        rows.append(matrix)
+        return solve_unique(matrix, rhs)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hae, "conifold_expand", recording)
+        mp.setattr(hae, "gap_fix", fixing)
+        mp.setattr(hae, "conifold_expand", expanding)
+        mp.setattr(hae, "solve_unique", solving)
         for kind in ("local", "relative"):
             solve_genus(5, kind, md, Correspondence(md))
-    return seen
+    return SimpleNamespace(calls=calls, expanded=expanded, rows=rows)
 
 
 class TestPolarPartOracle:
     """conifold_expand against the route that substitutes the whole series
     and divides by u_inverse^M (tests/oracles.py)."""
 
-    def test_every_gap_input_through_genus5(self, frame, gap_inputs):
-        # per tower and genus: one particular solution, 2g - 1 monomials
-        assert len(gap_inputs) == 2 * sum(2 * g for g in range(2, 6))
-        for g, e in gap_inputs:
+    def test_every_gap_input_through_genus5(self, frame, gap_calls):
+        # the particular solutions of both towers, genus 2..5
+        assert [g for g, _ in gap_calls.expanded] == [2, 3, 4, 5] * 2
+        for g, e in gap_calls.expanded:
             M = 2 * g - 2
             assert polar(e, frame, M) == conifold_polar_oracle(e, frame, M)
 
@@ -257,6 +276,29 @@ class TestGenus2Gap:
             gap_fix(2, "relative", particular, frame, md)
 
 
+class TestGapFix:
+    def test_expands_only_the_particular_solution(self, gap_calls):
+        # one conifold_expand per gap_fix: 2 towers x genus 2..5
+        assert len(gap_calls.expanded) == len(gap_calls.calls) == 8
+        assert [e for _, e in gap_calls.expanded] == \
+            [particular for _, particular, _ in gap_calls.calls]
+
+    @pytest.mark.parametrize("M", [2, 4, 6, 8])
+    def test_rows_are_the_polar_parts_of_x_powers(self, md, frame, gap_calls,
+                                                  M):
+        # column j: the that^-1..that^-M coefficients of X^j, then its flat
+        # constant term, against the whole-series oracle and bm_eval
+        seen = [rows for (g, _, _), rows in zip(gap_calls.calls, gap_calls.rows)
+                if 2 * g - 2 == M]
+        assert len(seen) == 2
+        for rows in seen:
+            for j in range(M + 1):
+                x_j = BModElement.monomial(1, 0, j)
+                column = [row[j] for row in rows]
+                assert column[M - 1::-1] == conifold_polar_oracle(x_j, frame, M)
+                assert column[M] == bm_eval(x_j, md, target="Q").constant_term()
+
+
 class TestAnomalyEquation:
     def test_relative_genus2_rhs(self):
         tower = DTower(DF1_RELATIVE)
@@ -320,11 +362,16 @@ def ambiguity_basis(g: int) -> list:
 
 class TestAmbiguityDimensions:
     @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_dimension_is_2g_minus_1(self, g, gap_inputs):
-        # per tower, gap_fix expands the particular solution, then X^0..X^(2g-2)
-        seen = [e for gp, e in gap_inputs if gp == g]
-        assert len(seen) == 2 * (2 * g)
-        assert seen[1:2 * g] == seen[2 * g + 1:] == ambiguity_basis(g)
+    def test_dimension_is_2g_minus_1(self, g, gap_calls):
+        # per tower, gap_fix solves a (2g-1)-square system and adds to the
+        # particular solution a combination of X^0..X^(2g-2) alone
+        span = {(0, j) for j in range(2 * g - 1)}
+        seen = [(particular, sol, rows) for (gp, particular, sol), rows
+                in zip(gap_calls.calls, gap_calls.rows) if gp == g]
+        assert len(seen) == 2
+        for particular, sol, rows in seen:
+            assert [len(row) for row in rows] == [2 * g - 1] * (2 * g - 1)
+            assert set((sol - particular).terms) <= span
         # matches the count of A^a C^c monomials of weight 6g-6
         count = sum(1 for c in range(2 * g - 1) if (6 * g - 6 - 3 * c) >= 0)
         assert count == 2 * g - 1
