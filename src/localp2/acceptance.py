@@ -32,7 +32,6 @@ from .locrel import (
     f1_local_series,
     f1_relative_series,
     genus0_flat_expansion,
-    relative_flat_expansion,
     relative_flat_tower,
 )
 from .mirror import (
@@ -41,6 +40,7 @@ from .mirror import (
     bm_to_qmod,
     build_mirror_data,
     cq_change,
+    q_to_Q,
 )
 from .ns import compare_ns_relative, default_omega_path, load_omega
 from .quasimod import (
@@ -241,7 +241,7 @@ def criterion_6_genus1():
     got = corr.solve_relative(1, f1_local_series(md))
     expect = f1_relative_series(md)
     ok = got.agrees_with(expect, md.order - 1)
-    flat = relative_flat_expansion(got, md)
+    flat = q_to_Q(got, md)
     want = [F(7, 8), F(-129, 16), F(589, 6), F(-43009, 32), F(392691, 20)]
     coeffs = flat.coeff_list(1, 5)
     ok = ok and coeffs == want and flat.log_coeff == F(-1, 24)

@@ -39,9 +39,8 @@ from .elliptic import (EPoly, StationaryLabel, connected_extract,
                        monomial_count)
 from .hae import (build_conifold_frame, conifold_expand, gap_conditions,
                   least_q_order, solve_genus, solve_towers, verify_hae)
-from .locrel import (f1_local_series, genus0_flat_expansion,
-                     relative_flat_expansion, relative_flat_tower)
-from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data
+from .locrel import f1_local_series, genus0_flat_expansion, relative_flat_tower
+from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, q_to_Q
 from .ns import compare_ns_relative, default_omega_path, load_omega
 from .quasimod import QModElement, derivation_identities
 from .series import Localp2Error, RatSeries
@@ -192,7 +191,7 @@ def cmd_compute_side(args, cfg, sink, side: str) -> int:
         if side == "relative":
             ser = corr.solve_relative(1, ser)
         emit_series("q_series", ser, cfg, sink)
-        emit_series("flat_expansion", relative_flat_expansion(ser, md), cfg, sink)
+        emit_series("flat_expansion", q_to_Q(ser, md), cfg, sink)
         return 0
     elt = corr.tower(side).elements[g]
     emit_bmod("generators", elt, cfg, sink)

@@ -9,11 +9,14 @@ coefficient of prod_j z_j^{e_j} is
 
 summed over all partitions up to the nome order (Bloch-Okounkov 2000;
 Okounkov-Pandharipande, GW theory, Hurwitz theory and completed cycles).
-The q^d coefficient sums over the partitions of d alone, so the closed-form
-z-coefficients of B_lambda are cached as one column per exponent and
-partition size, shared by every label and every nome order.  A label's
-bracket is built and cached when it is first read, so the labels of a
-degree that no connected function reads are never built.
+The q^d coefficient sums over the partitions of d alone, held in one table
+grown one part at a time: the partitions of d with least part "last" are
+those of d - last with no smaller part, with last appended.  The
+z-coefficients of B_lambda are cached in the same order, one integer column
+per exponent and size shared by every label and nome order; each entry is
+its parent's at d - last plus the appended part's term.  A label's bracket
+is built and cached when it is first read, so the labels of a degree that
+no connected function reads are never built.
 
 Connected functions follow by the exponential formula on multiplicity
 vectors; coefficients are recognized in the weight-graded ring Q[E2, E4, E6].
@@ -23,6 +26,7 @@ that tag is the coefficient of log of the *signed* nome (-1)^(E.E) * nome.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -142,20 +146,24 @@ def theta_z(zdeg: int, qorder: int):
 
 # -- disconnected n-point functions: the Bloch-Okounkov q-bracket --------------------
 
-def _partitions_of(d: int, largest: int | None = None):
-    """Partitions of d as weakly decreasing tuples, parts <= largest."""
-    if d == 0:
-        yield ()
-        return
-    for first in range(min(d, largest or d), 0, -1):
-        for rest in _partitions_of(d - first, first):
-            yield (first,) + rest
+def _first_at_least(rests: tuple, last: int) -> int:
+    """The index in a partition table, ordered by least part, from which
+    no partition has a part below ``last``."""
+    return bisect_left(rests, last, key=lambda lam: lam[-1]) if rests[0] else 0
 
 
 @lru_cache(maxsize=None)
 def _partitions(d: int) -> tuple:
-    """The partitions of exactly d."""
-    return tuple(_partitions_of(d))
+    """The partitions of d as weakly decreasing tuples, ordered by least
+    part: for last = 1..d, each partition of d - last with no part below
+    last, with last appended."""
+    if d == 0:
+        return ((),)
+    out = []
+    for last in range(1, d + 1):
+        rests = _partitions(d - last)
+        out += [rest + (last,) for rest in rests[_first_at_least(rests, last):]]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -174,12 +182,22 @@ def _constants(e: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _column(e: int, d: int) -> tuple:
-    """[z^e] B_lambda(z) for every partition of d, as integer numerators
-    over the denominator of _constants(e)."""
+    """[z^e] B_lambda(z) for every partition of d, in the order of
+    _partitions(d), as integer numerators over the denominator of
+    _constants(e).  Part n = len(rest) + 1 appended to a partition rest of
+    d - last adds (2 (last - n) + 1)^e - (1 - 2 n)^e units to its entry."""
     pole_num, unit, _ = _constants(e)
-    return tuple(pole_num + unit * sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
-                                       for i, part in enumerate(lam, start=1))
-                 for lam in _partitions(d))
+    if d == 0:
+        return (pole_num,)
+    out = []
+    for last in range(1, d + 1):
+        rests = _partitions(d - last)
+        start = _first_at_least(rests, last)
+        step = [unit * ((2 * (last - n) + 1) ** e - (1 - 2 * n) ** e)
+                for n in range(1, d // last + 1)]
+        out += [entry + step[len(rest)] for rest, entry in
+                zip(rests[start:], _column(e, d - last)[start:])]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +220,7 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
     """Each weakly decreasing n-tuple of exponents >= 1 summing to
     ``degree``, mapped to its disconnected_coefficient."""
     return {exps: disconnected_coefficient(exps, qorder)
-            for exps in _partitions_of(degree) if len(exps) == n}
+            for exps in _partitions(degree) if len(exps) == n}
 
 
 def monomial_count(weight: int) -> int:

@@ -14,17 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from operator import add, mul
 
 from .linalg import LinearSystemError, solve_unique
-from .series import Localp2Error, Powers, RatSeries
-
-
-def _over_lcm(fracs) -> tuple[list, int]:
-    """Integer numerators of ``fracs`` over the lcm of their denominators."""
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+from .series import Localp2Error, Powers, RatSeries, over_lcm
 
 
 class GradedError(Localp2Error):
@@ -134,8 +127,8 @@ class Graded:
                                            self.terms.items()} if other else {})
         if type(other) is not type(self):
             return NotImplemented
-        na, da = _over_lcm(self.terms.values())
-        nb, db = _over_lcm(other.terms.values())
+        na, da = over_lcm(self.terms.values())
+        nb, db = over_lcm(other.terms.values())
         acc: dict = {}
         for k1, x in zip(self.terms, na):
             for k2, y in zip(other.terms, nb):

@@ -6,19 +6,12 @@ division per entry and step is exact, and a Fraction is made only for
 each entry of the solution."""
 
 from fractions import Fraction
-from math import lcm
 
-from .series import Localp2Error
+from .series import Localp2Error, over_lcm
 
 
 class LinearSystemError(Localp2Error):
     pass
-
-
-def _integer_row(row) -> list:
-    """An int or Fraction row times the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def solve_unique(rows, rhs):
@@ -28,7 +21,7 @@ def solve_unique(rows, rhs):
     LinearSystemError otherwise.  rows: list of coefficient lists, entries
     int or Fraction.
     """
-    m = [_integer_row([*r, v]) for r, v in zip(rows, rhs)]
+    m = [over_lcm([*r, v])[0] for r, v in zip(rows, rhs)]
     nrows = len(m)
     ncols = len(m[0]) - 1 if m else 0
     # a column without a pivot raises, so column c pivots in row c.  Each

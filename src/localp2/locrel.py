@@ -242,21 +242,13 @@ def genus0_flat_expansion(md: MirrorData) -> RatSeries:
     return RatSeries("Q", 0, coeffs)
 
 
-def relative_flat_expansion(elt_or_series, md: MirrorData) -> RatSeries:
-    """Q-expansion of a solved series (log-free part for genus 1)."""
-    if isinstance(elt_or_series, BModElement):
-        return bm_eval(elt_or_series, md, target="Q")
-    return q_to_Q(elt_or_series, md)
-
-
 def relative_flat_tower(corr: Correspondence, gmax: int) -> dict:
     """Flat Q-expansions of the relative series for genus 0..gmax, with
     genus >= 2 read from ``corr.relative``."""
     md = corr.md
     flat = {0: genus0_flat_expansion(md)}
     if gmax >= 1:
-        flat[1] = relative_flat_expansion(
-            corr.solve_relative(1, f1_local_series(md)), md)
+        flat[1] = q_to_Q(corr.solve_relative(1, f1_local_series(md)), md)
     for g in range(2, gmax + 1):
-        flat[g] = relative_flat_expansion(corr.relative.elements[g], md)
+        flat[g] = bm_eval(corr.relative.elements[g], md, target="Q")
     return flat

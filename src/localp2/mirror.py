@@ -172,9 +172,9 @@ def build_mirror_data(order: int) -> MirrorData:
     j = _solve_log_companion(i11, order)
     x = RatSeries.one("q", order) / _u_of_q(order)
     s = i11.theta() / i11 - (x - RatSeries.one("q", order)) / 3
-    qofq = ibar1.with_log(1).exp()   # q * exp(ibar1)
+    qofq = ibar1.exp().shift(1)   # q * exp(ibar1)
     qof_q = qofq.revert("Q")
-    cqofq = -((j / i11).with_log(1).exp())
+    cqofq = -(j / i11).exp().shift(1)
     that = _conifold_flat(order)
     return MirrorData(order=order, ibar1=ibar1, I11=i11, J=j, X=x, S=s,
                       Qofq=qofq, qofQ=qof_q, cQofq=cqofq, that=that)

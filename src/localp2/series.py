@@ -11,8 +11,7 @@ result is exact and truncates there.  No floating point is used anywhere.
 
 An optional ``log_coeff`` slot holds a single rational multiple of the formal
 symbol log(variable).  It participates in addition, scalar multiplication,
-the theta derivative (theta log v = 1) and exponentiation with integer
-log_coeff (a monomial shift); everything else rejects it.
+and the theta derivative (theta log v = 1); everything else rejects it.
 """
 
 from __future__ import annotations
@@ -36,6 +35,13 @@ def _rat(x):
 
 def _frac(x) -> Fraction:
     return Fraction(x) if isinstance(x, (int, str)) else _rat(x)
+
+
+def over_lcm(fracs) -> tuple[list, int]:
+    """Integer numerators of the ints or reduced Fractions ``fracs`` over
+    the lcm of their denominators."""
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def _make(var: str, min_exp: int, nums, den: int, log_coeff) -> "RatSeries":
@@ -96,11 +102,10 @@ class RatSeries:
         if not vals:
             raise SeriesError("series needs at least one stored coefficient")
         # reduced fractions over the lcm of their denominators are in lowest terms
-        den = lcm(*(c.denominator for c in vals))
+        nums, self.den = over_lcm(vals)
         self.var = var
         self.min_exp = int(min_exp)
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in vals)
-        self.den = den
+        self.nums = tuple(nums)
         self.log_coeff = _frac(log_coeff)
 
     # -- construction helpers -------------------------------------------------
@@ -368,14 +373,10 @@ class RatSeries:
         return _make(self.var, 0, out, d, _ZERO)
 
     def exp(self) -> "RatSeries":
-        """exp of a series with zero constant term, k out_k = sum_{j=1..k}
-        j f_j out_(k-j); an integer log slot contributes a monomial shift
-        (exp(c log v) = v**c)."""
-        shift = 0
+        """exp of a series with zero constant term and no log slot,
+        k out_k = sum_{j=1..k} j f_j out_(k-j)."""
         if self.log_coeff:
-            if self.log_coeff.denominator != 1:
-                raise SeriesError("exp needs an integer log_coeff")
-            shift = int(self.log_coeff)
+            raise SeriesError("exp of a log-extended series")
         v = self.valuation()
         if v is not None and v < 0:
             raise SeriesError("exp of a Laurent series")
@@ -386,7 +387,7 @@ class RatSeries:
         for k in range(1, len(jf)):
             d = _push(out, d, sum(map(mul, jf[1:k + 1], reversed(out))),
                       k * self.den * d)
-        return _make(self.var, shift, out, d, _ZERO)
+        return _make(self.var, 0, out, d, _ZERO)
 
     def theta(self) -> "RatSeries":
         """theta = v d/dv; a log slot contributes its coefficient at v^0."""

@@ -6,6 +6,9 @@ import pytest
 from localp2.acceptance import elliptic_hae_check
 from localp2.elliptic import (
     EPoly,
+    _column,
+    _constants,
+    _partitions,
     EllipticError,
     StationaryLabel,
     connected_coefficient,
@@ -20,7 +23,8 @@ from localp2.elliptic import (
 from localp2.graded import GradedError, evaluate, recognize
 from localp2.series import RatSeries
 
-from oracles import bloch_okounkov_npoint_oracle, connected_coefficient_oracle
+from oracles import (bloch_okounkov_npoint_oracle, connected_coefficient_oracle,
+                     partitions_of)
 
 F = Fraction
 
@@ -139,6 +143,28 @@ class TestDisconnected:
     def test_keys_are_partitions_into_n_parts(self):
         assert set(npoint_disconnected(3, 6, 4)) == {(4, 1, 1), (3, 2, 1), (2, 2, 2)}
         assert npoint_disconnected(3, 2, 4) == {}
+
+
+class TestPartitionTable:
+    # both tables append one part to the table at d - last; the oracle
+    # tests above stop at size 12, these reach 22.  The column test keys
+    # the closed form by _partitions(d), which test_partitions checks
+
+    @pytest.mark.parametrize("d", range(23))
+    def test_partitions(self, d):
+        parts = _partitions(d)
+        assert len(set(parts)) == len(parts)
+        assert all(list(lam) == sorted(lam, reverse=True) for lam in parts)
+        assert set(parts) == set(partitions_of(d))
+
+    @pytest.mark.parametrize("d", range(23))
+    def test_columns_against_closed_form(self, d):
+        for e in range(1, 10):
+            pole, unit, _ = _constants(e)
+            want = {lam: pole + unit * sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
+                                           for i, part in enumerate(lam, start=1))
+                    for lam in _partitions(d)}
+            assert dict(zip(_partitions(d), _column(e, d))) == want, e
 
 
 class TestConnected:

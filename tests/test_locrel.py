@@ -16,9 +16,8 @@ from localp2.locrel import (
     epoly_to_bmod,
     f1_local_series,
     f1_relative_series,
-    relative_flat_expansion,
 )
-from localp2.mirror import BModElement, bm_eval, build_mirror_data, cq_change
+from localp2.mirror import BModElement, bm_eval, build_mirror_data, cq_change, q_to_Q
 from localp2.series import RatSeries
 
 from oracles import enumerate_corr_terms_oracle, solve_local
@@ -153,7 +152,7 @@ class TestSolve:
 
     def test_genus1_flat_expansion(self, corr, md):
         got = corr.solve_relative(1, f1_local_series(md))
-        flat = relative_flat_expansion(got, md)
+        flat = q_to_Q(got, md)
         assert flat.coeff_list(1, 5) == [F(7, 8), F(-129, 16), F(589, 6),
                                          F(-43009, 32), F(392691, 20)]
 
@@ -189,7 +188,7 @@ class TestSolve:
 
     def test_genus2_flat_expansion(self, corr, md):
         got = corr.solve_relative(2, F2_LOCAL)
-        flat = relative_flat_expansion(got, md)
+        flat = bm_eval(got, md, target="Q")
         assert flat.coeff_list(0, 5) == [0, F(29, 640), F(-207, 64),
                                          F(18447, 160), F(-526859, 160),
                                          F(5385429, 64)]

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localp2.locrel import Correspondence, f1_local_series, relative_flat_expansion
-from localp2.mirror import build_mirror_data
+from localp2.locrel import Correspondence, f1_local_series
+from localp2.mirror import bm_eval, build_mirror_data, q_to_Q
 from localp2.ns import (
     OmegaError,
     compare_ns_relative,
@@ -194,9 +194,8 @@ class TestCompare:
         f2 = solve_genus(2, "relative", md, corr)
         flat = {
             0: _local_f0_flat(md),  # genus 0 local and relative coincide
-            1: relative_flat_expansion(
-                corr.solve_relative(1, f1_local_series(md)), md),
-            2: relative_flat_expansion(f2, md),
+            1: q_to_Q(corr.solve_relative(1, f1_local_series(md)), md),
+            2: bm_eval(f2, md, target="Q"),
         }
         report = compare_ns_relative(table, 2, 2, flat)
         assert report["ok"]

@@ -209,12 +209,12 @@ class TestIntegerKernels:
                                   b.coeff_list(vb, vb + n), n)
         assert list(got.coeffs) == expect
 
-    @given(no_constant, st.integers(-2, 2))
+    @given(no_constant)
     @settings(max_examples=60, deadline=None)
-    def test_exp_against_series_sum(self, f, shift):
-        got = f.with_log(shift).exp()
+    def test_exp_against_series_sum(self, f):
+        got = f.exp()
         n = f.trunc_order
-        assert (got.min_exp, got.trunc_order) == (shift, shift + n)
+        assert (got.min_exp, got.trunc_order) == (0, n)
         assert list(got.coeffs) == pl_exp(f.coeff_list(0, n), n)
         assert_canonical(got)
 
@@ -340,11 +340,13 @@ class TestExpLog:
 
     def test_exp_of_log_slot_shifts(self):
         # exp(log q + Ibar1) = q * exp(Ibar1): the mirror map expansion
+        # writes the log slot as a shift, which exp itself rejects
         n = 6
-        ibar1 = q_series([0] + [ibar1_coeff(k) for k in range(1, n + 1)],
-                         log_coeff=1)
-        Q = ibar1.exp()
+        ibar1 = q_series([0] + [ibar1_coeff(k) for k in range(1, n + 1)])
+        Q = ibar1.exp().shift(1)
         assert Q.coeff_list(1, 6) == [1, -6, 63, -866, 13899, -246366]
+        with pytest.raises(SeriesError):
+            ibar1.with_log(1).exp()
 
     def test_exp_needs_its_constant_term(self):
         # known only below q^0, the constant term is unknown: no exp
