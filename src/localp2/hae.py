@@ -17,7 +17,9 @@ The conifold frame replaces the propagator S by its conifold counterpart,
 built from the conifold flat coordinate by the same recipe that builds S
 from the degree-one period at large volume; X = 1/u stays an honest
 coordinate.  The frame is validated against the genus-2 closed forms
-before being trusted at higher genus.
+before being trusted at higher genus.  Nothing reverts t: the gap is
+fixed in closed form on the u side, and a polar part in t is read from
+powers of t in u by Lagrange inversion.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .linalg import LinearSystemError, solve_unique
 from .locrel import Correspondence, DTower
 from .mirror import BModElement, BModError, MirrorData, theta_u
 from .quasimod import bernoulli
@@ -71,10 +72,10 @@ def hae_rhs(g: int, kind: str, tower: DTower) -> BModElement:
     if g < 2:
         raise BModError("anomaly solving starts at genus 2")
     total = BModElement.zero()
-    for g1 in range(1, g):
-        g2 = g - g1
-        total = total + tower.QdQ(g1, 1) * tower.QdQ(g2, 1)
-    total = total * F(1, 2)
+    for g1 in range(1, g // 2 + 1):
+        # the product for g1 stands for itself and for g - g1
+        w = F(1, 2) if 2 * g1 == g else 1
+        total = total + tower.QdQ(g1, 1) * tower.QdQ(g - g1, 1) * w
     if kind == "local":
         total = total + tower.QdQ(g - 1, 2) * F(1, 2)
     elif kind != "relative":
@@ -95,13 +96,13 @@ def integrate_S(rhs: BModElement) -> BModElement:
 
 class ConifoldFrame:
     """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
-    the propagator ``s_con``, the reversion ``u_inverse`` and the two
-    ``Powers`` tables that conifold_expand reads, each made on its first
-    read and known as far as ``that`` allows.  ``at(order)`` is the same
-    frame from ``that`` cut at u^order, made once per order: the gap at
-    pole order M reads only the frame at order M, so it pays for no
-    coefficient it does not read, and an order too short for a read
-    raises SeriesError rather than give a wrong number."""
+    the propagator ``s_con`` and the two ``Powers`` tables that the polar
+    parts read, each made on its first read and known as far as ``that``
+    allows; ``that`` is never reverted.  ``at(order)`` is the same frame
+    from ``that`` cut at u^order, made once per order: the gap at pole
+    order M reads only the frame at order M, so it pays for no coefficient
+    it does not read, and an order too short for a read raises SeriesError
+    rather than give a wrong number."""
 
     def __init__(self, that: RatSeries):
         self.that = that
@@ -126,68 +127,66 @@ class ConifoldFrame:
         return theta_u(theta_t) / theta_t - x_minus_1_over_3
 
     @cached_property
-    def u_inverse(self) -> RatSeries:
-        """The reversion: u in the flat coordinate, through that^order."""
-        return self.that.revert("that")
-
-    @cached_property
-    def inv_u_pow(self) -> Powers:
-        """(1/u_inverse)**k at index k: conifold_expand's u^-k, known
-        through that^(order - k - 1)."""
-        one = RatSeries.one("that", self.u_inverse.trunc_order)
-        return Powers(one / self.u_inverse, one)
-
-    @cached_property
     def s_con_pow(self) -> Powers:
-        """s_con**s at index s: conifold_expand's S^s, known through
+        """s_con**s at index s: the u-side polar part's S^s, known through
         u^(order - s - 1) for s >= 1."""
         return Powers(self.s_con, RatSeries.one("u", self.that.trunc_order))
+
+    @cached_property
+    def that_pow(self) -> Powers:
+        """that**i at index i, known through u^order at least: conifold_expand
+        reads [that^-i] u^-j = (j/i) [u^j] that^i from it."""
+        return Powers(self.that.trim(), RatSeries.one("u", self.that.trunc_order))
 
 
 @lru_cache(maxsize=None)
 def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
     """The conifold frame of the mirror data, one per mirror data; its
-    series are made when conifold_expand first reads them."""
+    series are made when a polar part first reads them."""
     return ConifoldFrame(md.that)
+
+
+def u_polar_part(elt: BModElement, frame: ConifoldFrame,
+                 max_pole: int) -> list:
+    """[u^-1], ..., [u^-max_pole] of a weight-zero element with S -> frame
+    propagator and X -> 1/u; a deeper pole raises GapError.  S^s X^x goes
+    to s_con^s u^-x, with a pole u^-(s+x) at most, so the frame is read at
+    the order P of the deepest pole there may be: it gives s_con^s through
+    u^(P-s-1), all that is read."""
+    if elt.i11_degree != 0:
+        raise BModError("conifold expansion needs a weight-zero element")
+    if elt.is_zero():
+        return [F(0)] * max_pole
+    frame = frame.at(max(max_pole, *(s + x for s, x in elt.terms)))
+    # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
+    total = lincomb([(v, frame.s_con_pow[s].truncate(x - 1).shift(-x))
+                     for (s, x), v in elt.terms.items()])
+    v = total.valuation()
+    if v is not None and v < -max_pole:
+        raise GapError(f"conifold pole exceeds order {max_pole}")
+    return [total.coeff(-j) for j in range(1, max_pole + 1)]
 
 
 def conifold_expand(elt: BModElement, frame: ConifoldFrame,
                     max_pole: int) -> RatSeries:
     """Polar part, that^-max_pole..that^-1, of the Laurent expansion in the
     flat conifold coordinate of a weight-zero element with S -> frame
-    propagator and X -> 1/u.  Substituting u = u_inverse, only the u^j with
-    j < 0 have poles in that, so the polar part is the sum of the u^j
-    coefficients times u_inverse**j over them.
-
-    S^s X^x goes to s_con^s u^-x, whose pole is u^-(s+x) at most, so the
-    frame is read at the order P of the deepest pole there may be: it
-    gives s_con^s through u^(P-s-1) and u_inverse**-k through
-    that^(P-k-1), all that is read."""
-    if elt.i11_degree != 0:
-        raise BModError("conifold expansion needs a weight-zero element")
-    polar = RatSeries("that", -max_pole, [0] * max_pole)
-    if elt.is_zero():
-        return polar
-    frame = frame.at(max(max_pole, *(s + x for s, x in elt.terms)))
-    # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
-    total = lincomb([(v, frame.s_con_pow[s].truncate(x - 1).shift(-x))
-                     for (s, x), v in elt.terms.items()])
-    v = total.valuation()
-    if v is None:
-        return polar
-    if v < -max_pole:
-        raise GapError(f"conifold pole exceeds order {max_pole}")
-    return lincomb([(1, polar)] + [(total.coeff(j),
-                                    frame.inv_u_pow[-j].truncate(-1))
-                                   for j in range(v, 0)])
+    propagator and X -> 1/u.  Only the u^-j have poles in that, and by
+    Lagrange inversion [that^-i] u^-j = (j/i) [u^j] that^i, which is zero
+    for j < i; that^i cut at u^max_pole is all that is read."""
+    c = u_polar_part(elt, frame, max_pole)
+    that_pow = frame.at(max_pole).that_pow
+    return RatSeries("that", -max_pole, [
+        sum((j * c[j - 1] * that_pow[i].coeff(j)
+             for j in range(i, max_pole + 1) if c[j - 1]), F(0)) / i
+        for i in range(max_pole, 0, -1)])
 
 
 def least_q_order(g: int) -> int:
     """The least mirror order at which genus g is solved: 2g - 2.  The gap
-    reads that^-M..that^-1, M = 2g - 2, of the particular solution (s + x
-    <= M) and of X^k, k <= M, from (1/u_inverse)**k in the frame cut at
-    u^M, which knows it through that^(M - k - 1); the cut needs the flat
-    coordinate through u^M."""
+    reads u^-M..u^-1, M = 2g - 2, of the particular solution (s + x <= M)
+    from s_con^s through u^(M - s - 1), and u^0..u^(M-1) of (u/that)^M;
+    both need the flat coordinate through u^M."""
     return 2 * g - 2
 
 
@@ -204,24 +203,23 @@ def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
 def gap_fix(g: int, kind: str, particular: BModElement,
             frame: ConifoldFrame, md: MirrorData) -> BModElement:
     """Add to ``particular`` the holomorphic ambiguity, a combination of
-    X^0..X^(2g-2), fixed by the gap and the vanishing flat constant term;
-    the (2g-1)-square system must be uniquely solvable.  X^j -> u^-j has
-    the polar part of (1/u_inverse)**j and the flat constant X(0)^j, so
-    only the particular solution is expanded."""
+    X^0..X^(2g-2), fixed by the gap and the vanishing flat constant term.
+
+    With M = 2g - 2 and X = 1/u, the ambiguity A = sum_j a_j u^-j must give
+    P + A the flat-coordinate polar part t_M that^-M.  A regular series in
+    that is regular in u, so A is the u-side polar part of t_M that^-M - P:
+    a_j = t_M [u^(M-j)] (u/that)^M - [u^-j] P for j = 1..M.  X^0 has no
+    pole, so a_0 alone makes the flat constant term vanish."""
     if g < 2:
         raise GapError("gap conditions exist for 2g - 2 >= 2")
     M = 2 * g - 2
-    inv_u_pow, x0 = frame.at(M).inv_u_pow, md.X.constant_term()
-    rows = [[inv_u_pow[j].coeff(-i) for j in range(M + 1)]
-            for i in range(1, M + 1)] + [[x0 ** j for j in range(M + 1)]]
-    con = conifold_expand(particular, frame, M)
-    rhs = [t - con.coeff(-i) for i, t in enumerate(gap_conditions(g, kind), 1)]
-    rhs.append(-q_constant_term(particular, md))
-    try:
-        sol = solve_unique(rows, rhs)
-    except LinearSystemError as exc:
-        raise GapError(f"gap boundary system not uniquely solvable: {exc}") from exc
-    return particular + BModElement(0, {(0, j): a for j, a in enumerate(sol)})
+    p = u_polar_part(particular, frame, M)
+    u_over_that = (RatSeries.gen("u", M) / frame.at(M).that) ** M
+    t = gap_target(g, kind)
+    amb = {(0, j): t * u_over_that.coeff(M - j) - p[j - 1]
+           for j in range(1, M + 1)}
+    a0 = -q_constant_term(particular + BModElement(0, amb), md)
+    return particular + BModElement(0, {(0, 0): a0, **amb})
 
 
 # -- degree-bound assertions --------------------------------------------------------------

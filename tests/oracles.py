@@ -16,8 +16,10 @@ direction the library uses.
 
 :func:`conifold_polar_oracle` reads the conifold gap by substituting the
 whole u-series, regular part included, into powers of u_inverse and
-dividing by a power of u_inverse, all on plain lists; the library sums only
-the polar terms against a table of negative powers.
+dividing by a power of u_inverse, all on plain lists, with u_inverse from
+:func:`pl_revert`, which solves f(g(v)) = v one coefficient at a time by
+composition; the library does not revert the flat coordinate: it reads
+each pole of the polar u-terms from powers of it by Lagrange inversion.
 
 :func:`pl_exp` and :func:`pl_log1p` sum the defining power series term by
 term on Fractions; the library runs one coefficient recurrence each on
@@ -81,6 +83,18 @@ def pl_compose(outer, inner, order):
         out = pl_mul(out, inner, order)
         out[0] += Fraction(c)
     return out
+
+
+@lru_cache(maxsize=None)
+def pl_revert(f: tuple, order: int) -> tuple:
+    """The compositional inverse g of f = f1 v + O(v^2), f1 != 0, through
+    v^order: each g_k (k >= 2) is the one that clears the v^k coefficient
+    of f(g(v)) - v, substituted by pl_compose."""
+    assert not f[0] and f[1]
+    g = [Fraction(0), 1 / Fraction(f[1])] + [Fraction(0)] * (order - 1)
+    for k in range(2, order + 1):
+        g[k] = -pl_compose(list(f[: k + 1]), g[: k + 1], k)[k] / f[1]
+    return tuple(g)
 
 
 def pl_long_division(a, b, order):
@@ -148,12 +162,12 @@ def conifold_polar_oracle(elt, frame, max_pole: int) -> list:
     """The that^-j coefficients, j = max_pole..1, of a weight-zero
     BModElement with S -> frame.s_con and X -> 1/u, re-expanded in the
     flat conifold coordinate: multiply by u^D to clear every pole,
-    substitute u = u_inverse into the whole power series, and divide by
-    u_inverse^D."""
+    substitute u = u_inverse, the pl_revert of frame.that, into the whole
+    power series, and divide by u_inverse^D."""
     assert elt.i11_degree == 0
     assert frame.s_con.valuation() >= -1
     D = max([max_pole] + [s + x for s, x in elt.terms])
-    order = min(frame.s_con.trunc_order + 1, frame.u_inverse.trunc_order)
+    order = min(frame.s_con.trunc_order + 1, frame.that.trunc_order)
     # the quotient by u_inverse^D is known through that^(order - 2D)
     assert 2 * D - 1 <= order, "too few orders to read that^-1"
     w = tuple(frame.s_con.coeff(k - 1) for k in range(order + 1))  # u s_con
@@ -163,8 +177,8 @@ def conifold_polar_oracle(elt, frame, max_pole: int) -> list:
         e = D - s - x
         for i, c in enumerate(w_pows[s][: order + 1 - e]):
             regular[i + e] += v * c
-    u_pows = pl_powers(tuple(frame.u_inverse.coeff_list(0, order)), order,
-                       order)
+    u_inverse = pl_revert(tuple(frame.that.coeff_list(0, order)), order)
+    u_pows = pl_powers(u_inverse, order, order)
     num = [sum((regular[k] * u_pows[k][i] for k in range(i + 1)), Fraction(0))
            for i in range(order + 1)]
     # u_inverse^D = that^D h with h a unit
@@ -309,14 +323,16 @@ def enumerate_corr_terms_oracle(g: int):
 
 # -- partitions and the Bloch-Okounkov partition sum ---------------------------
 
-def partitions_of(n: int):
+def partitions_of(n: int, largest: int | None = None):
+    """The partitions of n with no part above ``largest`` (default n), as
+    weakly decreasing tuples; every branch yields, so the time is linear
+    in the output."""
     if n == 0:
         yield ()
         return
-    for first in range(n, 0, -1):
-        for rest in partitions_of(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest
 
 
 def _exp_list(c: Fraction, zorder: int):

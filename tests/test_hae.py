@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localp2 import acceptance, hae
+from localp2 import acceptance, graded, hae, linalg
 from localp2.hae import (
     ConifoldFrame,
     GapError,
@@ -25,12 +25,11 @@ from localp2.hae import (
     solve_towers,
     verify_hae,
 )
-from localp2.linalg import LinearSystemError, solve_unique
 from localp2.locrel import Correspondence, DF1_LOCAL, DF1_RELATIVE, DTower
 from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
 from localp2.series import RatSeries, SeriesError
 
-from oracles import bernoulli_list, conifold_polar_oracle
+from oracles import bernoulli_list, conifold_polar_oracle, solve_unique_oracle
 
 F = Fraction
 
@@ -100,37 +99,36 @@ class TestFrame:
             assert cut.that == frame.that.truncate(M)
             assert cut.s_con.trunc_order == M - 2
             assert cut.s_con.agrees_with(frame.s_con, M - 2)
-            assert cut.u_inverse.agrees_with(frame.u_inverse, M)
+            assert cut.that_pow[2].agrees_with(frame.that_pow[2], M)
         with pytest.raises(SeriesError):
             frame.at(ORDER + 1)
 
     def test_expansion_reads_only_the_frame_at_its_pole_order(self, md):
         fresh = ConifoldFrame(md.that)
-        lazy = {"s_con", "u_inverse", "s_con_pow", "inv_u_pow"}
+        lazy = {"s_con", "s_con_pow", "that_pow"}
         conifold_expand(F2_LOCAL, fresh, 2)
         assert not lazy & vars(fresh).keys()
         assert lazy <= vars(fresh.at(2)).keys()
         assert not lazy & vars(fresh.at(4)).keys()
 
-    def test_pole_table_is_negative_powers_of_u_inverse(self, frame):
+    def test_pole_table_is_powers_of_that(self, frame):
+        # conifold_expand reads [u^j] that^i, i <= j <= M, from the cut at M
         for M in (2, 4, 6, ORDER):
             cut = frame.at(M)
-            powers = cut.inv_u_pow
-            assert powers[0] == RatSeries.one("that", M)
-            for k in range(1, min(M, 8) + 1):
-                p = powers[k]
-                # that^-k (1 + ...), known through that^(M - k - 1)
-                assert (p.valuation(), p.coeff(-k)) == (-k, 1)
-                assert p.trunc_order == M - k - 1
-                prod = p * cut.u_inverse ** k
-                assert prod.agrees_with(RatSeries.one("that", M),
-                                        prod.trunc_order)
+            powers = cut.that_pow
+            assert powers[0] == RatSeries.one("u", M)
+            for i in range(1, min(M, 8) + 1):
+                p = powers[i]
+                # u^i (1 + ...), known through u^M at least
+                assert (p.valuation(), p.coeff(i)) == (i, 1)
+                assert p.trunc_order >= M
+                assert p.agrees_with(frame.that ** i, M)
 
     def test_pole_table_grows_on_demand(self, frame):
-        table = frame.at(6).inv_u_pow
+        table = frame.at(6).that_pow
         kept = [table[k] for k in range(3)]
-        assert frame.at(6).inv_u_pow is table
-        assert table[6].coeff(-6) == 1
+        assert frame.at(6).that_pow is table
+        assert table[6].coeff(6) == 1
         assert all(table[k] is p for k, p in enumerate(kept))
 
     def test_s_con_table_is_powers_of_s_con(self, frame):
@@ -175,10 +173,10 @@ def polar(elt, frame, M) -> list:
 def gap_calls(md):
     """What gap_fix takes, reads and returns while both towers are solved
     through genus 5 by anomaly + gap, in call order: ``calls`` holds
-    (genus, particular solution, solution) per gap_fix call, ``expanded``
-    (genus, element) per conifold_expand call and ``rows`` the matrix of
-    each solve_unique call."""
-    calls, expanded, rows = [], [], []
+    (genus, particular solution, solution) per gap_fix call and
+    ``expanded`` (genus, element) per u_polar_part call."""
+    calls, expanded = [], []
+    u_polar_part = hae.u_polar_part
 
     def fixing(g, kind, particular, frame, md):
         sol = gap_fix(g, kind, particular, frame, md)
@@ -187,19 +185,31 @@ def gap_calls(md):
 
     def expanding(elt, frame, max_pole):
         expanded.append((max_pole // 2 + 1, elt))
-        return conifold_expand(elt, frame, max_pole)
-
-    def solving(matrix, rhs):
-        rows.append(matrix)
-        return solve_unique(matrix, rhs)
+        return u_polar_part(elt, frame, max_pole)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hae, "gap_fix", fixing)
-        mp.setattr(hae, "conifold_expand", expanding)
-        mp.setattr(hae, "solve_unique", solving)
+        mp.setattr(hae, "u_polar_part", expanding)
         for kind in ("local", "relative"):
             solve_genus(5, kind, md, Correspondence(md))
-    return SimpleNamespace(calls=calls, expanded=expanded, rows=rows)
+    return SimpleNamespace(calls=calls, expanded=expanded)
+
+
+def square_solve(g: int, kind: str, particular: BModElement, md,
+                 frame) -> BModElement:
+    """The gap as a (2g-1)-square system in X^0..X^(2g-2): a row per
+    that^-i, i = M..1 (M = 2g - 2), of oracle polar parts, and the row of
+    flat constant terms by bm_eval, solved by solve_unique_oracle."""
+    M = 2 * g - 2
+    xs = [BModElement.monomial(1, 0, j) for j in range(M + 1)]
+    polars = [conifold_polar_oracle(x, frame, M) for x in xs]
+    rows = [[p[k] for p in polars] for k in range(M)] + \
+        [[bm_eval(x, md).constant_term() for x in xs]]
+    con = conifold_polar_oracle(particular, frame, M)
+    rhs = [t - c for t, c in zip(gap_conditions(g, kind)[::-1], con)] + \
+        [-bm_eval(particular, md).constant_term()]
+    sol = solve_unique_oracle(rows, rhs)
+    return particular + BModElement(0, {(0, j): a for j, a in enumerate(sol)})
 
 
 class TestPolarPartOracle:
@@ -261,18 +271,10 @@ class TestGenus2Gap:
         with pytest.raises(GapError):
             conifold_expand(deep, frame, 2)
 
-    @pytest.mark.parametrize("raised,seen", [
-        (LinearSystemError("rank deficient"), GapError),
-        (KeyError("bug"), KeyError),
-    ])
-    def test_gap_fix_wraps_only_solver_failures(self, md, frame, monkeypatch,
-                                                raised, seen):
-        def solve_unique(rows, rhs):
-            raise raised
-
-        monkeypatch.setattr(hae, "solve_unique", solve_unique)
-        particular = integrate_S(hae_rhs(2, "relative", DTower(DF1_RELATIVE)))
-        with pytest.raises(seen):
+    def test_gap_fix_rejects_a_pole_past_the_gap(self, md, frame):
+        # the ambiguity reaches u^-2 at genus 2; S X^2 -> s_con u^-2 has u^-3
+        particular = BModElement.monomial(1, 1, 2)
+        with pytest.raises(GapError, match="pole exceeds order 2"):
             gap_fix(2, "relative", particular, frame, md)
 
 
@@ -284,19 +286,57 @@ class TestGapFix:
             [particular for _, particular, _ in gap_calls.calls]
 
     @pytest.mark.parametrize("M", [2, 4, 6, 8])
-    def test_rows_are_the_polar_parts_of_x_powers(self, md, frame, gap_calls,
-                                                  M):
-        # column j: the that^-1..that^-M coefficients of X^j, then its flat
-        # constant term, against the whole-series oracle and bm_eval
-        seen = [rows for (g, _, _), rows in zip(gap_calls.calls, gap_calls.rows)
-                if 2 * g - 2 == M]
-        assert len(seen) == 2
-        for rows in seen:
-            for j in range(M + 1):
-                x_j = BModElement.monomial(1, 0, j)
-                column = [row[j] for row in rows]
-                assert column[M - 1::-1] == conifold_polar_oracle(x_j, frame, M)
-                assert column[M] == bm_eval(x_j, md, target="Q").constant_term()
+    def test_rows_are_the_polar_parts_of_x_powers(self, md, frame, M):
+        # column j of the square system: the that^-M..that^-1 coefficients
+        # of X^j and its flat constant term, by the library against the
+        # whole-series oracle and bm_eval
+        for j in range(M + 1):
+            x_j = BModElement.monomial(1, 0, j)
+            assert polar(x_j, frame, M) == conifold_polar_oracle(x_j, frame, M)
+            assert q_constant_term(x_j, md) == \
+                bm_eval(x_j, md, target="Q").constant_term()
+
+    @pytest.mark.parametrize("kind", ["local", "relative"])
+    @pytest.mark.parametrize("at_floor", [True, False])
+    def test_equals_the_square_solve(self, md, frame, kind, at_floor):
+        # through genus 8, each genus solved at its floor order or at ORDER;
+        # the square system is read from the order-ORDER frame
+        for g in range(2, 9):
+            small = build_mirror_data(max(5, least_q_order(g))) \
+                if at_floor else md
+            corr = Correspondence(small)
+            if g > 2:
+                solve_genus(g - 1, kind, small, corr)
+            particular = integrate_S(hae_rhs(g, kind, corr.tower(kind)))
+            got = gap_fix(g, kind, particular, build_conifold_frame(small),
+                          small)
+            assert got == square_solve(g, kind, particular, md, frame)
+
+    def test_solving_reverts_nothing_and_solves_no_system(self, monkeypatch):
+        # a reversion or a square solve per genus made the deep towers
+        # several times slower; the count starts before the frame is made
+        md = build_mirror_data(16)
+        calls = []
+
+        def counting(name, f):
+            def counted(*args):
+                calls.append(name)
+                return f(*args)
+            return counted
+
+        monkeypatch.setattr(RatSeries, "revert",
+                            counting("revert", RatSeries.revert))
+        for mod in (linalg, graded):
+            monkeypatch.setattr(mod, "solve_unique",
+                                counting("solve_unique", mod.solve_unique))
+        monkeypatch.setattr(hae, "build_conifold_frame",
+                            lambda md: ConifoldFrame(md.that))
+        for kind in ("local", "relative"):
+            solve_genus(8, kind, md, Correspondence(md))
+        assert calls == []
+        md.that.revert()
+        linalg.solve_unique([[1]], [1])
+        assert calls == ["revert", "solve_unique"]
 
 
 class TestAnomalyEquation:
@@ -363,14 +403,13 @@ def ambiguity_basis(g: int) -> list:
 class TestAmbiguityDimensions:
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_dimension_is_2g_minus_1(self, g, gap_calls):
-        # per tower, gap_fix solves a (2g-1)-square system and adds to the
-        # particular solution a combination of X^0..X^(2g-2) alone
+        # per tower, gap_fix adds to the particular solution a combination
+        # of X^0..X^(2g-2) alone
         span = {(0, j) for j in range(2 * g - 1)}
-        seen = [(particular, sol, rows) for (gp, particular, sol), rows
-                in zip(gap_calls.calls, gap_calls.rows) if gp == g]
+        seen = [(particular, sol) for gp, particular, sol in gap_calls.calls
+                if gp == g]
         assert len(seen) == 2
-        for particular, sol, rows in seen:
-            assert [len(row) for row in rows] == [2 * g - 1] * (2 * g - 1)
+        for particular, sol in seen:
             assert set((sol - particular).terms) <= span
         # matches the count of A^a C^c monomials of weight 6g-6
         count = sum(1 for c in range(2 * g - 1) if (6 * g - 6 - 3 * c) >= 0)

@@ -15,7 +15,7 @@ from localp2.series import (
 )
 
 from oracles import (ibar1_coeff, pl_compose, pl_exp, pl_log1p,
-                     pl_long_division, pl_mul, pl_powers)
+                     pl_long_division, pl_mul, pl_powers, pl_revert)
 
 F = Fraction
 
@@ -425,6 +425,14 @@ class TestComposeRevert:
         identity = [0, 1] + [0] * 31
         assert pl_compose(fs, gs, 32) == identity
         assert pl_compose(gs, fs, 32) == identity
+
+    def test_plain_list_reversion_of_the_flat_coordinate(self):
+        # the reversion the conifold polar-part oracle reads, at its order
+        that = build_mirror_data(32).that
+        fs = that.coeff_list(0, 31)
+        gs = list(pl_revert(tuple(fs), 31))
+        assert pl_compose(fs, gs, 31) == [0, 1] + [0] * 30
+        assert gs == that.truncate(31).revert().coeff_list(0, 31)
 
 
 class TestTheta:
