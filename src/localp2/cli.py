@@ -27,14 +27,14 @@ whose traceback goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-# acceptance and traceback are imported in the paths that use them, so that
-# every other command starts without them
+# acceptance, traceback and json are imported in the paths that use them
+# (json by --format json and by ns.load_omega), and dataclasses by the first
+# build_mirror_data call, so that every other command starts without them
 from .elliptic import (EPoly, StationaryLabel, connected_extract,
                        monomial_count)
 from .hae import (build_conifold_frame, conifold_expand, gap_conditions,
@@ -110,6 +110,7 @@ def _write_rows(name: str, obj, cfg: RunConfig, sink, head: dict,
     if cfg.format == "text":
         sink(f"{name}: {obj!r}")
     elif cfg.format == "json":
+        import json
         sink(json.dumps({"name": name, **head, listed: [
             {**dict(zip(keys, exps)), "num": str(v.numerator),
              "den": str(v.denominator)} for exps, v in sorted(rows)]},

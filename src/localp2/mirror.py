@@ -21,7 +21,6 @@ this keeps every stored number rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
@@ -134,8 +133,12 @@ def _conifold_flat(order: int) -> RatSeries:
 
 # -- the assembled mirror data ----------------------------------------------------
 
-@dataclass(frozen=True)  # perfbench/tracer.py reads __dataclass_fields__
 class MirrorData:
+    """The mirror data through q^order.  ``build_mirror_data`` makes this
+    class a frozen dataclass in place on its first call (perfbench/tracer.py
+    reads ``__dataclass_fields__``), so that importing the package does not
+    import ``dataclasses``."""
+
     order: int
     ibar1: RatSeries      # q-series, no log
     I11: RatSeries        # theta of log q + ibar1
@@ -167,6 +170,11 @@ def _powers(base: RatSeries) -> Powers:
 def build_mirror_data(order: int) -> MirrorData:
     if order < 5:
         raise SeriesError("mirror data needs order >= 5")
+    # a flag, not a cache: emptying every cache of the package must not
+    # decorate the class twice, which dataclass refuses on a frozen class
+    if "__dataclass_fields__" not in MirrorData.__dict__:
+        from dataclasses import dataclass
+        dataclass(frozen=True)(MirrorData)
     ibar1 = _ibar1(order)
     i11 = RatSeries.one("q", order) + ibar1.theta()
     j = _solve_log_companion(i11, order)

@@ -23,7 +23,6 @@ where p(j) = [z^j] 1/(2 sinh(z/2)) is ``quasimod.inv_2sinh``.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import factorial
@@ -51,6 +50,8 @@ def load_omega(path) -> dict:
     """Read the JSON table as {degree: {exponent in half-units: integer
     coefficient}}; degrees are distinct and >= 1, exponents distinct within
     a degree, and each degree is palindromic."""
+    import json
+
     entries: dict = {}
     for item in json.loads(Path(path).read_text())["entries"]:
         d = _integer(item["degree"], "degree")

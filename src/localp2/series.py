@@ -16,10 +16,10 @@ and the theta derivative (theta log v = 1); everything else rejects it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable
 
 _ZERO = Fraction(0)
 

@@ -2,10 +2,12 @@
 
 perfbench/tracer.py patches library functions by name (module globals,
 class attributes such as ``RatSeries.__mul__``) and reads ``.coeffs``,
-``.log_coeff`` and ``MirrorData.__dataclass_fields__``.  A traced child
-that fails counts as a failed benchmark operation, so each traced job here
-must exit 0, print its golden bytes and leave a report with spans and the
-series product counter.
+``.log_coeff`` and ``MirrorData.__dataclass_fields__``, which exist only
+once ``build_mirror_data`` has made ``MirrorData`` a dataclass on its first
+call.  A traced child that fails counts as a failed benchmark operation, so
+each traced job here must exit 0, print its golden bytes and leave a report
+with spans and the series product counter; the job that builds mirror data
+must also report the size its hook reads from those fields.
 """
 
 import json
@@ -42,6 +44,12 @@ def run_traced(job, golden: Path, tmp_path):
 @pytest.mark.parametrize("golden", sorted(JOBS))
 def test_traced_child_matches_golden(golden, tmp_path):
     run_traced(JOBS[golden], BENCH / "golden" / golden, tmp_path)
+
+
+def test_traced_mirror_hook_reads_the_dataclass_fields(tmp_path):
+    golden = "genus4-hae/genus4-hae.out"
+    data = run_traced(JOBS[golden], BENCH / "golden" / golden, tmp_path)
+    assert data["maxima"]["mirror.build_mirror_data.maxbits"] > 0
 
 
 def test_traced_check_path_matches_golden(tmp_path):

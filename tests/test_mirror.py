@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localp2 import mirror
 from localp2.mirror import (
     BModElement,
     BModError,
@@ -32,6 +34,34 @@ ORDER = 32
 @pytest.fixture(scope="module")
 def md() -> MirrorData:
     return build_mirror_data(ORDER)
+
+
+class TestMirrorDataClass:
+    # build_mirror_data makes MirrorData a frozen dataclass in place on its
+    # first call; perfbench/tracer.py reads its __dataclass_fields__
+    def test_one_class(self):
+        assert type(build_mirror_data(8)) is type(build_mirror_data(9)) \
+            is mirror.MirrorData is MirrorData
+
+    def test_fields_in_order(self, md):
+        assert [f.name for f in dataclasses.fields(md)] == [
+            "order", "ibar1", "I11", "J", "X", "S", "Qofq", "qofQ", "cQofq",
+            "that"]
+        assert list(MirrorData.__dataclass_fields__) == [
+            f.name for f in dataclasses.fields(md)]
+
+    def test_frozen(self, md):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            md.order = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del md.S
+
+    def test_rebuild_after_cache_clear(self):
+        first = build_mirror_data(6)
+        build_mirror_data.cache_clear()
+        again = build_mirror_data(6)
+        assert again is not first
+        assert type(again) is MirrorData and again == first
 
 
 class TestFrobenius:

@@ -1,7 +1,9 @@
 """What ``import localp2.cli`` loads, which every command pays for.
 
-The import leaves out the check-only ``localp2.acceptance`` and the
-error-path ``traceback``: the commands that need them import them.  It must
+The import leaves out the check-only ``localp2.acceptance``, the
+error-path ``traceback``, ``json`` (read or written only by the paths that
+use it) and ``dataclasses`` with the ``inspect`` it pulls in (needed only
+when ``build_mirror_data`` first makes ``MirrorData`` a dataclass).  It must
 still load every module whose functions perfbench/tracer.py patches, since
 the tracer resolves them in ``sys.modules`` right after that import.
 """
@@ -30,30 +32,65 @@ def tracer_modules() -> set:
     return out
 
 
-def modules_loaded_by_cli_import() -> set:
-    code = ("import json, sys; before = set(sys.modules); import localp2.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter that imports localp2 from src;
+    return what it prints as one JSON value."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, timeout=60,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def modules_loaded_by_cli_import() -> set:
+    # json is imported after the measured import, so that it is seen there
+    return set(run_fresh(
+        "import sys; before = set(sys.modules); import localp2.cli; "
+        "loaded = sorted(set(sys.modules) - before); "
+        "import json; print(json.dumps(loaded))"))
 
 
 def test_cli_import_loads_the_traced_modules_and_not_the_checks():
     loaded, traced = modules_loaded_by_cli_import(), tracer_modules()
     assert len(traced) >= 9  # the targets were found
     assert traced <= loaded
-    assert not {"localp2.acceptance", "traceback"} & loaded
+    assert not {"localp2.acceptance", "traceback", "dataclasses", "inspect",
+                "json"} & loaded
+
+
+DATACLASSES_IN_PACKAGE = """
+import importlib, json, pkgutil, sys
+import localp2
+
+def dataclass_classes():
+    return sorted(f"{name}.{obj.__name__}" for name, mod in sys.modules.items()
+                  if name.startswith("localp2.") for obj in vars(mod).values()
+                  if isinstance(obj, type) and obj.__module__ == name
+                  and "__dataclass_fields__" in obj.__dict__)
+
+for info in pkgutil.iter_modules(localp2.__path__):
+    importlib.import_module(f"localp2.{info.name}")
+imported = dataclass_classes(), "dataclasses" in sys.modules
+localp2.mirror.build_mirror_data(5)
+print(json.dumps([imported, dataclass_classes()]))
+"""
 
 
 def test_mirror_data_is_the_only_dataclass():
     # the tracer reads MirrorData.__dataclass_fields__; any other dataclass
-    # would generate its methods at every start
-    decorated = [node.name for path in sorted(PACKAGE.glob("*.py"))
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.ClassDef) and any(
-                     "dataclass" in ast.unparse(d) for d in node.decorator_list)]
-    assert decorated == ["MirrorData"]
+    # would generate its methods at every start.  Importing every module of
+    # the package makes none and loads no dataclasses; the first build of
+    # mirror data makes MirrorData one, and nothing else.
+    (imported, loaded), built = run_fresh(DATACLASSES_IN_PACKAGE)
+    assert (imported, loaded) == ([], False)
+    assert built == ["localp2.mirror.MirrorData"]
+    # no class of the package is made a dataclass anywhere else, nested
+    # definitions included: the one use of the name is the call in
+    # build_mirror_data
+    uses = [path.name for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and node.id == "dataclass"
+            or isinstance(node, ast.Attribute) and node.attr == "dataclass"]
+    assert uses == ["mirror.py"]
