@@ -15,8 +15,9 @@ Subcommands
 Global flags: --config FILE, a flat key = value file setting q_order,
 format and omega (flags override it); --format json|csv|text; --out PATH.
 Solving genus g needs q_order >= 2g - 2, and --target both at g >= 3 also
-q_order >= 8; compute elliptic takes its nome order from --order, by
-default the number of E2/E4/E6 monomials of the label's weight plus 10.
+q_order >= 8; ns compare --dmax D needs q_order >= D; compute elliptic
+takes its nome order from --order, by default the number of E2/E4/E6
+monomials of the label's weight plus 10.
 
 Exit status: 0 on success; 1 when an exact verification fails; 2 on bad
 flags or a bad config or data file, before anything is computed, or on an
@@ -273,6 +274,9 @@ def cmd_verify_gap(args, cfg, sink) -> int:
 
 
 def cmd_ns_compare(args, cfg, sink) -> int:
+    if args.dmax > cfg.q_order:
+        raise UsageError(f"--dmax {args.dmax} needs q_order >= {args.dmax}, "
+                         f"got {cfg.q_order}")
     omega_path = args.omega or cfg.omega or default_omega_path()
     try:
         table = load_omega(omega_path)

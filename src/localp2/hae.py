@@ -98,22 +98,12 @@ class ConifoldFrame:
     """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
     the propagator ``s_con`` and the two ``Powers`` tables that the polar
     parts read, each made on its first read and known as far as ``that``
-    allows; ``that`` is never reverted.  ``at(order)`` is the same frame
-    from ``that`` cut at u^order, made once per order: the gap at pole
-    order M reads only the frame at order M, so it pays for no coefficient
-    it does not read, and an order too short for a read raises SeriesError
-    rather than give a wrong number."""
+    allows; ``that`` is never reverted.  One frame serves every genus: a
+    read past what ``that`` knows raises SeriesError rather than give a
+    wrong number."""
 
     def __init__(self, that: RatSeries):
         self.that = that
-        self._cuts: dict[int, ConifoldFrame] = {}
-
-    def at(self, order: int) -> "ConifoldFrame":
-        """The frame from ``that`` known through u^order."""
-        cut = self._cuts.get(order)
-        if cut is None:
-            cut = self._cuts[order] = type(self)(self.that.truncate(order))
-        return cut
 
     @cached_property
     def s_con(self) -> RatSeries:
@@ -150,14 +140,11 @@ def u_polar_part(elt: BModElement, frame: ConifoldFrame,
                  max_pole: int) -> list:
     """[u^-1], ..., [u^-max_pole] of a weight-zero element with S -> frame
     propagator and X -> 1/u; a deeper pole raises GapError.  S^s X^x goes
-    to s_con^s u^-x, with a pole u^-(s+x) at most, so the frame is read at
-    the order P of the deepest pole there may be: it gives s_con^s through
-    u^(P-s-1), all that is read."""
+    to s_con^s u^-x, of which only the terms through u^-1 are read."""
     if elt.i11_degree != 0:
         raise BModError("conifold expansion needs a weight-zero element")
     if elt.is_zero():
         return [F(0)] * max_pole
-    frame = frame.at(max(max_pole, *(s + x for s, x in elt.terms)))
     # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
     total = lincomb([(v, frame.s_con_pow[s].truncate(x - 1).shift(-x))
                      for (s, x), v in elt.terms.items()])
@@ -173,9 +160,9 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     flat conifold coordinate of a weight-zero element with S -> frame
     propagator and X -> 1/u.  Only the u^-j have poles in that, and by
     Lagrange inversion [that^-i] u^-j = (j/i) [u^j] that^i, which is zero
-    for j < i; that^i cut at u^max_pole is all that is read."""
+    for j < i; that^i through u^max_pole is all that is read."""
     c = u_polar_part(elt, frame, max_pole)
-    that_pow = frame.at(max_pole).that_pow
+    that_pow = frame.that_pow
     return RatSeries("that", -max_pole, [
         sum((j * c[j - 1] * that_pow[i].coeff(j)
              for j in range(i, max_pole + 1) if c[j - 1]), F(0)) / i
@@ -186,7 +173,8 @@ def least_q_order(g: int) -> int:
     """The least mirror order at which genus g is solved: 2g - 2.  The gap
     reads u^-M..u^-1, M = 2g - 2, of the particular solution (s + x <= M)
     from s_con^s through u^(M - s - 1), and u^0..u^(M-1) of (u/that)^M;
-    both need the flat coordinate through u^M."""
+    both need the flat coordinate through u^M, which the one frame of
+    mirror data at order M has."""
     return 2 * g - 2
 
 
@@ -214,7 +202,7 @@ def gap_fix(g: int, kind: str, particular: BModElement,
         raise GapError("gap conditions exist for 2g - 2 >= 2")
     M = 2 * g - 2
     p = u_polar_part(particular, frame, M)
-    u_over_that = (RatSeries.gen("u", M) / frame.at(M).that) ** M
+    u_over_that = (RatSeries.gen("u", M) / frame.that) ** M
     t = gap_target(g, kind)
     amb = {(0, j): t * u_over_that.coeff(M - j) - p[j - 1]
            for j in range(1, M + 1)}

@@ -120,6 +120,10 @@ BAD_INPUT = [
     (["ns", "compare", "--omega", "{tmp}/fractional.json", "--gmax", "0"],
      "degree 1 coefficient 1.9 is not an integer"),
     (["ns", "compare", "--dmax", "3"], "degrees [3]"),
+    # the flat expansions are known through Q^q_order only
+    (["--config", "{tmp}/q5.cfg", "ns", "compare", "--omega",
+      "{tmp}/seven.json", "--gmax", "1", "--dmax", "7"],
+     "--dmax 7 needs q_order >= 7, got 5"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1"], "sum to 2"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1,x"], "a1,a2"),
     (["compute", "elliptic", "--genus", "2", "--parts", "2,-1"], "a1,a2"),
@@ -154,6 +158,7 @@ BAD_INPUT = [
 def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
                                             monkeypatch):
     (tmp_path / "q.cfg").write_text("q_order = 3\n")
+    (tmp_path / "q5.cfg").write_text("q_order = 5\n")
     (tmp_path / "q6.cfg").write_text("q_order = 6\n")
     (tmp_path / "text.cfg").write_text("q_order = ten\n")
     (tmp_path / "margin.cfg").write_text("margin = 10\n")
@@ -164,6 +169,8 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
         {"degree": 1, "coeffs": [{"exp2": -2, "c": 1.9}, {"exp2": 0, "c": 1},
                                  {"exp2": 2, "c": 1.9}]},
         {"degree": 2, "coeffs": [{"exp2": 0, "c": 1}]}]}))
+    (tmp_path / "seven.json").write_text(json.dumps({"entries": [
+        {"degree": d, "coeffs": [{"exp2": 0, "c": 1}]} for d in range(1, 8)]}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     status, out, err = run_rejected(argv, capsys, monkeypatch)
     assert (status, out) == (2, "")
