@@ -21,6 +21,7 @@ from .elliptic import (
 from .hae import (
     build_conifold_frame,
     conifold_expand,
+    consistency_triangle,
     gap_target,
     solve_genus,
     solve_towers,
@@ -55,8 +56,6 @@ F = Fraction
 
 MIRROR_ORDER = 32
 
-TRIANGLE_DEGREE = 8  # the consistency triangle compares flat Q^0..Q^8
-
 F2_LOCAL = BModElement(0, {(3, -1): F(5, 8), (2, 0): F(1, 8), (1, 1): F(1, 96),
                            (0, 2): F(1, 4320), (0, 1): F(1, 4320),
                            (0, 0): F(-1, 2160)})
@@ -79,18 +78,6 @@ def context():
 
 def _fmt(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-# -- checks shared with the command line ----------------------------------------------
-
-def consistency_triangle(md, via_corr: BModElement,
-                         direct: BModElement) -> tuple[bool, list]:
-    """Compare a relative series through the correspondence with the one
-    by anomaly + gap in flat Q^0..Q^TRIANGLE_DEGREE.  Returns whether they
-    agree, and the first route's coefficients."""
-    a, b = (bm_eval(e, md, target="Q").coeff_list(0, TRIANGLE_DEGREE)
-            for e in (via_corr, direct))
-    return a == b, a
 
 
 # -- holomorphic anomaly equation for the curve --------------------------------------

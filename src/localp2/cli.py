@@ -27,24 +27,25 @@ whose traceback goes to stderr.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
 
-# acceptance, traceback and json are imported in the paths that use them
-# (json by --format json and by ns.load_omega), and dataclasses by the first
-# build_mirror_data call, so that every other command starts without them
+# argparse is imported by build_parser, acceptance by selftest, traceback on
+# an internal error, json by --format json and ns.load_omega, and
+# dataclasses by the first build_mirror_data call, so that the library
+# import and every command that needs none of them load none; files are
+# read and written with the builtin open, not pathlib
 from .elliptic import (EPoly, StationaryLabel, connected_extract,
                        monomial_count)
-from .hae import (build_conifold_frame, conifold_expand, gap_conditions,
-                  least_q_order, solve_genus, solve_towers, verify_hae)
+from .hae import (TRIANGLE_DEGREE, build_conifold_frame, conifold_expand,
+                  consistency_triangle, gap_conditions, least_q_order,
+                  solve_genus, solve_towers, verify_hae)
 from .locrel import f1_local_series, genus0_flat_expansion, relative_flat_tower
 from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, q_to_Q
 from .ns import compare_ns_relative, default_omega_path, load_omega
 from .quasimod import QModElement, derivation_identities
-from .series import Localp2Error, RatSeries
+from .series import Localp2Error, RatSeries, TruncationError
 
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
@@ -73,7 +74,8 @@ def load_config(path: str | None) -> RunConfig:
     if not path:
         return cfg
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     values = {}
@@ -166,7 +168,6 @@ def solved_towers(cfg: RunConfig, g: int, side: str):
     the consistency triangle, is rejected before any work."""
     least = least_q_order(g)
     if side == "both" and g >= 3:
-        from .acceptance import TRIANGLE_DEGREE
         least = max(least, TRIANGLE_DEGREE)
     if cfg.q_order < least:
         raise UsageError(f"genus {g} needs q_order >= {least}, "
@@ -230,7 +231,6 @@ def cmd_solve(args, cfg, sink) -> int:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
     if args.target == "both" and g >= 3:
-        from .acceptance import consistency_triangle
         agree, _ = consistency_triangle(
             md, corr.relative.elements[g], solve_genus(g, "relative", md))
         sink(f"consistency triangle at genus {g}: "
@@ -309,26 +309,29 @@ def cmd_selftest(args, cfg, sink) -> int:
 
 # -- parser ------------------------------------------------------------------------------
 
-def _int_at_least(least: int):
-    """argparse type: an integer >= least."""
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as an invalid value
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-        return value
-    return integer
+def build_parser():
+    """The argparse parser of every command; argparse is imported here, on
+    the one path that parses a command line."""
+    import argparse
 
+    def int_at_least(least: int):
+        """argparse type: an integer >= least."""
+        def integer(text: str) -> int:
+            value = int(text)  # argparse reports a ValueError as an invalid value
+            if value < least:
+                raise argparse.ArgumentTypeError(
+                    f"must be >= {least}, got {value}")
+            return value
+        return integer
 
-def _parts(text: str) -> tuple:
-    """argparse type: comma-separated descendent exponents, each >= 0."""
-    try:
-        return tuple(_int_at_least(0)(a) for a in text.split(","))
-    except (ValueError, argparse.ArgumentTypeError):
-        raise argparse.ArgumentTypeError(
-            f"need exponents >= 0 as a1,a2,...: {text!r}") from None
+    def parts(text: str) -> tuple:
+        """argparse type: comma-separated descendent exponents, each >= 0."""
+        try:
+            return tuple(int_at_least(0)(a) for a in text.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(
+                f"need exponents >= 0 as a1,a2,...: {text!r}") from None
 
-
-def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="localp2", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="flat key=value config file")
@@ -339,20 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="series computations")
     csub = comp.add_subparsers(dest="what", required=True)
     m = csub.add_parser("mirror")
-    m.add_argument("--order", type=_int_at_least(5), default=None)
+    m.add_argument("--order", type=int_at_least(5), default=None)
     m.set_defaults(fn=cmd_compute_mirror)
     for side in ("local", "relative"):
         c = csub.add_parser(side)
-        c.add_argument("--genus", type=_int_at_least(0), required=True)
+        c.add_argument("--genus", type=int_at_least(0), required=True)
         c.set_defaults(fn=lambda a, cf, s, side=side: cmd_compute_side(a, cf, s, side))
     e = csub.add_parser("elliptic")
-    e.add_argument("--genus", type=_int_at_least(0), required=True)
-    e.add_argument("--parts", type=_parts, required=True)
+    e.add_argument("--genus", type=int_at_least(0), required=True)
+    e.add_argument("--parts", type=parts, required=True)
     e.add_argument("--order", type=int, default=None)
     e.set_defaults(fn=cmd_compute_elliptic)
 
     s = sub.add_parser("solve", help="anomaly + gap determination")
-    s.add_argument("--genus", type=_int_at_least(2), required=True)
+    s.add_argument("--genus", type=int_at_least(2), required=True)
     s.add_argument("--target", choices=("local", "relative", "both"),
                    required=True)
     s.set_defaults(fn=cmd_solve)
@@ -360,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="exact identity checks")
     vsub = v.add_subparsers(dest="what", required=True)
     vr = vsub.add_parser("ramanujan")
-    vr.add_argument("--order", type=_int_at_least(0), default=50)
+    vr.add_argument("--order", type=int_at_least(0), default=50)
     vr.set_defaults(fn=cmd_verify_ramanujan)
     for what, fn in (("hae", cmd_verify_hae), ("gap", cmd_verify_gap)):
         vx = vsub.add_parser(what)
-        vx.add_argument("--genus", type=_int_at_least(2), required=True)
+        vx.add_argument("--genus", type=int_at_least(2), required=True)
         vx.add_argument("--target", choices=("local", "relative"),
                         required=True)
         vx.set_defaults(fn=fn)
@@ -373,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     nsub = n.add_subparsers(dest="what", required=True)
     nc = nsub.add_parser("compare")
     nc.add_argument("--omega", default=None)
-    nc.add_argument("--gmax", type=_int_at_least(0), default=2)
-    nc.add_argument("--dmax", type=_int_at_least(1), default=2)
+    nc.add_argument("--gmax", type=int_at_least(0), default=2)
+    nc.add_argument("--dmax", type=int_at_least(1), default=2)
     nc.set_defaults(fn=cmd_ns_compare)
 
     st = sub.add_parser("selftest", help="run all acceptance criteria")
@@ -391,17 +394,20 @@ def main(argv=None) -> int:
             cfg = cfg._replace(format=args.format)
         cfg.validate()
         status = args.fn(args, cfg, lines.append)
-    except Localp2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, UsageError) else VERIFY_ERROR
-    except Exception:  # a bug: keep its traceback
+    except Exception as exc:
+        if isinstance(exc, Localp2Error) and not isinstance(exc, TruncationError):
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR if isinstance(exc, UsageError) else VERIFY_ERROR
+        # a bug, a read past a checked truncation order among them: keep
+        # its traceback
         import traceback
         traceback.print_exc()
         return INTERNAL_ERROR
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return USAGE_ERROR

@@ -23,10 +23,10 @@ where p(j) = [z^j] 1/(2 sinh(z/2)) is ``quasimod.inv_2sinh``.
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 from .quasimod import inv_2sinh
 from .series import Localp2Error, RatSeries
@@ -52,8 +52,10 @@ def load_omega(path) -> dict:
     a degree, and each degree is palindromic."""
     import json
 
+    with open(path) as f:
+        table = json.load(f)
     entries: dict = {}
-    for item in json.loads(Path(path).read_text())["entries"]:
+    for item in table["entries"]:
         d = _integer(item["degree"], "degree")
         if d < 1 or d in entries:
             why = "repeated" if d in entries else "below 1"
@@ -72,8 +74,8 @@ def load_omega(path) -> dict:
     return entries
 
 
-def default_omega_path() -> Path:
-    return Path(__file__).parent / "data" / "omega_p2.json"
+def default_omega_path() -> str:
+    return os.path.join(os.path.dirname(__file__), "data", "omega_p2.json")
 
 
 def _sheaf_row(poly: dict, g: int) -> Fraction:

@@ -92,6 +92,11 @@ class SeriesError(Localp2Error):
     pass
 
 
+class TruncationError(SeriesError):
+    """A read past the order through which a series is known.  Once a
+    command has checked its orders, this is a bug, not bad input."""
+
+
 class RatSeries:
     """Truncated Laurent series with exact rational coefficients."""
 
@@ -164,8 +169,8 @@ class RatSeries:
         if k < self.min_exp:
             return _ZERO
         if k > self.trunc_order:
-            raise SeriesError(f"coefficient of {self.var}^{k} beyond truncation "
-                              f"order {self.trunc_order}")
+            raise TruncationError(f"coefficient of {self.var}^{k} beyond "
+                                  f"truncation order {self.trunc_order}")
         x = self.nums[k - self.min_exp]
         return Fraction(x, self.den) if x else _ZERO
 
@@ -192,7 +197,7 @@ class RatSeries:
 
     def truncate(self, order: int) -> "RatSeries":
         if order > self.trunc_order:
-            raise SeriesError("cannot extend truncation order")
+            raise TruncationError("cannot extend truncation order")
         if order < self.min_exp:
             return _make(self.var, order, [0], 1, self.log_coeff)
         return _make(self.var, self.min_exp, self.nums[: order - self.min_exp + 1],

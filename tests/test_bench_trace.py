@@ -53,8 +53,8 @@ def test_traced_mirror_hook_reads_the_dataclass_fields(tmp_path):
 
 
 def test_traced_check_path_matches_golden(tmp_path):
-    # imports localp2.acceptance only after the tracer has patched the
-    # library, so its calls into the library are traced too
+    # the consistency triangle in hae calls bm_eval through the name the
+    # tracer replaced there, so its calls are traced too
     data = run_traced(["cli", "--format", "json", "solve", "--genus", "3",
                        "--target", "both"],
                       ROOT / "tests" / "golden" / "solve-g3-both-json.out",

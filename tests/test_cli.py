@@ -8,8 +8,11 @@ import pytest
 import localp2.acceptance
 from localp2 import cli, elliptic
 from localp2.cli import RunConfig, load_config, main
+from localp2.graded import GradedError
+from localp2.hae import GapError
+from localp2.mirror import BModError
 from localp2.quasimod import QModElement
-from localp2.series import RatSeries
+from localp2.series import RatSeries, SeriesError
 
 
 def run(argv, capsys):
@@ -115,6 +118,8 @@ BAD_INPUT = [
     (["--config", "{tmp}/text.cfg", "compute", "mirror"], "needs an integer"),
     (["--config", "{tmp}/margin.cfg", "compute", "mirror"],
      "unknown config key 'margin'"),
+    (["--config", "{tmp}/missing.cfg", "compute", "mirror"],
+     "cannot read config"),
     (["ns", "compare", "--omega", "{tmp}/missing.json"], "cannot read sheaf"),
     (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
     (["ns", "compare", "--omega", "{tmp}/fractional.json", "--gmax", "0"],
@@ -186,6 +191,36 @@ def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
     status, out, err = run(["verify", "ramanujan"], capsys)
     assert (status, out) == (3, "")
     assert "Traceback" in err and "KeyError: 'bug'" in err
+
+
+# a command has checked its orders before it reads a series, so a read past
+# a series' truncation order is a bug, not a failed check
+@pytest.mark.parametrize("read,message", [
+    (lambda s: s.coeff(4), "coefficient of q^4 beyond truncation order 3"),
+    (lambda s: s.truncate(4), "cannot extend truncation order"),
+], ids=["coeff", "truncate"])
+def test_read_past_truncation_exits_3_with_traceback(read, message, capsys,
+                                                     monkeypatch):
+    def broken(args, cfg, sink):
+        sink("partial output")
+        read(RatSeries.one("q", 3))
+
+    monkeypatch.setattr(cli, "cmd_verify_ramanujan", broken)
+    status, out, err = run(["verify", "ramanujan"], capsys)
+    assert (status, out) == (3, "")
+    assert "Traceback" in err and f"TruncationError: {message}" in err
+
+
+@pytest.mark.parametrize("error", [GapError, BModError, GradedError,
+                                   SeriesError])
+def test_failed_check_exits_1_without_traceback(error, capsys, monkeypatch):
+    def fails(args, cfg, sink):
+        sink("partial output")
+        raise error("check failed")
+
+    monkeypatch.setattr(cli, "cmd_verify_ramanujan", fails)
+    assert run(["verify", "ramanujan"], capsys) == \
+        (1, "", "error: check failed\n")
 
 
 class TestCommands:

@@ -1,9 +1,13 @@
 """What ``import localp2.cli`` loads, which every command pays for.
 
-The import leaves out the check-only ``localp2.acceptance``, the
-error-path ``traceback``, ``json`` (read or written only by the paths that
-use it) and ``dataclasses`` with the ``inspect`` it pulls in (needed only
-when ``build_mirror_data`` first makes ``MirrorData`` a dataclass).  It must
+The import leaves out ``argparse`` with the ``gettext`` it pulls in (needed
+only when ``build_parser`` parses a command line), ``pathlib`` (files are
+read and written with the builtin ``open``), the check-only
+``localp2.acceptance`` (loaded by ``selftest`` alone; ``solve --target
+both`` reads its triangle from ``hae``), the error-path ``traceback``,
+``json`` (read or written only by the paths that use it) and
+``dataclasses`` with the ``inspect`` it pulls in (needed only when
+``build_mirror_data`` first makes ``MirrorData`` a dataclass).  It must
 still load every module whose functions perfbench/tracer.py patches, since
 the tracer resolves them in ``sys.modules`` right after that import.
 """
@@ -32,13 +36,13 @@ def tracer_modules() -> set:
     return out
 
 
-def run_fresh(code: str):
-    """Run ``code`` in a fresh interpreter that imports localp2 from src;
-    return what it prints as one JSON value."""
+def run_fresh(code: str, *flags: str):
+    """Run ``code`` in a fresh interpreter, started with ``flags``, that
+    imports localp2 from src; return what it prints as one JSON value."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, timeout=60,
-                          capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], cwd=ROOT,
+                          timeout=60, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -57,7 +61,29 @@ def test_cli_import_loads_the_traced_modules_and_not_the_checks():
     assert len(traced) >= 9  # the targets were found
     assert traced <= loaded
     assert not {"localp2.acceptance", "traceback", "dataclasses", "inspect",
-                "json"} & loaded
+                "json", "argparse", "gettext"} & loaded
+
+
+def test_cli_import_without_site_loads_no_parser_or_pathlib():
+    # under -S no .pth file can preload pathlib, so the import's own
+    # modules are all that is seen
+    assert run_fresh(
+        "import sys; import localp2.cli; import json; print(json.dumps("
+        "sorted({'argparse', 'gettext', 'pathlib'} & set(sys.modules))))",
+        "-S") == []
+
+
+SOLVE_BOTH = """
+import json, os, sys
+from localp2.cli import main
+status = main(["--out", os.devnull, "solve", "--genus", "3", "--target", "both"])
+print(json.dumps([status, "localp2.acceptance" in sys.modules]))
+"""
+
+
+def test_solve_both_loads_no_check_harness():
+    # the consistency triangle lives in hae; only selftest needs acceptance
+    assert run_fresh(SOLVE_BOTH) == [0, False]
 
 
 DATACLASSES_IN_PACKAGE = """
