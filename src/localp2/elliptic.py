@@ -9,14 +9,16 @@ coefficient of prod_j z_j^{e_j} is
 
 summed over all partitions up to the nome order (Bloch-Okounkov 2000;
 Okounkov-Pandharipande, GW theory, Hurwitz theory and completed cycles).
-The q^d coefficient sums over the partitions of d alone, held in one table
-grown one part at a time: the partitions of d with least part "last" are
-those of d - last with no smaller part, with last appended.  The
-z-coefficients of B_lambda are cached in the same order, one integer column
-per exponent and size shared by every label and nome order; each entry is
-its parent's at d - last plus the appended part's term.  A label's bracket
-is built and cached when it is first read, so the labels of a degree that
-no connected function reads are never built.
+The q^d coefficient sums over the partitions of d alone.  An entry reads
+only the partition's number of parts, so no partition is stored: one
+recursion over (size, least part) gives the part counts and the columns.
+The partitions of d with no part below "least" are, for each last >= least,
+those of d - last with no part below last, with last appended.  The
+z-coefficients of B_lambda are cached in that order, one integer column per
+exponent, size and least part shared by every label and nome order; each
+entry is its parent's at (d - last, last) plus the appended part's term.  A
+label's bracket is built and cached when it is first read, so the labels of
+a degree that no connected function reads are never built.
 
 Connected functions follow by the exponential formula on multiplicity
 vectors; coefficients are recognized in the weight-graded ring Q[E2, E4, E6].
@@ -26,11 +28,10 @@ that tag is the coefficient of log of the *signed* nome (-1)^(E.E) * nome.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm, prod
 
 from .graded import Graded, recognize, weight_monomials
@@ -146,24 +147,15 @@ def theta_z(zdeg: int, qorder: int):
 
 # -- disconnected n-point functions: the Bloch-Okounkov q-bracket --------------------
 
-def _first_at_least(rests: tuple, last: int) -> int:
-    """The index in a partition table, ordered by least part, from which
-    no partition has a part below ``last``."""
-    return bisect_left(rests, last, key=lambda lam: lam[-1]) if rests[0] else 0
-
-
 @lru_cache(maxsize=None)
-def _partitions(d: int) -> tuple:
-    """The partitions of d as weakly decreasing tuples, ordered by least
-    part: for last = 1..d, each partition of d - last with no part below
-    last, with last appended."""
+def _part_counts(d: int, least: int) -> tuple:
+    """The number of parts of each partition of d with no part below
+    ``least``, ordered by least part: for last = least..d, each partition
+    of d - last with no part below last, with last appended."""
     if d == 0:
-        return ((),)
-    out = []
-    for last in range(1, d + 1):
-        rests = _partitions(d - last)
-        out += [rest + (last,) for rest in rests[_first_at_least(rests, last):]]
-    return tuple(out)
+        return (0,)
+    return tuple(n + 1 for last in range(least, d + 1)
+                 for n in _part_counts(d - last, last))
 
 
 @lru_cache(maxsize=None)
@@ -181,22 +173,21 @@ def _constants(e: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _column(e: int, d: int) -> tuple:
-    """[z^e] B_lambda(z) for every partition of d, in the order of
-    _partitions(d), as integer numerators over the denominator of
-    _constants(e).  Part n = len(rest) + 1 appended to a partition rest of
-    d - last adds (2 (last - n) + 1)^e - (1 - 2 n)^e units to its entry."""
+def _column(e: int, d: int, least: int) -> tuple:
+    """[z^e] B_lambda(z) for every partition of d with no part below
+    ``least``, in the order of _part_counts(d, least), as integer numerators
+    over the denominator of _constants(e).  Part i = n + 1 appended to a
+    partition of d - last with n parts adds (2 (last - i) + 1)^e - (1 - 2 i)^e
+    units to its entry: step[n]."""
     pole_num, unit, _ = _constants(e)
     if d == 0:
         return (pole_num,)
     out = []
-    for last in range(1, d + 1):
-        rests = _partitions(d - last)
-        start = _first_at_least(rests, last)
-        step = [unit * ((2 * (last - n) + 1) ** e - (1 - 2 * n) ** e)
-                for n in range(1, d // last + 1)]
-        out += [entry + step[len(rest)] for rest, entry in
-                zip(rests[start:], _column(e, d - last)[start:])]
+    for last in range(least, d + 1):
+        step = [unit * ((2 * (last - i) + 1) ** e - (1 - 2 * i) ** e)
+                for i in range(1, d // last + 1)]
+        out += [entry + step[n] for n, entry in
+                zip(_part_counts(d - last, last), _column(e, d - last, last))]
     return tuple(out)
 
 
@@ -207,8 +198,8 @@ def disconnected_coefficient(exps: tuple, qorder: int) -> RatSeries:
     weakly decreasing tuple of exponents >= 1."""
     den = prod(_constants(e)[2] for e in exps)
     # q^d sums over the partitions of d; with no columns each counts 1
-    nums = [sum(map(prod, zip(*(_column(e, d) for e in exps)))) if exps
-            else len(_partitions(d)) for d in range(qorder + 1)]
+    nums = [sum(map(prod, zip(*(_column(e, d, 1) for e in exps)))) if exps
+            else len(_part_counts(d, 1)) for d in range(qorder + 1)]
     return RatSeries.over(CQT, 0, nums, den) * euler_product(qorder, CQT)
 
 
@@ -220,7 +211,8 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
     """Each weakly decreasing n-tuple of exponents >= 1 summing to
     ``degree``, mapped to its disconnected_coefficient."""
     return {exps: disconnected_coefficient(exps, qorder)
-            for exps in _partitions(degree) if len(exps) == n}
+            for exps in combinations_with_replacement(range(degree, 0, -1), n)
+            if sum(exps) == degree}
 
 
 def monomial_count(weight: int) -> int:

@@ -8,7 +8,7 @@ from localp2.elliptic import (
     EPoly,
     _column,
     _constants,
-    _partitions,
+    _part_counts,
     EllipticError,
     StationaryLabel,
     connected_coefficient,
@@ -143,28 +143,41 @@ class TestDisconnected:
     def test_keys_are_partitions_into_n_parts(self):
         assert set(npoint_disconnected(3, 6, 4)) == {(4, 1, 1), (3, 2, 1), (2, 2, 2)}
         assert npoint_disconnected(3, 2, 4) == {}
+        for n in range(6):
+            for degree in range(11):
+                want = {lam for lam in partitions_of(degree) if len(lam) == n}
+                assert set(npoint_disconnected(n, degree, 4)) == want, (n, degree)
+
+
+def _least_part_order(d, least):
+    """The oracle partitions of d with no part below ``least``, in the
+    library's order: by least part, then as the partition of the rest."""
+    return sorted((lam for lam in partitions_of(d) if not lam or lam[-1] >= least),
+                  key=lambda lam: lam[::-1])
 
 
 class TestPartitionTable:
-    # both tables append one part to the table at d - last; the oracle
-    # tests above stop at size 12, these reach 22.  The column test keys
-    # the closed form by _partitions(d), which test_partitions checks
+    # the part counts and the columns recurse over (size, least part) and
+    # store no partition; the oracle tests above stop at size 12, these
+    # reach 22 and check every least part against the oracle's partitions
+    # in least-part order
 
     @pytest.mark.parametrize("d", range(23))
     def test_partitions(self, d):
-        parts = _partitions(d)
-        assert len(set(parts)) == len(parts)
-        assert all(list(lam) == sorted(lam, reverse=True) for lam in parts)
-        assert set(parts) == set(partitions_of(d))
+        for least in range(1, max(d, 1) + 1):
+            want = tuple(len(lam) for lam in _least_part_order(d, least))
+            assert _part_counts(d, least) == want, least
 
     @pytest.mark.parametrize("d", range(23))
     def test_columns_against_closed_form(self, d):
-        for e in range(1, 10):
-            pole, unit, _ = _constants(e)
-            want = {lam: pole + unit * sum((2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
-                                           for i, part in enumerate(lam, start=1))
-                    for lam in _partitions(d)}
-            assert dict(zip(_partitions(d), _column(e, d))) == want, e
+        for least in range(1, max(d, 1) + 1):
+            parts = _least_part_order(d, least)
+            for e in range(1, 10):
+                pole, unit, _ = _constants(e)
+                want = tuple(pole + unit * sum(
+                    (2 * (part - i) + 1) ** e - (1 - 2 * i) ** e
+                    for i, part in enumerate(lam, start=1)) for lam in parts)
+                assert _column(e, d, least) == want, (least, e)
 
 
 class TestConnected:
