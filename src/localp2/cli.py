@@ -31,20 +31,13 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-# argparse is imported by build_parser, acceptance by selftest, traceback on
-# an internal error, json by --format json and ns.load_omega, and
-# dataclasses by the first build_mirror_data call, so that the library
-# import and every command that needs none of them load none; files are
-# read and written with the builtin open, not pathlib
-from .elliptic import (EPoly, StationaryLabel, connected_extract,
-                       monomial_count)
-from .hae import (TRIANGLE_DEGREE, build_conifold_frame, conifold_expand,
-                  consistency_triangle, gap_conditions, least_q_order,
-                  solve_genus, solve_towers, verify_hae)
-from .locrel import f1_local_series, genus0_flat_expansion, relative_flat_tower
-from .mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, q_to_Q
-from .ns import compare_ns_relative, default_omega_path, load_omega
-from .quasimod import QModElement, derivation_identities
+# the library modules are lazy (see __init__.py): each executes on the
+# first read of one of its attributes, so this import reads none and a
+# command compiles only the modules it runs.  argparse is imported by
+# build_parser, acceptance by selftest, traceback on an internal error, json
+# by --format json and ns.load_omega, and dataclasses by the first
+# build_mirror_data call; files are read and written with the builtin open
+from . import elliptic, hae, locrel, mirror, ns, quasimod
 from .series import Localp2Error, RatSeries, TruncationError
 
 VERIFY_ERROR = 1
@@ -138,23 +131,18 @@ def emit_series(name: str, s: RatSeries, cfg: RunConfig, sink):
                 listed="coeffs")
 
 
-# the header fields of each printed ring element, in JSON and CSV alike
-_GRADED_HEAD = {QModElement: ("c_pole", "weight"),
-                BModElement: ("i11_degree",), EPoly: ("weight",)}
-
-
 def _emit_graded(name: str, e, cfg: RunConfig, sink):
-    head = {f: getattr(e, f) for f in _GRADED_HEAD[type(e)]}
+    head = {f: getattr(e, f) for f in e.header}
     _write_rows(name, e, cfg, sink, head, head,
                 [n.lower() for n in e.names], e.terms.items())
 
 
 # two functions, not one: the benchmark tracer spans each emitter by name
-def emit_qmod(name: str, e: QModElement, cfg: RunConfig, sink):
+def emit_qmod(name: str, e: quasimod.QModElement, cfg: RunConfig, sink):
     _emit_graded(name, e, cfg, sink)
 
 
-def emit_bmod(name: str, e: BModElement, cfg: RunConfig, sink):
+def emit_bmod(name: str, e: mirror.BModElement, cfg: RunConfig, sink):
     _emit_graded(name, e, cfg, sink)
 
 
@@ -166,18 +154,18 @@ def solved_towers(cfg: RunConfig, g: int, side: str):
     that needs the relative tower builds it, through the correspondence.
     A q_order too small to solve genus g, or for "both" at g >= 3 to read
     the consistency triangle, is rejected before any work."""
-    least = least_q_order(g)
+    least = hae.least_q_order(g)
     if side == "both" and g >= 3:
-        least = max(least, TRIANGLE_DEGREE)
+        least = max(least, hae.TRIANGLE_DEGREE)
     if cfg.q_order < least:
         raise UsageError(f"genus {g} needs q_order >= {least}, "
                          f"got {cfg.q_order}")
-    md = build_mirror_data(cfg.q_order)
-    return md, solve_towers(md, g, side != "local")
+    md = mirror.build_mirror_data(cfg.q_order)
+    return md, hae.solve_towers(md, g, side != "local")
 
 
 def cmd_compute_mirror(args, cfg, sink) -> int:
-    md = build_mirror_data(args.order or cfg.q_order)
+    md = mirror.build_mirror_data(args.order or cfg.q_order)
     for name in ("ibar1", "I11", "J", "X", "S", "Qofq", "qofQ", "cQofq", "that"):
         emit_series(name, getattr(md, name), cfg, sink)
     return 0
@@ -187,32 +175,33 @@ def cmd_compute_side(args, cfg, sink, side: str) -> int:
     g = args.genus
     md, corr = solved_towers(cfg, g, side)
     if g == 0:
-        emit_series("flat_expansion", genus0_flat_expansion(md), cfg, sink)
+        emit_series("flat_expansion", locrel.genus0_flat_expansion(md), cfg, sink)
         return 0
     if g == 1:
-        ser = f1_local_series(md)
+        ser = locrel.f1_local_series(md)
         if side == "relative":
             ser = corr.solve_relative(1, ser)
         emit_series("q_series", ser, cfg, sink)
-        emit_series("flat_expansion", q_to_Q(ser, md), cfg, sink)
+        emit_series("flat_expansion", mirror.q_to_Q(ser, md), cfg, sink)
         return 0
     elt = corr.tower(side).elements[g]
     emit_bmod("generators", elt, cfg, sink)
-    emit_qmod("quasimodular_form", bm_to_qmod(elt), cfg, sink)
-    emit_series("q_series", bm_eval(elt, md), cfg, sink)
-    emit_series("flat_expansion", bm_eval(elt, md, target="Q"), cfg, sink)
+    emit_qmod("quasimodular_form", mirror.bm_to_qmod(elt), cfg, sink)
+    emit_series("q_series", mirror.bm_eval(elt, md), cfg, sink)
+    emit_series("flat_expansion", mirror.bm_eval(elt, md, target="Q"),
+                cfg, sink)
     return 0
 
 
 def cmd_compute_elliptic(args, cfg, sink) -> int:
-    label = StationaryLabel(args.genus, args.parts)
+    label = elliptic.StationaryLabel(args.genus, args.parts)
     if sum(label.parts) != 2 * label.h - 2:
         raise UsageError(f"--parts must sum to 2*genus - 2 = {2 * label.h - 2}")
-    least = monomial_count(label.weight)
+    least = elliptic.monomial_count(label.weight)
     if args.order is not None and args.order < least:
         raise UsageError(f"--order must be >= {least}, the number of "
                          f"E2/E4/E6 monomials of weight {label.weight}")
-    got = connected_extract(label, qorder=args.order)
+    got = elliptic.connected_extract(label, qorder=args.order)
     emit_series("nome_series", got.series, cfg, sink)
     _emit_graded("eisenstein_polynomial", got.value, cfg, sink)
     return 0
@@ -226,13 +215,14 @@ def cmd_solve(args, cfg, sink) -> int:
     for side in targets:
         elt = corr.tower(side).elements[g]
         emit_bmod(f"{side}_generators", elt, cfg, sink)
-        emit_series(f"{side}_flat", bm_eval(elt, md, target="Q"), cfg, sink)
+        emit_series(f"{side}_flat", mirror.bm_eval(elt, md, target="Q"), cfg,
+                    sink)
         if side == "relative" and g >= 3:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
     if args.target == "both" and g >= 3:
-        agree, _ = consistency_triangle(
-            md, corr.relative.elements[g], solve_genus(g, "relative", md))
+        agree, _ = hae.consistency_triangle(
+            md, corr.relative.elements[g], hae.solve_genus(g, "relative", md))
         sink(f"consistency triangle at genus {g}: "
              f"{'PASS' if agree else 'FAIL'}")
         if not agree:
@@ -241,7 +231,7 @@ def cmd_solve(args, cfg, sink) -> int:
 
 
 def cmd_verify_ramanujan(args, cfg, sink) -> int:
-    checks = derivation_identities(args.order)
+    checks = quasimod.derivation_identities(args.order)
     for name, ok in checks.items():
         sink(f"derivation identity for {name}: {'PASS' if ok else 'FAIL'} "
              f"(order {args.order})")
@@ -250,7 +240,7 @@ def cmd_verify_ramanujan(args, cfg, sink) -> int:
 
 def cmd_verify_hae(args, cfg, sink) -> int:
     tower = solved_towers(cfg, args.genus, args.target)[1].tower(args.target)
-    rep = verify_hae(args.genus, args.target, tower)
+    rep = hae.verify_hae(args.genus, args.target, tower)
     emit_bmod("anomaly_lhs", rep["lhs"], cfg, sink)
     emit_bmod("anomaly_rhs", rep["rhs"], cfg, sink)
     sink(f"anomaly equation genus {args.genus} {args.target}: "
@@ -261,11 +251,11 @@ def cmd_verify_hae(args, cfg, sink) -> int:
 def cmd_verify_gap(args, cfg, sink) -> int:
     md, corr = solved_towers(cfg, args.genus, args.target)
     elt = corr.tower(args.target).elements[args.genus]
-    frame = build_conifold_frame(md)
+    frame = hae.build_conifold_frame(md)
     M = 2 * args.genus - 2
-    con = conifold_expand(elt, frame, M)
+    con = hae.conifold_expand(elt, frame, M)
     ok = [con.coeff(-j) for j in range(1, M + 1)] == \
-        gap_conditions(args.genus, args.target)
+        hae.gap_conditions(args.genus, args.target)
     for j in range(M, 0, -1):
         sink(f"coefficient of t^-{j}: {_frac_str(con.coeff(-j))}")
     sink(f"gap condition genus {args.genus} {args.target}: "
@@ -277,18 +267,18 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     if args.dmax > cfg.q_order:
         raise UsageError(f"--dmax {args.dmax} needs q_order >= {args.dmax}, "
                          f"got {cfg.q_order}")
-    omega_path = args.omega or cfg.omega or default_omega_path()
+    omega_path = args.omega or cfg.omega or ns.default_omega_path()
     try:
-        table = load_omega(omega_path)
+        table = ns.load_omega(omega_path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read sheaf table {omega_path}: {exc}") from exc
     missing = [d for d in range(1, args.dmax + 1) if d not in table]
     if missing:
         raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
                          f"degrees {missing}, which {omega_path} lacks")
-    flat = relative_flat_tower(solved_towers(cfg, args.gmax, "relative")[1],
-                               args.gmax)
-    report = compare_ns_relative(table, args.gmax, args.dmax, flat)
+    flat = locrel.relative_flat_tower(
+        solved_towers(cfg, args.gmax, "relative")[1], args.gmax)
+    report = ns.compare_ns_relative(table, args.gmax, args.dmax, flat)
     for (g, d), cell in sorted(report["cells"].items()):
         sink(f"g={g} d={d}: sheaf {_frac_str(cell['ns'])} "
              f"vs curve-count {_frac_str(cell['gw'])} "

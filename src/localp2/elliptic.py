@@ -82,6 +82,7 @@ class EPoly(Graded):
     __slots__ = ()
     names = ("E2", "E4", "E6")
     weights = (2, 4, 6)
+    header = ("weight",)
 
     def __init__(self, terms: dict):
         super().__init__(0, terms)

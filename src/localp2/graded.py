@@ -28,6 +28,7 @@ class Graded:
     __slots__ = ("shift", "terms")
     names: tuple = ()             # generator names, in exponent order
     weights: tuple | None = None  # generator weights, if homogeneous
+    header: tuple = ()            # fields printed before the terms (cli)
 
     def __init__(self, shift: int, terms: dict):
         self.shift = shift

@@ -242,6 +242,7 @@ class BModElement(Graded):
 
     __slots__ = ()
     names = ("S", "X")
+    header = ("i11_degree",)
 
     @property
     def i11_degree(self) -> int:

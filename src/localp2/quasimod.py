@@ -123,6 +123,7 @@ class QModElement(Graded):
     __slots__ = ()
     names = ("A", "B", "C")
     weights = (1, 2, 3)
+    header = ("c_pole", "weight")
 
     @property
     def c_pole(self) -> int:

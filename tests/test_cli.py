@@ -29,9 +29,10 @@ def run_rejected(argv, capsys, monkeypatch):
     """Run argv with every entry point into the mathematics replaced by a
     failure (which main reports as exit 3); argparse errors exit via
     SystemExit."""
-    for name in ("build_mirror_data", "connected_extract", "solve_towers",
-                 "solve_genus"):
-        monkeypatch.setattr(cli, name, _computing)
+    for module, name in ((cli.mirror, "build_mirror_data"),
+                         (cli.elliptic, "connected_extract"),
+                         (cli.hae, "solve_towers"), (cli.hae, "solve_genus")):
+        monkeypatch.setattr(module, name, _computing)
     monkeypatch.setattr(localp2.acceptance, "run_report", _computing)
     try:
         status = main(argv)
@@ -452,8 +453,9 @@ def test_generators_do_not_depend_on_q_order(golden):
 @pytest.mark.parametrize("g", range(2, 9))
 def test_least_q_order_accepted_and_next_rejected(g, side, monkeypatch):
     least = max(5, 2 * g - 2, 8 if side == "both" and g >= 3 else 0)
-    monkeypatch.setattr(cli, "build_mirror_data", lambda q: q)
-    monkeypatch.setattr(cli, "solve_towers", lambda md, g, relative: relative)
+    monkeypatch.setattr(cli.mirror, "build_mirror_data", lambda q: q)
+    monkeypatch.setattr(cli.hae, "solve_towers",
+                        lambda md, g, relative: relative)
     assert cli.solved_towers(RunConfig(q_order=least), g, side) == \
         (least, side != "local")
     if least > 5:

@@ -7,17 +7,25 @@ read and written with the builtin ``open``), the check-only
 both`` reads its triangle from ``hae``), the error-path ``traceback``,
 ``json`` (read or written only by the paths that use it) and
 ``dataclasses`` with the ``inspect`` it pulls in (needed only when
-``build_mirror_data`` first makes ``MirrorData`` a dataclass).  It must
-still load every module whose functions perfbench/tracer.py patches, since
-the tracer resolves them in ``sys.modules`` right after that import.
+``build_mirror_data`` first makes ``MirrorData`` a dataclass).  It executes
+only ``localp2``, ``localp2.series`` and ``localp2.cli``: the package
+registers its other modules as lazy, so each executes on the first read of
+one of its attributes and a command compiles only the modules it runs.
+Every module whose functions perfbench/tracer.py patches must still be in
+``sys.modules``, since the tracer resolves them there right after that
+import.  Whether a module has executed is read from its type, because
+reading any attribute of a lazy module executes it.
 """
 
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localp2"
@@ -62,6 +70,74 @@ def test_cli_import_loads_the_traced_modules_and_not_the_checks():
     assert traced <= loaded
     assert not {"localp2.acceptance", "traceback", "dataclasses", "inspect",
                 "json", "argparse", "gettext"} & loaded
+
+
+# prints the sorted names of the localp2 modules that have executed: a lazy
+# module turns into a plain module when it executes
+PRINT_EXECUTED = """
+import json, types
+print(json.dumps(sorted(name for name, mod in sys.modules.items()
+                        if name.partition(".")[0] == "localp2"
+                        and type(mod) is types.ModuleType)))
+"""
+
+
+def test_cli_import_executes_only_the_package_series_and_cli():
+    assert run_fresh("import sys; import localp2.cli" + PRINT_EXECUTED) == \
+        ["localp2", "localp2.cli", "localp2.series"]
+
+
+CORE = ["localp2", "localp2.cli", "localp2.graded", "localp2.linalg",
+        "localp2.quasimod", "localp2.series"]
+
+# command -> the localp2 modules that have executed when it returns
+EXECUTED_BY = {
+    "verify ramanujan": CORE,
+    "compute elliptic --genus 2 --parts 1,1": sorted(CORE + [
+        "localp2.elliptic"]),
+    "compute mirror --order 5": sorted(CORE + ["localp2.mirror"]),
+    "--config {cfg} compute relative --genus 0": sorted(CORE + [
+        "localp2.elliptic", "localp2.hae", "localp2.locrel",
+        "localp2.mirror"]),
+    "--config {cfg} ns compare --gmax 0 --dmax 1": sorted(CORE + [
+        "localp2.elliptic", "localp2.hae", "localp2.locrel",
+        "localp2.mirror", "localp2.ns"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTED_BY))
+def test_command_executes_only_the_modules_it_runs(command, tmp_path):
+    cfg = tmp_path / "q5.cfg"
+    cfg.write_text("q_order = 5\n")
+    argv = ["--out", os.devnull, *shlex.split(command.format(cfg=cfg))]
+    assert run_fresh(f"import sys; from localp2.cli import main; "
+                     f"assert main({argv!r}) == 0" + PRINT_EXECUTED) == \
+        EXECUTED_BY[command]
+
+
+ONE_MIRROR = """
+import json, sys
+import localp2.mirror as first
+import localp2.cli
+x = first.BModElement.monomial(1, s=1)
+y = localp2.cli.mirror.BModElement.monomial(2, x=1)
+print(json.dumps([first is sys.modules["localp2.mirror"] is localp2.cli.mirror,
+                  repr(x * y)]))
+"""
+
+
+def test_submodule_imported_before_cli_is_the_one_module_object():
+    # a second module object would have its own BModElement, and the
+    # product of two elements from the two would raise TypeError
+    assert run_fresh(ONE_MIRROR) == [True, "I11^-0 * [(2)*S^1X^1]"]
+
+
+def test_lazy_module_is_the_package_attribute():
+    assert run_fresh(
+        "import json, sys, types; import localp2.cli, localp2; "
+        "hae = sys.modules['localp2.hae']; print(json.dumps("
+        "[localp2.hae is hae, type(hae) is types.ModuleType]))") == \
+        [True, False]
 
 
 def test_cli_import_without_site_loads_no_parser_or_pathlib():
