@@ -29,7 +29,6 @@ from .hae import (
 )
 from .locrel import (
     Correspondence,
-    CorrTerm,
     f1_local_series,
     f1_relative_series,
     genus0_flat_expansion,
@@ -238,19 +237,22 @@ def criterion_6_genus1():
 def criterion_7_genus2():
     md = context()[0]
     corr = Correspondence(md)
+    d = corr.relative.D
+    # the genus-2 labels, one term each: (h, parts, leg coefficient)
     inter = {
-        CorrTerm(1, ((0, 1),), 1): BModElement(
+        (1, (0,), d(1, 2)): BModElement(
             0, {(2, 0): F(-1, 16), (1, 1): F(5, 192), (1, 0): F(-1, 24),
                 (0, 2): F(1, 96), (0, 1): F(-1, 96)}),
-        CorrTerm(2, ((1, 0), (1, 0)), 2): BModElement(
+        (2, (1, 1), d(0, 3) * d(0, 3)): BModElement(
             0, {(3, -1): F(-1, 2), (2, 0): F(-3, 8), (1, 1): F(-11, 120),
                 (1, 0): F(1, 60), (0, 2): F(-1, 135), (0, 1): F(7, 1080),
                 (0, 0): F(1, 1080)}),
-        CorrTerm(2, ((2, 0),), 1): BModElement(
+        (2, (2,), -d(0, 4)): BModElement(
             0, {(3, -1): F(9, 8), (2, 0): F(9, 16), (1, 1): F(47, 640),
                 (1, 0): F(1, 40)}),
     }
-    ok = all(corr.correction_value(t) == want for t, want in inter.items())
+    ok = all(corr.correction_value(*label) == want
+             for label, want in inter.items())
     ok = ok and corr.solve_relative(2, F2_LOCAL) == F2_RELATIVE
     flat = bm_eval(F2_RELATIVE, md, target="Q")
     want = [F(29, 640), F(-207, 64), F(18447, 160), F(-526859, 160),

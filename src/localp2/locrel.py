@@ -3,13 +3,18 @@ Gromov-Witten series.
 
 The local series at genus g equals (-1)^g times the relative series plus
 correction terms indexed by a genus h on the elliptic factor and a multiset
-of legs (a_j, g_j) != (0, 0) with sum a_j = 2h - 2 and h + sum g_j = g;
-each term contributes
+of legs (a_j, g_j) != (0, 0) with sum a_j = 2h - 2 and h + sum g_j = g.
+The terms are summed by elliptic label (h, A), A the multiset of the a_j
+with multiplicities m_a; the terms of one label, over their leg genera, sum
+to
 
-    (-1)^(h-1) F^E_(h,a) / |Aut| * prod_j (-1)^(g_j - 1) D^(a_j + 2) F_(g_j)
+    (-1)^(h-1) F^E_(h,A) / prod_a m_a! * [hbar^(g-h)] prod_(a in A) T_a(hbar),
 
-with D = 3 Q d/dQ and all leg factors taken on the relative side.  The
-relation is triangular in the genus and solved in either direction.
+    T_a(hbar) = sum_g' (-1)^(g'-1) D^(a+2) F_g' hbar^g'   (no g' = 0 at a = 0)
+
+with D = 3 Q d/dQ and all leg factors taken on the relative side; this holds
+because the automorphisms of the legs factor over a.  The relation is
+triangular in the genus and solved in either direction.
 
 Genus 0 and 1 enter the leg products only through closed-form derivative
 seeds; the genus-1 series themselves carry log slots and are handled at the
@@ -18,7 +23,7 @@ series level.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -36,45 +41,6 @@ from .mirror import (
 from .series import RatSeries, SeriesError
 
 F = Fraction
-
-
-# -- correction-term enumeration ----------------------------------------------------
-
-# legs: the sorted tuple of (a_j, g_j), each != (0, 0)
-CorrTerm = namedtuple("CorrTerm", "h legs aut_order")
-
-
-def _aut_order(legs) -> int:
-    return prod(map(factorial, Counter(legs).values()))
-
-
-def enumerate_terms(g: int):
-    """All correction terms at genus g, as a duplicate-free sorted tuple.
-
-    Recursion over nondecreasing leg sequences; the empty-leg term exists
-    only for h = 1 (so only at g = 1, carrying the unmarked elliptic
-    series).
-    """
-    if g < 1:
-        return ()
-    out = []
-    for h in range(1, g + 1):
-        rem_a, rem_g = 2 * h - 2, g - h
-
-        def rec(min_leg, rem_a, rem_g, acc):
-            if rem_a == 0 and rem_g == 0:
-                if acc or h == 1:
-                    out.append(CorrTerm(h, tuple(acc), _aut_order(acc)))
-                return
-            for a in range(rem_a + 1):
-                for gg in range(rem_g + 1):
-                    leg = (a, gg)
-                    if leg == (0, 0) or leg < min_leg:
-                        continue
-                    rec(leg, rem_a - a, rem_g - gg, acc + [leg])
-
-        rec((0, 0), rem_a, rem_g, [])
-    return tuple(sorted(out, key=lambda t: (t.h, t.legs)))
 
 
 # -- derivative towers ---------------------------------------------------------------
@@ -165,11 +131,22 @@ def f1_empty_qseries(md: MirrorData) -> RatSeries:
     return cq_change(f1_empty(md.order), md)
 
 
-# -- the correspondence abattoir ------------------------------------------------------
+# -- the correction sum by elliptic label ---------------------------------------------
+
+def _hbar_mul(p: list, t: list) -> list:
+    """The product of two hbar-polynomials, as coefficient lists, truncated
+    to the length of p."""
+    out = [BModElement.zero()] * len(p)
+    for i, x in enumerate(p):
+        for j, y in enumerate(t[:len(p) - i]):
+            if x.terms and y.terms:
+                out[i + j] += x * y
+    return out
+
 
 class Correspondence:
-    """Holds the local and relative derivative towers and evaluates
-    correction terms."""
+    """Holds the local and relative derivative towers and sums the
+    correction terms label by label."""
 
     def __init__(self, md: MirrorData):
         self.md = md
@@ -179,36 +156,47 @@ class Correspondence:
     def tower(self, kind: str) -> DTower:
         return self.local if kind == "local" else self.relative
 
-    def elliptic_factor(self, term: CorrTerm) -> BModElement:
-        parts = [a for a, _ in term.legs]
-        ep = stationary_value(term.h, parts)
+    def correction_value(self, h: int, parts, legs: BModElement) -> BModElement:
+        """The correction terms of the label (h, parts) summed over their leg
+        genera, given ``legs``, the [hbar^(g-h)] coefficient of the T_a
+        product over ``parts``."""
+        ep = stationary_value(h, parts)
         if ep.is_zero():
             return BModElement.zero()
-        return epoly_to_bmod(ep)
-
-    def correction_value(self, term: CorrTerm) -> BModElement:
-        """The exact polynomial value of one correction summand."""
-        if not term.legs:
-            raise BModError("the empty-leg term is series-level data; "
-                            "handled in the genus-1 solves")
-        fe = self.elliptic_factor(term)
-        if fe.is_zero():
-            return BModElement.zero()
-        value = fe * F((-1) ** (term.h - 1), term.aut_order)
-        for a, gg in term.legs:
-            value = value * self.relative.D(gg, a + 2)
-            if (gg - 1) % 2:
-                value = value * -1
+        aut = prod(map(factorial, Counter(parts).values()))
+        value = epoly_to_bmod(ep) * legs * F((-1) ** (h - 1), aut)
         if not value.is_zero() and value.i11_degree != 0:
             raise BModError("correction term failed weight bookkeeping")
         return value
 
     def corrections_sum(self, g: int) -> BModElement:
+        """All correction terms at genus g: a recursion over weakly
+        decreasing parts shares the leg products of a common prefix and
+        stops where the product vanishes."""
         if g < 2:
             raise BModError("polynomial corrections start at genus 2")
         total = BModElement.zero()
-        for term in enumerate_terms(g):
-            total = total + self.correction_value(term)
+        for h in range(1, g + 1):
+            top = g - h
+            # T[a][g'] is the hbar^g' coefficient of T_a (module docstring)
+            T = [[BModElement.zero() if a == gg == 0 else
+                  self.relative.D(gg, a + 2) * (-1) ** (gg + 1)
+                  for gg in range(top + 1)] for a in range(2 * h - 1)]
+
+            def rec(parts, rem, poly):
+                nonlocal total
+                if not any(c.terms for c in poly):
+                    return
+                if rem == 0 and poly[top].terms:
+                    total += self.correction_value(h, parts, poly[top])
+                # the next part, smallest first (genus 7 peaks 1 MB lower
+                # than largest first); zero parts come last, once the others
+                # sum to 2h - 2
+                largest = min(parts[-1], rem) if parts else rem
+                for a in range(1, largest + 1) if rem else (0,):
+                    rec(parts + (a,), rem - a, _hbar_mul(poly, T[a]))
+
+            rec((), 2 * h - 2, [BModElement.const(1)] + [BModElement.zero()] * top)
         return total
 
     # -- solving in either direction ------------------------------------------------

@@ -41,13 +41,14 @@ cosine sum and a long division by the sine; the library reads each genus
 row from Bernoulli numbers in z = i k hbar, building no series.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import factorial
+from math import factorial, prod
 
-from localp2.elliptic import npoint_disconnected
-from localp2.locrel import f1_empty_qseries, f1_relative_series
+from localp2.elliptic import npoint_disconnected, stationary_value
+from localp2.locrel import epoly_to_bmod, f1_empty_qseries, f1_relative_series
 from localp2.mirror import BModElement
 
 
@@ -319,6 +320,22 @@ def enumerate_corr_terms_oracle(g: int):
 
         rec(0, budget_a, budget_g, [])
     return sorted(results)
+
+
+def corrections_sum_oracle(corr, g: int):
+    """``Correspondence.corrections_sum`` one term at a time: each term
+    (h, legs) of ``enumerate_corr_terms_oracle`` is (-1)^(h-1) F^E_(h,a) /
+    |Aut| times prod_j (-1)^(g_j - 1) D^(a_j + 2) F_(g_j), with |Aut| the
+    product of the factorials of the leg multiplicities."""
+    total = BModElement.zero()
+    for h, legs in enumerate_corr_terms_oracle(g):
+        aut = prod(factorial(m) for m in Counter(legs).values())
+        term = epoly_to_bmod(stationary_value(h, [a for a, _ in legs]))
+        term = term * Fraction((-1) ** (h - 1), aut)
+        for a, gj in legs:
+            term = term * corr.relative.D(gj, a + 2) * (-1) ** (gj + 1)
+        total = total + term
+    return total
 
 
 # -- partitions and the Bloch-Okounkov partition sum ---------------------------

@@ -59,8 +59,11 @@ def test_traced_check_path_matches_golden(tmp_path):
                        "--target", "both"],
                       ROOT / "tests" / "golden" / "solve-g3-both-json.out",
                       tmp_path)
+    names = [name for name, *_ in data["spans"]]
     # two flat expansions printed, and the two the triangle compares
-    assert [name for name, *_ in data["spans"]].count("mirror.bm_eval") == 4
+    assert names.count("mirror.bm_eval") == 4
+    # one correction value per elliptic label: 3 at genus 2, 11 at genus 3
+    assert names.count("locrel.correction_value") == 14
 
 
 def test_traced_emitters_span_once_per_printed_object(tmp_path):

@@ -1,18 +1,16 @@
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
 from localp2.elliptic import EPoly, eisenstein_images, stationary_value
 from localp2.graded import evaluate
+from localp2.hae import solve_towers
 from localp2.locrel import (
     Correspondence,
-    CorrTerm,
     DF1_LOCAL,
     DF1_RELATIVE,
     DTower,
     RELATIVE_LOG_COEFF,
-    enumerate_terms,
     epoly_to_bmod,
     f1_local_series,
     f1_relative_series,
@@ -20,7 +18,7 @@ from localp2.locrel import (
 from localp2.mirror import BModElement, bm_eval, build_mirror_data, cq_change, q_to_Q
 from localp2.series import RatSeries
 
-from oracles import enumerate_corr_terms_oracle, solve_local
+from oracles import corrections_sum_oracle, solve_local
 
 F = Fraction
 
@@ -55,50 +53,16 @@ def test_relative_log_coefficient(md):
     assert RELATIVE_LOG_COEFF == F(-1, 24) == f1_relative_series(md).log_coeff
 
 
-class TestEnumeration:
-    def test_genus1(self):
-        terms = enumerate_terms(1)
-        assert terms == (CorrTerm(1, (), 1),)
+@pytest.fixture(scope="module")
+def solved_through_4(md):
+    return solve_towers(md, 4, True)
 
-    def test_genus2(self):
-        terms = enumerate_terms(2)
-        assert set(terms) == {
-            CorrTerm(1, ((0, 1),), 1),
-            CorrTerm(2, ((1, 0), (1, 0)), 2),
-            CorrTerm(2, ((2, 0),), 1),
-        }
 
-    @pytest.mark.parametrize("g", [1, 2, 3, 4])
-    def test_against_exhaustive_oracle(self, g):
-        got = {(t.h, t.legs) for t in enumerate_terms(g)}
-        expect = {(h, legs) for h, legs in enumerate_corr_terms_oracle(g)}
-        if g == 1:
-            expect.add((1, ()))  # the empty-leg unmarked term
-        assert got == expect
-
-    def test_genus3_count(self):
-        # exhaustive search gives eleven terms (plus none with empty legs)
-        assert len(enumerate_terms(3)) == 11
-
-    def test_aut_bookkeeping(self):
-        # sum over terms of (ordered reconstructions / aut) = labeled count
-        for g in (2, 3, 4):
-            labeled = 0
-            for t in enumerate_terms(g):
-                if t.legs:
-                    labeled += factorial(len(t.legs)) // t.aut_order
-            # labeled brute force: count ordered tuples directly
-            brute = 0
-            for h, legs in enumerate_corr_terms_oracle(g):
-                n = len(legs)
-                mult = {}
-                for leg in legs:
-                    mult[leg] = mult.get(leg, 0) + 1
-                aut = 1
-                for m in mult.values():
-                    aut *= factorial(m)
-                brute += factorial(n) // aut
-            assert labeled == brute
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_corrections_sum_against_per_term_oracle(solved_through_4, g):
+    # the relative tower is solved through genus 4 >= g - 1
+    corr = solved_through_4
+    assert corr.corrections_sum(g) == corrections_sum_oracle(corr, g)
 
 
 class TestEllipticFactorDictionary:
@@ -118,17 +82,18 @@ class TestEllipticFactorDictionary:
 
 
 class TestGenus2Intermediates:
+    # at genus 2 each elliptic label has one term, so its per-label value
+    # is that term's
     def test_term_h1_leg01(self, corr):
-        term = CorrTerm(1, ((0, 1),), 1)
-        got = corr.correction_value(term)
+        got = corr.correction_value(1, (0,), corr.relative.D(1, 2))
         expect = BModElement(0, {(2, 0): F(-1, 16), (1, 1): F(5, 192),
                                  (1, 0): F(-1, 24), (0, 2): F(1, 96),
                                  (0, 1): F(-1, 96)})
         assert got == expect
 
     def test_term_h2_two_cubic_legs(self, corr):
-        term = CorrTerm(2, ((1, 0), (1, 0)), 2)
-        got = corr.correction_value(term)
+        d3f0 = corr.relative.D(0, 3)
+        got = corr.correction_value(2, (1, 1), d3f0 * d3f0)
         expect = BModElement(0, {(3, -1): F(-1, 2), (2, 0): F(-3, 8),
                                  (1, 1): F(-11, 120), (1, 0): F(1, 60),
                                  (0, 2): F(-1, 135), (0, 1): F(7, 1080),
@@ -136,8 +101,7 @@ class TestGenus2Intermediates:
         assert got == expect
 
     def test_term_h2_quartic_leg(self, corr):
-        term = CorrTerm(2, ((2, 0),), 1)
-        got = corr.correction_value(term)
+        got = corr.correction_value(2, (2,), -corr.relative.D(0, 4))
         expect = BModElement(0, {(3, -1): F(9, 8), (2, 0): F(9, 16),
                                  (1, 1): F(47, 640), (1, 0): F(1, 40)})
         assert got == expect
