@@ -21,7 +21,6 @@ from .elliptic import (
 from .hae import (
     build_conifold_frame,
     conifold_expand,
-    consistency_triangle,
     gap_target,
     solve_genus,
     solve_towers,
@@ -286,12 +285,12 @@ def criterion_9_conifold_gap():
 
 def criterion_10_genus3_triangle():
     md, corr, direct = context()
-    ok, flat = consistency_triangle(md, corr.relative.elements[3],
-                                    direct.relative.elements[3])
+    ok = corr.relative.elements[3] == direct.relative.elements[3]
     qm = bm_to_qmod(direct.relative.elements[3])
     ok = ok and qm.c_pole <= 4 and qm.weight == 0
     ok = ok and all(bexp <= 3 for _, bexp, _ in qm.terms)
-    head = ", ".join(map(_fmt, flat[1:5]))
+    flat = bm_eval(corr.relative.elements[3], md, target="Q")
+    head = ", ".join(_fmt(flat.coeff(k)) for k in range(1, 5))
     return ok, f"two routes agree; flat head {head}; pole {qm.c_pole}, " \
         f"B-degree {max((b for _, b, _ in qm.terms), default=0)}"
 

@@ -14,10 +14,9 @@ Subcommands
 
 Global flags: --config FILE, a flat key = value file setting q_order,
 format and omega (flags override it); --format json|csv|text; --out PATH.
-Solving genus g needs q_order >= 2g - 2, and --target both at g >= 3 also
-q_order >= 8; ns compare --dmax D needs q_order >= D; compute elliptic
-takes its nome order from --order, by default the number of E2/E4/E6
-monomials of the label's weight plus 10.
+Solving genus g needs q_order >= 2g - 2; ns compare --dmax D needs
+q_order >= D; compute elliptic takes its nome order from --order, by
+default the number of E2/E4/E6 monomials of the label's weight plus 10.
 
 Exit status: 0 on success; 1 when an exact verification fails; 2 on bad
 flags or a bad config or data file, before anything is computed, or on an
@@ -152,11 +151,8 @@ def solved_towers(cfg: RunConfig, g: int, side: str):
     """Mirror data and the towers through genus g, for a command that
     prints or checks ``side`` (local, relative or both).  Only a command
     that needs the relative tower builds it, through the correspondence.
-    A q_order too small to solve genus g, or for "both" at g >= 3 to read
-    the consistency triangle, is rejected before any work."""
+    A q_order too small to solve genus g is rejected before any work."""
     least = hae.least_q_order(g)
-    if side == "both" and g >= 3:
-        least = max(least, hae.TRIANGLE_DEGREE)
     if cfg.q_order < least:
         raise UsageError(f"genus {g} needs q_order >= {least}, "
                          f"got {cfg.q_order}")
@@ -221,8 +217,8 @@ def cmd_solve(args, cfg, sink) -> int:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
     if args.target == "both" and g >= 3:
-        agree, _ = hae.consistency_triangle(
-            md, corr.relative.elements[g], hae.solve_genus(g, "relative", md))
+        # the two routes to the relative series, as ring elements
+        agree = corr.relative.elements[g] == hae.solve_genus(g, "relative", md)
         sink(f"consistency triangle at genus {g}: "
              f"{'PASS' if agree else 'FAIL'}")
         if not agree:

@@ -226,8 +226,8 @@ def default_qorder(weight: int) -> int:
     return monomial_count(weight) + CHECK_ORDERS
 
 
-# label: StationaryLabel; series: the nome expansion; value: the recognized EPoly
-EllipticSeries = namedtuple("EllipticSeries", "label series value")
+# series: the nome expansion; value: the recognized EPoly
+EllipticSeries = namedtuple("EllipticSeries", "series value")
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +272,7 @@ def connected_extract(label: StationaryLabel,
     exps = tuple(a + 1 for a in label.parts)
     series = connected_coefficient(exps, qorder)
     value = EPoly(recognize(series, EPoly.weights, w, eisenstein_images(qorder)))
-    return EllipticSeries(label=label, series=series, value=value)
+    return EllipticSeries(series, value)
 
 
 def stationary_value(h: int, parts) -> EPoly:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .locrel import Correspondence, DTower
-from .mirror import BModElement, BModError, MirrorData, bm_eval, theta_u
+from .mirror import BModElement, BModError, MirrorData, theta_u
 from .quasimod import bernoulli
 from .series import Localp2Error, Powers, RatSeries, lincomb
 
@@ -258,19 +258,6 @@ def solve_towers(md: MirrorData, gmax: int, relative: bool) -> Correspondence:
         if relative:
             corr.solve_relative(g, local)
     return corr
-
-
-TRIANGLE_DEGREE = 8  # the consistency triangle compares flat Q^0..Q^8
-
-
-def consistency_triangle(md: MirrorData, via_corr: BModElement,
-                         direct: BModElement) -> tuple[bool, list]:
-    """Compare a relative series through the correspondence with the one
-    by anomaly + gap in flat Q^0..Q^TRIANGLE_DEGREE.  Returns whether they
-    agree, and the first route's coefficients."""
-    a, b = (bm_eval(e, md, target="Q").coeff_list(0, TRIANGLE_DEGREE)
-            for e in (via_corr, direct))
-    return a == b, a
 
 
 def verify_hae(g: int, kind: str, tower: DTower) -> dict:

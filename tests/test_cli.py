@@ -318,6 +318,25 @@ class TestHeavyCommands:
         assert status == 0
         assert out.splitlines()[-1] == "consistency triangle at genus 4: PASS"
 
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_consistency_triangle_fails_on_a_wrong_gap_target(self, g, capsys,
+                                                              monkeypatch):
+        # scale the relative gap target at genus g alone: the route by
+        # anomaly + gap then differs from the one through the correspondence
+        gap_target = cli.hae.gap_target
+
+        def skewed(genus, kind):
+            t = gap_target(genus, kind)
+            return t * (1 + F(1, 10 ** 6)) if (genus, kind) == (g, "relative") \
+                else t
+        monkeypatch.setattr(cli.hae, "gap_target", skewed)
+        # and solve on a fresh frame, not on one an earlier test left
+        cli.hae.build_conifold_frame.cache_clear()
+        status, out, _ = run(["solve", "--genus", str(g), "--target", "both"],
+                             capsys)
+        assert status == 1
+        assert out.splitlines()[-1] == f"consistency triangle at genus {g}: FAIL"
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -412,12 +431,14 @@ def test_verify_local_genus8(what, capsys):
 
 # q_order -> genus -> (exit status, stderr, golden stdout or None) of
 # `localp2 --config <q_order = n> solve --genus g --target both`.  Genus g
-# needs q_order >= 2g - 2 (hae.least_q_order), and the consistency triangle
-# reads Q^8: below that the input is rejected before any work (exit 2).  The
-# goldens at orders 8 and 11 were recorded before the q_order check, and
-# solve-g4-both-q8.out before the floor moved from 4g - 5 to 2g - 2.
+# needs q_order >= 2g - 2 (hae.least_q_order), on every side.  The
+# goldens at orders 8 and 11 were recorded before the q_order check,
+# solve-g4-both-q8.out before the floor moved from 4g - 5 to 2g - 2, and
+# solve-g3-both-q5.out when the two relative routes began to be compared as
+# ring elements rather than in flat Q^0..Q^8: its flat lines are those of
+# `compute local|relative --genus 3` at q_order 5 before that change.
 SMALL_ORDER_RUNS = {
-    (5, 3): (2, "error: genus 3 needs q_order >= 8, got 5\n", None),
+    (5, 3): (0, "", "solve-g3-both-q5.out"),
     (8, 4): (0, "", "solve-g4-both-q8.out"),
     (8, 3): (0, "", "solve-g3-both-q8.out"),
     (11, 4): (0, "", "solve-g4-both-q11.out"),
@@ -440,11 +461,16 @@ def generator_blocks(text: str) -> list:
     return [ln for ln in text.splitlines() if "_generators: " in ln]
 
 
-@pytest.mark.parametrize("golden", ["solve-g4-both-q8.out",
-                                    "solve-g4-both-q11.out"])
+# golden at a small q_order -> the same command's golden at a larger one
+SAME_GENERATORS = {"solve-g4-both-q8.out": "solve-g4-both.out",
+                   "solve-g4-both-q11.out": "solve-g4-both.out",
+                   "solve-g3-both-q5.out": "solve-g3-both-q8.out"}
+
+
+@pytest.mark.parametrize("golden", sorted(SAME_GENERATORS))
 def test_generators_do_not_depend_on_q_order(golden):
     # only the flat expansions are cut at q_order
-    full = (GOLDEN / "solve-g4-both.out").read_text()
+    full = (GOLDEN / SAME_GENERATORS[golden]).read_text()
     assert generator_blocks((GOLDEN / golden).read_text()) == \
         generator_blocks(full) != []
 
@@ -452,7 +478,7 @@ def test_generators_do_not_depend_on_q_order(golden):
 @pytest.mark.parametrize("side", ["local", "relative", "both"])
 @pytest.mark.parametrize("g", range(2, 9))
 def test_least_q_order_accepted_and_next_rejected(g, side, monkeypatch):
-    least = max(5, 2 * g - 2, 8 if side == "both" and g >= 3 else 0)
+    least = max(5, 2 * g - 2)
     monkeypatch.setattr(cli.mirror, "build_mirror_data", lambda q: q)
     monkeypatch.setattr(cli.hae, "solve_towers",
                         lambda md, g, relative: relative)

@@ -495,6 +495,17 @@ class TestGenus4:
         assert bm_eval(f4, md, target="Q").constant_term() == 0
 
 
+@pytest.mark.parametrize("order,g", [(ORDER, 2), (ORDER, 3), (ORDER, 4),
+                                     (ORDER, 5), (5, 3)])
+def test_two_relative_routes_are_equal_elements(order, g):
+    # through the correspondence and by anomaly + gap: equal as ring
+    # elements, not only in their flat expansions, at any order that
+    # solves genus g
+    md = build_mirror_data(order)
+    assert solve_towers(md, g, True).relative.elements[g] == \
+        solve_genus(g, "relative", md)
+
+
 class TestGenus3Triangle:
     def test_two_routes_agree_on_flat_coefficients(self, md, towers):
         _, via_corr, via_gap = towers

@@ -4,8 +4,8 @@ The import leaves out ``argparse`` with the ``gettext`` it pulls in (needed
 only when ``build_parser`` parses a command line), ``pathlib`` (files are
 read and written with the builtin ``open``), the check-only
 ``localp2.acceptance`` (loaded by ``selftest`` alone; ``solve --target
-both`` reads its triangle from ``hae``), the error-path ``traceback``,
-``json`` (read or written only by the paths that use it) and
+both`` compares its two relative routes itself), the error-path
+``traceback``, ``json`` (read or written only by the paths that use it) and
 ``dataclasses`` with the ``inspect`` it pulls in (needed only when
 ``build_mirror_data`` first makes ``MirrorData`` a dataclass).  It executes
 only ``localp2``, ``localp2.series`` and ``localp2.cli``: the package
@@ -158,7 +158,8 @@ print(json.dumps([status, "localp2.acceptance" in sys.modules]))
 
 
 def test_solve_both_loads_no_check_harness():
-    # the consistency triangle lives in hae; only selftest needs acceptance
+    # the consistency triangle is one element comparison in cli; only
+    # selftest needs acceptance
     assert run_fresh(SOLVE_BOTH) == [0, False]
 
 
