@@ -34,8 +34,8 @@ from fractions import Fraction
 # first read of one of its attributes, so this import reads none and a
 # command compiles only the modules it runs.  argparse is imported by
 # build_parser, acceptance by selftest, traceback on an internal error, json
-# by --format json and ns.load_omega, and dataclasses by the first
-# build_mirror_data call; files are read and written with the builtin open
+# by --format json and ns.load_omega, and dataclasses by mirror, where it
+# executes; files are read and written with the builtin open
 from . import elliptic, hae, locrel, mirror, ns, quasimod
 from .series import Localp2Error, RatSeries, TruncationError
 

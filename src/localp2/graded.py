@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
-from .linalg import LinearSystemError, solve_unique
+from . import linalg
 from .series import Localp2Error, Powers, RatSeries, over_lcm
 
 
@@ -211,8 +211,8 @@ def recognize(series: RatSeries, weights: tuple, w: int,
     tables = [Powers(im.truncate(have - 1), one) for im in images]
     cols = [_monomial(tables, m, one) for m in monos]
     try:
-        sol = solve_unique([[col.coeff(k) for col in cols] for k in range(have)],
-                           series.coeff_list(0, have - 1))
-    except LinearSystemError as exc:
+        sol = linalg.solve_unique([[c.coeff(k) for c in cols] for k in range(have)],
+                                  series.coeff_list(0, have - 1))
+    except linalg.LinearSystemError as exc:
         raise GradedError(f"series not in the weight-{w} span: {exc}") from exc
     return {m: v for m, v in zip(monos, sol) if v}

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
-from .elliptic import EPoly, f1_empty, stationary_value
-from .graded import evaluate
+from . import elliptic
 from .mirror import (
     BModElement,
     BModError,
@@ -91,18 +91,28 @@ class DTower:
 
 # -- elliptic values as polynomial elements ------------------------------------------
 
-# E_k at the cubed nome, rewritten through the generator dictionary
-_E2_BMOD = BModElement(-2, {(0, 0): 1, (1, -1): 4})
-_E4_BMOD = BModElement(-4, {(0, 0): F(1, 9), (0, -1): F(8, 9)})
-_E6_BMOD = BModElement(-6, {(0, 0): F(-1, 27), (0, -1): F(20, 27),
-                            (0, -2): F(8, 27)})
+# E2, E4 and E6 at the cubed nome, rewritten through the generator dictionary
+_E_BMOD = (BModElement(-2, {(0, 0): 1, (1, -1): 4}),
+           BModElement(-4, {(0, 0): F(1, 9), (0, -1): F(8, 9)}),
+           BModElement(-6, {(0, 0): F(-1, 27), (0, -1): F(20, 27),
+                            (0, -2): F(8, 27)}))
 
 
-def epoly_to_bmod(ep: EPoly) -> BModElement:
+@lru_cache(maxsize=None)
+def _e_image(key: tuple) -> BModElement:
+    """The image of E2^a E4^b E6^c, key = (a, b, c): made once per process,
+    as the image of the monomial with one factor fewer times that factor's."""
+    i = next((i for i, e in enumerate(key) if e), None)
+    if i is None:
+        return BModElement.const(1)
+    return _e_image(key[:i] + (key[i] - 1,) + key[i + 1:]) * _E_BMOD[i]
+
+
+def epoly_to_bmod(ep: elliptic.EPoly) -> BModElement:
     """A weight-w polynomial in E2, E4, E6 (at the cubed nome) becomes an
     element of I11-degree -w."""
-    return evaluate(ep.terms, [_E2_BMOD, _E4_BMOD, _E6_BMOD],
-                    BModElement.const(1))
+    return sum((_e_image(key) * v for key, v in ep.terms.items()),
+               BModElement.zero())
 
 
 # -- genus-1 series -------------------------------------------------------------------
@@ -128,7 +138,7 @@ RELATIVE_LOG_COEFF = F(-1, 24)
 
 def f1_empty_qseries(md: MirrorData) -> RatSeries:
     """The unmarked genus-1 elliptic series converted to the q variable."""
-    return cq_change(f1_empty(md.order), md)
+    return cq_change(elliptic.f1_empty(md.order), md)
 
 
 # -- the correction sum by elliptic label ---------------------------------------------
@@ -160,7 +170,7 @@ class Correspondence:
         """The correction terms of the label (h, parts) summed over their leg
         genera, given ``legs``, the [hbar^(g-h)] coefficient of the T_a
         product over ``parts``."""
-        ep = stationary_value(h, parts)
+        ep = elliptic.stationary_value(h, parts)
         if ep.is_zero():
             return BModElement.zero()
         aut = prod(map(factorial, Counter(parts).values()))

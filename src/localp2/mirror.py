@@ -21,12 +21,13 @@ this keeps every stored number rational.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
+from . import quasimod
 from .graded import Graded
-from .quasimod import QModElement
 from .series import Localp2Error, Powers, RatSeries, SeriesError, lincomb
 
 F = Fraction
@@ -133,11 +134,10 @@ def _conifold_flat(order: int) -> RatSeries:
 
 # -- the assembled mirror data ----------------------------------------------------
 
+@dataclass(frozen=True)
 class MirrorData:
-    """The mirror data through q^order.  ``build_mirror_data`` makes this
-    class a frozen dataclass in place on its first call (perfbench/tracer.py
-    reads ``__dataclass_fields__``), so that importing the package does not
-    import ``dataclasses``."""
+    """The mirror data through q^order (perfbench/tracer.py reads
+    ``__dataclass_fields__``)."""
 
     order: int
     ibar1: RatSeries      # q-series, no log
@@ -151,7 +151,8 @@ class MirrorData:
     that: RatSeries       # conifold flat coordinate in u
 
     # The powers that bm_eval substitutes for S, X, 1/X = 1 + 27q, I11 and
-    # 1/I11, and q_to_Q for q = qofQ; each table is made on its first read.
+    # 1/I11, q_to_Q for q = qofQ, and cq_change for the nome cQ and its cube
+    # cQt; each table is made on its first read.
     S_pow = cached_property(lambda self: _powers(self.S))
     X_pow = cached_property(lambda self: _powers(self.X))
     inv_X_pow = cached_property(lambda self: _powers(_u_of_q(self.order)))
@@ -159,6 +160,8 @@ class MirrorData:
     inv_I11_pow = cached_property(lambda self: _powers(
         RatSeries.one("q", self.order) / self.I11))
     qofQ_pow = cached_property(lambda self: _powers(self.qofQ))
+    cQ_pow = cached_property(lambda self: _powers(self.cQofq))
+    cQt_pow = cached_property(lambda self: _powers(self.cQofq ** 3))
 
 
 def _powers(base: RatSeries) -> Powers:
@@ -170,11 +173,6 @@ def _powers(base: RatSeries) -> Powers:
 def build_mirror_data(order: int) -> MirrorData:
     if order < 5:
         raise SeriesError("mirror data needs order >= 5")
-    # a flag, not a cache: emptying every cache of the package must not
-    # decorate the class twice, which dataclass refuses on a frozen class
-    if "__dataclass_fields__" not in MirrorData.__dict__:
-        from dataclasses import dataclass
-        dataclass(frozen=True)(MirrorData)
     ibar1 = _ibar1(order)
     i11 = RatSeries.one("q", order) + ibar1.theta()
     j = _solve_log_companion(i11, order)
@@ -198,16 +196,16 @@ def cq_change(series: RatSeries, md: MirrorData) -> RatSeries:
     an honest power series.
     """
     if series.var == "cQ":
-        inner = md.cQofq
+        powers = md.cQ_pow
         log_q_mult = 1
         log_series = md.J / md.I11
     elif series.var == "cQt":
-        inner = md.cQofq ** 3
+        powers = md.cQt_pow
         log_q_mult = 3
         log_series = 3 * (md.J / md.I11)
     else:
         raise SeriesError(f"cq_change expects a cQ or cQt series, got {series.var}")
-    out = series.with_log(0).compose(inner)
+    out = series.with_log(0).compose(powers)
     if series.log_coeff:
         out = out + series.log_coeff * log_series
         return out.with_log(series.log_coeff * log_q_mult)
@@ -220,12 +218,7 @@ def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
     power = series.with_log(0)
     if series.log_coeff:
         power = power - series.log_coeff * md.ibar1
-    if power.min_exp < 0:
-        raise SeriesError("q_to_Q needs a power series in q")
-    # sum_k power_k qofQ^k through Q^bound, as RatSeries.compose would give
-    bound = min(md.qofQ.trunc_order, power.trunc_order)
-    out = lincomb([(power.coeff(k), md.qofQ_pow[k]) for k in range(bound + 1)],
-                  "Q", bound)
+    out = power.compose(md.qofQ_pow)
     return out.with_log(series.log_coeff) if series.log_coeff else out
 
 
@@ -308,7 +301,7 @@ def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
     raise BModError(f"unknown target {target!r}")
 
 
-def bm_to_qmod(e: BModElement) -> QModElement:
+def bm_to_qmod(e: BModElement) -> quasimod.QModElement:
     """Rewrite via X = A^3/C, S = (AB - A^3)/(6C), I11 = A.
 
     Negative intermediate A-exponents must cancel; a surviving one means the
@@ -329,4 +322,4 @@ def bm_to_qmod(e: BModElement) -> QModElement:
     if any(a < 0 for a, _, _ in acc):
         bad = {k: v for k, v in acc.items() if k[0] < 0}
         raise BModError(f"element not regular at the orbifold point: {bad}")
-    return QModElement(P, acc)
+    return quasimod.QModElement(P, acc)

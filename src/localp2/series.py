@@ -404,23 +404,23 @@ class RatSeries:
                                         max(out.trunc_order, 0))
         return out
 
-    def compose(self, inner: "RatSeries") -> "RatSeries":
-        """Substitute ``inner`` (zero constant term) for the variable of a
-        power series without a log slot, by Horner's rule."""
+    def compose(self, powers: "Powers") -> "RatSeries":
+        """Substitute the base of the table ``powers`` (zero constant term)
+        for the variable of a power series without a log slot."""
         if self.log_coeff:
             raise SeriesError("compose of a log-extended series")
         if self.min_exp < 0:
             raise SeriesError("compose with Laurent outer unsupported")
+        inner = powers.base
         v = inner.valuation()
         if inner.constant_term() != 0 or (v is not None and v < 1):
             raise SeriesError("inner series must have zero constant term")
         if v is None:
             return RatSeries.const(inner.var, self.coeff(0), inner.trunc_order)
         bound = min(inner.trunc_order, (self.trunc_order + 1) * v - 1)
-        out = RatSeries.const(inner.var, self.coeff(self.trunc_order), bound)
-        for k in range(self.trunc_order - 1, -1, -1):
-            out = (out * inner.truncate(bound)).truncate(bound) + self.coeff(k)
-        return out
+        # sum c_k inner^k over the k with k v <= bound (so k <= trunc_order)
+        return lincomb([(self.coeff(k), powers[k]) for k in range(bound // v + 1)],
+                       inner.var, bound)
 
     def revert(self, new_var: str | None = None) -> "RatSeries":
         """Compositional inverse of c1*v + O(v^2), c1 nonzero, by Lagrange

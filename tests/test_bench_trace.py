@@ -2,12 +2,12 @@
 
 perfbench/tracer.py patches library functions by name (module globals,
 class attributes such as ``RatSeries.__mul__``) and reads ``.coeffs``,
-``.log_coeff`` and ``MirrorData.__dataclass_fields__``, which exist only
-once ``build_mirror_data`` has made ``MirrorData`` a dataclass on its first
-call.  A traced child that fails counts as a failed benchmark operation, so
-each traced job here must exit 0, print its golden bytes and leave a report
-with spans and the series product counter; the job that builds mirror data
-must also report the size its hook reads from those fields.
+``.log_coeff`` and ``MirrorData.__dataclass_fields__``, which the frozen
+dataclass ``MirrorData`` defines.  A traced child that fails counts as a
+failed benchmark operation, so each traced job here must exit 0, print its
+golden bytes and leave a report with spans and the series product counter;
+the job that builds mirror data must also report the size its hook reads
+from those fields.
 """
 
 import json

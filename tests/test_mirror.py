@@ -24,7 +24,7 @@ from localp2.mirror import (
 from localp2.quasimod import QModElement, generator_series, qm_derive, qm_to_qseries
 from localp2.series import RatSeries, SeriesError
 
-from oracles import ibar1_coeff, pl_mirror_op_u, qmod_to_bmod
+from oracles import ibar1_coeff, pl_compose, pl_mirror_op_u, pl_mul, qmod_to_bmod
 
 F = Fraction
 
@@ -37,8 +37,8 @@ def md() -> MirrorData:
 
 
 class TestMirrorDataClass:
-    # build_mirror_data makes MirrorData a frozen dataclass in place on its
-    # first call; perfbench/tracer.py reads its __dataclass_fields__
+    # MirrorData is a frozen dataclass; perfbench/tracer.py reads its
+    # __dataclass_fields__
     def test_one_class(self):
         assert type(build_mirror_data(8)) is type(build_mirror_data(9)) \
             is mirror.MirrorData is MirrorData
@@ -77,7 +77,7 @@ class TestFrobenius:
         assert md.qofQ.coeff_list(1, 6) == [1, 6, 9, 56, -300, 3942]
 
     def test_round_trip(self, md):
-        comp = md.Qofq.compose(md.qofQ)
+        comp = md.Qofq.compose(md.qofQ_pow)
         assert comp.coeff_list(1, ORDER - 1) == [1] + [0] * (ORDER - 2)
 
     def test_propagator_first_order(self, md):
@@ -128,6 +128,24 @@ class TestNomeBridge:
     def test_tag_mismatch(self, md):
         with pytest.raises(Exception):
             cq_change(RatSeries.one("q", 5), md)
+
+    @pytest.mark.parametrize("tag", ["cQ", "cQt"])
+    def test_nome_change_is_plain_list_composition(self, md, tag):
+        # the nome, or its cube taken on plain lists, substituted by the
+        # Horner oracle, which shares no code with compose
+        top = md.cQofq.trunc_order
+        nome = md.cQofq.coeff_list(0, top)
+        if tag == "cQ":
+            inner, bound = nome, ORDER
+        else:  # a cube of valuation 3 is known two orders further
+            bound = top + 2
+            inner = pl_mul(pl_mul(nome, nome, bound), nome, bound)
+        outer = RatSeries(tag, 0, [F((-1) ** k * (k + 1), k * k + 2)
+                                   for k in range(ORDER + 1)])
+        got = cq_change(outer, md)
+        assert (got.var, got.min_exp, got.trunc_order) == ("q", 0, bound)
+        assert list(got.coeffs) == pl_compose(outer.coeff_list(0, ORDER),
+                                              inner[:bound + 1], bound)
 
     def test_cq_cube_consistency(self, md):
         # a cQt-series equals the same series in cQ^3
@@ -320,14 +338,16 @@ def theta_by_product(f: RatSeries) -> RatSeries:
 
 
 def q_to_Q_by_compose(series: RatSeries, md: MirrorData) -> RatSeries:
-    """q_to_Q by Horner composition with qofQ."""
+    """q_to_Q by the plain-list Horner substitution of qofQ."""
     power = RatSeries("q", series.min_exp, series.coeffs)
     if series.log_coeff:
         power = power - series.log_coeff * md.ibar1
-    out = power.compose(md.qofQ)
-    if series.log_coeff:
-        return RatSeries("Q", out.min_exp, out.coeffs, series.log_coeff)
-    return out
+    if power.min_exp < 0:
+        raise SeriesError("a Laurent series has no substitution")
+    n = min(power.trunc_order, md.qofQ.trunc_order)
+    return RatSeries("Q", 0, pl_compose(power.coeff_list(0, n),
+                                        md.qofQ.coeff_list(0, n), n),
+                     series.log_coeff)
 
 
 def assert_same_or_both_reject(fast, slow, *args):

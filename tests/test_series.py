@@ -364,11 +364,28 @@ class TestExpLog:
             q_series([0, 1]).log()
 
 
+def table(inner: RatSeries) -> Powers:
+    """The powers of ``inner`` from a unit known as far as it is."""
+    return Powers(inner, RatSeries.one(inner.var, inner.trunc_order))
+
+
+class ReadPowers(Powers):
+    """A table of powers that records the largest index read."""
+
+    def __init__(self, base, one):
+        super().__init__(base, one)
+        self.top = -1
+
+    def __getitem__(self, k: int):
+        self.top = max(self.top, k)
+        return super().__getitem__(k)
+
+
 class TestComposeRevert:
     def test_hand_substitution(self):
         outer = RatSeries("t", 0, [1, 1, 1])
         inner = q_series([0, 1, -1, 0, 0])
-        got = outer.compose(inner)
+        got = outer.compose(table(inner))
         # result is fully determined through q^2 only (outer known through t^2)
         expect = pl_compose([F(1), F(1), F(1)], [F(0), F(1), F(-1), F(0), F(0)], 2)
         assert got.coeff_list(0, 2) == expect == [1, 1, 0]
@@ -376,18 +393,33 @@ class TestComposeRevert:
     def test_compose_identity(self):
         f = q_series([0, 3, -2, 5])
         ident = RatSeries.gen("q", 3)
-        assert RatSeries("t", 0, [0, 1, 0, 0]).compose(f).coeff_list(0, 3) == \
-            f.coeff_list(0, 3)
-        assert f.compose(ident).coeff_list(0, 3) == f.coeff_list(0, 3)
+        assert RatSeries("t", 0, [0, 1, 0, 0]).compose(table(f)).coeff_list(
+            0, 3) == f.coeff_list(0, 3)
+        assert f.compose(table(ident)).coeff_list(0, 3) == f.coeff_list(0, 3)
 
     def test_compose_rejects_constant_term(self):
         with pytest.raises(SeriesError):
-            RatSeries("t", 0, [1, 1]).compose(q_series([1, 1]))
+            RatSeries("t", 0, [1, 1]).compose(table(q_series([1, 1])))
 
     def test_compose_rejects_log_slot(self):
         # log(inner) is not a power series in the variable
         with pytest.raises(SeriesError):
-            q_series([0, 1, 2], log_coeff=1).compose(q_series([0, 1, 3]))
+            q_series([0, 1, 2], log_coeff=1).compose(table(q_series([0, 1, 3])))
+
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 4, 11])
+    def test_compose_reads_only_the_powers_that_reach_its_order(self, v, n):
+        # an inner of valuation v known through q^31: the result is known
+        # through q^bound, and inner^k with k v > bound adds nothing there
+        inner = q_series([0] * v + [(-1) ** k * (k + 2) for k in range(32 - v)])
+        outer = RatSeries("t", 0, [F(k * k - 3, k + 1) for k in range(n + 1)])
+        powers = ReadPowers(inner, RatSeries.one("q", 31))
+        got = outer.compose(powers)
+        bound = min(31, (n + 1) * v - 1)
+        assert (got.min_exp, got.trunc_order) == (0, bound)
+        assert got.coeff_list(0, bound) == pl_compose(
+            outer.coeff_list(0, n), inner.coeff_list(0, bound), bound)
+        assert powers.top == bound // v
 
     def test_revert_mirror_map(self):
         f = RatSeries("q", 0, [0, 1, -6, 63, -866, 13899])
@@ -405,7 +437,7 @@ class TestComposeRevert:
         f = q_series([0, c1] + tail)
         g = f.revert()
         assert g.revert().agrees_with(f, f.trunc_order)
-        assert f.compose(g).coeff_list(1, f.trunc_order) == \
+        assert f.compose(table(g)).coeff_list(1, f.trunc_order) == \
             [1] + [0] * (f.trunc_order - 1)
 
     def test_revert_rejects_log_slot(self):

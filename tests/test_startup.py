@@ -7,10 +7,11 @@ read and written with the builtin ``open``), the check-only
 both`` compares its two relative routes itself), the error-path
 ``traceback``, ``json`` (read or written only by the paths that use it) and
 ``dataclasses`` with the ``inspect`` it pulls in (needed only when
-``build_mirror_data`` first makes ``MirrorData`` a dataclass).  It executes
-only ``localp2``, ``localp2.series`` and ``localp2.cli``: the package
-registers its other modules as lazy, so each executes on the first read of
-one of its attributes and a command compiles only the modules it runs.
+``localp2.mirror``, which defines the dataclass ``MirrorData``, executes).
+It executes only ``localp2``, ``localp2.series`` and ``localp2.cli``: the
+package registers its other modules as lazy, so each executes on the first
+read of one of its attributes and a command compiles only the modules it
+runs.
 Every module whose functions perfbench/tracer.py patches must still be in
 ``sys.modules``, since the tracer resolves them there right after that
 import.  Whether a module has executed is read from its type, because
@@ -87,21 +88,25 @@ def test_cli_import_executes_only_the_package_series_and_cli():
         ["localp2", "localp2.cli", "localp2.series"]
 
 
-CORE = ["localp2", "localp2.cli", "localp2.graded", "localp2.linalg",
-        "localp2.quasimod", "localp2.series"]
+CORE = ["localp2", "localp2.cli", "localp2.graded", "localp2.series"]
 
-# command -> the localp2 modules that have executed when it returns
+# command -> the localp2 modules that have executed when it returns: the
+# local side runs no elliptic code and solves no linear system, and the
+# mirror data needs no quasimodular forms
 EXECUTED_BY = {
-    "verify ramanujan": CORE,
+    "verify ramanujan": sorted(CORE + ["localp2.quasimod"]),
     "compute elliptic --genus 2 --parts 1,1": sorted(CORE + [
-        "localp2.elliptic"]),
+        "localp2.elliptic", "localp2.linalg", "localp2.quasimod"]),
     "compute mirror --order 5": sorted(CORE + ["localp2.mirror"]),
     "--config {cfg} compute relative --genus 0": sorted(CORE + [
-        "localp2.elliptic", "localp2.hae", "localp2.locrel",
-        "localp2.mirror"]),
+        "localp2.hae", "localp2.locrel", "localp2.mirror",
+        "localp2.quasimod"]),
+    "solve --genus 2 --target local": sorted(CORE + [
+        "localp2.hae", "localp2.locrel", "localp2.mirror",
+        "localp2.quasimod"]),
     "--config {cfg} ns compare --gmax 0 --dmax 1": sorted(CORE + [
-        "localp2.elliptic", "localp2.hae", "localp2.locrel",
-        "localp2.mirror", "localp2.ns"]),
+        "localp2.hae", "localp2.locrel", "localp2.mirror", "localp2.ns",
+        "localp2.quasimod"]),
 }
 
 
@@ -167,31 +172,25 @@ DATACLASSES_IN_PACKAGE = """
 import importlib, json, pkgutil, sys
 import localp2
 
-def dataclass_classes():
-    return sorted(f"{name}.{obj.__name__}" for name, mod in sys.modules.items()
-                  if name.startswith("localp2.") for obj in vars(mod).values()
-                  if isinstance(obj, type) and obj.__module__ == name
-                  and "__dataclass_fields__" in obj.__dict__)
-
-for info in pkgutil.iter_modules(localp2.__path__):
-    importlib.import_module(f"localp2.{info.name}")
-imported = dataclass_classes(), "dataclasses" in sys.modules
-localp2.mirror.build_mirror_data(5)
-print(json.dumps([imported, dataclass_classes()]))
+# vars() reads an attribute, so it executes each lazy module
+mods = {name: vars(importlib.import_module(name))
+        for name in (f"localp2.{info.name}"
+                     for info in pkgutil.iter_modules(localp2.__path__))}
+print(json.dumps(sorted(f"{name}.{obj.__name__}" for name, attrs in mods.items()
+                        for obj in attrs.values()
+                        if isinstance(obj, type) and obj.__module__ == name
+                        and "__dataclass_fields__" in obj.__dict__)))
 """
 
 
 def test_mirror_data_is_the_only_dataclass():
     # the tracer reads MirrorData.__dataclass_fields__; any other dataclass
-    # would generate its methods at every start.  Importing every module of
-    # the package makes none and loads no dataclasses; the first build of
-    # mirror data makes MirrorData one, and nothing else.
-    (imported, loaded), built = run_fresh(DATACLASSES_IN_PACKAGE)
-    assert (imported, loaded) == ([], False)
-    assert built == ["localp2.mirror.MirrorData"]
+    # would generate its methods wherever its module executes.  Executing
+    # every module of the package makes MirrorData one, and nothing else
+    assert run_fresh(DATACLASSES_IN_PACKAGE) == ["localp2.mirror.MirrorData"]
     # no class of the package is made a dataclass anywhere else, nested
-    # definitions included: the one use of the name is the call in
-    # build_mirror_data
+    # definitions included: the one use of the name is the decorator of
+    # MirrorData
     uses = [path.name for path in sorted(PACKAGE.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Name) and node.id == "dataclass"
