@@ -36,6 +36,10 @@ integer Gauss-Jordan elimination.
 :func:`eta_quotient_oracle` multiplies and divides by the factors
 (1 - q^(m n)) one at a time; the library builds C from Borwein's b(q).
 
+:func:`theta_product_oracle` multiplies out the Jacobi triple product of
+Theta(z) factor by factor; the library sums an exponential of Eisenstein
+series.
+
 :func:`ns_column_oracle` expands the free-energy column in hbar by a
 cosine sum and a long division by the sine; the library reads each genus
 row from Bernoulli numbers in z = i k hbar, building no series.
@@ -426,6 +430,44 @@ def bloch_okounkov_npoint_oracle(exponents, qorder):
             nxt[i + m] -= euler[i]
         euler = nxt
     return pl_mul(out, euler, qorder)
+
+
+def theta_product_oracle(zdeg: int, qorder: int):
+    """Bloch-Okounkov's Theta(z) from the Jacobi triple product,
+
+        Theta(z) = 2 sinh(z/2) prod_{m>=1} (1 - q^m e^z)(1 - q^m e^-z) / (1 - q^m)^2,
+
+    as plain lists ``out[z-degree][q-degree]`` through z^zdeg and q^qorder.
+    The library builds Theta as z exp(sum B_2k/(2k (2k)!) E_2k z^2k) from
+    Eisenstein series; this multiplies the factors out one at a time."""
+
+    def zero_rows():
+        return [[Fraction(0)] * (qorder + 1) for _ in range(zdeg + 1)]
+
+    def mul(a, b):
+        out = zero_rows()
+        for i, row_a in enumerate(a):
+            for j, row_b in enumerate(b[: zdeg + 1 - i]):
+                out[i + j] = pl_add(out[i + j], pl_mul(row_a, row_b, qorder),
+                                    qorder)
+        return out
+
+    out = zero_rows()  # 2 sinh(z/2) = sum over odd e of 2 (z/2)^e / e!
+    for e in range(1, zdeg + 1, 2):
+        out[e][0] = Fraction(2, 2 ** e * factorial(e))
+    for m in range(1, qorder + 1):
+        for sign in (1, -1):  # 1 - q^m e^(sign z)
+            factor = zero_rows()
+            factor[0][0] = Fraction(1)
+            for j in range(zdeg + 1):
+                factor[j][m] -= Fraction(sign ** j, factorial(j))
+            out = mul(out, factor)
+        # 1/(1 - q^m)^2 = sum_k (k + 1) q^(mk)
+        inverse = zero_rows()
+        for k in range(qorder // m + 1):
+            inverse[0][m * k] = Fraction(k + 1)
+        out = mul(out, inverse)
+    return out
 
 
 def set_partitions(items):

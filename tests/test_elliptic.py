@@ -24,7 +24,7 @@ from localp2.graded import GradedError, evaluate, recognize
 from localp2.series import RatSeries
 
 from oracles import (bloch_okounkov_npoint_oracle, connected_coefficient_oracle,
-                     partitions_of)
+                     partitions_of, sigma, theta_product_oracle)
 
 F = Fraction
 
@@ -56,6 +56,12 @@ class TestTheta:
     def test_odd_function(self):
         th = theta_z(9, 4)
         assert all(th[k].is_zero() for k in range(0, 10, 2))
+
+    @pytest.mark.parametrize("zdeg, qorder", [(9, 8), (12, 10)])
+    def test_against_jacobi_product_oracle(self, zdeg, qorder):
+        got = theta_z(zdeg, qorder)
+        expect = theta_product_oracle(zdeg, qorder)
+        assert [th.coeff_list(0, qorder) for th in got] == expect
 
 
 class TestDisconnected:
@@ -287,6 +293,12 @@ class TestF1Empty:
     def test_nome_coefficient_one(self):
         # from -log(1 - nome)
         assert f1_empty(3).coeff(1) == 1
+
+    def test_divisor_sums_through_order_32(self):
+        # -sum_m log(1 - nome^m) = sum_n sigma_1(n)/n nome^n
+        s = f1_empty(32)
+        assert s.log_coeff == F(-1, 24)
+        assert s.coeff_list(0, 32) == [0] + [F(sigma(n, 1), n) for n in range(1, 33)]
 
 
 class TestEllipticHae:
