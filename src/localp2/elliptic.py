@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm, prod
 
 from .graded import Graded, recognize, weight_monomials
-from .quasimod import _sigma, bernoulli, eisenstein_series, euler_product, inv_2sinh
+from .quasimod import bernoulli, eisenstein_series, inv_2sinh
 from .series import Localp2Error, RatSeries, lincomb
 
 F = Fraction
@@ -100,50 +100,36 @@ def eisenstein_images(order: int) -> list:
     return [eisenstein_series(k, 1, order, var=CQT) for k in (2, 4, 6)]
 
 
-# -- theta function and its derivatives --------------------------------------------
+# -- the Euler product and the theta function --------------------------------------
 
-def _zlist_mul(a, b, zdeg, qorder):
-    out = [RatSeries.zero(CQT, qorder) for _ in range(zdeg + 1)]
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j > zdeg:
-                break
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
+@lru_cache(maxsize=None)
+def euler_product(order: int) -> RatSeries:
+    """prod_{n>=1} (1 - nome^n), truncated at ``order``."""
+    out = RatSeries.one(CQT, order)
+    for n in range(1, order + 1):
+        out = out - out.shift(n)
     return out
 
 
+# no library caller: perfbench/tracer.py reads its cache_info(), tests its values
 @lru_cache(maxsize=None)
 def theta_z(zdeg: int, qorder: int):
     """Coefficients of the Bloch-Okounkov Theta(z): a list of nome series,
     index = z-exponent.
 
-    Theta(z) = z exp( sum_{k>=1} B_{2k}/(2k (2k)!) E_{2k} z^{2k} ).
+    Theta(z) = z exp(f), f = sum_{k>=1} B_{2k}/(2k (2k)!) E_{2k} z^{2k}; the
+    z^k coefficient e_k of exp(f) follows k e_k = sum_{even j<=k} j f_j e_{k-j}.
     """
     if zdeg < 1:
         raise EllipticError("need z-degree >= 1")
     zero = RatSeries.zero(CQT, qorder)
-    expo = [zero] * (zdeg + 1)
-    for k in range(1, zdeg // 2 + 1):
-        coef = bernoulli(2 * k) / (2 * k * factorial(2 * k))
-        expo[2 * k] = eisenstein_series(2 * k, 1, qorder, var=CQT) * coef
-    # exp of an even series with zero constant term, truncated at zdeg
-    result = [zero] * (zdeg + 1)
-    result[0] = RatSeries.one(CQT, qorder)
-    power = result[:]
-    kfac = 1
-    for k in range(1, zdeg // 2 + 1):
-        power = _zlist_mul(power, expo, zdeg, qorder)
-        kfac *= k
-        if all(p.is_zero() for p in power):
-            break
-        for j in range(zdeg + 1):
-            if not power[j].is_zero():
-                result[j] = result[j] + power[j] / kfac
-    # multiply by z: shift by one
-    return tuple([zero] + result[:zdeg])
+    e = [RatSeries.one(CQT, qorder)]
+    for k in range(1, zdeg):  # j f_j = B_j/j! E_j; e_k vanishes at odd k
+        e.append(zero if k % 2 else lincomb(
+            [(bernoulli(j) / (k * factorial(j)),
+              eisenstein_series(j, 1, qorder, var=CQT) * e[k - j])
+             for j in range(2, k + 1, 2)], CQT, qorder))
+    return tuple([zero] + e)
 
 
 # -- disconnected n-point functions: the Bloch-Okounkov q-bracket --------------------
@@ -201,7 +187,7 @@ def disconnected_coefficient(exps: tuple, qorder: int) -> RatSeries:
     # q^d sums over the partitions of d; with no columns each counts 1
     nums = [sum(map(prod, zip(*(_column(e, d, 1) for e in exps)))) if exps
             else len(_part_counts(d, 1)) for d in range(qorder + 1)]
-    return RatSeries.over(CQT, 0, nums, den) * euler_product(qorder, CQT)
+    return RatSeries.over(CQT, 0, nums, den) * euler_product(qorder)
 
 
 # the library reads single labels; this group view stays because
@@ -293,7 +279,4 @@ def f1_empty(qorder: int) -> RatSeries:
     """
     if qorder < 1:
         raise EllipticError("need at least one nome order")
-    coeffs = [F(0)] * (qorder + 1)
-    for nn in range(1, qorder + 1):
-        coeffs[nn] = F(_sigma(nn, 1), nn)
-    return RatSeries(CQT, 0, coeffs, log_coeff=F(-1, 24))
+    return (-euler_product(qorder).log()).with_log(F(-1, 24))

@@ -23,7 +23,7 @@ from .series import Localp2Error, RatSeries, SeriesError
 CQ = "cQ"  # nome for Gamma_1(3) expansions
 
 
-# -- Bernoulli numbers, Eisenstein series and the Euler product ----------------
+# -- Bernoulli numbers and Eisenstein series ------------------------------------
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
@@ -70,15 +70,6 @@ def eisenstein_series(k: int, level_multiplier: int, order: int,
     for n in range(1, order // m + 1):
         coeffs[m * n] = pref * _sigma(n, k - 1)
     return RatSeries(var, 0, coeffs)
-
-
-@lru_cache(maxsize=None)
-def euler_product(order: int, var: str = CQ) -> RatSeries:
-    """prod_{n>=1} (1 - v^n), truncated at ``order``."""
-    out = RatSeries.one(var, order)
-    for n in range(1, order + 1):
-        out = out - out.shift(n)
-    return out
 
 
 # -- the three generators --------------------------------------------------------

@@ -139,7 +139,7 @@ class RatSeries:
         return RatSeries.from_pairs(var, {1: 1} if order >= 1 else {}, order)
 
     @staticmethod
-    def from_pairs(var: str, pairs, trunc_order: int, log_coeff=0) -> "RatSeries":
+    def from_pairs(var: str, pairs, trunc_order: int) -> "RatSeries":
         pairs = dict(pairs)
         lo = min(list(pairs) + [0])
         c = [0] * (trunc_order - lo + 1)
@@ -147,7 +147,7 @@ class RatSeries:
             if e > trunc_order:
                 raise SeriesError("exponent beyond truncation order")
             c[e - lo] = v
-        return RatSeries(var, lo, c, log_coeff)
+        return RatSeries(var, lo, c)
 
     def with_log(self, c) -> "RatSeries":
         """The same coefficients with the log slot set to ``c``."""

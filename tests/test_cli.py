@@ -94,7 +94,7 @@ class TestJson:
         assert d["log_coeff"] == {"num": "-1", "den": "24"}
         t = RatSeries.from_pairs(d["variable"],
                                  {c["exp"]: frac(c) for c in d["coeffs"]},
-                                 d["trunc_order"], frac(d["log_coeff"]))
+                                 d["trunc_order"]).with_log(frac(d["log_coeff"]))
         assert t == s
 
     def test_qmod_roundtrip(self):
