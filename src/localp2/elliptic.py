@@ -111,7 +111,7 @@ def euler_product(order: int) -> RatSeries:
     return out
 
 
-# no library caller: perfbench/tracer.py reads its cache_info(), tests its values
+# no library caller: kept for perfbench/tracer.py (its cache_info()) and the tests
 @lru_cache(maxsize=None)
 def theta_z(zdeg: int, qorder: int):
     """Coefficients of the Bloch-Okounkov Theta(z): a list of nome series,
