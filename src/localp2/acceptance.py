@@ -35,6 +35,7 @@ from .locrel import (
 )
 from .mirror import (
     BModElement,
+    bm_derive_D,
     bm_eval,
     bm_to_qmod,
     build_mirror_data,
@@ -196,7 +197,6 @@ def criterion_4_genus0():
     i12_ratio = (md.J / md.I11)
     rhs = (RatSeries.one("q", md.order) + i12_ratio.theta()) * (-9) / md.I11
     ok = lhs.agrees_with(rhs, md.order - 4)
-    from .mirror import bm_derive_D
     ok = ok and bm_derive_D(d3) == BModElement.monomial(81, 1, 1, i11_degree=4)
     flat = genus0_flat_expansion(md)
     want = [F(3), F(-45, 8), F(244, 9), F(-12333, 64), F(211878, 125)]

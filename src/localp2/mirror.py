@@ -1,16 +1,18 @@
 """B-model of local P2: periods, mirror map, and the polynomial ring of
 generators S, X, I11.
 
-Large-volume Frobenius data is built from the hypergeometric closed form of
-the degree-one period and a second-order recursion for the log-companion
-period.  The conifold flat coordinate is the unique power-series solution
-(in u = 1 + 27q) of the third-order operator
+The periods are read from their hypergeometric closed forms, with
+a_k = (-1)^k (3k)!/k!^3: the degree-one period I11 = sum a_k q^k is
+2F1(1/3, 2/3; 1; -27q), its log companion is I11 log q + J with
+J_k = 3 a_k (H_3k - H_k) (H_n the harmonic numbers), and the conifold flat
+coordinate t = u + O(u^2), u = 1 + 27q, has theta t = -2F1(1/3, 2/3; 1; u).
+All three are checked against the one Picard-Fuchs operator
 
-    theta^3 + 3 q theta (3 theta + 1)(3 theta + 2),    theta = q d/dq,
+    L = theta^2 + 3 q (3 theta + 1)(3 theta + 2),    theta = q d/dq:
 
-with expansion u + O(u^2); the sqrt(3) relating it to the standard
-normalization is kept out of the arithmetic and restored only in gap
-targets.
+L I11 = 0, L (I11 log q + J) = 0 and L theta t = 0.  The sqrt(3) relating
+t to the standard normalization is kept out of the arithmetic and restored
+only in gap targets.
 
 Variable tags: "q" (algebraic coordinate), "Q" (flat coordinate), "cQ"
 (level-3 nome), "cQt" (its cube), "u" (conifold coordinate), "that"
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from math import comb
 
 from . import quasimod
 from .graded import Graded
@@ -33,44 +35,27 @@ from .series import Localp2Error, Powers, RatSeries, SeriesError, lincomb
 F = Fraction
 
 
-# -- Frobenius data at large volume ---------------------------------------------
+# -- the Picard-Fuchs operator and its hypergeometric solution -------------------
 
-def _ibar1(order: int) -> RatSeries:
-    coeffs = [F(0)] * (order + 1)
+def _picard_fuchs(f: RatSeries, theta, q: RatSeries) -> RatSeries:
+    """L f for the derivation ``theta`` and the series ``q`` in f's variable:
+    RatSeries.theta and q on q-series, theta_u and (u - 1)/27 on u-series."""
+    t1 = theta(f)
+    t2 = theta(t1)
+    return lincomb([(1, t2), (3, q * lincomb([(9, t2), (9, t1), (2, f)]))])
+
+
+def _hypergeometric(order: int) -> list:
+    """a_k = (-1)^k (3k)!/k!^3 for k = 0..order."""
+    a = [1]
     for k in range(1, order + 1):
-        coeffs[k] = 3 * F(factorial(3 * k - 1), factorial(k) ** 3) * (-1) ** k
-    return RatSeries("q", 0, coeffs)
+        a.append(-3 * (3 * k - 1) * (3 * k - 2) * a[-1] // (k * k))
+    return a
 
 
 def _u_of_q(order: int) -> RatSeries:
     """u = 1 + 27q = 1/X, known through q^order."""
     return RatSeries.from_pairs("q", {0: 1, 1: 27}, order)
-
-
-def _pf_apply(f: RatSeries) -> RatSeries:
-    """(1 + 27q) theta^2 + 27 q theta + 6 q, acting on a q-series."""
-    q = RatSeries.gen("q", f.trunc_order)
-    t1 = f.theta().theta()
-    return _u_of_q(f.trunc_order) * t1 + 27 * (q * f.theta()) + 6 * (q * f)
-
-
-def _solve_log_companion(i11: RatSeries, order: int) -> RatSeries:
-    """The unique J with J(0) = 0 such that I11*log q + J is annihilated by
-    the second-order operator above.
-
-    Writing L(I11 log q) = log q * L(I11) + 2 (1+27q) theta(I11) + 27 q I11
-    and using L(I11) = 0, J solves L(J) = -(2 (1+27q) theta I11 + 27 q I11)
-    by a nondegenerate coefficient recursion.
-    """
-    res = _pf_apply(i11)
-    if any(res.coeff(k) for k in range(0, order - 1)):
-        raise SeriesError("degree-one period fails its differential equation")
-    q = RatSeries.gen("q", order)
-    rhs = -(2 * (_u_of_q(order) * i11.theta()) + 27 * (q * i11))
-    j = [F(0)] * (order + 1)
-    for k in range(1, order + 1):
-        j[k] = (rhs.coeff(k) - (27 * k * (k - 1) + 6) * j[k - 1]) / (k * k)
-    return RatSeries("q", 0, j)
 
 
 # -- conifold flat coordinate ----------------------------------------------------
@@ -92,41 +77,17 @@ def theta_u(f: RatSeries) -> RatSeries:
     return RatSeries.over("u", lo, out, f.den)
 
 
-def _mirror_op_u(f: RatSeries) -> RatSeries:
-    """theta^3 + 3 q theta (3 theta + 1)(3 theta + 2) on u-series, q = (u-1)/27."""
-    w = theta_u(f)
-    tw = theta_u(w)
-    ttw = theta_u(tw)
-    inner = lincomb([(9, ttw), (9, tw), (2, w)])
-    qse = RatSeries.from_pairs("u", {0: F(-1, 27), 1: F(1, 27)}, f.trunc_order)
-    return lincomb([(1, ttw), (3, qse * inner)])
-
-
-def _band(k: int) -> tuple:
-    """9 times the operator's image of u^k, on u^(k-2)..u^(k+1): the
-    u^(k-3) terms of theta^3 and of q theta (3 theta + 1)(3 theta + 2)
-    cancel, and what is left is
-
-        -9k(k-1)^2 u^(k-2) + k(27k^2 - 27k + 11) u^(k-1)
-            - k(27k^2 + 4) u^k + k(3k + 1)(3k + 2) u^(k+1)."""
-    return (-9 * k * (k - 1) ** 2, k * (27 * k * k - 27 * k + 11),
-            -k * (27 * k * k + 4), k * (3 * k + 1) * (3 * k + 2))
-
-
 def _conifold_flat(order: int) -> RatSeries:
-    """Solve for u + sum_{k>=2} c_k u^k term by term, asserting each pivot.
-    The u^m coefficient of the residual reads the bands of u^(m-1), u^m
-    and u^(m+1); the band of u^(m+2) gives the pivot."""
-    c = [F(0), F(1)] + [F(0)] * (order - 1)
-    for m in range(0, order - 1):
-        acc = sum(c[k] * _band(k)[m - k + 2]
-                  for k in range(max(m - 1, 1), m + 2))
-        piv = _band(m + 2)[0]
-        if piv == 0:
-            raise SeriesError(f"conifold recursion degenerate at order {m + 2}")
-        c[m + 2] = -acc / piv
+    """t with theta_u t = -sum a_m (-u/27)^m, so n t_n is the sum of
+    a_m/(-27)^m over m < n, since theta_u = (u - 1) d/du."""
+    a = _hypergeometric(order)
+    c, partial = [F(0)], F(0)
+    for n in range(1, order + 1):
+        partial += F(a[n - 1], (-27) ** (n - 1))
+        c.append(partial / n)
     t = RatSeries("u", 0, c)
-    res = _mirror_op_u(t)
+    q = (RatSeries.gen("u", order) - 1) / 27
+    res = _picard_fuchs(theta_u(t), theta_u, q)
     if any(res.coeff(k) for k in range(0, order - 2)):
         raise SeriesError("conifold flat coordinate fails its equation")
     return t
@@ -173,11 +134,27 @@ def _powers(base: RatSeries) -> Powers:
 def build_mirror_data(order: int) -> MirrorData:
     if order < 5:
         raise SeriesError("mirror data needs order >= 5")
-    ibar1 = _ibar1(order)
-    i11 = RatSeries.one("q", order) + ibar1.theta()
-    j = _solve_log_companion(i11, order)
+    # I11 log q + J is the eps-derivative at eps = 0 of sum a_(k+eps) q^(k+eps)
+    a = _hypergeometric(order)
+    ibar1 = RatSeries("q", 0, [0] + [F(a[k], k) for k in range(1, order + 1)])
+    i11 = RatSeries.over("q", 0, a, 1)
+    j, h = [0], F(0)
+    for k in range(1, order + 1):
+        h += F(1, 3 * k - 1) + F(1, 3 * k - 2) - F(2, 3 * k)
+        j.append(3 * a[k] * h)
+    j = RatSeries("q", 0, j)
+    # L(I11 log q) = log q L(I11) + 2 (1 + 27q) theta I11 + 27 q I11
+    q = RatSeries.gen("q", order)
+    di11 = i11.theta()
+    res = _picard_fuchs(i11, RatSeries.theta, q)
+    if any(res.coeff(k) for k in range(0, order - 1)):
+        raise SeriesError("degree-one period fails its differential equation")
+    res = lincomb([(1, _picard_fuchs(j, RatSeries.theta, q)),
+                   (2, _u_of_q(order) * di11), (27, q * i11)])
+    if any(res.coeff(k) for k in range(0, order - 1)):
+        raise SeriesError("log-companion period fails its differential equation")
     x = RatSeries.one("q", order) / _u_of_q(order)
-    s = i11.theta() / i11 - (x - RatSeries.one("q", order)) / 3
+    s = di11 / i11 - (x - RatSeries.one("q", order)) / 3
     qofq = ibar1.exp().shift(1)   # q * exp(ibar1)
     qof_q = qofq.revert("Q")
     cqofq = -(j / i11).exp().shift(1)
@@ -307,8 +284,6 @@ def bm_to_qmod(e: BModElement) -> quasimod.QModElement:
     Negative intermediate A-exponents must cancel; a surviving one means the
     element is not regular at the orbifold point.
     """
-    from math import comb
-
     acc: dict[tuple, Fraction] = {}
     # common denominator C^P; term: v (AB - A^3)^s / 6^s * A^{3x - deg} * C^{P-s-x}
     P = max((s + max(x, 0) for (s, x) in e.terms), default=0)

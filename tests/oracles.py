@@ -26,8 +26,10 @@ term on Fractions; the library runs one coefficient recurrence each on
 integer numerators over a running common denominator.
 
 :func:`pl_mirror_op_u` applies the mirror operator in u on plain lists,
-one theta at a time; the library solves for the flat coordinate by the
-operator's closed form on u^k.
+one theta at a time, and :func:`pl_log_companion_residual` applies the
+Picard-Fuchs operator in q to the log-companion period the same way; the
+library reads both periods and the flat coordinate from hypergeometric
+closed forms.
 
 :func:`solve_unique_oracle` decides solvability by ranks of row echelon
 forms on Fractions and solves by back substitution; the library runs an
@@ -143,7 +145,7 @@ def pl_powers(base: tuple, order: int, top: int) -> tuple:
     return tuple(out)
 
 
-# -- the mirror operator in u ---------------------------------------------------
+# -- the Picard-Fuchs operators on plain lists ----------------------------------
 
 def pl_mirror_op_u(c: list) -> list:
     """theta^3 + 3 q theta (3 theta + 1)(3 theta + 2), theta = (u - 1) d/du
@@ -159,6 +161,26 @@ def pl_mirror_op_u(c: list) -> list:
     # 3 q g = (u - 1) g / 9
     return [t3[m] + (Fraction(inner[m - 1] if m else 0) - inner[m]) / 9
             for m in range(len(t3))]
+
+
+def pl_log_companion_residual(i11: list, j: list) -> list:
+    """L J + 2 (1 + 27q) theta I11 + 27 q I11 with L = theta^2 + 3 q (3 theta
+    + 1)(3 theta + 2), theta = q d/dq, on the q^0..q^n coefficients of I11
+    and J: its q^0..q^(n-2) coefficients, zero when I11 log q + J solves L."""
+    def theta(f):
+        return [k * x for k, x in enumerate(f)]
+
+    def times_q(f):
+        return [0] + f[:-1]
+
+    t1 = theta(j)
+    t2 = theta(t1)
+    inner = [9 * a + 9 * b + 2 * c for a, b, c in zip(t2, t1, j)]
+    lj = [a + 3 * b for a, b in zip(t2, times_q(inner))]
+    ti = theta(i11)
+    rest = [2 * (a + 27 * b) + 27 * c
+            for a, b, c in zip(ti, times_q(ti), times_q(i11))]
+    return [a + b for a, b in zip(lj, rest)][:len(j) - 2]
 
 
 # -- conifold gap ----------------------------------------------------------------

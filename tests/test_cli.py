@@ -390,6 +390,11 @@ GOLDEN_RUNS = {
     # the relative tower through the correspondence at genus 4
     "verify-gap-g4-relative.out": ["verify", "gap", "--genus", "4",
                                    "--target", "relative"],
+    # before the periods and the conifold coordinate were read from their
+    # hypergeometric closed forms: the least mirror order, and order 78
+    "mirror-o5.out": ["compute", "mirror", "--order", "5"],
+    "mirror-o78-csv.out": ["--format", "csv", "compute", "mirror",
+                           "--order", "78"],
 }
 
 

@@ -17,14 +17,20 @@ from localp2.mirror import (
     cq_change,
     q_to_Q,
     theta_u,
-    _band,
     _conifold_flat,
-    _mirror_op_u,
+    _picard_fuchs,
 )
 from localp2.quasimod import QModElement, generator_series, qm_derive, qm_to_qseries
 from localp2.series import RatSeries, SeriesError
 
-from oracles import ibar1_coeff, pl_compose, pl_mirror_op_u, pl_mul, qmod_to_bmod
+from oracles import (
+    ibar1_coeff,
+    pl_compose,
+    pl_log_companion_residual,
+    pl_mirror_op_u,
+    pl_mul,
+    qmod_to_bmod,
+)
 
 F = Fraction
 
@@ -94,6 +100,37 @@ class TestFrobenius:
         lhs = (md.J / md.I11).theta()
         rhs = md.X / md.I11 ** 2 - RatSeries.one("q", ORDER)
         assert lhs.agrees_with(rhs, ORDER - 2)
+
+
+class TestPicardFuchs:
+    def test_periods_solve_the_operator(self, md):
+        q = RatSeries.gen("q", ORDER)
+        res = _picard_fuchs(md.I11, RatSeries.theta, q)
+        assert res.trunc_order == ORDER and res.is_zero()
+
+    @pytest.mark.parametrize("n", [10, 32, 78])
+    def test_log_companion_by_plain_list_oracle(self, n):
+        # L J + 2 (1 + 27q) theta I11 + 27 q I11 on plain lists, through q^(n-2)
+        md = build_mirror_data(n)
+        i11, j = md.I11.coeff_list(0, n), md.J.coeff_list(0, n)
+        assert pl_log_companion_residual(i11, j) == [0] * (n - 1)
+        j[n // 2] += 1
+        assert any(pl_log_companion_residual(i11, j))
+
+    @pytest.mark.parametrize("build, message", [
+        (build_mirror_data.__wrapped__, "degree-one period"),
+        (_conifold_flat, "conifold flat coordinate")])
+    def test_a_wrong_coefficient_fails_the_runtime_check(self, monkeypatch,
+                                                         build, message):
+        table = mirror._hypergeometric
+
+        def bumped(order):
+            a = table(order)
+            a[3] += 1
+            return a
+        monkeypatch.setattr(mirror, "_hypergeometric", bumped)
+        with pytest.raises(SeriesError, match=message):
+            build(12)
 
 
 class TestNomeBridge:
@@ -308,13 +345,11 @@ class TestConifoldCoordinate:
         assert md.that.coeff(2) == F(11, 18)
 
     def test_solves_equation(self, md):
-        res = _mirror_op_u(md.that)
+        # theta t solves L with theta = theta_u and q = (u - 1)/27
+        q = (RatSeries.gen("u", ORDER) - 1) / 27
+        res = _picard_fuchs(theta_u(md.that), theta_u, q)
+        assert res.trunc_order == ORDER - 3
         assert all(res.coeff(k) == 0 for k in range(0, ORDER - 2))
-
-    def test_unique_pivots(self):
-        # recursion must run without degenerate pivots at higher order too
-        t = _conifold_flat(40)
-        assert t.coeff(1) == 1
 
     @pytest.mark.parametrize("n", [10, 32, 40])
     def test_zero_residual_by_plain_list_oracle(self, n):
@@ -396,15 +431,3 @@ class TestKernelEquivalence:
             assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, series, md)
             logged = RatSeries("q", 0, series.coeffs, F(-1, 24))
             assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, logged, md)
-
-    def test_band_images_are_the_full_order_images(self):
-        # 9 times the image of u^k is _band(k) on u^(k-2)..u^(k+1) and
-        # zero elsewhere; for k = 1 the u^-1 entry is zero
-        for k in range(1, 41):
-            full = _mirror_op_u(RatSeries.from_pairs("u", {k: 1}, k + 5))
-            band = dict(zip(range(k - 2, k + 2), _band(k)))
-            assert band.get(-1, 0) == 0
-            top = full.trunc_order
-            assert top == k + 2
-            assert [9 * full.coeff(m) for m in range(top + 1)] == \
-                [band.get(m, 0) for m in range(top + 1)]
