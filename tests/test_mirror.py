@@ -27,8 +27,10 @@ from oracles import (
     ibar1_coeff,
     pl_compose,
     pl_log_companion_residual,
+    pl_long_division,
     pl_mirror_op_u,
     pl_mul,
+    pl_revert,
     qmod_to_bmod,
 )
 
@@ -385,6 +387,42 @@ def q_to_Q_by_compose(series: RatSeries, md: MirrorData) -> RatSeries:
                      series.log_coeff)
 
 
+def bm_eval_by_plain_lists(e: BModElement, md: MirrorData,
+                           target: str) -> RatSeries:
+    """bm_eval on plain Fraction lists: each monomial's powers of S, X and
+    1 + 27q multiplied out by pl_mul, X by long division, the I11 factor
+    by pl_mul or pl_long_division, and q -> Q by Horner substitution of
+    the pl_revert of the mirror map."""
+    n = md.order
+    one = [F(1)] + [F(0)] * n
+    u = [F(1), F(27)] + [F(0)] * (n - 1)
+
+    def power(base, k):
+        out = one
+        for _ in range(k):
+            out = pl_mul(out, base, n)
+        return out
+    s_q = md.S.coeff_list(0, n)
+    x_q = pl_long_division(one, u, n)
+    i11 = md.I11.coeff_list(0, n)
+    total = [F(0)] * (n + 1)
+    for (s, x), v in e.terms.items():
+        term = pl_mul(power(s_q, s), power(x_q, x) if x >= 0 else power(u, -x),
+                      n)
+        total = [t + v * c for t, c in zip(total, term)]
+    k = e.i11_degree
+    if k > 0:
+        total = pl_long_division(total, power(i11, k), n)
+    else:
+        total = pl_mul(total, power(i11, -k), n)
+    if target == "Q":
+        qofQ = list(pl_revert(tuple(md.Qofq.coeff_list(0, n)), n))
+        return RatSeries("Q", 0, pl_compose(total, qofQ, n))
+    # the quotient by I11**k starts at its first nonzero coefficient
+    lo = next((i for i, c in enumerate(total) if c), 0) if k > 0 else 0
+    return RatSeries("q", lo, total[lo:])
+
+
 def assert_same_or_both_reject(fast, slow, *args):
     try:
         expect = slow(*args)
@@ -421,6 +459,15 @@ class TestKernelEquivalence:
     def test_q_to_Q_is_composition(self, series):
         assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, series,
                                    build_mirror_data(12))
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(-3, 4)),
+                           st.just(0) | rationals, max_size=6),
+           st.integers(-2, 2), st.sampled_from(["q", "Q"]))
+    @settings(max_examples=100, deadline=None)
+    def test_bm_eval_by_plain_lists(self, terms, i11_degree, target):
+        assert_same_or_both_reject(bm_eval, bm_eval_by_plain_lists,
+                                   BModElement(i11_degree, terms),
+                                   build_mirror_data(12), target)
 
     def test_q_to_Q_on_the_flat_expansions(self, md):
         elts = [BModElement(0, {(1, 1): F(1, 384), (0, 2): F(-1, 360),

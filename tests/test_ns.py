@@ -201,6 +201,21 @@ class TestCompare:
         assert report["ok"]
         assert report["cells"][(2, 1)]["ns"] == F(29, 640)
 
+    def test_direct_relative_tower_equals_the_sheaf_side(self, table):
+        # anomaly + relative gap alone, no elliptic code, against the shipped
+        # Omega: degrees 1 and 2 of every genus 2..12 at genus 12's least
+        # order, 22 cells that share no algorithm with bm_eval or q_to_Q
+        from localp2.hae import solve_genus
+        md = build_mirror_data(22)
+        corr = Correspondence(md)
+        gmax = 12
+        got = {g: bm_eval(solve_genus(g, "relative", md, corr), md,
+                          target="Q").coeff_list(1, 2)
+               for g in range(2, gmax + 1)}
+        expect = {g: ns_genus(table, g, 2).coeff_list(1, 2)
+                  for g in range(2, gmax + 1)}
+        assert got == expect
+
 
 def _local_f0_flat(md):
     """Flat genus-0 expansion by triple antiderivative of the closed-form
