@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from .locrel import Correspondence, DTower
 from .mirror import BModElement, BModError, MirrorData, theta_u
 from .quasimod import bernoulli
-from .series import Localp2Error, Powers, RatSeries, lincomb
+from .series import Localp2Error, RatSeries, lincomb
 
 F = Fraction
 
@@ -96,11 +96,10 @@ def integrate_S(rhs: BModElement) -> BModElement:
 
 class ConifoldFrame:
     """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
-    the propagator ``s_con`` and the two ``Powers`` tables that the polar
-    parts read, each made on its first read and known as far as ``that``
-    allows; ``that`` is never reverted.  One frame serves every genus: a
-    read past what ``that`` knows raises TruncationError rather than give a
-    wrong number."""
+    the propagator ``s_con``, made on its first read and known as far as
+    ``that`` allows; ``that`` is never reverted.  One frame serves every
+    genus: a read past what ``that`` knows raises TruncationError rather
+    than give a wrong number."""
 
     def __init__(self, that: RatSeries):
         self.that = that
@@ -116,24 +115,29 @@ class ConifoldFrame:
             "u", {-1: F(1, 3), 0: F(-1, 3)}, self.that.trunc_order)
         return theta_u(theta_t) / theta_t - x_minus_1_over_3
 
-    @cached_property
-    def s_con_pow(self) -> Powers:
-        """s_con**s at index s: the u-side polar part's S^s, known through
-        u^(order - s - 1) for s >= 1."""
-        return Powers(self.s_con, RatSeries.one("u", self.that.trunc_order))
-
-    @cached_property
-    def that_pow(self) -> Powers:
-        """that**i at index i, known through u^order at least: conifold_expand
-        reads [that^-i] u^-j = (j/i) [u^j] that^i from it."""
-        return Powers(self.that.trim(), RatSeries.one("u", self.that.trunc_order))
-
 
 @lru_cache(maxsize=None)
 def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
     """The conifold frame of the mirror data, one per mirror data; its
     series are made when a polar part first reads them."""
     return ConifoldFrame(md.that)
+
+
+def _s_con_powers(elt: BModElement, frame: ConifoldFrame) -> list:
+    """s_con**s for s = 0..deg_S, each made only through the u^(x - 1) that
+    the polar part reads for the deepest X^x with S^s, or that s_con**(s + 1)
+    reads: s_con**(s - 1) through u^(k + 1) times s_con is s_con**s through
+    u^k.  s_con**s is known through u^(order - s - 1) at most, s >= 1."""
+    need = [-s for s in range(elt.deg_S() + 1)]  # the leading coefficient
+    for s, x in elt.terms:
+        need[s] = max(need[s], x - 1)
+    for s in range(len(need) - 2, 0, -1):
+        need[s] = max(need[s], need[s + 1] + 1)
+    powers = [RatSeries.one("u", frame.that.trunc_order)]
+    for k in need[1:]:
+        last = powers[-1]
+        powers.append(last.truncate(min(k + 1, last.trunc_order)) * frame.s_con)
+    return powers
 
 
 def u_polar_part(elt: BModElement, frame: ConifoldFrame,
@@ -146,7 +150,8 @@ def u_polar_part(elt: BModElement, frame: ConifoldFrame,
     if elt.is_zero():
         return [F(0)] * max_pole
     # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
-    total = lincomb([(v, frame.s_con_pow[s].truncate(x - 1).shift(-x))
+    s_con_pow = _s_con_powers(elt, frame)
+    total = lincomb([(v, s_con_pow[s].truncate(x - 1).shift(-x))
                      for (s, x), v in elt.terms.items()])
     v = total.valuation()
     if v is not None and v < -max_pole:
@@ -160,12 +165,19 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     flat conifold coordinate of a weight-zero element with S -> frame
     propagator and X -> 1/u.  Only the u^-j have poles in that, and by
     Lagrange inversion [that^-i] u^-j = (j/i) [u^j] that^i, which is zero
-    for j < i; that^i through u^max_pole is all that is read."""
+    for j < i; that^i through the deepest u-pole is all that is read, and
+    a pole deeper than ``that`` is known raises TruncationError."""
     c = u_polar_part(elt, frame, max_pole)
-    that_pow = frame.that_pow
+    deepest = max((j for j in range(1, max_pole + 1) if c[j - 1]), default=0)
+    that_pow = [None]  # that_pow[i] = that**i through u^deepest, i >= 1
+    if deepest:
+        that = frame.that.trim().truncate(deepest)
+        that_pow.append(that)
+        for _ in range(2, deepest + 1):
+            that_pow.append(that_pow[-1].truncate(deepest - 1) * that)
     return RatSeries("that", -max_pole, [
         sum((j * c[j - 1] * that_pow[i].coeff(j)
-             for j in range(i, max_pole + 1) if c[j - 1]), F(0)) / i
+             for j in range(i, deepest + 1) if c[j - 1]), F(0)) / i
         for i in range(max_pole, 0, -1)])
 
 

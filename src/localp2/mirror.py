@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, factorial
+from operator import mul
 
 from . import quasimod
 from .graded import Graded
@@ -51,6 +52,22 @@ def _hypergeometric(order: int) -> list:
     for k in range(1, order + 1):
         a.append(-3 * (3 * k - 1) * (3 * k - 2) * a[-1] // (k * k))
     return a
+
+
+@lru_cache(maxsize=None)
+def _burmann(order: int) -> tuple:
+    """Row n - 1 holds t_n[i] = (n - 1)! [q^i] exp(-n ibar1) for
+    i < n <= order + 1 (ibar1 is known through q^order), integers by m e_m = -n sum_(j<=m) a_j e_(m-j), since j ibar1_j = a_j.
+    With q/Q = exp(-ibar1), Lagrange-Buermann reads
+    [Q^n] H(q) = sum_(i<n) (n - i) H_(n-i) t_n[i] / n!."""
+    a = _hypergeometric(order)
+    rows = []
+    for n in range(1, order + 2):
+        t = [factorial(n - 1)]
+        for m in range(1, n):
+            t.append(-n * sum(map(mul, a[1:m + 1], reversed(t))) // m)
+        rows.append(t)
+    return tuple(rows)
 
 
 def _u_of_q(order: int) -> RatSeries:
@@ -111,16 +128,13 @@ class MirrorData:
     cQofq: RatSeries      # nome as q-series: -q exp(J/I11)
     that: RatSeries       # conifold flat coordinate in u
 
-    # The powers that bm_eval substitutes for S, X, 1/X = 1 + 27q, I11 and
-    # 1/I11, q_to_Q for q = qofQ, and cq_change for the nome cQ and its cube
-    # cQt; each table is made on its first read.
+    # The powers that bm_eval substitutes for S, I11 and 1/I11, and
+    # cq_change for the nome cQ and its cube cQt; each table is made on its
+    # first read.
     S_pow = cached_property(lambda self: _powers(self.S))
-    X_pow = cached_property(lambda self: _powers(self.X))
-    inv_X_pow = cached_property(lambda self: _powers(_u_of_q(self.order)))
     I11_pow = cached_property(lambda self: _powers(self.I11))
     inv_I11_pow = cached_property(lambda self: _powers(
         RatSeries.one("q", self.order) / self.I11))
-    qofQ_pow = cached_property(lambda self: _powers(self.qofQ))
     cQ_pow = cached_property(lambda self: _powers(self.cQofq))
     cQt_pow = cached_property(lambda self: _powers(self.cQofq ** 3))
 
@@ -156,7 +170,9 @@ def build_mirror_data(order: int) -> MirrorData:
     x = RatSeries.one("q", order) / _u_of_q(order)
     s = di11 / i11 - (x - RatSeries.one("q", order)) / 3
     qofq = ibar1.exp().shift(1)   # q * exp(ibar1)
-    qof_q = qofq.revert("Q")
+    # [Q^n] q = t_n[n - 1] / n!, Lagrange-Buermann for H = q
+    qof_q = RatSeries("Q", 0, [0] + [F(row[-1], factorial(n))
+                                     for n, row in enumerate(_burmann(order), 1)])
     cqofq = -(j / i11).exp().shift(1)
     that = _conifold_flat(order)
     return MirrorData(order=order, ibar1=ibar1, I11=i11, J=j, X=x, S=s,
@@ -191,11 +207,23 @@ def cq_change(series: RatSeries, md: MirrorData) -> RatSeries:
 
 def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
     """Convert a q-series (optional log q slot) to the flat coordinate:
-    log q = log Q - ibar1."""
+    log q = log Q - ibar1.  The power series H goes by Lagrange-Buermann,
+    [Q^n] H = sum_(i<n) (n - i) H_(n-i) t_n[i] / n!, over the integer
+    numerators of H and the table t of the mirror order."""
     power = series.with_log(0)
     if series.log_coeff:
         power = power - series.log_coeff * md.ibar1
-    out = power.compose(md.qofQ_pow)
+    if power.min_exp < 0:
+        raise SeriesError("q_to_Q of a Laurent series")
+    top = min(power.trunc_order, md.qofQ.trunc_order)
+    h = [0] * power.min_exp + list(power.nums)  # h[i] = power.den * H_i
+    # the numerators of [Q^n] H over top! power.den
+    top_f = factorial(top)
+    nums = [h[0] * top_f] + [
+        sum(map(mul, map(mul, range(n, 0, -1), h[n:0:-1]), t))
+        * (top_f // factorial(n))
+        for n, t in enumerate(_burmann(md.order)[:top], 1)]
+    out = RatSeries.over("Q", 0, nums, top_f * power.den)
     return out.with_log(series.log_coeff) if series.log_coeff else out
 
 
@@ -254,18 +282,30 @@ def bm_derive_D(e: BModElement) -> BModElement:
     return BModElement(e.i11_degree + 1, {k: 3 * v for k, v in t.terms.items()})
 
 
+def _times_u(f: RatSeries, step: int) -> RatSeries:
+    """f times u = 1 + 27q (step 1) or times X = 1/u (step -1), for a
+    q-series from q^0, in one pass over its numerators: y_m = f_m + 27 f_(m-1)
+    or y_m = f_m - 27 y_(m-1)."""
+    nums = list(f.nums)
+    for m in range(len(nums) - 1, 0, -1) if step > 0 else range(1, len(nums)):
+        nums[m] += 27 * step * nums[m - 1]
+    return RatSeries.over("q", 0, nums, f.den)
+
+
 def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
-    """Expand in q (or the flat coordinate Q) by substituting the series."""
+    """Expand in q (or the flat coordinate Q) by substituting the series.
+    The X^x groups are summed by Horner, in X for x > 0 and in u = 1/X for
+    x < 0, so each power of X or u is one pass of _times_u."""
     by_x: dict[int, list] = {}
     for (s, x), v in e.terms.items():
         by_x.setdefault(x, []).append((v, md.S_pow[s]))
-    groups = []
-    for x, terms in by_x.items():
-        group = lincomb(terms)
-        if x:
-            group = group * (md.X_pow[x] if x > 0 else md.inv_X_pow[-x])
-        groups.append((1, group))
-    out = lincomb(groups, "q", md.order)
+    out = lincomb(by_x.pop(0, []), "q", md.order)
+    for step, xs in ((-1, range(max(by_x, default=0), 0, -1)),
+                     (1, range(min(by_x, default=0), 0))):
+        acc = RatSeries.zero("q", md.order)
+        for x in xs:
+            acc = _times_u(lincomb([(1, acc)] + by_x.get(x, [])), step)
+        out = out + acc
     k = e.i11_degree
     if k > 0:  # trimmed, as the quotient by I11**k would be
         out = (out * md.inv_I11_pow[k]).trim()

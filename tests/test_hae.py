@@ -93,35 +93,6 @@ class TestFrame:
     def test_built_once_per_mirror_data(self, md, frame):
         assert build_conifold_frame(md) is frame
 
-    def test_pole_table_is_powers_of_that(self, frame):
-        # conifold_expand reads [u^j] that^i, i <= j <= M, from one table
-        powers = frame.that_pow
-        assert powers[0] == RatSeries.one("u", ORDER)
-        for i in range(1, 9):
-            p = powers[i]
-            # u^i (1 + ...), known through u^ORDER at least
-            assert (p.valuation(), p.coeff(i)) == (i, 1)
-            assert p.trunc_order >= ORDER
-            assert p.agrees_with(frame.that ** i, ORDER)
-
-    def test_pole_table_grows_on_demand(self, frame):
-        table = frame.that_pow
-        kept = [table[k] for k in range(3)]
-        assert frame.that_pow is table
-        assert table[6].coeff(6) == 1
-        assert all(table[k] is p for k, p in enumerate(kept))
-
-    def test_s_con_table_is_powers_of_s_con(self, frame):
-        powers = frame.s_con_pow
-        assert powers[0] == RatSeries.one("u", ORDER)
-        for s in range(1, 5):
-            assert powers[s] == frame.s_con ** s
-
-    def test_s_con_table_grows_past_the_order(self, frame):
-        # genus g reads S up to S^(3g-3), which may exceed the order
-        top = ORDER + 2
-        assert frame.s_con_pow[top] == frame.s_con ** top
-
     def test_reads_past_the_order_raise(self, frame):
         # X^(ORDER+1) -> u^-(ORDER+1) reads [u^(ORDER+1)] that^i
         deep = BModElement.monomial(1, 0, ORDER + 1)

@@ -21,7 +21,7 @@ from localp2.mirror import (
     _picard_fuchs,
 )
 from localp2.quasimod import QModElement, generator_series, qm_derive, qm_to_qseries
-from localp2.series import RatSeries, SeriesError
+from localp2.series import Powers, RatSeries, SeriesError
 
 from oracles import (
     ibar1_coeff,
@@ -85,8 +85,36 @@ class TestFrobenius:
         assert md.qofQ.coeff_list(1, 6) == [1, 6, 9, 56, -300, 3942]
 
     def test_round_trip(self, md):
-        comp = md.Qofq.compose(md.qofQ_pow)
+        comp = md.Qofq.compose(Powers(md.qofQ, RatSeries.one("Q", ORDER + 1)))
         assert comp.coeff_list(1, ORDER - 1) == [1] + [0] * (ORDER - 2)
+
+    @pytest.mark.parametrize("n", [5, 32, 52, 78])
+    def test_inverse_mirror_map_is_the_reversion(self, n):
+        # read by Lagrange-Buermann from the hypergeometric integers
+        md = build_mirror_data(n)
+        assert md.qofQ == md.Qofq.revert("Q")
+        assert md.qofQ.trunc_order == n + 1
+
+    def test_q_to_Q_at_order_78(self):
+        # the table's factorial denominators are largest at the top order
+        md = build_mirror_data(78)
+        series = bm_eval(BModElement(2, {(1, 1): F(3, 8), (0, -1): 2,
+                                         (2, 3): F(-5, 7)}), md)
+        assert_same_or_both_reject(q_to_Q, q_to_Q_by_compose, series, md)
+
+    def test_mirror_data_and_q_to_Q_revert_nothing(self, monkeypatch):
+        calls = []
+        revert = RatSeries.revert
+
+        def counted(*args):
+            calls.append(args)
+            return revert(*args)
+        monkeypatch.setattr(RatSeries, "revert", counted)
+        md = build_mirror_data.__wrapped__(32)
+        q_to_Q(md.S, md)
+        assert calls == []
+        md.Qofq.revert("Q")
+        assert len(calls) == 1
 
     def test_propagator_first_order(self, md):
         # by hand: theta log I11 = -6q + ..., (X-1)/3 = -9q + ...
