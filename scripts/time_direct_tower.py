@@ -5,7 +5,10 @@
 builds the mirror data at ORDER, solves the relative tower through GENUS
 by ``hae.solve_genus`` and prints the solve time in seconds and a sha256
 of every solved element, so two checkouts can be compared for equal
-elements as well as for speed.
+elements as well as for speed.  A second line compares degrees 1 and 2 of
+the flat expansion of every solved genus 2..GENUS with the sheaf side of
+the shipped Omega (``ns.ns_genus``), which shares no code with the solve or
+with q -> Q, and ends in PASS or FAIL.
 """
 
 import hashlib
@@ -14,7 +17,8 @@ import time
 
 from localp2.hae import solve_genus
 from localp2.locrel import Correspondence
-from localp2.mirror import build_mirror_data
+from localp2.mirror import bm_eval, build_mirror_data
+from localp2.ns import default_omega_path, load_omega, ns_genus
 
 
 def main() -> int:
@@ -28,7 +32,15 @@ def main() -> int:
     digest = hashlib.sha256("\n".join(
         repr(elements[g]) for g in sorted(elements)).encode()).hexdigest()
     print(f"genus {genus} order {order}: {elapsed:.2f} s sha256 {digest}")
-    return 0
+    table = load_omega(default_omega_path())
+    genera = range(2, genus + 1)
+    wrong = [g for g in genera
+             if bm_eval(elements[g], md, target="Q").coeff_list(1, 2)
+             != ns_genus(table, g, 2).coeff_list(1, 2)]
+    verdict = "PASS" if not wrong else f"FAIL at genus {wrong}"
+    print(f"sheaf side, degrees 1-2 of genus 2..{genus}: "
+          f"{2 * len(genera)} cells, {verdict}")
+    return 0 if not wrong else 1
 
 
 if __name__ == "__main__":

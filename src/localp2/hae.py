@@ -19,7 +19,9 @@ from the degree-one period at large volume; X = 1/u stays an honest
 coordinate.  The frame is validated against the genus-2 closed forms
 before being trusted at higher genus.  Nothing reverts t: the gap is
 fixed in closed form on the u side, and a polar part in t is read from
-powers of t in u by Lagrange inversion.
+powers of t in u by Lagrange inversion.  The powers of t and of the
+conifold propagator are made only through the pole order a polar part
+reads, never through the mirror order.
 """
 
 from __future__ import annotations

@@ -14,6 +14,13 @@ L I11 = 0, L (I11 log q + J) = 0 and L theta t = 0.  The sqrt(3) relating
 t to the standard normalization is kept out of the arithmetic and restored
 only in gap targets.
 
+Nothing is reverted or composed on the way to the flat coordinate Q =
+q exp(ibar1).  Since q/Q = exp(-ibar1), Lagrange-Buermann reads the inverse
+mirror map and every q -> Q from one integer table per order,
+t_n[i] = (n - 1)! [q^i] exp(-n ibar1), made by a recurrence over the a_k.
+The B-model q-expansion sums its X^x groups by Horner, each power of
+X = 1/(1 + 27q) or of 1 + 27q one pass of a two-term recurrence.
+
 Variable tags: "q" (algebraic coordinate), "Q" (flat coordinate), "cQ"
 (level-3 nome), "cQt" (its cube), "u" (conifold coordinate), "that"
 (conifold flat coordinate).  For the nome tags, a log slot is read as the
@@ -57,15 +64,16 @@ def _hypergeometric(order: int) -> list:
 @lru_cache(maxsize=None)
 def _burmann(order: int) -> tuple:
     """Row n - 1 holds t_n[i] = (n - 1)! [q^i] exp(-n ibar1) for
-    i < n <= order + 1 (ibar1 is known through q^order), integers by m e_m = -n sum_(j<=m) a_j e_(m-j), since j ibar1_j = a_j.
-    With q/Q = exp(-ibar1), Lagrange-Buermann reads
+    i < n <= order + 1 (ibar1 is known through q^order): integers, by
+    m e_m = -n sum_(j<=m) a_j e_(m-j), since j ibar1_j = a_j.  With
+    q/Q = exp(-ibar1), Lagrange-Buermann reads
     [Q^n] H(q) = sum_(i<n) (n - i) H_(n-i) t_n[i] / n!."""
-    a = _hypergeometric(order)
+    a1 = _hypergeometric(order)[1:]
     rows = []
     for n in range(1, order + 2):
         t = [factorial(n - 1)]
-        for m in range(1, n):
-            t.append(-n * sum(map(mul, a[1:m + 1], reversed(t))) // m)
+        for m in range(1, n):  # map stops at the m entries of t
+            t.append(-n * sum(map(mul, a1, reversed(t))) // m)
         rows.append(t)
     return tuple(rows)
 
