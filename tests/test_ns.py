@@ -205,16 +205,31 @@ class TestCompare:
         # anomaly + relative gap alone, no elliptic code, against the shipped
         # Omega: degrees 1 and 2 of every genus 2..12 at genus 12's least
         # order, 22 cells that share no algorithm with bm_eval or q_to_Q
-        from localp2.hae import solve_genus
-        md = build_mirror_data(22)
-        corr = Correspondence(md)
-        gmax = 12
-        got = {g: bm_eval(solve_genus(g, "relative", md, corr), md,
-                          target="Q").coeff_list(1, 2)
-               for g in range(2, gmax + 1)}
-        expect = {g: ns_genus(table, g, 2).coeff_list(1, 2)
-                  for g in range(2, gmax + 1)}
-        assert got == expect
+        assert direct_tower_mismatches(table) == []
+
+    def test_a_skewed_gap_target_fails_the_sheaf_side(self, table,
+                                                      monkeypatch):
+        from localp2 import hae
+        target = hae.gap_target
+
+        def skewed(g, kind):
+            t = target(g, kind)
+            return t * (1 + F(1, 10 ** 6)) if (g, kind) == (9, "relative") \
+                else t
+        monkeypatch.setattr(hae, "gap_target", skewed)
+        assert direct_tower_mismatches(table)[0] == 9
+
+
+def direct_tower_mismatches(table, gmax: int = 12) -> list:
+    """The genera 2..gmax whose directly solved relative series differs
+    from the sheaf side in degree 1 or 2, at the least order of gmax."""
+    from localp2.hae import least_q_order, solve_genus
+    md = build_mirror_data(least_q_order(gmax))
+    corr = Correspondence(md)
+    return [g for g in range(2, gmax + 1)
+            if bm_eval(solve_genus(g, "relative", md, corr), md,
+                       target="Q").coeff_list(1, 2)
+            != ns_genus(table, g, 2).coeff_list(1, 2)]
 
 
 def _local_f0_flat(md):
