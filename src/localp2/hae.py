@@ -195,10 +195,11 @@ def least_q_order(g: int) -> int:
 def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
     """q^0 coefficient of ``bm_eval(elt, md)``.  Taking the constant term
     is a ring homomorphism on power series, so it is the element evaluated
-    at the constant terms of S, X and I11."""
+    at the constant terms of S, X and I11; S vanishes at q = 0, so its
+    positive powers are skipped."""
     s0, x0 = md.S.constant_term(), md.X.constant_term()
-    total = sum((v * s0 ** s * x0 ** x for (s, x), v in elt.terms.items()),
-                F(0))
+    total = sum((v * s0 ** s * x0 ** x for (s, x), v in elt.terms.items()
+                 if s0 or not s), F(0))
     return total / md.I11.constant_term() ** elt.i11_degree
 
 

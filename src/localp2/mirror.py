@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from . import quasimod
@@ -290,30 +290,39 @@ def bm_derive_D(e: BModElement) -> BModElement:
     return BModElement(e.i11_degree + 1, {k: 3 * v for k, v in t.terms.items()})
 
 
-def _times_u(f: RatSeries, step: int) -> RatSeries:
-    """f times u = 1 + 27q (step 1) or times X = 1/u (step -1), for a
-    q-series from q^0, in one pass over its numerators: y_m = f_m + 27 f_(m-1)
-    or y_m = f_m - 27 y_(m-1)."""
-    nums = list(f.nums)
+def _times_u(nums: list, step: int) -> list:
+    """The numerators of f times u = 1 + 27q (step 1) or times X = 1/u
+    (step -1), made in place from those of a q-series f from q^0 in one
+    pass: y_m = f_m + 27 f_(m-1) or y_m = f_m - 27 y_(m-1)."""
     for m in range(len(nums) - 1, 0, -1) if step > 0 else range(1, len(nums)):
         nums[m] += 27 * step * nums[m - 1]
-    return RatSeries.over("q", 0, nums, f.den)
+    return nums
 
 
 def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
     """Expand in q (or the flat coordinate Q) by substituting the series.
-    The X^x groups are summed by Horner, in X for x > 0 and in u = 1/X for
-    x < 0, so each power of X or u is one pass of _times_u."""
+    On integer numerators over one denominator, the X^x groups are summed
+    by Horner, in X for x > 0 and in u = 1/X for x < 0, so each power of X
+    or u is one pass of _times_u."""
+    n = md.order + 1  # S^s is known through q^order
+    den = lcm(*(md.S_pow[s].den for s, _ in e.terms))
+    vden = lcm(*(v.denominator for v in e.terms.values()))
     by_x: dict[int, list] = {}
     for (s, x), v in e.terms.items():
-        by_x.setdefault(x, []).append((v, md.S_pow[s]))
-    out = lincomb(by_x.pop(0, []), "q", md.order)
+        p = md.S_pow[s]
+        c = v.numerator * (vden // v.denominator) * (den // p.den)
+        row = by_x.setdefault(x, [0] * n)
+        row[:] = [r + c * y for r, y in zip(row, p.nums)]
+    out = by_x.pop(0, [0] * n)
     for step, xs in ((-1, range(max(by_x, default=0), 0, -1)),
                      (1, range(min(by_x, default=0), 0))):
-        acc = RatSeries.zero("q", md.order)
+        acc = [0] * n
         for x in xs:
-            acc = _times_u(lincomb([(1, acc)] + by_x.get(x, [])), step)
-        out = out + acc
+            if x in by_x:
+                acc = [a + b for a, b in zip(acc, by_x[x])]
+            acc = _times_u(acc, step)
+        out = [a + b for a, b in zip(out, acc)]
+    out = RatSeries.over("q", 0, out, den * vden)
     k = e.i11_degree
     if k > 0:  # trimmed, as the quotient by I11**k would be
         out = (out * md.inv_I11_pow[k]).trim()
