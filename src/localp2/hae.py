@@ -126,19 +126,17 @@ def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
 
 
 def _s_con_powers(elt: BModElement, frame: ConifoldFrame) -> list:
-    """s_con**s for s = 0..deg_S, each made only through the u^(x - 1) that
-    the polar part reads for the deepest X^x with S^s, or that s_con**(s + 1)
-    reads: s_con**(s - 1) through u^(k + 1) times s_con is s_con**s through
-    u^k.  s_con**s is known through u^(order - s - 1) at most, s >= 1."""
-    need = [-s for s in range(elt.deg_S() + 1)]  # the leading coefficient
-    for s, x in elt.terms:
-        need[s] = max(need[s], x - 1)
-    for s in range(len(need) - 2, 0, -1):
-        need[s] = max(need[s], need[s + 1] + 1)
+    """s_con**s for s = 0..deg_S, made only through the poles read: S^s X^x
+    reads s_con**s through u^(x - 1), and s_con**(s - 1) through u^(k + 1)
+    times s_con is s_con**s through u^k, so s_con**s is made through
+    u^(r - s), r the largest x + s - 1 (or as far as s_con**s is known,
+    u^(order - s - 1) for s >= 1)."""
+    r = max(0, max(x + s - 1 for s, x in elt.terms))
     powers = [RatSeries.one("u", frame.that.trunc_order)]
-    for k in need[1:]:
+    for s in range(1, elt.deg_S() + 1):
         last = powers[-1]
-        powers.append(last.truncate(min(k + 1, last.trunc_order)) * frame.s_con)
+        powers.append(last.truncate(min(r - s + 1, last.trunc_order))
+                      * frame.s_con)
     return powers
 
 

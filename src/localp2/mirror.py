@@ -65,9 +65,7 @@ def _hypergeometric(order: int) -> list:
 def _burmann(order: int) -> tuple:
     """Row n - 1 holds t_n[i] = (n - 1)! [q^i] exp(-n ibar1) for
     i < n <= order + 1 (ibar1 is known through q^order): integers, by
-    m e_m = -n sum_(j<=m) a_j e_(m-j), since j ibar1_j = a_j.  With
-    q/Q = exp(-ibar1), Lagrange-Buermann reads
-    [Q^n] H(q) = sum_(i<n) (n - i) H_(n-i) t_n[i] / n!."""
+    m e_m = -n sum_(j<=m) a_j e_(m-j), since j ibar1_j = a_j."""
     a1 = _hypergeometric(order)[1:]
     rows = []
     for n in range(1, order + 2):
