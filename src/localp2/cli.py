@@ -33,9 +33,9 @@ from fractions import Fraction
 # the library modules are lazy (see __init__.py): each executes on the
 # first read of one of its attributes, so this import reads none and a
 # command compiles only the modules it runs.  argparse is imported by
-# build_parser, acceptance by selftest, traceback on an internal error, json
-# by --format json and ns.load_omega, and dataclasses by mirror, where it
-# executes; files are read and written with the builtin open
+# build_parser, acceptance by selftest, traceback on an internal error and
+# json by --format json and ns.load_omega; files go through the builtin
+# open, and no module imports dataclasses (MirrorData is a namedtuple)
 from . import elliptic, hae, locrel, mirror, ns, quasimod
 from .series import Localp2Error, RatSeries, TruncationError
 

@@ -76,8 +76,8 @@ def hae_rhs(g: int, kind: str, tower: DTower) -> BModElement:
     total = BModElement.zero()
     for g1 in range(1, g // 2 + 1):
         # the product for g1 stands for itself and for g - g1
-        w = F(1, 2) if 2 * g1 == g else 1
-        total = total + tower.QdQ(g1, 1) * tower.QdQ(g - g1, 1) * w
+        term = tower.QdQ(g1, 1) * tower.QdQ(g - g1, 1)
+        total = total + (term * F(1, 2) if 2 * g1 == g else term)
     if kind == "local":
         total = total + tower.QdQ(g - 1, 2) * F(1, 2)
     elif kind != "relative":

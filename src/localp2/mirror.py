@@ -30,7 +30,7 @@ this keeps every stored number rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
@@ -118,21 +118,19 @@ def _conifold_flat(order: int) -> RatSeries:
 
 # -- the assembled mirror data ----------------------------------------------------
 
-@dataclass(frozen=True)
-class MirrorData:
-    """The mirror data through q^order (perfbench/tracer.py reads
-    ``__dataclass_fields__``)."""
+class MirrorData(namedtuple("MirrorData", "order ibar1 I11 J X S Qofq qofQ "
+                            "cQofq that")):
+    """The mirror data through q^order, a frozen record: ibar1 (q-series,
+    no log), I11 (theta of log q + ibar1), J (log-free part of the second
+    period derivative), X = 1/(1 + 27q), S (propagator theta log I11 -
+    (X - 1)/3), Qofq (mirror map), qofQ (its reversion), cQofq (nome as
+    q-series: -q exp(J/I11)) and that (conifold flat coordinate in u)."""
 
-    order: int
-    ibar1: RatSeries      # q-series, no log
-    I11: RatSeries        # theta of log q + ibar1
-    J: RatSeries          # log-free part of the second period derivative
-    X: RatSeries          # 1/(1 + 27q)
-    S: RatSeries          # propagator theta log I11 - (X - 1)/3
-    Qofq: RatSeries       # mirror map
-    qofQ: RatSeries       # its reversion
-    cQofq: RatSeries      # nome as q-series: -q exp(J/I11)
-    that: RatSeries       # conifold flat coordinate in u
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"MirrorData is frozen: cannot set or delete "
+                             f"{name!r}")
+
+    __delattr__ = __setattr__
 
     # The powers that bm_eval substitutes for S, I11 and 1/I11, and
     # cq_change for the nome cQ and its cube cQt; each table is made on its
@@ -143,6 +141,11 @@ class MirrorData:
         RatSeries.one("q", self.order) / self.I11))
     cQ_pow = cached_property(lambda self: _powers(self.cQofq))
     cQt_pow = cached_property(lambda self: _powers(self.cQofq ** 3))
+
+
+# the field names, in order, for perfbench/tracer.py alone (ROADMAP item 7
+# removes it); MirrorData is not a dataclass
+MirrorData.__dataclass_fields__ = MirrorData._fields
 
 
 def _powers(base: RatSeries) -> Powers:
@@ -284,8 +287,8 @@ def bm_theta(e: BModElement) -> BModElement:
 
 def bm_derive_D(e: BModElement) -> BModElement:
     """D = 3 Q d/dQ = 3 I11^{-1} q d/dq; raises i11_degree by 1."""
-    t = bm_theta(e)
-    return BModElement(e.i11_degree + 1, {k: 3 * v for k, v in t.terms.items()})
+    return BModElement._from(e.i11_degree + 1, {
+        k: 3 * v for k, v in bm_theta(e).terms.items()})
 
 
 def _times_u(nums: list, step: int) -> list:

@@ -3,7 +3,8 @@
 perfbench/tracer.py patches library functions by name (module globals,
 class attributes such as ``RatSeries.__mul__``) and reads ``.coeffs``,
 ``.log_coeff`` and ``MirrorData.__dataclass_fields__``, which the frozen
-dataclass ``MirrorData`` defines.  A traced child that fails counts as a
+namedtuple record ``MirrorData`` sets to its field names for the tracer
+alone (it is not a dataclass).  A traced child that fails counts as a
 failed benchmark operation, so each traced job here must exit 0, print its
 golden bytes and leave a report with spans and the series product counter;
 the job that builds mirror data must also report the size its hook reads

@@ -5,9 +5,11 @@ only when ``build_parser`` parses a command line), ``pathlib`` (files are
 read and written with the builtin ``open``), the check-only
 ``localp2.acceptance`` (loaded by ``selftest`` alone; ``solve --target
 both`` compares its two relative routes itself), the error-path
-``traceback``, ``json`` (read or written only by the paths that use it) and
-``dataclasses`` with the ``inspect`` it pulls in (needed only when
-``localp2.mirror``, which defines the dataclass ``MirrorData``, executes).
+``traceback`` and ``json`` (read or written only by the paths that use it).
+No module of the package imports ``dataclasses``, which would pull in
+``inspect``, ``ast``, ``dis`` and ``tokenize``: ``MirrorData`` is a frozen
+namedtuple record, so no command loads them, not even one that builds
+mirror data.
 It executes only ``localp2``, ``localp2.series`` and ``localp2.cli``: the
 package registers its other modules as lazy, so each executes on the first
 read of one of its attributes and a command compiles only the modules it
@@ -110,11 +112,16 @@ EXECUTED_BY = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(EXECUTED_BY))
-def test_command_executes_only_the_modules_it_runs(command, tmp_path):
+def command_argv(command: str, tmp_path) -> list:
+    """main's arguments for an EXECUTED_BY command, its output discarded."""
     cfg = tmp_path / "q5.cfg"
     cfg.write_text("q_order = 5\n")
-    argv = ["--out", os.devnull, *shlex.split(command.format(cfg=cfg))]
+    return ["--out", os.devnull, *shlex.split(command.format(cfg=cfg))]
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTED_BY))
+def test_command_executes_only_the_modules_it_runs(command, tmp_path):
+    argv = command_argv(command, tmp_path)
     assert run_fresh(f"import sys; from localp2.cli import main; "
                      f"assert main({argv!r}) == 0" + PRINT_EXECUTED) == \
         EXECUTED_BY[command]
@@ -168,31 +175,28 @@ def test_solve_both_loads_no_check_harness():
     assert run_fresh(SOLVE_BOTH) == [0, False]
 
 
-DATACLASSES_IN_PACKAGE = """
-import importlib, json, pkgutil, sys
-import localp2
-
-# vars() reads an attribute, so it executes each lazy module
-mods = {name: vars(importlib.import_module(name))
-        for name in (f"localp2.{info.name}"
-                     for info in pkgutil.iter_modules(localp2.__path__))}
-print(json.dumps(sorted(f"{name}.{obj.__name__}" for name, attrs in mods.items()
-                        for obj in attrs.values()
-                        if isinstance(obj, type) and obj.__module__ == name
-                        and "__dataclass_fields__" in obj.__dict__)))
-"""
+def test_no_module_imports_dataclasses():
+    # nested and function-level imports included
+    imports = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Import)
+               and any(a.name.partition(".")[0] == "dataclasses"
+                       for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module
+               and node.module.partition(".")[0] == "dataclasses"]
+    assert imports == []
 
 
-def test_mirror_data_is_the_only_dataclass():
-    # the tracer reads MirrorData.__dataclass_fields__; any other dataclass
-    # would generate its methods wherever its module executes.  Executing
-    # every module of the package makes MirrorData one, and nothing else
-    assert run_fresh(DATACLASSES_IN_PACKAGE) == ["localp2.mirror.MirrorData"]
-    # no class of the package is made a dataclass anywhere else, nested
-    # definitions included: the one use of the name is the decorator of
-    # MirrorData
-    uses = [path.name for path in sorted(PACKAGE.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Name) and node.id == "dataclass"
-            or isinstance(node, ast.Attribute) and node.attr == "dataclass"]
-    assert uses == ["mirror.py"]
+INTROSPECTION = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTED_BY))
+def test_command_without_site_loads_no_introspection(command, tmp_path):
+    # under -S no .pth file can preload them, so what is seen is what the
+    # command itself loaded, mirror data included
+    argv = command_argv(command, tmp_path)
+    assert run_fresh(
+        f"import sys; from localp2.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        f"loaded = sorted(set({INTROSPECTION!r}) & set(sys.modules)); "
+        f"import json; print(json.dumps(loaded))", "-S") == []
