@@ -16,8 +16,8 @@ import sys
 import time
 
 from localp2.hae import solve_genus
-from localp2.locrel import Correspondence
-from localp2.mirror import bm_eval, build_mirror_data
+from localp2.locrel import Correspondence, flat_expansion
+from localp2.mirror import build_mirror_data
 from localp2.ns import default_omega_path, load_omega, ns_genus
 
 
@@ -35,7 +35,7 @@ def main() -> int:
     table = load_omega(default_omega_path())
     genera = range(2, genus + 1)
     wrong = [g for g in genera
-             if bm_eval(elements[g], md, target="Q").coeff_list(1, 2)
+             if flat_expansion(corr, g, "relative").coeff_list(1, 2)
              != ns_genus(table, g, 2).coeff_list(1, 2)]
     verdict = "PASS" if not wrong else f"FAIL at genus {wrong}"
     print(f"sheaf side, degrees 1-2 of genus 2..{genus}: "

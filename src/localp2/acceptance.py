@@ -27,11 +27,11 @@ from .hae import (
     verify_hae,
 )
 from .locrel import (
+    D3F0,
     Correspondence,
-    f1_local_series,
     f1_relative_series,
-    genus0_flat_expansion,
-    relative_flat_tower,
+    flat_expansion,
+    genus_series,
 )
 from .mirror import (
     BModElement,
@@ -40,7 +40,6 @@ from .mirror import (
     bm_to_qmod,
     build_mirror_data,
     cq_change,
-    q_to_Q,
 )
 from .ns import compare_ns_relative, default_omega_path, load_omega
 from .quasimod import (
@@ -190,15 +189,14 @@ def criterion_3_period_bridge():
 
 
 def criterion_4_genus0():
-    md = context()[0]
-    d3 = BModElement.monomial(-9, 0, 1, i11_degree=3)
+    md, corr, _ = context()
     # the third derivative against the period ratio route
-    lhs = bm_eval(d3, md)
+    lhs = bm_eval(D3F0, md)
     i12_ratio = (md.J / md.I11)
     rhs = (RatSeries.one("q", md.order) + i12_ratio.theta()) * (-9) / md.I11
     ok = lhs.agrees_with(rhs, md.order - 4)
-    ok = ok and bm_derive_D(d3) == BModElement.monomial(81, 1, 1, i11_degree=4)
-    flat = genus0_flat_expansion(md)
+    ok = ok and bm_derive_D(D3F0) == BModElement.monomial(81, 1, 1, i11_degree=4)
+    flat = flat_expansion(corr, 0, "local")
     want = [F(3), F(-45, 8), F(244, 9), F(-12333, 64), F(211878, 125)]
     got = flat.coeff_list(1, 5)
     ok = ok and got == want
@@ -223,10 +221,10 @@ def criterion_5_elliptic_tower():
 def criterion_6_genus1():
     md = context()[0]
     corr = Correspondence(md)
-    got = corr.solve_relative(1, f1_local_series(md))
+    got = genus_series(corr, 1, "relative")
     expect = f1_relative_series(md)
     ok = got.agrees_with(expect, md.order - 1)
-    flat = q_to_Q(got, md)
+    flat = flat_expansion(corr, 1, "relative")
     want = [F(7, 8), F(-129, 16), F(589, 6), F(-43009, 32), F(392691, 20)]
     coeffs = flat.coeff_list(1, 5)
     ok = ok and coeffs == want and flat.log_coeff == F(-1, 24)
@@ -253,7 +251,7 @@ def criterion_7_genus2():
     ok = all(corr.correction_value(*label) == want
              for label, want in inter.items())
     ok = ok and corr.solve_relative(2, F2_LOCAL) == F2_RELATIVE
-    flat = bm_eval(F2_RELATIVE, md, target="Q")
+    flat = flat_expansion(corr, 2, "relative")
     want = [F(29, 640), F(-207, 64), F(18447, 160), F(-526859, 160),
             F(5385429, 64)]
     got = flat.coeff_list(1, 5)
@@ -289,7 +287,7 @@ def criterion_10_genus3_triangle():
     qm = bm_to_qmod(direct.relative.elements[3])
     ok = ok and qm.c_pole <= 4 and qm.weight == 0
     ok = ok and all(bexp <= 3 for _, bexp, _ in qm.terms)
-    flat = bm_eval(corr.relative.elements[3], md, target="Q")
+    flat = flat_expansion(corr, 3, "relative")
     head = ", ".join(_fmt(flat.coeff(k)) for k in range(1, 5))
     return ok, f"two routes agree; flat head {head}; pole {qm.c_pole}, " \
         f"B-degree {max((b for _, b, _ in qm.terms), default=0)}"
@@ -298,7 +296,8 @@ def criterion_10_genus3_triangle():
 def criterion_11_ns_limit():
     direct = context()[2]
     table = load_omega(default_omega_path())
-    report = compare_ns_relative(table, 2, 2, relative_flat_tower(direct, 2))
+    report = compare_ns_relative(
+        table, 2, 2, {g: flat_expansion(direct, g, "relative") for g in range(3)})
     cells = ", ".join(f"(g={g},d={d}):{'=' if report['cells'][(g, d)]['equal'] else '!'}"
                       for g in range(3) for d in (1, 2))
     return report["ok"], cells

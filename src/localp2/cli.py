@@ -171,21 +171,17 @@ def cmd_compute_side(args, cfg, sink, side: str) -> int:
     g = args.genus
     md, corr = solved_towers(cfg, g, side)
     if g == 0:
-        emit_series("flat_expansion", locrel.genus0_flat_expansion(md), cfg, sink)
+        emit_series("flat_expansion", locrel.flat_expansion(corr, 0, side),
+                    cfg, sink)
         return 0
-    if g == 1:
-        ser = locrel.f1_local_series(md)
-        if side == "relative":
-            ser = corr.solve_relative(1, ser)
-        emit_series("q_series", ser, cfg, sink)
-        emit_series("flat_expansion", mirror.q_to_Q(ser, md), cfg, sink)
-        return 0
-    elt = corr.tower(side).elements[g]
-    emit_bmod("generators", elt, cfg, sink)
-    emit_qmod("quasimodular_form", mirror.bm_to_qmod(elt), cfg, sink)
-    emit_series("q_series", mirror.bm_eval(elt, md), cfg, sink)
-    emit_series("flat_expansion", mirror.bm_eval(elt, md, target="Q"),
-                cfg, sink)
+    if g >= 2:
+        elt = corr.tower(side).elements[g]
+        emit_bmod("generators", elt, cfg, sink)
+        emit_qmod("quasimodular_form", mirror.bm_to_qmod(elt), cfg, sink)
+    # the flat expansion, read from the printed q-series: one expansion
+    ser = locrel.genus_series(corr, g, side)
+    emit_series("q_series", ser, cfg, sink)
+    emit_series("flat_expansion", mirror.q_to_Q(ser, md), cfg, sink)
     return 0
 
 
@@ -211,8 +207,8 @@ def cmd_solve(args, cfg, sink) -> int:
     for side in targets:
         elt = corr.tower(side).elements[g]
         emit_bmod(f"{side}_generators", elt, cfg, sink)
-        emit_series(f"{side}_flat", mirror.bm_eval(elt, md, target="Q"), cfg,
-                    sink)
+        emit_series(f"{side}_flat", locrel.flat_expansion(corr, g, side),
+                    cfg, sink)
         if side == "relative" and g >= 3:
             sink(f"note: relative genus {g} gap condition is conjectural; "
                  f"cross-route check follows")
@@ -272,8 +268,9 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     if missing:
         raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
                          f"degrees {missing}, which {omega_path} lacks")
-    flat = locrel.relative_flat_tower(
-        solved_towers(cfg, args.gmax, "relative")[1], args.gmax)
+    corr = solved_towers(cfg, args.gmax, "relative")[1]
+    flat = {g: locrel.flat_expansion(corr, g, "relative")
+            for g in range(args.gmax + 1)}
     report = ns.compare_ns_relative(table, args.gmax, args.dmax, flat)
     for (g, d), cell in sorted(report["cells"].items()):
         sink(f"g={g} d={d}: sheaf {_frac_str(cell['ns'])} "

@@ -70,19 +70,21 @@ def gap_conditions(g: int, kind: str) -> list:
 # -- anomaly right side ----------------------------------------------------------------
 
 def hae_rhs(g: int, kind: str, tower: DTower) -> BModElement:
-    """Right side of the genus-g anomaly equation at zero insertions."""
+    """Right side of the genus-g anomaly equation at zero insertions.  With
+    F_(g,n) = D^n F_g / 3^n, it is a sum of D-derivatives as the tower holds
+    them, scaled by 1/9 once."""
     if g < 2:
         raise BModError("anomaly solving starts at genus 2")
     total = BModElement.zero()
     for g1 in range(1, g // 2 + 1):
         # the product for g1 stands for itself and for g - g1
-        term = tower.QdQ(g1, 1) * tower.QdQ(g - g1, 1)
+        term = tower.D(g1, 1) * tower.D(g - g1, 1)
         total = total + (term * F(1, 2) if 2 * g1 == g else term)
     if kind == "local":
-        total = total + tower.QdQ(g - 1, 2) * F(1, 2)
+        total = total + tower.D(g - 1, 2) * F(1, 2)
     elif kind != "relative":
         raise ValueError(f"unknown kind {kind!r}")
-    return total
+    return total * F(1, 9)
 
 
 def integrate_S(rhs: BModElement) -> BModElement:

@@ -84,10 +84,6 @@ class DTower:
             self._cache[key] = bm_derive_D(self.D(g, k - 1))
         return self._cache[key]
 
-    def QdQ(self, g: int, n: int) -> BModElement:
-        """(Q d/dQ)^n = D^n / 3^n."""
-        return self.D(g, n) * F(1, 3 ** n)
-
 
 # -- elliptic values as polynomial elements ------------------------------------------
 
@@ -134,11 +130,6 @@ def f1_relative_series(md: MirrorData) -> RatSeries:
 # Coefficient of log Q in the genus-1 unstable relative term,
 # -(chi / 24) * r / (E.E): chi(P2) = 3, E.E = 9 and Q^E = Q^r with r = 3.
 RELATIVE_LOG_COEFF = F(-1, 24)
-
-
-def f1_empty_qseries(md: MirrorData) -> RatSeries:
-    """The unmarked genus-1 elliptic series converted to the q variable."""
-    return cq_change(elliptic.f1_empty(md.order), md)
 
 
 # -- the correction sum by elliptic label ---------------------------------------------
@@ -218,7 +209,7 @@ class Correspondence:
         polynomial, and the result is registered in the relative tower.
         """
         if g == 1:
-            out = f1_empty_qseries(self.md) - local_side
+            out = cq_change(elliptic.f1_empty(self.md.order), self.md) - local_side
             if out.log_coeff != RELATIVE_LOG_COEFF:
                 raise SeriesError(f"genus-1 log slots do not balance: got "
                                   f"{out.log_coeff}, want {RELATIVE_LOG_COEFF}")
@@ -228,25 +219,25 @@ class Correspondence:
         return rel
 
 
-# -- flat-coordinate expansions -------------------------------------------------------
+# -- reading a solved tower ----------------------------------------------------------
 
-def genus0_flat_expansion(md: MirrorData) -> RatSeries:
-    """Flat genus-0 series: the Q-expansion of D^3 F_0 with its degree-d
-    coefficient divided by 27 d^3."""
-    d3 = bm_eval(D3F0, md, target="Q")
-    coeffs = [F(0)] * (d3.trunc_order + 1)
-    for d in range(1, d3.trunc_order + 1):
-        coeffs[d] = d3.coeff(d) / (27 * d ** 3)
-    return RatSeries("Q", 0, coeffs)
-
-
-def relative_flat_tower(corr: Correspondence, gmax: int) -> dict:
-    """Flat Q-expansions of the relative series for genus 0..gmax, with
-    genus >= 2 read from ``corr.relative``."""
+def genus_series(corr: Correspondence, g: int, side: str) -> RatSeries:
+    """The genus-g series of ``side`` in q, g >= 1: the log-extended genus-1
+    series (the relative one solved from the local), or the solved element
+    expanded."""
     md = corr.md
-    flat = {0: genus0_flat_expansion(md)}
-    if gmax >= 1:
-        flat[1] = q_to_Q(corr.solve_relative(1, f1_local_series(md)), md)
-    for g in range(2, gmax + 1):
-        flat[g] = bm_eval(corr.relative.elements[g], md, target="Q")
-    return flat
+    if g == 1:
+        local = f1_local_series(md)
+        return corr.solve_relative(1, local) if side == "relative" else local
+    return bm_eval(corr.tower(side).elements[g], md)
+
+
+def flat_expansion(corr: Correspondence, g: int, side: str) -> RatSeries:
+    """The genus-g series of ``side`` in the flat coordinate Q: at genus 0
+    the Q-expansion of D^3 F_0 with its degree-d coefficient divided by
+    27 d^3 (the same on both sides), else ``genus_series`` through q -> Q."""
+    if g >= 1:
+        return q_to_Q(genus_series(corr, g, side), corr.md)
+    d3 = bm_eval(D3F0, corr.md, target="Q")
+    return RatSeries("Q", 0, [F(0)] + [d3.coeff(d) / (27 * d ** 3)
+                                       for d in range(1, d3.trunc_order + 1)])

@@ -42,6 +42,11 @@ integer Gauss-Jordan elimination.
 Theta(z) factor by factor; the library sums an exponential of Eisenstein
 series.
 
+:func:`gv_multicover` sums the Gopakumar-Vafa multicover formula over a
+table of the integers n^g_d of local P^2 through degree 5, which the
+topological vertex gives; the library solves its local tower by the
+anomaly equation and the conifold gap.
+
 :func:`ns_column_oracle` expands the free-energy column in hbar by a
 cosine sum and a long division by the sine; the library reads each genus
 row from Bernoulli numbers in z = i k hbar, building no series.
@@ -53,9 +58,9 @@ from functools import lru_cache
 from itertools import count
 from math import factorial, prod
 
-from localp2.elliptic import npoint_disconnected, stationary_value
-from localp2.locrel import epoly_to_bmod, f1_empty_qseries, f1_relative_series
-from localp2.mirror import BModElement
+from localp2.elliptic import f1_empty, npoint_disconnected, stationary_value
+from localp2.locrel import epoly_to_bmod, f1_relative_series
+from localp2.mirror import BModElement, cq_change
 
 
 # -- plain-list truncated power series (index = exponent) ----------------------
@@ -526,6 +531,44 @@ def connected_coefficient_oracle(exps, qorder):
     return total
 
 
+# -- Gopakumar-Vafa integers of local P^2 -------------------------------------
+
+# n^g_d for d <= 5, from the topological vertex (Aganagic-Klemm-Marino-Vafa,
+# The topological vertex, Commun. Math. Phys. 2005); every other n^g_d with
+# d <= 5 is 0, as Castelnuovo's bound g <= (d - 1)(d - 2)/2 requires above it
+GV_LOCAL_P2 = {(0, 1): 3, (0, 2): -6, (0, 3): 27, (0, 4): -192, (0, 5): 1695,
+               (1, 3): -10, (1, 4): 231, (1, 5): -4452,
+               (2, 4): -102, (3, 4): 15,
+               (2, 5): 5430, (3, 5): -3672, (4, 5): 1386, (5, 5): -270,
+               (6, 5): 21}
+
+
+def gv_multicover(g: int, d: int) -> Fraction:
+    """[Q^d] of the genus-g flat series that GV_LOCAL_P2 gives, d <= 5:
+    sum_(k | d) k^(2g-3) sum_h n^h_(d/k) [x^(2g-2h)] (2 sin(x/2)/x)^(2h-2),
+    the sine summed term by term and its power taken by repeated products
+    (of its reciprocal, by long division, at h = 0)."""
+    order = 2 * g
+    sinc = [Fraction((-1) ** (i // 2), 2 ** i * factorial(i + 1)) if i % 2 == 0
+            else Fraction(0) for i in range(order + 1)]
+    total = Fraction(0)
+    for k in (k for k in range(1, d + 1) if d % k == 0):
+        for (h, e), n in GV_LOCAL_P2.items():
+            if e != d // k or h > g:
+                continue
+            base = sinc if h else pl_long_division([1], sinc, order)
+            power = pl_powers(tuple(base), order, abs(2 * h - 2))[-1]
+            total += Fraction(k) ** (2 * g - 3) * n * power[2 * g - 2 * h]
+    return total
+
+
+def gv_mismatches(flat, gmax: int) -> list:
+    """The cells (g, d), g = 0..gmax and d = 1..5, where ``flat(g)``, a
+    genus-g flat series, differs from ``gv_multicover(g, d)`` in Q^d."""
+    return [(g, d) for g in range(gmax + 1) for d in range(1, 6)
+            if flat(g).coeff(d) != gv_multicover(g, d)]
+
+
 # -- inverse directions ----------------------------------------------------------
 
 def qmod_to_bmod(e):
@@ -545,7 +588,7 @@ def solve_local(corr, g: int, relative_side=None):
     if g == 1:
         if relative_side is None:
             relative_side = f1_relative_series(corr.md)
-        return f1_empty_qseries(corr.md) - relative_side
+        return cq_change(f1_empty(corr.md.order), corr.md) - relative_side
     if relative_side is None:
         relative_side = corr.relative.elements[g]
     else:

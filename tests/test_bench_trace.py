@@ -74,4 +74,8 @@ def test_traced_emitters_span_once_per_printed_object(tmp_path):
                        "--genus", "2"],
                       ROOT / "tests" / "golden" / "relative-g2-json.out",
                       tmp_path)
-    assert [name for name, *_ in data["spans"]].count("cli.emit") == 4
+    names = [name for name, *_ in data["spans"]]
+    assert names.count("cli.emit") == 4
+    # the element is expanded in q once; the flat expansion is read from
+    # that q-series
+    assert names.count("mirror.bm_eval") == 1

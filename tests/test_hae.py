@@ -26,11 +26,22 @@ from localp2.hae import (
     solve_towers,
     verify_hae,
 )
-from localp2.locrel import Correspondence, DF1_LOCAL, DF1_RELATIVE, DTower
+from localp2.locrel import (
+    Correspondence,
+    DF1_LOCAL,
+    DF1_RELATIVE,
+    DTower,
+    flat_expansion,
+)
 from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
 from localp2.series import RatSeries, SeriesError
 
-from oracles import bernoulli_list, conifold_polar_oracle, solve_unique_oracle
+from oracles import (
+    bernoulli_list,
+    conifold_polar_oracle,
+    gv_mismatches,
+    solve_unique_oracle,
+)
 
 F = Fraction
 
@@ -453,6 +464,31 @@ class TestDirectRelativeTower:
             repr(elements[g]) for g in sorted(elements)).encode()).hexdigest()
         assert digest == \
             "5cfb9df305b51a82b7b2bd4531cd3426766f2e4b3ad6142aaa5925fe3c2876c0"
+
+
+class TestGopakumarVafa:
+    """The local flat tower against the multicover sum of the
+    Gopakumar-Vafa integers that the topological vertex gives
+    (tests/oracles.py), which reads no anomaly, gap or mirror map."""
+
+    @staticmethod
+    def mismatches(gmax: int) -> list:
+        md = build_mirror_data(least_q_order(gmax))
+        corr = solve_towers(md, gmax, False)
+        return gv_mismatches(lambda g: flat_expansion(corr, g, "local"), gmax)
+
+    def test_local_tower_through_genus_10(self):
+        # genus 0..10 in degrees 1-5 at order 18: 55 cells
+        assert self.mismatches(10) == []
+
+    def test_a_skewed_gap_target_fails_first_at_its_genus(self, monkeypatch):
+        target = hae.gap_target
+
+        def skewed(g, kind):
+            t = target(g, kind)
+            return t * (1 + F(1, 10 ** 6)) if (g, kind) == (7, "local") else t
+        monkeypatch.setattr(hae, "gap_target", skewed)
+        assert self.mismatches(10)[0][0] == 7
 
 
 class TestGenus4:

@@ -14,8 +14,9 @@ from localp2.locrel import (
     epoly_to_bmod,
     f1_local_series,
     f1_relative_series,
+    flat_expansion,
 )
-from localp2.mirror import BModElement, bm_eval, build_mirror_data, cq_change, q_to_Q
+from localp2.mirror import BModElement, bm_eval, build_mirror_data, cq_change
 from localp2.series import RatSeries
 
 from oracles import corrections_sum_oracle, solve_local
@@ -114,9 +115,8 @@ class TestSolve:
         assert got.log_coeff == F(-1, 24)
         assert got.agrees_with(expect, ORDER - 1)
 
-    def test_genus1_flat_expansion(self, corr, md):
-        got = corr.solve_relative(1, f1_local_series(md))
-        flat = q_to_Q(got, md)
+    def test_genus1_flat_expansion(self, corr):
+        flat = flat_expansion(corr, 1, "relative")
         assert flat.coeff_list(1, 5) == [F(7, 8), F(-129, 16), F(589, 6),
                                          F(-43009, 32), F(392691, 20)]
 
@@ -150,9 +150,9 @@ class TestSolve:
         got = solve_local(corr, 2)
         assert got == F2_LOCAL
 
-    def test_genus2_flat_expansion(self, corr, md):
-        got = corr.solve_relative(2, F2_LOCAL)
-        flat = bm_eval(got, md, target="Q")
+    def test_genus2_flat_expansion(self, corr):
+        corr.solve_relative(2, F2_LOCAL)
+        flat = flat_expansion(corr, 2, "relative")
         assert flat.coeff_list(0, 5) == [0, F(29, 640), F(-207, 64),
                                          F(18447, 160), F(-526859, 160),
                                          F(5385429, 64)]
@@ -191,8 +191,3 @@ class TestDTower:
         t = DTower(DF1_RELATIVE)
         with pytest.raises(Exception):
             t.D(2, 1)
-
-    def test_qdq_scaling(self):
-        t = DTower(DF1_RELATIVE)
-        a = t.QdQ(1, 1)
-        assert a == BModElement.monomial(F(-1, 24), 0, 1, i11_degree=1)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localp2.locrel import Correspondence, f1_local_series
-from localp2.mirror import bm_eval, build_mirror_data, q_to_Q
+from localp2.locrel import Correspondence, flat_expansion
+from localp2.mirror import build_mirror_data
 from localp2.ns import (
     OmegaError,
     compare_ns_relative,
@@ -14,7 +14,6 @@ from localp2.ns import (
     load_omega,
     ns_genus,
 )
-from localp2.series import RatSeries
 
 from oracles import ns_column_oracle, pl_long_division
 
@@ -177,11 +176,10 @@ class TestGenus3CrossCheck:
         # number; it must match the anomaly-solved genus-3 relative series
         from localp2.hae import solve_genus
         from localp2.locrel import Correspondence
-        from localp2.mirror import bm_eval, build_mirror_data
         md = build_mirror_data(24)
         corr = Correspondence(md)
-        f3 = solve_genus(3, "relative", md, corr)
-        flat = bm_eval(f3, md, target="Q")
+        solve_genus(3, "relative", md, corr)
+        flat = flat_expansion(corr, 3, "relative")
         row = ns_genus(table, 3, 1)
         assert row.coeff(1) == flat.coeff(1) == F(137, 322560)
 
@@ -191,12 +189,8 @@ class TestCompare:
         md = build_mirror_data(24)
         corr = Correspondence(md)
         from localp2.hae import solve_genus
-        f2 = solve_genus(2, "relative", md, corr)
-        flat = {
-            0: _local_f0_flat(md),  # genus 0 local and relative coincide
-            1: q_to_Q(corr.solve_relative(1, f1_local_series(md)), md),
-            2: bm_eval(f2, md, target="Q"),
-        }
+        solve_genus(2, "relative", md, corr)
+        flat = {g: flat_expansion(corr, g, "relative") for g in range(3)}
         report = compare_ns_relative(table, 2, 2, flat)
         assert report["ok"]
         assert report["cells"][(2, 1)]["ns"] == F(29, 640)
@@ -226,19 +220,8 @@ def direct_tower_mismatches(table, gmax: int = 12) -> list:
     from localp2.hae import least_q_order, solve_genus
     md = build_mirror_data(least_q_order(gmax))
     corr = Correspondence(md)
+    solve_genus(gmax, "relative", md, corr)
     return [g for g in range(2, gmax + 1)
-            if bm_eval(solve_genus(g, "relative", md, corr), md,
-                       target="Q").coeff_list(1, 2)
+            if flat_expansion(corr, g, "relative").coeff_list(1, 2)
             != ns_genus(table, g, 2).coeff_list(1, 2)]
 
-
-def _local_f0_flat(md):
-    """Flat genus-0 expansion by triple antiderivative of the closed-form
-    third derivative (the constant part belongs to the classical term)."""
-    from localp2.mirror import BModElement, bm_eval
-    d3 = bm_eval(BModElement.monomial(-9, 0, 1, i11_degree=3), md, target="Q")
-    n = d3.trunc_order
-    coeffs = [F(0)] * (n + 1)
-    for dd in range(1, n + 1):
-        coeffs[dd] = d3.coeff(dd) / (27 * dd ** 3)
-    return RatSeries("Q", 0, coeffs)
