@@ -5,10 +5,10 @@
 builds the mirror data at ORDER, solves the relative tower through GENUS
 by ``hae.solve_genus`` and prints the solve time in seconds and a sha256
 of every solved element, so two checkouts can be compared for equal
-elements as well as for speed.  A second line compares degrees 1 and 2 of
-the flat expansion of every solved genus 2..GENUS with the sheaf side of
-the shipped Omega (``ns.ns_genus``), which shares no code with the solve or
-with q -> Q, and ends in PASS or FAIL.
+elements as well as for speed.  A second line compares degrees 1-4 of the
+flat expansion of every solved genus 2..GENUS with the sheaf side of the
+shipped Omega_1..Omega_4 (``ns.ns_genus``), which shares no code with the
+solve or with q -> Q, and ends in PASS or FAIL.
 """
 
 import hashlib
@@ -35,11 +35,11 @@ def main() -> int:
     table = load_omega(default_omega_path())
     genera = range(2, genus + 1)
     wrong = [g for g in genera
-             if flat_expansion(corr, g, "relative").coeff_list(1, 2)
-             != ns_genus(table, g, 2).coeff_list(1, 2)]
+             if flat_expansion(corr, g, "relative").coeff_list(1, 4)
+             != ns_genus(table, g, 4).coeff_list(1, 4)]
     verdict = "PASS" if not wrong else f"FAIL at genus {wrong}"
-    print(f"sheaf side, degrees 1-2 of genus 2..{genus}: "
-          f"{2 * len(genera)} cells, {verdict}")
+    print(f"sheaf side, degrees 1-4 of genus 2..{genus}: "
+          f"{4 * len(genera)} cells, {verdict}")
     return 0 if not wrong else 1
 
 

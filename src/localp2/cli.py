@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Command line: localp2 [global flags] command words [flags].
 
 Subcommands
     compute mirror    [--order N]
@@ -12,16 +12,18 @@ Subcommands
     ns compare        [--omega PATH] [--gmax G] [--dmax D]
     selftest
 
-Global flags: --config FILE, a flat key = value file setting q_order,
-format and omega (flags override it); --format json|csv|text; --out PATH.
+Global flags, before the command words: --config FILE, a flat key = value
+file setting q_order, format and omega (flags override it); --format
+json|csv|text; --out PATH.  A flag's value follows it or its "=", flags are
+spelled in full, and -h or --help, anywhere, prints this text.
 Solving genus g needs q_order >= 2g - 2; ns compare --dmax D needs
 q_order >= D; compute elliptic takes its nome order from --order, by
 default the number of E2/E4/E6 monomials of the label's weight plus 10.
 
 Exit status: 0 on success; 1 when an exact verification fails; 2 on bad
-flags or a bad config or data file, before anything is computed, or on an
---out path that cannot be written, after it is; 3 on an internal error,
-whose traceback goes to stderr.
+flags or command words or a bad config or data file, before anything is
+computed (one "error:" line), or on an --out path that cannot be written,
+after it is; 3 on an internal error, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
-# the library modules are lazy (see __init__.py): each executes on the
-# first read of one of its attributes, so this import reads none and a
-# command compiles only the modules it runs.  argparse is imported by
-# build_parser, acceptance by selftest, traceback on an internal error and
-# json by --format json and ns.load_omega; files go through the builtin
-# open, and no module imports dataclasses (MirrorData is a namedtuple)
+# the library modules are lazy (see __init__.py): each executes on the first
+# read of one of its attributes, so this import reads none and a command
+# compiles only the modules it runs.  acceptance is imported by selftest,
+# traceback on an internal error and json by --format json and ns.load_omega;
+# no module imports argparse or dataclasses (MirrorData is a namedtuple)
 from . import elliptic, hae, locrel, mirror, ns, quasimod
 from .series import Localp2Error, RatSeries, TruncationError
 
@@ -62,32 +64,27 @@ class RunConfig(namedtuple("RunConfig", "q_order format omega",
 
 
 def load_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
     if not path:
-        return cfg
+        return RunConfig()
     try:
         with open(path) as f:
             text = f.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     values = {}
-    int_fields = {k for k, v in RunConfig._field_defaults.items()
-                  if isinstance(v, int)}
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not line.strip() or key.startswith("#"):
             continue
-        if "=" not in line:
+        if not eq:
             raise UsageError(f"config line {lineno} is not key=value")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
         if key not in RunConfig._fields:
             raise UsageError(f"unknown config key {key!r}")
         try:
-            values[key] = int(val) if key in int_fields else val
+            values[key] = type(RunConfig._field_defaults[key])(val)
         except ValueError:
             raise UsageError(f"config key {key!r} needs an integer") from None
-    return cfg._replace(**values)
+    return RunConfig(**values)
 
 
 # -- emission -------------------------------------------------------------------------
@@ -119,12 +116,9 @@ def _write_rows(name: str, obj, cfg: RunConfig, sink, head: dict,
 def emit_series(name: str, s: RatSeries, cfg: RunConfig, sink):
     lc = s.log_coeff
     _write_rows(name, s, cfg, sink,
-                {"variable": s.var, "min_exp": s.min_exp,
-                 "trunc_order": s.trunc_order,
-                 "log_coeff": {"num": str(lc.numerator),
-                               "den": str(lc.denominator)}},
-                {"variable": s.var, "log_num": lc.numerator,
-                 "log_den": lc.denominator},
+                {"variable": s.var, "min_exp": s.min_exp, "trunc_order": s.trunc_order,
+                 "log_coeff": {"num": str(lc.numerator), "den": str(lc.denominator)}},
+                {"variable": s.var, "log_num": lc.numerator, "log_den": lc.denominator},
                 ("exp",), (((k,), Fraction(x, s.den))
                            for k, x in enumerate(s.nums, s.min_exp) if x),
                 listed="coeffs")
@@ -167,8 +161,8 @@ def cmd_compute_mirror(args, cfg, sink) -> int:
     return 0
 
 
-def cmd_compute_side(args, cfg, sink, side: str) -> int:
-    g = args.genus
+def cmd_compute_side(args, cfg, sink) -> int:
+    g, side = args.genus, args.words[1]
     md, corr = solved_towers(cfg, g, side)
     if g == 0:
         emit_series("flat_expansion", locrel.flat_expansion(corr, 0, side),
@@ -202,7 +196,6 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
 def cmd_solve(args, cfg, sink) -> int:
     g = args.genus
     md, corr = solved_towers(cfg, g, args.target)
-    status = 0
     targets = ("local", "relative") if args.target == "both" else (args.target,)
     for side in targets:
         elt = corr.tower(side).elements[g]
@@ -217,9 +210,8 @@ def cmd_solve(args, cfg, sink) -> int:
         agree = corr.relative.elements[g] == hae.solve_genus(g, "relative", md)
         sink(f"consistency triangle at genus {g}: "
              f"{'PASS' if agree else 'FAIL'}")
-        if not agree:
-            status = VERIFY_ERROR
-    return status
+        return 0 if agree else VERIFY_ERROR
+    return 0
 
 
 def cmd_verify_ramanujan(args, cfg, sink) -> int:
@@ -290,99 +282,104 @@ def cmd_selftest(args, cfg, sink) -> int:
     return 0 if ("FAIL" not in report) else VERIFY_ERROR
 
 
-# -- parser ------------------------------------------------------------------------------
+# -- command line ----------------------------------------------------------------------
 
-def build_parser():
-    """The argparse parser of every command; argparse is imported here, on
-    the one path that parses a command line."""
-    import argparse
+def _value(kind, text):
+    """``text`` as a flag's value of ``kind``: a least integer, a tuple of
+    choices or a converter."""
+    if text is None:
+        raise UsageError("expected one argument")
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(f"invalid choice: {text!r} (choose from {', '.join(kind)})")
+        return text
+    if not isinstance(kind, int):
+        return kind(text)
+    try:
+        if int(text) >= kind:
+            return int(text)
+    except ValueError:
+        raise UsageError(f"invalid integer value: {text!r}") from None
+    raise UsageError(f"must be >= {kind}, got {int(text)}")
 
-    def int_at_least(least: int):
-        """argparse type: an integer >= least."""
-        def integer(text: str) -> int:
-            value = int(text)  # argparse reports a ValueError as an invalid value
-            if value < least:
-                raise argparse.ArgumentTypeError(
-                    f"must be >= {least}, got {value}")
-            return value
-        return integer
 
-    def parts(text: str) -> tuple:
-        """argparse type: comma-separated descendent exponents, each >= 0."""
-        try:
-            return tuple(int_at_least(0)(a) for a in text.split(","))
-        except (ValueError, argparse.ArgumentTypeError):
-            raise argparse.ArgumentTypeError(
-                f"need exponents >= 0 as a1,a2,...: {text!r}") from None
+def parts(text: str) -> tuple:
+    """``--parts``: comma-separated descendent exponents, each >= 0."""
+    try:
+        return tuple(_value(0, a) for a in text.split(","))
+    except UsageError:
+        raise UsageError(f"need exponents >= 0 as a1,a2,...: {text!r}") from None
 
-    p = argparse.ArgumentParser(prog="localp2", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--format", choices=("json", "csv", "text"), default=None)
-    p.add_argument("--out", help="write output to a file instead of stdout")
-    sub = p.add_subparsers(dest="command", required=True)
 
-    comp = sub.add_parser("compute", help="series computations")
-    csub = comp.add_subparsers(dest="what", required=True)
-    m = csub.add_parser("mirror")
-    m.add_argument("--order", type=int_at_least(5), default=None)
-    m.set_defaults(fn=cmd_compute_mirror)
-    for side in ("local", "relative"):
-        c = csub.add_parser(side)
-        c.add_argument("--genus", type=int_at_least(0), required=True)
-        c.set_defaults(fn=lambda a, cf, s, side=side: cmd_compute_side(a, cf, s, side))
-    e = csub.add_parser("elliptic")
-    e.add_argument("--genus", type=int_at_least(0), required=True)
-    e.add_argument("--parts", type=parts, required=True)
-    e.add_argument("--order", type=int, default=None)
-    e.set_defaults(fn=cmd_compute_elliptic)
+REQUIRED = "required"
+ANY_GENUS = {"--genus": (0, REQUIRED)}
+GENUS_SIDE = {"--genus": (2, REQUIRED), "--target": (("local", "relative"), REQUIRED)}
+GLOBAL_FLAGS = {"--config": (str, None), "--format": (str, None), "--out": (str, None)}
+# command words -> (its handler, {flag: (the kind of its value, see _value;
+# its default, or REQUIRED)})
+COMMANDS = {
+    ("compute", "mirror"): (cmd_compute_mirror, {"--order": (5, None)}),
+    ("compute", "local"): (cmd_compute_side, ANY_GENUS),
+    ("compute", "relative"): (cmd_compute_side, ANY_GENUS),
+    ("compute", "elliptic"): (cmd_compute_elliptic, {
+        **ANY_GENUS, "--parts": (parts, REQUIRED), "--order": (1, None)}),
+    ("solve",): (cmd_solve, {**GENUS_SIDE, "--target": (
+        ("local", "relative", "both"), REQUIRED)}),
+    ("verify", "ramanujan"): (cmd_verify_ramanujan, {"--order": (0, 50)}),
+    ("verify", "hae"): (cmd_verify_hae, GENUS_SIDE),
+    ("verify", "gap"): (cmd_verify_gap, GENUS_SIDE),
+    ("ns", "compare"): (cmd_ns_compare, {
+        "--omega": (str, None), "--gmax": (0, 2), "--dmax": (1, 2)}),
+    ("selftest",): (cmd_selftest, {}),
+}
 
-    s = sub.add_parser("solve", help="anomaly + gap determination")
-    s.add_argument("--genus", type=int_at_least(2), required=True)
-    s.add_argument("--target", choices=("local", "relative", "both"),
-                   required=True)
-    s.set_defaults(fn=cmd_solve)
 
-    v = sub.add_parser("verify", help="exact identity checks")
-    vsub = v.add_subparsers(dest="what", required=True)
-    vr = vsub.add_parser("ramanujan")
-    vr.add_argument("--order", type=int_at_least(0), default=50)
-    vr.set_defaults(fn=cmd_verify_ramanujan)
-    for what, fn in (("hae", cmd_verify_hae), ("gap", cmd_verify_gap)):
-        vx = vsub.add_parser(what)
-        vx.add_argument("--genus", type=int_at_least(2), required=True)
-        vx.add_argument("--target", choices=("local", "relative"),
-                        required=True)
-        vx.set_defaults(fn=fn)
-
-    n = sub.add_parser("ns", help="sheaf-counting comparisons")
-    nsub = n.add_subparsers(dest="what", required=True)
-    nc = nsub.add_parser("compare")
-    nc.add_argument("--omega", default=None)
-    nc.add_argument("--gmax", type=int_at_least(0), default=2)
-    nc.add_argument("--dmax", type=int_at_least(1), default=2)
-    nc.set_defaults(fn=cmd_ns_compare)
-
-    st = sub.add_parser("selftest", help="run all acceptance criteria")
-    st.set_defaults(fn=cmd_selftest)
-    return p
+def parse_args(argv) -> SimpleNamespace:
+    """The global flags, the command words and the command's flags, as
+    ``words`` and one attribute per flag (``--dmax`` as ``dmax``)."""
+    words, flags, values, extra = (), GLOBAL_FLAGS, {}, []
+    tokens = iter(argv)
+    for tok in tokens:
+        name, eq, text = tok.partition("=")
+        if name in flags:
+            try:  # the value follows the flag or its "="; the last one counts
+                values[name] = _value(flags[name][0], text if eq else next(tokens, None))
+            except UsageError as exc:
+                raise UsageError(f"argument {name}: {exc}") from None
+        elif tok.startswith("-") or words in COMMANDS:
+            extra.append(tok)
+        else:
+            words += (tok,)
+            flags = COMMANDS.get(words, (None, {}))[1]
+    if words not in COMMANDS:
+        raise UsageError(f"{' '.join(('localp2', *words))!r} is not a command; see --help")
+    missing = [f for f, (_, d) in flags.items() if d == REQUIRED and f not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(words=words, **{f[2:]: values.get(f, default) for f, (
+        _, default) in {**GLOBAL_FLAGS, **flags}.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__ or "")  # None under python -OO
+        return 0
     lines: list[str] = []
     try:
+        args = parse_args(argv)
         cfg = load_config(args.config)
         if args.format is not None:
             cfg = cfg._replace(format=args.format)
         cfg.validate()
-        status = args.fn(args, cfg, lines.append)
+        status = COMMANDS[args.words][0](args, cfg, lines.append)
     except Exception as exc:
         if isinstance(exc, Localp2Error) and not isinstance(exc, TruncationError):
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR if isinstance(exc, UsageError) else VERIFY_ERROR
-        # a bug, a read past a checked truncation order among them: keep
-        # its traceback
+        # a bug, a read past a checked truncation order among them: keep its traceback
         import traceback
         traceback.print_exc()
         return INTERNAL_ERROR

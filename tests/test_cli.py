@@ -1,6 +1,8 @@
 import json
+import re
 import shlex
 from fractions import Fraction as F
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -25,21 +27,20 @@ def _computing(*args, **kwargs):
     raise AssertionError("bad input reached a computation")
 
 
+def replace_handler(monkeypatch, words, handler):
+    """Run ``handler`` for the command ``words``, with the same flags."""
+    monkeypatch.setitem(cli.COMMANDS, words, (handler, cli.COMMANDS[words][1]))
+
+
 def run_rejected(argv, capsys, monkeypatch):
     """Run argv with every entry point into the mathematics replaced by a
-    failure (which main reports as exit 3); argparse errors exit via
-    SystemExit."""
+    failure (which main reports as exit 3)."""
     for module, name in ((cli.mirror, "build_mirror_data"),
                          (cli.elliptic, "connected_extract"),
                          (cli.hae, "solve_towers"), (cli.hae, "solve_genus")):
         monkeypatch.setattr(module, name, _computing)
     monkeypatch.setattr(localp2.acceptance, "run_report", _computing)
-    try:
-        status = main(argv)
-    except SystemExit as exc:
-        status = exc.code
-    out = capsys.readouterr()
-    return status, out.out, out.err
+    return run(argv, capsys)
 
 
 class TestConfig:
@@ -108,13 +109,23 @@ class TestJson:
 
 # argv (with {tmp} for a scratch directory) -> a fragment of the message
 BAD_INPUT = [
-    (["solve", "--genus", "1", "--target", "local"], "must be >= 2"),
+    (["solve", "--genus", "1", "--target", "local"], "must be >= 2, got 1"),
+    (["solve", "--genus=1", "--target", "local"], "--genus: must be >= 2, got 1"),
     (["compute", "local", "--genus", "-1"], "must be >= 0"),
     (["verify", "gap", "--genus", "0", "--target", "relative"], "must be >= 2"),
     (["verify", "hae", "--genus", "1", "--target", "local"], "must be >= 2"),
     (["verify", "ramanujan", "--order", "-1"], "must be >= 0"),
     (["compute", "mirror", "--order", "3"], "must be >= 5"),
     (["compute", "mirror", "--order", "x"], "invalid integer value"),
+    (["solve", "--genus", "3", "--target", "all"], "invalid choice: 'all'"),
+    (["--format", "xml", "compute", "mirror"], "unknown output format 'xml'"),
+    # a missing flag, flag value or command word, and an unknown word
+    (["solve", "--genus", "3"], "required: --target"),
+    (["solve", "--target", "local", "--genus"], "--genus: expected one argument"),
+    (["compute"], "'localp2 compute' is not a command"),
+    ([], "'localp2' is not a command"),
+    (["compute", "bogus"], "'localp2 compute bogus' is not a command"),
+    (["bogus", "--genus", "2"], "'localp2 bogus 2' is not a command"),
     (["--config", "{tmp}/q.cfg", "compute", "mirror"], "q_order must be >= 5"),
     (["--config", "{tmp}/text.cfg", "compute", "mirror"], "needs an integer"),
     (["--config", "{tmp}/margin.cfg", "compute", "mirror"],
@@ -125,7 +136,7 @@ BAD_INPUT = [
     (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
     (["ns", "compare", "--omega", "{tmp}/fractional.json", "--gmax", "0"],
      "degree 1 coefficient 1.9 is not an integer"),
-    (["ns", "compare", "--dmax", "3"], "degrees [3]"),
+    (["ns", "compare", "--dmax", "5"], "degrees [5]"),
     # the flat expansions are known through Q^q_order only
     (["--config", "{tmp}/q5.cfg", "ns", "compare", "--omega",
       "{tmp}/seven.json", "--gmax", "1", "--dmax", "7"],
@@ -156,6 +167,9 @@ BAD_INPUT = [
     (["solve", "--genus", "2", "--target", "local", "--order", "8"],
      "unrecognized"),
     (["selftest", "--out", "{tmp}/report.txt"], "unrecognized"),
+    # global flags come before the command words, and no flag is abbreviated
+    (["compute", "mirror", "--format", "json"], "unrecognized arguments: --format json"),
+    (["compute", "mirror", "--ord", "8"], "unrecognized arguments: --ord 8"),
 ]
 
 
@@ -180,6 +194,8 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
     argv = [a.format(tmp=tmp_path) for a in argv]
     status, out, err = run_rejected(argv, capsys, monkeypatch)
     assert (status, out) == (2, "")
+    # one line: no usage block before it
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
 
 
@@ -188,7 +204,7 @@ def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
         sink("partial output")
         raise KeyError("bug")
 
-    monkeypatch.setattr(cli, "cmd_verify_ramanujan", broken)
+    replace_handler(monkeypatch, ("verify", "ramanujan"), broken)
     status, out, err = run(["verify", "ramanujan"], capsys)
     assert (status, out) == (3, "")
     assert "Traceback" in err and "KeyError: 'bug'" in err
@@ -206,7 +222,7 @@ def test_read_past_truncation_exits_3_with_traceback(read, message, capsys,
         sink("partial output")
         read(RatSeries.one("q", 3))
 
-    monkeypatch.setattr(cli, "cmd_verify_ramanujan", broken)
+    replace_handler(monkeypatch, ("verify", "ramanujan"), broken)
     status, out, err = run(["verify", "ramanujan"], capsys)
     assert (status, out) == (3, "")
     assert "Traceback" in err and f"TruncationError: {message}" in err
@@ -219,7 +235,7 @@ def test_failed_check_exits_1_without_traceback(error, capsys, monkeypatch):
         sink("partial output")
         raise error("check failed")
 
-    monkeypatch.setattr(cli, "cmd_verify_ramanujan", fails)
+    replace_handler(monkeypatch, ("verify", "ramanujan"), fails)
     assert run(["verify", "ramanujan"], capsys) == \
         (1, "", "error: check failed\n")
 
@@ -267,9 +283,8 @@ class TestCommands:
         assert "(-1/24)*E2^1E4^0E6^0" in out
 
     def test_unknown_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "mirror", "--bogus"])
-        assert exc.value.code == 2
+        assert run(["compute", "mirror", "--bogus"], capsys) == \
+            (2, "", "error: unrecognized arguments: --bogus\n")
 
     def test_bad_config_value(self, capsys, tmp_path):
         p = tmp_path / "c.cfg"
@@ -500,11 +515,66 @@ def test_readme_command_lines_parse():
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
     lines = [ln for ln in block.split("```", 1)[0].splitlines() if ln.strip()]
     assert len(lines) >= 10
-    parser = cli.build_parser()
     for line in lines:
         prog, *argv = shlex.split(line.partition("#")[0])
         assert prog == "localp2"
         try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"README command does not parse: {line}")
+            cli.parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"README command does not parse: {line}: {exc}")
+
+
+class TestParse:
+    def test_flag_forms_and_defaults(self):
+        args = cli.parse_args(["--format=csv", "verify", "gap", "--genus=2",
+                               "--target", "local"])
+        assert (args.words, args.format, args.genus, args.target, args.config,
+                args.out) == (("verify", "gap"), "csv", 2, "local", None, None)
+        assert vars(cli.parse_args(["ns", "compare"])) == {
+            "words": ("ns", "compare"), "config": None, "format": None,
+            "out": None, "omega": None, "gmax": 2, "dmax": 2}
+
+    def test_last_repeated_flag_counts(self):
+        args = cli.parse_args(["--format", "json", "--format", "text", "compute",
+                               "local", "--genus", "5", "--genus=1"])
+        assert (args.format, args.genus) == ("text", 1)
+
+    def test_value_may_begin_with_a_dash(self):
+        args = cli.parse_args(["ns", "compare", "--omega", "-table.json"])
+        assert args.omega == "-table.json"
+
+    @pytest.mark.parametrize("side", ["local", "relative"])
+    def test_compute_side_reads_its_side_from_the_words(self, side, capsys):
+        # one handler serves both sides
+        _, computed, _ = run(["compute", side, "--genus", "2"], capsys)
+        _, solved, _ = run(["solve", "--genus", "2", "--target", side], capsys)
+        first = solved.splitlines()[0]
+        assert first.startswith(f"{side}_generators: ")
+        assert computed.splitlines()[0] == first.replace(f"{side}_", "", 1)
+
+
+MODULE_DOC = cli.__doc__
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compute", "elliptic", "-h"],
+                                  ["compute", "bogus", "--genus", "x", "--help"]],
+                         ids=" ".join)
+def test_help_prints_the_module_docstring(argv, capsys):
+    assert run(argv, capsys) == (0, MODULE_DOC, "")
+
+
+def docstring_commands() -> dict:
+    """The Subcommands block of the module docstring: words -> flags."""
+    block = MODULE_DOC.split("\nSubcommands\n", 1)[1].split("\n\n", 1)[0]
+    out = {}
+    for line in block.splitlines():
+        words = takewhile(lambda w: w[0] not in "-[", line.split())
+        out[tuple(words)] = re.findall(r"--[a-z]+", line)
+    return out
+
+
+def test_help_lists_every_command_and_flag():
+    assert docstring_commands() == {
+        words: list(flags) for words, (_, flags) in cli.COMMANDS.items()}
+    global_part = MODULE_DOC.split("Global flags", 1)[1].split("A flag's", 1)[0]
+    assert re.findall(r"--[a-z]+", global_part) == list(cli.GLOBAL_FLAGS)

@@ -21,6 +21,10 @@ F = Fraction
 
 OMEGA1 = {-2: 1, 0: 1, 2: 1}
 OMEGA2 = {e: -1 for e in (-5, -3, -1, 1, 3, 5)}
+# (1 + y + y^2)(1 + ... + y^8), and the Betti numbers of M_{4,1}, signed
+OMEGA3 = dict(zip(range(-10, 11, 2), (1, 2, 3, 3, 3, 3, 3, 3, 3, 2, 1)))
+OMEGA4 = dict(zip(range(-17, 18, 2), (-1, -2, -6, -10, -14, -15, -16, -16, -16,
+                                      -16, -16, -16, -15, -14, -10, -6, -2, -1)))
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +79,14 @@ BAD_TABLES = {
 
 class TestLoad:
     def test_shipped_table(self, table):
-        assert sorted(table) == [1, 2]
+        assert sorted(table) == [1, 2, 3, 4]
         assert table[1] == OMEGA1
         assert table[2] == OMEGA2
+        assert table[3] == OMEGA3
+        assert table[4] == OMEGA4
 
     def test_values_at_one_are_bps_numbers(self, table):
-        assert sum(table[1].values()) == 3
-        assert sum(table[2].values()) == -6
+        assert [sum(table[d].values()) for d in range(1, 5)] == [3, -6, 27, -192]
 
     def test_palindrome_enforced(self, tmp_path):
         path = tmp_path / "lopsided.json"
@@ -130,8 +135,8 @@ class TestFreeEnergy:
         assert row.coeff(2) == -6 + F(3, 8)
 
     def test_missing_degree(self, table):
-        with pytest.raises(OmegaError, match="degree 3 missing"):
-            ns_genus(table, 3, 3)
+        with pytest.raises(OmegaError, match="degree 5 missing"):
+            ns_genus(table, 3, 5)
 
 
 # palindromic {half-exponent: coefficient} tables, half-exponents all odd
@@ -197,9 +202,14 @@ class TestCompare:
 
     def test_direct_relative_tower_equals_the_sheaf_side(self, table):
         # anomaly + relative gap alone, no elliptic code, against the shipped
-        # Omega: degrees 1 and 2 of every genus 2..12 at genus 12's least
-        # order, 22 cells that share no algorithm with bm_eval or q_to_Q
+        # Omega: degrees 1-4 of every genus 2..12 at genus 12's least order,
+        # 44 cells that share no algorithm with bm_eval or q_to_Q
         assert direct_tower_mismatches(table) == []
+
+    def test_a_skewed_omega3_fails_the_sheaf_side(self, table):
+        # one more on the middle coefficient keeps Omega_3 palindromic
+        skewed = {**table, 3: {**table[3], 0: table[3][0] + 1}}
+        assert direct_tower_mismatches(skewed) == list(range(2, 13))
 
     def test_a_skewed_gap_target_fails_the_sheaf_side(self, table,
                                                       monkeypatch):
@@ -216,12 +226,12 @@ class TestCompare:
 
 def direct_tower_mismatches(table, gmax: int = 12) -> list:
     """The genera 2..gmax whose directly solved relative series differs
-    from the sheaf side in degree 1 or 2, at the least order of gmax."""
+    from the sheaf side in a degree 1-4, at the least order of gmax."""
     from localp2.hae import least_q_order, solve_genus
     md = build_mirror_data(least_q_order(gmax))
     corr = Correspondence(md)
     solve_genus(gmax, "relative", md, corr)
     return [g for g in range(2, gmax + 1)
-            if flat_expansion(corr, g, "relative").coeff_list(1, 2)
-            != ns_genus(table, g, 2).coeff_list(1, 2)]
+            if flat_expansion(corr, g, "relative").coeff_list(1, 4)
+            != ns_genus(table, g, 4).coeff_list(1, 4)]
 

@@ -1,11 +1,12 @@
 """What ``import localp2.cli`` loads, which every command pays for.
 
-The import leaves out ``argparse`` with the ``gettext`` it pulls in (needed
-only when ``build_parser`` parses a command line), ``pathlib`` (files are
-read and written with the builtin ``open``), the check-only
-``localp2.acceptance`` (loaded by ``selftest`` alone; ``solve --target
-both`` compares its two relative routes itself), the error-path
-``traceback`` and ``json`` (read or written only by the paths that use it).
+No command loads ``argparse`` with the ``gettext`` and ``locale`` it pulls
+in: ``cli.parse_args`` reads the command line from the ``COMMANDS`` table.
+The import also leaves out ``pathlib`` (files are read and written with the
+builtin ``open``), the check-only ``localp2.acceptance`` (loaded by
+``selftest`` alone; ``solve --target both`` compares its two relative
+routes itself), the error-path ``traceback`` and ``json`` (read or written
+only by the paths that use it).
 No module of the package imports ``dataclasses``, which would pull in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``: ``MirrorData`` is a frozen
 namedtuple record, so no command loads them, not even one that builds
@@ -150,6 +151,20 @@ def test_lazy_module_is_the_package_attribute():
         "hae = sys.modules['localp2.hae']; print(json.dumps("
         "[localp2.hae is hae, type(hae) is types.ModuleType]))") == \
         [True, False]
+
+
+PARSER_STACK = ["argparse", "gettext", "locale"]
+
+
+@pytest.mark.parametrize("command", ["compute elliptic --genus 2 --parts 1,1",
+                                     "verify ramanujan"])
+def test_command_loads_no_parser_stack(command, tmp_path):
+    argv = command_argv(command, tmp_path)
+    assert run_fresh(
+        f"import sys; from localp2.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        f"loaded = sorted(set({PARSER_STACK!r}) & set(sys.modules)); "
+        f"import json; print(json.dumps(loaded))") == []
 
 
 def test_cli_import_without_site_loads_no_parser_or_pathlib():
