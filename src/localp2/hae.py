@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from .locrel import Correspondence, DTower
 from .mirror import BModElement, BModError, MirrorData, theta_u
 from .quasimod import bernoulli
-from .series import Localp2Error, RatSeries, lincomb
+from .series import Localp2Error, Powers, RatSeries, lincomb
 
 F = Fraction
 
@@ -127,21 +127,6 @@ def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
     return ConifoldFrame(md.that)
 
 
-def _s_con_powers(elt: BModElement, frame: ConifoldFrame) -> list:
-    """s_con**s for s = 0..deg_S, made only through the poles read: S^s X^x
-    reads s_con**s through u^(x - 1), and s_con**(s - 1) through u^(k + 1)
-    times s_con is s_con**s through u^k, so s_con**s is made through
-    u^(r - s), r the largest x + s - 1 (or as far as s_con**s is known,
-    u^(order - s - 1) for s >= 1)."""
-    r = max(0, max(x + s - 1 for s, x in elt.terms))
-    powers = [RatSeries.one("u", frame.that.trunc_order)]
-    for s in range(1, elt.deg_S() + 1):
-        last = powers[-1]
-        powers.append(last.truncate(min(r - s + 1, last.trunc_order))
-                      * frame.s_con)
-    return powers
-
-
 def u_polar_part(elt: BModElement, frame: ConifoldFrame,
                  max_pole: int) -> list:
     """[u^-1], ..., [u^-max_pole] of a weight-zero element with S -> frame
@@ -151,8 +136,12 @@ def u_polar_part(elt: BModElement, frame: ConifoldFrame,
         raise BModError("conifold expansion needs a weight-zero element")
     if elt.is_zero():
         return [F(0)] * max_pole
-    # X^x -> u^-x, each term cut at u^-1: the regular part has no poles
-    s_con_pow = _s_con_powers(elt, frame)
+    # X^x -> u^-x, each term cut at u^-1: the regular part has no poles;
+    # S^s X^x reads s_con^s through u^(x - 1), and s_con through u^r, r the
+    # largest x + s - 1, makes s_con^s through u^(r - s + 1)
+    r = max(0, max(x + s - 1 for s, x in elt.terms))
+    s_con = frame.s_con.truncate(min(r, frame.s_con.trunc_order))
+    s_con_pow = Powers(s_con, RatSeries.one("u", frame.that.trunc_order))
     total = lincomb([(v, s_con_pow[s].truncate(x - 1).shift(-x))
                      for (s, x), v in elt.terms.items()])
     v = total.valuation()
@@ -171,12 +160,8 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     a pole deeper than ``that`` is known raises TruncationError."""
     c = u_polar_part(elt, frame, max_pole)
     deepest = max((j for j in range(1, max_pole + 1) if c[j - 1]), default=0)
-    that_pow = [None]  # that_pow[i] = that**i through u^deepest, i >= 1
-    if deepest:
-        that = frame.that.trim().truncate(deepest)
-        that_pow.append(that)
-        for _ in range(2, deepest + 1):
-            that_pow.append(that_pow[-1].truncate(deepest - 1) * that)
+    # that is stored from u^0, so its powers stop at u^deepest as it does
+    that_pow = Powers(frame.that.truncate(deepest), RatSeries.one("u", deepest))
     return RatSeries("that", -max_pole, [
         sum((j * c[j - 1] * that_pow[i].coeff(j)
              for j in range(i, deepest + 1) if c[j - 1]), F(0)) / i

@@ -121,10 +121,8 @@ def f1_local_series(md: MirrorData) -> RatSeries:
 
 
 def f1_relative_series(md: MirrorData) -> RatSeries:
-    """-(1/24) log q + (1/24) log(1 + 27q)."""
-    log_1_27q = -(md.X.log())
-    body = log_1_27q * F(1, 24)
-    return body.with_log(F(-1, 24))
+    """-(1/24) log q + (1/24) log(1 + 27q) = -(1/24) (log q + log X)."""
+    return (md.X.log() * F(-1, 24)).with_log(F(-1, 24))
 
 
 # Coefficient of log Q in the genus-1 unstable relative term,
@@ -155,7 +153,9 @@ class Correspondence:
         self.local = DTower(DF1_LOCAL)
 
     def tower(self, kind: str) -> DTower:
-        return self.local if kind == "local" else self.relative
+        if kind not in ("local", "relative"):
+            raise ValueError(f"unknown kind {kind!r}")
+        return getattr(self, kind)
 
     def correction_value(self, h: int, parts, legs: BModElement) -> BModElement:
         """The correction terms of the label (h, parts) summed over their leg
@@ -225,11 +225,11 @@ def genus_series(corr: Correspondence, g: int, side: str) -> RatSeries:
     """The genus-g series of ``side`` in q, g >= 1: the log-extended genus-1
     series (the relative one solved from the local), or the solved element
     expanded."""
-    md = corr.md
-    if g == 1:
-        local = f1_local_series(md)
-        return corr.solve_relative(1, local) if side == "relative" else local
-    return bm_eval(corr.tower(side).elements[g], md)
+    tower = corr.tower(side)
+    if g != 1:
+        return bm_eval(tower.elements[g], corr.md)
+    local = f1_local_series(corr.md)
+    return local if tower is corr.local else corr.solve_relative(1, local)
 
 
 def flat_expansion(corr: Correspondence, g: int, side: str) -> RatSeries:

@@ -34,7 +34,7 @@ from localp2.locrel import (
     flat_expansion,
 )
 from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
-from localp2.series import RatSeries, SeriesError
+from localp2.series import Powers, RatSeries, SeriesError
 
 from oracles import (
     bernoulli_list,
@@ -320,6 +320,40 @@ class TestGapFix:
         md.that.revert()
         linalg.solve_unique([[1]], [1])
         assert calls == ["revert", "solve_unique"]
+
+    def test_powers_are_made_only_through_the_poles_read(self, frame,
+                                                         gap_calls,
+                                                         monkeypatch):
+        # the frame knows s_con and that near the mirror order (u^30 and
+        # u^32 here); powers made that far would slow the deep towers
+        tables = []
+
+        class MadePowers(Powers):
+            """A table that records how far each power read is known."""
+
+            def __init__(self, base, one):
+                super().__init__(base, one)
+                self.known = {}
+                tables.append(self)
+
+            def __getitem__(self, k):
+                power = super().__getitem__(k)
+                self.known[k] = power.trunc_order
+                return power
+
+        monkeypatch.setattr(hae, "Powers", MadePowers)
+        for g, _, sol in gap_calls.calls:
+            M = 2 * g - 2
+            conifold_expand(sol, frame, M)
+            s_con_pow, that_pow = tables[-2:]
+            # s_con through u^r, r the largest x + s - 1, and its s-th
+            # power through u^(r - s + 1)
+            r = max(x + s - 1 for s, x in sol.terms)
+            assert s_con_pow.base.trunc_order == r < frame.s_con.trunc_order
+            assert max(s_con_pow.known) == sol.deg_S()
+            assert all(t == r - s + 1 for s, t in s_con_pow.known.items() if s)
+            # the gap target makes u^-M the deepest pole: that^i through u^M
+            assert that_pow.known == {i: M for i in range(1, M + 1)}
 
 
 class TestAnomalyEquation:

@@ -157,6 +157,17 @@ class TestSolve:
                                          F(18447, 160), F(-526859, 160),
                                          F(5385429, 64)]
 
+    @pytest.mark.parametrize("side", ["Relative", "both"])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_unknown_side_is_rejected_at_every_genus(self, corr, side, g):
+        # both towers solved at genus 2, so no side falls through to one
+        corr.local.set_genus(2, F2_LOCAL)
+        corr.solve_relative(2, F2_LOCAL)
+        with pytest.raises(ValueError, match="unknown kind"):
+            flat_expansion(corr, g, side)
+        with pytest.raises(ValueError, match="unknown kind"):
+            corr.tower(side)
+
     def test_round_trip_genus3_shape(self, corr):
         # F3 local is not known in closed form here; use a synthetic element
         # to check solve_local(solve_relative(.)) is the identity.

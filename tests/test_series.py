@@ -315,14 +315,26 @@ class TestLincomb:
 
 
 class TestPowers:
-    @given(st.builds(q_series, sparse_coeffs), st.permutations(range(7)))
-    @settings(max_examples=60, deadline=None)
-    def test_powers_against_plain_list_oracle(self, f, reads):
+    @given(st.integers(0, 2), sparse_coeffs, st.integers(-6, 2),
+           st.permutations(range(7)))
+    @settings(max_examples=80, deadline=None)
+    def test_powers_against_plain_list_oracle(self, m, cs, d, reads):
+        # a base stored from q^-m (the conifold propagator starts at u^-1)
+        # through q^n, and a unit known through q^N, shorter or longer
+        f = q_series(cs, min_exp=-m)
         n = f.trunc_order
-        table = Powers(f, RatSeries.one("q", n))
-        expect = pl_powers(tuple(f.coeff_list(0, n)), n, 6)
+        N = max(n + d, 0)
+        table = Powers(f, RatSeries.one("q", N))
+        # f^k = q^(-m k) (q^m f)^k, and q^m f is a power series
+        top = max(N, n + m)
+        expect = pl_powers(tuple(cs), top, 6)
         first = {k: table[k] for k in reads}
-        assert all(p.coeff_list(0, n) == expect[k] for k, p in first.items())
+        for k, p in first.items():
+            # the unit, then each factor of f, cuts what is known
+            through = N if k == 0 else min(N - m * k, n - m * (k - 1))
+            assert p.trunc_order == through
+            assert p.coeff_list(-m * k, through) == \
+                expect[k][:through + m * k + 1]
         # each power is made once: a second read returns the same object
         assert all(table[k] is p for k, p in first.items())
 
