@@ -16,9 +16,11 @@ Global flags, before the command words: --config FILE, a flat key = value
 file setting q_order, format and omega (flags override it); --format
 json|csv|text; --out PATH.  A flag's value follows it or its "=", flags are
 spelled in full, and -h or --help, anywhere, prints this text.
-Solving genus g needs q_order >= 2g - 2; ns compare --dmax D needs
-q_order >= D; compute elliptic takes its nome order from --order, by
-default the number of E2/E4/E6 monomials of the label's weight plus 10.
+compute and solve print series through q_order, which must be >= 2g - 2
+at genus g; verify hae|gap and ns compare print none, so they build mirror
+data at the least order their checks read.
+compute elliptic takes its nome order from --order, by default the number
+of E2/E4/E6 monomials of the label's weight plus 10.
 
 Exit status: 0 on success; 1 when an exact verification fails; 2 on bad
 flags or command words or a bad config or data file, before anything is
@@ -141,16 +143,16 @@ def emit_bmod(name: str, e: mirror.BModElement, cfg: RunConfig, sink):
 
 # -- command implementations -----------------------------------------------------------
 
-def solved_towers(cfg: RunConfig, g: int, side: str):
-    """Mirror data and the towers through genus g, for a command that
-    prints or checks ``side`` (local, relative or both).  Only a command
-    that needs the relative tower builds it, through the correspondence.
-    A q_order too small to solve genus g is rejected before any work."""
+def solved_towers(order: int, g: int, side: str):
+    """Mirror data at ``order`` and the towers through genus g, for a
+    command that prints or checks ``side`` (local, relative or both).  Only
+    a command that needs the relative tower builds it, through the
+    correspondence.  An order too small to solve genus g is rejected
+    before any work."""
     least = hae.least_q_order(g)
-    if cfg.q_order < least:
-        raise UsageError(f"genus {g} needs q_order >= {least}, "
-                         f"got {cfg.q_order}")
-    md = mirror.build_mirror_data(cfg.q_order)
+    if order < least:
+        raise UsageError(f"genus {g} needs q_order >= {least}, got {order}")
+    md = mirror.build_mirror_data(order)
     return md, hae.solve_towers(md, g, side != "local")
 
 
@@ -163,7 +165,7 @@ def cmd_compute_mirror(args, cfg, sink) -> int:
 
 def cmd_compute_side(args, cfg, sink) -> int:
     g, side = args.genus, args.words[1]
-    md, corr = solved_towers(cfg, g, side)
+    md, corr = solved_towers(cfg.q_order, g, side)
     if g == 0:
         emit_series("flat_expansion", locrel.flat_expansion(corr, 0, side),
                     cfg, sink)
@@ -195,7 +197,7 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
 
 def cmd_solve(args, cfg, sink) -> int:
     g = args.genus
-    md, corr = solved_towers(cfg, g, args.target)
+    md, corr = solved_towers(cfg.q_order, g, args.target)
     targets = ("local", "relative") if args.target == "both" else (args.target,)
     for side in targets:
         elt = corr.tower(side).elements[g]
@@ -223,7 +225,9 @@ def cmd_verify_ramanujan(args, cfg, sink) -> int:
 
 
 def cmd_verify_hae(args, cfg, sink) -> int:
-    tower = solved_towers(cfg, args.genus, args.target)[1].tower(args.target)
+    # no series is printed: the least order that solves the genus will do
+    tower = solved_towers(max(5, 2 * args.genus - 2), args.genus,
+                          args.target)[1].tower(args.target)
     rep = hae.verify_hae(args.genus, args.target, tower)
     emit_bmod("anomaly_lhs", rep["lhs"], cfg, sink)
     emit_bmod("anomaly_rhs", rep["rhs"], cfg, sink)
@@ -233,10 +237,10 @@ def cmd_verify_hae(args, cfg, sink) -> int:
 
 
 def cmd_verify_gap(args, cfg, sink) -> int:
-    md, corr = solved_towers(cfg, args.genus, args.target)
+    M = 2 * args.genus - 2
+    md, corr = solved_towers(max(5, M), args.genus, args.target)
     elt = corr.tower(args.target).elements[args.genus]
     frame = hae.build_conifold_frame(md)
-    M = 2 * args.genus - 2
     con = hae.conifold_expand(elt, frame, M)
     ok = [con.coeff(-j) for j in range(1, M + 1)] == \
         hae.gap_conditions(args.genus, args.target)
@@ -248,9 +252,6 @@ def cmd_verify_gap(args, cfg, sink) -> int:
 
 
 def cmd_ns_compare(args, cfg, sink) -> int:
-    if args.dmax > cfg.q_order:
-        raise UsageError(f"--dmax {args.dmax} needs q_order >= {args.dmax}, "
-                         f"got {cfg.q_order}")
     omega_path = args.omega or cfg.omega or ns.default_omega_path()
     try:
         table = ns.load_omega(omega_path)
@@ -260,7 +261,8 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     if missing:
         raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
                          f"degrees {missing}, which {omega_path} lacks")
-    corr = solved_towers(cfg, args.gmax, "relative")[1]
+    corr = solved_towers(max(5, args.dmax, 2 * args.gmax - 2), args.gmax,
+                         "relative")[1]
     flat = {g: locrel.flat_expansion(corr, g, "relative")
             for g in range(args.gmax + 1)}
     report = ns.compare_ns_relative(table, args.gmax, args.dmax, flat)

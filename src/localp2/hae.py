@@ -55,11 +55,17 @@ def gamma_relative(g: int) -> Fraction:
         (2 * g * (2 * g - 1) * (2 * g - 2))
 
 
+def _by_kind(kind: str, local, relative):
+    """``local`` or ``relative`` as ``kind`` names; no other kind exists."""
+    if kind not in ("local", "relative"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return local if kind == "local" else relative
+
+
 def gap_target(g: int, kind: str) -> Fraction:
     """Target coefficient of t^-(2g-2) in the rational normalization,
     which rescales the standard one by 3^(g-1)."""
-    gamma = gamma_local(g) if kind == "local" else gamma_relative(g)
-    return 3 ** (g - 1) * gamma
+    return 3 ** (g - 1) * _by_kind(kind, gamma_local, gamma_relative)(g)
 
 
 def gap_conditions(g: int, kind: str) -> list:
@@ -80,10 +86,8 @@ def hae_rhs(g: int, kind: str, tower: DTower) -> BModElement:
         # the product for g1 stands for itself and for g - g1
         term = tower.D(g1, 1) * tower.D(g - g1, 1)
         total = total + (term * F(1, 2) if 2 * g1 == g else term)
-    if kind == "local":
+    if _by_kind(kind, True, False):  # F_(g-1,2) on the local side only
         total = total + tower.D(g - 1, 2) * F(1, 2)
-    elif kind != "relative":
-        raise ValueError(f"unknown kind {kind!r}")
     return total * F(1, 9)
 
 
@@ -215,6 +219,7 @@ def gap_fix(g: int, kind: str, particular: BModElement,
 def assert_finite_generation(elt: BModElement, g: int, kind: str):
     """Membership in the orbifold-regular span X^-(g-1) * R_{3g-3}, plus the
     relative S-degree bound."""
+    deg_s = _by_kind(kind, 3 * g - 3, 2 * g - 3)
     for (s, x) in elt.terms:
         if x < -(g - 1):
             raise BModError(f"X-pole too deep at {(s, x)}")
@@ -222,7 +227,7 @@ def assert_finite_generation(elt: BModElement, g: int, kind: str):
             raise BModError(f"total degree exceeds 3g-3 at {(s, x)}")
         if 3 * x + s < 0:
             raise BModError(f"orbifold regularity fails at {(s, x)}")
-    if elt.deg_S() > (3 * g - 3 if kind == "local" else 2 * g - 3):
+    if elt.deg_S() > deg_s:
         raise BModError("S-degree bound violated")
 
 

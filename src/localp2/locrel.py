@@ -238,6 +238,7 @@ def flat_expansion(corr: Correspondence, g: int, side: str) -> RatSeries:
     27 d^3 (the same on both sides), else ``genus_series`` through q -> Q."""
     if g >= 1:
         return q_to_Q(genus_series(corr, g, side), corr.md)
+    corr.tower(side)  # the side is checked at every genus
     d3 = bm_eval(D3F0, corr.md, target="Q")
     return RatSeries("Q", 0, [F(0)] + [d3.coeff(d) / (27 * d ** 3)
                                        for d in range(1, d3.trunc_order + 1)])

@@ -184,9 +184,6 @@ class RatSeries:
                 return self.min_exp + i
         return None
 
-    def is_zero(self) -> bool:
-        return self.valuation() is None and self.log_coeff == 0
-
     def constant_term(self) -> Fraction:
         return self.coeff(0) if self.min_exp <= 0 <= self.trunc_order else _ZERO
 
@@ -405,18 +402,17 @@ class RatSeries:
         return out
 
     def compose(self, powers: "Powers") -> "RatSeries":
-        """Substitute the base of the table ``powers`` (zero constant term)
-        for the variable of a power series without a log slot."""
+        """Substitute the base of the table ``powers`` (a nonzero series of
+        valuation >= 1) for the variable of a power series without a log
+        slot."""
         if self.log_coeff:
             raise SeriesError("compose of a log-extended series")
         if self.min_exp < 0:
             raise SeriesError("compose with Laurent outer unsupported")
         inner = powers.base
         v = inner.valuation()
-        if inner.constant_term() != 0 or (v is not None and v < 1):
-            raise SeriesError("inner series must have zero constant term")
-        if v is None:
-            return RatSeries.const(inner.var, self.coeff(0), inner.trunc_order)
+        if v is None or v < 1:
+            raise SeriesError("inner series must have valuation >= 1")
         bound = min(inner.trunc_order, (self.trunc_order + 1) * v - 1)
         # sum c_k inner^k over the k with k v <= bound (so k <= trunc_order)
         return lincomb([(self.coeff(k), powers[k]) for k in range(bound // v + 1)],
@@ -424,24 +420,17 @@ class RatSeries:
 
     def revert(self, new_var: str | None = None) -> "RatSeries":
         """Compositional inverse of c1*v + O(v^2), c1 nonzero, by Lagrange
-        inversion: g_k = (1/k) [v^(k-1)] h^k with h = v/f, one running
-        product of h per coefficient."""
+        inversion: g_k = (1/k) [v^(k-1)] h^k with h = v/f, read from a
+        table of the powers of h."""
         if self.log_coeff:
             raise SeriesError("revert of a log-extended series")
         if self.valuation() != 1:
             raise SeriesError("revert needs valuation exactly 1")
         n = self.trunc_order
-        h = RatSeries.one(self.var, n - 1) / self.shift(-1)
-        nums, dens = [0], [1]  # g_k = nums[k] / dens[k]
-        h_pow = h
-        for k in range(1, n + 1):
-            nums.append(h_pow.nums[k - 1])  # h and its powers start at v^0
-            dens.append(k * h_pow.den)
-            if k < n:
-                h_pow = h_pow * h
-        d = lcm(*dens)
-        return _make(new_var or self.var, 0,
-                     [x * (d // e) for x, e in zip(nums, dens)], d, _ZERO)
+        one = RatSeries.one(self.var, n - 1)
+        h = Powers(one / self.shift(-1), one)
+        return RatSeries(new_var or self.var, 0,
+                         [0, *(h[k].coeff(k - 1) / k for k in range(1, n + 1))])
 
 
 class Powers:

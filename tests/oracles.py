@@ -47,6 +47,12 @@ table of the integers n^g_d of local P^2 through degree 5, which the
 topological vertex gives; the library solves its local tower by the
 anomaly equation and the conifold gap.
 
+:func:`divisor_mismatches` checks the divisor equation on elliptic
+labels: a zero part is D = q d/dq of the label without it, with D the
+Ramanujan derivation applied term by term to plain dicts of E2/E4/E6
+monomials (:func:`ramanujan_derivative`); the library recognizes every
+label from its own q-bracket and never differentiates one.
+
 :func:`ns_column_oracle` expands the free-energy column in hbar by a
 cosine sum and a long division by the sine; the library reads each genus
 row from Bernoulli numbers in z = i k hbar, building no series.
@@ -367,6 +373,45 @@ def corrections_sum_oracle(corr, g: int):
             term = term * corr.relative.D(gj, a + 2) * (-1) ** (gj + 1)
         total = total + term
     return total
+
+
+# -- the divisor equation on Q[E2, E4, E6] ---------------------------------------
+
+# (c2, c4, c6) of the Ramanujan derivation D = q d/dq: D E2 = (E2^2 - E4)/c2,
+# D E4 = (E2 E4 - E6)/c4 and D E6 = (E2 E6 - E4^2)/c6
+RAMANUJAN = (12, 3, 2)
+
+
+def ramanujan_derivative(terms: dict, consts=RAMANUJAN) -> dict:
+    """D of sum v E2^a E4^b E6^c, given as {(a, b, c): v}, by the Leibniz
+    rule: each factor's derivative is E2 times it, over its constant, less
+    one other monomial."""
+    c2, c4, c6 = consts
+    out = {}
+    for (a, b, c), v in terms.items():
+        for key, w in (((a + 1, b, c), Fraction(a, c2) + Fraction(b, c4)
+                        + Fraction(c, c6)),
+                       ((a - 1, b + 1, c), Fraction(-a, c2)),
+                       ((a, b - 1, c + 1), Fraction(-b, c4)),
+                       ((a, b + 2, c - 1), Fraction(-c, c6))):
+            if w:
+                out[key] = out.get(key, 0) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
+def divisor_mismatches(value, gmax: int, consts=RAMANUJAN) -> list:
+    """The labels (h, parts) with a zero part, among those the correction
+    sums of genus 2..gmax read, at which ``value(h, parts)``, an
+    {(a, b, c): coefficient} dict, is not D of the value without one zero;
+    the value of (1, (0,)) must be -E2/24."""
+    labels = {(h, tuple(sorted((a for a, _ in legs), reverse=True)))
+              for g in range(2, gmax + 1)
+              for h, legs in enumerate_corr_terms_oracle(g)}
+    return [(h, parts) for h, parts in sorted(labels) if parts[-1] == 0
+            and value(h, parts) != ({(1, 0, 0): Fraction(-1, 24)}
+                                    if parts == (0,) else
+                                    ramanujan_derivative(value(h, parts[:-1]),
+                                                         consts))]
 
 
 # -- partitions and the Bloch-Okounkov partition sum ---------------------------

@@ -137,25 +137,17 @@ BAD_INPUT = [
     (["ns", "compare", "--omega", "{tmp}/fractional.json", "--gmax", "0"],
      "degree 1 coefficient 1.9 is not an integer"),
     (["ns", "compare", "--dmax", "5"], "degrees [5]"),
-    # the flat expansions are known through Q^q_order only
-    (["--config", "{tmp}/q5.cfg", "ns", "compare", "--omega",
-      "{tmp}/seven.json", "--gmax", "1", "--dmax", "7"],
-     "--dmax 7 needs q_order >= 7, got 5"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1"], "sum to 2"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1,x"], "a1,a2"),
     (["compute", "elliptic", "--genus", "2", "--parts", "2,-1"], "a1,a2"),
     (["compute", "elliptic", "--genus", "2", "--parts", "1,1", "--order", "2"],
      "--order must be >= 3"),
-    # every command that solves a tower checks q_order against the genus
+    # a command that prints a solved tower's series, cut at q_order, checks
+    # q_order against the genus; verify and ns compare print none (see
+    # test_a_check_runs_at_its_least_order)
     (["--config", "{tmp}/q6.cfg", "compute", "local", "--genus", "5"],
      "genus 5 needs q_order >= 8, got 6"),
     (["--config", "{tmp}/q6.cfg", "compute", "relative", "--genus", "5"],
-     "genus 5 needs q_order >= 8, got 6"),
-    (["--config", "{tmp}/q6.cfg", "verify", "hae", "--genus", "5", "--target",
-      "local"], "genus 5 needs q_order >= 8, got 6"),
-    (["--config", "{tmp}/q6.cfg", "verify", "gap", "--genus", "5", "--target",
-      "relative"], "genus 5 needs q_order >= 8, got 6"),
-    (["--config", "{tmp}/q6.cfg", "ns", "compare", "--gmax", "5"],
      "genus 5 needs q_order >= 8, got 6"),
     (["--config", "{tmp}/q6.cfg", "solve", "--genus", "5", "--target",
       "local"], "genus 5 needs q_order >= 8, got 6"),
@@ -178,7 +170,6 @@ BAD_INPUT = [
 def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
                                             monkeypatch):
     (tmp_path / "q.cfg").write_text("q_order = 3\n")
-    (tmp_path / "q5.cfg").write_text("q_order = 5\n")
     (tmp_path / "q6.cfg").write_text("q_order = 6\n")
     (tmp_path / "text.cfg").write_text("q_order = ten\n")
     (tmp_path / "margin.cfg").write_text("margin = 10\n")
@@ -189,8 +180,6 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
         {"degree": 1, "coeffs": [{"exp2": -2, "c": 1.9}, {"exp2": 0, "c": 1},
                                  {"exp2": 2, "c": 1.9}]},
         {"degree": 2, "coeffs": [{"exp2": 0, "c": 1}]}]}))
-    (tmp_path / "seven.json").write_text(json.dumps({"entries": [
-        {"degree": d, "coeffs": [{"exp2": 0, "c": 1}]} for d in range(1, 8)]}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     status, out, err = run_rejected(argv, capsys, monkeypatch)
     assert (status, out) == (2, "")
@@ -502,12 +491,62 @@ def test_least_q_order_accepted_and_next_rejected(g, side, monkeypatch):
     monkeypatch.setattr(cli.mirror, "build_mirror_data", lambda q: q)
     monkeypatch.setattr(cli.hae, "solve_towers",
                         lambda md, g, relative: relative)
-    assert cli.solved_towers(RunConfig(q_order=least), g, side) == \
-        (least, side != "local")
+    assert cli.solved_towers(least, g, side) == (least, side != "local")
     if least > 5:
         with pytest.raises(cli.UsageError, match=f"genus {g} needs q_order "
                                                  f">= {least}, got {least - 1}"):
-            cli.solved_towers(RunConfig(q_order=least - 1), g, side)
+            cli.solved_towers(least - 1, g, side)
+
+
+class Built(Exception):
+    pass
+
+
+# a command that prints no series -> the mirror order it builds, whatever
+# q_order is: the least that solves its genus, and at least its --dmax
+LEAST_ORDER_RUNS = [
+    (["verify", "hae", "--genus", "2", "--target", "local"], 5),
+    (["verify", "gap", "--genus", "4", "--target", "relative"], 6),
+    (["verify", "hae", "--genus", "9", "--target", "relative"], 16),
+    (["ns", "compare", "--gmax", "0", "--dmax", "1"], 5),
+    (["ns", "compare", "--gmax", "6", "--dmax", "4"], 10),
+    (["ns", "compare", "--omega", "{tmp}/seven.json", "--gmax", "3", "--dmax",
+      "7"], 7),
+]
+
+
+@pytest.mark.parametrize("argv,order", LEAST_ORDER_RUNS,
+                         ids=[" ".join(a) for a, _ in LEAST_ORDER_RUNS])
+@pytest.mark.parametrize("q_order", [5, 40])
+def test_a_check_runs_at_its_least_order(argv, order, q_order, tmp_path,
+                                         monkeypatch):
+    (tmp_path / "seven.json").write_text(json.dumps({"entries": [
+        {"degree": d, "coeffs": [{"exp2": 0, "c": 1}]} for d in range(1, 8)]}))
+    built = []
+
+    def build(q):
+        built.append(q)
+        raise Built
+
+    monkeypatch.setattr(cli.mirror, "build_mirror_data", build)
+    args = cli.parse_args([a.format(tmp=tmp_path) for a in argv])
+    with pytest.raises(Built):
+        cli.COMMANDS[args.words][0](args, RunConfig(q_order=q_order), print)
+    assert built == [order]
+
+
+# goldens recorded at the default q_order, 32, of commands that print no series
+CHECK_GOLDENS = ["verify-hae-g4-local.out", "verify-gap-g4-local.out",
+                 "verify-gap-g4-relative.out", "ns-compare-g4-d2.out"]
+
+
+@pytest.mark.parametrize("name", CHECK_GOLDENS)
+def test_a_check_prints_its_golden_at_q_order_5(name, capsys, tmp_path):
+    (tmp_path / "q5.cfg").write_text("q_order = 5\n")
+    status, out, _ = run(["--config", str(tmp_path / "q5.cfg"),
+                          *GOLDEN_RUNS[name]], capsys)
+    assert status == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_readme_command_lines_parse():

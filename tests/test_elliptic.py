@@ -23,8 +23,10 @@ from localp2.elliptic import (
 from localp2.graded import GradedError, evaluate, recognize
 from localp2.series import RatSeries
 
-from oracles import (bloch_okounkov_npoint_oracle, connected_coefficient_oracle,
-                     partitions_of, sigma, theta_product_oracle)
+from oracles import (RAMANUJAN, bloch_okounkov_npoint_oracle,
+                     connected_coefficient_oracle, divisor_mismatches,
+                     partitions_of, ramanujan_derivative, sigma,
+                     theta_product_oracle)
 
 F = Fraction
 
@@ -44,9 +46,9 @@ def expand(ep: EPoly, order: int) -> RatSeries:
 class TestTheta:
     def test_normalization(self):
         th = theta_z(5, 6)
-        assert th[0].is_zero()
+        assert th[0].valuation() is None
         assert th[1].coeff_list(0, 6) == [1, 0, 0, 0, 0, 0, 0]
-        assert th[2].is_zero()
+        assert th[2].valuation() is None
 
     def test_z3_coefficient_is_e2_over_24(self):
         th = theta_z(5, 8)
@@ -55,7 +57,7 @@ class TestTheta:
 
     def test_odd_function(self):
         th = theta_z(9, 4)
-        assert all(th[k].is_zero() for k in range(0, 10, 2))
+        assert all(th[k].valuation() is None for k in range(0, 10, 2))
 
     @pytest.mark.parametrize("zdeg, qorder", [(9, 8), (12, 10)])
     def test_against_jacobi_product_oracle(self, zdeg, qorder):
@@ -95,7 +97,8 @@ class TestDisconnected:
 
     def test_one_point_parity(self):
         for e in range(1, 7):
-            assert npoint_disconnected(1, e, 6)[(e,)].is_zero() == (e % 2 == 0)
+            assert (npoint_disconnected(1, e, 6)[(e,)].valuation() is None) == \
+                (e % 2 == 0)
 
     @pytest.mark.parametrize("exps", [(1,), (3,), (5,)])
     def test_against_partition_sum_oracle(self, exps):
@@ -341,11 +344,33 @@ class TestEllipticHae:
         assert rep["loop"] == connected_extract(StationaryLabel(2, (2,))).value
 
 
+def label_terms(h, parts):
+    return connected_extract(StationaryLabel(h, parts)).value.terms
+
+
+class TestDivisorEquation:
+    def test_ramanujan_derivative_against_q_series(self):
+        # D = q d/dq on the nome expansion of every monomial of weight 8
+        for key in [(4, 0, 0), (2, 1, 0), (1, 0, 1), (0, 2, 0)]:
+            got = expand(EPoly(ramanujan_derivative({key: F(1)})), 12)
+            assert got.agrees_with(expand(EPoly({key: F(1)}), 12).theta(), 12)
+
+    def test_every_label_through_genus_5(self):
+        # a zero part is D of the label without it, (1, (0,)) is -E2/24
+        assert divisor_mismatches(label_terms, 5) == []
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_a_wrong_ramanujan_constant_fails(self, i):
+        consts = list(RAMANUJAN)
+        consts[i] += 1
+        assert divisor_mismatches(label_terms, 5, tuple(consts)) != []
+
+
 class TestDisconnectedParity:
     def test_two_point_total_parity(self):
         odd = npoint_disconnected(2, 3, 6)
         assert set(odd) == {(2, 1)}
-        assert all(v.is_zero() for v in odd.values())
+        assert all(v.valuation() is None for v in odd.values())
         even = npoint_disconnected(2, 4, 6)
         assert set(even) == {(3, 1), (2, 2)}
-        assert not any(v.is_zero() for v in even.values())
+        assert not any(v.valuation() is None for v in even.values())

@@ -82,6 +82,28 @@ class TestGapConstants:
             [0] * 5 + [gap_target(4, "relative")]
 
 
+class TestUnknownKind:
+    # "local" and "relative" are the only kinds; another one is an error, not
+    # the relative side
+    @pytest.mark.parametrize("kind", ["Local", "bogus", ""])
+    def test_gap_target(self, kind):
+        with pytest.raises(ValueError, match="unknown kind"):
+            gap_target(2, kind)
+
+    def test_gap_conditions(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            gap_conditions(3, "Relative")
+
+    def test_gap_fix(self, md, frame):
+        with pytest.raises(ValueError, match="unknown kind"):
+            gap_fix(2, "both", BModElement.zero(), frame, md)
+
+    @pytest.mark.parametrize("elt", [F2_LOCAL, BModElement.monomial(1, 4, 0)])
+    def test_assert_finite_generation(self, elt):
+        with pytest.raises(ValueError, match="unknown kind"):
+            assert_finite_generation(elt, 3, "bogus")
+
+
 class TestFrame:
     def test_flat_coordinate_normalization(self, frame):
         assert frame.that.coeff_list(0, 1) == [0, 1]

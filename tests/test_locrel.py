@@ -158,7 +158,7 @@ class TestSolve:
                                          F(5385429, 64)]
 
     @pytest.mark.parametrize("side", ["Relative", "both"])
-    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("g", [0, 1, 2])
     def test_unknown_side_is_rejected_at_every_genus(self, corr, side, g):
         # both towers solved at genus 2, so no side falls through to one
         corr.local.set_genus(2, F2_LOCAL)

@@ -201,7 +201,7 @@ class TestIntegerKernels:
         assert got.min_exp == lo
         assert_canonical(got)
         if order < lo:
-            assert got.trunc_order == lo and got.is_zero()
+            assert got.trunc_order == lo and got.valuation() is None
             return
         assert got.trunc_order == order
         n = order - lo
@@ -413,6 +413,10 @@ class TestComposeRevert:
         with pytest.raises(SeriesError):
             RatSeries("t", 0, [1, 1]).compose(table(q_series([1, 1])))
 
+    def test_compose_rejects_a_zero_inner_series(self):
+        with pytest.raises(SeriesError, match="valuation >= 1"):
+            RatSeries("t", 0, [1, 1]).compose(table(RatSeries.zero("q", 4)))
+
     def test_compose_rejects_log_slot(self):
         # log(inner) is not a power series in the variable
         with pytest.raises(SeriesError):
@@ -488,7 +492,7 @@ class TestTheta:
         assert i11.coeff_list(0, 2) == [1, -6, 90]
 
     def test_theta_constant(self):
-        assert RatSeries.const("q", 7, 5).theta().is_zero()
+        assert RatSeries.const("q", 7, 5).theta() == RatSeries.zero("q", 5)
 
     def test_theta_monomial(self):
         f = q_series([0, 0, 0, 1, 0])
