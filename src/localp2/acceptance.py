@@ -328,12 +328,9 @@ def run_report() -> str:
     return "\n".join(lines) + "\n"
 
 
-def criterion_12_determinism(first: str | None = None):
-    """Compare a report with one warm rerun that reuses every cache the
-    first run filled.  Pass the process's first (cold-cache) report as
-    ``first`` to make the check cold against warm."""
-    if first is None:
-        first = run_report()
+def criterion_12_determinism(first: str):
+    """Compare the process's first (cold-cache) report, ``first``, with one
+    warm rerun that reuses every cache the first run filled."""
     again = run_report()
     return first == again and "FAIL" not in first, \
         "first report and a warm-cache rerun compared"

@@ -8,16 +8,20 @@ their weights, and keep their own bookkeeping in ``_settle`` (checks and
 normalisation of every new element) and ``_aligned`` (how two shifts meet
 in a sum).  Products run on integer numerators over one denominator per
 operand, as the series store theirs.
+
+``monomial_image`` is the one substitution of generator images (series or
+ring elements) into a ring monomial: ``evaluate`` sums over it, and
+``recognize`` reads its columns from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul
 
 from . import linalg
-from .series import Localp2Error, Powers, RatSeries, over_lcm
+from .series import Localp2Error, RatSeries, over_lcm
 
 
 class GradedError(Localp2Error):
@@ -96,9 +100,10 @@ class Graded:
             self.shift == other.shift or not self.terms)
 
     def __hash__(self):
-        # what __eq__ compares: the shift of zero does not count
-        return hash((self.shift if self.terms else 0,
-                     frozenset(self.terms.items())))
+        # what __eq__ compares, the shift of zero aside, less the
+        # coefficients: monomial_image hashes its images on every call, and
+        # a Fraction's hash costs a modular inverse
+        return hash((self.shift if self.terms else 0, frozenset(self.terms)))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,20 +183,23 @@ def weight_monomials(weights: tuple, w: int) -> list:
             for head in weight_monomials(rest, w - k * last)]
 
 
-def _monomial(tables: list, key: tuple, one):
-    """prod_i tables[i][key[i]] over one ``Powers`` table per generator."""
-    return reduce(mul, [t[e] for t, e in zip(tables, key) if e] or [one])
+@lru_cache(maxsize=None)
+def monomial_image(images: tuple, key: tuple):
+    """prod_i images[i]**key[i]: made once per process, as the image of the
+    monomial with one factor fewer times that factor's image.  The one
+    substitution into a ring monomial that the three rings share."""
+    i = next((i for i, e in enumerate(key) if e), None)
+    if i is None:
+        return images[0] ** 0
+    return monomial_image(images, key[:i] + (key[i] - 1,) + key[i + 1:]) * images[i]
 
 
-def evaluate(terms: dict, images: list, one):
+def evaluate(terms: dict, images):
     """sum v * prod_i images[i]**e_i over the terms {e: v}: the generators
-    replaced by series or ring elements, with one table of powers per
-    generator.  ``one`` is the unit of the target."""
-    tables = [Powers(image, one) for image in images]
-    total = one * 0
-    for key, v in terms.items():
-        total = total + _monomial(tables, key, one) * v
-    return total
+    replaced by series or ring elements."""
+    images = tuple(images)
+    return sum((monomial_image(images, key) * v for key, v in terms.items()),
+               images[0] ** 0 * 0)
 
 
 def recognize(series: RatSeries, weights: tuple, w: int,
@@ -207,9 +215,8 @@ def recognize(series: RatSeries, weights: tuple, w: int,
     if have < len(monos):
         raise GradedError(f"insufficient coefficients: need {len(monos)}, "
                           f"have {have}")
-    one = RatSeries.one(series.var, have - 1)
-    tables = [Powers(im.truncate(have - 1), one) for im in images]
-    cols = [_monomial(tables, m, one) for m in monos]
+    images = tuple(im.truncate(have - 1) for im in images)
+    cols = [monomial_image(images, m) for m in monos]
     try:
         sol = linalg.solve_unique([[c.coeff(k) for c in cols] for k in range(have)],
                                   series.coeff_list(0, have - 1))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .locrel import Correspondence, DTower
+from .locrel import Correspondence, DTower, by_kind
 from .mirror import BModElement, BModError, MirrorData, theta_u
 from .quasimod import bernoulli
 from .series import Localp2Error, Powers, RatSeries, lincomb
@@ -55,17 +55,10 @@ def gamma_relative(g: int) -> Fraction:
         (2 * g * (2 * g - 1) * (2 * g - 2))
 
 
-def _by_kind(kind: str, local, relative):
-    """``local`` or ``relative`` as ``kind`` names; no other kind exists."""
-    if kind not in ("local", "relative"):
-        raise ValueError(f"unknown kind {kind!r}")
-    return local if kind == "local" else relative
-
-
 def gap_target(g: int, kind: str) -> Fraction:
     """Target coefficient of t^-(2g-2) in the rational normalization,
     which rescales the standard one by 3^(g-1)."""
-    return 3 ** (g - 1) * _by_kind(kind, gamma_local, gamma_relative)(g)
+    return 3 ** (g - 1) * by_kind(kind, gamma_local, gamma_relative)(g)
 
 
 def gap_conditions(g: int, kind: str) -> list:
@@ -86,7 +79,7 @@ def hae_rhs(g: int, kind: str, tower: DTower) -> BModElement:
         # the product for g1 stands for itself and for g - g1
         term = tower.D(g1, 1) * tower.D(g - g1, 1)
         total = total + (term * F(1, 2) if 2 * g1 == g else term)
-    if _by_kind(kind, True, False):  # F_(g-1,2) on the local side only
+    if by_kind(kind, True, False):  # F_(g-1,2) on the local side only
         total = total + tower.D(g - 1, 2) * F(1, 2)
     return total * F(1, 9)
 
@@ -219,7 +212,7 @@ def gap_fix(g: int, kind: str, particular: BModElement,
 def assert_finite_generation(elt: BModElement, g: int, kind: str):
     """Membership in the orbifold-regular span X^-(g-1) * R_{3g-3}, plus the
     relative S-degree bound."""
-    deg_s = _by_kind(kind, 3 * g - 3, 2 * g - 3)
+    deg_s = by_kind(kind, 3 * g - 3, 2 * g - 3)
     for (s, x) in elt.terms:
         if x < -(g - 1):
             raise BModError(f"X-pole too deep at {(s, x)}")

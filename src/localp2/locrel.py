@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 
 from . import elliptic
+from .graded import evaluate
 from .mirror import (
     BModElement,
     BModError,
@@ -41,6 +41,13 @@ from .mirror import (
 from .series import RatSeries, SeriesError
 
 F = Fraction
+
+
+def by_kind(kind: str, local, relative):
+    """``local`` or ``relative`` as ``kind`` names; no other kind exists."""
+    if kind not in ("local", "relative"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return local if kind == "local" else relative
 
 
 # -- derivative towers ---------------------------------------------------------------
@@ -94,21 +101,10 @@ _E_BMOD = (BModElement(-2, {(0, 0): 1, (1, -1): 4}),
                             (0, -2): F(8, 27)}))
 
 
-@lru_cache(maxsize=None)
-def _e_image(key: tuple) -> BModElement:
-    """The image of E2^a E4^b E6^c, key = (a, b, c): made once per process,
-    as the image of the monomial with one factor fewer times that factor's."""
-    i = next((i for i, e in enumerate(key) if e), None)
-    if i is None:
-        return BModElement.const(1)
-    return _e_image(key[:i] + (key[i] - 1,) + key[i + 1:]) * _E_BMOD[i]
-
-
 def epoly_to_bmod(ep: elliptic.EPoly) -> BModElement:
     """A weight-w polynomial in E2, E4, E6 (at the cubed nome) becomes an
     element of I11-degree -w."""
-    return sum((_e_image(key) * v for key, v in ep.terms.items()),
-               BModElement.zero())
+    return evaluate(ep.terms, _E_BMOD)
 
 
 # -- genus-1 series -------------------------------------------------------------------
@@ -153,9 +149,7 @@ class Correspondence:
         self.local = DTower(DF1_LOCAL)
 
     def tower(self, kind: str) -> DTower:
-        if kind not in ("local", "relative"):
-            raise ValueError(f"unknown kind {kind!r}")
-        return getattr(self, kind)
+        return by_kind(kind, self.local, self.relative)
 
     def correction_value(self, h: int, parts, legs: BModElement) -> BModElement:
         """The correction terms of the label (h, parts) summed over their leg

@@ -197,20 +197,13 @@ def cq_change(series: RatSeries, md: MirrorData) -> RatSeries:
     and -cQt = q^3 exp(3 J/I11), it contributes a rational log q slot plus
     an honest power series.
     """
-    if series.var == "cQ":
-        powers = md.cQ_pow
-        log_q_mult = 1
-        log_series = md.J / md.I11
-    elif series.var == "cQt":
-        powers = md.cQt_pow
-        log_q_mult = 3
-        log_series = 3 * (md.J / md.I11)
-    else:
+    k = {"cQ": 1, "cQt": 3}.get(series.var)  # the power of the nome
+    if k is None:
         raise SeriesError(f"cq_change expects a cQ or cQt series, got {series.var}")
-    out = series.with_log(0).compose(powers)
+    out = series.with_log(0).compose(md.cQ_pow if k == 1 else md.cQt_pow)
     if series.log_coeff:
-        out = out + series.log_coeff * log_series
-        return out.with_log(series.log_coeff * log_q_mult)
+        c = k * series.log_coeff
+        return (out + md.J / md.I11 * c).with_log(c)
     return out
 
 

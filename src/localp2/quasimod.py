@@ -170,7 +170,7 @@ def qm_derive(e: QModElement) -> QModElement:
 def qm_to_qseries(e: QModElement, order: int) -> RatSeries:
     """Substitute the generator expansions; exact through ``order``."""
     images = [generator_series(name, order) for name in QModElement.names]
-    num = evaluate(e.terms, images, RatSeries.one(CQ, order))
+    num = evaluate(e.terms, images)
     if e.c_pole:
         num = num / images[2] ** e.c_pole
     return num

@@ -434,9 +434,11 @@ class RatSeries:
 
 
 class Powers:
-    """The table of powers that every substitution into a polynomial reads:
-    ``table[k]`` is base**k, made once, as ``table[k - 1] * base`` from
-    ``table[0] = one``, the first time it is read."""
+    """The table of one series' powers, which composition, reversion, the
+    mirror substitutions and the conifold gap read: ``table[k]`` is
+    base**k, made once, as ``table[k - 1] * base`` from ``table[0] = one``,
+    the first time it is read.  A ring monomial in several generators is
+    substituted by ``graded.monomial_image`` instead."""
 
     __slots__ = ("base", "_made")
 

@@ -5,12 +5,21 @@ benchmark in perfbench/; a name that only tests use is dead library code.
 A use is an identifier (a name, an attribute or an imported name) in
 src/localp2 or perfbench/, or a "module:Qual.attr" target string in
 perfbench/, whose tracer resolves functions by name.
+
+A name can be used and its definition still never run: a method that a
+subclass shadows, or one read only on a path no command takes.  So the
+commands are also run, under a profiler, in one fresh interpreter (no cache
+filled by an earlier test hides a call), and each of those functions and
+methods must be entered, apart from the few that perfbench/ alone reads.
 """
 
 import ast
+import os
 import re
 from collections import Counter
 from pathlib import Path
+
+from test_startup import run_fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localp2"
@@ -56,3 +65,80 @@ def test_every_library_name_is_used_outside_tests():
               for path, tree in trees.items() for node in defined(tree)
               if uses[node.name] == Counter(used(node, False))[node.name]]
     assert unused == []
+
+
+# qualified name -> (the perfbench/ file, the line of it that reads the name)
+PERFBENCH_ONLY = {
+    "elliptic.theta_z": ("tracer.py", '("elliptic.theta_z", "elliptic:theta_z"),'),
+    "elliptic.npoint_disconnected": (
+        "tracer.py", '("elliptic.npoint_disconnected", "elliptic:npoint_disconnected"),'),
+    "series.RatSeries.revert": (
+        "tracer.py", '("series.revert", "series:RatSeries.revert"),'),
+    "series.RatSeries.coeffs": (
+        "tracer.py", "return max(_bits(s.log_coeff), max(map(_bits, s.coeffs)))"),
+}
+
+# every command, in one interpreter; {cfg} is a config file, {out} a path
+COMMANDS = [
+    ["selftest"],
+    ["compute", "mirror", "--order", "5"],
+    ["compute", "elliptic", "--genus", "2", "--parts", "1,1"],
+    ["--config", "{cfg}", "compute", "local", "--genus", "2"],
+    ["--config", "{cfg}", "compute", "relative", "--genus", "1"],
+    ["solve", "--genus", "3", "--target", "both"],
+    ["verify", "hae", "--genus", "2", "--target", "local"],
+    ["verify", "gap", "--genus", "2", "--target", "relative"],
+    ["--out", "{out}", "verify", "ramanujan", "--order", "10"],
+    ["ns", "compare", "--gmax", "1", "--dmax", "1"],
+    ["--help"],
+]
+
+# record(package, argvs) prints, as one JSON list, "module:line:name" of
+# each function of the package entered while main runs each argv, line being
+# its code's first line (a decorator's, if any); co_qualname is new in
+# Python 3.11
+RECORD = """
+import contextlib, io, json, sys
+
+def record(package, argvs):
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package):
+            module = code.co_filename[len(package):-len(".py")]
+            entered.add(f"{module}:{code.co_firstlineno}:{code.co_name}")
+
+    from localp2.cli import main
+    sys.setprofile(profile)
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    sys.setprofile(None)
+    print(json.dumps(sorted(entered)))
+"""
+
+
+def functions(path, tree):
+    """(qualified name, "module:line:name" as RECORD prints it) of each
+    function and method ``defined`` finds."""
+    owner = {item: f"{node.name}." for node in tree.body
+             if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in defined(tree):
+        if isinstance(node, ast.FunctionDef):
+            line = min(d.lineno for d in [node, *node.decorator_list])
+            yield owner.get(node, "") + node.name, f"{path.stem}:{line}:{node.name}"
+
+
+def test_every_library_function_is_entered_by_the_commands(tmp_path):
+    cfg = tmp_path / "q5.cfg"
+    cfg.write_text("q_order = 5\n")
+    argvs = [[a.format(cfg=cfg, out=tmp_path / "out.txt") for a in argv]
+             for argv in COMMANDS]
+    entered = set(run_fresh(RECORD + f"record({str(PACKAGE) + os.sep!r}, {argvs!r})"))
+    never = sorted(f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+                   for name, key in functions(path, ast.parse(path.read_text()))
+                   if key not in entered)
+    assert never == sorted(PERFBENCH_ONLY)
+    for name, (file, line) in PERFBENCH_ONLY.items():
+        assert line in map(str.strip, (BENCH / file).read_text().splitlines()), name

@@ -39,8 +39,7 @@ QORDER = 14
 
 def expand(ep: EPoly, order: int) -> RatSeries:
     """The nome expansion of ep, through ``order``."""
-    return evaluate(ep.terms, eisenstein_images(order),
-                    RatSeries.one("cQt", order))
+    return evaluate(ep.terms, eisenstein_images(order))
 
 
 class TestTheta:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from localp2.elliptic import EPoly, eisenstein_images, stationary_value
-from localp2.graded import evaluate
+from localp2.graded import evaluate, monomial_image
 from localp2.hae import solve_towers
 from localp2.locrel import (
     Correspondence,
@@ -46,8 +46,7 @@ def corr(md):
 
 def nome_series(ep: EPoly, order: int) -> RatSeries:
     """The expansion of ep in the curve's nome, through ``order``."""
-    return evaluate(ep.terms, eisenstein_images(order),
-                    RatSeries.one("cQt", order))
+    return evaluate(ep.terms, eisenstein_images(order))
 
 
 def test_relative_log_coefficient(md):
@@ -80,6 +79,24 @@ class TestEllipticFactorDictionary:
         lhs = cq_change(nome_series(ep, 40), md)
         rhs = bm_eval(epoly_to_bmod(ep), md)
         assert lhs.agrees_with(rhs, 24)
+
+    def test_each_monomial_image_is_made_once(self):
+        # labels whose monomials share prefixes (E2^3 of E2^4, E2 E4 of
+        # E2^2 E4); their values are recognized, through monomial_image
+        # too, before the count starts
+        eps = [stationary_value(2, (1, 1)), stationary_value(2, (1, 1, 0))]
+        made = set()
+        for key in (k for ep in eps for k in ep.terms):
+            made.add(key)
+            while any(key):  # the prefix: one factor fewer, the first one
+                i = next(i for i, e in enumerate(key) if e)
+                key = key[:i] + (key[i] - 1,) + key[i + 1:]
+                made.add(key)
+        monomial_image.cache_clear()
+        first = [epoly_to_bmod(ep) for ep in eps]
+        assert monomial_image.cache_info().misses == len(made)
+        assert [epoly_to_bmod(ep) for ep in eps] == first
+        assert monomial_image.cache_info().misses == len(made)
 
 
 class TestGenus2Intermediates:
