@@ -297,7 +297,7 @@ def criterion_11_ns_limit():
     direct = context()[2]
     table = load_omega(default_omega_path())
     report = compare_ns_relative(
-        table, 2, 2, {g: flat_expansion(direct, g, "relative") for g in range(3)})
+        table, 2, {g: flat_expansion(direct, g, "relative") for g in range(3)})
     cells = ", ".join(f"(g={g},d={d}):{'=' if report['cells'][(g, d)]['equal'] else '!'}"
                       for g in range(3) for d in (1, 2))
     return report["ok"], cells

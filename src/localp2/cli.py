@@ -265,7 +265,7 @@ def cmd_ns_compare(args, cfg, sink) -> int:
                          "relative")[1]
     flat = {g: locrel.flat_expansion(corr, g, "relative")
             for g in range(args.gmax + 1)}
-    report = ns.compare_ns_relative(table, args.gmax, args.dmax, flat)
+    report = ns.compare_ns_relative(table, args.dmax, flat)
     for (g, d), cell in sorted(report["cells"].items()):
         sink(f"g={g} d={d}: sheaf {_frac_str(cell['ns'])} "
              f"vs curve-count {_frac_str(cell['gw'])} "

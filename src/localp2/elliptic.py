@@ -122,13 +122,13 @@ def theta_z(zdeg: int, qorder: int):
     """
     if zdeg < 1:
         raise EllipticError("need z-degree >= 1")
-    zero = RatSeries.zero(CQT, qorder)
+    zero = RatSeries.const(CQT, 0, qorder)
     e = [RatSeries.one(CQT, qorder)]
     for k in range(1, zdeg):  # j f_j = B_j/j! E_j; e_k vanishes at odd k
         e.append(zero if k % 2 else lincomb(
             [(bernoulli(j) / (k * factorial(j)),
               eisenstein_series(j, 1, qorder, var=CQT) * e[k - j])
-             for j in range(2, k + 1, 2)], CQT, qorder))
+             for j in range(2, k + 1, 2)]))
     return tuple([zero] + e)
 
 
@@ -203,8 +203,9 @@ def npoint_disconnected(n: int, degree: int, qorder: int) -> dict:
 
 
 def monomial_count(weight: int) -> int:
-    """The number of E2/E4/E6 monomials of the weight: the least nome order
-    at which a label of that weight is recognized."""
+    """The number of E2/E4/E6 monomials of the weight: recognition reads
+    nome orders 0..count - 1, and the least ``--order`` that ``compute
+    elliptic`` accepts is the count, which keeps one check coefficient."""
     return len(weight_monomials(EPoly.weights, weight))
 
 

@@ -205,9 +205,9 @@ def evaluate(terms: dict, images):
 def recognize(series: RatSeries, weights: tuple, w: int,
               images: list) -> dict:
     """The terms of the unique weight-w polynomial that expands to
-    ``series`` when generator i becomes images[i] (each known at least as
-    far as ``series``).  The exact solve is over every coefficient the
-    series carries, so one outside the span is rejected."""
+    ``series`` when generator i becomes images[i], read as given (each known
+    at least as far as ``series``).  The exact solve is over every
+    coefficient the series carries, so one outside the span is rejected."""
     monos = weight_monomials(weights, w)
     if (series.valuation() or 0) < 0 or series.log_coeff:
         raise GradedError("a series with poles or logs is not a polynomial")
@@ -215,7 +215,7 @@ def recognize(series: RatSeries, weights: tuple, w: int,
     if have < len(monos):
         raise GradedError(f"insufficient coefficients: need {len(monos)}, "
                           f"have {have}")
-    images = tuple(im.truncate(have - 1) for im in images)
+    images = tuple(images)
     cols = [monomial_image(images, m) for m in monos]
     try:
         sol = linalg.solve_unique([[c.coeff(k) for c in cols] for k in range(have)],

@@ -138,7 +138,7 @@ def u_polar_part(elt: BModElement, frame: ConifoldFrame,
     # largest x + s - 1, makes s_con^s through u^(r - s + 1)
     r = max(0, max(x + s - 1 for s, x in elt.terms))
     s_con = frame.s_con.truncate(min(r, frame.s_con.trunc_order))
-    s_con_pow = Powers(s_con, RatSeries.one("u", frame.that.trunc_order))
+    s_con_pow = Powers(s_con)
     total = lincomb([(v, s_con_pow[s].truncate(x - 1).shift(-x))
                      for (s, x), v in elt.terms.items()])
     v = total.valuation()
@@ -158,7 +158,7 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     c = u_polar_part(elt, frame, max_pole)
     deepest = max((j for j in range(1, max_pole + 1) if c[j - 1]), default=0)
     # that is stored from u^0, so its powers stop at u^deepest as it does
-    that_pow = Powers(frame.that.truncate(deepest), RatSeries.one("u", deepest))
+    that_pow = Powers(frame.that.truncate(deepest))
     return RatSeries("that", -max_pole, [
         sum((j * c[j - 1] * that_pow[i].coeff(j)
              for j in range(i, deepest + 1) if c[j - 1]), F(0)) / i
@@ -186,9 +186,10 @@ def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
 
 
 def gap_fix(g: int, kind: str, particular: BModElement,
-            frame: ConifoldFrame, md: MirrorData) -> BModElement:
+            md: MirrorData) -> BModElement:
     """Add to ``particular`` the holomorphic ambiguity, a combination of
-    X^0..X^(2g-2), fixed by the gap and the vanishing flat constant term.
+    X^0..X^(2g-2), fixed by the gap in the conifold frame of ``md`` and the
+    vanishing flat constant term.
 
     With M = 2g - 2 and X = 1/u, the ambiguity A = sum_j a_j u^-j must give
     P + A the flat-coordinate polar part t_M that^-M.  A regular series in
@@ -198,6 +199,7 @@ def gap_fix(g: int, kind: str, particular: BModElement,
     if g < 2:
         raise GapError("gap conditions exist for 2g - 2 >= 2")
     M = 2 * g - 2
+    frame = build_conifold_frame(md)
     p = u_polar_part(particular, frame, M)
     u_over_that = (RatSeries.gen("u", M) / frame.that) ** M
     t = gap_target(g, kind)
@@ -238,9 +240,7 @@ def solve_genus(g: int, kind: str, md: MirrorData,
     for gp in range(2, g):
         if gp not in tower.elements:
             solve_genus(gp, kind, md, corr)
-    rhs = hae_rhs(g, kind, tower)
-    frame = build_conifold_frame(md)
-    sol = gap_fix(g, kind, integrate_S(rhs), frame, md)
+    sol = gap_fix(g, kind, integrate_S(hae_rhs(g, kind, tower)), md)
     assert_finite_generation(sol, g, kind)
     tower.set_genus(g, sol)
     return sol

@@ -135,22 +135,17 @@ class MirrorData(namedtuple("MirrorData", "order ibar1 I11 J X S Qofq qofQ "
     # The powers that bm_eval substitutes for S, I11 and 1/I11, and
     # cq_change for the nome cQ and its cube cQt; each table is made on its
     # first read.
-    S_pow = cached_property(lambda self: _powers(self.S))
-    I11_pow = cached_property(lambda self: _powers(self.I11))
-    inv_I11_pow = cached_property(lambda self: _powers(
+    S_pow = cached_property(lambda self: Powers(self.S))
+    I11_pow = cached_property(lambda self: Powers(self.I11))
+    inv_I11_pow = cached_property(lambda self: Powers(
         RatSeries.one("q", self.order) / self.I11))
-    cQ_pow = cached_property(lambda self: _powers(self.cQofq))
-    cQt_pow = cached_property(lambda self: _powers(self.cQofq ** 3))
+    cQ_pow = cached_property(lambda self: Powers(self.cQofq))
+    cQt_pow = cached_property(lambda self: Powers(self.cQofq ** 3))
 
 
 # the field names, in order, for perfbench/tracer.py alone (ROADMAP item 7
 # removes it); MirrorData is not a dataclass
 MirrorData.__dataclass_fields__ = MirrorData._fields
-
-
-def _powers(base: RatSeries) -> Powers:
-    """The powers of ``base`` from a unit known as far as ``base`` is."""
-    return Powers(base, RatSeries.one(base.var, base.trunc_order))
 
 
 @lru_cache(maxsize=None)

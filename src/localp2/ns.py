@@ -100,15 +100,14 @@ def ns_genus(table: dict, g: int, dmax: int) -> RatSeries:
         for D in range(1, dmax + 1)])
 
 
-def compare_ns_relative(table: dict, gmax: int, dmax: int,
-                        relative_flat: dict) -> dict:
+def compare_ns_relative(table: dict, dmax: int, relative_flat: dict) -> dict:
     """Per-(g, d) equality verdicts against the log-free flat expansions of
-    the relative tower (a dict g -> RatSeries in Q)."""
+    the relative tower (a dict g -> RatSeries in Q), at every genus the
+    dict holds."""
     verdicts = {}
     ok = True
-    for g in range(0, gmax + 1):
+    for g, flat in relative_flat.items():
         ns_row = ns_genus(table, g, dmax)
-        flat = relative_flat[g]
         for d in range(1, dmax + 1):
             lhs = ns_row.coeff(d)
             rhs = flat.coeff(d)

@@ -121,10 +121,6 @@ class RatSeries:
         return _make(var, min_exp, nums, den, _ZERO)
 
     @staticmethod
-    def zero(var: str, order: int) -> "RatSeries":
-        return _make(var, 0, [0] * (order + 1), 1, _ZERO)
-
-    @staticmethod
     def const(var: str, value, order: int) -> "RatSeries":
         v = _frac(value)
         return _make(var, 0, [v.numerator] + [0] * order, v.denominator, _ZERO)
@@ -404,7 +400,8 @@ class RatSeries:
     def compose(self, powers: "Powers") -> "RatSeries":
         """Substitute the base of the table ``powers`` (a nonzero series of
         valuation >= 1) for the variable of a power series without a log
-        slot."""
+        slot: sum c_k powers[k] from the unit at k = 0, so from v^0, cut at
+        the order through which the result is known."""
         if self.log_coeff:
             raise SeriesError("compose of a log-extended series")
         if self.min_exp < 0:
@@ -414,9 +411,9 @@ class RatSeries:
         if v is None or v < 1:
             raise SeriesError("inner series must have valuation >= 1")
         bound = min(inner.trunc_order, (self.trunc_order + 1) * v - 1)
-        # sum c_k inner^k over the k with k v <= bound (so k <= trunc_order)
-        return lincomb([(self.coeff(k), powers[k]) for k in range(bound // v + 1)],
-                       inner.var, bound)
+        # only the k with k v <= bound (so k <= trunc_order) reach that order
+        return lincomb([(self.coeff(k), powers[k])
+                        for k in range(bound // v + 1)]).truncate(bound)
 
     def revert(self, new_var: str | None = None) -> "RatSeries":
         """Compositional inverse of c1*v + O(v^2), c1 nonzero, by Lagrange
@@ -427,8 +424,7 @@ class RatSeries:
         if self.valuation() != 1:
             raise SeriesError("revert needs valuation exactly 1")
         n = self.trunc_order
-        one = RatSeries.one(self.var, n - 1)
-        h = Powers(one / self.shift(-1), one)
+        h = Powers(RatSeries.one(self.var, n - 1) / self.shift(-1))
         return RatSeries(new_var or self.var, 0,
                          [0, *(h[k].coeff(k - 1) / k for k in range(1, n + 1))])
 
@@ -436,14 +432,14 @@ class RatSeries:
 class Powers:
     """The table of one series' powers, which composition, reversion, the
     mirror substitutions and the conifold gap read: ``table[k]`` is
-    base**k, made once, as ``table[k - 1] * base`` from ``table[0] = one``,
-    the first time it is read.  A ring monomial in several generators is
-    substituted by ``graded.monomial_image`` instead."""
+    base**k, made once, as ``table[k - 1] * base`` from the unit base**0
+    (known as far as base's powers are), the first time it is read.  A ring
+    monomial in several generators is substituted by ``graded.monomial_image``."""
 
     __slots__ = ("base", "_made")
 
-    def __init__(self, base, one):
-        self.base, self._made = base, [one]
+    def __init__(self, base):
+        self.base, self._made = base, [base ** 0]
 
     def __getitem__(self, k: int):
         made = self._made
@@ -452,18 +448,12 @@ class Powers:
         return made[k]
 
 
-def lincomb(pairs, var: str | None = None,
-             order: int | None = None) -> RatSeries:
+def lincomb(pairs) -> RatSeries:
     """sum c * f over (scalar c, series f) pairs, with the floor and the
     truncation order of repeated ``+``; a zero scalar still truncates.
-    Given ``var`` and ``order``, the sum starts from ``RatSeries.zero(var,
-    order)`` as a running total would, so its floor is at most 0 and its
-    truncation order at most ``order``.
     Exact on integer numerators: the scalars over one denominator, the
     series numerators over another."""
     pairs = [(_rat(c), f) for c, f in pairs]
-    if var is not None:
-        pairs.insert(0, (1, RatSeries.zero(var, order)))
     if not pairs:
         raise SeriesError("lincomb needs at least one series")
     first = pairs[0][1]

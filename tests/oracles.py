@@ -428,6 +428,14 @@ def partitions_of(n: int, largest: int | None = None):
             yield (first,) + rest
 
 
+def anomaly_labels(gmax: int) -> list:
+    """The nonempty labels (h, parts) with 1 <= h <= gmax whose nonzero
+    parts are a partition of 2h - 2, followed by 0..gmax - h zero parts."""
+    return [(h, nonzero + (0,) * zeros) for h in range(1, gmax + 1)
+            for nonzero in partitions_of(2 * h - 2)
+            for zeros in range(gmax - h + 1) if nonzero or zeros]
+
+
 def _exp_list(c: Fraction, zorder: int):
     """exp(c*z) truncated: list of coefficients in z."""
     out = []

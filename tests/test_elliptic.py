@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from localp2 import acceptance
 from localp2.acceptance import elliptic_hae_check
 from localp2.elliptic import (
     EPoly,
@@ -23,7 +24,7 @@ from localp2.elliptic import (
 from localp2.graded import GradedError, evaluate, recognize
 from localp2.series import RatSeries
 
-from oracles import (RAMANUJAN, bloch_okounkov_npoint_oracle,
+from oracles import (RAMANUJAN, anomaly_labels, bloch_okounkov_npoint_oracle,
                      connected_coefficient_oracle, divisor_mismatches,
                      partitions_of, ramanujan_derivative, sigma,
                      theta_product_oracle)
@@ -285,6 +286,22 @@ class TestExtract:
             with pytest.raises(GradedError):
                 recognize(bad, EPoly.weights, 2, eisenstein_images(qorder))
 
+    def test_recognition_adds_no_image_copies(self, monkeypatch):
+        # (2, (1, 1)) and (2, (2, 0)) have weight 6, so the second reads the
+        # three monomial images that the first made: cache hits, compared
+        # by identity, with no truncated copy of an image
+        recognized = connected_extract.__wrapped__
+        recognized(StationaryLabel(2, (1, 1)))
+        connected_coefficient((3, 1), default_qorder(6))
+        calls = []
+        for name in ("__eq__", "truncate"):
+            def counted(*args, f=getattr(RatSeries, name), name=name):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(RatSeries, name, counted)
+        recognized(StationaryLabel(2, (2, 0)))
+        assert calls == []
+
 
 class TestF1Empty:
     def test_leading_terms(self):
@@ -301,6 +318,11 @@ class TestF1Empty:
         s = f1_empty(32)
         assert s.log_coeff == F(-1, 24)
         assert s.coeff_list(0, 32) == [0] + [F(sigma(n, 1), n) for n in range(1, 33)]
+
+
+def hae_mismatches(labels):
+    return [(h, parts) for h, parts in labels
+            if not elliptic_hae_check(StationaryLabel(h, parts))["ok"]]
 
 
 class TestEllipticHae:
@@ -341,6 +363,21 @@ class TestEllipticHae:
         assert rep["split"].is_zero()
         assert rep["glue"].is_zero()
         assert rep["loop"] == connected_extract(StationaryLabel(2, (2,))).value
+
+    def test_every_label_through_genus_4(self):
+        labels = anomaly_labels(4)
+        assert len(labels) == 30
+        assert hae_mismatches(labels) == []
+
+    def test_a_wrong_genus_one_value_fails_the_sweep(self, monkeypatch):
+        right = acceptance.stationary_value
+
+        def wrong(h, parts):
+            value = right(h, parts)
+            return value + E4 / 1000 if (h, tuple(parts)) == (1, (0, 0)) else value
+
+        monkeypatch.setattr(acceptance, "stationary_value", wrong)
+        assert hae_mismatches(anomaly_labels(4)) != []
 
 
 def label_terms(h, parts):

@@ -94,9 +94,9 @@ class TestUnknownKind:
         with pytest.raises(ValueError, match="unknown kind"):
             gap_conditions(3, "Relative")
 
-    def test_gap_fix(self, md, frame):
+    def test_gap_fix(self, md):
         with pytest.raises(ValueError, match="unknown kind"):
-            gap_fix(2, "both", BModElement.zero(), frame, md)
+            gap_fix(2, "both", BModElement.zero(), md)
 
     @pytest.mark.parametrize("elt", [F2_LOCAL, BModElement.monomial(1, 4, 0)])
     def test_assert_finite_generation(self, elt):
@@ -184,8 +184,8 @@ def gap_calls(md):
     calls, expanded = [], []
     u_polar_part = hae.u_polar_part
 
-    def fixing(g, kind, particular, frame, md):
-        sol = gap_fix(g, kind, particular, frame, md)
+    def fixing(g, kind, particular, md):
+        sol = gap_fix(g, kind, particular, md)
         calls.append((g, particular, sol))
         return sol
 
@@ -276,11 +276,11 @@ class TestGenus2Gap:
         with pytest.raises(GapError):
             conifold_expand(deep, frame, 2)
 
-    def test_gap_fix_rejects_a_pole_past_the_gap(self, md, frame):
+    def test_gap_fix_rejects_a_pole_past_the_gap(self, md):
         # the ambiguity reaches u^-2 at genus 2; S X^2 -> s_con u^-2 has u^-3
         particular = BModElement.monomial(1, 1, 2)
         with pytest.raises(GapError, match="pole exceeds order 2"):
-            gap_fix(2, "relative", particular, frame, md)
+            gap_fix(2, "relative", particular, md)
 
 
 class TestGapFix:
@@ -313,8 +313,7 @@ class TestGapFix:
             if g > 2:
                 solve_genus(g - 1, kind, small, corr)
             particular = integrate_S(hae_rhs(g, kind, corr.tower(kind)))
-            got = gap_fix(g, kind, particular, build_conifold_frame(small),
-                          small)
+            got = gap_fix(g, kind, particular, small)
             assert got == square_solve(g, kind, particular, md, frame)
 
     def test_solving_reverts_nothing_and_solves_no_system(self, monkeypatch):
@@ -353,8 +352,8 @@ class TestGapFix:
         class MadePowers(Powers):
             """A table that records how far each power read is known."""
 
-            def __init__(self, base, one):
-                super().__init__(base, one)
+            def __init__(self, base):
+                super().__init__(base)
                 self.known = {}
                 tables.append(self)
 

@@ -86,7 +86,7 @@ class TestFrobenius:
         assert md.qofQ.coeff_list(1, 6) == [1, 6, 9, 56, -300, 3942]
 
     def test_round_trip(self, md):
-        comp = md.Qofq.compose(Powers(md.qofQ, RatSeries.one("Q", ORDER + 1)))
+        comp = md.Qofq.compose(Powers(md.qofQ))
         assert comp.coeff_list(1, ORDER - 1) == [1] + [0] * (ORDER - 2)
 
     @pytest.mark.parametrize("n", [5, 32, 52, 78])
@@ -137,7 +137,7 @@ class TestPicardFuchs:
     def test_periods_solve_the_operator(self, md):
         q = RatSeries.gen("q", ORDER)
         res = _picard_fuchs(md.I11, RatSeries.theta, q)
-        assert res == RatSeries.zero("q", ORDER)
+        assert res == RatSeries.const("q", 0, ORDER)
 
     @pytest.mark.parametrize("n", [10, 32, 78])
     def test_log_companion_by_plain_list_oracle(self, n):

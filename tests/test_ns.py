@@ -196,7 +196,7 @@ class TestCompare:
         from localp2.hae import solve_genus
         solve_genus(2, "relative", md, corr)
         flat = {g: flat_expansion(corr, g, "relative") for g in range(3)}
-        report = compare_ns_relative(table, 2, 2, flat)
+        report = compare_ns_relative(table, 2, flat)
         assert report["ok"]
         assert report["cells"][(2, 1)]["ns"] == F(29, 640)
 
