@@ -21,7 +21,7 @@ from .elliptic import (
 from .hae import (
     build_conifold_frame,
     conifold_expand,
-    gap_target,
+    gap_conditions,
     solve_genus,
     solve_towers,
     verify_hae,
@@ -262,8 +262,8 @@ def criterion_7_genus2():
 
 def criterion_8_anomaly_genus2():
     _, corr, direct = context()
-    rep_rel = verify_hae(2, "relative", direct.relative)
-    rep_loc = verify_hae(2, "local", corr.local)
+    rep_rel = verify_hae(2, 0, direct.grid)
+    rep_loc = verify_hae(0, 2, corr.grid)
     ok = rep_rel["ok"] and rep_loc["ok"]
     return ok, "polynomial anomaly identities at genus 2, both theories"
 
@@ -275,8 +275,8 @@ def criterion_9_conifold_gap():
     rel = conifold_expand(F2_RELATIVE, frame, 2)
     ok = (loc.coeff(-1) == 0 and loc.coeff(-2) == F(-1, 80)
           and rel.coeff(-1) == 0 and rel.coeff(-2) == F(-7, 1920))
-    ok = ok and gap_target(2, "local") == F(-1, 80)
-    ok = ok and gap_target(2, "relative") == F(-7, 1920)
+    ok = ok and gap_conditions(0, 2) == [0, F(-1, 80)]
+    ok = ok and gap_conditions(2, 0) == [0, F(-7, 1920)]
     return ok, (f"local pole pair ({_fmt(loc.coeff(-2))}, {_fmt(loc.coeff(-1))}), "
                 f"relative pole pair ({_fmt(rel.coeff(-2))}, {_fmt(rel.coeff(-1))})")
 

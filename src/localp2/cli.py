@@ -226,9 +226,8 @@ def cmd_verify_ramanujan(args, cfg, sink) -> int:
 
 def cmd_verify_hae(args, cfg, sink) -> int:
     # no series is printed: the least order that solves the genus will do
-    tower = solved_towers(max(5, 2 * args.genus - 2), args.genus,
-                          args.target)[1].tower(args.target)
-    rep = hae.verify_hae(args.genus, args.target, tower)
+    corr = solved_towers(max(5, 2 * args.genus - 2), args.genus, args.target)[1]
+    rep = hae.verify_hae(*corr.tower(args.target).key(args.genus), corr.grid)
     emit_bmod("anomaly_lhs", rep["lhs"], cfg, sink)
     emit_bmod("anomaly_rhs", rep["rhs"], cfg, sink)
     sink(f"anomaly equation genus {args.genus} {args.target}: "
@@ -239,11 +238,11 @@ def cmd_verify_hae(args, cfg, sink) -> int:
 def cmd_verify_gap(args, cfg, sink) -> int:
     M = 2 * args.genus - 2
     md, corr = solved_towers(max(5, M), args.genus, args.target)
-    elt = corr.tower(args.target).elements[args.genus]
+    tower = corr.tower(args.target)
     frame = hae.build_conifold_frame(md)
-    con = hae.conifold_expand(elt, frame, M)
+    con = hae.conifold_expand(tower.elements[args.genus], frame, M)
     ok = [con.coeff(-j) for j in range(1, M + 1)] == \
-        hae.gap_conditions(args.genus, args.target)
+        hae.gap_conditions(*tower.key(args.genus))
     for j in range(M, 0, -1):
         sink(f"coefficient of t^-{j}: {_frac_str(con.coeff(-j))}")
     sink(f"gap condition genus {args.genus} {args.target}: "

@@ -1,37 +1,37 @@
-"""Holomorphic anomaly solver.
+"""Holomorphic anomaly solver on the (n, g) grid of the refined free energy,
+the sum of (e1 + e2)^(2n) (e1 e2)^(g-1) F^(n,g): the local tower is its edge
+F^(0,g) and the relative one its edge F^(g,0).  At each G = n + g >= 2,
 
-At each genus g >= 2 the anomaly equation
+    (X / 3 I11^2) dF^(n,g)/dS = 1/2 sum' F^(n1,g1)_1 F^(n2,g2)_1 + 1/2 F^(n,g-1)_2
 
-    (X / 3 I11^2) dF_g/dS = 1/2 sum_{g1+g2=g} F_{g1,1} F_{g2,1}
-                            (+ 1/2 F_{g-1,2} on the local side)
-
-with F_{g,n} = (Q d/dQ)^n F_g fixes the S-dependence; the remaining
-ambiguity lives in the (2g-1)-dimensional span of X^0..X^{2g-2}.  It is
-fixed by the conifold gap: re-expanded in the conifold flat coordinate
-t (normalized rationally; the standard coordinate is t/sqrt(3)), the
-solution must have vanishing 1/t^j coefficients for j = 1..2g-3, a
-prescribed 1/t^(2g-2) coefficient, and no constant term in its flat
+with F_k = (Q d/dQ)^k F, the sum over (n1,g1) + (n2,g2) = (n,g) with neither
+pair (0,0) and the loop term exactly when g >= 1, fixes the S-dependence;
+the remaining ambiguity, in the span of X^0..X^(2G-2), is fixed by the
+conifold gap: re-expanded in the conifold flat coordinate t (normalized
+rationally; the standard coordinate is t/sqrt(3)), the solution has no 1/t^j
+for j = 1..2G-3, the 1/t^(2G-2) coefficient that the Schwinger integrand
+1/(4 sinh(s e1/2) sinh(s e2/2)) gives, and no constant term in its flat
 Q-expansion.
 
 The conifold frame replaces the propagator S by its conifold counterpart,
 built from the conifold flat coordinate by the same recipe that builds S
 from the degree-one period at large volume; X = 1/u stays an honest
-coordinate.  The frame is validated against the genus-2 closed forms
-before being trusted at higher genus.  Nothing reverts t: the gap is
-fixed in closed form on the u side, and a polar part in t is read from
-powers of t in u by Lagrange inversion.  The powers of t and of the
-conifold propagator are made only through the pole order a polar part
-reads, never through the mirror order.
+coordinate.  Nothing reverts t: the gap is fixed in closed form on the u
+side, and a polar part in t is read from powers of t in u by Lagrange
+inversion.  The powers of t and of the conifold propagator are made only
+through the pole order a polar part reads, never through the mirror order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
+from math import comb, factorial
 
-from .locrel import Correspondence, DTower, by_kind
+from .locrel import Correspondence, DTower
 from .mirror import BModElement, BModError, MirrorData, theta_u
-from .quasimod import bernoulli
+from .quasimod import inv_2sinh
 from .series import Localp2Error, Powers, RatSeries, lincomb
 
 F = Fraction
@@ -43,44 +43,43 @@ class GapError(Localp2Error):
 
 # -- boundary-condition constants ----------------------------------------------------
 
-def gamma_local(g: int) -> Fraction:
-    """Gap coefficient of 1/t^(2g-2) for the local series (standard t)."""
-    return bernoulli(2 * g) / (2 * g * (2 * g - 2))
+def gamma(n: int, g: int) -> Fraction:
+    """Gap coefficient of 1/t^(2G-2), G = n + g, for F^(n,g) (standard t):
+    (-1)^(G+1) (2G-3)! c_(n,g), where 1/(4 sinh(s e1/2) sinh(s e2/2)) = sum
+    c_(n,g) p^n q^(g-1) s^(2G-2), p = (e1 + e2)^2, q = e1 e2.  Its s^(2G-2)
+    part is sum_i b_i b_(G-i) e1^(2i) e2^(2G-2i) / q, b_i = [z^(2i-1)] 1/(2 sinh(z/2));
+    a term and its mirror i -> G - i make q^(G-r) (e1^(2r) + e2^(2r)), whose p^n q^(r-n)
+    coefficient, r = |G - 2i|, is (-1)^(r+n) (C(r+n, 2n) + C(r+n-1, 2n)), C(-1, 0) = 1."""
+    G, c = n + g, F(0)
+    for i in range(G + 1):
+        r = abs(G - 2 * i)
+        c += inv_2sinh(2 * i - 1) * inv_2sinh(2 * G - 2 * i - 1) * (-1) ** (r + n) \
+            * (comb(r + n, 2 * n) + comb(max(r + n - 1, 0), 2 * n)) / 2
+    return (-1) ** (G + 1) * factorial(2 * G - 3) * c
 
 
-def gamma_relative(g: int) -> Fraction:
-    """Gap coefficient of 1/t^(2g-2) for the relative series (standard t)."""
-    b = abs(bernoulli(2 * g))
-    return -F(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * b / \
-        (2 * g * (2 * g - 1) * (2 * g - 2))
-
-
-def gap_target(g: int, kind: str) -> Fraction:
-    """Target coefficient of t^-(2g-2) in the rational normalization,
-    which rescales the standard one by 3^(g-1)."""
-    return 3 ** (g - 1) * by_kind(kind, gamma_local, gamma_relative)(g)
-
-
-def gap_conditions(g: int, kind: str) -> list:
-    """The that^-1..that^-(2g-2) coefficients the gap prescribes."""
-    return [F(0)] * (2 * g - 3) + [gap_target(g, kind)]
+def gap_conditions(n: int, g: int) -> list:
+    """The that^-1..that^-(2G-2) coefficients the gap prescribes: zeros, then
+    gamma in the rational normalization, which rescales it by 3^(G-1)."""
+    return [F(0)] * (2 * (n + g) - 3) + [3 ** (n + g - 1) * gamma(n, g)]
 
 
 # -- anomaly right side ----------------------------------------------------------------
 
-def hae_rhs(g: int, kind: str, tower: DTower) -> BModElement:
-    """Right side of the genus-g anomaly equation at zero insertions.  With
-    F_(g,n) = D^n F_g / 3^n, it is a sum of D-derivatives as the tower holds
-    them, scaled by 1/9 once."""
-    if g < 2:
+def hae_rhs(n: int, g: int, grid: DTower) -> BModElement:
+    """Right side of the anomaly equation of F^(n,g): with F_k = D^k F / 3^k,
+    (1/9)[1/2 sum' DF^(n1,g1) DF^(n2,g2) + 1/2 D^2 F^(n,g-1)] over (n1,g1) +
+    (n2,g2) = (n,g), neither pair (0,0), the loop term exactly when g >= 1."""
+    if n + g < 2:
         raise BModError("anomaly solving starts at genus 2")
     total = BModElement.zero()
-    for g1 in range(1, g // 2 + 1):
-        # the product for g1 stands for itself and for g - g1
-        term = tower.D(g1, 1) * tower.D(g - g1, 1)
-        total = total + (term * F(1, 2) if 2 * g1 == g else term)
-    if by_kind(kind, True, False):  # F_(g-1,2) on the local side only
-        total = total + tower.D(g - 1, 2) * F(1, 2)
+    for a in product(range(n + 1), range(g + 1)):
+        b = (n - a[0], g - a[1])
+        if (0, 0) < a <= b:  # the product for a stands for itself and for b
+            term = grid.D(a, 1) * grid.D(b, 1)
+            total = total + (term * F(1, 2) if a == b else term)
+    if g:
+        total = total + grid.D((n, g - 1), 2) * F(1, 2)
     return total * F(1, 9)
 
 
@@ -165,13 +164,13 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
         for i in range(max_pole, 0, -1)])
 
 
-def least_q_order(g: int) -> int:
-    """The least mirror order at which genus g is solved: 2g - 2.  The gap
-    reads u^-M..u^-1, M = 2g - 2, of the particular solution (s + x <= M)
+def least_q_order(G: int) -> int:
+    """The least mirror order at which F^(n,g), n + g = G, is solved: 2G - 2.
+    The gap reads u^-M..u^-1, M = 2G - 2, of the particular solution (s + x <= M)
     from s_con^s through u^(M - s - 1), and u^0..u^(M-1) of (u/that)^M;
     both need the flat coordinate through u^M, which the one frame of
     mirror data at order M has."""
-    return 2 * g - 2
+    return 2 * G - 2
 
 
 def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
@@ -185,24 +184,22 @@ def q_constant_term(elt: BModElement, md: MirrorData) -> Fraction:
     return total / md.I11.constant_term() ** elt.i11_degree
 
 
-def gap_fix(g: int, kind: str, particular: BModElement,
+def gap_fix(n: int, g: int, particular: BModElement,
             md: MirrorData) -> BModElement:
-    """Add to ``particular`` the holomorphic ambiguity, a combination of
-    X^0..X^(2g-2), fixed by the gap in the conifold frame of ``md`` and the
-    vanishing flat constant term.
+    """Add to ``particular``, for F^(n,g), the holomorphic ambiguity, a
+    combination of X^0..X^(2G-2), G = n + g, fixed by the gap in the
+    conifold frame of ``md`` and the vanishing flat constant term.
 
-    With M = 2g - 2 and X = 1/u, the ambiguity A = sum_j a_j u^-j must give
+    With M = 2G - 2 and X = 1/u, the ambiguity A = sum_j a_j u^-j must give
     P + A the flat-coordinate polar part t_M that^-M.  A regular series in
     that is regular in u, so A is the u-side polar part of t_M that^-M - P:
     a_j = t_M [u^(M-j)] (u/that)^M - [u^-j] P for j = 1..M.  X^0 has no
     pole, so a_0 alone makes the flat constant term vanish."""
-    if g < 2:
-        raise GapError("gap conditions exist for 2g - 2 >= 2")
-    M = 2 * g - 2
+    M = 2 * (n + g) - 2
     frame = build_conifold_frame(md)
     p = u_polar_part(particular, frame, M)
     u_over_that = (RatSeries.gen("u", M) / frame.that) ** M
-    t = gap_target(g, kind)
+    t = gap_conditions(n, g)[-1]
     amb = {(0, j): t * u_over_that.coeff(M - j) - p[j - 1]
            for j in range(1, M + 1)}
     a0 = -q_constant_term(particular + BModElement(0, amb), md)
@@ -211,39 +208,36 @@ def gap_fix(g: int, kind: str, particular: BModElement,
 
 # -- degree-bound assertions --------------------------------------------------------------
 
-def assert_finite_generation(elt: BModElement, g: int, kind: str):
-    """Membership in the orbifold-regular span X^-(g-1) * R_{3g-3}, plus the
-    relative S-degree bound."""
-    deg_s = by_kind(kind, 3 * g - 3, 2 * g - 3)
+def assert_finite_generation(elt: BModElement, n: int, g: int):
+    """Membership of F^(n,g) in the orbifold-regular span X^-(G-1) * R_(3G-3),
+    G = n + g, with S-degree at most 3g + 2n - 3."""
+    G = n + g
     for (s, x) in elt.terms:
-        if x < -(g - 1):
-            raise BModError(f"X-pole too deep at {(s, x)}")
-        if s + x + (g - 1) > 3 * g - 3:
-            raise BModError(f"total degree exceeds 3g-3 at {(s, x)}")
-        if 3 * x + s < 0:
-            raise BModError(f"orbifold regularity fails at {(s, x)}")
-    if elt.deg_S() > deg_s:
+        if x < 1 - G or s + x > 2 * G - 2 or 3 * x + s < 0:
+            raise BModError(f"S^{s} X^{x} is outside the span")
+    if elt.deg_S() > 3 * g + 2 * n - 3:
         raise BModError("S-degree bound violated")
+
+
+def solve(n: int, g: int, md: MirrorData, grid: DTower) -> BModElement:
+    """F^(n,g) by anomaly + gap, after the unsolved elements below it on the
+    grid; each is registered in ``grid``."""
+    if md.order < least_q_order(n + g):
+        raise GapError(f"genus {n + g} needs mirror order >= "
+                       f"{least_q_order(n + g)}, got {md.order}")
+    for key in sorted(product(range(n + 1), range(g + 1)), key=sum):
+        if key == (n, g) or sum(key) >= 2 and key not in grid.elements:
+            sol = gap_fix(*key, integrate_S(hae_rhs(*key, grid)), md)
+            assert_finite_generation(sol, *key)
+            grid.set_genus(key, sol)
+    return sol
 
 
 def solve_genus(g: int, kind: str, md: MirrorData,
                 corr: Correspondence | None = None) -> BModElement:
-    """Anomaly + gap determination of the genus-g series; lower genera are
-    solved recursively and registered in the corresponding tower."""
-    least = least_q_order(g)
-    if md.order < least:
-        raise GapError(f"genus {g} needs mirror order >= {least}, "
-                       f"got {md.order}")
-    if corr is None:
-        corr = Correspondence(md)
-    tower = corr.tower(kind)
-    for gp in range(2, g):
-        if gp not in tower.elements:
-            solve_genus(gp, kind, md, corr)
-    sol = gap_fix(g, kind, integrate_S(hae_rhs(g, kind, tower)), md)
-    assert_finite_generation(sol, g, kind)
-    tower.set_genus(g, sol)
-    return sol
+    """The genus-g series of the ``kind`` tower, F^(0,g) or F^(g,0)."""
+    corr = Correspondence(md) if corr is None else corr
+    return solve(*corr.tower(kind).key(g), md, corr.grid)
 
 
 def solve_towers(md: MirrorData, gmax: int, relative: bool) -> Correspondence:
@@ -252,16 +246,15 @@ def solve_towers(md: MirrorData, gmax: int, relative: bool) -> Correspondence:
     genus by genus.  Only the relative tower needs the elliptic curve."""
     corr = Correspondence(md)
     for g in range(2, gmax + 1):
-        local = solve_genus(g, "local", md, corr)
+        local = solve(0, g, md, corr.grid)
         if relative:
             corr.solve_relative(g, local)
     return corr
 
 
-def verify_hae(g: int, kind: str, tower: DTower) -> dict:
-    """Check the anomaly identity on an already-solved genus."""
-    lhs = tower.D(g, 0).partial("S")
+def verify_hae(n: int, g: int, grid: DTower) -> dict:
+    """Check the anomaly identity on an already-solved F^(n,g)."""
+    lhs = grid.D((n, g), 0).partial("S")
     lhs = BModElement(2, {(s, x + 1): v / 3 for (s, x), v in lhs.terms.items()})
-    rhs = hae_rhs(g, kind, tower)
-    return {"genus": g, "kind": kind, "lhs": lhs, "rhs": rhs,
-            "ok": lhs == rhs}
+    rhs = hae_rhs(n, g, grid)
+    return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}

@@ -16,9 +16,11 @@ with D = 3 Q d/dQ and all leg factors taken on the relative side; this holds
 because the automorphisms of the legs factor over a.  The relation is
 triangular in the genus and solved in either direction.
 
-Genus 0 and 1 enter the leg products only through closed-form derivative
-seeds; the genus-1 series themselves carry log slots and are handled at the
-series level.
+Both towers are edges of one grid of derivatives keyed by (n, g), the
+refined free energy F^(n,g): the local tower is F^(0,g) and the relative
+one the Nekrasov-Shatashvili edge F^(g,0).  Genus 0 and 1 enter the leg
+products only through closed-form derivative seeds; the genus-1 series
+themselves carry log slots and are handled at the series level.
 """
 
 from __future__ import annotations
@@ -43,53 +45,55 @@ from .series import RatSeries, SeriesError
 F = Fraction
 
 
-def by_kind(kind: str, local, relative):
-    """``local`` or ``relative`` as ``kind`` names; no other kind exists."""
-    if kind not in ("local", "relative"):
-        raise ValueError(f"unknown kind {kind!r}")
-    return local if kind == "local" else relative
-
-
-# -- derivative towers ---------------------------------------------------------------
+# -- the derivative grid and its two towers -------------------------------------------
 
 # D^3 of the genus-0 series: -9 X / I11^3
 D3F0 = BModElement.monomial(-9, 0, 1, i11_degree=3)
 
-# D of the genus-1 series: local and relative closed forms
+# D of the genus-1 series: F^(0,1), the local one, and F^(1,0), the relative
 DF1_LOCAL = BModElement(1, {(1, 0): F(-3, 2), (0, 1): F(-1, 4)})
 DF1_RELATIVE = BModElement.monomial(F(-1, 8), 0, 1, i11_degree=1)
 
 
 class DTower:
-    """Cache of D-derivatives over a genus tower of polynomial elements.
+    """Cache of D-derivatives over the grid of elements F^(n,g), keyed by
+    (n, g).  D^3 F^(0,0), D F^(0,1) and D F^(1,0) are closed-form seeds (the
+    series with n + g <= 1 are not polynomial); elements with n + g >= 2
+    are registered as they are solved."""
 
-    Genus 0 and 1 are seeded by closed forms (the genus <= 1 series
-    themselves are not polynomial); genus >= 2 elements are registered as
-    they are solved.
-    """
+    def __init__(self):
+        self._cache: dict[tuple, BModElement] = {
+            ((0, 0), 3): D3F0, ((0, 1), 1): DF1_LOCAL, ((1, 0), 1): DF1_RELATIVE}
+        self.elements: dict[tuple, BModElement] = {}
 
-    def __init__(self, df1_seed: BModElement):
-        self._cache: dict[tuple, BModElement] = {(0, 3): D3F0, (1, 1): df1_seed}
-        self.elements: dict[int, BModElement] = {}
+    def set_genus(self, key: tuple, elt: BModElement):
+        self.elements[key] = self._cache[key, 0] = elt
 
-    def set_genus(self, g: int, elt: BModElement):
-        if g < 2:
-            raise ValueError("genus 0 and 1 are closed-form seeds")
-        self.elements[g] = elt
-        self._cache[(g, 0)] = elt
+    def D(self, key: tuple, k: int) -> BModElement:
+        """D^k F^key, from the seed (D^3 at n + g = 0, D at n + g = 1) or element."""
+        if (key, k) not in self._cache:
+            if k <= max(0, 3 - 2 * sum(key)):
+                raise BModError(f"D^{k} F^{key} is neither seeded nor solved")
+            self._cache[key, k] = bm_derive_D(self.D(key, k - 1))
+        return self._cache[key, k]
+
+
+class Edge:
+    """A tower as an edge of the grid: its genus-g series is F^(g * step)."""
+
+    def __init__(self, grid: DTower, step: tuple):
+        self.grid, self.step = grid, step
+
+    def key(self, g: int) -> tuple:
+        return self.step[0] * g, self.step[1] * g
+
+    @property
+    def elements(self) -> dict:
+        """The solved elements of the edge, by genus."""
+        return {sum(k): e for k, e in self.grid.elements.items() if k == self.key(sum(k))}
 
     def D(self, g: int, k: int) -> BModElement:
-        """D^k of the genus-g series."""
-        if g == 0 and k < 3:
-            raise BModError("genus-0 derivatives available from D^3 up")
-        if g == 1 and k < 1:
-            raise BModError("genus-1 series is not polynomial; use k >= 1")
-        if g >= 2 and g not in self.elements:
-            raise BModError(f"genus {g} not solved yet")
-        key = (g, k)
-        if key not in self._cache:
-            self._cache[key] = bm_derive_D(self.D(g, k - 1))
-        return self._cache[key]
+        return self.grid.D(self.key(g), k)
 
 
 # -- elliptic values as polynomial elements ------------------------------------------
@@ -140,16 +144,19 @@ def _hbar_mul(p: list, t: list) -> list:
 
 
 class Correspondence:
-    """Holds the local and relative derivative towers and sums the
-    correction terms label by label."""
+    """Holds the derivative grid, with the local and relative towers as its
+    two edges, and sums the correction terms label by label."""
 
     def __init__(self, md: MirrorData):
         self.md = md
-        self.relative = DTower(DF1_RELATIVE)
-        self.local = DTower(DF1_LOCAL)
+        self.grid = DTower()
+        self.local, self.relative = Edge(self.grid, (0, 1)), Edge(self.grid, (1, 0))
 
-    def tower(self, kind: str) -> DTower:
-        return by_kind(kind, self.local, self.relative)
+    def tower(self, kind: str) -> Edge:
+        """The tower ``kind`` names, local or relative; no other kind exists."""
+        if kind not in ("local", "relative"):
+            raise ValueError(f"unknown kind {kind!r}")
+        return getattr(self, kind)
 
     def correction_value(self, h: int, parts, legs: BModElement) -> BModElement:
         """The correction terms of the label (h, parts) summed over their leg
@@ -209,7 +216,7 @@ class Correspondence:
                                   f"{out.log_coeff}, want {RELATIVE_LOG_COEFF}")
             return out
         rel = (local_side - self.corrections_sum(g)) * F((-1) ** g)
-        self.relative.set_genus(g, rel)
+        self.grid.set_genus(self.relative.key(g), rel)
         return rel
 
 

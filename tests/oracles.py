@@ -53,6 +53,11 @@ Ramanujan derivation applied term by term to plain dicts of E2/E4/E6
 monomials (:func:`ramanujan_derivative`); the library recognizes every
 label from its own q-bracket and never differentiates one.
 
+:func:`gamma_local` and :func:`gamma_relative` are the closed forms of the
+gap coefficients of the two towers, from Bernoulli numbers; the library
+reads every gap coefficient of the (n, g) grid from the Schwinger integrand,
+and the towers are its edges (0, g) and (g, 0).
+
 :func:`ns_column_oracle` expands the free-energy column in hbar by a
 cosine sum and a long division by the sine; the library reads each genus
 row from Bernoulli numbers in z = i k hbar, building no series.
@@ -62,7 +67,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from localp2.elliptic import f1_empty, npoint_disconnected, stationary_value
 from localp2.locrel import epoly_to_bmod, f1_relative_series
@@ -279,6 +284,44 @@ def bernoulli_list(n: int):
             acc += Fraction(factorial(m + 1), factorial(j) * factorial(m + 1 - j)) * B[j]
         B.append(-acc / (m + 1))
     return B
+
+
+def gamma_local(g: int) -> Fraction:
+    """Gap coefficient of 1/t^(2g-2) for the local series (standard t)."""
+    return bernoulli_list(2 * g)[2 * g] / (2 * g * (2 * g - 2))
+
+
+def gamma_relative(g: int) -> Fraction:
+    """Gap coefficient of 1/t^(2g-2) for the relative series (standard t)."""
+    b = abs(bernoulli_list(2 * g)[2 * g])
+    return -Fraction(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * b / \
+        (2 * g * (2 * g - 1) * (2 * g - 2))
+
+
+def refined_degree_one(G: int) -> dict:
+    """[Q^1] F^(n,g), n + g = G, of local P^2, whose only degree-1 refined
+    BPS state has (jL, jR) = (0, 1): the coefficients of
+    (e1 + e2)^(2n) (e1 e2)^(g-1) in (1 + 2 cosh(e1 + e2)) / (4 sinh(e1/2)
+    sinh(e2/2)) = A(e1) A(e2) (1 + 2 cosh(e1 + e2)) / (e1 e2), with
+    A(z) = z / (2 sinh(z/2)) by long division.  Its degree-2G part is
+    multiplied out in e1, e2 and peeled into p^n q^g = (e1 + e2)^(2n)
+    (e1 e2)^g from the top e1-degree down."""
+    a = pl_long_division([1], [Fraction(1, 2 ** k * factorial(k + 1)) if k % 2 == 0
+                               else 0 for k in range(2 * G + 1)], 2 * G)
+    poly = Counter()
+    for i in range(0, 2 * G + 1, 2):
+        for j in range(0, 2 * G + 1 - i, 2):
+            m = 2 * G - i - j
+            cosh = Fraction(2, factorial(m)) + (m == 0)
+            for t in range(m + 1):
+                poly[i + t, j + m - t] += a[i] * a[j] * cosh * comb(m, t)
+    out = {}
+    for n in range(G, -1, -1):
+        out[n, G - n] = c = poly[G + n, G - n]
+        for t in range(2 * n + 1):
+            poly[t + G - n, 2 * n - t + G - n] -= c * comb(2 * n, t)
+    assert not any(poly.values())
+    return out
 
 
 def eisenstein_oracle(k: int, order: int):
@@ -645,5 +688,5 @@ def solve_local(corr, g: int, relative_side=None):
     if relative_side is None:
         relative_side = corr.relative.elements[g]
     else:
-        corr.relative.set_genus(g, relative_side)
+        corr.grid.set_genus((g, 0), relative_side)
     return relative_side * Fraction((-1) ** g) + corr.corrections_sum(g)

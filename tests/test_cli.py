@@ -325,15 +325,14 @@ class TestHeavyCommands:
     @pytest.mark.parametrize("g", [3, 4])
     def test_consistency_triangle_fails_on_a_wrong_gap_target(self, g, capsys,
                                                               monkeypatch):
-        # scale the relative gap target at genus g alone: the route by
-        # anomaly + gap then differs from the one through the correspondence
-        gap_target = cli.hae.gap_target
+        # scale the gap target of F^(g,0), the relative genus g, alone: the route by anomaly +
+        # gap then differs from the one through the correspondence
+        gamma = cli.hae.gamma
 
-        def skewed(genus, kind):
-            t = gap_target(genus, kind)
-            return t * (1 + F(1, 10 ** 6)) if (genus, kind) == (g, "relative") \
-                else t
-        monkeypatch.setattr(cli.hae, "gap_target", skewed)
+        def skewed(n, genus):
+            t = gamma(n, genus)
+            return t * (1 + F(1, 10 ** 6)) if (n, genus) == (g, 0) else t
+        monkeypatch.setattr(cli.hae, "gamma", skewed)
         # and solve on a fresh frame, not on one an earlier test left
         cli.hae.build_conifold_frame.cache_clear()
         status, out, _ = run(["solve", "--genus", str(g), "--target", "both"],
@@ -393,6 +392,10 @@ GOLDEN_RUNS = {
     # before the ambiguity's gap rows were read from the conifold frame:
     # the relative tower through the correspondence at genus 4
     "verify-gap-g4-relative.out": ["verify", "gap", "--genus", "4",
+                                   "--target", "relative"],
+    # before the anomaly solver was keyed by (n, g): the relative right
+    # side, which has no loop term
+    "verify-hae-g4-relative.out": ["verify", "hae", "--genus", "4",
                                    "--target", "relative"],
     # before the periods and the conifold coordinate were read from their
     # hypergeometric closed forms: the least mirror order, and order 78
@@ -536,8 +539,9 @@ def test_a_check_runs_at_its_least_order(argv, order, q_order, tmp_path,
 
 
 # goldens recorded at the default q_order, 32, of commands that print no series
-CHECK_GOLDENS = ["verify-hae-g4-local.out", "verify-gap-g4-local.out",
-                 "verify-gap-g4-relative.out", "ns-compare-g4-d2.out"]
+CHECK_GOLDENS = ["verify-hae-g4-local.out", "verify-hae-g4-relative.out",
+                 "verify-gap-g4-local.out", "verify-gap-g4-relative.out",
+                 "ns-compare-g4-d2.out"]
 
 
 @pytest.mark.parametrize("name", CHECK_GOLDENS)

@@ -13,33 +13,41 @@ from localp2.hae import (
     assert_finite_generation,
     build_conifold_frame,
     conifold_expand,
-    gamma_local,
-    gamma_relative,
+    gamma,
     gap_conditions,
     gap_fix,
-    gap_target,
     hae_rhs,
     integrate_S,
     least_q_order,
     q_constant_term,
+    solve,
     solve_genus,
     solve_towers,
     verify_hae,
 )
 from localp2.locrel import (
-    Correspondence,
-    DF1_LOCAL,
     DF1_RELATIVE,
+    Correspondence,
     DTower,
     flat_expansion,
 )
-from localp2.mirror import BModElement, bm_eval, bm_to_qmod, build_mirror_data, theta_u
+from localp2.mirror import (
+    BModElement,
+    BModError,
+    bm_eval,
+    bm_to_qmod,
+    build_mirror_data,
+    theta_u,
+)
 from localp2.series import Powers, RatSeries, SeriesError
 
 from oracles import (
     bernoulli_list,
     conifold_polar_oracle,
+    gamma_local,
+    gamma_relative,
     gv_mismatches,
+    refined_degree_one,
     solve_unique_oracle,
 )
 
@@ -67,41 +75,65 @@ def frame(md):
 class TestGapConstants:
     def test_gamma_values_from_bernoulli_oracle(self):
         B = bernoulli_list(8)
-        assert gamma_local(2) == B[4] / 8 == F(-1, 240)
-        assert gamma_relative(2) == -F(7, 8) * abs(B[4]) / 24 == F(-7, 5760)
-        assert gamma_relative(3) == -F(31, 32) * abs(B[6]) / 120 == F(-31, 161280)
+        assert gamma(0, 2) == B[4] / 8 == F(-1, 240)
+        assert gamma(2, 0) == -F(7, 8) * abs(B[4]) / 24 == F(-7, 5760)
+        assert gamma(3, 0) == -F(31, 32) * abs(B[6]) / 120 == F(-31, 161280)
+        assert gamma(0, 8) == F(-3617, 114240)
+        assert gamma(8, 0) == F(-16931177, 8021606400)
+
+    @pytest.mark.parametrize("G", range(2, 13))
+    def test_the_edges_are_the_closed_forms(self, G):
+        # one rule in (n, g) gives both towers' gap coefficients
+        assert gamma(0, G) == gamma_local(G)
+        assert gamma(G, 0) == gamma_relative(G)
 
     def test_rescaled_targets(self):
-        assert gap_target(2, "local") == F(-1, 80)
-        assert gap_target(2, "relative") == F(-7, 1920)
-        assert gap_target(3, "relative") == 9 * F(-31, 161280)
+        assert gap_conditions(0, 2)[-1] == F(-1, 80)
+        assert gap_conditions(2, 0)[-1] == F(-7, 1920)
+        assert gap_conditions(3, 0)[-1] == 9 * F(-31, 161280)
 
     def test_gap_conditions(self):
-        assert gap_conditions(2, "local") == [0, F(-1, 80)]
-        assert gap_conditions(4, "relative") == \
-            [0] * 5 + [gap_target(4, "relative")]
+        assert gap_conditions(0, 2) == [0, F(-1, 80)]
+        assert gap_conditions(4, 0) == [0] * 5 + [27 * gamma(4, 0)]
+        assert gap_conditions(1, 3) == [0] * 5 + [27 * gamma(1, 3)]
+
+
+def _never(*args):
+    raise AssertionError("an unknown kind reached the gap")
 
 
 class TestUnknownKind:
-    # "local" and "relative" are the only kinds; another one is an error, not
-    # the relative side
+    # "local" and "relative" are the only kinds, and each names an edge of the
+    # (n, g) grid; another word is rejected where words enter, before it can
+    # reach the gap as the key of some edge
     @pytest.mark.parametrize("kind", ["Local", "bogus", ""])
-    def test_gap_target(self, kind):
+    def test_gap_target(self, kind, md, monkeypatch):
+        monkeypatch.setattr(hae, "gamma", _never)
         with pytest.raises(ValueError, match="unknown kind"):
-            gap_target(2, kind)
+            solve_genus(2, kind, md)
 
-    def test_gap_conditions(self):
+    def test_gap_conditions(self, capsys, monkeypatch):
+        from localp2 import cli
+        monkeypatch.setattr(hae, "gap_conditions", _never)
+        assert cli.main(["verify", "gap", "--genus", "3",
+                         "--target", "Relative"]) == cli.USAGE_ERROR
+        assert "invalid choice: 'Relative'" in capsys.readouterr().err
+
+    def test_gap_fix(self, md, monkeypatch):
+        monkeypatch.setattr(hae, "gap_fix", _never)
         with pytest.raises(ValueError, match="unknown kind"):
-            gap_conditions(3, "Relative")
+            solve_genus(2, "both", md, Correspondence(md))
 
-    def test_gap_fix(self, md):
-        with pytest.raises(ValueError, match="unknown kind"):
-            gap_fix(2, "both", BModElement.zero(), md)
 
+class TestBounds:
     @pytest.mark.parametrize("elt", [F2_LOCAL, BModElement.monomial(1, 4, 0)])
-    def test_assert_finite_generation(self, elt):
-        with pytest.raises(ValueError, match="unknown kind"):
-            assert_finite_generation(elt, 3, "bogus")
+    def test_the_s_degree_bound_reads_n(self, elt):
+        # an element of S-degree d lies in F^(0,G) and not in F^(G,0) at the
+        # G with 2G - 3 < d <= 3G - 3; every other bound reads G alone
+        G = elt.deg_S() // 2 + 1
+        assert_finite_generation(elt, 0, G)
+        with pytest.raises(BModError, match="S-degree bound"):
+            assert_finite_generation(elt, G, 0)
 
 
 class TestFrame:
@@ -184,9 +216,9 @@ def gap_calls(md):
     calls, expanded = [], []
     u_polar_part = hae.u_polar_part
 
-    def fixing(g, kind, particular, md):
-        sol = gap_fix(g, kind, particular, md)
-        calls.append((g, particular, sol))
+    def fixing(n, g, particular, md):
+        sol = gap_fix(n, g, particular, md)
+        calls.append((n + g, particular, sol))
         return sol
 
     def expanding(elt, frame, max_pole):
@@ -201,18 +233,19 @@ def gap_calls(md):
     return SimpleNamespace(calls=calls, expanded=expanded)
 
 
-def square_solve(g: int, kind: str, particular: BModElement, md,
+def square_solve(n: int, g: int, particular: BModElement, md,
                  frame) -> BModElement:
-    """The gap as a (2g-1)-square system in X^0..X^(2g-2): a row per
-    that^-i, i = M..1 (M = 2g - 2), of oracle polar parts, and the row of
-    flat constant terms by bm_eval, solved by solve_unique_oracle."""
-    M = 2 * g - 2
+    """The gap of F^(n,g) as a (2G-1)-square system in X^0..X^(2G-2),
+    G = n + g: a row per that^-i, i = M..1 (M = 2G - 2), of oracle polar
+    parts, and the row of flat constant terms by bm_eval, solved by
+    solve_unique_oracle."""
+    M = 2 * (n + g) - 2
     xs = [BModElement.monomial(1, 0, j) for j in range(M + 1)]
     polars = [conifold_polar_oracle(x, frame, M) for x in xs]
     rows = [[p[k] for p in polars] for k in range(M)] + \
         [[bm_eval(x, md).constant_term() for x in xs]]
     con = conifold_polar_oracle(particular, frame, M)
-    rhs = [t - c for t, c in zip(gap_conditions(g, kind)[::-1], con)] + \
+    rhs = [t - c for t, c in zip(gap_conditions(n, g)[::-1], con)] + \
         [-bm_eval(particular, md).constant_term()]
     sol = solve_unique_oracle(rows, rhs)
     return particular + BModElement(0, {(0, j): a for j, a in enumerate(sol)})
@@ -280,7 +313,7 @@ class TestGenus2Gap:
         # the ambiguity reaches u^-2 at genus 2; S X^2 -> s_con u^-2 has u^-3
         particular = BModElement.monomial(1, 1, 2)
         with pytest.raises(GapError, match="pole exceeds order 2"):
-            gap_fix(2, "relative", particular, md)
+            gap_fix(2, 0, particular, md)
 
 
 class TestGapFix:
@@ -312,9 +345,10 @@ class TestGapFix:
             corr = Correspondence(small)
             if g > 2:
                 solve_genus(g - 1, kind, small, corr)
-            particular = integrate_S(hae_rhs(g, kind, corr.tower(kind)))
-            got = gap_fix(g, kind, particular, small)
-            assert got == square_solve(g, kind, particular, md, frame)
+            key = corr.tower(kind).key(g)
+            particular = integrate_S(hae_rhs(*key, corr.grid))
+            got = gap_fix(*key, particular, small)
+            assert got == square_solve(*key, particular, md, frame)
 
     def test_solving_reverts_nothing_and_solves_no_system(self, monkeypatch):
         # a reversion or a square solve per genus made the deep towers
@@ -379,14 +413,12 @@ class TestGapFix:
 
 class TestAnomalyEquation:
     def test_relative_genus2_rhs(self):
-        tower = DTower(DF1_RELATIVE)
-        rhs = hae_rhs(2, "relative", tower)
+        rhs = hae_rhs(2, 0, DTower())
         # (1/2) (QdQ F1)^2 = X^2 / (1152 I11^2)
         assert rhs == BModElement.monomial(F(1, 1152), 0, 2, i11_degree=2)
 
     def test_relative_genus2_integrates_to_x_over_384(self):
-        tower = DTower(DF1_RELATIVE)
-        part = integrate_S(hae_rhs(2, "relative", tower))
+        part = integrate_S(hae_rhs(2, 0, DTower()))
         assert part == BModElement(0, {(1, 1): F(1, 384)})
 
     def test_relative_genus1_has_no_s_dependence(self):
@@ -394,19 +426,21 @@ class TestAnomalyEquation:
 
     def test_local_genus2_rhs_matches_closed_form(self):
         # d/dS of the known local genus-2 series equals the assembled rhs
-        tower = DTower(DF1_LOCAL)
-        rhs = hae_rhs(2, "local", tower)
+        rhs = hae_rhs(0, 2, DTower())
         lhs = F2_LOCAL.partial("S")
         lhs = BModElement(2, {(s, x + 1): v / 3 for (s, x), v in lhs.terms.items()})
         assert lhs == rhs
 
     def test_verify_hae_reports(self):
-        tower = DTower(DF1_LOCAL)
-        tower.set_genus(2, F2_LOCAL)
-        assert verify_hae(2, "local", tower)["ok"]
-        tower_r = DTower(DF1_RELATIVE)
-        tower_r.set_genus(2, F2_RELATIVE)
-        assert verify_hae(2, "relative", tower_r)["ok"]
+        grid = DTower()
+        grid.set_genus((0, 2), F2_LOCAL)
+        grid.set_genus((2, 0), F2_RELATIVE)
+        assert verify_hae(0, 2, grid)["ok"] and verify_hae(2, 0, grid)["ok"]
+        # each edge's closed form fails the other edge's equation
+        grid.set_genus((0, 2), F2_RELATIVE)
+        grid.set_genus((2, 0), F2_LOCAL)
+        assert not verify_hae(0, 2, grid)["ok"]
+        assert not verify_hae(2, 0, grid)["ok"]
 
 
 class TestSolveGenus2:
@@ -420,9 +454,9 @@ class TestSolveGenus2:
 
     def test_degree_bounds_asserted(self):
         with pytest.raises(Exception):
-            assert_finite_generation(BModElement.monomial(1, 0, -3), 2, "local")
+            assert_finite_generation(BModElement.monomial(1, 0, -3), 0, 2)
         with pytest.raises(Exception):
-            assert_finite_generation(BModElement.monomial(1, 2, 0), 2, "relative")
+            assert_finite_generation(BModElement.monomial(1, 2, 0), 2, 0)
 
 
 @pytest.fixture(scope="module")
@@ -470,8 +504,8 @@ class TestQConstantTerm:
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_matches_the_q_expansion(self, md, solved, g):
         elts = ambiguity_basis(g)
-        for kind, tower in solved.items():
-            elts += [tower.elements[g], hae_rhs(g, kind, tower)]
+        for tower in solved.values():
+            elts += [tower.elements[g], hae_rhs(*tower.key(g), tower.grid)]
         for e in elts:
             assert q_constant_term(e, md) == bm_eval(e, md).constant_term()
 
@@ -507,18 +541,55 @@ class TestLeastQOrder:
             solve_towers(build_mirror_data(2 * g - 3), g, False)
 
 
+def digest(elements: dict) -> str:
+    """The sha256 of a tower, as scripts/time_direct_tower.py makes it."""
+    return hashlib.sha256("\n".join(
+        repr(elements[g]) for g in sorted(elements)).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def edges12():
+    """Both towers through genus 12 by anomaly + gap, on one grid at mirror
+    order 22, the least that solves genus 12."""
+    md = build_mirror_data(least_q_order(12))
+    corr = Correspondence(md)
+    for kind in ("local", "relative"):
+        solve_genus(12, kind, md, corr)
+    return corr
+
+
 class TestDirectRelativeTower:
     def test_genus12_at_order24_is_pinned(self):
         # the relative gap past genus 7 on the library path, which no CLI
-        # report prints; hashed as scripts/time_direct_tower.py hashes it
+        # report prints
         md = build_mirror_data(24)
         corr = Correspondence(md)
         solve_genus(12, "relative", md, corr)
-        elements = corr.relative.elements
-        digest = hashlib.sha256("\n".join(
-            repr(elements[g]) for g in sorted(elements)).encode()).hexdigest()
-        assert digest == \
+        assert digest(corr.relative.elements) == \
             "5cfb9df305b51a82b7b2bd4531cd3426766f2e4b3ad6142aaa5925fe3c2876c0"
+
+
+class TestLocalTower:
+    def test_genus12_at_order22_is_pinned(self, edges12):
+        # every coefficient of the local tower, not only the degrees 1-5
+        # that the Gopakumar-Vafa check reads
+        assert digest(edges12.local.elements) == \
+            "cd5946cf67d08c550a9aea5d15a06e059ab8f3be72cf3de1e84c46480be41da6"
+
+
+class TestUnifiedBounds:
+    def test_sharp_on_both_edges_through_genus12(self, edges12):
+        # assert_finite_generation checks each bound as an inequality; on
+        # the two edges deg_S F^(n,g) = 3g + 2n - 3, max(s + x) = 2G - 2 and
+        # min(3x + s) = 0, and the local tower reaches X^-(G-1)
+        for tower in (edges12.local, edges12.relative):
+            assert sorted(tower.elements) == list(range(2, 13))
+            for G, elt in tower.elements.items():
+                n, g = tower.key(G)
+                assert elt.deg_S() == 3 * g + 2 * n - 3
+                assert max(s + x for s, x in elt.terms) == 2 * G - 2
+                assert min(3 * x + s for s, x in elt.terms) == 0
+                assert min(x for _, x in elt.terms) == (-(G - 1) if g else 0)
 
 
 class TestGopakumarVafa:
@@ -537,23 +608,52 @@ class TestGopakumarVafa:
         assert self.mismatches(10) == []
 
     def test_a_skewed_gap_target_fails_first_at_its_genus(self, monkeypatch):
-        target = hae.gap_target
+        target = hae.gamma
 
-        def skewed(g, kind):
-            t = target(g, kind)
-            return t * (1 + F(1, 10 ** 6)) if (g, kind) == (7, "local") else t
-        monkeypatch.setattr(hae, "gap_target", skewed)
+        def skewed(n, g):
+            t = target(n, g)
+            return t * (1 + F(1, 10 ** 6)) if (n, g) == (0, 7) else t
+        monkeypatch.setattr(hae, "gamma", skewed)
         assert self.mismatches(10)[0][0] == 7
+
+
+class TestGridInterior:
+    """F^(n,g) with n, g >= 1, which no command solves, by the same rule as
+    the edges: at degree 1 it carries local P^2's one refined BPS state
+    (tests/oracles.py), which reads no anomaly, gap or mirror map."""
+
+    @staticmethod
+    def mismatches(G: int) -> list:
+        md = build_mirror_data(least_q_order(G))
+        grid = DTower()
+        for n in range(G + 1):
+            solve(n, G - n, md, grid)
+        return sorted(key for key, elt in grid.elements.items()
+                      if bm_eval(elt, md, target="Q").coeff(1)
+                      != refined_degree_one(sum(key))[key])
+
+    def test_degree_one_through_total_genus_6(self):
+        # 25 elements, 15 of them off the edges
+        assert self.mismatches(6) == []
+
+    def test_a_skewed_interior_gap_target_fails_there(self, monkeypatch):
+        target = hae.gamma
+
+        def skewed(n, g):
+            t = target(n, g)
+            return t * (1 + F(1, 10 ** 6)) if (n, g) == (2, 3) else t
+        monkeypatch.setattr(hae, "gamma", skewed)
+        assert self.mismatches(6) == [(2, 3), (2, 4), (3, 3)]
 
 
 class TestGenus4:
     def test_local_solve_full_rank_and_bounds(self, md, solved):
         f4 = solved["local"].elements[4]
-        assert_finite_generation(f4, 4, "local")
+        assert_finite_generation(f4, 0, 4)
         frame = build_conifold_frame(md)
         con = conifold_expand(f4, frame, 6)
         assert all(con.coeff(-j) == 0 for j in range(1, 6))
-        assert con.coeff(-6) == gap_target(4, "local")
+        assert con.coeff(-6) == gap_conditions(0, 4)[-1]
         assert bm_eval(f4, md, target="Q").constant_term() == 0
 
 
@@ -582,7 +682,7 @@ class TestGenus3Triangle:
             assert qm.c_pole <= 4
             assert qm.weight == 0
             assert all(b <= 3 for _, b, _ in qm.terms)
-            assert_finite_generation(elt, 3, "relative")
+            assert_finite_generation(elt, 3, 0)
 
     def test_local_genus3_flat_constant_vanishes(self, md, towers):
         f3_local, _, _ = towers

@@ -163,7 +163,7 @@ class TestSolve:
         assert got == F2_RELATIVE
 
     def test_genus2_forward(self, corr):
-        corr.relative.set_genus(2, F2_RELATIVE)
+        corr.grid.set_genus((2, 0), F2_RELATIVE)
         got = solve_local(corr, 2)
         assert got == F2_LOCAL
 
@@ -178,7 +178,7 @@ class TestSolve:
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_unknown_side_is_rejected_at_every_genus(self, corr, side, g):
         # both towers solved at genus 2, so no side falls through to one
-        corr.local.set_genus(2, F2_LOCAL)
+        corr.grid.set_genus((0, 2), F2_LOCAL)
         corr.solve_relative(2, F2_LOCAL)
         with pytest.raises(ValueError, match="unknown kind"):
             flat_expansion(corr, g, side)
@@ -188,7 +188,7 @@ class TestSolve:
     def test_round_trip_genus3_shape(self, corr):
         # F3 local is not known in closed form here; use a synthetic element
         # to check solve_local(solve_relative(.)) is the identity.
-        corr.relative.set_genus(2, F2_RELATIVE)
+        corr.grid.set_genus((2, 0), F2_RELATIVE)
         fake_local = BModElement(0, {(3, -1): F(1, 7), (1, 0): 2, (0, -2): F(3, 5),
                                      (6, -2): F(1, 11)})
         rel = corr.solve_relative(3, fake_local)
@@ -207,15 +207,28 @@ class TestSolve:
 
 class TestDTower:
     def test_genus0_chain(self):
-        t = DTower(DF1_RELATIVE)
-        assert t.D(0, 3) == BModElement.monomial(-9, 0, 1, i11_degree=3)
-        assert t.D(0, 4) == BModElement.monomial(81, 1, 1, i11_degree=4)
+        t = DTower()
+        assert t.D((0, 0), 3) == BModElement.monomial(-9, 0, 1, i11_degree=3)
+        assert t.D((0, 0), 4) == BModElement.monomial(81, 1, 1, i11_degree=4)
 
     def test_local_genus1_seed(self):
-        t = DTower(DF1_LOCAL)
-        assert t.D(1, 1) == BModElement(1, {(1, 0): F(-3, 2), (0, 1): F(-1, 4)})
+        t = DTower()
+        assert t.D((0, 1), 1) == BModElement(1, {(1, 0): F(-3, 2), (0, 1): F(-1, 4)})
+        assert t.D((1, 0), 1) == DF1_RELATIVE
 
     def test_missing_genus(self):
-        t = DTower(DF1_RELATIVE)
+        t = DTower()
         with pytest.raises(Exception):
-            t.D(2, 1)
+            t.D((0, 2), 1)
+
+    def test_the_towers_are_the_edges_of_one_grid(self, corr):
+        # genus 0 is shared; the seeds DF^(0,1) and DF^(1,0) are the towers'
+        assert corr.local.grid is corr.relative.grid is corr.grid
+        assert corr.local.D(0, 3) is corr.relative.D(0, 3)
+        assert (corr.local.D(1, 1), corr.relative.D(1, 1)) == \
+            (DF1_LOCAL, DF1_RELATIVE)
+        corr.grid.set_genus((0, 2), F2_LOCAL)
+        corr.grid.set_genus((2, 0), F2_RELATIVE)
+        assert corr.grid.elements == {(0, 2): F2_LOCAL, (2, 0): F2_RELATIVE}
+        assert corr.local.elements == {2: F2_LOCAL}
+        assert corr.relative.elements == {2: F2_RELATIVE}

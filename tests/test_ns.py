@@ -214,13 +214,12 @@ class TestCompare:
     def test_a_skewed_gap_target_fails_the_sheaf_side(self, table,
                                                       monkeypatch):
         from localp2 import hae
-        target = hae.gap_target
+        target = hae.gamma
 
-        def skewed(g, kind):
-            t = target(g, kind)
-            return t * (1 + F(1, 10 ** 6)) if (g, kind) == (9, "relative") \
-                else t
-        monkeypatch.setattr(hae, "gap_target", skewed)
+        def skewed(n, g):
+            t = target(n, g)
+            return t * (1 + F(1, 10 ** 6)) if (n, g) == (9, 0) else t
+        monkeypatch.setattr(hae, "gamma", skewed)
         assert direct_tower_mismatches(table)[0] == 9
 
 
