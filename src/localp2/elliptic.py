@@ -179,14 +179,21 @@ def _column(e: int, d: int, least: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _partition_sum(exps: tuple, d: int) -> int:
+    """The q^d numerator of sum_lambda q^|lambda| prod_j B_lambda(z_j), for
+    every nome order; with no exponents each partition of d counts 1."""
+    if not exps:
+        return len(_part_counts(d, 1))
+    return sum(map(prod, zip(*(_column(e, d, 1) for e in exps))))
+
+
+@lru_cache(maxsize=None)
 def disconnected_coefficient(exps: tuple, qorder: int) -> RatSeries:
     """The nome series of prod_j z_j^{e_j} in
     prod_m (1 - q^m) * sum_lambda q^|lambda| prod_j B_lambda(z_j), for a
     weakly decreasing tuple of exponents >= 1."""
     den = prod(_constants(e)[2] for e in exps)
-    # q^d sums over the partitions of d; with no columns each counts 1
-    nums = [sum(map(prod, zip(*(_column(e, d, 1) for e in exps)))) if exps
-            else len(_part_counts(d, 1)) for d in range(qorder + 1)]
+    nums = [_partition_sum(exps, d) for d in range(qorder + 1)]
     return RatSeries.over(CQT, 0, nums, den) * euler_product(qorder)
 
 

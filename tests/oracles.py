@@ -47,6 +47,11 @@ table of the integers n^g_d of local P^2 through degree 5, which the
 topological vertex gives; the library solves its local tower by the
 anomaly equation and the conifold gap.
 
+:func:`anomaly_terms_by_position` sums the loop, splitting and gluing
+terms of the curve's anomaly equation over points, pairs of points and
+subsets of points; the library sums them over the label's values and
+their multiplicities, and over sub-multisets.
+
 :func:`divisor_mismatches` checks the divisor equation on elliptic
 labels: a zero part is D = q d/dq of the label without it, with D the
 Ramanujan derivation applied term by term to plain dicts of E2/E4/E6
@@ -69,7 +74,8 @@ from functools import lru_cache
 from itertools import count
 from math import comb, factorial, prod
 
-from localp2.elliptic import f1_empty, npoint_disconnected, stationary_value
+from localp2.elliptic import (EPoly, StationaryLabel, connected_extract, f1_empty,
+                              npoint_disconnected, stationary_value)
 from localp2.locrel import epoly_to_bmod, f1_relative_series
 from localp2.mirror import BModElement, cq_change
 
@@ -455,6 +461,58 @@ def divisor_mismatches(value, gmax: int, consts=RAMANUJAN) -> list:
                                     if parts == (0,) else
                                     ramanujan_derivative(value(h, parts[:-1]),
                                                          consts))]
+
+
+# -- the curve's anomaly equation, summed by position ---------------------------
+
+def anomaly_terms_by_position(h: int, parts: tuple) -> dict:
+    """The report of ``localp2.acceptance.elliptic_hae_check`` for the label,
+    with loop, splitting and gluing summed over single points, ordered
+    pairs of points and subsets of points: 2^n n^2 products for n points.
+    The left side is the label's recognized value."""
+    parts = tuple(sorted(parts, reverse=True))
+    n = len(parts)
+
+    def without(idx):
+        return [a for i, a in enumerate(parts) if i not in idx]
+
+    lhs = connected_extract(StationaryLabel(h, parts)).value.partial("E2") * (-24)
+    loop = EPoly.zero()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                new = without({i}) + [parts[i] - 2]
+            else:
+                new = without({i, j}) + [parts[i] - 1, parts[j] - 1]
+            loop = loop + stationary_value(h - 1, new)
+    if (h, parts) == (1, (0,)):
+        # the unstable genus-zero three-point value contributes 1
+        loop = loop + 1
+
+    split = EPoly.zero()
+    for mask in range(1, (1 << n) - 1):
+        I = [i for i in range(n) if mask >> i & 1]
+        Ic = [i for i in range(n) if not mask >> i & 1]
+        s1 = sum(parts[k] for k in I) - 1
+        if s1 % 2:
+            continue
+        h1 = s1 // 2 + 1
+        for i in I:
+            left = stationary_value(h1, [parts[k] - (k == i) for k in I])
+            for j in Ic:
+                right = stationary_value(h - h1, [parts[k] - (k == j) for k in Ic])
+                split = split + left * right
+
+    glue = EPoly.zero()
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                glue = glue + comb(parts[i] + parts[j] + 1, parts[i]) * \
+                    stationary_value(h, without({i, j}) + [parts[i] + parts[j]])
+
+    rhs = loop + split - 2 * glue
+    return {"label": (h, parts), "lhs": lhs, "rhs": rhs, "loop": loop,
+            "split": split, "glue": glue, "ok": lhs == rhs}
 
 
 # -- partitions and the Bloch-Okounkov partition sum ---------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -24,10 +25,10 @@ from localp2.elliptic import (
 from localp2.graded import GradedError, evaluate, recognize
 from localp2.series import RatSeries
 
-from oracles import (RAMANUJAN, anomaly_labels, bloch_okounkov_npoint_oracle,
-                     connected_coefficient_oracle, divisor_mismatches,
-                     partitions_of, ramanujan_derivative, sigma,
-                     theta_product_oracle)
+from oracles import (RAMANUJAN, anomaly_labels, anomaly_terms_by_position,
+                     bloch_okounkov_npoint_oracle, connected_coefficient_oracle,
+                     divisor_mismatches, partitions_of, ramanujan_derivative,
+                     sigma, theta_product_oracle)
 
 F = Fraction
 
@@ -325,6 +326,12 @@ def hae_mismatches(labels):
             if not elliptic_hae_check(StationaryLabel(h, parts))["ok"]]
 
 
+def position_mismatches(labels):
+    return [(h, parts) for h, parts in labels
+            if elliptic_hae_check(StationaryLabel(h, parts))
+            != anomaly_terms_by_position(h, parts)]
+
+
 class TestEllipticHae:
     def test_genus2_pair_label(self):
         rep = elliptic_hae_check(StationaryLabel(2, (1, 1)))
@@ -364,10 +371,13 @@ class TestEllipticHae:
         assert rep["glue"].is_zero()
         assert rep["loop"] == connected_extract(StationaryLabel(2, (2,))).value
 
-    def test_every_label_through_genus_4(self):
-        labels = anomaly_labels(4)
-        assert len(labels) == 30
+    def test_every_label_through_genus_5(self):
+        labels = anomaly_labels(5)
+        assert len(labels) == 71
         assert hae_mismatches(labels) == []
+
+    def test_every_report_through_genus_5_equals_the_sums_by_position(self):
+        assert position_mismatches(anomaly_labels(5)) == []
 
     def test_a_wrong_genus_one_value_fails_the_sweep(self, monkeypatch):
         right = acceptance.stationary_value
@@ -377,7 +387,14 @@ class TestEllipticHae:
             return value + E4 / 1000 if (h, tuple(parts)) == (1, (0, 0)) else value
 
         monkeypatch.setattr(acceptance, "stationary_value", wrong)
-        assert hae_mismatches(anomaly_labels(4)) != []
+        assert hae_mismatches(anomaly_labels(5)) != []
+
+    def test_an_off_by_one_binomial_fails_the_sweep_and_the_oracle(self, monkeypatch):
+        # the oracle has its own comb, so only the library's weights move
+        monkeypatch.setattr(acceptance, "comb", lambda n, k: comb(n, k) + 1)
+        labels = anomaly_labels(5)
+        assert hae_mismatches(labels) != []
+        assert position_mismatches(labels) != []
 
 
 def label_terms(h, parts):
