@@ -210,21 +210,21 @@ def criterion_7_genus2():
     md = context()[0]
     corr = Correspondence(md)
     d = corr.relative.D
-    # the genus-2 labels, one term each: (h, parts, leg coefficient)
-    inter = {
-        (1, (0,), d(1, 2)): BModElement(
+    # the genus-2 labels, one term each: ((h, parts, leg coefficient), value)
+    inter = [
+        ((1, (0,), d(1, 2)), BModElement(
             0, {(2, 0): F(-1, 16), (1, 1): F(5, 192), (1, 0): F(-1, 24),
-                (0, 2): F(1, 96), (0, 1): F(-1, 96)}),
-        (2, (1, 1), d(0, 3) * d(0, 3)): BModElement(
+                (0, 2): F(1, 96), (0, 1): F(-1, 96)})),
+        ((2, (1, 1), d(0, 3) * d(0, 3)), BModElement(
             0, {(3, -1): F(-1, 2), (2, 0): F(-3, 8), (1, 1): F(-11, 120),
                 (1, 0): F(1, 60), (0, 2): F(-1, 135), (0, 1): F(7, 1080),
-                (0, 0): F(1, 1080)}),
-        (2, (2,), -d(0, 4)): BModElement(
+                (0, 0): F(1, 1080)})),
+        ((2, (2,), -d(0, 4)), BModElement(
             0, {(3, -1): F(9, 8), (2, 0): F(9, 16), (1, 1): F(47, 640),
-                (1, 0): F(1, 40)}),
-    }
+                (1, 0): F(1, 40)})),
+    ]
     ok = all(corr.correction_value(*label) == want
-             for label, want in inter.items())
+             for label, want in inter)
     ok = ok and corr.solve_relative(2, F2_LOCAL) == F2_RELATIVE
     flat = flat_expansion(corr, 2, "relative")
     want = [F(29, 640), F(-207, 64), F(18447, 160), F(-526859, 160),

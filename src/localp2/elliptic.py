@@ -36,7 +36,7 @@ from math import comb, factorial, lcm, prod
 
 from .graded import Graded, recognize, weight_monomials
 from .quasimod import bernoulli, eisenstein_series, inv_2sinh
-from .series import Localp2Error, RatSeries, lincomb
+from .series import Localp2Error, Powers, RatSeries, lincomb
 
 F = Fraction
 
@@ -95,9 +95,11 @@ class EPoly(Graded):
         return self._monomials()
 
 
-def eisenstein_images(order: int) -> list:
-    """E2, E4, E6 in the curve's nome, through ``order``."""
-    return [eisenstein_series(k, 1, order, var=CQT) for k in (2, 4, 6)]
+@lru_cache(maxsize=None)
+def eisenstein_powers(order: int) -> Powers:
+    """The table of E2, E4, E6 in the curve's nome, through ``order``: the
+    monomial images that every label recognized at that order reads."""
+    return Powers(*(eisenstein_series(k, 1, order, var=CQT) for k in (2, 4, 6)))
 
 
 # -- the Euler product and the theta function --------------------------------------
@@ -265,7 +267,7 @@ def connected_extract(label: StationaryLabel,
         qorder = default_qorder(w)
     exps = tuple(a + 1 for a in label.parts)
     series = connected_coefficient(exps, qorder)
-    value = EPoly(recognize(series, EPoly.weights, w, eisenstein_images(qorder)))
+    value = EPoly(recognize(series, EPoly.weights, w, eisenstein_powers(qorder)))
     return EllipticSeries(series, value)
 
 

@@ -9,19 +9,20 @@ normalisation of every new element) and ``_aligned`` (how two shifts meet
 in a sum).  Products run on integer numerators over one denominator per
 operand, as the series store theirs.
 
-``monomial_image`` is the one substitution of generator images (series or
-ring elements) into a ring monomial: ``evaluate`` sums over it, and
-``recognize`` reads its columns from it.
+Generator images (series or ring elements) are substituted into ring
+monomials through a ``series.Powers`` table of them, which its caller
+owns: ``evaluate`` sums over its entries, and ``recognize`` reads its
+columns from them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add, mul
 
 from . import linalg
-from .series import Localp2Error, RatSeries, over_lcm
+from .series import Localp2Error, Powers, RatSeries, over_lcm
 
 
 class GradedError(Localp2Error):
@@ -98,12 +99,6 @@ class Graded:
             return NotImplemented
         return self.terms == other.terms and (
             self.shift == other.shift or not self.terms)
-
-    def __hash__(self):
-        # what __eq__ compares, the shift of zero aside, less the
-        # coefficients: monomial_image hashes its images on every call, and
-        # a Fraction's hash costs a modular inverse
-        return hash((self.shift if self.terms else 0, frozenset(self.terms)))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -183,30 +178,18 @@ def weight_monomials(weights: tuple, w: int) -> list:
             for head in weight_monomials(rest, w - k * last)]
 
 
-@lru_cache(maxsize=None)
-def monomial_image(images: tuple, key: tuple):
-    """prod_i images[i]**key[i]: made once per process, as the image of the
-    monomial with one factor fewer times that factor's image.  The one
-    substitution into a ring monomial that the three rings share."""
-    i = next((i for i, e in enumerate(key) if e), None)
-    if i is None:
-        return images[0] ** 0
-    return monomial_image(images, key[:i] + (key[i] - 1,) + key[i + 1:]) * images[i]
-
-
-def evaluate(terms: dict, images):
-    """sum v * prod_i images[i]**e_i over the terms {e: v}: the generators
-    replaced by series or ring elements."""
-    images = tuple(images)
-    return sum((monomial_image(images, key) * v for key, v in terms.items()),
-               images[0] ** 0 * 0)
+def evaluate(terms: dict, table: Powers):
+    """sum v * table[e] over the terms {e: v}: the generators replaced by
+    the bases of the table (series or ring elements)."""
+    return sum((table[key] * v for key, v in terms.items()),
+               table.bases[0] ** 0 * 0)
 
 
 def recognize(series: RatSeries, weights: tuple, w: int,
-              images: list) -> dict:
+              table: Powers) -> dict:
     """The terms of the unique weight-w polynomial that expands to
-    ``series`` when generator i becomes images[i], read as given (each known
-    at least as far as ``series``).  The exact solve is over every
+    ``series`` when generator i becomes table.bases[i], read as given (each
+    known at least as far as ``series``).  The exact solve is over every
     coefficient the series carries, so one outside the span is rejected."""
     monos = weight_monomials(weights, w)
     if (series.valuation() or 0) < 0 or series.log_coeff:
@@ -215,8 +198,7 @@ def recognize(series: RatSeries, weights: tuple, w: int,
     if have < len(monos):
         raise GradedError(f"insufficient coefficients: need {len(monos)}, "
                           f"have {have}")
-    images = tuple(images)
-    cols = [monomial_image(images, m) for m in monos]
+    cols = [table[m] for m in monos]
     try:
         sol = linalg.solve_unique([[c.coeff(k) for c in cols] for k in range(have)],
                                   series.coeff_list(0, have - 1))

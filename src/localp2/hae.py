@@ -25,12 +25,11 @@ through the pole order a polar part reads, never through the mirror order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, factorial
 
 from .locrel import Correspondence, DTower
-from .mirror import BModElement, BModError, MirrorData, theta_u
+from .mirror import BModElement, BModError, ConifoldFrame, MirrorData
 from .quasimod import inv_2sinh
 from .series import Localp2Error, Powers, RatSeries, lincomb
 
@@ -94,33 +93,10 @@ def integrate_S(rhs: BModElement) -> BModElement:
 
 # -- conifold frame ---------------------------------------------------------------------
 
-class ConifoldFrame:
-    """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
-    the propagator ``s_con``, made on its first read and known as far as
-    ``that`` allows; ``that`` is never reverted.  One frame serves every
-    genus: a read past what ``that`` knows raises TruncationError rather
-    than give a wrong number."""
-
-    def __init__(self, that: RatSeries):
-        self.that = that
-
-    @cached_property
-    def s_con(self) -> RatSeries:
-        """theta log(theta t) - (X - 1)/3 in u, the large-volume recipe for
-        S: Laurent from u^-1, known through u^(order - 2)."""
-        theta_t = theta_u(self.that)
-        if theta_t.constant_term() == 0:
-            raise GapError("degenerate conifold frame: theta t vanishes at u = 0")
-        x_minus_1_over_3 = RatSeries.from_pairs(
-            "u", {-1: F(1, 3), 0: F(-1, 3)}, self.that.trunc_order)
-        return theta_u(theta_t) / theta_t - x_minus_1_over_3
-
-
-@lru_cache(maxsize=None)
 def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
-    """The conifold frame of the mirror data, one per mirror data; its
-    series are made when a polar part first reads them."""
-    return ConifoldFrame(md.that)
+    """The conifold frame of the mirror data, ``md.frame``: one per mirror
+    data, its series made when a polar part first reads them."""
+    return md.frame
 
 
 def u_polar_part(elt: BModElement, frame: ConifoldFrame,

@@ -40,7 +40,7 @@ from .mirror import (
     cq_change,
     q_to_Q,
 )
-from .series import RatSeries, SeriesError
+from .series import Powers, RatSeries, SeriesError
 
 F = Fraction
 
@@ -99,10 +99,10 @@ class Edge:
 # -- elliptic values as polynomial elements ------------------------------------------
 
 # E2, E4 and E6 at the cubed nome, rewritten through the generator dictionary
-_E_BMOD = (BModElement(-2, {(0, 0): 1, (1, -1): 4}),
-           BModElement(-4, {(0, 0): F(1, 9), (0, -1): F(8, 9)}),
-           BModElement(-6, {(0, 0): F(-1, 27), (0, -1): F(20, 27),
-                            (0, -2): F(8, 27)}))
+_E_BMOD = Powers(BModElement(-2, {(0, 0): 1, (1, -1): 4}),
+                 BModElement(-4, {(0, 0): F(1, 9), (0, -1): F(8, 9)}),
+                 BModElement(-6, {(0, 0): F(-1, 27), (0, -1): F(20, 27),
+                                  (0, -2): F(8, 27)}))
 
 
 def epoly_to_bmod(ep: elliptic.EPoly) -> BModElement:

@@ -116,6 +116,28 @@ def _conifold_flat(order: int) -> RatSeries:
     return t
 
 
+class ConifoldFrame:
+    """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
+    the propagator ``s_con``, made on its first read and known as far as
+    ``that`` allows; ``that`` is never reverted.  One frame serves every
+    genus: a read past what ``that`` knows raises TruncationError rather
+    than give a wrong number."""
+
+    def __init__(self, that: RatSeries):
+        self.that = that
+
+    @cached_property
+    def s_con(self) -> RatSeries:
+        """theta log(theta t) - (X - 1)/3 in u, the large-volume recipe for
+        S: Laurent from u^-1, known through u^(order - 2)."""
+        theta_t = theta_u(self.that)
+        if theta_t.constant_term() == 0:
+            raise SeriesError("degenerate conifold frame: theta t vanishes at u = 0")
+        x_minus_1_over_3 = RatSeries.from_pairs(
+            "u", {-1: F(1, 3), 0: F(-1, 3)}, self.that.trunc_order)
+        return theta_u(theta_t) / theta_t - x_minus_1_over_3
+
+
 # -- the assembled mirror data ----------------------------------------------------
 
 class MirrorData(namedtuple("MirrorData", "order ibar1 I11 J X S Qofq qofQ "
@@ -133,14 +155,15 @@ class MirrorData(namedtuple("MirrorData", "order ibar1 I11 J X S Qofq qofQ "
     __delattr__ = __setattr__
 
     # The powers that bm_eval substitutes for S, I11 and 1/I11, and
-    # cq_change for the nome cQ and its cube cQt; each table is made on its
-    # first read.
+    # cq_change for the nome cQ and its cube cQt, and the conifold frame
+    # that the gap reads; each is made on its first read.
     S_pow = cached_property(lambda self: Powers(self.S))
     I11_pow = cached_property(lambda self: Powers(self.I11))
     inv_I11_pow = cached_property(lambda self: Powers(
         RatSeries.one("q", self.order) / self.I11))
     cQ_pow = cached_property(lambda self: Powers(self.cQofq))
     cQt_pow = cached_property(lambda self: Powers(self.cQofq ** 3))
+    frame = cached_property(lambda self: ConifoldFrame(self.that))
 
 
 # the field names, in order, for perfbench/tracer.py alone (ROADMAP item 7

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 from .graded import Graded, evaluate
-from .series import Localp2Error, RatSeries, SeriesError
+from .series import Localp2Error, Powers, RatSeries, SeriesError
 
 CQ = "cQ"  # nome for Gamma_1(3) expansions
 
@@ -169,10 +169,10 @@ def qm_derive(e: QModElement) -> QModElement:
 
 def qm_to_qseries(e: QModElement, order: int) -> RatSeries:
     """Substitute the generator expansions; exact through ``order``."""
-    images = [generator_series(name, order) for name in QModElement.names]
-    num = evaluate(e.terms, images)
+    table = Powers(*(generator_series(name, order) for name in QModElement.names))
+    num = evaluate(e.terms, table)
     if e.c_pole:
-        num = num / images[2] ** e.c_pole
+        num = num / table[0, 0, e.c_pole]
     return num
 
 

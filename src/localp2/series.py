@@ -236,12 +236,6 @@ class RatSeries:
         return ((0,) * (self.min_exp - lo) + self.nums
                 == (0,) * (other.min_exp - lo) + other.nums)
 
-    def __hash__(self):
-        # what __eq__ compares: leading zeros and the declared floor do not count
-        v = self.valuation()
-        tail = () if v is None else self.nums[v - self.min_exp:]
-        return hash((self.var, self.trunc_order, self.log_coeff, self.den, tail))
-
     def agrees_with(self, other: "RatSeries", through: int) -> bool:
         """Exact coefficient equality through the given order (log slots too)."""
         return self.truncate(through) == other.truncate(through)
@@ -398,15 +392,15 @@ class RatSeries:
         return out
 
     def compose(self, powers: "Powers") -> "RatSeries":
-        """Substitute the base of the table ``powers`` (a nonzero series of
-        valuation >= 1) for the variable of a power series without a log
+        """Substitute the first base of the table ``powers`` (a nonzero series
+        of valuation >= 1) for the variable of a power series without a log
         slot: sum c_k powers[k] from the unit at k = 0, so from v^0, cut at
         the order through which the result is known."""
         if self.log_coeff:
             raise SeriesError("compose of a log-extended series")
         if self.min_exp < 0:
             raise SeriesError("compose with Laurent outer unsupported")
-        inner = powers.base
+        inner = powers.bases[0]
         v = inner.valuation()
         if v is None or v < 1:
             raise SeriesError("inner series must have valuation >= 1")
@@ -430,22 +424,26 @@ class RatSeries:
 
 
 class Powers:
-    """The table of one series' powers, which composition, reversion, the
-    mirror substitutions and the conifold gap read: ``table[k]`` is
-    base**k, made once, as ``table[k - 1] * base`` from the unit base**0
-    (known as far as base's powers are), the first time it is read.  A ring
-    monomial in several generators is substituted by ``graded.monomial_image``."""
+    """The table of the powers and monomials of its bases, which every
+    substitution reads: composition, reversion, the mirror and conifold
+    substitutions, and ``graded.evaluate`` and ``graded.recognize`` into
+    ring monomials.  ``table[k1, ..., kn]`` is prod_i bases[i]**k_i (one
+    base reads ``table[k]``, the same entry as ``table[(k,)]``), made once,
+    the first time it is read, as the entry with its first nonzero exponent
+    lowered by one times that base, from the unit bases[0]**0 (known as far
+    as the bases' powers are)."""
 
-    __slots__ = ("base", "_made")
+    __slots__ = ("bases", "_made")
 
-    def __init__(self, base):
-        self.base, self._made = base, [base ** 0]
+    def __init__(self, *bases):
+        self.bases, self._made = bases, {(0,) * len(bases): bases[0] ** 0}
 
-    def __getitem__(self, k: int):
-        made = self._made
-        while len(made) <= k:
-            made.append(made[-1] * self.base)
-        return made[k]
+    def __getitem__(self, key):
+        key = (key,) if isinstance(key, int) else key
+        if key not in self._made:
+            i = next(i for i, e in enumerate(key) if e)
+            self._made[key] = self[key[:i] + (key[i] - 1,) + key[i + 1:]] * self.bases[i]
+        return self._made[key]
 
 
 def lincomb(pairs) -> RatSeries:

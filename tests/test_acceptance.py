@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from localp2 import acceptance
+from localp2 import acceptance, locrel
+from localp2.series import Powers
 
 
 def _run(idx, name, fn):
@@ -25,14 +26,16 @@ def test_criteria_1_to_11(idx, name, fn):
 
 
 def _clear_every_cache():
-    """Empty every lru_cache in localp2 (acceptance.context, mirror data,
-    conifold frames, elliptic and quasimodular tables), so the next report
-    starts as cold as a fresh process."""
+    """Empty every lru_cache in localp2 (acceptance.context, mirror data
+    with the conifold frames and power tables they hold, elliptic and
+    quasimodular tables) and the module-level table of E-images, so the
+    next report starts as cold as a fresh process."""
     for name, mod in list(sys.modules.items()):
         if name.startswith("localp2."):
             for obj in vars(mod).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+    locrel._E_BMOD = Powers(*locrel._E_BMOD.bases)
 
 
 def test_criterion_12_determinism():

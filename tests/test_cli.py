@@ -12,7 +12,7 @@ from localp2 import cli, elliptic
 from localp2.cli import RunConfig, load_config, main
 from localp2.graded import GradedError
 from localp2.hae import GapError
-from localp2.mirror import BModError
+from localp2.mirror import BModError, build_mirror_data
 from localp2.quasimod import QModElement
 from localp2.series import RatSeries, SeriesError
 
@@ -333,8 +333,9 @@ class TestHeavyCommands:
             t = gamma(n, genus)
             return t * (1 + F(1, 10 ** 6)) if (n, genus) == (g, 0) else t
         monkeypatch.setattr(cli.hae, "gamma", skewed)
-        # and solve on a fresh frame, not on one an earlier test left
-        cli.hae.build_conifold_frame.cache_clear()
+        # and solve on a fresh frame, not on one an earlier test left: a
+        # frame goes with its mirror data
+        build_mirror_data.cache_clear()
         status, out, _ = run(["solve", "--genus", str(g), "--target", "both"],
                              capsys)
         assert status == 1

@@ -17,7 +17,7 @@ from localp2.elliptic import (
     connected_extract,
     default_qorder,
     disconnected_coefficient,
-    eisenstein_images,
+    eisenstein_powers,
     f1_empty,
     npoint_disconnected,
     theta_z,
@@ -41,7 +41,7 @@ QORDER = 14
 
 def expand(ep: EPoly, order: int) -> RatSeries:
     """The nome expansion of ep, through ``order``."""
-    return evaluate(ep.terms, eisenstein_images(order))
+    return evaluate(ep.terms, eisenstein_powers(order))
 
 
 class TestTheta:
@@ -285,7 +285,7 @@ class TestExtract:
         for k in (qorder - 1, qorder):
             bad = series + RatSeries.from_pairs("cQt", {k: 1}, qorder)
             with pytest.raises(GradedError):
-                recognize(bad, EPoly.weights, 2, eisenstein_images(qorder))
+                recognize(bad, EPoly.weights, 2, eisenstein_powers(qorder))
 
     def test_recognition_adds_no_image_copies(self, monkeypatch):
         # (2, (1, 1)) and (2, (2, 0)) have weight 6, so the second reads the

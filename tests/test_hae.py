@@ -384,7 +384,8 @@ class TestGapFix:
         tables = []
 
         class MadePowers(Powers):
-            """A table that records how far each power read is known."""
+            """A table that records how far each power read is known, by
+            its tuple key: the reads of the table itself included."""
 
             def __init__(self, base):
                 super().__init__(base)
@@ -393,7 +394,7 @@ class TestGapFix:
 
             def __getitem__(self, k):
                 power = super().__getitem__(k)
-                self.known[k] = power.trunc_order
+                self.known[(k,) if isinstance(k, int) else k] = power.trunc_order
                 return power
 
         monkeypatch.setattr(hae, "Powers", MadePowers)
@@ -404,11 +405,12 @@ class TestGapFix:
             # s_con through u^r, r the largest x + s - 1, and its s-th
             # power through u^(r - s + 1)
             r = max(x + s - 1 for s, x in sol.terms)
-            assert s_con_pow.base.trunc_order == r < frame.s_con.trunc_order
-            assert max(s_con_pow.known) == sol.deg_S()
-            assert all(t == r - s + 1 for s, t in s_con_pow.known.items() if s)
-            # the gap target makes u^-M the deepest pole: that^i through u^M
-            assert that_pow.known == {i: M for i in range(1, M + 1)}
+            assert s_con_pow.bases[0].trunc_order == r < frame.s_con.trunc_order
+            assert max(s_con_pow.known) == (sol.deg_S(),)
+            assert all(t == r - s + 1 for (s,), t in s_con_pow.known.items() if s)
+            # the gap target makes u^-M the deepest pole: that^i through u^M,
+            # the unit that^0 included
+            assert that_pow.known == {(i,): M for i in range(M + 1)}
 
 
 class TestAnomalyEquation:

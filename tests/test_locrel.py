@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from localp2.elliptic import EPoly, eisenstein_images, stationary_value
-from localp2.graded import evaluate, monomial_image
+from localp2 import locrel
+from localp2.elliptic import EPoly, eisenstein_powers, stationary_value
+from localp2.graded import evaluate
 from localp2.hae import solve_towers
 from localp2.locrel import (
     Correspondence,
@@ -17,7 +18,7 @@ from localp2.locrel import (
     flat_expansion,
 )
 from localp2.mirror import BModElement, bm_eval, build_mirror_data, cq_change
-from localp2.series import RatSeries
+from localp2.series import Powers, RatSeries
 
 from oracles import corrections_sum_oracle, solve_local
 
@@ -46,7 +47,7 @@ def corr(md):
 
 def nome_series(ep: EPoly, order: int) -> RatSeries:
     """The expansion of ep in the curve's nome, through ``order``."""
-    return evaluate(ep.terms, eisenstein_images(order))
+    return evaluate(ep.terms, eisenstein_powers(order))
 
 
 def test_relative_log_coefficient(md):
@@ -80,10 +81,9 @@ class TestEllipticFactorDictionary:
         rhs = bm_eval(epoly_to_bmod(ep), md)
         assert lhs.agrees_with(rhs, 24)
 
-    def test_each_monomial_image_is_made_once(self):
+    def test_each_monomial_image_is_made_once(self, monkeypatch):
         # labels whose monomials share prefixes (E2^3 of E2^4, E2 E4 of
-        # E2^2 E4); their values are recognized, through monomial_image
-        # too, before the count starts
+        # E2^2 E4), rewritten through a fresh table of the E-images
         eps = [stationary_value(2, (1, 1)), stationary_value(2, (1, 1, 0))]
         made = set()
         for key in (k for ep in eps for k in ep.terms):
@@ -92,11 +92,12 @@ class TestEllipticFactorDictionary:
                 i = next(i for i, e in enumerate(key) if e)
                 key = key[:i] + (key[i] - 1,) + key[i + 1:]
                 made.add(key)
-        monomial_image.cache_clear()
+        table = Powers(*locrel._E_BMOD.bases)
+        monkeypatch.setattr(locrel, "_E_BMOD", table)
         first = [epoly_to_bmod(ep) for ep in eps]
-        assert monomial_image.cache_info().misses == len(made)
+        assert len(table._made) == len(made)
         assert [epoly_to_bmod(ep) for ep in eps] == first
-        assert monomial_image.cache_info().misses == len(made)
+        assert len(table._made) == len(made)
 
 
 class TestGenus2Intermediates:

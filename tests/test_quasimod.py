@@ -17,7 +17,7 @@ from localp2.quasimod import (
     qm_derive,
     qm_to_qseries,
 )
-from localp2.series import RatSeries
+from localp2.series import Powers, RatSeries
 
 from oracles import (
     _inv_2sinh_half,
@@ -35,9 +35,9 @@ C = QModElement.gen("C")
 WEIGHTS = QModElement.weights
 
 
-def abc(order: int) -> list:
-    """The generator expansions A, B, C through ``order``."""
-    return [generator_series(name, order) for name in "ABC"]
+def abc(order: int) -> Powers:
+    """The table of the generator expansions A, B, C through ``order``."""
+    return Powers(*(generator_series(name, order) for name in "ABC"))
 
 
 def sl2_embed(k: int) -> QModElement:
