@@ -15,7 +15,8 @@ Subcommands
 Global flags, before the command words: --config FILE, a flat key = value
 file setting q_order, format and omega (flags override it); --format
 json|csv|text; --out PATH.  A flag's value follows it or its "=", flags are
-spelled in full, and -h or --help, anywhere, prints this text.
+spelled in full, and -h or --help, anywhere, prints this text.  An integer,
+in a flag or the config file, is ASCII -?[0-9]+.
 compute and solve print series through q_order, which must be >= 2g - 2
 at genus g; verify hae|gap and ns compare print none, so they build mirror
 data at the least order their checks read.
@@ -41,7 +42,7 @@ from types import SimpleNamespace
 # traceback on an internal error and json by --format json and ns.load_omega;
 # no module imports argparse or dataclasses (MirrorData is a namedtuple)
 from . import elliptic, hae, locrel, mirror, ns, quasimod
-from .series import Localp2Error, RatSeries, TruncationError
+from .series import Localp2Error, RatSeries, TruncationError, integer
 
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
@@ -69,9 +70,9 @@ def load_config(path: str | None) -> RunConfig:
     if not path:
         return RunConfig()
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -82,8 +83,9 @@ def load_config(path: str | None) -> RunConfig:
             raise UsageError(f"config line {lineno} is not key=value")
         if key not in RunConfig._fields:
             raise UsageError(f"unknown config key {key!r}")
+        is_int = type(RunConfig._field_defaults[key]) is int
         try:
-            values[key] = type(RunConfig._field_defaults[key])(val)
+            values[key] = integer(val) if is_int else val
         except ValueError:
             raise UsageError(f"config key {key!r} needs an integer") from None
     return RunConfig(**values)
@@ -156,6 +158,11 @@ def solved_towers(order: int, g: int, side: str):
     return md, hae.solve_towers(md, g, side != "local")
 
 
+def least_order(g: int) -> int:
+    """The mirror order for genus g of a command that prints no series."""
+    return max(5, 2 * g - 2)
+
+
 def cmd_compute_mirror(args, cfg, sink) -> int:
     md = mirror.build_mirror_data(args.order or cfg.q_order)
     for name in ("ibar1", "I11", "J", "X", "S", "Qofq", "qofQ", "cQofq", "that"):
@@ -226,7 +233,7 @@ def cmd_verify_ramanujan(args, cfg, sink) -> int:
 
 def cmd_verify_hae(args, cfg, sink) -> int:
     # no series is printed: the least order that solves the genus will do
-    corr = solved_towers(max(5, 2 * args.genus - 2), args.genus, args.target)[1]
+    corr = solved_towers(least_order(args.genus), args.genus, args.target)[1]
     rep = hae.verify_hae(*corr.tower(args.target).key(args.genus), corr.grid)
     emit_bmod("anomaly_lhs", rep["lhs"], cfg, sink)
     emit_bmod("anomaly_rhs", rep["rhs"], cfg, sink)
@@ -237,7 +244,7 @@ def cmd_verify_hae(args, cfg, sink) -> int:
 
 def cmd_verify_gap(args, cfg, sink) -> int:
     M = 2 * args.genus - 2
-    md, corr = solved_towers(max(5, M), args.genus, args.target)
+    md, corr = solved_towers(least_order(args.genus), args.genus, args.target)
     tower = corr.tower(args.target)
     frame = hae.build_conifold_frame(md)
     con = hae.conifold_expand(tower.elements[args.genus], frame, M)
@@ -260,7 +267,7 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     if missing:
         raise UsageError(f"--dmax {args.dmax} needs sheaf invariants in "
                          f"degrees {missing}, which {omega_path} lacks")
-    corr = solved_towers(max(5, args.dmax, 2 * args.gmax - 2), args.gmax,
+    corr = solved_towers(max(args.dmax, least_order(args.gmax)), args.gmax,
                          "relative")[1]
     flat = {g: locrel.flat_expansion(corr, g, "relative")
             for g in range(args.gmax + 1)}
@@ -297,11 +304,12 @@ def _value(kind, text):
     if not isinstance(kind, int):
         return kind(text)
     try:
-        if int(text) >= kind:
-            return int(text)
+        value = integer(text)
     except ValueError:
         raise UsageError(f"invalid integer value: {text!r}") from None
-    raise UsageError(f"must be >= {kind}, got {int(text)}")
+    if value < kind:
+        raise UsageError(f"must be >= {kind}, got {value}")
+    return value
 
 
 def parts(text: str) -> tuple:

@@ -7,7 +7,9 @@ the I11-degree) that products add.  Subclasses name the generators, give
 their weights, and keep their own bookkeeping in ``_settle`` (checks and
 normalisation of every new element) and ``_aligned`` (how two shifts meet
 in a sum).  Products run on integer numerators over one denominator per
-operand, as the series store theirs.
+operand, as the series store theirs.  Coefficients pass the gate of
+series, ``exact``: an int or a Fraction, never a float, a Decimal or a
+string.
 
 Generator images (series or ring elements) are substituted into ring
 monomials through a ``series.Powers`` table of them, which its caller
@@ -22,7 +24,7 @@ from functools import reduce
 from operator import add, mul
 
 from . import linalg
-from .series import Localp2Error, Powers, RatSeries, over_lcm
+from .series import Localp2Error, Powers, RatSeries, exact, over_lcm
 
 
 class GradedError(Localp2Error):
@@ -37,7 +39,8 @@ class Graded:
 
     def __init__(self, shift: int, terms: dict):
         self.shift = shift
-        self.terms = {tuple(k): f for k, v in terms.items() if (f := Fraction(v))}
+        self.terms = {tuple(k): f for k, v in terms.items()
+                      if (f := Fraction(exact(v)))}
         self._settle()
 
     @classmethod
@@ -72,7 +75,7 @@ class Graded:
 
     @classmethod
     def const(cls, v):
-        v = Fraction(v)
+        v = Fraction(exact(v))
         return cls._from(0, {(0,) * len(cls.names): v} if v else {})
 
     @classmethod
@@ -101,10 +104,8 @@ class Graded:
             self.shift == other.shift or not self.terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not type(self):
             other = self.const(other)
-        elif type(other) is not type(self):
-            return NotImplemented
         shift, mine, theirs = self._aligned(other)
         terms = dict(mine)
         for k, v in theirs.items():
@@ -123,11 +124,9 @@ class Graded:
         return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._from(self.shift, {k: v * other for k, v in
-                                           self.terms.items()} if other else {})
         if type(other) is not type(self):
-            return NotImplemented
+            return self._from(self.shift, {k: v * other for k, v in self.terms.items()}
+                              if exact(other) else {})
         na, da = over_lcm(self.terms.values())
         nb, db = over_lcm(other.terms.values())
         acc: dict = {}
@@ -141,9 +140,7 @@ class Graded:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
+        return self * (1 / Fraction(exact(other)))
 
     def __pow__(self, n: int):
         if n < 0:

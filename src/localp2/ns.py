@@ -19,17 +19,19 @@ hbar-series is built:
                = sum_{m=0..g} (sum_e c_e e^(2m)) / (4^m (2m)!) * p(2g-2m-1),
 
 where p(j) = [z^j] 1/(2 sinh(z/2)) is ``quasimod.inv_2sinh``.
+
+Every integer field of the sheaf table is a JSON integer or a string that
+the command line's one integer rule, ``series.integer``, reads.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from fractions import Fraction
 from math import factorial
 
 from .quasimod import inv_2sinh
-from .series import Localp2Error, RatSeries
+from .series import Localp2Error, RatSeries, integer
 
 F = Fraction
 
@@ -40,10 +42,10 @@ class OmegaError(Localp2Error):
 
 def _integer(value, what: str) -> int:
     """A JSON integer (not a bool) or a string of one."""
-    if type(value) is int or (isinstance(value, str)
-                              and re.fullmatch(r"-?[0-9]+", value)):
-        return int(value)
-    raise OmegaError(f"{what} {value!r} is not an integer")
+    try:
+        return value if type(value) is int else integer(value)
+    except ValueError:
+        raise OmegaError(f"{what} {value!r} is not an integer") from None
 
 
 def load_omega(path) -> dict:

@@ -57,7 +57,6 @@ def _sigma(n: int, k: int) -> int:
     return s
 
 
-@lru_cache(maxsize=None)
 def eisenstein_series(k: int, level_multiplier: int, order: int,
                       var: str = CQ) -> RatSeries:
     """E_k(m*tau) = 1 - (2k/B_k) sum_n sigma_{k-1}(n) v^{mn}, k even."""

@@ -12,6 +12,11 @@ result is exact and truncates there.  No floating point is used anywhere.
 An optional ``log_coeff`` slot holds a single rational multiple of the formal
 symbol log(variable).  It participates in addition, scalar multiplication,
 and the theta derivative (theta log v = 1); everything else rejects it.
+
+Two gates own exact input.  ``exact`` passes an int or a Fraction and
+raises TypeError for anything else: every scalar of a series or a
+``graded`` ring element goes through it.  ``integer`` reads ASCII -?[0-9]+
+from the command line's flags, its config file and the sheaf table.
 """
 
 from __future__ import annotations
@@ -19,22 +24,25 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 _ZERO = Fraction(0)
 
 
-def _rat(x):
-    """An int or Fraction as it is, a str parsed; nothing inexact."""
+def exact(x):
+    """An int or a Fraction as it is; anything else raises TypeError."""
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _frac(x) -> Fraction:
-    return Fraction(x) if isinstance(x, (int, str)) else _rat(x)
+def integer(text) -> int:
+    """The int a str spells as ASCII -?[0-9]+; anything else raises
+    ValueError."""
+    digits = text.removeprefix("-") if isinstance(text, str) else ""
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    raise ValueError(f"not an integer: {text!r}")
 
 
 def over_lcm(fracs) -> tuple[list, int]:
@@ -102,16 +110,9 @@ class RatSeries:
 
     __slots__ = ("var", "min_exp", "nums", "den", "log_coeff")
 
-    def __init__(self, var: str, min_exp: int, coeffs: Iterable, log_coeff=0):
-        vals = [_rat(c) for c in coeffs]
-        if not vals:
-            raise SeriesError("series needs at least one stored coefficient")
-        # reduced fractions over the lcm of their denominators are in lowest terms
-        nums, self.den = over_lcm(vals)
-        self.var = var
-        self.min_exp = int(min_exp)
-        self.nums = tuple(nums)
-        self.log_coeff = _frac(log_coeff)
+    def __new__(cls, var: str, min_exp: int, coeffs: Iterable, log_coeff=0):
+        nums, den = over_lcm([exact(c) for c in coeffs])
+        return _make(var, index(min_exp), nums, den, Fraction(exact(log_coeff)))
 
     # -- construction helpers -------------------------------------------------
 
@@ -122,7 +123,7 @@ class RatSeries:
 
     @staticmethod
     def const(var: str, value, order: int) -> "RatSeries":
-        v = _frac(value)
+        v = exact(value)
         return _make(var, 0, [v.numerator] + [0] * order, v.denominator, _ZERO)
 
     @staticmethod
@@ -147,7 +148,7 @@ class RatSeries:
 
     def with_log(self, c) -> "RatSeries":
         """The same coefficients with the log slot set to ``c``."""
-        return _make(self.var, self.min_exp, self.nums, self.den, _frac(c))
+        return _make(self.var, self.min_exp, self.nums, self.den, Fraction(exact(c)))
 
     # -- basic accessors -------------------------------------------------------
 
@@ -251,10 +252,8 @@ class RatSeries:
                      -self.log_coeff)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatSeries.const(self.var, other, max(self.trunc_order, 0))
         if not isinstance(other, RatSeries):
-            return NotImplemented
+            other = RatSeries.const(self.var, other, max(self.trunc_order, 0))
         self._check_var(other)
         d = lcm(self.den, other.den)
         return _sum(self.var, [(d // self.den, self), (d // other.den, other)], d,
@@ -268,13 +267,11 @@ class RatSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = _frac(other)
+        if not isinstance(other, RatSeries):
+            s = exact(other)
             return _make(self.var, self.min_exp,
                          [x * s.numerator for x in self.nums],
                          self.den * s.denominator, self.log_coeff * s)
-        if not isinstance(other, RatSeries):
-            return NotImplemented
         self._check_var(other)
         a, b = self, other
         if a.log_coeff or b.log_coeff:
@@ -298,13 +295,8 @@ class RatSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            if s == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / s)
         if not isinstance(other, RatSeries):
-            return NotImplemented
+            return self * (1 / Fraction(exact(other)))
         self._check_var(other)
         if other.log_coeff:
             raise SeriesError("cannot divide by a log-extended series")
@@ -451,7 +443,7 @@ def lincomb(pairs) -> RatSeries:
     truncation order of repeated ``+``; a zero scalar still truncates.
     Exact on integer numerators: the scalars over one denominator, the
     series numerators over another."""
-    pairs = [(_rat(c), f) for c, f in pairs]
+    pairs = [(exact(c), f) for c, f in pairs]
     if not pairs:
         raise SeriesError("lincomb needs at least one series")
     first = pairs[0][1]

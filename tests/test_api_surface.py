@@ -11,6 +11,11 @@ subclass shadows, or one read only on a path no command takes.  So the
 commands are also run, under a profiler, in one fresh interpreter (no cache
 filled by an earlier test hides a call), and each of those functions and
 methods must be entered, apart from the few that perfbench/ alone reads.
+
+A cache must also be read back: run the same way plus one deeper solve,
+each command starting with every cache empty, every lru_cache in
+src/localp2 must be hit, apart from the few whose cache_info() perfbench/
+alone reads.
 """
 
 import ast
@@ -141,4 +146,62 @@ def test_every_library_function_is_entered_by_the_commands(tmp_path):
                    if key not in entered)
     assert never == sorted(PERFBENCH_ONLY)
     for name, (file, line) in PERFBENCH_ONLY.items():
+        assert line in map(str.strip, (BENCH / file).read_text().splitlines()), name
+
+
+# lru_cache -> (the perfbench/ file, the line of it that reads its
+# cache_info()): caches that no command reads twice
+CACHE_INFO_ONLY = {
+    "mirror.build_mirror_data": (
+        "tracer.py", '("mirror.build_mirror_data", "mirror:build_mirror_data"),'),
+    "elliptic.npoint_disconnected": (
+        "tracer.py", '("elliptic.npoint_disconnected", "elliptic:npoint_disconnected"),'),
+    "elliptic.theta_z": ("tracer.py", '("elliptic.theta_z", "elliptic:theta_z"),'),
+}
+
+# traffic(caches, argvs) prints, as one JSON object, the hits of each named
+# lru_cache ("module.function") summed while main runs each argv; before
+# each, every one of them and locrel's table of the E-images is emptied
+TRAFFIC = """
+import contextlib, importlib, io, json
+
+def traffic(caches, argvs):
+    from localp2 import locrel
+    from localp2.cli import main
+    from localp2.series import Powers
+    funcs = {name: getattr(importlib.import_module("localp2." + module), attr)
+             for name in caches for module, _, attr in [name.partition(".")]}
+    hits = dict.fromkeys(caches, 0)
+    for argv in argvs:
+        for f in funcs.values():
+            f.cache_clear()
+        locrel._E_BMOD = Powers(*locrel._E_BMOD.bases)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        for name, f in funcs.items():
+            hits[name] += f.cache_info().hits
+    print(json.dumps(hits))
+"""
+
+
+def lru_caches():
+    """"module.function" of each module-level function of the package
+    decorated with lru_cache."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                    "lru_cache" in ast.unparse(d) for d in node.decorator_list):
+                yield f"{path.stem}.{node.name}"
+
+
+def test_every_cache_is_hit_by_the_commands(tmp_path):
+    cfg = tmp_path / "q5.cfg"
+    cfg.write_text("q_order = 5\n")
+    argvs = [[a.format(cfg=cfg, out=tmp_path / "out.txt") for a in argv]
+             for argv in COMMANDS + [["solve", "--genus", "5", "--target", "both"]]]
+    caches = list(lru_caches())
+    assert len(caches) >= 10  # the decorators were found
+    hits = run_fresh(TRAFFIC + f"traffic({caches!r}, {argvs!r})")
+    assert sorted(name for name, n in hits.items() if not n) == sorted(CACHE_INFO_ONLY)
+    for name, (file, line) in CACHE_INFO_ONLY.items():
         assert line in map(str.strip, (BENCH / file).read_text().splitlines()), name

@@ -117,6 +117,17 @@ BAD_INPUT = [
     (["verify", "ramanujan", "--order", "-1"], "must be >= 0"),
     (["compute", "mirror", "--order", "3"], "must be >= 5"),
     (["compute", "mirror", "--order", "x"], "invalid integer value"),
+    # an integer is ASCII -?[0-9]+, as in the sheaf table: no other digits,
+    # no underscores, no sign but "-", no spaces
+    (["compute", "local", "--genus", "٢"],
+     "argument --genus: invalid integer value: '٢'"),
+    (["verify", "ramanujan", "--order", "1_0"],
+     "argument --order: invalid integer value: '1_0'"),
+    (["verify", "ramanujan", "--order", "+10"], "invalid integer value: '+10'"),
+    (["verify", "ramanujan", "--order= 10"], "invalid integer value: ' 10'"),
+    (["compute", "elliptic", "--genus", "2", "--parts", "1,１"], "a1,a2"),
+    (["--config", "{tmp}/wide.cfg", "compute", "mirror"],
+     "config key 'q_order' needs an integer"),
     (["solve", "--genus", "3", "--target", "all"], "invalid choice: 'all'"),
     (["--format", "xml", "compute", "mirror"], "unknown output format 'xml'"),
     # a missing flag, flag value or command word, and an unknown word
@@ -131,6 +142,8 @@ BAD_INPUT = [
     (["--config", "{tmp}/margin.cfg", "compute", "mirror"],
      "unknown config key 'margin'"),
     (["--config", "{tmp}/missing.cfg", "compute", "mirror"],
+     "cannot read config"),
+    (["--config", "{tmp}/bytes.cfg", "compute", "mirror"],
      "cannot read config"),
     (["ns", "compare", "--omega", "{tmp}/missing.json"], "cannot read sheaf"),
     (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
@@ -172,6 +185,8 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
     (tmp_path / "q.cfg").write_text("q_order = 3\n")
     (tmp_path / "q6.cfg").write_text("q_order = 6\n")
     (tmp_path / "text.cfg").write_text("q_order = ten\n")
+    (tmp_path / "wide.cfg").write_text("q_order = ３２\n", encoding="utf-8")
+    (tmp_path / "bytes.cfg").write_bytes(b"q_order = \xff\n")
     (tmp_path / "margin.cfg").write_text("margin = 10\n")
     (tmp_path / "lopsided.json").write_text(json.dumps({"entries": [
         {"degree": 1, "coeffs": [{"exp2": -2, "c": "1"}, {"exp2": 0, "c": "1"}]},

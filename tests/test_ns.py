@@ -65,6 +65,8 @@ BAD_TABLES = {
                             "degree 1 coefficient True is not an integer"),
     "fractional string": ([entry((-2, "1.5"), (0, 1), (2, "1.5"))],
                           "degree 1 coefficient '1.5' is not an integer"),
+    "full-width digit string": ([entry((-2, "１"), (0, 1), (2, "１"))],
+                                "degree 1 coefficient '１' is not an integer"),
     "fractional half-exponent": ([entry((-2.0, 1), (0, 1), (2.0, 1))],
                                  "degree 1 half-exponent -2.0 is not"),
     "fractional degree": ([entry(*DEGREE_ONE, degree=1.0)],

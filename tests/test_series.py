@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -7,11 +8,14 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localp2.elliptic import EPoly
 from localp2.mirror import BModElement, build_mirror_data
+from localp2.quasimod import QModElement
 from localp2.series import (
     Powers,
     RatSeries,
     SeriesError,
+    integer,
     lincomb,
 )
 
@@ -153,13 +157,15 @@ class TestStorage:
     def test_ints_fractions_strings_and_leading_zeros_agree(self):
         forms = [q_series([2, 0, -4]),
                  q_series([F(4, 2), F(0), F(-8, 2)]),
-                 q_series(["2", "0", "-4/1"]),
                  q_series([0, 0, 2, 0, -4], min_exp=-2),
                  q_series([F(6, 3), 0, -4], log_coeff=0)]
         for s in forms:
             assert_canonical(s)
             assert s == forms[0]
         assert forms[0].coeffs == (2, 0, -4)
+        # a string is not parsed: it is no exact rational
+        with pytest.raises(TypeError):
+            q_series(["2", "0", "-4/1"])
 
     def test_common_denominator_is_least(self):
         s = q_series([F(1, 6), F(1, 4), F(1, 3)])
@@ -176,11 +182,68 @@ class TestStorage:
         assert a.trim() == a
 
     def test_log_slot_construction(self):
-        s = q_series([1, 2], log_coeff="1/3")
+        s = q_series([1, 2], log_coeff=F(1, 3))
         assert s.log_coeff == F(1, 3) and s.with_log(0).log_coeff == 0
         assert s.with_log(0) == q_series([1, 2])
         with pytest.raises(TypeError):
             q_series([1.5])
+        with pytest.raises(TypeError):
+            q_series([1, 2], log_coeff="1/3")
+
+
+INEXACT = [0.1, 2.0, Decimal("0.1"), "1/10", "2"]
+
+
+class TestExactGate:
+    """Every scalar a series or a ring element is built from, or is scaled,
+    shifted or divided by, is an int or a Fraction; a float is not turned
+    into its binary fraction, a Decimal or a string is not parsed."""
+
+    @pytest.mark.parametrize("x", INEXACT, ids=repr)
+    def test_series_entry_points_reject(self, x):
+        s = q_series([1, 2, 3])
+        for make in (lambda: q_series([1, x]), lambda: q_series([1], log_coeff=x),
+                     lambda: q_series([1], min_exp=x),
+                     lambda: RatSeries.const("q", x, 3), lambda: s.with_log(x),
+                     lambda: s * x, lambda: x * s, lambda: s / x, lambda: s + x,
+                     lambda: lincomb([(1, s), (x, s)])):
+            with pytest.raises(TypeError):
+                make()
+
+    @pytest.mark.parametrize("x", INEXACT, ids=repr)
+    def test_ring_entry_points_reject(self, x):
+        for cls, key in ((EPoly, (1, 0, 0)), (QModElement, (1, 0, 0)),
+                         (BModElement, (0, 1))):
+            e = cls.const(1)
+            for make in (lambda: cls.const(x), lambda: e * x, lambda: x * e,
+                         lambda: e / x, lambda: e + x):
+                with pytest.raises(TypeError):
+                    make()
+            with pytest.raises(TypeError):
+                EPoly({key: x}) if cls is EPoly else cls(0, {key: x})
+        with pytest.raises(TypeError):
+            BModElement.monomial(x, 1, 0)
+
+    def test_exact_scalars_pass(self):
+        s = q_series([1, 2, 3])
+        assert s * F(1, 2) == s / 2 == lincomb([(F(1, 2), s)])
+        assert BModElement.monomial(F(1, 10), 1, 0).terms == {(1, 0): F(1, 10)}
+        assert (QModElement.const(3) / 3).terms == {(0, 0, 0): 1}
+
+
+class TestIntegerRule:
+    """One rule reads an integer from text: ASCII -?[0-9]+ and no more."""
+
+    @pytest.mark.parametrize("text,value", [("0", 0), ("-12", -12), ("007", 7)])
+    def test_accepts(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "-", "+1", " 1", "1 ", "--1", "1_0", "1.0", "\u0662", "\uff13\uff12",
+        "\u00b2", 1, None])
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            integer(text)
 
 
 class TestIntegerKernels:
