@@ -5,9 +5,9 @@ the elliptic curve."""
 import importlib.util
 import sys
 
-from .series import Localp2Error, RatSeries, SeriesError
+from .series import Localp2Error, RatSeries
 
-__all__ = ["Localp2Error", "RatSeries", "SeriesError"]
+__all__ = ["Localp2Error", "RatSeries"]
 __version__ = "0.1.0"
 
 # The other library modules execute, and so compile, on the first read of

@@ -42,7 +42,7 @@ from types import SimpleNamespace
 # traceback on an internal error and json by --format json and ns.load_omega;
 # no module imports argparse or dataclasses (MirrorData is a namedtuple)
 from . import elliptic, hae, locrel, mirror, ns, quasimod
-from .series import Localp2Error, RatSeries, TruncationError, integer
+from .series import Localp2Error, RatSeries, integer
 
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
@@ -384,10 +384,10 @@ def main(argv=None) -> int:
             cfg = cfg._replace(format=args.format)
         cfg.validate()
         status = COMMANDS[args.words][0](args, cfg, lines.append)
-    except Exception as exc:
-        if isinstance(exc, Localp2Error) and not isinstance(exc, TruncationError):
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR if isinstance(exc, UsageError) else VERIFY_ERROR
+    except Localp2Error as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR if isinstance(exc, UsageError) else VERIFY_ERROR
+    except Exception:
         # a bug, a read past a checked truncation order among them: keep its traceback
         import traceback
         traceback.print_exc()

@@ -36,7 +36,7 @@ from math import comb, factorial, lcm, prod
 
 from .graded import Graded, recognize, weight_monomials
 from .quasimod import bernoulli, eisenstein_series, inv_2sinh
-from .series import Localp2Error, Powers, RatSeries, lincomb
+from .series import Powers, RatSeries, lincomb
 
 F = Fraction
 
@@ -45,10 +45,6 @@ CQT = "cQt"  # nome of the elliptic curve
 # nome orders past the monomial count at which a label is recognized by
 # default: the coefficients that check the recognized polynomial
 CHECK_ORDERS = 10
-
-
-class EllipticError(Localp2Error):
-    pass
 
 
 # -- labels ----------------------------------------------------------------------
@@ -61,12 +57,12 @@ class StationaryLabel(namedtuple("StationaryLabel", "h parts")):
     def __new__(cls, h: int, parts):
         parts = tuple(sorted(parts, reverse=True))
         if h < 0 or any(a < 0 for a in parts):
-            raise EllipticError("negative genus or descendent exponent")
+            raise ValueError("negative genus or descendent exponent")
         return super().__new__(cls, h, parts)
 
     def check_dimension(self):
         if sum(self.parts) != 2 * self.h - 2:
-            raise EllipticError(
+            raise ValueError(
                 f"dimension constraint fails: sum {self.parts} != {2 * self.h - 2}")
 
     @property
@@ -123,7 +119,7 @@ def theta_z(zdeg: int, qorder: int):
     z^k coefficient e_k of exp(f) follows k e_k = sum_{even j<=k} j f_j e_{k-j}.
     """
     if zdeg < 1:
-        raise EllipticError("need z-degree >= 1")
+        raise ValueError("need z-degree >= 1")
     zero = RatSeries.const(CQT, 0, qorder)
     e = [RatSeries.one(CQT, qorder)]
     for k in range(1, zdeg):  # j f_j = B_j/j! E_j; e_k vanishes at odd k
@@ -261,7 +257,7 @@ def connected_extract(label: StationaryLabel,
     """
     label.check_dimension()
     if not label.parts:
-        raise EllipticError("empty labels are handled by f1_empty")
+        raise ValueError("empty labels are handled by f1_empty")
     w = label.weight
     if qorder is None:
         qorder = default_qorder(w)
@@ -288,5 +284,5 @@ def f1_empty(qorder: int) -> RatSeries:
     The log slot on the "cQt" tag is the coefficient of the signed-nome log.
     """
     if qorder < 1:
-        raise EllipticError("need at least one nome order")
+        raise ValueError("need at least one nome order")
     return (-euler_product(qorder).log()).with_log(F(-1, 24))

@@ -27,10 +27,6 @@ from . import linalg
 from .series import Localp2Error, Powers, RatSeries, exact, over_lcm
 
 
-class GradedError(Localp2Error):
-    pass
-
-
 class Graded:
     __slots__ = ("shift", "terms")
     names: tuple = ()             # generator names, in exponent order
@@ -53,8 +49,8 @@ class Graded:
 
     def _settle(self):
         if self.weights and len({self._weight(k) for k in self.terms}) > 1:
-            raise GradedError(f"mixed weights: "
-                              f"{sorted({self._weight(k) for k in self.terms})}")
+            raise ValueError(f"mixed weights: "
+                             f"{sorted({self._weight(k) for k in self.terms})}")
 
     def _weight(self, key) -> int:
         return sum(map(mul, self.weights, key))
@@ -66,8 +62,8 @@ class Graded:
             return self.shift, self.terms, other.terms
         if not self.terms:
             return other.shift, self.terms, other.terms
-        raise GradedError(f"{type(self).__name__} shifts differ: "
-                          f"{self.shift} vs {other.shift}")
+        raise ValueError(f"{type(self).__name__} shifts differ: "
+                         f"{self.shift} vs {other.shift}")
 
     @classmethod
     def zero(cls):
@@ -81,7 +77,7 @@ class Graded:
     @classmethod
     def gen(cls, name: str):
         if name not in cls.names:
-            raise GradedError(f"no generator {name!r} among {cls.names}")
+            raise ValueError(f"no generator {name!r} among {cls.names}")
         return cls._from(0, {tuple(int(n == name) for n in cls.names):
                              Fraction(1)})
 
@@ -144,7 +140,7 @@ class Graded:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise GradedError(f"negative power {n} of a polynomial")
+            raise ValueError(f"negative power {n} of a polynomial")
         return reduce(mul, [self] * n, self.const(1))
 
     def partial(self, name: str):
@@ -190,15 +186,15 @@ def recognize(series: RatSeries, weights: tuple, w: int,
     coefficient the series carries, so one outside the span is rejected."""
     monos = weight_monomials(weights, w)
     if (series.valuation() or 0) < 0 or series.log_coeff:
-        raise GradedError("a series with poles or logs is not a polynomial")
+        raise ValueError("a series with poles or logs is not a polynomial")
     have = series.trunc_order + 1
     if have < len(monos):
-        raise GradedError(f"insufficient coefficients: need {len(monos)}, "
-                          f"have {have}")
+        raise ValueError(f"insufficient coefficients: need {len(monos)}, "
+                         f"have {have}")
     cols = [table[m] for m in monos]
     try:
         sol = linalg.solve_unique([[c.coeff(k) for c in cols] for k in range(have)],
                                   series.coeff_list(0, have - 1))
-    except linalg.LinearSystemError as exc:
-        raise GradedError(f"series not in the weight-{w} span: {exc}") from exc
+    except Localp2Error as exc:
+        raise Localp2Error(f"series not in the weight-{w} span: {exc}") from exc
     return {m: v for m, v in zip(monos, sol) if v}

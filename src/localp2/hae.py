@@ -29,15 +29,11 @@ from itertools import product
 from math import comb, factorial
 
 from .locrel import Correspondence, DTower
-from .mirror import BModElement, BModError, ConifoldFrame, MirrorData
+from .mirror import BModElement, ConifoldFrame, MirrorData
 from .quasimod import inv_2sinh
 from .series import Localp2Error, Powers, RatSeries, lincomb
 
 F = Fraction
-
-
-class GapError(Localp2Error):
-    pass
 
 
 # -- boundary-condition constants ----------------------------------------------------
@@ -70,7 +66,7 @@ def hae_rhs(n: int, g: int, grid: DTower) -> BModElement:
     (1/9)[1/2 sum' DF^(n1,g1) DF^(n2,g2) + 1/2 D^2 F^(n,g-1)] over (n1,g1) +
     (n2,g2) = (n,g), neither pair (0,0), the loop term exactly when g >= 1."""
     if n + g < 2:
-        raise BModError("anomaly solving starts at genus 2")
+        raise ValueError("anomaly solving starts at genus 2")
     total = BModElement.zero()
     for a in product(range(n + 1), range(g + 1)):
         b = (n - a[0], g - a[1])
@@ -86,7 +82,7 @@ def integrate_S(rhs: BModElement) -> BModElement:
     """S-antiderivative of (3 I11^2 / X) * rhs with no S^0 terms: the
     particular solution, to which gap_fix adds the ambiguity."""
     if not rhs.is_zero() and rhs.i11_degree != 2:
-        raise BModError("anomaly right side must be I11-degree 2")
+        raise ValueError("anomaly right side must be I11-degree 2")
     return BModElement(0, {(s + 1, x - 1): 3 * v / (s + 1)
                            for (s, x), v in rhs.terms.items()})
 
@@ -102,10 +98,10 @@ def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
 def u_polar_part(elt: BModElement, frame: ConifoldFrame,
                  max_pole: int) -> list:
     """[u^-1], ..., [u^-max_pole] of a weight-zero element with S -> frame
-    propagator and X -> 1/u; a deeper pole raises GapError.  S^s X^x goes
-    to s_con^s u^-x, of which only the terms through u^-1 are read."""
+    propagator and X -> 1/u; a deeper pole raises Localp2Error.  S^s X^x
+    goes to s_con^s u^-x, of which only the terms through u^-1 are read."""
     if elt.i11_degree != 0:
-        raise BModError("conifold expansion needs a weight-zero element")
+        raise ValueError("conifold expansion needs a weight-zero element")
     if elt.is_zero():
         return [F(0)] * max_pole
     # X^x -> u^-x, each term cut at u^-1: the regular part has no poles;
@@ -118,7 +114,7 @@ def u_polar_part(elt: BModElement, frame: ConifoldFrame,
                      for (s, x), v in elt.terms.items()])
     v = total.valuation()
     if v is not None and v < -max_pole:
-        raise GapError(f"conifold pole exceeds order {max_pole}")
+        raise Localp2Error(f"conifold pole exceeds order {max_pole}")
     return [total.coeff(-j) for j in range(1, max_pole + 1)]
 
 
@@ -129,7 +125,7 @@ def conifold_expand(elt: BModElement, frame: ConifoldFrame,
     propagator and X -> 1/u.  Only the u^-j have poles in that, and by
     Lagrange inversion [that^-i] u^-j = (j/i) [u^j] that^i, which is zero
     for j < i; that^i through the deepest u-pole is all that is read, and
-    a pole deeper than ``that`` is known raises TruncationError."""
+    a pole deeper than ``that`` is known raises ValueError."""
     c = u_polar_part(elt, frame, max_pole)
     deepest = max((j for j in range(1, max_pole + 1) if c[j - 1]), default=0)
     # that is stored from u^0, so its powers stop at u^deepest as it does
@@ -190,17 +186,17 @@ def assert_finite_generation(elt: BModElement, n: int, g: int):
     G = n + g
     for (s, x) in elt.terms:
         if x < 1 - G or s + x > 2 * G - 2 or 3 * x + s < 0:
-            raise BModError(f"S^{s} X^{x} is outside the span")
+            raise Localp2Error(f"S^{s} X^{x} is outside the span")
     if elt.deg_S() > 3 * g + 2 * n - 3:
-        raise BModError("S-degree bound violated")
+        raise Localp2Error("S-degree bound violated")
 
 
 def solve(n: int, g: int, md: MirrorData, grid: DTower) -> BModElement:
     """F^(n,g) by anomaly + gap, after the unsolved elements below it on the
     grid; each is registered in ``grid``."""
     if md.order < least_q_order(n + g):
-        raise GapError(f"genus {n + g} needs mirror order >= "
-                       f"{least_q_order(n + g)}, got {md.order}")
+        raise ValueError(f"genus {n + g} needs mirror order >= "
+                         f"{least_q_order(n + g)}, got {md.order}")
     for key in sorted(product(range(n + 1), range(g + 1)), key=sum):
         if key == (n, g) or sum(key) >= 2 and key not in grid.elements:
             sol = gap_fix(*key, integrate_S(hae_rhs(*key, grid)), md)

@@ -10,15 +10,11 @@ from fractions import Fraction
 from .series import Localp2Error, over_lcm
 
 
-class LinearSystemError(Localp2Error):
-    pass
-
-
 def solve_unique(rows, rhs):
     """Solve an (over)determined system rows * x = rhs exactly.
 
     Requires full column rank and global consistency; raises
-    LinearSystemError otherwise.  rows: list of coefficient lists, entries
+    Localp2Error otherwise.  rows: list of coefficient lists, entries
     int or Fraction.
     """
     m = [over_lcm([*r, v])[0] for r, v in zip(rows, rhs)]
@@ -32,10 +28,10 @@ def solve_unique(rows, rhs):
     last = 1
     for c in range(ncols):
         if c == nrows:
-            raise LinearSystemError("rank deficient system")
+            raise Localp2Error("rank deficient system")
         piv = next((i for i in range(c, nrows) if m[i][c]), None)
         if piv is None:
-            raise LinearSystemError(f"rank deficient at column {c}")
+            raise Localp2Error(f"rank deficient at column {c}")
         m[c], m[piv] = m[piv], m[c]
         prow = m[c][c:]
         p = prow[0]
@@ -47,5 +43,5 @@ def solve_unique(rows, rhs):
                            for a, b in zip(row[c:], prow)]
         last = p
     if any(row[-1] for row in m[ncols:]):
-        raise LinearSystemError("inconsistent system")
+        raise Localp2Error("inconsistent system")
     return [Fraction(row[-1], last) for row in m[:ncols]]

@@ -33,14 +33,13 @@ from . import elliptic
 from .graded import evaluate
 from .mirror import (
     BModElement,
-    BModError,
     MirrorData,
     bm_derive_D,
     bm_eval,
     cq_change,
     q_to_Q,
 )
-from .series import Powers, RatSeries, SeriesError
+from .series import Localp2Error, Powers, RatSeries
 
 F = Fraction
 
@@ -73,7 +72,7 @@ class DTower:
         """D^k F^key, from the seed (D^3 at n + g = 0, D at n + g = 1) or element."""
         if (key, k) not in self._cache:
             if k <= max(0, 3 - 2 * sum(key)):
-                raise BModError(f"D^{k} F^{key} is neither seeded nor solved")
+                raise ValueError(f"D^{k} F^{key} is neither seeded nor solved")
             self._cache[key, k] = bm_derive_D(self.D(key, k - 1))
         return self._cache[key, k]
 
@@ -168,7 +167,7 @@ class Correspondence:
         aut = prod(map(factorial, Counter(parts).values()))
         value = epoly_to_bmod(ep) * legs * F((-1) ** (h - 1), aut)
         if not value.is_zero() and value.i11_degree != 0:
-            raise BModError("correction term failed weight bookkeeping")
+            raise Localp2Error("correction term failed weight bookkeeping")
         return value
 
     def corrections_sum(self, g: int) -> BModElement:
@@ -176,7 +175,7 @@ class Correspondence:
         decreasing parts shares the leg products of a common prefix and
         stops where the product vanishes."""
         if g < 2:
-            raise BModError("polynomial corrections start at genus 2")
+            raise ValueError("polynomial corrections start at genus 2")
         total = BModElement.zero()
         for h in range(1, g + 1):
             top = g - h
@@ -212,8 +211,8 @@ class Correspondence:
         if g == 1:
             out = cq_change(elliptic.f1_empty(self.md.order), self.md) - local_side
             if out.log_coeff != RELATIVE_LOG_COEFF:
-                raise SeriesError(f"genus-1 log slots do not balance: got "
-                                  f"{out.log_coeff}, want {RELATIVE_LOG_COEFF}")
+                raise Localp2Error(f"genus-1 log slots do not balance: got "
+                                   f"{out.log_coeff}, want {RELATIVE_LOG_COEFF}")
             return out
         rel = (local_side - self.corrections_sum(g)) * F((-1) ** g)
         self.grid.set_genus(self.relative.key(g), rel)

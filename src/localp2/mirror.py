@@ -38,7 +38,7 @@ from operator import mul
 
 from . import quasimod
 from .graded import Graded
-from .series import Localp2Error, Powers, RatSeries, SeriesError, lincomb
+from .series import Localp2Error, Powers, RatSeries, lincomb
 
 F = Fraction
 
@@ -91,7 +91,7 @@ def theta_u(f: RatSeries) -> RatSeries:
     one step less per unit of pole."""
     n = f.trunc_order
     if n < 1:
-        raise SeriesError("theta_u needs a series known through u^1")
+        raise ValueError("theta_u needs a series known through u^1")
     lo = f.min_exp - 1 if f.min_exp < 0 else 0
     top = min(n - 1, n + lo)
     a = [0] * (f.min_exp - lo) + list(f.nums)  # a[i] = f.den * f_(lo + i)
@@ -112,7 +112,7 @@ def _conifold_flat(order: int) -> RatSeries:
     q = (RatSeries.gen("u", order) - 1) / 27
     res = _picard_fuchs(theta_u(t), theta_u, q)
     if any(res.coeff(k) for k in range(0, order - 2)):
-        raise SeriesError("conifold flat coordinate fails its equation")
+        raise Localp2Error("conifold flat coordinate fails its equation")
     return t
 
 
@@ -120,8 +120,9 @@ class ConifoldFrame:
     """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
     the propagator ``s_con``, made on its first read and known as far as
     ``that`` allows; ``that`` is never reverted.  One frame serves every
-    genus: a read past what ``that`` knows raises TruncationError rather
-    than give a wrong number."""
+    genus: a read past what ``that`` knows is a bug and raises ValueError
+    rather than give a wrong number; a frame whose theta t vanishes at
+    u = 0 fails its exact check with Localp2Error."""
 
     def __init__(self, that: RatSeries):
         self.that = that
@@ -132,7 +133,7 @@ class ConifoldFrame:
         S: Laurent from u^-1, known through u^(order - 2)."""
         theta_t = theta_u(self.that)
         if theta_t.constant_term() == 0:
-            raise SeriesError("degenerate conifold frame: theta t vanishes at u = 0")
+            raise Localp2Error("degenerate conifold frame: theta t vanishes at u = 0")
         x_minus_1_over_3 = RatSeries.from_pairs(
             "u", {-1: F(1, 3), 0: F(-1, 3)}, self.that.trunc_order)
         return theta_u(theta_t) / theta_t - x_minus_1_over_3
@@ -174,7 +175,7 @@ MirrorData.__dataclass_fields__ = MirrorData._fields
 @lru_cache(maxsize=None)
 def build_mirror_data(order: int) -> MirrorData:
     if order < 5:
-        raise SeriesError("mirror data needs order >= 5")
+        raise ValueError("mirror data needs order >= 5")
     # I11 log q + J is the eps-derivative at eps = 0 of sum a_(k+eps) q^(k+eps)
     a = _hypergeometric(order)
     ibar1 = RatSeries("q", 0, [0] + [F(a[k], k) for k in range(1, order + 1)])
@@ -189,11 +190,11 @@ def build_mirror_data(order: int) -> MirrorData:
     di11 = i11.theta()
     res = _picard_fuchs(i11, RatSeries.theta, q)
     if any(res.coeff(k) for k in range(0, order - 1)):
-        raise SeriesError("degree-one period fails its differential equation")
+        raise Localp2Error("degree-one period fails its differential equation")
     res = lincomb([(1, _picard_fuchs(j, RatSeries.theta, q)),
                    (2, _u_of_q(order) * di11), (27, q * i11)])
     if any(res.coeff(k) for k in range(0, order - 1)):
-        raise SeriesError("log-companion period fails its differential equation")
+        raise Localp2Error("log-companion period fails its differential equation")
     x = RatSeries.one("q", order) / _u_of_q(order)
     s = di11 / i11 - (x - RatSeries.one("q", order)) / 3
     qofq = ibar1.exp().shift(1)   # q * exp(ibar1)
@@ -217,7 +218,7 @@ def cq_change(series: RatSeries, md: MirrorData) -> RatSeries:
     """
     k = {"cQ": 1, "cQt": 3}.get(series.var)  # the power of the nome
     if k is None:
-        raise SeriesError(f"cq_change expects a cQ or cQt series, got {series.var}")
+        raise ValueError(f"cq_change expects a cQ or cQt series, got {series.var}")
     out = series.with_log(0).compose(md.cQ_pow if k == 1 else md.cQt_pow)
     if series.log_coeff:
         c = k * series.log_coeff
@@ -234,7 +235,7 @@ def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
     if series.log_coeff:
         power = power - series.log_coeff * md.ibar1
     if power.min_exp < 0:
-        raise SeriesError("q_to_Q of a Laurent series")
+        raise ValueError("q_to_Q of a Laurent series")
     top = min(power.trunc_order, md.qofQ.trunc_order)
     h = [0] * power.min_exp + list(power.nums)  # h[i] = power.den * H_i
     # the numerators of [Q^n] H over top! power.den
@@ -248,10 +249,6 @@ def q_to_Q(series: RatSeries, md: MirrorData) -> RatSeries:
 
 
 # -- the polynomial B-model ring ----------------------------------------------------
-
-class BModError(Localp2Error):
-    pass
-
 
 class BModElement(Graded):
     """I11^(-i11_degree) times a Laurent polynomial in X and polynomial in S.
@@ -268,7 +265,7 @@ class BModElement(Graded):
 
     def _settle(self):
         if any(s < 0 for s, _ in self.terms):
-            raise BModError("negative S exponent")
+            raise ValueError("negative S exponent")
 
     @staticmethod
     def monomial(v, s: int = 0, x: int = 0, i11_degree: int = 0) -> "BModElement":
@@ -344,7 +341,7 @@ def bm_eval(e: BModElement, md: MirrorData, target: str = "q") -> RatSeries:
         return out
     if target == "Q":
         return q_to_Q(out, md)
-    raise BModError(f"unknown target {target!r}")
+    raise ValueError(f"unknown target {target!r}")
 
 
 def bm_to_qmod(e: BModElement) -> quasimod.QModElement:
@@ -365,5 +362,5 @@ def bm_to_qmod(e: BModElement) -> quasimod.QModElement:
     acc = {k: v for k, v in acc.items() if v}
     if any(a < 0 for a, _, _ in acc):
         bad = {k: v for k, v in acc.items() if k[0] < 0}
-        raise BModError(f"element not regular at the orbifold point: {bad}")
+        raise Localp2Error(f"element not regular at the orbifold point: {bad}")
     return quasimod.QModElement(P, acc)

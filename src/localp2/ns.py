@@ -36,16 +36,12 @@ from .series import Localp2Error, RatSeries, integer
 F = Fraction
 
 
-class OmegaError(Localp2Error):
-    pass
-
-
 def _integer(value, what: str) -> int:
     """A JSON integer (not a bool) or a string of one."""
     try:
         return value if type(value) is int else integer(value)
     except ValueError:
-        raise OmegaError(f"{what} {value!r} is not an integer") from None
+        raise Localp2Error(f"{what} {value!r} is not an integer") from None
 
 
 def load_omega(path) -> dict:
@@ -61,18 +57,18 @@ def load_omega(path) -> dict:
         d = _integer(item["degree"], "degree")
         if d < 1 or d in entries:
             why = "repeated" if d in entries else "below 1"
-            raise OmegaError(f"degree {d} is {why}")
+            raise Localp2Error(f"degree {d} is {why}")
         pairs: dict = {}
         for c in item["coeffs"]:
             e = _integer(c["exp2"], f"degree {d} half-exponent")
             if e in pairs:
-                raise OmegaError(f"degree {d} repeats half-exponent {e}")
+                raise Localp2Error(f"degree {d} repeats half-exponent {e}")
             pairs[e] = _integer(c["c"], f"degree {d} coefficient")
         entries[d] = out = {e: c for e, c in pairs.items() if c}
         for e, c in out.items():
             if out.get(-e) != c:
-                raise OmegaError(f"degree {d} invariants are not palindromic "
-                                 f"at half-exponent {e}")
+                raise Localp2Error(f"degree {d} invariants are not palindromic "
+                                   f"at half-exponent {e}")
     return entries
 
 
@@ -94,7 +90,7 @@ def ns_genus(table: dict, g: int, dmax: int) -> RatSeries:
     rows = {}
     for d in range(1, dmax + 1):
         if d not in table:
-            raise OmegaError(f"degree {d} missing from the sheaf table")
+            raise ValueError(f"degree {d} missing from the sheaf table")
         rows[d] = _sheaf_row(table[d], g)
     return RatSeries("Q", 0, [F(0)] + [
         sum(F(k) ** (2 * g - 3) * rows[D // k]

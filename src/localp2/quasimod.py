@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 from .graded import Graded, evaluate
-from .series import Localp2Error, Powers, RatSeries, SeriesError
+from .series import Powers, RatSeries
 
 CQ = "cQ"  # nome for Gamma_1(3) expansions
 
@@ -61,7 +61,7 @@ def eisenstein_series(k: int, level_multiplier: int, order: int,
                       var: str = CQ) -> RatSeries:
     """E_k(m*tau) = 1 - (2k/B_k) sum_n sigma_{k-1}(n) v^{mn}, k even."""
     if k % 2 or k <= 0:
-        raise SeriesError("Eisenstein series needs positive even weight")
+        raise ValueError("Eisenstein series needs positive even weight")
     m = level_multiplier
     pref = -Fraction(2 * k) / bernoulli(k)
     coeffs = [Fraction(0)] * (order + 1)
@@ -93,14 +93,10 @@ def generator_series(name: str, order: int) -> RatSeries:
         e2 = eisenstein_series(2, 1, order)
         e2_3 = eisenstein_series(2, 3, order)
         return (e2 + e2_3 * 3) / 4
-    raise SeriesError(f"unknown generator {name!r}")
+    raise ValueError(f"unknown generator {name!r}")
 
 
 # -- ring elements ---------------------------------------------------------------
-
-class QModError(Localp2Error):
-    pass
-
 
 class QModElement(Graded):
     """Element of C^{-c_pole} * Q[A, B, C], homogeneous of fixed weight.
@@ -122,7 +118,7 @@ class QModElement(Graded):
     def _settle(self):
         """Check, then make c_pole minimal: cancel common C factors."""
         if self.shift < 0:
-            raise QModError("c_pole must be non-negative")
+            raise ValueError("c_pole must be non-negative")
         super()._settle()
         while self.shift > 0 and self.terms and \
                 all(c > 0 for _, _, c in self.terms):

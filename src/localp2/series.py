@@ -13,9 +13,9 @@ An optional ``log_coeff`` slot holds a single rational multiple of the formal
 symbol log(variable).  It participates in addition, scalar multiplication,
 and the theta derivative (theta log v = 1); everything else rejects it.
 
-Two gates own exact input.  ``exact`` passes an int or a Fraction and
-raises TypeError for anything else: every scalar of a series or a
-``graded`` ring element goes through it.  ``integer`` reads ASCII -?[0-9]+
+Two gates own exact input.  ``exact`` passes an int or a Fraction, not a
+bool, and raises TypeError for anything else: every scalar of a series or
+a ``graded`` ring element goes through it.  ``integer`` reads ASCII -?[0-9]+
 from the command line's flags, its config file and the sheaf table.
 """
 
@@ -30,8 +30,9 @@ _ZERO = Fraction(0)
 
 
 def exact(x):
-    """An int or a Fraction as it is; anything else raises TypeError."""
-    if isinstance(x, (int, Fraction)):
+    """An int or a Fraction as it is; anything else, a bool among them,
+    raises TypeError."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -56,7 +57,7 @@ def _make(var: str, min_exp: int, nums, den: int, log_coeff) -> "RatSeries":
     """The series sum nums[i]/den var^(min_exp + i), den > 0, put in lowest
     terms by one gcd."""
     if not nums:
-        raise SeriesError("series needs at least one stored coefficient")
+        raise ValueError("series needs at least one stored coefficient")
     g = gcd(den, *nums)
     if g != 1:
         nums = [x // g for x in nums]
@@ -92,17 +93,12 @@ def _sum(var: str, terms, den: int, lo: int, order: int, log_coeff):
 
 
 class Localp2Error(ValueError):
-    """Base of every error localp2 raises for bad input or a failed exact
-    computation; anything else escaping the library is a bug."""
-
-
-class SeriesError(Localp2Error):
-    pass
-
-
-class TruncationError(SeriesError):
-    """A read past the order through which a series is known.  Once a
-    command has checked its orders, this is a bug, not bad input."""
+    """The one error localp2 raises on purpose: bad data from outside the
+    program (the sheaf table; flags and the config file as its subclass
+    ``cli.UsageError``, exit 2) or a failed exact check of the mathematics
+    (exit 1).  A broken precondition, such as a read past a truncation
+    order, raises Python's own ValueError, TypeError or IndexError: it is
+    a bug, and the command line exits 3 with its traceback."""
 
 
 class RatSeries:
@@ -142,7 +138,7 @@ class RatSeries:
         c = [0] * (trunc_order - lo + 1)
         for e, v in pairs.items():
             if e > trunc_order:
-                raise SeriesError("exponent beyond truncation order")
+                raise ValueError("exponent beyond truncation order")
             c[e - lo] = v
         return RatSeries(var, lo, c)
 
@@ -166,8 +162,8 @@ class RatSeries:
         if k < self.min_exp:
             return _ZERO
         if k > self.trunc_order:
-            raise TruncationError(f"coefficient of {self.var}^{k} beyond "
-                                  f"truncation order {self.trunc_order}")
+            raise IndexError(f"coefficient of {self.var}^{k} beyond "
+                             f"truncation order {self.trunc_order}")
         x = self.nums[k - self.min_exp]
         return Fraction(x, self.den) if x else _ZERO
 
@@ -191,7 +187,7 @@ class RatSeries:
 
     def truncate(self, order: int) -> "RatSeries":
         if order > self.trunc_order:
-            raise TruncationError("cannot extend truncation order")
+            raise ValueError("cannot extend truncation order")
         if order < self.min_exp:
             return _make(self.var, order, [0], 1, self.log_coeff)
         return _make(self.var, self.min_exp, self.nums[: order - self.min_exp + 1],
@@ -208,7 +204,7 @@ class RatSeries:
     def shift(self, k: int) -> "RatSeries":
         """Multiply by variable**k."""
         if self.log_coeff:
-            raise SeriesError("cannot shift a log-extended series")
+            raise ValueError("cannot shift a log-extended series")
         return _make(self.var, self.min_exp + k, self.nums, self.den, _ZERO)
 
     # -- representation --------------------------------------------------------
@@ -245,7 +241,7 @@ class RatSeries:
 
     def _check_var(self, other: "RatSeries"):
         if self.var != other.var:
-            raise SeriesError(f"variable mismatch: {self.var} vs {other.var}")
+            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
 
     def __neg__(self):
         return _make(self.var, self.min_exp, [-x for x in self.nums], self.den,
@@ -275,7 +271,7 @@ class RatSeries:
         self._check_var(other)
         a, b = self, other
         if a.log_coeff or b.log_coeff:
-            raise SeriesError("cannot multiply a log-extended series")
+            raise ValueError("cannot multiply a log-extended series")
         order = min(a.trunc_order + b.min_exp, b.trunc_order + a.min_exp)
         lo = a.min_exp + b.min_exp
         n = order - lo + 1
@@ -299,12 +295,12 @@ class RatSeries:
             return self * (1 / Fraction(exact(other)))
         self._check_var(other)
         if other.log_coeff:
-            raise SeriesError("cannot divide by a log-extended series")
+            raise ValueError("cannot divide by a log-extended series")
         if self.log_coeff:
-            raise SeriesError("cannot divide a log-extended series")
+            raise ValueError("cannot divide a log-extended series")
         vb = other.valuation()
         if vb is None:
-            raise SeriesError("division by series with zero leading coefficient")
+            raise ValueError("division by series with zero leading coefficient")
         self = self.trim()
         va = self.min_exp
         lo = va - vb
@@ -326,7 +322,7 @@ class RatSeries:
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
-            raise SeriesError("only integer powers supported")
+            raise TypeError("only integer powers supported")
         if n < 0:
             return RatSeries.one(self.var, self.trunc_order - self.min_exp) / self ** (-n)
         result = RatSeries.one(self.var, self.trunc_order - min(self.min_exp, 0))
@@ -345,9 +341,9 @@ class RatSeries:
         """log of a series with constant term 1 (unit, no log slot):
         k out_k = k f_k - sum_{0<j<k} j out_j f_(k-j)."""
         if self.log_coeff:
-            raise SeriesError("log of a log-extended series")
+            raise ValueError("log of a log-extended series")
         if self.valuation() != 0 or self.coeff(0) != 1:
-            raise SeriesError("log requires constant term 1")
+            raise ValueError("log requires constant term 1")
         f, df = self._from0(), self.den
         out, d = [0], 1
         for k in range(1, len(f)):
@@ -360,12 +356,12 @@ class RatSeries:
         """exp of a series with zero constant term and no log slot,
         k out_k = sum_{j=1..k} j f_j out_(k-j)."""
         if self.log_coeff:
-            raise SeriesError("exp of a log-extended series")
+            raise ValueError("exp of a log-extended series")
         v = self.valuation()
         if v is not None and v < 0:
-            raise SeriesError("exp of a Laurent series")
+            raise ValueError("exp of a Laurent series")
         if self.trunc_order < 0 or self.constant_term() != 0:
-            raise SeriesError("exp requires zero constant term")
+            raise ValueError("exp requires zero constant term")
         jf = [j * x for j, x in enumerate(self._from0())]
         out, d = [1], 1
         for k in range(1, len(jf)):
@@ -389,13 +385,13 @@ class RatSeries:
         slot: sum c_k powers[k] from the unit at k = 0, so from v^0, cut at
         the order through which the result is known."""
         if self.log_coeff:
-            raise SeriesError("compose of a log-extended series")
+            raise ValueError("compose of a log-extended series")
         if self.min_exp < 0:
-            raise SeriesError("compose with Laurent outer unsupported")
+            raise ValueError("compose with Laurent outer unsupported")
         inner = powers.bases[0]
         v = inner.valuation()
         if v is None or v < 1:
-            raise SeriesError("inner series must have valuation >= 1")
+            raise ValueError("inner series must have valuation >= 1")
         bound = min(inner.trunc_order, (self.trunc_order + 1) * v - 1)
         # only the k with k v <= bound (so k <= trunc_order) reach that order
         return lincomb([(self.coeff(k), powers[k])
@@ -406,9 +402,9 @@ class RatSeries:
         inversion: g_k = (1/k) [v^(k-1)] h^k with h = v/f, read from a
         table of the powers of h."""
         if self.log_coeff:
-            raise SeriesError("revert of a log-extended series")
+            raise ValueError("revert of a log-extended series")
         if self.valuation() != 1:
-            raise SeriesError("revert needs valuation exactly 1")
+            raise ValueError("revert needs valuation exactly 1")
         n = self.trunc_order
         h = Powers(RatSeries.one(self.var, n - 1) / self.shift(-1))
         return RatSeries(new_var or self.var, 0,
@@ -445,12 +441,12 @@ def lincomb(pairs) -> RatSeries:
     series numerators over another."""
     pairs = [(exact(c), f) for c, f in pairs]
     if not pairs:
-        raise SeriesError("lincomb needs at least one series")
+        raise ValueError("lincomb needs at least one series")
     first = pairs[0][1]
     for _, f in pairs:
         first._check_var(f)
         if f.log_coeff:
-            raise SeriesError("lincomb of a log-extended series")
+            raise ValueError("lincomb of a log-extended series")
     live = [(c, f) for c, f in pairs if c]
     dc = lcm(*(c.denominator for c, _ in live))
     df = lcm(*(f.den for _, f in live))

@@ -16,9 +16,14 @@ A cache must also be read back: run the same way plus one deeper solve,
 each command starting with every cache empty, every lru_cache in
 src/localp2 must be hit, apart from the few whose cache_info() perfbench/
 alone reads.
+
+And the package raises on purpose only for bad outside data or a failed
+exact check: it defines two exception classes, and every other raise names
+a builtin, which the command line reports as a bug.
 """
 
 import ast
+import builtins
 import os
 import re
 from collections import Counter
@@ -205,3 +210,31 @@ def test_every_cache_is_hit_by_the_commands(tmp_path):
     assert sorted(name for name, n in hits.items() if not n) == sorted(CACHE_INFO_ONLY)
     for name, (file, line) in CACHE_INFO_ONLY.items():
         assert line in map(str.strip, (BENCH / file).read_text().splitlines()), name
+
+
+def is_exception(name, ours=()):
+    """Whether ``name`` is one of ``ours`` or a builtin exception class."""
+    return name in ours or isinstance(getattr(builtins, name, None), type) \
+        and issubclass(getattr(builtins, name), BaseException)
+
+
+def test_two_exception_classes_and_builtins_raise():
+    # series.Localp2Error for a failed exact check or bad outside data, and
+    # cli.UsageError, its subclass for flags and the config file (exit 2);
+    # a broken precondition raises a builtin and exits 3 with its traceback
+    classes, raised = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (path.stem, [ast.unparse(b) for b in node.bases])
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((f"{path.name}:{node.lineno}", ast.unparse(exc)))
+    ours = {}
+    while new := {name: module for name, (module, bases) in classes.items()
+                  if name not in ours and any(is_exception(b, ours) for b in bases)}:
+        ours.update(new)
+    assert ours == {"Localp2Error": "series", "UsageError": "cli"}
+    assert len(raised) > 50  # the raises were found
+    assert [(where, name) for where, name in raised
+            if not is_exception(name, ours)] == []

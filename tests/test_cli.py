@@ -10,11 +10,11 @@ import pytest
 import localp2.acceptance
 from localp2 import cli, elliptic
 from localp2.cli import RunConfig, load_config, main
-from localp2.graded import GradedError
-from localp2.hae import GapError
-from localp2.mirror import BModError, build_mirror_data
+from localp2.graded import recognize
+from localp2.hae import assert_finite_generation
+from localp2.mirror import BModElement, bm_to_qmod, build_mirror_data
 from localp2.quasimod import QModElement
-from localp2.series import RatSeries, SeriesError
+from localp2.series import Localp2Error, Powers, RatSeries
 
 
 def run(argv, capsys):
@@ -203,45 +203,75 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
     assert message in err
 
 
-def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+def run_broken(capsys, monkeypatch, call):
+    """Run a command whose handler prints a line, then calls ``call``."""
     def broken(args, cfg, sink):
         sink("partial output")
-        raise KeyError("bug")
+        call()
 
     replace_handler(monkeypatch, ("verify", "ramanujan"), broken)
-    status, out, err = run(["verify", "ramanujan"], capsys)
+    return run(["verify", "ramanujan"], capsys)
+
+
+def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+    def bug():
+        raise KeyError("bug")
+
+    status, out, err = run_broken(capsys, monkeypatch, bug)
     assert (status, out) == (3, "")
-    assert "Traceback" in err and "KeyError: 'bug'" in err
+    assert "Traceback" in err and err.splitlines()[-1] == "KeyError: 'bug'"
 
 
 # a command has checked its orders before it reads a series, so a read past
 # a series' truncation order is a bug, not a failed check
 @pytest.mark.parametrize("read,message", [
-    (lambda s: s.coeff(4), "coefficient of q^4 beyond truncation order 3"),
-    (lambda s: s.truncate(4), "cannot extend truncation order"),
+    (lambda s: s.coeff(4), "IndexError: coefficient of q^4 beyond truncation order 3"),
+    (lambda s: s.truncate(4), "ValueError: cannot extend truncation order"),
 ], ids=["coeff", "truncate"])
 def test_read_past_truncation_exits_3_with_traceback(read, message, capsys,
                                                      monkeypatch):
-    def broken(args, cfg, sink):
-        sink("partial output")
-        read(RatSeries.one("q", 3))
-
-    replace_handler(monkeypatch, ("verify", "ramanujan"), broken)
-    status, out, err = run(["verify", "ramanujan"], capsys)
+    status, out, err = run_broken(capsys, monkeypatch,
+                                  lambda: read(RatSeries.one("q", 3)))
     assert (status, out) == (3, "")
-    assert "Traceback" in err and f"TruncationError: {message}" in err
+    assert "Traceback" in err and err.splitlines()[-1] == message
 
 
-@pytest.mark.parametrize("error", [GapError, BModError, GradedError,
-                                   SeriesError])
-def test_failed_check_exits_1_without_traceback(error, capsys, monkeypatch):
-    def fails(args, cfg, sink):
-        sink("partial output")
-        raise error("check failed")
+# the command line checks its input before any work, so a broken
+# precondition of the library is a bug: it is never shown as "error:"
+@pytest.mark.parametrize("call,message", [
+    (lambda: RatSeries.one("q", 3) * RatSeries.one("Q", 3),
+     "ValueError: variable mismatch: q vs Q"),
+    (lambda: BModElement(0, {(-1, 0): 1}), "ValueError: negative S exponent"),
+], ids=["variable", "s-exponent"])
+def test_broken_precondition_exits_3_with_traceback(call, message, capsys,
+                                                    monkeypatch):
+    status, out, err = run_broken(capsys, monkeypatch, call)
+    assert (status, out) == (3, "")
+    assert "Traceback" in err and err.splitlines()[-1] == message
+    assert not any(line.startswith("error:") for line in err.splitlines())
 
-    replace_handler(monkeypatch, ("verify", "ramanujan"), fails)
-    assert run(["verify", "ramanujan"], capsys) == \
-        (1, "", "error: check failed\n")
+
+def fail_check():
+    """The failed check that series.py, which defines Localp2Error, stands for."""
+    raise Localp2Error("check failed")
+
+
+# one failed exact check from each module that had an error class of its own
+# before Localp2Error became the one class; the ids keep those class names
+@pytest.mark.parametrize("call,message", [
+    (lambda: assert_finite_generation(BModElement(0, {(0, 5): 1}), 0, 2),
+     "S^0 X^5 is outside the span"),
+    (lambda: bm_to_qmod(BModElement(0, {(0, -1): 1})),
+     "element not regular at the orbifold point: {(-3, 0, 1): Fraction(1, 1)}"),
+    (lambda: recognize(RatSeries.one("q", 3), (1,), 1,
+                       Powers(RatSeries("q", 1, [1, 0, 0]))),
+     "series not in the weight-1 span: inconsistent system"),
+    (fail_check, "check failed"),
+], ids=["GapError", "BModError", "GradedError", "SeriesError"])
+def test_failed_check_exits_1_without_traceback(call, message, capsys,
+                                                monkeypatch):
+    assert run_broken(capsys, monkeypatch, call) == \
+        (1, "", f"error: {message}\n")
 
 
 class TestCommands:

@@ -11,7 +11,6 @@ from localp2.elliptic import (
     _column,
     _constants,
     _part_counts,
-    EllipticError,
     StationaryLabel,
     connected_coefficient,
     connected_extract,
@@ -22,8 +21,8 @@ from localp2.elliptic import (
     npoint_disconnected,
     theta_z,
 )
-from localp2.graded import GradedError, evaluate, recognize
-from localp2.series import RatSeries
+from localp2.graded import evaluate, recognize
+from localp2.series import Localp2Error, RatSeries
 
 from oracles import (RAMANUJAN, anomaly_labels, anomaly_terms_by_position,
                      bloch_okounkov_npoint_oracle, connected_coefficient_oracle,
@@ -265,7 +264,7 @@ class TestExtract:
         assert a.coeff_list(0, 8) == b.coeff_list(0, 8) == c.coeff_list(0, 8)
 
     def test_dimension_constraint_enforced(self):
-        with pytest.raises(EllipticError):
+        with pytest.raises(ValueError, match="dimension constraint fails"):
             connected_extract(StationaryLabel(1, (1,)))
 
     def test_weight_law_small(self):
@@ -284,7 +283,7 @@ class TestExtract:
         series = connected_coefficient((1,), qorder)
         for k in (qorder - 1, qorder):
             bad = series + RatSeries.from_pairs("cQt", {k: 1}, qorder)
-            with pytest.raises(GradedError):
+            with pytest.raises(Localp2Error, match="not in the weight-2 span"):
                 recognize(bad, EPoly.weights, 2, eisenstein_powers(qorder))
 
     def test_recognition_adds_no_image_copies(self, monkeypatch):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localp2.linalg import LinearSystemError, solve_unique
+from localp2.linalg import solve_unique
+from localp2.series import Localp2Error
 
 from oracles import solve_unique_oracle
 
@@ -30,7 +31,7 @@ def test_consistent_overdetermined_system():
     ([[1, 0], [0, 1], [1, 1]], [1, 2, 4], "inconsistent system"),
 ])
 def test_errors(rows, rhs, message):
-    with pytest.raises(LinearSystemError) as err:
+    with pytest.raises(Localp2Error) as err:
         solve_unique(rows, rhs)
     assert str(err.value) == message
 
@@ -67,7 +68,7 @@ def test_against_fraction_elimination_oracle(system):
     rows, rhs = system
     expect = solve_unique_oracle(rows, rhs)
     if isinstance(expect, str):
-        with pytest.raises(LinearSystemError) as err:
+        with pytest.raises(Localp2Error) as err:
             solve_unique(rows, rhs)
         assert str(err.value) == expect
     else:

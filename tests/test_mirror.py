@@ -7,7 +7,6 @@ from localp2 import mirror
 from localp2.elliptic import EPoly
 from localp2.mirror import (
     BModElement,
-    BModError,
     MirrorData,
     bm_derive_D,
     bm_eval,
@@ -21,7 +20,7 @@ from localp2.mirror import (
     _picard_fuchs,
 )
 from localp2.quasimod import QModElement, generator_series, qm_derive, qm_to_qseries
-from localp2.series import Powers, RatSeries, SeriesError
+from localp2.series import Localp2Error, Powers, RatSeries
 
 from oracles import (
     ibar1_coeff,
@@ -160,7 +159,7 @@ class TestPicardFuchs:
             a[3] += 1
             return a
         monkeypatch.setattr(mirror, "_hypergeometric", bumped)
-        with pytest.raises(SeriesError, match=message):
+        with pytest.raises(Localp2Error, match=message):
             build(12)
 
 
@@ -293,7 +292,7 @@ class TestQuasimodDictionary:
         assert got == expect
 
     def test_irregular_element_rejected(self):
-        with pytest.raises(BModError):
+        with pytest.raises(Localp2Error, match="not regular at the orbifold point"):
             bm_to_qmod(BModElement.monomial(1, 0, -1))  # 1/X alone
 
     def test_roundtrip(self):
@@ -413,7 +412,7 @@ def q_to_Q_by_compose(series: RatSeries, md: MirrorData) -> RatSeries:
     if series.log_coeff:
         power = power - series.log_coeff * md.ibar1
     if power.min_exp < 0:
-        raise SeriesError("a Laurent series has no substitution")
+        raise ValueError("a Laurent series has no substitution")
     n = min(power.trunc_order, md.qofQ.trunc_order)
     return RatSeries("Q", 0, pl_compose(power.coeff_list(0, n),
                                         md.qofQ.coeff_list(0, n), n),
@@ -459,8 +458,8 @@ def bm_eval_by_plain_lists(e: BModElement, md: MirrorData,
 def assert_same_or_both_reject(fast, slow, *args):
     try:
         expect = slow(*args)
-    except SeriesError:
-        with pytest.raises(SeriesError):
+    except ValueError:
+        with pytest.raises(ValueError):
             fast(*args)
         return
     got = fast(*args)
@@ -481,7 +480,7 @@ class TestKernelEquivalence:
                                    RatSeries("u", -2, [1])])
     def test_theta_u_rejects_series_known_only_below_u1(self, f):
         for form in (theta_u, theta_by_product):
-            with pytest.raises(SeriesError):
+            with pytest.raises(ValueError):
                 form(f)
 
     @given(st.builds(lambda lo, cs, log: RatSeries("q", lo, cs, log),

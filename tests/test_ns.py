@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from localp2.locrel import Correspondence, flat_expansion
 from localp2.mirror import build_mirror_data
 from localp2.ns import (
-    OmegaError,
     compare_ns_relative,
     default_omega_path,
     load_omega,
     ns_genus,
 )
+from localp2.series import Localp2Error
 
 from oracles import ns_column_oracle, pl_long_division
 
@@ -95,7 +95,7 @@ class TestLoad:
         path.write_text(json.dumps({"entries": [
             {"degree": 1, "coeffs": [{"exp2": 0, "c": "1"},
                                      {"exp2": 2, "c": "1"}]}]}))
-        with pytest.raises(OmegaError):
+        with pytest.raises(Localp2Error, match="not palindromic"):
             load_omega(path)
 
     def test_integer_strings_and_integers_load(self, tmp_path):
@@ -110,7 +110,7 @@ class TestLoad:
         entries, message = BAD_TABLES[case]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"entries": entries}))
-        with pytest.raises(OmegaError, match=re.escape(message)):
+        with pytest.raises(Localp2Error, match=re.escape(message)):
             load_omega(path)
 
 
@@ -137,7 +137,7 @@ class TestFreeEnergy:
         assert row.coeff(2) == -6 + F(3, 8)
 
     def test_missing_degree(self, table):
-        with pytest.raises(OmegaError, match="degree 5 missing"):
+        with pytest.raises(ValueError, match="degree 5 missing"):
             ns_genus(table, 3, 5)
 
 
