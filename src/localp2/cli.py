@@ -261,7 +261,7 @@ def cmd_ns_compare(args, cfg, sink) -> int:
     omega_path = args.omega or cfg.omega or ns.default_omega_path()
     try:
         table = ns.load_omega(omega_path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, Localp2Error) as exc:
         raise UsageError(f"cannot read sheaf table {omega_path}: {exc}") from exc
     missing = [d for d in range(1, args.dmax + 1) if d not in table]
     if missing:

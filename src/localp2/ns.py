@@ -20,8 +20,12 @@ hbar-series is built:
 
 where p(j) = [z^j] 1/(2 sinh(z/2)) is ``quasimod.inv_2sinh``.
 
-Every integer field of the sheaf table is a JSON integer or a string that
-the command line's one integer rule, ``series.integer``, reads.
+The sheaf table is a UTF-8 JSON object whose "entries" list holds one
+object per degree, {"degree": d, "coeffs": [{"exp2": e, "c": c}, ...]};
+other keys, such as "provenance", are ignored.  Every integer field is a
+JSON integer or a string that the command line's one integer rule,
+``series.integer``, reads.  ``load_omega`` decides what a bad table is: it
+raises Localp2Error for each, naming the entry and the field.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ from .series import Localp2Error, RatSeries, integer
 F = Fraction
 
 
+# the JSON kind of each type that json.loads returns
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a number", bool: "a boolean", type(None): "null"}
+
+
 def _integer(value, what: str) -> int:
     """A JSON integer (not a bool) or a string of one."""
     try:
@@ -44,26 +53,52 @@ def _integer(value, what: str) -> int:
         raise Localp2Error(f"{what} {value!r} is not an integer") from None
 
 
+def _field(obj, key: str, where: str, is_list: bool = False):
+    """The value of ``key`` in ``obj``, the JSON object at ``where`` in the
+    table, and a list when ``is_list``; any other shape raises Localp2Error
+    naming ``where`` and ``key``."""
+    if type(obj) is not dict:
+        raise Localp2Error(f"{where} is {_KINDS[type(obj)]}, not an object "
+                           f"with field {key!r}")
+    if key not in obj:
+        raise Localp2Error(f"{where} has no field {key!r}")
+    value = obj[key]
+    if is_list and type(value) is not list:
+        raise Localp2Error(f"field {key!r} of {where} is "
+                           f"{_KINDS[type(value)]}, not a list")
+    return value
+
+
 def load_omega(path) -> dict:
     """Read the JSON table as {degree: {exponent in half-units: integer
     coefficient}}; degrees are distinct and >= 1, exponents distinct within
     a degree, and each degree is palindromic."""
     import json
 
-    with open(path) as f:
-        table = json.load(f)
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except ValueError as exc:  # a NUL in the path, such as from a config file
+        raise Localp2Error(str(exc)) from None
+    try:
+        table = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise Localp2Error(f"not UTF-8 at byte {exc.start}") from None
+    except (ValueError, RecursionError) as exc:  # bad, too long or too deep
+        raise Localp2Error(f"not JSON: {exc}") from None
     entries: dict = {}
-    for item in table["entries"]:
-        d = _integer(item["degree"], "degree")
+    for i, item in enumerate(_field(table, "entries", "the top level", True)):
+        d = _integer(_field(item, "degree", f"entries[{i}]"), "degree")
         if d < 1 or d in entries:
             why = "repeated" if d in entries else "below 1"
             raise Localp2Error(f"degree {d} is {why}")
         pairs: dict = {}
-        for c in item["coeffs"]:
-            e = _integer(c["exp2"], f"degree {d} half-exponent")
+        for j, c in enumerate(_field(item, "coeffs", f"degree {d}", True)):
+            where = f"degree {d} coeffs[{j}]"
+            e = _integer(_field(c, "exp2", where), f"degree {d} half-exponent")
             if e in pairs:
                 raise Localp2Error(f"degree {d} repeats half-exponent {e}")
-            pairs[e] = _integer(c["c"], f"degree {d} coefficient")
+            pairs[e] = _integer(_field(c, "c", where), f"degree {d} coefficient")
         entries[d] = out = {e: c for e, c in pairs.items() if c}
         for e, c in out.items():
             if out.get(-e) != c:

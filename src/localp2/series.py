@@ -37,6 +37,14 @@ def exact(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _exponent(n) -> int:
+    """An integer exponent: any index but a bool, which raises TypeError
+    as a float or a string does."""
+    if isinstance(n, bool):
+        raise TypeError(f"not an integer exponent: {n!r}")
+    return index(n)
+
+
 def integer(text) -> int:
     """The int a str spells as ASCII -?[0-9]+; anything else raises
     ValueError."""
@@ -108,7 +116,7 @@ class RatSeries:
 
     def __new__(cls, var: str, min_exp: int, coeffs: Iterable, log_coeff=0):
         nums, den = over_lcm([exact(c) for c in coeffs])
-        return _make(var, index(min_exp), nums, den, Fraction(exact(log_coeff)))
+        return _make(var, _exponent(min_exp), nums, den, Fraction(exact(log_coeff)))
 
     # -- construction helpers -------------------------------------------------
 
@@ -321,8 +329,7 @@ class RatSeries:
                      _ZERO)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("only integer powers supported")
+        n = _exponent(n)
         if n < 0:
             return RatSeries.one(self.var, self.trunc_order - self.min_exp) / self ** (-n)
         result = RatSeries.one(self.var, self.trunc_order - min(self.min_exp, 0))

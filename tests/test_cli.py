@@ -146,6 +146,8 @@ BAD_INPUT = [
     (["--config", "{tmp}/bytes.cfg", "compute", "mirror"],
      "cannot read config"),
     (["ns", "compare", "--omega", "{tmp}/missing.json"], "cannot read sheaf"),
+    (["--config", "{tmp}/nul.cfg", "ns", "compare"],
+     "cannot read sheaf table a\0b.json: embedded null byte"),
     (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
     (["ns", "compare", "--omega", "{tmp}/fractional.json", "--gmax", "0"],
      "degree 1 coefficient 1.9 is not an integer"),
@@ -188,6 +190,7 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
     (tmp_path / "wide.cfg").write_text("q_order = ３２\n", encoding="utf-8")
     (tmp_path / "bytes.cfg").write_bytes(b"q_order = \xff\n")
     (tmp_path / "margin.cfg").write_text("margin = 10\n")
+    (tmp_path / "nul.cfg").write_text("omega = a\0b.json\n")
     (tmp_path / "lopsided.json").write_text(json.dumps({"entries": [
         {"degree": 1, "coeffs": [{"exp2": -2, "c": "1"}, {"exp2": 0, "c": "1"}]},
         {"degree": 2, "coeffs": [{"exp2": 0, "c": "1"}]}]}))
@@ -213,11 +216,19 @@ def run_broken(capsys, monkeypatch, call):
     return run(["verify", "ramanujan"], capsys)
 
 
-def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
-    def bug():
-        raise KeyError("bug")
+def bug(*args):
+    raise KeyError("bug")
 
-    status, out, err = run_broken(capsys, monkeypatch, bug)
+
+# a bug in a handler, or in the sheaf-table loader that ns compare calls
+# inside its own try: the command line turns only bad data into exit 2
+@pytest.mark.parametrize("where", ["handler", "ns.load_omega"])
+def test_internal_error_exits_3_with_traceback(where, capsys, monkeypatch):
+    if where == "handler":
+        status, out, err = run_broken(capsys, monkeypatch, bug)
+    else:
+        monkeypatch.setattr(cli.ns, "load_omega", bug)
+        status, out, err = run_rejected(["ns", "compare"], capsys, monkeypatch)
     assert (status, out) == (3, "")
     assert "Traceback" in err and err.splitlines()[-1] == "KeyError: 'bug'"
 

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localp2.cli import main
 from localp2.locrel import Correspondence, flat_expansion
 from localp2.mirror import build_mirror_data
 from localp2.ns import (
@@ -56,9 +61,30 @@ def entry(*pairs, degree=1):
 
 DEGREE_ONE = ((-2, "1"), (0, "1"), (2, "1"))
 
-# each table loaded silently changed, or failed with a bare ValueError,
-# before the loader checked its fields: case -> (entries, message fragment)
+# each table loaded silently changed, or failed with a bare ValueError or
+# Python's own text, before the loader checked its fields: case -> (the
+# "entries" value, or the bytes of the whole file, message fragment)
 BAD_TABLES = {
+    "empty object": (b"{}", "the top level has no field 'entries'"),
+    "top-level list": (b"[]", "the top level is a list, not an object"),
+    "truncated JSON": (b'{"entries": [', "not JSON: Expecting value"),
+    "nested too deep": (b"[" * 100000, "not JSON: maximum recursion depth"),
+    "not UTF-8": (b"\xff\xfe", "not UTF-8 at byte 0"),
+    "entries an integer": (5, "field 'entries' of the top level is an integer, "
+                              "not a list"),
+    "entry an integer": ([entry(*DEGREE_ONE), 5],
+                         "entries[1] is an integer, not an object"),
+    "entry without degree": ([entry(*DEGREE_ONE), {"coeffs": []}],
+                             "entries[1] has no field 'degree'"),
+    "entry without coeffs": ([{"degree": 1}], "degree 1 has no field 'coeffs'"),
+    "coeffs an object": ([{"degree": 1, "coeffs": {"exp2": 0, "c": 1}}],
+                         "field 'coeffs' of degree 1 is an object, not a list"),
+    "coefficient an integer": ([{"degree": 1, "coeffs": [5]}],
+                               "degree 1 coeffs[0] is an integer, not an object"),
+    "coefficient without exp2": ([{"degree": 1, "coeffs": [{"c": 1}]}],
+                                 "degree 1 coeffs[0] has no field 'exp2'"),
+    "coefficient without c": ([{"degree": 2, "coeffs": [
+        {"exp2": 0, "c": 1}, {"exp2": 2}]}], "degree 2 coeffs[1] has no field 'c'"),
     "fractional coefficient": ([entry((-2, 1.9), (0, 1), (2, 1.9))],
                                "degree 1 coefficient 1.9 is not an integer"),
     "boolean coefficient": ([entry((-2, True), (0, 1), (2, True))],
@@ -105,13 +131,39 @@ class TestLoad:
                                        {"exp2": 2, "c": "1"}]}]}))
         assert load_omega(path) == {1: OMEGA1}
 
+    def test_utf8_table_loads_in_the_c_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259): with UTF-8 mode off, the C locale's
+        # encoding is ASCII, which cannot read an en dash in a provenance
+        table = json.loads(Path(default_omega_path()).read_bytes())
+        table["entries"][0]["provenance"] += " \N{EN DASH} classical"
+        path = tmp_path / "dash.json"
+        path.write_bytes(json.dumps(table, ensure_ascii=False).encode())
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from localp2.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "ns", "compare", "--omega",
+             str(path), "--gmax", "0", "--dmax", "1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+                 "PYTHONPATH": os.pathsep.join(filter(None, [
+                     str(src), os.environ.get("PYTHONPATH")]))})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("comparison: PASS\n")
+
     @pytest.mark.parametrize("case", sorted(BAD_TABLES))
-    def test_bad_table_rejected(self, case, tmp_path):
+    def test_bad_table_rejected(self, case, tmp_path, capsys):
         entries, message = BAD_TABLES[case]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"entries": entries}))
+        path.write_bytes(entries if isinstance(entries, bytes)
+                         else json.dumps({"entries": entries}).encode())
         with pytest.raises(Localp2Error, match=re.escape(message)):
             load_omega(path)
+        # and the command line reports it as bad input: one line, exit 2
+        assert main(["ns", "compare", "--omega", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read sheaf table {path}: ")
+        assert message in err
 
 
 class TestFreeEnergy:

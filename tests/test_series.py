@@ -211,11 +211,13 @@ class TestExactGate:
             with pytest.raises(TypeError):
                 make()
 
-    @pytest.mark.parametrize("x", INEXACT, ids=repr)
+    @pytest.mark.parametrize("x", INEXACT + [True], ids=repr)
     def test_min_exp_rejects(self, x):
-        # an exponent, not a scalar: it reads any index, a bool among them
+        # an exponent, not a scalar: the floor and a power take an int, not a bool
         with pytest.raises(TypeError):
             q_series([1], min_exp=x)
+        with pytest.raises(TypeError):
+            q_series([1, 2]) ** x
 
     @pytest.mark.parametrize("x", NOT_RATIONAL, ids=repr)
     def test_ring_entry_points_reject(self, x):
