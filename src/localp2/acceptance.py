@@ -1,7 +1,7 @@
 """End-to-end verification criteria.
 
 Each criterion returns (ok, detail); the detail strings are deterministic
-so that reports can be compared byte-for-byte across runs.  All
+so that reports can be compared row for row across runs.  All
 comparisons are exact rational equality.
 """
 
@@ -293,19 +293,16 @@ ALL_CRITERIA = [
 ]
 
 
-def run_report() -> str:
-    """Deterministic pass/fail report of criteria 1-11, in a fixed order."""
-    lines = []
-    for idx, (name, fn) in enumerate(ALL_CRITERIA, start=1):
-        ok, detail = fn()
-        lines.append(f"criterion {idx:02d} [{name}]: "
-                     f"{'PASS' if ok else 'FAIL'} ({detail})")
-    return "\n".join(lines) + "\n"
+def run_report() -> list:
+    """The ``(label, ok, detail)`` rows of criteria 1-11, in a fixed order."""
+    return [(f"criterion {idx:02d} [{name}]", *fn())
+            for idx, (name, fn) in enumerate(ALL_CRITERIA, start=1)]
 
 
-def criterion_12_determinism(first: str):
-    """Compare the process's first (cold-cache) report, ``first``, with one
-    warm rerun that reuses every cache the first run filled."""
-    again = run_report()
-    return first == again and "FAIL" not in first, \
-        "first report and a warm-cache rerun compared"
+def criterion_12_determinism(first: list) -> tuple:
+    """The row of criterion 12: every row of the process's first
+    (cold-cache) report, ``first``, passes, and one warm rerun that reuses
+    every cache the first run filled gives the same rows."""
+    return ("criterion 12 [determinism]",
+            all(ok for _, ok, _ in first) and run_report() == first,
+            "first report and a warm-cache rerun compared")

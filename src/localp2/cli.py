@@ -202,6 +202,17 @@ def cmd_compute_elliptic(args, cfg, sink) -> int:
     return 0
 
 
+def verdicts(sink, rows) -> int:
+    """Print one ``what: PASS|FAIL`` line per ``(what, ok[, detail])`` row,
+    with `` (detail)`` after it when the row has one: the one place a check
+    becomes a verdict and an exit status (0 when every row passes)."""
+    status = 0
+    for what, ok, *detail in rows:
+        sink(f"{what}: {'PASS' if ok else 'FAIL'}" + "".join(f" ({d})" for d in detail))
+        status = status if ok else VERIFY_ERROR
+    return status
+
+
 def cmd_solve(args, cfg, sink) -> int:
     g = args.genus
     md, corr = solved_towers(cfg.q_order, g, args.target)
@@ -217,18 +228,14 @@ def cmd_solve(args, cfg, sink) -> int:
     if args.target == "both" and g >= 3:
         # the two routes to the relative series, as ring elements
         agree = corr.relative.elements[g] == hae.solve_genus(g, "relative", md)
-        sink(f"consistency triangle at genus {g}: "
-             f"{'PASS' if agree else 'FAIL'}")
-        return 0 if agree else VERIFY_ERROR
+        return verdicts(sink, [(f"consistency triangle at genus {g}", agree)])
     return 0
 
 
 def cmd_verify_ramanujan(args, cfg, sink) -> int:
     checks = quasimod.derivation_identities(args.order)
-    for name, ok in checks.items():
-        sink(f"derivation identity for {name}: {'PASS' if ok else 'FAIL'} "
-             f"(order {args.order})")
-    return 0 if all(checks.values()) else VERIFY_ERROR
+    return verdicts(sink, [(f"derivation identity for {name}", ok, f"order {args.order}")
+                           for name, ok in checks.items()])
 
 
 def cmd_verify_hae(args, cfg, sink) -> int:
@@ -237,9 +244,8 @@ def cmd_verify_hae(args, cfg, sink) -> int:
     rep = hae.verify_hae(*corr.tower(args.target).key(args.genus), corr.grid)
     emit_bmod("anomaly_lhs", rep["lhs"], cfg, sink)
     emit_bmod("anomaly_rhs", rep["rhs"], cfg, sink)
-    sink(f"anomaly equation genus {args.genus} {args.target}: "
-         f"{'PASS' if rep['ok'] else 'FAIL'}")
-    return 0 if rep["ok"] else VERIFY_ERROR
+    return verdicts(sink, [(f"anomaly equation genus {args.genus} {args.target}",
+                            rep["ok"])])
 
 
 def cmd_verify_gap(args, cfg, sink) -> int:
@@ -252,9 +258,7 @@ def cmd_verify_gap(args, cfg, sink) -> int:
         hae.gap_conditions(*tower.key(args.genus))
     for j in range(M, 0, -1):
         sink(f"coefficient of t^-{j}: {_frac_str(con.coeff(-j))}")
-    sink(f"gap condition genus {args.genus} {args.target}: "
-         f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else VERIFY_ERROR
+    return verdicts(sink, [(f"gap condition genus {args.genus} {args.target}", ok)])
 
 
 def cmd_ns_compare(args, cfg, sink) -> int:
@@ -276,18 +280,13 @@ def cmd_ns_compare(args, cfg, sink) -> int:
         sink(f"g={g} d={d}: sheaf {_frac_str(cell['ns'])} "
              f"vs curve-count {_frac_str(cell['gw'])} "
              f"{'EQUAL' if cell['equal'] else 'DIFFER'}")
-    sink(f"comparison: {'PASS' if report['ok'] else 'FAIL'}")
-    return 0 if report["ok"] else VERIFY_ERROR
+    return verdicts(sink, [("comparison", report["ok"])])
 
 
 def cmd_selftest(args, cfg, sink) -> int:
     from . import acceptance
-    report = acceptance.run_report()
-    ok12, detail = acceptance.criterion_12_determinism(report)
-    report += f"criterion 12 [determinism]: {'PASS' if ok12 else 'FAIL'} " \
-              f"({detail})\n"
-    sink(report.rstrip("\n"))
-    return 0 if ("FAIL" not in report) else VERIFY_ERROR
+    rows = acceptance.run_report()
+    return verdicts(sink, [*rows, acceptance.criterion_12_determinism(rows)])
 
 
 # -- command line ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import reduce
 from operator import add, mul
 
 from . import linalg
-from .series import Localp2Error, Powers, RatSeries, exact, over_lcm
+from .series import Localp2Error, Powers, RatSeries, _exponent, exact, over_lcm
 
 
 class Graded:
@@ -139,6 +139,7 @@ class Graded:
         return self * (1 / Fraction(exact(other)))
 
     def __pow__(self, n: int):
+        n = _exponent(n)
         if n < 0:
             raise ValueError(f"negative power {n} of a polynomial")
         return reduce(mul, [self] * n, self.const(1))

@@ -5,13 +5,13 @@ import sys
 
 import pytest
 
-from localp2 import acceptance, locrel
+from localp2 import acceptance, cli, locrel
 from localp2.series import Powers
 
 
 def _run(idx, name, fn):
     ok, detail = fn()
-    print(f"criterion {idx:02d} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})")
+    cli.verdicts(print, [(f"criterion {idx:02d} [{name}]", ok, detail)])
     assert ok, f"criterion {idx} [{name}] failed: {detail}"
 
 
@@ -40,6 +40,10 @@ def _clear_every_cache():
 
 def test_criterion_12_determinism():
     _clear_every_cache()
-    ok, detail = acceptance.criterion_12_determinism(acceptance.run_report())
-    print(f"criterion 12 [determinism]: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, detail
+    first = acceptance.run_report()
+    assert [(label, type(ok)) for label, ok, _ in first] == [
+        (f"criterion {i:02d} [{name}]", bool)
+        for i, (name, _) in enumerate(acceptance.ALL_CRITERIA, 1)]
+    row = acceptance.criterion_12_determinism(first)
+    cli.verdicts(print, [row])
+    assert row[1], row[2]

@@ -469,6 +469,86 @@ def test_output_matches_golden(name, capsys):
     assert out == (GOLDEN / name).read_text()
 
 
+CLI_MIX_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "cli-mix"
+
+
+def falsify(monkeypatch, module, name, spoil):
+    """Replace ``module.name`` by ``spoil`` of its result."""
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: spoil(fn(*args)))
+
+
+def ramanujan_b_false(monkeypatch, tmp_path):
+    falsify(monkeypatch, cli.quasimod, "derivation_identities", lambda d: {**d, "B": False})
+    return ["verify", "ramanujan", "--order", "50"]
+
+
+def hae_false(monkeypatch, tmp_path):
+    falsify(monkeypatch, cli.hae, "verify_hae", lambda rep: {**rep, "ok": False})
+    return ["verify", "hae", "--genus", "4", "--target", "relative"]
+
+
+def gap_doubled(monkeypatch, tmp_path):
+    # the solve does not read conifold_expand; only the check does
+    falsify(monkeypatch, cli.hae, "conifold_expand", lambda con: con * 2)
+    return ["verify", "gap", "--genus", "4", "--target", "local"]
+
+
+def omega_skewed(monkeypatch, tmp_path):
+    # the shipped sheaf table with degree 1's y^0 coefficient 2, not 1
+    path = Path(cli.ns.default_omega_path())
+    table = json.loads(path.read_text(encoding="utf-8"))
+    entry = next(e for e in table["entries"] if e["degree"] == 1)
+    next(c for c in entry["coeffs"] if c["exp2"] == 0)["c"] = "2"
+    skewed = tmp_path / "skew-omega.json"
+    skewed.write_text(json.dumps(table), encoding="utf-8")
+    return ["ns", "compare", "--omega", str(skewed)]
+
+
+def criterion_2_false(monkeypatch, tmp_path):
+    criteria = list(localp2.acceptance.ALL_CRITERIA)
+    name, fn = criteria[1]
+    criteria[1] = name, lambda: (False, fn()[1])
+    monkeypatch.setattr(localp2.acceptance, "ALL_CRITERIA", criteria)
+    return ["selftest"]
+
+
+# a check command -> (a patch that makes one of its checks false and returns
+# the argv to run, the golden stdout of that argv unpatched, the labels of
+# the verdicts that must then read FAIL)
+FAIL_CASES = {
+    "verify ramanujan": (ramanujan_b_false, CLI_MIX_GOLDEN / "ramanujan-50.out",
+                         {"derivation identity for B"}),
+    "verify hae": (hae_false, GOLDEN / "verify-hae-g4-relative.out",
+                   {"anomaly equation genus 4 relative"}),
+    "verify gap": (gap_doubled, GOLDEN / "verify-gap-g4-local.out",
+                   {"gap condition genus 4 local"}),
+    "ns compare": (omega_skewed, CLI_MIX_GOLDEN / "ns-compare-2-2.out", {"comparison"}),
+    # criterion 12 requires every other criterion to pass
+    "selftest": (criterion_2_false, GOLDEN / "selftest.out",
+                 {"criterion 02 [quasimodular generators and derivation]",
+                  "criterion 12 [determinism]"}),
+}
+VERDICT = re.compile(r"(.*): (PASS|FAIL)(| \(.*\))")
+
+
+def verdict_rows(text: str) -> list:
+    return [m.groups() for m in map(VERDICT.fullmatch, text.splitlines()) if m]
+
+
+@pytest.mark.parametrize("command", sorted(FAIL_CASES))
+def test_one_false_check_fails_the_command(command, capsys, monkeypatch,
+                                           tmp_path):
+    spoil, golden, failing = FAIL_CASES[command]
+    status, out, err = run(spoil(monkeypatch, tmp_path), capsys)
+    passing = verdict_rows(golden.read_text())
+    assert {what for what, *_ in passing} >= failing
+    assert (status, err) == (1, "")
+    assert verdict_rows(out) == [
+        (what, "FAIL" if what in failing else ok, detail)
+        for what, ok, detail in passing]
+
+
 @pytest.mark.parametrize("g", [4, 5, 6])
 def test_solve_local_is_the_local_half_of_both(g, capsys):
     status, out, _ = run(["solve", "--genus", str(g), "--target", "local"],

@@ -213,11 +213,14 @@ class TestExactGate:
 
     @pytest.mark.parametrize("x", INEXACT + [True], ids=repr)
     def test_min_exp_rejects(self, x):
-        # an exponent, not a scalar: the floor and a power take an int, not a bool
+        # an exponent, not a scalar: the floor and a power, of a series or a
+        # ring element, take an int, not a bool
         with pytest.raises(TypeError):
             q_series([1], min_exp=x)
-        with pytest.raises(TypeError):
-            q_series([1, 2]) ** x
+        for e in (q_series([1, 2]), QModElement.const(2), BModElement.monomial(1, 1, 0),
+                  EPoly.gen(2)):
+            with pytest.raises(TypeError):
+                e ** x
 
     @pytest.mark.parametrize("x", NOT_RATIONAL, ids=repr)
     def test_ring_entry_points_reject(self, x):
