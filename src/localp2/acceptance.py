@@ -20,7 +20,6 @@ from .elliptic import (
     stationary_value,
 )
 from .hae import (
-    build_conifold_frame,
     conifold_expand,
     gap_conditions,
     solve_genus,
@@ -245,9 +244,8 @@ def criterion_8_anomaly_genus2():
 
 def criterion_9_conifold_gap():
     md = context()[0]
-    frame = build_conifold_frame(md)
-    loc = conifold_expand(F2_LOCAL, frame, 2)
-    rel = conifold_expand(F2_RELATIVE, frame, 2)
+    loc = conifold_expand(F2_LOCAL, md, 2)
+    rel = conifold_expand(F2_RELATIVE, md, 2)
     ok = (loc.coeff(-1) == 0 and loc.coeff(-2) == F(-1, 80)
           and rel.coeff(-1) == 0 and rel.coeff(-2) == F(-7, 1920))
     ok = ok and gap_conditions(0, 2) == [0, F(-1, 80)]

@@ -16,7 +16,7 @@ Global flags, before the command words: --config FILE, a flat key = value
 file setting q_order, format and omega (flags override it); --format
 json|csv|text; --out PATH.  A flag's value follows it or its "=", flags are
 spelled in full, and -h or --help, anywhere, prints this text.  An integer,
-in a flag or the config file, is ASCII -?[0-9]+.
+in a flag or the config file, is ASCII -?[0-9]+; no value is empty.
 compute and solve print series through q_order, which must be >= 2g - 2
 at genus g; verify hae|gap and ns compare print none, so they build mirror
 data at the least order their checks read.
@@ -67,7 +67,7 @@ class RunConfig(namedtuple("RunConfig", "q_order format omega",
 
 
 def load_config(path: str | None) -> RunConfig:
-    if not path:
+    if path is None:
         return RunConfig()
     try:
         with open(path, encoding="utf-8") as f:
@@ -85,9 +85,10 @@ def load_config(path: str | None) -> RunConfig:
             raise UsageError(f"unknown config key {key!r}")
         is_int = type(RunConfig._field_defaults[key]) is int
         try:
-            values[key] = integer(val) if is_int else val
+            values[key] = integer(val) if is_int else nonempty(val)
         except ValueError:
-            raise UsageError(f"config key {key!r} needs an integer") from None
+            raise UsageError(f"config key {key!r} needs "
+                             f"{'an integer' if is_int else 'a value'}") from None
     return RunConfig(**values)
 
 
@@ -252,8 +253,7 @@ def cmd_verify_gap(args, cfg, sink) -> int:
     M = 2 * args.genus - 2
     md, corr = solved_towers(least_order(args.genus), args.genus, args.target)
     tower = corr.tower(args.target)
-    frame = hae.build_conifold_frame(md)
-    con = hae.conifold_expand(tower.elements[args.genus], frame, M)
+    con = hae.conifold_expand(tower.elements[args.genus], md, M)
     ok = [con.coeff(-j) for j in range(1, M + 1)] == \
         hae.gap_conditions(*tower.key(args.genus))
     for j in range(M, 0, -1):
@@ -311,6 +311,13 @@ def _value(kind, text):
     return value
 
 
+def nonempty(value: str) -> str:
+    """A path or a format: empty, it would read as not given."""
+    if not value:
+        raise UsageError("empty value")
+    return value
+
+
 def parts(text: str) -> tuple:
     """``--parts``: comma-separated descendent exponents, each >= 0."""
     try:
@@ -322,7 +329,7 @@ def parts(text: str) -> tuple:
 REQUIRED = "required"
 ANY_GENUS = {"--genus": (0, REQUIRED)}
 GENUS_SIDE = {"--genus": (2, REQUIRED), "--target": (("local", "relative"), REQUIRED)}
-GLOBAL_FLAGS = {"--config": (str, None), "--format": (str, None), "--out": (str, None)}
+GLOBAL_FLAGS = dict.fromkeys(("--config", "--format", "--out"), (nonempty, None))
 # command words -> (its handler, {flag: (the kind of its value, see _value;
 # its default, or REQUIRED)})
 COMMANDS = {
@@ -337,7 +344,7 @@ COMMANDS = {
     ("verify", "hae"): (cmd_verify_hae, GENUS_SIDE),
     ("verify", "gap"): (cmd_verify_gap, GENUS_SIDE),
     ("ns", "compare"): (cmd_ns_compare, {
-        "--omega": (str, None), "--gmax": (0, 2), "--dmax": (1, 2)}),
+        "--omega": (nonempty, None), "--gmax": (0, 2), "--dmax": (1, 2)}),
     ("selftest",): (cmd_selftest, {}),
 }
 
@@ -392,7 +399,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return INTERNAL_ERROR
     text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as f:
                 f.write(text)

@@ -14,12 +14,13 @@ for j = 1..2G-3, the 1/t^(2G-2) coefficient that the Schwinger integrand
 Q-expansion.
 
 The conifold frame replaces the propagator S by its conifold counterpart,
-built from the conifold flat coordinate by the same recipe that builds S
-from the degree-one period at large volume; X = 1/u stays an honest
-coordinate.  Nothing reverts t: the gap is fixed in closed form on the u
-side, and a polar part in t is read from powers of t in u by Lagrange
-inversion.  The powers of t and of the conifold propagator are made only
-through the pole order a polar part reads, never through the mirror order.
+the mirror data's ``s_con``, which ``mirror.propagator`` builds from the
+conifold flat coordinate as it builds S from the degree-one period at large
+volume; X = 1/u stays an honest coordinate.  Nothing reverts t: the gap is
+fixed in closed form on the u side, and a polar part in t is read from
+powers of t in u by Lagrange inversion.  The powers of t and of the
+conifold propagator are made only through the pole order a polar part
+reads, never through the mirror order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import product
 from math import comb, factorial
 
 from .locrel import Correspondence, DTower
-from .mirror import BModElement, ConifoldFrame, MirrorData
+from .mirror import BModElement, MirrorData
 from .quasimod import inv_2sinh
 from .series import Localp2Error, Powers, RatSeries, lincomb
 
@@ -89,17 +90,17 @@ def integrate_S(rhs: BModElement) -> BModElement:
 
 # -- conifold frame ---------------------------------------------------------------------
 
-def build_conifold_frame(md: MirrorData) -> ConifoldFrame:
-    """The conifold frame of the mirror data, ``md.frame``: one per mirror
-    data, its series made when a polar part first reads them."""
-    return md.frame
+def build_conifold_frame(md: MirrorData) -> MirrorData:
+    """``md`` itself, which holds the conifold frame, ``that`` and ``s_con``."""
+    # no library code calls it; it stays while perfbench/child.py calls it
+    # and perfbench/tracer.py spans it (ROADMAP item 7)
+    return md
 
 
-def u_polar_part(elt: BModElement, frame: ConifoldFrame,
-                 max_pole: int) -> list:
-    """[u^-1], ..., [u^-max_pole] of a weight-zero element with S -> frame
-    propagator and X -> 1/u; a deeper pole raises Localp2Error.  S^s X^x
-    goes to s_con^s u^-x, of which only the terms through u^-1 are read."""
+def u_polar_part(elt: BModElement, md: MirrorData, max_pole: int) -> list:
+    """[u^-1], ..., [u^-max_pole] of a weight-zero element with S -> s_con
+    and X -> 1/u; a deeper pole raises Localp2Error.  S^s X^x goes to
+    s_con^s u^-x, of which only the terms through u^-1 are read."""
     if elt.i11_degree != 0:
         raise ValueError("conifold expansion needs a weight-zero element")
     if elt.is_zero():
@@ -108,7 +109,7 @@ def u_polar_part(elt: BModElement, frame: ConifoldFrame,
     # S^s X^x reads s_con^s through u^(x - 1), and s_con through u^r, r the
     # largest x + s - 1, makes s_con^s through u^(r - s + 1)
     r = max(0, max(x + s - 1 for s, x in elt.terms))
-    s_con = frame.s_con.truncate(min(r, frame.s_con.trunc_order))
+    s_con = md.s_con.truncate(min(r, md.s_con.trunc_order))
     s_con_pow = Powers(s_con)
     total = lincomb([(v, s_con_pow[s].truncate(x - 1).shift(-x))
                      for (s, x), v in elt.terms.items()])
@@ -118,18 +119,18 @@ def u_polar_part(elt: BModElement, frame: ConifoldFrame,
     return [total.coeff(-j) for j in range(1, max_pole + 1)]
 
 
-def conifold_expand(elt: BModElement, frame: ConifoldFrame,
+def conifold_expand(elt: BModElement, md: MirrorData,
                     max_pole: int) -> RatSeries:
     """Polar part, that^-max_pole..that^-1, of the Laurent expansion in the
-    flat conifold coordinate of a weight-zero element with S -> frame
-    propagator and X -> 1/u.  Only the u^-j have poles in that, and by
-    Lagrange inversion [that^-i] u^-j = (j/i) [u^j] that^i, which is zero
-    for j < i; that^i through the deepest u-pole is all that is read, and
-    a pole deeper than ``that`` is known raises ValueError."""
-    c = u_polar_part(elt, frame, max_pole)
+    flat conifold coordinate of a weight-zero element with S -> s_con and
+    X -> 1/u.  Only the u^-j have poles in that, and by Lagrange inversion
+    [that^-i] u^-j = (j/i) [u^j] that^i, which is zero for j < i; that^i
+    through the deepest u-pole is all that is read, and a pole deeper than
+    ``that`` is known raises ValueError."""
+    c = u_polar_part(elt, md, max_pole)
     deepest = max((j for j in range(1, max_pole + 1) if c[j - 1]), default=0)
     # that is stored from u^0, so its powers stop at u^deepest as it does
-    that_pow = Powers(frame.that.truncate(deepest))
+    that_pow = Powers(md.that.truncate(deepest))
     return RatSeries("that", -max_pole, [
         sum((j * c[j - 1] * that_pow[i].coeff(j)
              for j in range(i, deepest + 1) if c[j - 1]), F(0)) / i
@@ -140,8 +141,8 @@ def least_q_order(G: int) -> int:
     """The least mirror order at which F^(n,g), n + g = G, is solved: 2G - 2.
     The gap reads u^-M..u^-1, M = 2G - 2, of the particular solution (s + x <= M)
     from s_con^s through u^(M - s - 1), and u^0..u^(M-1) of (u/that)^M;
-    both need the flat coordinate through u^M, which the one frame of
-    mirror data at order M has."""
+    both need the flat coordinate through u^M, which the mirror data at
+    order M have."""
     return 2 * G - 2
 
 
@@ -168,9 +169,8 @@ def gap_fix(n: int, g: int, particular: BModElement,
     a_j = t_M [u^(M-j)] (u/that)^M - [u^-j] P for j = 1..M.  X^0 has no
     pole, so a_0 alone makes the flat constant term vanish."""
     M = 2 * (n + g) - 2
-    frame = build_conifold_frame(md)
-    p = u_polar_part(particular, frame, M)
-    u_over_that = (RatSeries.gen("u", M) / frame.that) ** M
+    p = u_polar_part(particular, md, M)
+    u_over_that = (RatSeries.gen("u", M) / md.that) ** M
     t = gap_conditions(n, g)[-1]
     amb = {(0, j): t * u_over_that.coeff(M - j) - p[j - 1]
            for j in range(1, M + 1)}

@@ -116,27 +116,11 @@ def _conifold_flat(order: int) -> RatSeries:
     return t
 
 
-class ConifoldFrame:
-    """The frame from the conifold flat coordinate ``that`` = u + O(u^2):
-    the propagator ``s_con``, made on its first read and known as far as
-    ``that`` allows; ``that`` is never reverted.  One frame serves every
-    genus: a read past what ``that`` knows is a bug and raises ValueError
-    rather than give a wrong number; a frame whose theta t vanishes at
-    u = 0 fails its exact check with Localp2Error."""
-
-    def __init__(self, that: RatSeries):
-        self.that = that
-
-    @cached_property
-    def s_con(self) -> RatSeries:
-        """theta log(theta t) - (X - 1)/3 in u, the large-volume recipe for
-        S: Laurent from u^-1, known through u^(order - 2)."""
-        theta_t = theta_u(self.that)
-        if theta_t.constant_term() == 0:
-            raise Localp2Error("degenerate conifold frame: theta t vanishes at u = 0")
-        x_minus_1_over_3 = RatSeries.from_pairs(
-            "u", {-1: F(1, 3), 0: F(-1, 3)}, self.that.trunc_order)
-        return theta_u(theta_t) / theta_t - x_minus_1_over_3
+def propagator(period: RatSeries, theta_period: RatSeries,
+               x: RatSeries) -> RatSeries:
+    """theta log(period) - (X - 1)/3, from a period, its theta and X: S
+    from I11 at large volume, and s_con from theta t with X = 1/u."""
+    return theta_period / period - (x - 1) / 3
 
 
 # -- the assembled mirror data ----------------------------------------------------
@@ -156,15 +140,25 @@ class MirrorData(namedtuple("MirrorData", "order ibar1 I11 J X S Qofq qofQ "
     __delattr__ = __setattr__
 
     # The powers that bm_eval substitutes for S, I11 and 1/I11, and
-    # cq_change for the nome cQ and its cube cQt, and the conifold frame
-    # that the gap reads; each is made on its first read.
+    # cq_change for the nome cQ and its cube cQt, and the conifold
+    # propagator that the gap reads; each is made on its first read.
     S_pow = cached_property(lambda self: Powers(self.S))
     I11_pow = cached_property(lambda self: Powers(self.I11))
     inv_I11_pow = cached_property(lambda self: Powers(
         RatSeries.one("q", self.order) / self.I11))
     cQ_pow = cached_property(lambda self: Powers(self.cQofq))
     cQt_pow = cached_property(lambda self: Powers(self.cQofq ** 3))
-    frame = cached_property(lambda self: ConifoldFrame(self.that))
+
+    @cached_property
+    def s_con(self) -> RatSeries:
+        """The propagator of theta t in u, with X = 1/u: Laurent from u^-1,
+        known through u^(order - 2).  One serves every genus; a read past
+        it is a bug and raises ValueError rather than give a wrong number."""
+        theta_t = theta_u(self.that)
+        if theta_t.constant_term() == 0:
+            raise Localp2Error("degenerate conifold frame: theta t vanishes at u = 0")
+        return propagator(theta_t, theta_u(theta_t), RatSeries.from_pairs(
+            "u", {-1: 1}, self.that.trunc_order))
 
 
 # the field names, in order, for perfbench/tracer.py alone (ROADMAP item 7
@@ -196,7 +190,7 @@ def build_mirror_data(order: int) -> MirrorData:
     if any(res.coeff(k) for k in range(0, order - 1)):
         raise Localp2Error("log-companion period fails its differential equation")
     x = RatSeries.one("q", order) / _u_of_q(order)
-    s = di11 / i11 - (x - RatSeries.one("q", order)) / 3
+    s = propagator(i11, di11, x)
     qofq = ibar1.exp().shift(1)   # q * exp(ibar1)
     # [Q^n] q = t_n[n - 1] / n!, Lagrange-Buermann for H = q
     qof_q = RatSeries("Q", 0, [0] + [F(row[-1], factorial(n))

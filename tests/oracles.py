@@ -207,26 +207,26 @@ def pl_log_companion_residual(i11: list, j: list) -> list:
 
 # -- conifold gap ----------------------------------------------------------------
 
-def conifold_polar_oracle(elt, frame, max_pole: int) -> list:
+def conifold_polar_oracle(elt, md, max_pole: int) -> list:
     """The that^-j coefficients, j = max_pole..1, of a weight-zero
-    BModElement with S -> frame.s_con and X -> 1/u, re-expanded in the
+    BModElement with S -> md.s_con and X -> 1/u, re-expanded in the
     flat conifold coordinate: multiply by u^D to clear every pole,
-    substitute u = u_inverse, the pl_revert of frame.that, into the whole
+    substitute u = u_inverse, the pl_revert of md.that, into the whole
     power series, and divide by u_inverse^D."""
     assert elt.i11_degree == 0
-    assert frame.s_con.valuation() >= -1
+    assert md.s_con.valuation() >= -1
     D = max([max_pole] + [s + x for s, x in elt.terms])
-    order = min(frame.s_con.trunc_order + 1, frame.that.trunc_order)
+    order = min(md.s_con.trunc_order + 1, md.that.trunc_order)
     # the quotient by u_inverse^D is known through that^(order - 2D)
     assert 2 * D - 1 <= order, "too few orders to read that^-1"
-    w = tuple(frame.s_con.coeff(k - 1) for k in range(order + 1))  # u s_con
+    w = tuple(md.s_con.coeff(k - 1) for k in range(order + 1))  # u s_con
     w_pows = pl_powers(w, order, elt.deg_S())
     regular = [Fraction(0)] * (order + 1)  # u^D times the u-series
     for (s, x), v in elt.terms.items():
         e = D - s - x
         for i, c in enumerate(w_pows[s][: order + 1 - e]):
             regular[i + e] += v * c
-    u_inverse = pl_revert(tuple(frame.that.coeff_list(0, order)), order)
+    u_inverse = pl_revert(tuple(md.that.coeff_list(0, order)), order)
     u_pows = pl_powers(u_inverse, order, order)
     num = [sum((regular[k] * u_pows[k][i] for k in range(i + 1)), Fraction(0))
            for i in range(order + 1)]

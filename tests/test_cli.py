@@ -146,6 +146,15 @@ BAD_INPUT = [
     (["--config", "{tmp}/bytes.cfg", "compute", "mirror"],
      "cannot read config"),
     (["ns", "compare", "--omega", "{tmp}/missing.json"], "cannot read sheaf"),
+    # an empty path names no file: it is not read as "not given" (the
+    # shipped sheaf table, no config file, stdout)
+    (["ns", "compare", "--omega=", "--gmax", "1", "--dmax", "1"],
+     "argument --omega: empty value"),
+    (["ns", "compare", "--omega", ""], "argument --omega: empty value"),
+    (["--config", "{tmp}/empty-omega.cfg", "ns", "compare"],
+     "config key 'omega' needs a value"),
+    (["--config=", "compute", "mirror"], "argument --config: empty value"),
+    (["--out=", "compute", "mirror"], "argument --out: empty value"),
     (["--config", "{tmp}/nul.cfg", "ns", "compare"],
      "cannot read sheaf table a\0b.json: embedded null byte"),
     (["ns", "compare", "--omega", "{tmp}/lopsided.json"], "not palindromic"),
@@ -191,6 +200,7 @@ def test_bad_input_exits_2_before_computing(argv, message, tmp_path, capsys,
     (tmp_path / "bytes.cfg").write_bytes(b"q_order = \xff\n")
     (tmp_path / "margin.cfg").write_text("margin = 10\n")
     (tmp_path / "nul.cfg").write_text("omega = a\0b.json\n")
+    (tmp_path / "empty-omega.cfg").write_text("omega =\n")
     (tmp_path / "lopsided.json").write_text(json.dumps({"entries": [
         {"degree": 1, "coeffs": [{"exp2": -2, "c": "1"}, {"exp2": 0, "c": "1"}]},
         {"degree": 2, "coeffs": [{"exp2": 0, "c": "1"}]}]}))
@@ -389,8 +399,8 @@ class TestHeavyCommands:
             t = gamma(n, genus)
             return t * (1 + F(1, 10 ** 6)) if (n, genus) == (g, 0) else t
         monkeypatch.setattr(cli.hae, "gamma", skewed)
-        # and solve on a fresh frame, not on one an earlier test left: a
-        # frame goes with its mirror data
+        # and solve on fresh mirror data, not on those an earlier test left:
+        # the conifold propagator goes with its mirror data
         build_mirror_data.cache_clear()
         status, out, _ = run(["solve", "--genus", str(g), "--target", "both"],
                              capsys)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from localp2 import acceptance, hae, linalg
 from localp2.hae import (
-    ConifoldFrame,
     assert_finite_generation,
     build_conifold_frame,
     conifold_expand,
@@ -32,6 +31,7 @@ from localp2.locrel import (
 )
 from localp2.mirror import (
     BModElement,
+    MirrorData,
     bm_eval,
     bm_to_qmod,
     build_mirror_data,
@@ -63,11 +63,6 @@ F2_RELATIVE = BModElement(0, {(1, 1): F(1, 384), (0, 2): F(-1, 360),
 @pytest.fixture(scope="module")
 def md():
     return build_mirror_data(ORDER)
-
-
-@pytest.fixture(scope="module")
-def frame(md):
-    return build_conifold_frame(md)
 
 
 class TestGapConstants:
@@ -135,17 +130,17 @@ class TestBounds:
 
 
 class TestFrame:
-    def test_flat_coordinate_normalization(self, frame):
-        assert frame.that.coeff_list(0, 1) == [0, 1]
+    def test_flat_coordinate_normalization(self, md):
+        assert md.that.coeff_list(0, 1) == [0, 1]
 
-    def test_s_con_is_laurent(self, frame):
-        s = frame.s_con.trim()
+    def test_s_con_is_laurent(self, md):
+        s = md.s_con.trim()
         assert s.min_exp == -1
         assert s.coeff(-1) == F(-1, 3)
 
-    def test_s_con_satisfies_riccati(self, md, frame):
+    def test_s_con_satisfies_riccati(self, md):
         # theta S = -S^2 + (X-1)S/3 - X(X-1)/9 with X = 1/u, theta = (u-1)d/du
-        s = frame.s_con
+        s = md.s_con
         order = s.trunc_order
         x = RatSeries.from_pairs("u", {-1: 1}, order)
         one = RatSeries.one("u", order)
@@ -153,34 +148,47 @@ class TestFrame:
         rhs = -(s * s) + (x - one) * s / 3 - x * (x - one) / 9
         assert lhs.agrees_with(rhs, order - 6)
 
-    def test_built_once_per_mirror_data(self, md, frame):
-        assert build_conifold_frame(md) is frame
+    def test_built_once_per_mirror_data(self, md):
+        assert build_mirror_data(ORDER).s_con is md.s_con
+        # the benchmark's genus4-hae child hands this to conifold_expand
+        assert build_conifold_frame(md) is md
 
-    def test_reads_past_the_order_raise(self, frame):
+    def test_reads_past_the_order_raise(self, md):
         # X^(ORDER+1) -> u^-(ORDER+1) reads [u^(ORDER+1)] that^i
         deep = BModElement.monomial(1, 0, ORDER + 1)
         with pytest.raises(ValueError, match="cannot extend truncation order"):
-            conifold_expand(deep, frame, ORDER + 1)
+            conifold_expand(deep, md, ORDER + 1)
         # S X^ORDER reads s_con through u^(ORDER-1), known through u^(ORDER-2)
         with pytest.raises(ValueError, match="cannot extend truncation order"):
-            conifold_expand(BModElement.monomial(1, 1, ORDER), frame, ORDER)
+            conifold_expand(BModElement.monomial(1, 1, ORDER), md, ORDER)
 
-    def test_both_towers_through_genus8_build_s_con_once(self, md,
-                                                         monkeypatch):
-        # every genus of both towers reads the one frame of the mirror data
+    def test_both_towers_through_genus8_build_s_con_once(self, md):
+        # every genus of both towers reads the one s_con of the mirror data
         made = []
 
-        class CountingFrame(ConifoldFrame):
+        class CountingFrame(MirrorData):
             @cached_property
             def s_con(self) -> RatSeries:
                 made.append(self)
                 return super().s_con
 
-        fresh = CountingFrame(md.that)
-        monkeypatch.setattr(hae, "build_conifold_frame", lambda md: fresh)
+        fresh = CountingFrame._make(md)
         for kind in ("local", "relative"):
-            solve_genus(8, kind, md, Correspondence(md))
+            solve_genus(8, kind, fresh, Correspondence(fresh))
         assert made == [fresh]
+
+    def test_degenerate_frame_fails_its_exact_check(self, md):
+        # that = u^2 makes theta t = 2u^2 - 2u, which vanishes at u = 0
+        that = RatSeries.from_pairs("u", {2: 1}, ORDER)
+        assert theta_u(that) == RatSeries.from_pairs("u", {1: -2, 2: 2},
+                                                     ORDER - 1)
+        message = "degenerate conifold frame: theta t vanishes at u = 0"
+        with pytest.raises(Localp2Error, match=message):
+            md._replace(that=that).s_con
+        particular = integrate_S(hae_rhs(2, 0, DTower()))
+        assert not particular.is_zero()
+        with pytest.raises(Localp2Error, match=message):
+            gap_fix(2, 0, particular, md._replace(that=that))
 
     def test_x_in_u_is_inverse_u(self, md):
         # X * (1 + 27q) = 1 with u = 1 + 27q exactly
@@ -188,9 +196,9 @@ class TestFrame:
         assert prod.coeff_list(0, 5) == [1, 0, 0, 0, 0, 0]
 
 
-class WrongFrame(ConifoldFrame):
-    """The frame with the propagator built from u - 1 in place of the
-    conifold flat coordinate."""
+class WrongFrame(MirrorData):
+    """The mirror data with the conifold propagator built from u - 1 in
+    place of the conifold flat coordinate."""
 
     @cached_property
     def s_con(self) -> RatSeries:
@@ -200,8 +208,8 @@ class WrongFrame(ConifoldFrame):
             - RatSeries.from_pairs("u", {-1: F(1, 3), 0: F(-1, 3)}, order)
 
 
-def polar(elt, frame, M) -> list:
-    con = conifold_expand(elt, frame, M)
+def polar(elt, md, M) -> list:
+    con = conifold_expand(elt, md, M)
     return [con.coeff(-j) for j in range(M, 0, -1)]
 
 
@@ -219,9 +227,9 @@ def gap_calls(md):
         calls.append((n + g, particular, sol))
         return sol
 
-    def expanding(elt, frame, max_pole):
+    def expanding(elt, md, max_pole):
         expanded.append((max_pole // 2 + 1, elt))
-        return u_polar_part(elt, frame, max_pole)
+        return u_polar_part(elt, md, max_pole)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hae, "gap_fix", fixing)
@@ -231,18 +239,18 @@ def gap_calls(md):
     return SimpleNamespace(calls=calls, expanded=expanded)
 
 
-def square_solve(n: int, g: int, particular: BModElement, md,
-                 frame) -> BModElement:
+def square_solve(n: int, g: int, particular: BModElement,
+                 md) -> BModElement:
     """The gap of F^(n,g) as a (2G-1)-square system in X^0..X^(2G-2),
     G = n + g: a row per that^-i, i = M..1 (M = 2G - 2), of oracle polar
     parts, and the row of flat constant terms by bm_eval, solved by
     solve_unique_oracle."""
     M = 2 * (n + g) - 2
     xs = [BModElement.monomial(1, 0, j) for j in range(M + 1)]
-    polars = [conifold_polar_oracle(x, frame, M) for x in xs]
+    polars = [conifold_polar_oracle(x, md, M) for x in xs]
     rows = [[p[k] for p in polars] for k in range(M)] + \
         [[bm_eval(x, md).constant_term() for x in xs]]
-    con = conifold_polar_oracle(particular, frame, M)
+    con = conifold_polar_oracle(particular, md, M)
     rhs = [t - c for t, c in zip(gap_conditions(n, g)[::-1], con)] + \
         [-bm_eval(particular, md).constant_term()]
     sol = solve_unique_oracle(rows, rhs)
@@ -253,21 +261,21 @@ class TestPolarPartOracle:
     """conifold_expand against the route that substitutes the whole series
     and divides by u_inverse^M (tests/oracles.py)."""
 
-    def test_every_gap_input_through_genus5(self, frame, gap_calls):
+    def test_every_gap_input_through_genus5(self, md, gap_calls):
         # the particular solutions of both towers, genus 2..5
         assert [g for g, _ in gap_calls.expanded] == [2, 3, 4, 5] * 2
         for g, e in gap_calls.expanded:
             M = 2 * g - 2
-            assert polar(e, frame, M) == conifold_polar_oracle(e, frame, M)
+            assert polar(e, md, M) == conifold_polar_oracle(e, md, M)
 
-    def test_genus2_closed_forms(self, frame):
+    def test_genus2_closed_forms(self, md):
         for elt, target in ((F2_LOCAL, F(-1, 80)), (F2_RELATIVE, F(-7, 1920))):
-            assert polar(elt, frame, 2) == conifold_polar_oracle(elt, frame, 2) \
+            assert polar(elt, md, 2) == conifold_polar_oracle(elt, md, 2) \
                 == [target, 0]
 
     @given(st.sampled_from([2, 4, 6]), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_weight_zero_elements_against_the_full_order_frame(self, frame,
+    def test_weight_zero_elements_against_the_full_order_frame(self, md,
                                                                M, data):
         # S^s X^x with s + x <= M: no pole deeper than that^-M
         keys = st.tuples(st.integers(0, 4), st.integers(-3, M)).filter(
@@ -276,36 +284,36 @@ class TestPolarPartOracle:
                            st.integers(1, 10 ** 4))
         elt = BModElement(0, data.draw(st.dictionaries(keys, values,
                                                        max_size=6)))
-        assert polar(elt, frame, M) == conifold_polar_oracle(elt, frame, M)
+        assert polar(elt, md, M) == conifold_polar_oracle(elt, md, M)
 
     def test_wrong_frame(self, md):
-        bad = WrongFrame(md.that)
+        bad = WrongFrame._make(md)
         for M in (2, 4):
             assert polar(F2_LOCAL, bad, M) == \
                 conifold_polar_oracle(F2_LOCAL, bad, M)
 
 
 class TestGenus2Gap:
-    def test_local_closed_form_has_the_gap(self, frame):
-        con = conifold_expand(F2_LOCAL, frame, 2)
+    def test_local_closed_form_has_the_gap(self, md):
+        con = conifold_expand(F2_LOCAL, md, 2)
         assert con.coeff(-1) == 0
         assert con.coeff(-2) == F(-1, 80)
 
-    def test_relative_closed_form_has_the_gap(self, frame):
-        con = conifold_expand(F2_RELATIVE, frame, 2)
+    def test_relative_closed_form_has_the_gap(self, md):
+        con = conifold_expand(F2_RELATIVE, md, 2)
         assert con.coeff(-1) == 0
         assert con.coeff(-2) == F(-7, 1920)
 
     def test_wrong_frame_fails_the_gap(self, md):
         # negative control: a propagator built from the wrong solution
-        bad = WrongFrame(md.that)
+        bad = WrongFrame._make(md)
         con = conifold_expand(F2_LOCAL, bad, 2)
         assert con.coeff(-1) != 0 or con.coeff(-2) != F(-1, 80)
 
-    def test_pole_bound_enforced(self, frame):
+    def test_pole_bound_enforced(self, md):
         deep = BModElement.monomial(1, 0, 5)  # X^5 -> u^-5
         with pytest.raises(Localp2Error, match="pole exceeds order 2"):
-            conifold_expand(deep, frame, 2)
+            conifold_expand(deep, md, 2)
 
     def test_gap_fix_rejects_a_pole_past_the_gap(self, md):
         # the ambiguity reaches u^-2 at genus 2; S X^2 -> s_con u^-2 has u^-3
@@ -322,21 +330,21 @@ class TestGapFix:
             [particular for _, particular, _ in gap_calls.calls]
 
     @pytest.mark.parametrize("M", [2, 4, 6, 8])
-    def test_rows_are_the_polar_parts_of_x_powers(self, md, frame, M):
+    def test_rows_are_the_polar_parts_of_x_powers(self, md, M):
         # column j of the square system: the that^-M..that^-1 coefficients
         # of X^j and its flat constant term, by the library against the
         # whole-series oracle and bm_eval
         for j in range(M + 1):
             x_j = BModElement.monomial(1, 0, j)
-            assert polar(x_j, frame, M) == conifold_polar_oracle(x_j, frame, M)
+            assert polar(x_j, md, M) == conifold_polar_oracle(x_j, md, M)
             assert q_constant_term(x_j, md) == \
                 bm_eval(x_j, md, target="Q").constant_term()
 
     @pytest.mark.parametrize("kind", ["local", "relative"])
     @pytest.mark.parametrize("at_floor", [True, False])
-    def test_equals_the_square_solve(self, md, frame, kind, at_floor):
+    def test_equals_the_square_solve(self, md, kind, at_floor):
         # through genus 8, each genus solved at its floor order or at ORDER;
-        # the square system is read from the order-ORDER frame
+        # the square system is read from the order-ORDER mirror data
         for g in range(2, 9):
             small = build_mirror_data(max(5, least_q_order(g))) \
                 if at_floor else md
@@ -346,12 +354,13 @@ class TestGapFix:
             key = corr.tower(kind).key(g)
             particular = integrate_S(hae_rhs(*key, corr.grid))
             got = gap_fix(*key, particular, small)
-            assert got == square_solve(*key, particular, md, frame)
+            assert got == square_solve(*key, particular, md)
 
     def test_solving_reverts_nothing_and_solves_no_system(self, monkeypatch):
         # a reversion or a square solve per genus made the deep towers
-        # several times slower; the count starts before the frame is made
-        md = build_mirror_data(16)
+        # several times slower; the count starts before s_con is made, on a
+        # new record whose cached tables are empty
+        md = build_mirror_data(16)._replace()
         calls = []
 
         def counting(name, f):
@@ -365,8 +374,6 @@ class TestGapFix:
         # graded reads solve_unique from linalg, so one patch sees every solve
         monkeypatch.setattr(linalg, "solve_unique",
                             counting("solve_unique", linalg.solve_unique))
-        monkeypatch.setattr(hae, "build_conifold_frame",
-                            lambda md: ConifoldFrame(md.that))
         for kind in ("local", "relative"):
             solve_genus(8, kind, md, Correspondence(md))
         assert calls == []
@@ -374,10 +381,10 @@ class TestGapFix:
         linalg.solve_unique([[1]], [1])
         assert calls == ["revert", "solve_unique"]
 
-    def test_powers_are_made_only_through_the_poles_read(self, frame,
+    def test_powers_are_made_only_through_the_poles_read(self, md,
                                                          gap_calls,
                                                          monkeypatch):
-        # the frame knows s_con and that near the mirror order (u^30 and
+        # the mirror data know s_con and that near their order (u^30 and
         # u^32 here); powers made that far would slow the deep towers
         tables = []
 
@@ -398,12 +405,12 @@ class TestGapFix:
         monkeypatch.setattr(hae, "Powers", MadePowers)
         for g, _, sol in gap_calls.calls:
             M = 2 * g - 2
-            conifold_expand(sol, frame, M)
+            conifold_expand(sol, md, M)
             s_con_pow, that_pow = tables[-2:]
             # s_con through u^r, r the largest x + s - 1, and its s-th
             # power through u^(r - s + 1)
             r = max(x + s - 1 for s, x in sol.terms)
-            assert s_con_pow.bases[0].trunc_order == r < frame.s_con.trunc_order
+            assert s_con_pow.bases[0].trunc_order == r < md.s_con.trunc_order
             assert max(s_con_pow.known) == (sol.deg_S(),)
             assert all(t == r - s + 1 for (s,), t in s_con_pow.known.items() if s)
             # the gap target makes u^-M the deepest pole: that^i through u^M,
@@ -650,8 +657,7 @@ class TestGenus4:
     def test_local_solve_full_rank_and_bounds(self, md, solved):
         f4 = solved["local"].elements[4]
         assert_finite_generation(f4, 0, 4)
-        frame = build_conifold_frame(md)
-        con = conifold_expand(f4, frame, 6)
+        con = conifold_expand(f4, md, 6)
         assert all(con.coeff(-j) == 0 for j in range(1, 6))
         assert con.coeff(-6) == gap_conditions(0, 4)[-1]
         assert bm_eval(f4, md, target="Q").constant_term() == 0
