@@ -163,8 +163,6 @@ class Graded:
 def weight_monomials(weights: tuple, w: int) -> list:
     """Every exponent tuple e with sum_i weights[i] * e[i] == w, the last
     exponent varying slowest."""
-    if w < 0:
-        return []
     if len(weights) == 1:
         return [(w // weights[0],)] if w % weights[0] == 0 else []
     *rest, last = weights

@@ -20,7 +20,8 @@ Both towers are edges of one grid of derivatives keyed by (n, g), the
 refined free energy F^(n,g): the local tower is F^(0,g) and the relative
 one the Nekrasov-Shatashvili edge F^(g,0).  Genus 0 and 1 enter the leg
 products only through closed-form derivative seeds; the genus-1 series
-themselves carry log slots and are handled at the series level.
+themselves carry log slots and are handled at the series level, the series
+and its seed both read from one ``LogForm`` per side (``F1``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import elliptic
 from .graded import evaluate
 from .mirror import (
     BModElement,
+    LogForm,
     MirrorData,
     bm_derive_D,
     bm_eval,
@@ -49,9 +51,13 @@ F = Fraction
 # D^3 of the genus-0 series: -9 X / I11^3
 D3F0 = BModElement.monomial(-9, 0, 1, i11_degree=3)
 
-# D of the genus-1 series: F^(0,1), the local one, and F^(1,0), the relative
-DF1_LOCAL = BModElement(1, {(1, 0): F(-3, 2), (0, 1): F(-1, 4)})
-DF1_RELATIVE = BModElement.monomial(F(-1, 8), 0, 1, i11_degree=1)
+# The genus-1 series of each side as a log q + b log I11 + c log X: the
+# local one, F^(0,1), is -(1/12) log q - (1/2) log I11 - (1/12) log(1 + 27q);
+# the relative one, F^(1,0), is -(1/24) (log q + log X), its log q
+# coefficient that of the unstable relative term, -(chi / 24) * r / (E.E):
+# chi(P2) = 3, E.E = 9 and Q^E = Q^r with r = 3.
+F1 = {"local": LogForm(F(-1, 12), F(-1, 2), F(1, 12)),
+      "relative": LogForm(F(-1, 24), 0, F(-1, 24))}
 
 
 class DTower:
@@ -62,7 +68,8 @@ class DTower:
 
     def __init__(self):
         self._cache: dict[tuple, BModElement] = {
-            ((0, 0), 3): D3F0, ((0, 1), 1): DF1_LOCAL, ((1, 0), 1): DF1_RELATIVE}
+            ((0, 0), 3): D3F0, ((0, 1), 1): F1["local"].D,
+            ((1, 0), 1): F1["relative"].D}
         self.elements: dict[tuple, BModElement] = {}
 
     def set_genus(self, key: tuple, elt: BModElement):
@@ -110,25 +117,6 @@ def epoly_to_bmod(ep: elliptic.EPoly) -> BModElement:
     return evaluate(ep.terms, _E_BMOD)
 
 
-# -- genus-1 series -------------------------------------------------------------------
-
-def f1_local_series(md: MirrorData) -> RatSeries:
-    """-(1/12) log q - (1/2) log I11 - (1/12) log(1 + 27q)."""
-    log_1_27q = -(md.X.log())
-    body = md.I11.log() * F(-1, 2) + log_1_27q * F(-1, 12)
-    return body.with_log(F(-1, 12))
-
-
-def f1_relative_series(md: MirrorData) -> RatSeries:
-    """-(1/24) log q + (1/24) log(1 + 27q) = -(1/24) (log q + log X)."""
-    return (md.X.log() * F(-1, 24)).with_log(F(-1, 24))
-
-
-# Coefficient of log Q in the genus-1 unstable relative term,
-# -(chi / 24) * r / (E.E): chi(P2) = 3, E.E = 9 and Q^E = Q^r with r = 3.
-RELATIVE_LOG_COEFF = F(-1, 24)
-
-
 # -- the correction sum by elliptic label ---------------------------------------------
 
 def _hbar_mul(p: list, t: list) -> list:
@@ -162,8 +150,6 @@ class Correspondence:
         genera, given ``legs``, the [hbar^(g-h)] coefficient of the T_a
         product over ``parts``."""
         ep = elliptic.stationary_value(h, parts)
-        if ep.is_zero():
-            return BModElement.zero()
         aut = prod(map(factorial, Counter(parts).values()))
         value = epoly_to_bmod(ep) * legs * F((-1) ** (h - 1), aut)
         if not value.is_zero() and value.i11_degree != 0:
@@ -210,9 +196,9 @@ class Correspondence:
         """
         if g == 1:
             out = cq_change(elliptic.f1_empty(self.md.order), self.md) - local_side
-            if out.log_coeff != RELATIVE_LOG_COEFF:
+            if out.log_coeff != F1["relative"].a:
                 raise Localp2Error(f"genus-1 log slots do not balance: got "
-                                   f"{out.log_coeff}, want {RELATIVE_LOG_COEFF}")
+                                   f"{out.log_coeff}, want {F1['relative'].a}")
             return out
         rel = (local_side - self.corrections_sum(g)) * F((-1) ** g)
         self.grid.set_genus(self.relative.key(g), rel)
@@ -228,7 +214,7 @@ def genus_series(corr: Correspondence, g: int, side: str) -> RatSeries:
     tower = corr.tower(side)
     if g != 1:
         return bm_eval(tower.elements[g], corr.md)
-    local = f1_local_series(corr.md)
+    local = F1["local"].series(corr.md)
     return local if tower is corr.local else corr.solve_relative(1, local)
 
 

@@ -276,10 +276,12 @@ class BModElement(Graded):
 #   theta S = -S^2 + (X-1) S / 3 - X(X-1)/9
 #   theta X = X(X-1)
 #   theta log I11 = S + (X-1)/3
+#   theta log X = X - 1
 _THETA_S = BModElement(0, {(2, 0): -1, (1, 1): F(1, 3), (1, 0): F(-1, 3),
                            (0, 2): F(-1, 9), (0, 1): F(1, 9)})
 _THETA_X = BModElement(0, {(0, 2): 1, (0, 1): -1})
 _THETA_LOG_I11 = BModElement(0, {(1, 0): 1, (0, 1): F(1, 3), (0, 0): F(-1, 3)})
+_THETA_LOG_X = BModElement(0, {(0, 1): 1, (0, 0): -1})
 
 
 def bm_theta(e: BModElement) -> BModElement:
@@ -291,6 +293,26 @@ def bm_derive_D(e: BModElement) -> BModElement:
     """D = 3 Q d/dQ = 3 I11^{-1} q d/dq; raises i11_degree by 1."""
     return BModElement._from(e.i11_degree + 1, {
         k: 3 * v for k, v in bm_theta(e).terms.items()})
+
+
+class LogForm(namedtuple("LogForm", "a b c")):
+    """F = a log q + b log I11 + c log X (a genus-1 free energy), read as a
+    q-series or through its D-image, which is in the ring."""
+
+    __slots__ = ()
+
+    def series(self, md: MirrorData) -> RatSeries:
+        """F in q through q^order: a in the log slot, and the logs of I11
+        and X only where their coefficient is nonzero."""
+        return lincomb([(k, p.log()) for k, p in ((self.b, md.I11), (self.c, md.X))
+                        if k]).with_log(self.a)
+
+    @property
+    def D(self) -> BModElement:
+        """D F = 3 I11^-1 theta F, of I11-degree 1, by theta log q = 1 and
+        the theta rules of log I11 and log X."""
+        return BModElement.monomial(3, i11_degree=1) * (
+            _THETA_LOG_I11 * self.b + _THETA_LOG_X * self.c + self.a)
 
 
 def _times_u(nums: list, step: int) -> list:

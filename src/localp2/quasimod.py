@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 from .graded import Graded, evaluate
 from .series import Powers, RatSeries
@@ -44,17 +44,13 @@ def inv_2sinh(j: int) -> Fraction:
     return (Fraction(2) ** -j - 1) * bernoulli(j + 1) / factorial(j + 1)
 
 
-def _sigma(n: int, k: int) -> int:
-    s = 0
-    i = 1
-    while i * i <= n:
+def _divisors(n: int):
+    """The divisors of n >= 1, in pairs (i, n // i) over i <= sqrt(n)."""
+    for i in range(1, isqrt(n) + 1):
         if n % i == 0:
-            s += i ** k
-            j = n // i
-            if j != i:
-                s += j ** k
-        i += 1
-    return s
+            yield i
+            if i * i != n:
+                yield n // i
 
 
 def eisenstein_series(k: int, level_multiplier: int, order: int,
@@ -67,7 +63,7 @@ def eisenstein_series(k: int, level_multiplier: int, order: int,
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[0] = Fraction(1)
     for n in range(1, order // m + 1):
-        coeffs[m * n] = pref * _sigma(n, k - 1)
+        coeffs[m * n] = pref * sum(d ** (k - 1) for d in _divisors(n))
     return RatSeries(var, 0, coeffs)
 
 
@@ -86,7 +82,7 @@ def generator_series(name: str, order: int) -> RatSeries:
     if name == "A":
         # Borwein's cubic theta: 1 + 6 sum_n (sum_{d | n} chi_-3(d)) v^n
         return RatSeries(CQ, 0, [1] + [
-            6 * sum((0, 1, -1)[d % 3] for d in range(1, n + 1) if n % d == 0)
+            6 * sum((0, 1, -1)[d % 3] for d in _divisors(n))
             for n in range(1, order + 1)])
     if name == "B":
         # B printed expansions elsewhere are unreliable; the definition rules.

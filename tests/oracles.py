@@ -76,7 +76,7 @@ from math import comb, factorial, prod
 
 from localp2.elliptic import (EPoly, StationaryLabel, connected_extract, f1_empty,
                               npoint_disconnected, stationary_value)
-from localp2.locrel import epoly_to_bmod, f1_relative_series
+from localp2.locrel import F1, epoly_to_bmod
 from localp2.mirror import BModElement, cq_change
 
 
@@ -741,7 +741,7 @@ def solve_local(corr, g: int, relative_side=None):
     closed form (genus 1) or the solved tower (genus >= 2)."""
     if g == 1:
         if relative_side is None:
-            relative_side = f1_relative_series(corr.md)
+            relative_side = F1["relative"].series(corr.md)
         return cq_change(f1_empty(corr.md.order), corr.md) - relative_side
     if relative_side is None:
         relative_side = corr.relative.elements[g]

@@ -16,6 +16,8 @@ from localp2.mirror import BModElement, bm_to_qmod, build_mirror_data
 from localp2.quasimod import QModElement
 from localp2.series import Localp2Error, Powers, RatSeries
 
+from goldens import BAD_DATA_RUNS, GOLDEN_RUNS, ROOT, write_inputs
+
 
 def run(argv, capsys):
     status = main(argv)
@@ -409,74 +411,30 @@ class TestHeavyCommands:
 
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# golden file -> argv; each file is the stdout of `localp2 <argv>` (exit 0)
-# recorded before the change that the comment names, so any change in a
-# printed number or its formatting fails here
-GOLDEN_RUNS = {
-    # before the integer-numerator series kernel
-    "solve-g3-both-json.out": ["--format", "json", "solve", "--genus", "3",
-                               "--target", "both"],
-    "solve-g4-both.out": ["solve", "--genus", "4", "--target", "both"],
-    "relative-g2-csv.out": ["--format", "csv", "compute", "relative",
-                            "--genus", "2"],
-    # before the shared graded-polynomial core: 71 elliptic labels through
-    # EPoly, and the BModElement, QModElement and EPoly printouts
-    "solve-g5-both.out": ["solve", "--genus", "5", "--target", "both"],
-    "relative-g3.out": ["compute", "relative", "--genus", "3"],
-    "elliptic-g3-211.out": ["compute", "elliptic", "--genus", "3",
-                            "--parts", "2,1,1"],
-    "elliptic-g3-211-json.out": ["--format", "json", "compute", "elliptic",
-                                 "--genus", "3", "--parts", "2,1,1"],
-    # before local-side commands stopped building the relative tower
-    "verify-hae-g4-local.out": ["verify", "hae", "--genus", "4", "--target",
-                                "local"],
-    "verify-gap-g4-local.out": ["verify", "gap", "--genus", "4", "--target",
-                                "local"],
-    # before the polar-only conifold expansion, the q -> Q power table and
-    # theta_u by its coefficient formula
-    "solve-g8-local.out": ["solve", "--genus", "8", "--target", "local"],
-    "selftest.out": ["selftest"],
-    # recorded when the CSV format began to print the Eisenstein polynomial
-    # as a CSV block instead of a text line
-    "elliptic-g2-11-csv.out": ["--format", "csv", "compute", "elliptic",
-                               "--genus", "2", "--parts", "1,1"],
-    # before one writer took over every JSON and CSV printout: the
-    # quasimodular form in JSON, and a nonzero log slot in JSON and CSV
-    "relative-g2-json.out": ["--format", "json", "compute", "relative",
-                             "--genus", "2"],
-    "relative-g1-json.out": ["--format", "json", "compute", "relative",
-                             "--genus", "1"],
-    "relative-g1-csv.out": ["--format", "csv", "compute", "relative",
-                            "--genus", "1"],
-    # before the flat conifold coordinate was solved by the closed form of
-    # the operator on u^k: the coordinate `that` through u^32
-    "mirror-o32-json.out": ["--format", "json", "compute", "mirror",
-                            "--order", "32"],
-    # before the genus rows of the sheaf side were read in closed form:
-    # rows above genus 2
-    "ns-compare-g4-d2.out": ["ns", "compare", "--gmax", "4", "--dmax", "2"],
-    # before the ambiguity's gap rows were read from the conifold frame:
-    # the relative tower through the correspondence at genus 4
-    "verify-gap-g4-relative.out": ["verify", "gap", "--genus", "4",
-                                   "--target", "relative"],
-    # before the anomaly solver was keyed by (n, g): the relative right
-    # side, which has no loop term
-    "verify-hae-g4-relative.out": ["verify", "hae", "--genus", "4",
-                                   "--target", "relative"],
-    # before the periods and the conifold coordinate were read from their
-    # hypergeometric closed forms: the least mirror order, and order 78
-    "mirror-o5.out": ["compute", "mirror", "--order", "5"],
-    "mirror-o78-csv.out": ["--format", "csv", "compute", "mirror",
-                           "--order", "78"],
-}
+ARGV = {r.name: r.argv for r in GOLDEN_RUNS}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_output_matches_golden(name, capsys):
-    status, out, _ = run(GOLDEN_RUNS[name], capsys)
-    assert status == 0
-    assert out == (GOLDEN / name).read_text()
+@pytest.mark.parametrize("golden_run", GOLDEN_RUNS, ids=[r.name for r in GOLDEN_RUNS])
+def test_output_matches_golden(golden_run, capsys, tmp_path, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(golden_run.argv, capsys)
+    if golden_run.out:
+        assert out == ""
+        out = (tmp_path / golden_run.out).read_text()
+    assert (status, out, err) == (golden_run.status,
+                                  (ROOT / golden_run.golden).read_text(), "")
+
+
+@pytest.mark.parametrize("argv,line", BAD_DATA_RUNS,
+                         ids=[" ".join(a) for a, _ in BAD_DATA_RUNS])
+def test_bad_data_exits_2_with_one_error_line(argv, line, capsys, tmp_path,
+                                              monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(argv, capsys)
+    assert (status, out) == (2, "")
+    assert re.fullmatch(line + "\n", err)
 
 
 CLI_MIX_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "cli-mix"
@@ -506,13 +464,8 @@ def gap_doubled(monkeypatch, tmp_path):
 
 def omega_skewed(monkeypatch, tmp_path):
     # the shipped sheaf table with degree 1's y^0 coefficient 2, not 1
-    path = Path(cli.ns.default_omega_path())
-    table = json.loads(path.read_text(encoding="utf-8"))
-    entry = next(e for e in table["entries"] if e["degree"] == 1)
-    next(c for c in entry["coeffs"] if c["exp2"] == 0)["c"] = "2"
-    skewed = tmp_path / "skew-omega.json"
-    skewed.write_text(json.dumps(table), encoding="utf-8")
-    return ["ns", "compare", "--omega", str(skewed)]
+    write_inputs(tmp_path)
+    return ["ns", "compare", "--omega", str(tmp_path / "skew-omega.json")]
 
 
 def criterion_2_false(monkeypatch, tmp_path):
@@ -695,7 +648,7 @@ CHECK_GOLDENS = ["verify-hae-g4-local.out", "verify-hae-g4-relative.out",
 def test_a_check_prints_its_golden_at_q_order_5(name, capsys, tmp_path):
     (tmp_path / "q5.cfg").write_text("q_order = 5\n")
     status, out, _ = run(["--config", str(tmp_path / "q5.cfg"),
-                          *GOLDEN_RUNS[name]], capsys)
+                          *ARGV[name]], capsys)
     assert status == 0
     assert out == (GOLDEN / name).read_text()
 

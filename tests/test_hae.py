@@ -24,7 +24,7 @@ from localp2.hae import (
     verify_hae,
 )
 from localp2.locrel import (
-    DF1_RELATIVE,
+    F1,
     Correspondence,
     DTower,
     flat_expansion,
@@ -429,7 +429,7 @@ class TestAnomalyEquation:
         assert part == BModElement(0, {(1, 1): F(1, 384)})
 
     def test_relative_genus1_has_no_s_dependence(self):
-        assert DF1_RELATIVE.partial("S").is_zero()
+        assert F1["relative"].D.partial("S").is_zero()
 
     def test_local_genus2_rhs_matches_closed_form(self):
         # d/dS of the known local genus-2 series equals the assembled rhs

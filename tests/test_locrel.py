@@ -2,19 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from localp2 import locrel
+from localp2 import locrel, mirror
 from localp2.elliptic import EPoly, eisenstein_powers, stationary_value
 from localp2.graded import evaluate
 from localp2.hae import solve_towers
 from localp2.locrel import (
+    F1,
     Correspondence,
-    DF1_LOCAL,
-    DF1_RELATIVE,
     DTower,
-    RELATIVE_LOG_COEFF,
     epoly_to_bmod,
-    f1_local_series,
-    f1_relative_series,
     flat_expansion,
 )
 from localp2.mirror import BModElement, bm_eval, build_mirror_data, cq_change
@@ -51,7 +47,7 @@ def nome_series(ep: EPoly, order: int) -> RatSeries:
 
 
 def test_relative_log_coefficient(md):
-    assert RELATIVE_LOG_COEFF == F(-1, 24) == f1_relative_series(md).log_coeff
+    assert F1["relative"].a == F(-1, 24) == F1["relative"].series(md).log_coeff
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +124,8 @@ class TestGenus2Intermediates:
 
 class TestSolve:
     def test_genus1_relative_from_local(self, corr, md):
-        got = corr.solve_relative(1, f1_local_series(md))
-        expect = f1_relative_series(md)
+        got = corr.solve_relative(1, F1["local"].series(md))
+        expect = F1["relative"].series(md)
         assert got.log_coeff == F(-1, 24)
         assert got.agrees_with(expect, ORDER - 1)
 
@@ -139,8 +135,8 @@ class TestSolve:
                                          F(-43009, 32), F(392691, 20)]
 
     def test_genus1_local_from_relative(self, corr, md):
-        got = solve_local(corr, 1, f1_relative_series(md))
-        assert got.agrees_with(f1_local_series(md), ORDER - 1)
+        got = solve_local(corr, 1, F1["relative"].series(md))
+        assert got.agrees_with(F1["local"].series(md), ORDER - 1)
 
     def test_genus1_nome_form(self, corr, md):
         # the same series written at the level-3 nome:
@@ -157,7 +153,7 @@ class TestSolve:
                 coeffs[nn] += F(s3, m) / 2
         nome_form = RatSeries("cQ", 0, coeffs, log_coeff=F(-1, 24))
         got = cq_change(nome_form, md)
-        assert got.agrees_with(f1_relative_series(md), order - 2)
+        assert got.agrees_with(F1["relative"].series(md), order - 2)
 
     def test_genus2_relative(self, corr):
         got = corr.solve_relative(2, F2_LOCAL)
@@ -215,7 +211,24 @@ class TestDTower:
     def test_local_genus1_seed(self):
         t = DTower()
         assert t.D((0, 1), 1) == BModElement(1, {(1, 0): F(-3, 2), (0, 1): F(-1, 4)})
-        assert t.D((1, 0), 1) == DF1_RELATIVE
+        assert t.D((1, 0), 1) == BModElement.monomial(F(-1, 8), 0, 1, i11_degree=1)
+
+    @staticmethod
+    def seed_matches_series(seed, form, md) -> bool:
+        """bm_eval of a genus-1 seed against 3 theta F / I11 of the series
+        F, whose log slot theta turns into a constant term."""
+        want = form.series(md).theta() * 3 / md.I11
+        return bm_eval(seed, md).agrees_with(want, md.order - 2)
+
+    @pytest.mark.parametrize("order", [12, 32])
+    @pytest.mark.parametrize("side", ["local", "relative"])
+    def test_genus1_seed_is_D_of_the_series(self, side, order, monkeypatch):
+        md = build_mirror_data(order)
+        form = F1[side]
+        assert self.seed_matches_series(form.D, form, md)
+        # theta log X = X, not X - 1, spoils the seed on both sides
+        monkeypatch.setattr(mirror, "_THETA_LOG_X", BModElement.gen("X"))
+        assert not self.seed_matches_series(form.D, form, md)
 
     def test_missing_genus(self):
         t = DTower()
@@ -227,7 +240,7 @@ class TestDTower:
         assert corr.local.grid is corr.relative.grid is corr.grid
         assert corr.local.D(0, 3) is corr.relative.D(0, 3)
         assert (corr.local.D(1, 1), corr.relative.D(1, 1)) == \
-            (DF1_LOCAL, DF1_RELATIVE)
+            (F1["local"].D, F1["relative"].D)
         corr.grid.set_genus((0, 2), F2_LOCAL)
         corr.grid.set_genus((2, 0), F2_RELATIVE)
         assert corr.grid.elements == {(0, 2): F2_LOCAL, (2, 0): F2_RELATIVE}
